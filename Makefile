@@ -3,9 +3,9 @@
 
 CARGO ?= cargo
 
-.PHONY: ci build test fmt clippy report golden obs-schema bench-smoke bench-check bench-baseline transport-conformance shard-conformance chaos-smoke scale-smoke serve-smoke dynamic-smoke serve-chaos maelstrom-smoke
+.PHONY: ci build test fmt clippy report golden obs-schema bench-smoke bench-check bench-baseline transport-conformance shard-conformance chaos-smoke scale-smoke serve-conformance serve-smoke dynamic-smoke serve-chaos maelstrom-smoke
 
-ci: build test fmt clippy obs-schema bench-check transport-conformance shard-conformance chaos-smoke scale-smoke serve-smoke dynamic-smoke serve-chaos maelstrom-smoke
+ci: build test fmt clippy obs-schema bench-check transport-conformance shard-conformance chaos-smoke scale-smoke serve-conformance serve-smoke dynamic-smoke serve-chaos maelstrom-smoke
 
 build:
 	$(CARGO) build --release
@@ -91,6 +91,17 @@ bench-baseline:
 # keep peak RSS under 128 MiB + 10x the graph's own CSR footprint.
 scale-smoke:
 	$(CARGO) run --release -q -p dw-bench --bin scale_smoke
+
+# The gateway's hot-path contract (DESIGN.md §13) against a scripted slow
+# shard: batches form from what parks during a round trip (no timer),
+# installs ship ahead of parked queries, cache hits overtake shard round
+# trips and reply frames never interleave, a client that stops reading is
+# dropped without delaying others, a pause inside a frame does not desync
+# the stream, shutdown does not wait for attached clients. One test
+# thread: the timing-sensitive ones must not be starved on a 2-vCPU
+# runner.
+serve-conformance:
+	$(CARGO) test --release -q -p dw-serve --test gateway_conformance -- --test-threads=1
 
 # Serving-plane smoke test (DESIGN.md §13): compute APSP tables with
 # Algorithm 1, persist them through the snapshot codec, stand up 2 shard

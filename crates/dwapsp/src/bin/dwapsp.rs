@@ -104,7 +104,7 @@ fn usage_and_exit() -> ! {
          dwapsp tables --graph FILE --out FILE [--sources a,b,c] [--delta D] \
          [--runtime <sim|threads[:P]|tcp[:P]>] [--oracle]\n  \
          dwapsp serve --tables FILE [--listen ADDR] [--shards P | --shard-addrs A,B,..] \
-         [--flush-us U] [--max-batch B] [--cache C] [--duration-secs T]\n  \
+         [--max-batch B] [--cache C] [--duration-secs T]\n  \
          dwapsp serve-shard --tables FILE --listen ADDR --shards P --shard-id S\n  \
          dwapsp query --gateway ADDR --src S --dst D [--path]\n  \
          dwapsp update --graph FILE --tables FILE --updates FILE [--batch-size B] \
@@ -921,9 +921,6 @@ fn cmd_serve(get: &impl Fn(&str) -> Option<String>) {
     let vt = load_tables(get);
     let snap = &vt.snap;
     let cfg = GatewayConfig {
-        flush_interval: Duration::from_micros(
-            get("--flush-us").map_or(200, |s| s.parse().expect("--flush-us")),
-        ),
         max_batch: get("--max-batch").map_or(128, |s| s.parse().expect("--max-batch")),
         cache_capacity: get("--cache").map_or(4096, |s| s.parse().expect("--cache")),
         initial_generation: vt.generation,

@@ -6,17 +6,24 @@
 //! (the gateway may complete replies out of submission order for
 //! *pipelined* clients; with one outstanding request the loop below is
 //! just a safety check).
+//!
+//! A gateway that stops answering does not hang the caller: every read
+//! and write on the connection carries the reply deadline, and a request
+//! that outlives it fails with [`io::ErrorKind::TimedOut`]. The deadline
+//! may have fired inside a frame, so the connection is closed with it;
+//! reconnect to go on.
 
+use crate::gateway::GatewayConfig;
 use crate::proto::{ApplyReport, ClientReply, ClientRequest, QueryOutcome, QueryRequest};
 use crate::table::TableSnapshot;
 use dw_transport::tcp::retry_connect;
 use dw_transport::wire::{read_frame, write_frame};
-use std::io;
-use std::net::{SocketAddr, TcpStream};
+use std::io::{self, BufReader};
+use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::time::Duration;
 
 pub struct ServeClient {
-    stream: TcpStream,
+    stream: BufReader<TcpStream>,
     scratch: Vec<u8>,
     next_id: u64,
 }
@@ -24,12 +31,62 @@ pub struct ServeClient {
 impl ServeClient {
     /// Connect to a gateway, retrying until `timeout`.
     pub fn connect(addr: SocketAddr, timeout: Duration) -> io::Result<ServeClient> {
-        let stream = retry_connect(addr, timeout)?;
+        // The longest a default gateway can take over one request: a
+        // batch ahead of it that waits `shard_timeout` on a wedged
+        // shard, then an install that waits `apply_timeout` on the acks.
+        let cfg = GatewayConfig::default();
+        ServeClient::over(
+            retry_connect(addr, timeout)?,
+            cfg.shard_timeout + cfg.apply_timeout,
+        )
+    }
+
+    fn over(stream: TcpStream, reply_deadline: Duration) -> io::Result<ServeClient> {
         stream.set_nodelay(true)?;
+        stream.set_read_timeout(Some(reply_deadline))?;
+        stream.set_write_timeout(Some(reply_deadline))?;
         Ok(ServeClient {
-            stream,
+            stream: BufReader::new(stream),
             scratch: Vec::new(),
             next_id: 1,
+        })
+    }
+
+    /// Send `req` and read replies until `pick` accepts one.
+    fn round_trip<T>(
+        &mut self,
+        req: &ClientRequest,
+        mut pick: impl FnMut(ClientReply) -> Option<T>,
+    ) -> io::Result<T> {
+        let mut exchange = || {
+            write_frame(self.stream.get_mut(), req, &mut self.scratch)?;
+            loop {
+                match read_frame::<_, ClientReply>(&mut self.stream)? {
+                    Some(reply) => {
+                        // Anything `pick` refuses is a stray reply.
+                        if let Some(picked) = pick(reply) {
+                            return Ok(picked);
+                        }
+                    }
+                    None => {
+                        return Err(io::Error::new(
+                            io::ErrorKind::UnexpectedEof,
+                            "gateway closed the connection before replying",
+                        ))
+                    }
+                }
+            }
+        };
+        exchange().map_err(|e| match e.kind() {
+            // An expired socket timeout reads as `WouldBlock` on Unix.
+            io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut => {
+                let _ = self.stream.get_ref().shutdown(Shutdown::Both);
+                io::Error::new(
+                    io::ErrorKind::TimedOut,
+                    "no reply from the gateway within the deadline",
+                )
+            }
+            _ => e,
         })
     }
 
@@ -43,19 +100,10 @@ impl ServeClient {
             dst,
             want_path,
         });
-        write_frame(&mut self.stream, &req, &mut self.scratch)?;
-        loop {
-            match read_frame::<_, ClientReply>(&mut self.stream)? {
-                Some(ClientReply::Query(reply)) if reply.id == id => return Ok(reply.outcome),
-                Some(_) => continue, // a stray reply from a past timeout
-                None => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::UnexpectedEof,
-                        "gateway closed the connection mid-query",
-                    ))
-                }
-            }
-        }
+        self.round_trip(&req, |reply| match reply {
+            ClientReply::Query(reply) if reply.id == id => Some(reply.outcome),
+            _ => None,
+        })
     }
 
     /// Push a new table generation into the deployment: the gateway
@@ -71,19 +119,10 @@ impl ServeClient {
             generation,
             snap: snap.clone(),
         };
-        write_frame(&mut self.stream, &req, &mut self.scratch)?;
-        loop {
-            match read_frame::<_, ClientReply>(&mut self.stream)? {
-                Some(ClientReply::ApplyDone(report)) => return Ok(report),
-                Some(ClientReply::Query(_)) => continue, // a stray reply
-                None => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::UnexpectedEof,
-                        "gateway closed the connection mid-apply",
-                    ))
-                }
-            }
-        }
+        self.round_trip(&req, |reply| match reply {
+            ClientReply::ApplyDone(report) => Some(report),
+            ClientReply::Query(_) => None,
+        })
     }
 
     /// Distance-only convenience wrapper.
@@ -94,5 +133,29 @@ impl ServeClient {
     /// Path convenience wrapper.
     pub fn path(&mut self, src: u32, dst: u32) -> io::Result<QueryOutcome> {
         self.query(src, dst, true)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+    use std::time::Instant;
+
+    #[test]
+    fn a_silent_gateway_times_the_request_out() {
+        // A "gateway" that accepts and then never answers.
+        let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        let stream = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (_held, _) = listener.accept().unwrap();
+        let mut client = ServeClient::over(stream, Duration::from_millis(100)).unwrap();
+
+        let t0 = Instant::now();
+        let err = client.query(0, 1, false).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::TimedOut);
+        assert!(t0.elapsed() < Duration::from_secs(5));
+        // The deadline may have cut a frame in two: the connection is
+        // closed, so a later call fails instead of reading out of step.
+        assert!(client.query(0, 1, false).is_err());
     }
 }

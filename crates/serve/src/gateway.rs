@@ -7,10 +7,13 @@
 //!    the same [`ShardMap`] the transport runtime shards by, and probes
 //!    the LRU cache; a hit (or an out-of-range source/destination)
 //!    answers immediately without touching any shard;
-//! 2. **batches** — parks the query on the owning shard's dispatcher,
-//!    which coalesces everything that arrives within one flush tick
-//!    (or up to `max_batch`) into a single [`QueryBatch`] frame,
-//!    mempool-style, and ships it as one write;
+//! 2. **batches** — parks the query on the owning shard's dispatcher.
+//!    The dispatcher ships whatever is parked the moment its shard
+//!    connection is free, as one [`QueryBatch`] frame and one write; the
+//!    queries that arrive while that round trip is in flight are the
+//!    next batch. No query waits on a clock: an idle shard gets a lone
+//!    query at once, a busy one gets batches that grow with the load
+//!    (`max_batch` only caps the frame);
 //! 3. **caches** — folds every distance/path/unreachable answer back
 //!    into the shared LRU so hot pairs short-circuit at intake;
 //! 4. **degrades** — a dead shard connection marks that shard down and
@@ -20,16 +23,21 @@
 //! 5. **swaps** — a [`ClientRequest::ApplyTables`] fans the new
 //!    generation out to every live shard *through the dispatcher
 //!    mailboxes* (so installs serialize with query batches on each
-//!    shard connection — FIFO, no second socket), waits for the acks,
-//!    then bumps the gateway generation and invalidates the cache. See
-//!    DESIGN.md §14 for the protocol's old-or-new guarantee.
+//!    shard connection — FIFO, no second socket — and ship ahead of the
+//!    queries parked beside them), waits for the acks, then bumps the
+//!    gateway generation and invalidates the cache. See DESIGN.md §14
+//!    for the protocol's old-or-new guarantee.
 //!
 //! Threading: one dispatcher thread per shard (owns that shard's
 //! connection; write-then-read per frame, so batches to *different*
-//! shards overlap freely), one reader and one writer thread per client
-//! connection (replies can complete out of submission order — cache
-//! hits overtake shard round trips — so writers drain a channel and
-//! clients correlate by id).
+//! shards overlap freely) and one intake thread per client connection.
+//! A reply is written to the client's socket by the thread that holds
+//! it — a cache hit by the intake thread, a shard answer by the
+//! dispatcher — under the connection's [`ClientSink`] lock, so frames
+//! never interleave. Replies complete out of submission order (cache
+//! hits overtake shard round trips); clients correlate by id. A client
+//! that stops reading is cut off after [`CLIENT_WRITE_TIMEOUT`] rather
+//! than queued for without bound.
 //!
 //! # Why queries carry their intake generation
 //!
@@ -43,6 +51,7 @@
 //! [`cache_put`] drops answers whose intake generation is no longer
 //! current — the cheap, conservative rule.
 
+use crate::accept::accept_until_stopped;
 use crate::cache::{CachedAnswer, PathCache};
 use crate::metrics::ServeStats;
 use crate::proto::{
@@ -54,9 +63,8 @@ use dw_graph::{NodeId, INFINITY};
 use dw_transport::shard::ShardMap;
 use dw_transport::tcp::retry_connect;
 use dw_transport::wire::{read_frame, write_frame};
-use std::collections::HashMap;
-use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{self, BufReader};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::Sender;
 use std::sync::{Arc, Condvar, Mutex};
@@ -65,12 +73,8 @@ use std::time::{Duration, Instant};
 /// Gateway tuning knobs.
 #[derive(Debug, Clone)]
 pub struct GatewayConfig {
-    /// Coalescing window: after the first query lands on an idle
-    /// dispatcher, wait this long for more before flushing. Zero
-    /// disables coalescing (every query ships as soon as the
-    /// dispatcher is free).
-    pub flush_interval: Duration,
-    /// Flush early once a batch holds this many queries.
+    /// Most queries one shard frame may carry. A dispatcher never waits
+    /// to fill a frame; what is parked beyond the cap ships next.
     pub max_batch: usize,
     /// LRU capacity in `(src, dst)` entries; zero disables caching.
     pub cache_capacity: usize,
@@ -92,7 +96,6 @@ pub struct GatewayConfig {
 impl Default for GatewayConfig {
     fn default() -> Self {
         GatewayConfig {
-            flush_interval: Duration::from_micros(200),
             max_batch: 128,
             cache_capacity: 4096,
             connect_timeout: Duration::from_secs(5),
@@ -103,12 +106,59 @@ impl Default for GatewayConfig {
     }
 }
 
+/// How long one reply write may block on a client that is not reading
+/// before the connection is dropped. A write blocks only once the
+/// socket buffers are full of replies the client has not taken, and a
+/// dispatcher stuck in it holds up its whole shard, so this is short.
+pub const CLIENT_WRITE_TIMEOUT: Duration = Duration::from_millis(500);
+
+/// The write half of one client connection, shared by the connection's
+/// intake thread and every dispatcher holding one of its queries.
+struct ClientSink {
+    out: Mutex<(TcpStream, Vec<u8>)>,
+    /// Raised on the first failed write. A timed-out write may have put
+    /// half a frame on the wire, so nothing may follow it.
+    dead: AtomicBool,
+}
+
+impl ClientSink {
+    fn new(stream: TcpStream) -> ClientSink {
+        ClientSink {
+            out: Mutex::new((stream, Vec::new())),
+            dead: AtomicBool::new(false),
+        }
+    }
+
+    /// Write one reply frame. A client that hung up or stopped reading
+    /// loses the reply and the connection: shutting the socket down also
+    /// ends the intake thread's blocked read.
+    fn send(&self, reply: &ClientReply) {
+        if self.is_dead() {
+            return;
+        }
+        let mut out = self.out.lock().expect("no thread panics mid-write");
+        let (stream, scratch) = &mut *out;
+        if write_frame(stream, reply, scratch).is_err() {
+            self.dead.store(true, Ordering::Relaxed);
+            let _ = stream.shutdown(Shutdown::Both);
+        }
+    }
+
+    fn is_dead(&self) -> bool {
+        self.dead.load(Ordering::Relaxed)
+    }
+
+    fn send_query(&self, id: u64, outcome: QueryOutcome) {
+        self.send(&ClientReply::Query(QueryReply { id, outcome }));
+    }
+}
+
 /// A query parked on a dispatcher: the shard-hop request (re-tagged
 /// with an internal id) plus the way home.
 struct Parked {
     query: QueryRequest,
-    /// Reply channel of the owning client connection.
-    home: Sender<ClientReply>,
+    /// The owning client connection.
+    home: Arc<ClientSink>,
     /// The client's original correlation id.
     client_id: u64,
     /// The gateway generation this query was admitted under; answers
@@ -144,6 +194,14 @@ struct Dispatcher {
     hi: NodeId,
 }
 
+impl Dispatcher {
+    fn mailbox(&self) -> std::sync::MutexGuard<'_, Mailbox> {
+        self.mailbox
+            .lock()
+            .expect("no thread panics holding a mailbox")
+    }
+}
+
 struct Shared {
     map: ShardMap,
     dispatchers: Vec<Arc<Dispatcher>>,
@@ -163,6 +221,16 @@ impl Shared {
             lo: d.lo,
             hi: d.hi,
         }
+    }
+
+    /// Fold one request's or one batch's tallies into the totals: one
+    /// lock however many counters moved.
+    fn tally(&self, fold: impl FnOnce(&mut ServeStats)) {
+        fold(&mut self.stats.lock().expect("stats updates cannot panic"));
+    }
+
+    fn cache(&self) -> std::sync::MutexGuard<'_, PathCache> {
+        self.cache.lock().expect("cache updates do not panic")
     }
 }
 
@@ -188,61 +256,52 @@ fn cache_put(shared: &Shared, gen: u64, src: NodeId, dst: NodeId, outcome: &Quer
         },
         _ => return,
     };
-    shared.cache.lock().unwrap().put(src, dst, answer);
+    shared.cache().put(src, dst, answer);
 }
 
 /// What a dispatcher pulled out of its mailbox for one round.
 enum Work {
     /// Installs ship first, in arrival order, one frame each.
     Installs(Vec<InstallJob>),
-    Batch(Vec<Parked>),
+    /// The parked queries, moved into the dispatcher's batch buffer.
+    Batch,
 }
 
-/// The per-shard dispatcher loop: wait for parked work, coalesce one
-/// flush tick's worth of queries (installs preempt coalescing), ship,
-/// route replies home.
+/// The per-shard dispatcher loop: sleep until something is parked, ship
+/// it (installs first, then up to `max_batch` queries as one frame),
+/// route the replies home. Whatever parks during the round trip is the
+/// next round's work, so batches form by themselves under load.
 fn dispatcher_main(
     shared: &Shared,
     shard: usize,
-    mut conn: Option<TcpStream>,
-    cfg_flush: Duration,
-    cfg_batch: usize,
+    mut conn: Option<BufReader<TcpStream>>,
+    max_batch: usize,
 ) {
     let d = &shared.dispatchers[shard];
     let mut scratch = Vec::new();
     let mut seq = 0u64;
+    // Swapped with the mailbox's vector each round, so both keep their
+    // capacity and a round allocates nothing for the hand-over.
+    let mut batch: Vec<Parked> = Vec::new();
     loop {
-        // --- collect one round of work ---
-        let work: Work = {
-            let mut mb = d.mailbox.lock().unwrap();
+        let work = {
+            let mut mb = d.mailbox();
             while mb.parked.is_empty()
                 && mb.installs.is_empty()
                 && !shared.stop.load(Ordering::Relaxed)
             {
-                let (guard, _) = d.wake.wait_timeout(mb, Duration::from_millis(50)).unwrap();
-                mb = guard;
+                mb = d.wake.wait(mb).expect("no thread panics holding a mailbox");
             }
             if !mb.installs.is_empty() {
-                Work::Installs(mb.installs.drain(..).collect())
+                Work::Installs(std::mem::take(&mut mb.installs))
             } else if mb.parked.is_empty() {
                 return; // stopped while idle
+            } else if mb.parked.len() <= max_batch {
+                std::mem::swap(&mut mb.parked, &mut batch);
+                Work::Batch
             } else {
-                // Coalescing window: give concurrent clients one tick to
-                // pile on, flushing early at max_batch (or the moment an
-                // install arrives — swaps should not wait on the window).
-                if !cfg_flush.is_zero() {
-                    let deadline = Instant::now() + cfg_flush;
-                    while mb.parked.len() < cfg_batch && mb.installs.is_empty() {
-                        let now = Instant::now();
-                        if now >= deadline || shared.stop.load(Ordering::Relaxed) {
-                            break;
-                        }
-                        let (guard, _) = d.wake.wait_timeout(mb, deadline - now).unwrap();
-                        mb = guard;
-                    }
-                }
-                let take = mb.parked.len().min(cfg_batch);
-                Work::Batch(mb.parked.drain(..take).collect())
+                batch.extend(mb.parked.drain(..max_batch));
+                Work::Batch
             }
         };
 
@@ -262,7 +321,7 @@ fn dispatcher_main(
                         }
                         Err(_) => {
                             let _ = job.done.send(false);
-                            mark_down(shared, d, shard, &mut conn, &[]);
+                            mark_down(shared, d, shard, &mut conn, &mut batch);
                             break;
                         }
                     }
@@ -272,7 +331,14 @@ fn dispatcher_main(
                     let _ = job.done.send(false);
                 }
             }
-            Work::Batch(batch) => {
+            Work::Batch => {
+                // A client that was cut off gets no answers, so the
+                // shard is not asked for them: what such a client left
+                // parked costs nothing further.
+                batch.retain(|p| !p.home.is_dead());
+                if batch.is_empty() {
+                    continue;
+                }
                 let t0 = Instant::now();
                 let outcome = match &mut conn {
                     None => Err(io::Error::new(io::ErrorKind::NotConnected, "shard down")),
@@ -281,33 +347,54 @@ fn dispatcher_main(
                 match outcome {
                     Ok(reply) => {
                         let batch_ns = t0.elapsed().as_nanos() as u64;
-                        {
-                            let mut st = shared.stats.lock().unwrap();
-                            st.batches += 1;
-                            st.batched_queries += batch.len() as u64;
-                            st.batch_ns += batch_ns;
-                            st.lookup_ns += reply.lookup_ns;
-                            st.walk_ns += reply.walk_ns;
-                        }
-                        let mut by_id: HashMap<u64, QueryReply> =
-                            reply.replies.into_iter().map(|r| (r.id, r)).collect();
-                        for p in batch {
-                            let outcome = match by_id.remove(&p.query.id) {
-                                Some(r) => {
-                                    cache_put(shared, p.gen, p.query.src, p.query.dst, &r.outcome);
-                                    r.outcome
-                                }
-                                // A reply batch that lost an entry is a
-                                // shard bug; fail that query closed.
-                                None => shared.unavailable(shard as NodeId),
-                            };
-                            deliver(shared, &p, outcome);
-                        }
+                        route_home(shared, shard, &mut batch, reply, batch_ns);
                     }
-                    Err(_) => mark_down(shared, d, shard, &mut conn, &batch),
+                    Err(_) => mark_down(shared, d, shard, &mut conn, &mut batch),
                 }
             }
         }
+    }
+}
+
+/// Hand one reply batch back to the clients that asked. `answer_batch`
+/// keeps query order, so reply `i` answers `batch[i]`; the id is still
+/// checked, and a position whose id does not match (a reply lost or
+/// reordered: a shard bug) fails closed to `ShardUnavailable` rather
+/// than reach the wrong client.
+fn route_home(
+    shared: &Shared,
+    shard: usize,
+    batch: &mut Vec<Parked>,
+    reply: ReplyBatch,
+    batch_ns: u64,
+) {
+    // Counted before the first reply is written: a client that has its
+    // answer finds it in `Gateway::stats`.
+    shared.tally(|st| {
+        st.batches += 1;
+        st.batched_queries += batch.len() as u64;
+        st.batch_ns += batch_ns;
+        st.lookup_ns += reply.lookup_ns;
+        st.walk_ns += reply.walk_ns;
+        st.replies += batch.len() as u64;
+    });
+    let mut lost = 0u64;
+    let mut replies = reply.replies.into_iter();
+    for p in batch.drain(..) {
+        let outcome = match replies.next() {
+            Some(r) if r.id == p.query.id => {
+                cache_put(shared, p.gen, p.query.src, p.query.dst, &r.outcome);
+                r.outcome
+            }
+            _ => {
+                lost += 1;
+                shared.unavailable(shard as NodeId)
+            }
+        };
+        p.home.send_query(p.client_id, outcome);
+    }
+    if lost > 0 {
+        shared.tally(|st| st.shard_unavailable += lost);
     }
 }
 
@@ -318,20 +405,23 @@ fn mark_down(
     shared: &Shared,
     d: &Dispatcher,
     shard: usize,
-    conn: &mut Option<TcpStream>,
-    batch: &[Parked],
+    conn: &mut Option<BufReader<TcpStream>>,
+    batch: &mut Vec<Parked>,
 ) {
-    let (leftovers, installs): (Vec<Parked>, Vec<InstallJob>) = {
-        let mut mb = d.mailbox.lock().unwrap();
+    let installs = {
+        let mut mb = d.mailbox();
         mb.down = true;
-        (
-            mb.parked.drain(..).collect(),
-            mb.installs.drain(..).collect(),
-        )
+        batch.append(&mut mb.parked);
+        std::mem::take(&mut mb.installs)
     };
     *conn = None;
-    for p in batch.iter().chain(leftovers.iter()) {
-        deliver(shared, p, shared.unavailable(shard as NodeId));
+    shared.tally(|st| {
+        st.replies += batch.len() as u64;
+        st.shard_unavailable += batch.len() as u64;
+    });
+    for p in batch.drain(..) {
+        p.home
+            .send_query(p.client_id, shared.unavailable(shard as NodeId));
     }
     for job in installs {
         let _ = job.done.send(false);
@@ -340,7 +430,7 @@ fn mark_down(
 
 /// One batched round trip on the shard connection.
 fn ship_batch(
-    stream: &mut TcpStream,
+    stream: &mut BufReader<TcpStream>,
     scratch: &mut Vec<u8>,
     seq: &mut u64,
     batch: &[Parked],
@@ -350,7 +440,7 @@ fn ship_batch(
         seq: *seq,
         queries: batch.iter().map(|p| p.query.clone()).collect(),
     });
-    write_frame(stream, &frame, scratch)?;
+    write_frame(stream.get_mut(), &frame, scratch)?;
     loop {
         match read_frame::<_, ShardReply>(stream) {
             Ok(Some(ShardReply::Replies(reply))) if reply.seq == *seq => return Ok(reply),
@@ -367,7 +457,7 @@ fn ship_batch(
 /// One install round trip on the shard connection. Returns the
 /// generation the shard reports live after the install.
 fn ship_install(
-    stream: &mut TcpStream,
+    stream: &mut BufReader<TcpStream>,
     scratch: &mut Vec<u8>,
     generation: u64,
     snap: &TableSnapshot,
@@ -376,7 +466,7 @@ fn ship_install(
         generation,
         snap: snap.clone(),
     };
-    write_frame(stream, &frame, scratch)?;
+    write_frame(stream.get_mut(), &frame, scratch)?;
     loop {
         match read_frame::<_, ShardReply>(stream) {
             Ok(Some(ShardReply::Installed { generation })) => return Ok(generation),
@@ -388,30 +478,14 @@ fn ship_install(
     }
 }
 
-fn deliver(shared: &Shared, p: &Parked, outcome: QueryOutcome) {
-    {
-        let mut st = shared.stats.lock().unwrap();
-        st.replies += 1;
-        if matches!(outcome, QueryOutcome::ShardUnavailable { .. }) {
-            st.shard_unavailable += 1;
-        }
-    }
-    // A dead client connection just drops the reply; the reader side
-    // notices the hangup independently.
-    let _ = p.home.send(ClientReply::Query(QueryReply {
-        id: p.client_id,
-        outcome,
-    }));
-}
-
 /// Handle one `ApplyTables` from a client: validate, fan the install
 /// out to every live shard through its dispatcher, await the acks, bump
 /// the gateway generation and invalidate the cache if anything
 /// installed, and report back.
-fn handle_apply(shared: &Shared, generation: u64, snap: TableSnapshot, tx: &Sender<ClientReply>) {
+fn handle_apply(shared: &Shared, generation: u64, snap: TableSnapshot, home: &ClientSink) {
     let current = shared.generation.load(Ordering::SeqCst);
     if generation <= current || snap.n as usize != shared.map.n() {
-        let _ = tx.send(ClientReply::ApplyDone(ApplyReport {
+        home.send(&ClientReply::ApplyDone(ApplyReport {
             accepted: false,
             generation: current,
             shards_installed: 0,
@@ -425,7 +499,7 @@ fn handle_apply(shared: &Shared, generation: u64, snap: TableSnapshot, tx: &Send
     for (s, d) in shared.dispatchers.iter().enumerate() {
         let sub = snap.for_shard(&shared.map, s as NodeId);
         let (done_tx, done_rx) = std::sync::mpsc::channel();
-        let mut mb = d.mailbox.lock().unwrap();
+        let mut mb = d.mailbox();
         if mb.down {
             shards_down += 1;
             continue;
@@ -457,7 +531,7 @@ fn handle_apply(shared: &Shared, generation: u64, snap: TableSnapshot, tx: &Send
     let live_gen = if installed > 0 {
         shared.generation.fetch_max(generation, Ordering::SeqCst);
         let g = shared.generation.load(Ordering::SeqCst);
-        shared.cache.lock().unwrap().set_generation(g);
+        shared.cache().set_generation(g);
         g
     } else {
         current
@@ -465,7 +539,7 @@ fn handle_apply(shared: &Shared, generation: u64, snap: TableSnapshot, tx: &Send
     // `accepted` means the *whole* fleet now serves the new generation;
     // a degraded swap (some shard down or failing mid-install) still
     // advances the live shards but reports itself honestly.
-    let _ = tx.send(ClientReply::ApplyDone(ApplyReport {
+    home.send(&ClientReply::ApplyDone(ApplyReport {
         accepted: failed == 0 && shards_down == 0 && installed > 0,
         generation: live_gen,
         shards_installed: installed,
@@ -473,126 +547,117 @@ fn handle_apply(shared: &Shared, generation: u64, snap: TableSnapshot, tx: &Send
     }));
 }
 
-/// One client connection's intake loop: read requests, answer what can
-/// be answered at the gate, park the rest on the owning dispatcher.
-/// Table swaps are handled inline (one at a time per connection).
-fn client_main(shared: &Shared, stream: TcpStream, next_internal: &AtomicU64) {
-    let Ok(read_half) = stream.try_clone() else {
-        return;
+/// Admit one query: answer it at the gate if the gate can (out of
+/// range, or cached), else park it on the owning shard's dispatcher.
+fn handle_query(shared: &Shared, req: QueryRequest, home: &Arc<ClientSink>, internal_id: u64) {
+    let t0 = Instant::now();
+    let n = shared.map.n() as NodeId;
+
+    // What the gate itself can say: out-of-range coordinates (no shard
+    // owns them) fail fast, a cached pair is answered from the LRU.
+    let (at_gate, hit) = if req.src >= n || req.dst >= n {
+        (Some(QueryOutcome::OutOfRange), false)
+    } else {
+        match shared.cache().get(req.src, req.dst, req.want_path) {
+            Some(hit) => {
+                let outcome = match (req.want_path, hit.path) {
+                    _ if hit.dist == INFINITY => QueryOutcome::Unreachable,
+                    (true, Some(path)) => QueryOutcome::Path {
+                        dist: hit.dist,
+                        path,
+                    },
+                    _ => QueryOutcome::Dist { dist: hit.dist },
+                };
+                (Some(outcome), true)
+            }
+            None => (None, false),
+        }
     };
-    let (tx, rx) = std::sync::mpsc::channel::<ClientReply>();
-
-    // Writer: serialize replies back to the client as they complete.
-    let writer = std::thread::spawn(move || {
-        let mut stream = stream;
-        let mut scratch = Vec::new();
-        while let Ok(reply) = rx.recv() {
-            if write_frame(&mut stream, &reply, &mut scratch).is_err() {
-                break;
-            }
-        }
-    });
-
-    let mut read_half = read_half;
-    let _ = read_half.set_nodelay(true);
-    let _ = read_half.set_read_timeout(Some(Duration::from_millis(50)));
-    loop {
-        if shared.stop.load(Ordering::Relaxed) {
-            break;
-        }
-        let req = match read_frame::<_, ClientRequest>(&mut read_half) {
-            Ok(Some(r)) => r,
-            Ok(None) => break,
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                continue;
-            }
-            Err(_) => break,
-        };
-        let req = match req {
-            ClientRequest::Query(q) => q,
-            ClientRequest::ApplyTables { generation, snap } => {
-                handle_apply(shared, generation, snap, &tx);
-                continue;
-            }
-        };
-
-        let t0 = Instant::now();
-        shared.stats.lock().unwrap().queries += 1;
-        let n = shared.map.n() as NodeId;
-
-        // Fail fast on out-of-range coordinates: no shard owns them.
-        if req.src >= n || req.dst >= n {
-            {
-                let mut st = shared.stats.lock().unwrap();
-                st.route_ns += t0.elapsed().as_nanos() as u64;
-                st.replies += 1;
-            }
-            let _ = tx.send(ClientReply::Query(QueryReply {
-                id: req.id,
-                outcome: QueryOutcome::OutOfRange,
-            }));
-            continue;
-        }
-
-        // Cache probe.
-        let cached = shared
-            .cache
-            .lock()
-            .unwrap()
-            .get(req.src, req.dst, req.want_path);
-        if let Some(hit) = cached {
-            let outcome = match (req.want_path, hit.path) {
-                _ if hit.dist == INFINITY => QueryOutcome::Unreachable,
-                (true, Some(path)) => QueryOutcome::Path {
-                    dist: hit.dist,
-                    path,
-                },
-                _ => QueryOutcome::Dist { dist: hit.dist },
-            };
-            let mut st = shared.stats.lock().unwrap();
-            st.cache_hits += 1;
+    if let Some(outcome) = at_gate {
+        shared.tally(|st| {
+            st.queries += 1;
             st.replies += 1;
+            st.cache_hits += hit as u64;
             st.route_ns += t0.elapsed().as_nanos() as u64;
-            drop(st);
-            let _ = tx.send(ClientReply::Query(QueryReply {
-                id: req.id,
-                outcome,
-            }));
-            continue;
-        }
-        shared.stats.lock().unwrap().cache_misses += 1;
+        });
+        home.send_query(req.id, outcome);
+        return;
+    }
 
-        // Route to the owning shard's dispatcher.
-        let shard = shared.map.shard_of(req.src);
-        let d = &shared.dispatchers[shard as usize];
-        let internal = next_internal.fetch_add(1, Ordering::Relaxed);
-        let parked = Parked {
-            query: QueryRequest {
-                id: internal,
-                ..req.clone()
-            },
-            home: tx.clone(),
-            client_id: req.id,
-            gen: shared.generation.load(Ordering::SeqCst),
-        };
-        {
-            let mut mb = d.mailbox.lock().unwrap();
-            if mb.down {
-                drop(mb);
-                shared.stats.lock().unwrap().route_ns += t0.elapsed().as_nanos() as u64;
-                deliver(shared, &parked, shared.unavailable(shard));
-                continue;
-            }
-            mb.parked.push(parked);
+    // Route to the owning shard's dispatcher. The query is counted
+    // before the dispatcher can see it: by the time its reply exists,
+    // `Gateway::stats` includes it.
+    shared.tally(|st| {
+        st.queries += 1;
+        st.cache_misses += 1;
+        st.route_ns += t0.elapsed().as_nanos() as u64;
+    });
+    let shard = shared.map.shard_of(req.src);
+    let d = &shared.dispatchers[shard as usize];
+    let client_id = req.id;
+    let parked = Parked {
+        query: QueryRequest {
+            id: internal_id,
+            ..req
+        },
+        home: Arc::clone(home),
+        client_id,
+        gen: shared.generation.load(Ordering::SeqCst),
+    };
+    let mut mb = d.mailbox();
+    if !mb.down {
+        // The dispatcher sleeps only on an empty mailbox, so only the
+        // query that ends the emptiness has anyone to wake; the rest
+        // are found when the round trip in flight returns.
+        let was_idle = mb.parked.is_empty();
+        mb.parked.push(parked);
+        drop(mb);
+        if was_idle {
             d.wake.notify_one();
         }
-        shared.stats.lock().unwrap().route_ns += t0.elapsed().as_nanos() as u64;
+        return;
     }
-    // Closing `tx` ends the writer once in-flight replies drain.
-    drop(tx);
-    let _ = writer.join();
+    drop(mb);
+    shared.tally(|st| {
+        st.replies += 1;
+        st.shard_unavailable += 1;
+    });
+    home.send_query(client_id, shared.unavailable(shard));
+}
+
+/// One client connection's intake loop: read requests, answer what can
+/// be answered at the gate, park the rest on the owning dispatcher.
+/// Table swaps are handled inline (one at a time per connection). The
+/// read blocks with no timeout — one that fired inside a frame would
+/// lose the bytes already consumed — and ends when the client hangs up,
+/// a reply write fails, or [`Gateway::shutdown`] closes the socket.
+fn client_main(shared: &Shared, stream: TcpStream, next_internal: &AtomicU64) {
+    let Ok(write_half) = stream.try_clone() else {
+        return;
+    };
+    if stream.set_nodelay(true).is_err()
+        || write_half
+            .set_write_timeout(Some(CLIENT_WRITE_TIMEOUT))
+            .is_err()
+    {
+        return;
+    }
+    let home = Arc::new(ClientSink::new(write_half));
+    let mut stream = BufReader::new(stream);
+    // A malformed frame ends the connection like a hang-up does.
+    while let Ok(Some(req)) = read_frame::<_, ClientRequest>(&mut stream) {
+        match req {
+            ClientRequest::Query(q) => {
+                let internal_id = next_internal.fetch_add(1, Ordering::Relaxed);
+                handle_query(shared, q, &home, internal_id);
+            }
+            ClientRequest::ApplyTables { generation, snap } => {
+                handle_apply(shared, generation, snap, &home);
+            }
+        }
+    }
+    // Replies still in flight are written by the dispatchers holding
+    // them; the socket closes when the last of those lets go.
 }
 
 /// A running gateway: accept loop + shard dispatchers on background
@@ -659,44 +724,28 @@ impl Gateway {
                 .and_then(|c| {
                     c.set_nodelay(true)?;
                     c.set_read_timeout(Some(cfg.shard_timeout))?;
-                    Ok(c)
+                    c.set_write_timeout(Some(cfg.shard_timeout))?;
+                    Ok(BufReader::new(c))
                 })
                 .ok();
             if conn.is_none() {
-                shared.dispatchers[s].mailbox.lock().unwrap().down = true;
+                shared.dispatchers[s].mailbox().down = true;
             }
             let shared2 = Arc::clone(&shared);
-            let flush = cfg.flush_interval;
             let max_batch = cfg.max_batch.max(1);
             threads.push(std::thread::spawn(move || {
-                dispatcher_main(&shared2, s, conn, flush, max_batch);
+                dispatcher_main(&shared2, s, conn, max_batch);
             }));
         }
 
-        // Accept loop.
-        listener.set_nonblocking(true)?;
         let shared2 = Arc::clone(&shared);
         threads.push(std::thread::spawn(move || {
-            let next_internal = Arc::new(AtomicU64::new(1));
-            let mut clients = Vec::new();
-            while !shared2.stop.load(Ordering::Relaxed) {
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        let shared3 = Arc::clone(&shared2);
-                        let ids = Arc::clone(&next_internal);
-                        clients.push(std::thread::spawn(move || {
-                            client_main(&shared3, stream, &ids);
-                        }));
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(5));
-                    }
-                    Err(_) => break,
-                }
-            }
-            for c in clients {
-                let _ = c.join();
-            }
+            let shared3 = Arc::clone(&shared2);
+            let next_internal = AtomicU64::new(1);
+            // A listener error ends intake; the dispatchers drain on.
+            let _ = accept_until_stopped(listener, &shared2.stop, move |stream| {
+                client_main(&shared3, stream, &next_internal);
+            });
         }));
 
         Ok(Gateway {
@@ -708,7 +757,11 @@ impl Gateway {
 
     /// Snapshot of the aggregate serve metrics.
     pub fn stats(&self) -> ServeStats {
-        *self.shared.stats.lock().unwrap()
+        *self
+            .shared
+            .stats
+            .lock()
+            .expect("stats updates cannot panic")
     }
 
     /// The table generation the gateway currently believes live.
@@ -719,13 +772,17 @@ impl Gateway {
     /// Observed cache hit rate (from the cache's own counters, which
     /// include probes answered before routing).
     pub fn cache_hit_rate(&self) -> f64 {
-        self.shared.cache.lock().unwrap().hit_rate()
+        self.shared.cache().hit_rate()
     }
 
-    /// Stop accepting, drain the dispatchers, join every thread.
+    /// Stop accepting, close every client connection (attached clients
+    /// see end of stream), drain the dispatchers, join every thread.
     pub fn shutdown(&mut self) {
         self.shared.stop.store(true, Ordering::Relaxed);
         for d in &self.shared.dispatchers {
+            // Under the mailbox lock, so a dispatcher is either before
+            // its check of `stop` or already waiting: no lost wake-up.
+            let _mb = d.mailbox();
             d.wake.notify_all();
         }
         for t in self.threads.drain(..) {

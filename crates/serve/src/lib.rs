@@ -24,14 +24,16 @@
 //! * [`server`] — shard workers answering batched lookups for their
 //!   contiguous source block ([`dw_transport::shard::ShardMap`] reuse);
 //! * [`gateway`] — stateless routing front end: per-shard batching
-//!   (mempool-style coalescing), a bounded LRU of hot pairs, typed
-//!   `ShardUnavailable` degradation on worker loss;
+//!   (whatever parks during one shard round trip is the next frame; no
+//!   timer), a bounded LRU of hot pairs, typed `ShardUnavailable`
+//!   degradation on worker loss;
 //! * [`client`] / [`loadgen`] — the synchronous client and the
 //!   closed-loop Zipf/uniform load generator behind `dwapsp loadgen`
 //!   and BENCH_7;
 //! * [`metrics`] — route/batch/lookup/path-walk phase accounting,
 //!   exported as [`dw_obs::Recording`] wall spans.
 
+mod accept;
 pub mod cache;
 pub mod client;
 pub mod gateway;
@@ -44,7 +46,7 @@ pub mod zipf;
 
 pub use cache::{CachedAnswer, PathCache};
 pub use client::ServeClient;
-pub use gateway::{Gateway, GatewayConfig};
+pub use gateway::{Gateway, GatewayConfig, CLIENT_WRITE_TIMEOUT};
 pub use loadgen::{run_loadgen, LoadgenConfig, LoadgenReport};
 pub use metrics::ServeStats;
 pub use proto::{

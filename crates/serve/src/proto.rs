@@ -16,10 +16,10 @@
 //! Request ids are correlation tokens: clients choose them freely (the
 //! gateway echoes each back on the matching reply), and the gateway
 //! re-tags queries with its own ids on the shard hop so replies from a
-//! batched frame route back to the right client connection. Both hops
-//! preserve FIFO order per connection, but ids make the matching
-//! explicit rather than positional — a reply batch that lost or
-//! reordered entries is detected, not silently misattributed.
+//! batched frame route back to the right client connection. A reply
+//! batch answers its query batch in order, and the gateway checks each
+//! position's id — a reply batch that lost or reordered entries is
+//! detected, not silently misattributed.
 
 use crate::table::TableSnapshot;
 use dw_congest::WireCodec;
@@ -74,9 +74,9 @@ pub struct QueryReply {
     pub outcome: QueryOutcome,
 }
 
-/// Gateway → shard: every query routed to one shard in one flush tick,
-/// coalesced into a single frame (the serving-plane twin of the
-/// transport's `RoundBatch`).
+/// Gateway → shard: every query that parked for one shard while its
+/// previous round trip was in flight, coalesced into a single frame (the
+/// serving-plane twin of the transport's `RoundBatch`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QueryBatch {
     /// Batch sequence number on this connection, for diagnostics.

@@ -23,17 +23,18 @@
 //! idempotent; the ack always reports the post-install generation so
 //! the installer can tell "applied" from "already there".
 
+use crate::accept::accept_until_stopped;
 use crate::proto::{
     QueryBatch, QueryOutcome, QueryReply, QueryRequest, ReplyBatch, ShardFrame, ShardReply,
 };
 use crate::table::{TableSnapshot, VersionedTables};
 use dw_graph::INFINITY;
 use dw_transport::wire::{read_frame, write_frame};
-use std::io;
+use std::io::{self, BufReader};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, RwLock};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// The shard's live table state: swap by replacing the inner `Arc`.
 pub type SharedTables = Arc<RwLock<Arc<VersionedTables>>>;
@@ -98,29 +99,27 @@ pub fn answer_batch(snap: &TableSnapshot, batch: &QueryBatch) -> ReplyBatch {
     }
 }
 
-/// Serve one established connection until EOF, error, or stop.
-fn serve_conn(tables: &SharedTables, mut stream: TcpStream, stop: &AtomicBool) -> io::Result<()> {
+/// Serve one established connection until the peer closes it, it
+/// fails, or [`serve_shard`] shuts it down. Reads block with no timeout:
+/// one that fired inside a frame would drop the bytes already consumed
+/// and leave the stream out of step.
+fn serve_conn(tables: &SharedTables, stream: TcpStream) -> io::Result<()> {
     stream.set_nodelay(true)?;
-    // Wake periodically so a stop request is honored even on an idle
-    // connection.
-    stream.set_read_timeout(Some(Duration::from_millis(50)))?;
+    let mut stream = BufReader::new(stream);
     let mut scratch = Vec::new();
     loop {
-        if stop.load(Ordering::Relaxed) {
-            return Ok(());
-        }
-        match read_frame::<_, ShardFrame>(&mut stream) {
-            Ok(None) => return Ok(()),
-            Ok(Some(ShardFrame::Queries(batch))) => {
+        match read_frame::<_, ShardFrame>(&mut stream)? {
+            None => return Ok(()),
+            Some(ShardFrame::Queries(batch)) => {
                 // Pin the current generation once for the whole batch:
                 // a concurrent install can't mix old and new rows
                 // inside one batch, and the pin keeps the old tables
                 // alive until the batch is answered.
                 let pinned = tables.read().unwrap().clone();
                 let reply = answer_batch(&pinned.snap, &batch);
-                write_frame(&mut stream, &ShardReply::Replies(reply), &mut scratch)?;
+                write_frame(stream.get_mut(), &ShardReply::Replies(reply), &mut scratch)?;
             }
-            Ok(Some(ShardFrame::Install { generation, snap })) => {
+            Some(ShardFrame::Install { generation, snap }) => {
                 let generation = {
                     let mut live = tables.write().unwrap();
                     if generation > live.generation {
@@ -129,17 +128,11 @@ fn serve_conn(tables: &SharedTables, mut stream: TcpStream, stop: &AtomicBool) -
                     live.generation
                 };
                 write_frame(
-                    &mut stream,
+                    stream.get_mut(),
                     &ShardReply::Installed { generation },
                     &mut scratch,
                 )?;
             }
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                continue;
-            }
-            Err(e) => return Err(e),
         }
     }
 }
@@ -148,37 +141,18 @@ fn serve_conn(tables: &SharedTables, mut stream: TcpStream, stop: &AtomicBool) -
 /// connections (the gateway usually holds exactly one) and serve each
 /// on its own thread. All connections share `tables`, so an install on
 /// one connection is visible to every other on their next batch.
-/// Returns when the accept loop has wound down; connection threads
-/// drain on the same stop flag.
+/// On stop every open connection is shut down, which wakes its thread
+/// out of a blocked read, and joined before this returns.
 pub fn serve_shard(
     listener: TcpListener,
     tables: SharedTables,
     stop: Arc<AtomicBool>,
 ) -> io::Result<()> {
-    listener.set_nonblocking(true)?;
-    let mut conns: Vec<std::thread::JoinHandle<()>> = Vec::new();
-    while !stop.load(Ordering::Relaxed) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                stream.set_nonblocking(false)?;
-                let tables = Arc::clone(&tables);
-                let stop = Arc::clone(&stop);
-                conns.push(std::thread::spawn(move || {
-                    // A connection error (gateway went away) only ends
-                    // this connection; the shard keeps accepting.
-                    let _ = serve_conn(&tables, stream, &stop);
-                }));
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    for c in conns {
-        let _ = c.join();
-    }
-    Ok(())
+    accept_until_stopped(listener, &stop, move |stream| {
+        // A connection error (gateway went away) only ends this
+        // connection; the shard keeps accepting.
+        let _ = serve_conn(&tables, stream);
+    })
 }
 
 /// A shard server running on a background thread, for in-process
@@ -216,7 +190,8 @@ impl ShardHandle {
         })
     }
 
-    /// Stop serving: raise the flag and join the accept loop. Idempotent.
+    /// Stop serving: raise the flag and join the accept loop, which
+    /// closes every open connection on its way out. Idempotent.
     pub fn stop(&mut self) {
         self.stop.store(true, Ordering::Relaxed);
         if let Some(t) = self.thread.take() {

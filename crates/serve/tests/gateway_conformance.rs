@@ -1,0 +1,620 @@
+//! The gateway's hot-path contract (DESIGN.md §13), driven from outside:
+//! batching without a timer, replies written by the thread that holds
+//! them, reads that never lose half a frame, and a shutdown that does
+//! not wait for clients to leave.
+//!
+//! Where a test needs the shard to be slow it talks to a [`FakeShard`]:
+//! a scripted peer that reports every frame it receives and answers it
+//! only when told to, so the interleaving under test is forced, not
+//! slept for. `make serve-conformance` runs this file in `--release` on
+//! one test thread.
+
+use dw_graph::NodeId;
+use dw_serve::{
+    spawn_loopback, ApplyReport, ClientReply, ClientRequest, Gateway, GatewayConfig, QueryOutcome,
+    QueryReply, QueryRequest, ReplyBatch, ServeClient, ShardFrame, ShardHandle, ShardReply,
+    SourceTable, TableSnapshot, CLIENT_WRITE_TIMEOUT,
+};
+use dw_transport::shard::ShardMap;
+use dw_transport::wire::{read_frame, write_frame};
+use std::io::{Read, Write};
+use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::Arc;
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
+
+const PATIENCE: Duration = Duration::from_secs(10);
+
+/// The distance a [`FakeShard`] answers with, so a reply that reached
+/// the wrong query shows.
+fn fake_dist(src: NodeId, dst: NodeId) -> u64 {
+    1000 * src as u64 + dst as u64
+}
+
+/// A scripted shard: serves one connection (the gateway's dispatcher),
+/// hands each received frame to the test, and answers it after the test
+/// says `go`.
+struct FakeShard {
+    addr: SocketAddr,
+    frames: Receiver<ShardFrame>,
+    go: Sender<()>,
+    thread: JoinHandle<()>,
+}
+
+impl FakeShard {
+    fn spawn() -> FakeShard {
+        FakeShard::spawn_mangling(|_| {})
+    }
+
+    /// As [`FakeShard::spawn`], with `mangle` let loose on every reply
+    /// batch before it is sent: the shard bug of the test's choice.
+    fn spawn_mangling(mangle: fn(&mut Vec<QueryReply>)) -> FakeShard {
+        let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        let addr = listener.local_addr().unwrap();
+        let (frames_tx, frames) = channel();
+        let (go, go_rx) = channel::<()>();
+        let thread = std::thread::spawn(move || {
+            let (mut conn, _) = listener.accept().unwrap();
+            let mut scratch = Vec::new();
+            while let Ok(Some(frame)) = read_frame::<_, ShardFrame>(&mut conn) {
+                let reply = match &frame {
+                    ShardFrame::Queries(batch) => {
+                        let mut replies = batch
+                            .queries
+                            .iter()
+                            .map(|q| QueryReply {
+                                id: q.id,
+                                outcome: QueryOutcome::Dist {
+                                    dist: fake_dist(q.src, q.dst),
+                                },
+                            })
+                            .collect();
+                        mangle(&mut replies);
+                        ShardReply::Replies(ReplyBatch {
+                            seq: batch.seq,
+                            replies,
+                            lookup_ns: 0,
+                            walk_ns: 0,
+                        })
+                    }
+                    ShardFrame::Install { generation, .. } => ShardReply::Installed {
+                        generation: *generation,
+                    },
+                };
+                if frames_tx.send(frame).is_err() || go_rx.recv().is_err() {
+                    return;
+                }
+                if write_frame(&mut conn, &reply, &mut scratch).is_err() {
+                    return;
+                }
+            }
+        });
+        FakeShard {
+            addr,
+            frames,
+            go,
+            thread,
+        }
+    }
+
+    fn next_frame(&self) -> ShardFrame {
+        self.frames
+            .recv_timeout(PATIENCE)
+            .expect("the gateway sent the shard a frame")
+    }
+
+    fn release(&self) {
+        self.go.send(()).unwrap();
+    }
+
+    /// The gateway has gone: the served connection ends and the thread
+    /// with it.
+    fn join(self) {
+        drop(self.go);
+        self.thread.join().unwrap();
+    }
+}
+
+/// A pipelining client: writes requests without waiting for replies.
+struct RawClient {
+    stream: TcpStream,
+    scratch: Vec<u8>,
+}
+
+impl RawClient {
+    fn connect(addr: SocketAddr) -> RawClient {
+        let stream = TcpStream::connect(addr).unwrap();
+        stream.set_nodelay(true).unwrap();
+        stream.set_read_timeout(Some(PATIENCE)).unwrap();
+        RawClient {
+            stream,
+            scratch: Vec::new(),
+        }
+    }
+
+    fn ask(&mut self, id: u64, src: NodeId, dst: NodeId, want_path: bool) {
+        let req = ClientRequest::Query(QueryRequest {
+            id,
+            src,
+            dst,
+            want_path,
+        });
+        write_frame(&mut self.stream, &req, &mut self.scratch).unwrap();
+    }
+
+    fn next_reply(&mut self) -> QueryReply {
+        match read_frame::<_, ClientReply>(&mut self.stream).unwrap() {
+            Some(ClientReply::Query(reply)) => reply,
+            other => panic!("expected a query reply, got {other:?}"),
+        }
+    }
+}
+
+fn queries_of(frame: ShardFrame) -> Vec<(NodeId, NodeId)> {
+    match frame {
+        ShardFrame::Queries(batch) => batch.queries.iter().map(|q| (q.src, q.dst)).collect(),
+        ShardFrame::Install { generation, .. } => {
+            panic!("expected a query batch, got the install of generation {generation}")
+        }
+    }
+}
+
+/// One source row over a path `0 - 1 - … - n-1`: the answer to
+/// `(0, n-1, want_path)` carries all `n` nodes, which is what makes a
+/// reply big.
+fn path_snapshot(n: u32) -> TableSnapshot {
+    TableSnapshot {
+        n,
+        tables: vec![Arc::new(SourceTable {
+            source: 0,
+            dist: (0..n as u64).collect(),
+            parent: (0..n).map(|v| v.checked_sub(1)).collect(),
+        })],
+    }
+}
+
+fn stop_all(mut gw: Gateway, mut shards: Vec<ShardHandle>) {
+    gw.shutdown();
+    for s in &mut shards {
+        s.stop();
+    }
+}
+
+#[test]
+fn queries_parked_during_a_round_trip_ship_as_one_frame_behind_the_install() {
+    // Shard 0 owns sources 0..4 and is the slow one; shard 1 owns 4..8.
+    let (slow, other) = (FakeShard::spawn(), FakeShard::spawn());
+    let map = ShardMap::new(8, 2);
+    let cfg = GatewayConfig {
+        cache_capacity: 0,
+        ..GatewayConfig::default()
+    };
+    let mut gw = Gateway::spawn(map, &[slow.addr, other.addr], cfg).unwrap();
+    let mut client = RawClient::connect(gw.addr);
+
+    // An idle dispatcher ships a lone query at once: frame 1.
+    client.ask(1, 0, 1, false);
+    assert_eq!(queries_of(slow.next_frame()), vec![(0, 1)]);
+
+    // While the shard sits on frame 1, five more queries arrive. The
+    // sentinel behind them is answered at the gate by the same intake
+    // thread, so its reply proves the five are parked.
+    let parked: Vec<(NodeId, NodeId)> = (0..5).map(|i| (i % 4, 7 - i)).collect();
+    for (i, &(src, dst)) in parked.iter().enumerate() {
+        client.ask(2 + i as u64, src, dst, false);
+    }
+    client.ask(99, 100, 0, false);
+    assert_eq!(
+        client.next_reply(),
+        QueryReply {
+            id: 99,
+            outcome: QueryOutcome::OutOfRange
+        }
+    );
+
+    // A table swap arrives meanwhile. The gateway queues the installs
+    // shard by shard in layout order, so the idle shard 1 receiving its
+    // install proves shard 0's is already in its mailbox.
+    let addr = gw.addr;
+    let swap = std::thread::spawn(move || {
+        let mut c = ServeClient::connect(addr, PATIENCE).unwrap();
+        c.apply_tables(
+            1,
+            &TableSnapshot {
+                n: 8,
+                tables: vec![],
+            },
+        )
+        .unwrap()
+    });
+    assert!(matches!(
+        other.next_frame(),
+        ShardFrame::Install { generation: 1, .. }
+    ));
+    other.release();
+
+    // The shard answers frame 1. What follows on its connection is the
+    // install, then the five parked queries as exactly one frame, in
+    // arrival order: the round trip was the coalescing window.
+    slow.release();
+    assert!(matches!(
+        slow.next_frame(),
+        ShardFrame::Install { generation: 1, .. }
+    ));
+    slow.release();
+    assert_eq!(queries_of(slow.next_frame()), parked);
+    slow.release();
+
+    let mut got = vec![client.next_reply()];
+    for _ in &parked {
+        got.push(client.next_reply());
+    }
+    let want: Vec<QueryReply> = std::iter::once((0, 1))
+        .chain(parked.iter().copied())
+        .zip(1u64..)
+        .map(|((src, dst), id)| QueryReply {
+            id,
+            outcome: QueryOutcome::Dist {
+                dist: fake_dist(src, dst),
+            },
+        })
+        .collect();
+    assert_eq!(got, want);
+    assert_eq!(
+        swap.join().unwrap(),
+        ApplyReport {
+            accepted: true,
+            generation: 1,
+            shards_installed: 2,
+            shards_down: 0
+        }
+    );
+
+    let stats = gw.stats();
+    assert_eq!((stats.batches, stats.batched_queries), (2, 6));
+    assert_eq!((stats.queries, stats.replies), (7, 7));
+    gw.shutdown();
+    slow.join();
+    other.join();
+}
+
+#[test]
+fn no_query_waits_on_a_clock() {
+    // Every query here misses (no cache) and crosses a shard. Behind a
+    // flush tick none of them could come back in under the tick; with
+    // nothing but thread hand-offs in the way, some round trip does.
+    const OLD_TICK: Duration = Duration::from_micros(200);
+    let cfg = GatewayConfig {
+        cache_capacity: 0,
+        ..GatewayConfig::default()
+    };
+    let (gw, shards, _) = spawn_loopback(&path_snapshot(64), 1, cfg).unwrap();
+    let mut client = ServeClient::connect(gw.addr, PATIENCE).unwrap();
+    let mut best = Duration::MAX;
+    for i in 0..5000u32 {
+        let t0 = Instant::now();
+        let outcome = client.query(0, i % 64, false).unwrap();
+        best = best.min(t0.elapsed());
+        assert_eq!(
+            outcome,
+            QueryOutcome::Dist {
+                dist: (i % 64) as u64
+            }
+        );
+        if best < OLD_TICK {
+            break;
+        }
+    }
+    assert!(
+        best < OLD_TICK,
+        "fastest of 5000 cache-miss round trips took {best:?}"
+    );
+    drop(client);
+    stop_all(gw, shards);
+}
+
+#[test]
+fn a_cache_hit_overtakes_a_shard_round_trip_and_is_matched_by_id() {
+    let shard = FakeShard::spawn();
+    let mut gw =
+        Gateway::spawn(ShardMap::new(8, 1), &[shard.addr], GatewayConfig::default()).unwrap();
+    let mut client = RawClient::connect(gw.addr);
+    let dist = |src, dst| QueryOutcome::Dist {
+        dist: fake_dist(src, dst),
+    };
+
+    // Warm the cache with (0, 1).
+    client.ask(1, 0, 1, false);
+    shard.next_frame();
+    shard.release();
+    assert_eq!(
+        client.next_reply(),
+        QueryReply {
+            id: 1,
+            outcome: dist(0, 1)
+        }
+    );
+
+    // (0, 2) misses and is held at the shard; (0, 1), asked after it,
+    // is a hit and comes back first.
+    client.ask(2, 0, 2, false);
+    assert_eq!(queries_of(shard.next_frame()), vec![(0, 2)]);
+    client.ask(3, 0, 1, false);
+    assert_eq!(
+        client.next_reply(),
+        QueryReply {
+            id: 3,
+            outcome: dist(0, 1)
+        }
+    );
+    shard.release();
+    assert_eq!(
+        client.next_reply(),
+        QueryReply {
+            id: 2,
+            outcome: dist(0, 2)
+        }
+    );
+    assert_eq!(gw.stats().cache_hits, 1);
+    gw.shutdown();
+    shard.join();
+}
+
+#[test]
+fn a_reply_batch_out_of_order_fails_closed() {
+    // A shard that answers a batch in the wrong order. Position and id
+    // disagree, so neither client may be handed the other's answer.
+    let shard = FakeShard::spawn_mangling(|replies| replies.reverse());
+    let cfg = GatewayConfig {
+        cache_capacity: 0,
+        ..GatewayConfig::default()
+    };
+    let mut gw = Gateway::spawn(ShardMap::new(8, 1), &[shard.addr], cfg).unwrap();
+    let mut client = RawClient::connect(gw.addr);
+
+    // Frame 1 is one query (nothing to reorder); two more park behind
+    // it, proven by the sentinel, and ship together as frame 2.
+    client.ask(1, 0, 1, false);
+    shard.next_frame();
+    client.ask(2, 0, 2, false);
+    client.ask(3, 0, 3, false);
+    client.ask(99, 100, 0, false);
+    assert_eq!(client.next_reply().id, 99);
+    shard.release();
+    assert_eq!(client.next_reply().id, 1);
+    assert_eq!(queries_of(shard.next_frame()), vec![(0, 2), (0, 3)]);
+    shard.release();
+
+    let unavailable = QueryOutcome::ShardUnavailable {
+        shard: 0,
+        lo: 0,
+        hi: 8,
+    };
+    for id in [2, 3] {
+        assert_eq!(
+            client.next_reply(),
+            QueryReply {
+                id,
+                outcome: unavailable.clone()
+            }
+        );
+    }
+    assert_eq!(gw.stats().shard_unavailable, 2);
+    gw.shutdown();
+    shard.join();
+}
+
+#[test]
+fn reply_frames_from_two_writers_never_interleave() {
+    // One pipelined connection whose replies are written by two threads
+    // at once: cached 16 KB paths by its intake thread, uncached ones by
+    // the dispatcher. A byte of one frame inside another would fail the
+    // decode below or break the id/answer pairing.
+    const N: u32 = 4096;
+    const ASKED: u64 = 2000;
+    let (gw, shards, _) = spawn_loopback(&path_snapshot(N), 1, GatewayConfig::default()).unwrap();
+    let mut warm = ServeClient::connect(gw.addr, PATIENCE).unwrap();
+    warm.query(0, N - 1, true).unwrap();
+
+    // Even ids ask the cached pair, odd ids a pair nobody asked before.
+    let dst_of = |id: u64| {
+        if id.is_multiple_of(2) {
+            N - 1
+        } else {
+            N - 2 - id as u32
+        }
+    };
+    let mut client = RawClient::connect(gw.addr);
+    let mut writer = RawClient {
+        stream: client.stream.try_clone().unwrap(),
+        scratch: Vec::new(),
+    };
+    let asking = std::thread::spawn(move || {
+        for id in 0..ASKED {
+            writer.ask(id, 0, dst_of(id), true);
+        }
+    });
+    let mut seen = vec![false; ASKED as usize];
+    for _ in 0..ASKED {
+        let reply = client.next_reply();
+        let dst = dst_of(reply.id);
+        assert_eq!(
+            reply.outcome,
+            QueryOutcome::Path {
+                dist: dst as u64,
+                path: (0..=dst).collect()
+            },
+            "reply {}",
+            reply.id
+        );
+        assert!(!std::mem::replace(&mut seen[reply.id as usize], true));
+    }
+    asking.join().unwrap();
+    let stats = gw.stats();
+    assert!(stats.cache_hits >= ASKED / 2 && stats.batched_queries >= ASKED / 2);
+    drop((client, warm));
+    stop_all(gw, shards);
+}
+
+#[test]
+fn a_client_that_stops_reading_is_dropped_and_delays_nobody_for_long() {
+    // 64 MB of path replies nobody reads: more than the socket buffers
+    // between the gateway and the stalled client can ever hold.
+    const N: u32 = 4096;
+    const FLOOD: u64 = 4000;
+    let cfg = GatewayConfig {
+        cache_capacity: 0,
+        ..GatewayConfig::default()
+    };
+    let (gw, shards, _) = spawn_loopback(&path_snapshot(N), 1, cfg).unwrap();
+
+    let mut stalled = RawClient::connect(gw.addr);
+    for id in 0..FLOOD {
+        stalled.ask(id, 0, N - 1, true);
+    }
+
+    // A well-behaved client on another connection keeps asking the same
+    // shard until the stalled one is gone.
+    let done = Arc::new(AtomicBool::new(false));
+    let (done2, addr) = (Arc::clone(&done), gw.addr);
+    let bystander = std::thread::spawn(move || {
+        let mut c = ServeClient::connect(addr, PATIENCE).unwrap();
+        let mut worst = Duration::ZERO;
+        while !done2.load(Ordering::Relaxed) {
+            let t0 = Instant::now();
+            let outcome = c.query(0, 9, false).unwrap();
+            worst = worst.max(t0.elapsed());
+            assert_eq!(outcome, QueryOutcome::Dist { dist: 9 });
+        }
+        worst
+    });
+
+    // Dropped means the gateway closed the connection: once the replies
+    // that did fit in the buffers are drained, the stream ends. A
+    // gateway that queued the rest instead would keep it open (and this
+    // read would run into its timeout).
+    let t0 = Instant::now();
+    let mut dropped_after = None;
+    while t0.elapsed() < PATIENCE {
+        // Still open? A write fails once the gateway has shut the
+        // socket down; until then this costs one refused query.
+        let probe = ClientRequest::Query(QueryRequest {
+            id: u64::MAX,
+            src: N,
+            dst: 0,
+            want_path: false,
+        });
+        if write_frame(&mut stalled.stream, &probe, &mut stalled.scratch).is_err() {
+            dropped_after = Some(t0.elapsed());
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    done.store(true, Ordering::Relaxed);
+    let worst = bystander.join().unwrap();
+    let dropped_after = dropped_after.expect("the stalled client was never dropped");
+
+    let mut drained = 0usize;
+    let mut buf = vec![0u8; 1 << 16];
+    let ended = loop {
+        match stalled.stream.read(&mut buf) {
+            Ok(0) => break true,
+            Ok(k) => drained += k,
+            Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => break true,
+            Err(_) => break false,
+        }
+    };
+    assert!(ended, "the stalled connection is still open");
+    assert!(
+        drained < FLOOD as usize * N as usize * 4,
+        "every reply was queued: {drained} bytes"
+    );
+    // One reply write may block for the write timeout, once; after that
+    // the connection is dead and skipped.
+    assert!(
+        worst < CLIENT_WRITE_TIMEOUT + Duration::from_secs(2),
+        "a bystander waited {worst:?} (stalled client dropped after {dropped_after:?})"
+    );
+    stop_all(gw, shards);
+}
+
+/// Write `frame` in two halves with a pause between them that outlasts
+/// any sane polling interval of the reader.
+fn write_in_two_halves(stream: &mut TcpStream, frame: &[u8]) {
+    let (head, tail) = frame.split_at(frame.len() / 2);
+    stream.write_all(head).unwrap();
+    stream.flush().unwrap();
+    std::thread::sleep(Duration::from_millis(120));
+    stream.write_all(tail).unwrap();
+}
+
+#[test]
+fn a_pause_inside_an_apply_tables_frame_still_gets_apply_done() {
+    let (gw, shards, _) = spawn_loopback(&path_snapshot(64), 2, GatewayConfig::default()).unwrap();
+    let mut client = RawClient::connect(gw.addr);
+    let mut frame = Vec::new();
+    let req = ClientRequest::ApplyTables {
+        generation: 1,
+        snap: path_snapshot(64),
+    };
+    write_frame(&mut frame, &req, &mut Vec::new()).unwrap();
+    write_in_two_halves(&mut client.stream, &frame);
+    match read_frame::<_, ClientReply>(&mut client.stream).unwrap() {
+        Some(ClientReply::ApplyDone(report)) => {
+            assert!(report.accepted, "{report:?}");
+            assert_eq!(report.generation, 1);
+        }
+        other => panic!("expected ApplyDone, got {other:?}"),
+    }
+    drop(client);
+    stop_all(gw, shards);
+}
+
+#[test]
+fn a_pause_inside_an_install_frame_still_gets_installed() {
+    let mut shard = ShardHandle::spawn(path_snapshot(64)).unwrap();
+    let mut conn = TcpStream::connect(shard.addr).unwrap();
+    conn.set_read_timeout(Some(PATIENCE)).unwrap();
+    let mut frame = Vec::new();
+    let install = ShardFrame::Install {
+        generation: 3,
+        snap: path_snapshot(64),
+    };
+    write_frame(&mut frame, &install, &mut Vec::new()).unwrap();
+    write_in_two_halves(&mut conn, &frame);
+    assert_eq!(
+        read_frame::<_, ShardReply>(&mut conn).unwrap(),
+        Some(ShardReply::Installed { generation: 3 })
+    );
+    shard.stop();
+}
+
+#[test]
+fn shutdown_does_not_wait_for_attached_clients() {
+    let (mut gw, mut shards, _) =
+        spawn_loopback(&path_snapshot(64), 2, GatewayConfig::default()).unwrap();
+    let mut idle = ServeClient::connect(gw.addr, PATIENCE).unwrap();
+    assert_eq!(
+        idle.query(0, 5, false).unwrap(),
+        QueryOutcome::Dist { dist: 5 }
+    );
+
+    // On its own thread, so a shutdown that never returns fails the
+    // test instead of hanging it.
+    let (returned_tx, returned) = channel();
+    let stopping = std::thread::spawn(move || {
+        gw.shutdown();
+        for s in &mut shards {
+            s.stop();
+        }
+        let _ = returned_tx.send(());
+    });
+    returned
+        .recv_timeout(Duration::from_secs(1))
+        .expect("Gateway::shutdown returned within 1 s of an idle client being attached");
+    stopping.join().unwrap();
+    // The attached client was hung up on, not left waiting.
+    assert!(idle.query(0, 5, false).is_err());
+}
