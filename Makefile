@@ -3,9 +3,9 @@
 
 CARGO ?= cargo
 
-.PHONY: ci build test fmt clippy report golden obs-schema bench-smoke bench-check bench-baseline transport-conformance shard-conformance chaos-smoke scale-smoke serve-conformance serve-smoke dynamic-smoke serve-chaos maelstrom-smoke
+.PHONY: ci build test fmt clippy report golden obs-schema bench-smoke bench-check bench-baseline transport-conformance pipeline-conformance shard-conformance chaos-smoke scale-smoke serve-conformance serve-smoke dynamic-smoke serve-chaos maelstrom-smoke
 
-ci: build test fmt clippy obs-schema bench-check transport-conformance shard-conformance chaos-smoke scale-smoke serve-conformance serve-smoke dynamic-smoke serve-chaos maelstrom-smoke
+ci: build test fmt clippy obs-schema bench-check transport-conformance pipeline-conformance shard-conformance chaos-smoke scale-smoke serve-conformance serve-smoke dynamic-smoke serve-chaos maelstrom-smoke
 
 build:
 	$(CARGO) build --release
@@ -41,6 +41,19 @@ obs-schema:
 transport-conformance:
 	$(CARGO) test --release -q -p dw-transport --test conformance
 	$(CARGO) test --release -q -p dwapsp --test transport_conformance
+
+# Algorithm 1's execution, not only its answers, is pinned (release
+# build, because the key arithmetic's overflow contract must hold there
+# too): `NodeList` against the scan-everything list it replaced, over
+# random operation sequences; RunStats + InvariantReport + a hash of
+# every node's checkpoint bytes on two fixed graphs, recorded before the
+# list grew its columns and cursor; then the end-to-end properties and
+# the golden round/message/distance snapshots.
+pipeline-conformance:
+	$(CARGO) test --release -q -p dw-pipeline --lib -- list::tests key::tests
+	$(CARGO) test --release -q -p dw-pipeline --test pinned_behaviour
+	$(CARGO) test --release -q -p dwapsp --test prop_pipeline
+	$(CARGO) test --release -q -p dwapsp --test golden_regression
 
 # The sharded workers (DESIGN.md §11) specifically: property-based
 # differential tests over shard counts P in {1, 2, ceil(n/3), n} on

@@ -29,9 +29,9 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::collections::HashSet;
 use std::process::exit;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn fail(msg: String) -> ! {
     eprintln!("dynamic_smoke: FAIL: {msg}");
@@ -44,6 +44,27 @@ fn probe_key(outcome: &QueryOutcome) -> Option<u64> {
         QueryOutcome::Dist { dist } => Some(*dist),
         QueryOutcome::Unreachable => Some(u64::MAX),
         _ => None,
+    }
+}
+
+/// Queries the hammer must land between two swaps. A re-solve of this
+/// graph takes about as long as a handful of queries, so "the hammer
+/// runs throughout" is made true by waiting for it, not assumed.
+const HAMMER_QUERIES_PER_SWAP: u64 = 50;
+
+/// Block until the hammer has landed `HAMMER_QUERIES_PER_SWAP` more
+/// queries than it had when this was called.
+fn let_the_hammer_run(landed: &AtomicU64) {
+    let target = landed.load(Ordering::Relaxed) + HAMMER_QUERIES_PER_SWAP;
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while landed.load(Ordering::Relaxed) < target {
+        if Instant::now() > deadline {
+            fail(format!(
+                "hammer stalled at {} queries",
+                landed.load(Ordering::Relaxed)
+            ));
+        }
+        std::thread::yield_now();
     }
 }
 
@@ -78,14 +99,15 @@ fn main() {
         .insert(dijkstra(&g, probe.0).dist[probe.1 as usize]);
 
     let stop = Arc::new(AtomicBool::new(false));
+    let landed = Arc::new(AtomicU64::new(0));
     let hammer = {
         let stop = Arc::clone(&stop);
+        let landed = Arc::clone(&landed);
         let valid_probe = Arc::clone(&valid_probe);
         let addr = gw.addr;
-        std::thread::spawn(move || -> u64 {
+        std::thread::spawn(move || {
             let mut client = ServeClient::connect(addr, Duration::from_secs(5))
                 .unwrap_or_else(|e| fail(format!("hammer cannot connect: {e}")));
-            let mut queries = 0u64;
             let mut i = 0u32;
             while !stop.load(Ordering::Relaxed) {
                 // Mostly the probe pair (its valid-answer set is
@@ -112,10 +134,9 @@ fn main() {
                         ));
                     }
                 }
-                queries += 1;
+                landed.fetch_add(1, Ordering::Relaxed);
                 i = i.wrapping_add(1);
             }
-            queries
         })
     };
 
@@ -137,6 +158,7 @@ fn main() {
                 _ => u64::MAX,
             },
         );
+        let_the_hammer_run(&landed);
         let rep = push
             .apply_tables(vt.generation, &vt.snap)
             .unwrap_or_else(|e| fail(format!("apply {b} failed: {e}")));
@@ -156,13 +178,12 @@ fn main() {
         );
     }
 
+    let_the_hammer_run(&landed);
     stop.store(true, Ordering::Relaxed);
-    let hammered = hammer.join().unwrap_or_else(|_| {
+    hammer.join().unwrap_or_else(|_| {
         fail("hammer thread panicked".to_string());
     });
-    if hammered < 100 {
-        fail(format!("hammer only landed {hammered} queries"));
-    }
+    let hammered = landed.load(Ordering::Relaxed);
 
     // Post-swap sweep: the live deployment must now answer exactly like
     // a fresh Dijkstra on the patched graph, for every pair.

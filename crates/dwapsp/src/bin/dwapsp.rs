@@ -35,7 +35,9 @@ use dwapsp::obs::report::{aggregate_phases, render_report, PhaseBound};
 use dwapsp::obs::{ObsRecorder, Recorder, Recording};
 use dwapsp::pipeline::bound::hk_round_bound;
 use dwapsp::pipeline::runtime::run_hk_ssp_on_recorded;
-use dwapsp::pipeline::{default_budget, hk_ssp_node, run_hk_ssp_chaos, ChaosConfig};
+use dwapsp::pipeline::{
+    default_budget, hk_ssp_node, hk_ssp_nodes, run_hk_ssp_chaos, ChaosConfig, Gamma,
+};
 use dwapsp::prelude::*;
 use dwapsp::seqref::matrices_equal;
 use dwapsp::serve::{
@@ -763,7 +765,11 @@ fn cmd_run_node(get: &impl Fn(&str) -> Option<String>) {
             "shard id {id} out of range (effective shards: {})",
             map.shards()
         );
-        let nodes: Vec<_> = map.nodes(id).map(|v| hk_ssp_node(&cfg, v)).collect();
+        let gamma = Gamma::new(cfg.k(), cfg.h, cfg.delta);
+        let nodes: Vec<_> = map
+            .nodes(id)
+            .map(hk_ssp_nodes(&cfg, gamma, g.n()))
+            .collect();
         let (nodes, outcome) = run_shard_tcp(
             &map,
             id,

@@ -6,6 +6,7 @@ use crate::config::SspConfig;
 use crate::key::Gamma;
 use crate::node::PipelinedNode;
 use crate::result::HkSspResult;
+use crate::runtime::hk_ssp_nodes;
 use dw_congest::{EngineConfig, Network, NullRecorder, Recorder, RunOutcome, RunStats};
 use dw_graph::{NodeId, WGraph, Weight, INFINITY};
 
@@ -78,20 +79,7 @@ pub(crate) fn run_with_budget_named(
     rec: &mut dyn Recorder,
     span_name: &'static str,
 ) -> (HkSspResult, RunStats, RunOutcome) {
-    let mut is_source = vec![false; g.n()];
-    for &s in &cfg.sources {
-        is_source[s as usize] = true;
-    }
-    let mut net = Network::new(g, engine, |v| {
-        PipelinedNode::with_admission(
-            gamma,
-            cfg.h,
-            cfg.k(),
-            is_source[v as usize],
-            cfg.track_invariants,
-            cfg.admission,
-        )
-    });
+    let mut net = Network::new(g, engine, hk_ssp_nodes(cfg, gamma, g.n()));
     // A disabled recorder stays on the engine's plain loop — the
     // default entry points keep their pre-observability hot path.
     let (outcome, stats) = if rec.enabled() {

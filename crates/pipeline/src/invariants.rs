@@ -77,13 +77,15 @@ pub fn run_with_report(
     let k = cfg.k();
     let gamma = crate::key::Gamma::new(k, cfg.h, cfg.delta);
     let budget = crate::driver::default_budget(cfg, g.n());
-    let mut is_source = vec![false; g.n()];
-    for &s in &cfg.sources {
-        is_source[s as usize] = true;
-    }
-    let mut net = Network::new(g, engine, |v| {
-        PipelinedNode::with_admission(gamma, cfg.h, k, is_source[v as usize], true, cfg.admission)
-    });
+    let tracked = crate::config::SspConfig {
+        track_invariants: true,
+        ..cfg.clone()
+    };
+    let mut net = Network::new(
+        g,
+        engine,
+        crate::runtime::hk_ssp_nodes(&tracked, gamma, g.n()),
+    );
     net.run(budget);
     let stats = net.stats();
     let report = gather(net.nodes());

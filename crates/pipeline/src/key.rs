@@ -12,11 +12,12 @@
 //!
 //! making every execution bit-deterministic (no floats anywhere).
 //!
-//! Ranges: with `d ≤ n·W ≤ 2^50` and `k·h ≤ 2^40` all intermediates fit
-//! comfortably in `u128` (`d²·kh ≤ 2^140`… not quite — see the debug
-//! assertions: we require `d²·kh < 2^127`, i.e. `d·sqrt(kh) < 2^63`, which
-//! holds for every realistic instance; violations panic rather than give
-//! wrong answers).
+//! Ranges: `d ≤ n·W ≤ 2^50` and `k·h ≤ 2^40` do *not* make every
+//! intermediate fit `u128` (`d²·kh ≤ 2^140`). What is required is
+//! `d²·kh < 2^128`, i.e. `d·sqrt(kh) < 2^64`, which holds for every
+//! realistic instance; a violation panics rather than give a wrong
+//! answer — the products are checked multiplications in release builds
+//! too, not debug assertions.
 
 use dw_graph::Weight;
 use std::cmp::Ordering;
@@ -65,23 +66,43 @@ impl Gamma {
         let ord = if ll <= 0 {
             Ordering::Greater // positive γ·dd beats non-positive ll
         } else {
-            let dd = dd as u128;
-            debug_assert!(
-                dd.checked_mul(dd)
-                    .and_then(|x| x.checked_mul(self.num))
-                    .is_some(),
-                "key arithmetic overflow: d difference too large"
-            );
-            let lhs = dd * dd * self.num; // (dd·γ)² · den
-            let ll = ll as u128;
-            let rhs = ll * ll * self.den;
-            lhs.cmp(&rhs)
+            // 0 < ll <= u64::MAX: a difference of two u64s
+            self.cmp_dd_gamma(dd, ll as u64)
         };
         if flip {
             ord.reverse()
         } else {
             ord
         }
+    }
+
+    /// Compare `dd·γ` with `ll` (both positive) as `dd²·num` against
+    /// `ll²·den`.
+    ///
+    /// Differences below 2³² — every instance this workspace runs — take
+    /// a path that cannot overflow: the squares fit `u64`, `num` and
+    /// `den` fit `u64`, so each side is one 64×64→128 multiply. Anything
+    /// larger is multiplied checked and panics on overflow, in release as
+    /// in debug, where [`Gamma::ceil_d_gamma`] would.
+    #[inline]
+    fn cmp_dd_gamma(&self, dd: u64, ll: u64) -> Ordering {
+        if (dd | ll) >> 32 != 0 || (self.num | self.den) >> 64 != 0 {
+            return self.cmp_dd_gamma_wide(dd, ll);
+        }
+        let lhs = (dd * dd) as u128 * (self.num as u64) as u128;
+        let rhs = (ll * ll) as u128 * (self.den as u64) as u128;
+        lhs.cmp(&rhs)
+    }
+
+    #[cold]
+    fn cmp_dd_gamma_wide(&self, dd: u64, ll: u64) -> Ordering {
+        // a u64 squared fits u128; the scaling may not
+        let scaled = |x: u64, by: u128| {
+            (x as u128 * x as u128).checked_mul(by).expect(
+                "key arithmetic overflow: a (d, l) difference squared times k·h or Δ exceeds u128",
+            )
+        };
+        scaled(dd, self.num).cmp(&scaled(ll, self.den))
     }
 
     /// Exact `⌈κ⌉ = l + ⌈d·γ⌉`.
@@ -227,6 +248,50 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Differences past the 32-bit fast path: γ = 1 (k·h = Δ = 2²⁰), so
+    /// `κ = d + l` and the right answer is plain integer arithmetic.
+    /// `dd²·k·h ≈ 2¹²⁰` still fits; debug and release builds agree
+    /// because nothing here can wrap.
+    #[test]
+    fn wide_differences_compare_exactly() {
+        let g = Gamma::new(1 << 10, 1 << 10, 1 << 20);
+        let d1 = (1u64 << 50) + 12_345;
+        for (l1, d2, l2) in [
+            (0u64, 5u64, d1 - 5),
+            (0, 5, d1 - 6),
+            (0, 5, d1 - 4),
+            (7, 0, d1 + 7),
+            (7, 0, d1 + 6),
+            (1 << 40, 1 << 49, (1 << 49) + (1 << 40) + 12_346),
+        ] {
+            let expect = (d1 as u128 + l1 as u128).cmp(&(d2 as u128 + l2 as u128));
+            assert_eq!(
+                g.cmp_kappa(d1, l1, d2, l2),
+                expect,
+                "l1={l1} d2={d2} l2={l2}"
+            );
+            assert_eq!(g.cmp_kappa(d2, l2, d1, l1), expect.reverse());
+        }
+        assert_eq!(g.ceil_kappa(d1, 3), d1 + 3);
+    }
+
+    /// `dd²·k·h ≈ 2¹³⁰` does not fit `u128`. The comparison must say so
+    /// in every build profile, as `ceil_d_gamma` always has: before the
+    /// multiplication was checked, a release build wrapped and answered.
+    #[test]
+    #[should_panic(expected = "key arithmetic overflow")]
+    fn overflowing_comparison_panics_in_every_profile() {
+        let g = Gamma::new(1 << 15, 1 << 15, 3);
+        let _ = g.cmp_kappa(1 << 50, 0, 1, 1 << 50);
+    }
+
+    #[test]
+    #[should_panic(expected = "key arithmetic overflow")]
+    fn overflowing_ceiling_panics_in_every_profile() {
+        let g = Gamma::new(1 << 15, 1 << 15, 3);
+        let _ = g.ceil_kappa(1 << 50, 0);
     }
 
     #[test]

@@ -56,8 +56,8 @@ pub use recovery::{
 };
 pub use result::HkSspResult;
 pub use runtime::{
-    hk_ssp_node, run_hk_ssp_chaos, run_hk_ssp_on, run_hk_ssp_on_recorded, short_range_sssp_on,
-    ChaosConfig, PartialOutcome, Runtime,
+    hk_ssp_node, hk_ssp_nodes, run_hk_ssp_chaos, run_hk_ssp_on, run_hk_ssp_on_recorded,
+    short_range_sssp_on, ChaosConfig, PartialOutcome, Runtime,
 };
 pub use scaling::{scaling_apsp, scaling_k_ssp, ScalingOutcome};
 pub use short_range::{short_range_extension, short_range_sssp, ShortRangeResult};

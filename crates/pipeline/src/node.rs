@@ -7,7 +7,6 @@ use crate::key::Gamma;
 use crate::list::NodeList;
 use dw_congest::{Checkpointable, Envelope, NodeCtx, Outbox, Protocol, Round, WireCodec};
 use dw_graph::{NodeId, Weight};
-use std::collections::HashMap;
 
 /// Current shortest-path record `(d*, l*, parent)` for one source.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -15,6 +14,21 @@ pub struct Best {
     pub d: Weight,
     pub l: u64,
     pub parent: NodeId,
+}
+
+impl WireCodec for Best {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.d.encode(out);
+        self.l.encode(out);
+        self.parent.encode(out);
+    }
+    fn decode(buf: &mut &[u8]) -> Option<Self> {
+        Some(Best {
+            d: Weight::decode(buf)?,
+            l: u64::decode(buf)?,
+            parent: NodeId::decode(buf)?,
+        })
+    }
 }
 
 /// Per-node instrumentation (cheap counters; gathered by
@@ -53,10 +67,9 @@ pub struct NodeStats {
 }
 
 /// Node program: one instance per node; all share the same `(h, k, Δ)`
-/// parameters via `gamma` and `h`.
+/// parameters via `h` and the list's key context `γ`.
 #[derive(Clone)]
 pub struct PipelinedNode {
-    gamma: Gamma,
     /// Hop bound (`h` for plain `(h,k)`-SSP; `2h` inside CSSSP).
     h: u64,
     /// `k` (for the Invariant-2 check).
@@ -64,7 +77,14 @@ pub struct PipelinedNode {
     is_source: bool,
     admission: AdmissionRule,
     list: NodeList,
-    best: HashMap<NodeId, Best>,
+    /// The sources heard from, in increasing order, and the SP record of
+    /// each at the same index. Every message looks its source up, so the
+    /// search runs over the ids alone (4 bytes a source; a table of
+    /// `(id, record)` rows is 32, and with a few hundred sources a node
+    /// the probes of each search miss the cache) and reads one record.
+    /// This is also the order checkpoints are written in.
+    best_src: Vec<NodeId>,
+    best: Vec<Best>,
     track: bool,
     pub stats: NodeStats,
 }
@@ -85,13 +105,13 @@ impl PipelinedNode {
         admission: AdmissionRule,
     ) -> Self {
         PipelinedNode {
-            gamma,
             h,
             k,
             is_source,
             admission,
             list: NodeList::new(gamma),
-            best: HashMap::new(),
+            best_src: Vec::new(),
+            best: Vec::new(),
             track,
             stats: NodeStats::default(),
         }
@@ -99,7 +119,24 @@ impl PipelinedNode {
 
     /// The node's current shortest-path record for `source`.
     pub fn best_for(&self, source: NodeId) -> Option<&Best> {
-        self.best.get(&source)
+        let i = self.best_slot(source).ok()?;
+        Some(&self.best[i])
+    }
+
+    /// Where `source`'s SP record is (`Ok`) or would go (`Err`).
+    fn best_slot(&self, source: NodeId) -> Result<usize, usize> {
+        self.best_src.binary_search(&source)
+    }
+
+    /// Write `source`'s SP record at the slot [`Self::best_slot`] found.
+    fn set_best(&mut self, slot: Result<usize, usize>, source: NodeId, rec: Best) {
+        match slot {
+            Ok(i) => self.best[i] = rec,
+            Err(i) => {
+                self.best_src.insert(i, source);
+                self.best.insert(i, rec);
+            }
+        }
     }
 
     /// The node's list (test instrumentation).
@@ -132,7 +169,7 @@ impl PipelinedNode {
         // Invariant 2: per-source count within sqrt(Δh/k)+1.
         let c = self.list.count_for_source(src);
         self.stats.max_per_source = self.stats.max_per_source.max(c);
-        if !per_source_list_bound_holds(c, self.k, self.h, self.gamma.delta() as Weight) {
+        if !per_source_list_bound_holds(c, self.k, self.h, self.list.gamma().delta() as Weight) {
             self.stats.inv2_violations += 1;
             let e = self.list.get(idx);
             self.stats.last_inv2 = Some([round, c as u64, e.d, e.src as u64]);
@@ -157,14 +194,12 @@ impl Protocol for PipelinedNode {
                 sent: false,
             };
             self.list.insert(e);
-            self.best.insert(
-                ctx.id,
-                Best {
-                    d: 0,
-                    l: 0,
-                    parent: ctx.id,
-                },
-            );
+            let rec = Best {
+                d: 0,
+                l: 0,
+                parent: ctx.id,
+            };
+            self.set_best(self.best_slot(ctx.id), ctx.id, rec);
         }
     }
 
@@ -207,7 +242,9 @@ impl Protocol for PipelinedNode {
                 continue; // hop budget exhausted
             }
             let src = m.src;
-            if Self::improves(self.best.get(&src), d, l, env.from) {
+            let slot = self.best_slot(src);
+            let cur = slot.ok().map(|i| &self.best[i]);
+            if Self::improves(cur, d, l, env.from) {
                 // Steps 9-11: new shortest-path entry. The old SP entry
                 // stays flagged through the insert (protecting it from the
                 // eviction step) and is demoted afterwards — see
@@ -215,14 +252,12 @@ impl Protocol for PipelinedNode {
                 if self.track {
                     self.stats.last_best_update = round;
                 }
-                self.best.insert(
-                    src,
-                    Best {
-                        d,
-                        l,
-                        parent: env.from,
-                    },
-                );
+                let rec = Best {
+                    d,
+                    l,
+                    parent: env.from,
+                };
+                self.set_best(slot, src, rec);
                 let idx = self.list.insert(Entry {
                     d,
                     l,
@@ -243,15 +278,10 @@ impl Protocol for PipelinedNode {
                     flag_sp: false,
                     sent: false,
                 };
-                let below = match self.admission {
-                    AdmissionRule::ListOrder => self.list.count_below_insertion_for_source(&cand),
-                    AdmissionRule::StrictKappa => self.list.count_lt_kappa_for_source(&cand),
-                };
-                if below < m.nu {
-                    let idx = self.list.insert(cand);
-                    self.after_insert(idx, round, src);
-                } else if self.track {
-                    self.stats.drops += 1;
+                match self.list.admit(cand, m.nu, self.admission) {
+                    Some(idx) => self.after_insert(idx, round, src),
+                    None if self.track => self.stats.drops += 1,
+                    None => {}
                 }
             }
         }
@@ -266,17 +296,17 @@ impl Protocol for PipelinedNode {
 /// per-source SP records, and the instrumentation counters; the
 /// configuration (`gamma`, `h`, `k`, source flag, admission rule) lives
 /// in the pristine clone the restoring worker starts from. The `best`
-/// map is serialized in source order so snapshots of equal states are
+/// table is kept in source order, so snapshots of equal states are
 /// byte-identical — checkpoint bytes feed the observability export.
 impl Checkpointable for PipelinedNode {
     fn snapshot(&self, out: &mut Vec<u8>) {
         self.list.entries().to_vec().encode(out);
-        let mut best: Vec<(NodeId, (Weight, u64, NodeId))> = self
-            .best
+        let best: Vec<(NodeId, Best)> = self
+            .best_src
             .iter()
-            .map(|(&s, b)| (s, (b.d, b.l, b.parent)))
+            .copied()
+            .zip(self.best.iter().copied())
             .collect();
-        best.sort_unstable_by_key(|&(s, _)| s);
         best.encode(out);
         let st = &self.stats;
         st.inserts.encode(out);
@@ -294,11 +324,11 @@ impl Checkpointable for PipelinedNode {
     fn restore(&mut self, buf: &mut &[u8]) -> Option<()> {
         let entries = Vec::<Entry>::decode(buf)?;
         self.list.restore_entries(entries)?;
-        let best = Vec::<(NodeId, (Weight, u64, NodeId))>::decode(buf)?;
-        self.best = best
-            .into_iter()
-            .map(|(s, (d, l, parent))| (s, Best { d, l, parent }))
-            .collect();
+        let best = Vec::<(NodeId, Best)>::decode(buf)?;
+        if !best.windows(2).all(|w| w[0].0 < w[1].0) {
+            return None;
+        }
+        (self.best_src, self.best) = best.into_iter().unzip();
         self.stats = NodeStats {
             inserts: u64::decode(buf)?,
             drops: u64::decode(buf)?,
@@ -345,22 +375,19 @@ mod tests {
             flag_sp: false,
             sent: false,
         });
-        a.best.insert(
-            1,
-            Best {
-                d: 3,
-                l: 1,
-                parent: 1,
-            },
-        );
-        a.best.insert(
-            2,
-            Best {
-                d: 7,
-                l: 2,
-                parent: 0,
-            },
-        );
+        let one = Best {
+            d: 3,
+            l: 1,
+            parent: 1,
+        };
+        let two = Best {
+            d: 7,
+            l: 2,
+            parent: 0,
+        };
+        // out of source order on purpose: the table sorts itself
+        a.set_best(a.best_slot(2), 2, two);
+        a.set_best(a.best_slot(1), 1, one);
         a.stats.inserts = 2;
         a.stats.max_list_len = 2;
         a.stats.last_inv1 = Some([1, 2, 3, 4, 5]);
@@ -376,8 +403,8 @@ mod tests {
         assert_eq!(b.best_for(2), a.best_for(2));
         assert_eq!(b.stats, a.stats);
 
-        // Equal states snapshot to identical bytes (best map ordering
-        // is canonicalized).
+        // Equal states snapshot to identical bytes (the best table is
+        // in source order however it was filled).
         let mut again = Vec::new();
         b.snapshot(&mut again);
         assert_eq!(again, bytes);
@@ -389,6 +416,26 @@ mod tests {
         let mut node = PipelinedNode::new(gamma, 8, 2, false, false);
         let mut view: &[u8] = &[0xff, 0x02, 0x03];
         assert!(node.restore(&mut view).is_none());
+    }
+
+    #[test]
+    fn restore_rejects_sp_records_out_of_source_order() {
+        let gamma = Gamma::new(2, 8, 16);
+        let rec = Best {
+            d: 1,
+            l: 1,
+            parent: 0,
+        };
+        for (sources, ok) in [([1u32, 2], true), ([2, 1], false), ([1, 1], false)] {
+            let mut bytes = Vec::new();
+            Vec::<Entry>::new().encode(&mut bytes);
+            vec![(sources[0], rec), (sources[1], rec)].encode(&mut bytes);
+            let mut stats = Vec::new();
+            PipelinedNode::new(gamma, 8, 2, false, true).snapshot(&mut stats);
+            bytes.extend_from_slice(&stats[8..]); // past the two empty tables
+            let mut node = PipelinedNode::new(gamma, 8, 2, false, true);
+            assert_eq!(node.restore(&mut bytes.as_slice()).is_some(), ok);
+        }
     }
 
     #[test]

@@ -35,6 +35,7 @@ use crate::driver::{default_budget, extract};
 use crate::key::Gamma;
 use crate::node::PipelinedNode;
 use crate::result::HkSspResult;
+use crate::runtime::hk_ssp_nodes;
 use crate::short_range::{extract_instance, short_range_gamma, ShortRangeNode, ShortRangeResult};
 use dw_congest::{
     EngineConfig, Network, Reliable, ReliableConfig, ReliableStats, RunOutcome, RunStats,
@@ -114,23 +115,8 @@ fn reliable_hk_run(
     engine: EngineConfig,
     rc: &RecoveryConfig,
 ) -> (HkSspResult, RunStats, RunOutcome, ReliableStats, u64) {
-    let mut is_source = vec![false; g.n()];
-    for &s in &cfg.sources {
-        is_source[s as usize] = true;
-    }
-    let mut net = Network::new(g, engine, |v| {
-        Reliable::new(
-            PipelinedNode::with_admission(
-                gamma,
-                cfg.h,
-                cfg.k(),
-                is_source[v as usize],
-                cfg.track_invariants,
-                cfg.admission,
-            ),
-            rc.reliable,
-        )
-    });
+    let make = hk_ssp_nodes(cfg, gamma, g.n());
+    let mut net = Network::new(g, engine, |v| Reliable::new(make(v), rc.reliable));
     let outcome = net.run(budget);
     let stats = net.stats();
     let mut rstats = ReliableStats::default();

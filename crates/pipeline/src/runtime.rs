@@ -127,7 +127,8 @@ where
 /// The Algorithm 1 node instance the transport backends execute for
 /// `cfg`. Exposed so a multi-process deployment (`dwapsp run-node`)
 /// constructs exactly the node that [`run_hk_ssp_on`] would, which is
-/// what makes its wire traffic conformant.
+/// what makes its wire traffic conformant. Looks `v` up among the
+/// sources; to construct many nodes use [`hk_ssp_nodes`].
 pub fn hk_ssp_node(cfg: &SspConfig, v: NodeId) -> PipelinedNode {
     let k = cfg.k();
     PipelinedNode::with_admission(
@@ -138,6 +139,32 @@ pub fn hk_ssp_node(cfg: &SspConfig, v: NodeId) -> PipelinedNode {
         cfg.track_invariants,
         cfg.admission,
     )
+}
+
+/// The constructor every Algorithm 1 run hands its engine or transport:
+/// node id to node program, for a graph of `n` nodes. The source table
+/// is built once, so constructing all the nodes costs `O(n + k)` where
+/// asking [`hk_ssp_node`] for each costs `O(n·k)`. `gamma` is a
+/// parameter because a caller's key schedule need not be `cfg`'s own.
+pub fn hk_ssp_nodes(
+    cfg: &SspConfig,
+    gamma: Gamma,
+    n: usize,
+) -> impl Fn(NodeId) -> PipelinedNode + '_ {
+    let mut is_source = vec![false; n];
+    for &s in &cfg.sources {
+        is_source[s as usize] = true;
+    }
+    move |v| {
+        PipelinedNode::with_admission(
+            gamma,
+            cfg.h,
+            cfg.k(),
+            is_source[v as usize],
+            cfg.track_invariants,
+            cfg.admission,
+        )
+    }
 }
 
 /// [`crate::run_hk_ssp`] on the chosen runtime.
@@ -166,7 +193,8 @@ pub fn run_hk_ssp_on_recorded(
     }
     let budget = default_budget(cfg, g.n());
     let span = rec.begin("hk_ssp");
-    let run = transport_run(rt, g, &engine, budget, |v| hk_ssp_node(cfg, v), rec)?;
+    let make = hk_ssp_nodes(cfg, Gamma::new(cfg.k(), cfg.h, cfg.delta), g.n());
+    let run = transport_run(rt, g, &engine, budget, make, rec)?;
     rec.end(span, &run.stats);
     let result = crate::driver::extract(g, &cfg.sources, run.nodes.iter());
     Ok((result, run.stats, run.outcome))
@@ -370,7 +398,7 @@ pub fn run_hk_ssp_chaos(
         chaos: Some(chaos.plan.clone()),
         ..TransportConfig::from(&engine)
     };
-    let make = |v| hk_ssp_node(cfg, v);
+    let make = hk_ssp_nodes(cfg, Gamma::new(cfg.k(), cfg.h, cfg.delta), g.n());
     let run = match rt {
         Runtime::Sim => unreachable!("handled above"),
         Runtime::Threads => run_threads_chaos(g, &tcfg, budget, chaos.deadline, make, rec),
