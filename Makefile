@@ -3,9 +3,9 @@
 
 CARGO ?= cargo
 
-.PHONY: ci build test fmt clippy report golden obs-schema bench-smoke bench-check bench-baseline transport-conformance pipeline-conformance shard-conformance chaos-smoke scale-smoke serve-conformance serve-smoke dynamic-smoke serve-chaos maelstrom-smoke
+.PHONY: ci build test fmt clippy report golden obs-schema bench-smoke transport-conformance pipeline-conformance shard-conformance chaos-smoke scale-smoke serve-conformance serve-smoke dynamic-smoke serve-chaos maelstrom-smoke
 
-ci: build test fmt clippy obs-schema bench-check transport-conformance pipeline-conformance shard-conformance chaos-smoke scale-smoke serve-conformance serve-smoke dynamic-smoke serve-chaos maelstrom-smoke
+ci: build test fmt clippy obs-schema transport-conformance pipeline-conformance chaos-smoke scale-smoke serve-conformance serve-smoke dynamic-smoke serve-chaos maelstrom-smoke
 
 build:
 	$(CARGO) build --release
@@ -36,11 +36,21 @@ obs-schema:
 	$(CARGO) test -q -p dwapsp --test obs_schema
 
 # The transport backends must reproduce the simulator bit for bit
-# (distances, RunStats, outcomes) — threads + loopback TCP + stdio, with
-# and without fault plans, for Algorithm 1 / short-range / Reliable.
+# (distances, RunStats, outcomes) — threads + loopback TCP + stdio at
+# shard counts P in {1, 2, ceil(n/3), n} on random graphs, with and
+# without fault plans and link nemeses, whole-worker chaos recovery, the
+# wire codec under garbage; then Algorithm 1 / short-range / Reliable at
+# one node per worker, and the multi-process CLI quickstart. Whole test
+# targets only: a name filter can be emptied by a rename without anyone
+# noticing.
 transport-conformance:
-	$(CARGO) test --release -q -p dw-transport --test conformance
+	$(CARGO) test --release -q -p dw-transport
 	$(CARGO) test --release -q -p dwapsp --test transport_conformance
+	$(CARGO) test --release -q -p dwapsp --test cli_quickstart
+
+# There is one worker plane (DESIGN.md §8), so the sharded workers'
+# suite is the transport suite.
+shard-conformance: transport-conformance
 
 # Algorithm 1's execution, not only its answers, is pinned (release
 # build, because the key arithmetic's overflow contract must hold there
@@ -48,21 +58,14 @@ transport-conformance:
 # random operation sequences; RunStats + InvariantReport + a hash of
 # every node's checkpoint bytes on two fixed graphs, recorded before the
 # list grew its columns and cursor; then the end-to-end properties and
-# the golden round/message/distance snapshots.
+# the golden round/message/distance snapshots. (The crate's unit tests
+# run whole — they also hold Algorithm 1 on every runtime spelling and
+# under chaos.)
 pipeline-conformance:
-	$(CARGO) test --release -q -p dw-pipeline --lib -- list::tests key::tests
+	$(CARGO) test --release -q -p dw-pipeline --lib
 	$(CARGO) test --release -q -p dw-pipeline --test pinned_behaviour
 	$(CARGO) test --release -q -p dwapsp --test prop_pipeline
 	$(CARGO) test --release -q -p dwapsp --test golden_regression
-
-# The sharded workers (DESIGN.md §11) specifically: property-based
-# differential tests over shard counts P in {1, 2, ceil(n/3), n} on
-# random graphs and fault plans, plus the whole-shard chaos recovery
-# and sharded-runtime selection tests.
-shard-conformance:
-	$(CARGO) test --release -q -p dw-transport --test conformance sharded_
-	$(CARGO) test --release -q -p dw-transport --lib sharded_
-	$(CARGO) test --release -q -p dw-pipeline --lib sharded
 
 # Crash-fault smoke test (DESIGN.md §10): kill one node mid-run on the
 # thread backend, recover from checkpoint + neighbor replay, and require
@@ -80,24 +83,11 @@ chaos-smoke:
 
 # Engine micro-benchmarks (criterion shim): scheduling modes x seq/par on
 # idle-heavy, dense and fast-forward workloads, plus small e15_transport /
-# e16_alg3_phases passes. For eyeballing, not CI.
+# e16_alg3_phases passes. For eyeballing, not CI: speed is judged end to
+# end by the pipeline benchmark (BENCHMARK.json, benchmark/README.md).
 bench-smoke:
 	$(CARGO) bench -p dw-bench --bench engine_microbench
 	$(CARGO) run --release -p dw-bench --bin transport_bench -- --smoke
-
-# Throughput regression gate: re-measures the workload set of the
-# highest-numbered BENCH_*.json (engine modes + e15 transport runtimes +
-# e15 sharded workers + e16 recorded phases + scale_* n>=50k + serve_*
-# query-plane QPS) and fails on a >20% rounds/sec regression, or on any
-# e15_sharded_* mode falling more than 10x behind the simulator.
-# Soft-passes with a warning until a baseline exists.
-bench-check:
-	$(CARGO) run --release -p dw-bench --bin bench_check
-
-# Re-record the BENCH_9.json baseline (carries the frozen pre_pr history
-# forward from BENCH_8.json).
-bench-baseline:
-	$(CARGO) run --release -p dw-bench --bin transport_bench -- --out BENCH_9.json --keep-pre BENCH_8.json
 
 # Large-graph memory/time guard: one n=50k short-range SSSP run that must
 # go quiet inside the Lemma II.15 budget, finish inside the time box, and

@@ -9,8 +9,8 @@
 //! that a change to the list has a number in seconds rather than a 28 s
 //! pipeline run to wait for.
 //!
-//! `make bench-smoke` runs this suite; the wall-clock regression gate
-//! lives in `bench_check` (driven from `BENCH_2.json`), so these numbers
+//! `make bench-smoke` runs this suite; regressions are judged end to
+//! end by the pipeline benchmark (`BENCHMARK.json`), so these numbers
 //! are for eyeballing relative cost, not for CI pass/fail.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};

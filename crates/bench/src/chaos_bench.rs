@@ -17,8 +17,8 @@
 //! recovery proof as well as a latency figure.
 //!
 //! `Measurement` mapping: `rounds`/`rounds_executed`/`messages` come
-//! from the chaos run's `RunStats` (deterministic per plan, so
-//! `bench_check` pins the round structure), `rounds_per_sec` is gated
+//! from the chaos run's `RunStats` (deterministic per plan — the unit
+//! test below pins that), `rounds_per_sec` is the throughput
 //! like every other workload, `p50_us` records the **recovery
 //! latency** — the extra wall time the nemesis added over the
 //! fault-free thread run (best-of-three on both sides) — and `p99_us`
@@ -98,9 +98,8 @@ fn measure_nemesis(
     }
 }
 
-/// The fixed `e21_chaos` measurement set, in stable order (the
-/// `bench_check` retry loop merges passes by position). `smoke` shrinks
-/// the instance for `make bench-smoke` and the unit test below.
+/// The fixed `e21_chaos` measurement set, in stable order. `smoke`
+/// shrinks the instance for `make bench-smoke` and the unit test below.
 pub fn run_all_chaos(smoke: bool) -> Vec<Measurement> {
     let wl = workloads::zero_heavy(if smoke { 14 } else { 24 }, 5, 9);
     let cfg = SspConfig::apsp(wl.n(), wl.delta);
@@ -161,7 +160,7 @@ mod tests {
             assert!(m.messages > 0);
             assert!(m.p99_us >= m.p50_us, "{}", m.workload);
         }
-        // Same plans, same seeds: the structure bench_check pins.
+        // Same plans, same seeds: the same round structure.
         let again = run_all_chaos(true);
         for (a, b) in ms.iter().zip(&again) {
             assert_eq!(

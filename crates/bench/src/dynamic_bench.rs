@@ -14,8 +14,8 @@
 //! update latency percentiles. `messages` counts the source rows
 //! actually re-solved across the run — `messages / (rounds · n)` is the
 //! mean recomputed fraction, the number E20 reports per entry. The
-//! stream is seeded, so the round structure is deterministic and
-//! `bench_check` pins it like every other workload.
+//! stream is seeded, so the round structure is deterministic (the
+//! unit test below pins that).
 
 use crate::engine_bench::Measurement;
 use dw_dynamic::{apply_update_batch, gen_update_batch, RecomputeEngine};
@@ -182,7 +182,7 @@ mod tests {
             full.messages
         );
         // Same seed, same mix: two runs at the same batch size agree on
-        // the round structure bench_check pins.
+        // the round structure.
         let again = run_all_dynamic(true);
         for (a, b) in ms.iter().zip(&again) {
             assert_eq!((a.rounds, a.messages), (b.rounds, b.messages));

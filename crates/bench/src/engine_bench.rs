@@ -1,5 +1,5 @@
-//! Engine wall-clock benchmark: the fixed workload set behind
-//! `BENCH_2.json` and the `make bench-check` regression gate.
+//! Engine wall-clock benchmark: the fixed workload set at the top of
+//! the table `transport_bench` prints.
 //!
 //! Each workload runs the full protocol stack on the round engine and
 //! reports wall-clock milliseconds plus executed-rounds-per-second (the
@@ -41,8 +41,7 @@ pub struct Measurement {
     /// (see [`RunStats::slab_peak`]); zero as for `slab_bytes`.
     pub slab_peak: u64,
     /// Client-observed median latency in microseconds — only the
-    /// `serve_*` workloads measure latency; zero (and omitted from the
-    /// JSON) everywhere else.
+    /// `serve_*` workloads measure latency; zero everywhere else.
     pub p50_us: u64,
     /// Client-observed 99th-percentile latency; zero as for `p50_us`.
     pub p99_us: u64,
@@ -56,8 +55,7 @@ pub(crate) fn measure(
 ) -> Measurement {
     // One warmup, then best-of-three timed runs: the workloads are
     // deterministic (identical stats every run), so keeping the fastest
-    // wall clock just strips scheduler noise. The CI gate adds its own
-    // slack on top.
+    // wall clock just strips scheduler noise.
     let _ = run();
     let start = Instant::now();
     let stats = run();
@@ -105,9 +103,7 @@ impl Protocol for DensePing {
     }
 }
 
-/// The engine-mode set shared by the `engine_bench` baseline writer and
-/// the `bench_check` CI gate — both must measure the exact same
-/// configurations or the gate compares apples to oranges.
+/// The engine-mode set every [`run_all`] workload is measured under.
 pub fn standard_modes() -> Vec<(&'static str, EngineConfig)> {
     vec![
         (
@@ -198,11 +194,10 @@ pub fn scale_modes() -> Vec<(&'static str, EngineConfig)> {
     ]
 }
 
-/// The n≥50k scale workload set behind the `scale_*` entries of
-/// `BENCH_6.json`. These drive [`Network`] directly (instead of the
-/// pipeline drivers) so the measurement can use
-/// [`Network::stats_with_memory`] and record the inbox-slab footprint
-/// alongside throughput.
+/// The n≥50k scale workload set (the `scale_*` rows). These drive
+/// [`Network`] directly (instead of the pipeline drivers) so the
+/// measurement can use [`Network::stats_with_memory`] and record the
+/// inbox-slab footprint alongside throughput.
 pub fn run_scale(modes: &[(&'static str, EngineConfig)]) -> Vec<Measurement> {
     use pipeline::short_range::{short_range_gamma, ShortRangeNode};
 
@@ -263,26 +258,4 @@ pub fn run_scale(modes: &[(&'static str, EngineConfig)]) -> Vec<Measurement> {
     }
 
     out
-}
-
-/// Render measurements as the `BENCH_2.json` entry list (flat objects, so
-/// the regression gate can parse them with a trivial scanner).
-pub fn to_json_entries(ms: &[Measurement]) -> String {
-    let mut s = String::new();
-    for (i, m) in ms.iter().enumerate() {
-        if i > 0 {
-            s.push_str(",\n");
-        }
-        s.push_str(&format!(
-            "    {{\"workload\":\"{}\",\"mode\":\"{}\",\"n\":{},\"rounds\":{},\"rounds_executed\":{},\"messages\":{},\"wall_ms\":{:.3},\"rounds_per_sec\":{:.1},\"slab_bytes\":{},\"slab_peak\":{}",
-            m.workload, m.mode, m.n, m.rounds, m.rounds_executed, m.messages, m.wall_ms, m.rounds_per_sec, m.slab_bytes, m.slab_peak
-        ));
-        // Latency percentiles only exist for the serve_* workloads;
-        // keep every other entry's line byte-identical to the old form.
-        if m.p50_us > 0 || m.p99_us > 0 {
-            s.push_str(&format!(",\"p50_us\":{},\"p99_us\":{}", m.p50_us, m.p99_us));
-        }
-        s.push('}');
-    }
-    s
 }

@@ -6,18 +6,17 @@
 //! one measurement per top-level phase — `csssp`, `blocker_scores`,
 //! `blocker_select`, `alg4_update`, `per_blocker_sssp`, `broadcast` —
 //! with the phase name in the `mode` column. This puts the *shape* of
-//! Algorithm 3 under the regression gate: a change that silently shifts
+//! Algorithm 3 in the printed table: a change that silently shifts
 //! rounds from the pipelined CSSSP into the per-blocker Bellman–Ford
-//! fallback (or slows one phase's executed-rounds throughput) fails
-//! `bench_check` even when the end-to-end totals still look fine.
+//! fallback (or slows one phase's executed-rounds throughput) shows
+//! there even when the end-to-end totals still look fine.
 //!
 //! Purely local phases (`combine`: zero rounds by construction) are not
-//! emitted — a rounds-per-second gate on a zero-round phase would be
-//! vacuous or divide by zero.
+//! emitted — rounds per second of a zero-round phase would be vacuous
+//! or divide by zero.
 //!
-//! The entries land in `BENCH_4.json` (via the `transport_bench`
-//! binary) and are gated by `bench_check` exactly like the engine and
-//! `e15` workloads.
+//! The `transport_bench` binary prints the entries after the engine
+//! and `e15` workloads.
 
 use crate::engine_bench::Measurement;
 use crate::workloads;

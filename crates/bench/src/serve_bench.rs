@@ -6,8 +6,7 @@
 //! across shard counts and query mixes with the closed-loop load
 //! generator. The `Measurement` mapping reuses the engine-bench schema:
 //! a "round" is one answered query, so `rounds_per_sec` **is** the
-//! sustained QPS and `bench_check` gates it exactly like engine
-//! throughput. The serve entries additionally carry the client-observed
+//! sustained QPS. The serve entries additionally carry the client-observed
 //! `p50_us`/`p99_us` latency percentiles.
 //!
 //! Two mixes per shard count:
@@ -97,9 +96,8 @@ fn measure_serve(
     }
 }
 
-/// The fixed `e19_serve` measurement set, in stable order (the
-/// `bench_check` retry loop merges passes by position). `smoke` shrinks
-/// the instance and query volume for `make bench-smoke`.
+/// The fixed `e19_serve` measurement set, in stable order. `smoke`
+/// shrinks the instance and query volume for `make bench-smoke`.
 pub fn run_all_serve(smoke: bool) -> Vec<Measurement> {
     let n = if smoke { 48 } else { 160 };
     let snap = serving_snapshot(n, 1905);
@@ -138,7 +136,7 @@ mod tests {
     use super::*;
 
     /// The smoke set is the full pipeline in miniature: deterministic
-    /// query counts (what `bench_check` pins as "round structure"),
+    /// query counts (this set's "round structure"),
     /// nonzero throughput and latency, no degraded answers.
     #[test]
     fn serve_bench_smoke_set_is_clean() {

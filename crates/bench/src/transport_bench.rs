@@ -4,15 +4,16 @@
 //! Two fixed workloads (Algorithm 1 APSP and Algorithm 2 short-range)
 //! run under three execution environments: the simulator, the
 //! `dw-transport` thread backend, and the TCP loopback backend (real
-//! sockets, serialized frames, one reader thread per link end). Because
+//! sockets, serialized frames, one reader thread per socket end). Because
 //! every backend is conformant, the round structure and message counts
 //! are identical across modes — only the wall clock differs, so
 //! `rounds_per_sec` is a clean apples-to-apples throughput comparison
 //! and messages-per-second a clean wire-throughput measure for TCP.
 //!
-//! The entries land in `BENCH_4.json` (via the `transport_bench`
-//! binary) and are gated by `bench_check` exactly like the engine
-//! workloads.
+//! The `transport_bench` binary prints the entries after the engine
+//! workloads. `threads` / `tcp_loopback` are the one-node-per-worker
+//! layout (`P = n`), the `e15_sharded_kssp` rows the same plane at
+//! `P = 8`.
 
 use crate::engine_bench::{measure, Measurement};
 use crate::workloads;
@@ -50,9 +51,8 @@ pub fn sharded_workload(smoke: bool) -> (workloads::Workload, SspConfig) {
     (sh, cfg)
 }
 
-/// The fixed `e15_transport` measurement set, in stable order (the
-/// `bench_check` retry loop merges passes by position). `smoke` shrinks
-/// the instances for a quick `make bench-smoke` sanity run.
+/// The fixed `e15_transport` measurement set, in stable order. `smoke`
+/// shrinks the instances for a quick `make bench-smoke` sanity run.
 pub fn run_all_transport(smoke: bool) -> Vec<Measurement> {
     let mut out = Vec::new();
 
@@ -87,8 +87,7 @@ pub fn run_all_transport(smoke: bool) -> Vec<Measurement> {
     // so each worker hosts 32 nodes, intra-shard traffic never touches a
     // socket, and cross-shard traffic is one RoundBatch per shard pair
     // per round. That per-round weight (see `sharded_workload`) is what
-    // the 10x sim-gap gate on the TCP row (`bench_check`) actually
-    // measures.
+    // the TCP row's gap to the simulator measures.
     let (sh, cfg) = sharded_workload(smoke);
     for rt in [
         Runtime::Sim,
@@ -149,9 +148,8 @@ mod tests {
 
     /// Full-size sim-gap probe for the `e15_sharded_kssp` workload —
     /// `cargo test --release -p dw-bench -- --ignored sharded_sim_gap`
-    /// prints the ratio `bench_check` will gate without re-running the
-    /// whole baseline. Ignored by default: it is a measurement, not an
-    /// assertion.
+    /// prints the ratio without re-running the whole table. Ignored by
+    /// default: it is a measurement, not an assertion.
     #[test]
     #[ignore]
     fn sharded_sim_gap_probe() {

@@ -52,7 +52,7 @@ use crate::pool::{Ptr, WorkerPool};
 use crate::protocol::{Protocol, Round};
 use crate::runner::{NodeRunner, SendSink};
 use dw_graph::{NodeId, WGraph};
-use dw_obs::Recorder;
+use dw_obs::{NullRecorder, Recorder};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
 use std::sync::Arc;
@@ -894,12 +894,22 @@ impl<'g, P: Protocol> Network<'g, P> {
     /// Silent rounds are fast-forwarded using [`Protocol::earliest_send`]:
     /// they count toward the round complexity but are not simulated.
     pub fn run(&mut self, max_rounds: Round) -> RunOutcome {
+        self.run_recorded(max_rounds, &mut NullRecorder)
+    }
+
+    /// As [`Network::run`], emitting one [`Recorder::round`] event per
+    /// *executed* round that sent anything (fast-forwarded silent rounds
+    /// produce no event). This is the engine's one loop; a
+    /// [`NullRecorder`] costs it one no-op virtual call per such round.
+    pub fn run_recorded(&mut self, max_rounds: Round, rec: &mut dyn Recorder) -> RunOutcome {
         loop {
             if self.round >= max_rounds {
                 return RunOutcome::BudgetExhausted;
             }
             let sent = self.step_one();
-            if sent == 0 {
+            if sent > 0 {
+                rec.round(self.round, sent);
+            } else {
                 // Nothing moved. When might any node next send?
                 let mut next = match self.cfg.scheduling {
                     SchedulingMode::ExhaustivePoll => self.scan_earliest(),
@@ -915,42 +925,6 @@ impl<'g, P: Protocol> Network<'g, P> {
                     None => return RunOutcome::Quiet,
                     Some(r) => {
                         // Jump to just before round r (bounded by budget).
-                        let target = r.min(max_rounds + 1) - 1;
-                        if target > self.round {
-                            self.round = target;
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// As [`Network::run`], emitting one [`Recorder::round`] event per
-    /// *executed* round (fast-forwarded silent rounds produce no event).
-    ///
-    /// Deliberately a separate loop rather than an `Option<&mut dyn
-    /// Recorder>` parameter on [`Network::run`]: the unrecorded path —
-    /// every default entry point — keeps exactly the instruction stream
-    /// it had before observability existed.
-    pub fn run_recorded(&mut self, max_rounds: Round, rec: &mut dyn Recorder) -> RunOutcome {
-        loop {
-            if self.round >= max_rounds {
-                return RunOutcome::BudgetExhausted;
-            }
-            let sent = self.step_one();
-            if sent > 0 {
-                rec.round(self.round, sent);
-            } else {
-                let mut next = match self.cfg.scheduling {
-                    SchedulingMode::ExhaustivePoll => self.scan_earliest(),
-                    SchedulingMode::ActiveSet => self.next_scheduled(),
-                };
-                if let Some((&due, _)) = self.pending.first_key_value() {
-                    next = Some(next.map_or(due, |cur| cur.min(due)));
-                }
-                match next {
-                    None => return RunOutcome::Quiet,
-                    Some(r) => {
                         let target = r.min(max_rounds + 1) - 1;
                         if target > self.round {
                             self.round = target;

@@ -35,20 +35,16 @@ use dwapsp::obs::report::{aggregate_phases, render_report, PhaseBound};
 use dwapsp::obs::{ObsRecorder, Recorder, Recording};
 use dwapsp::pipeline::bound::hk_round_bound;
 use dwapsp::pipeline::runtime::run_hk_ssp_on_recorded;
-use dwapsp::pipeline::{
-    default_budget, hk_ssp_node, hk_ssp_nodes, run_hk_ssp_chaos, ChaosConfig, Gamma,
-};
+use dwapsp::pipeline::{default_budget, hk_ssp_nodes, run_hk_ssp_chaos, ChaosConfig, Gamma};
 use dwapsp::prelude::*;
 use dwapsp::seqref::matrices_equal;
 use dwapsp::serve::{
     run_loadgen, serve_shard, shared_tables, Gateway, GatewayConfig, LoadgenConfig, QueryOutcome,
     ServeClient, ShardHandle, TableSnapshot, VersionedTables,
 };
-use dwapsp::transport::tcp::{
-    run_coordinator_tcp, run_coordinator_tcp_mux, run_node_tcp, run_shard_tcp,
+use dwapsp::transport::{
+    run_coordinator_tcp, run_shard_tcp, ChaosPlan, CoordConfig, ShardMap, TransportConfig,
 };
-use dwapsp::transport::worker::TransportConfig;
-use dwapsp::transport::{ChaosPlan, ShardMap};
 use std::net::{SocketAddr, TcpListener};
 use std::process::exit;
 use std::time::Duration;
@@ -646,15 +642,21 @@ fn phase_bounds(rec: &Recording) -> Vec<PhaseBound> {
 /// The Algorithm 1 instance a distributed deployment solves. Every
 /// participant derives it from the shared graph file (plus identical
 /// `--sources` / `--delta` flags), so all processes agree without any
-/// extra configuration channel.
+/// extra configuration channel. Without `--delta`, Δ is the largest
+/// finite distance *from a source* — k Dijkstras for a k-SSP instance,
+/// not the n of a full APSP.
 fn deployment_config(get: &impl Fn(&str) -> Option<String>, g: &WGraph) -> SspConfig {
+    let sources = parse_sources(get, g.n());
     let delta = get("--delta").map_or_else(
-        || max_finite_distance(g).max(1),
+        || match &sources {
+            Some(sources) => dwapsp::seqref::k_source_dijkstra(g, sources).max_finite(),
+            None => max_finite_distance(g),
+        },
         |s| s.parse().expect("--delta"),
     );
-    match parse_sources(get, g.n()) {
-        Some(sources) => SspConfig::k_ssp(g.n(), sources, delta),
-        None => SspConfig::apsp(g.n(), delta),
+    match sources {
+        Some(sources) => SspConfig::k_ssp(g.n(), sources, delta.max(1)),
+        None => SspConfig::apsp(g.n(), delta.max(1)),
     }
 }
 
@@ -669,10 +671,10 @@ fn parse_addr(get: &impl Fn(&str) -> Option<String>, flag: &str) -> SocketAddr {
     })
 }
 
-/// The sharded-deployment worker count: `--shards P` directly, or
-/// `--nodes-per-worker K` as `ceil(n / K)`. `None` means the classic
-/// one-process-per-node layout.
-fn shard_count(get: &impl Fn(&str) -> Option<String>, n: usize) -> Option<usize> {
+/// The deployment's worker count: `--shards P` directly,
+/// `--nodes-per-worker K` as `ceil(n / K)`, or — with neither — one
+/// process per node (`P = n`).
+fn shard_count(get: &impl Fn(&str) -> Option<String>, n: usize) -> usize {
     match (get("--shards"), get("--nodes-per-worker")) {
         (Some(_), Some(_)) => {
             eprintln!("--shards and --nodes-per-worker are mutually exclusive");
@@ -681,14 +683,14 @@ fn shard_count(get: &impl Fn(&str) -> Option<String>, n: usize) -> Option<usize>
         (Some(p), None) => {
             let p: usize = p.parse().expect("--shards");
             assert!(p >= 1, "--shards must be >= 1");
-            Some(p)
+            p
         }
         (None, Some(k)) => {
             let k: usize = k.parse().expect("--nodes-per-worker");
             assert!(k >= 1, "--nodes-per-worker must be >= 1");
-            Some(n.div_ceil(k))
+            n.div_ceil(k)
         }
-        (None, None) => None,
+        (None, None) => n,
     }
 }
 
@@ -719,7 +721,10 @@ fn cmd_run_node(get: &impl Fn(&str) -> Option<String>) {
         return;
     }
     let g = load(get);
-    let shards = shard_count(get, g.n());
+    // --node-id names a *worker*: this process hosts every node in its
+    // contiguous block (just node V in the default one-process-per-node
+    // layout), and --peers lists the adjacent workers' addresses.
+    let map = ShardMap::new(g.n(), shard_count(get, g.n()));
     let id: NodeId = get("--node-id")
         .unwrap_or_else(|| {
             eprintln!("--node-id V is required");
@@ -727,9 +732,11 @@ fn cmd_run_node(get: &impl Fn(&str) -> Option<String>) {
         })
         .parse()
         .expect("--node-id");
-    if shards.is_none() {
-        assert!((id as usize) < g.n(), "node id {id} out of range");
-    }
+    assert!(
+        (id as usize) < map.shards(),
+        "node id {id} out of range ({} workers)",
+        map.shards()
+    );
     let peers: Vec<(NodeId, SocketAddr)> = get("--peers")
         .map(|s| {
             s.split(',')
@@ -755,71 +762,37 @@ fn cmd_run_node(get: &impl Fn(&str) -> Option<String>) {
         eprintln!("cannot listen: {e}");
         exit(1);
     });
-    if let Some(p) = shards {
-        // Sharded deployment: --node-id names a *shard*; this process
-        // hosts every node in its contiguous block, and --peers lists
-        // the adjacent shards' addresses.
-        let map = ShardMap::new(g.n(), p);
-        assert!(
-            (id as usize) < map.shards(),
-            "shard id {id} out of range (effective shards: {})",
-            map.shards()
-        );
-        let gamma = Gamma::new(cfg.k(), cfg.h, cfg.delta);
-        let nodes: Vec<_> = map
-            .nodes(id)
-            .map(hk_ssp_nodes(&cfg, gamma, g.n()))
-            .collect();
-        let (nodes, outcome) = run_shard_tcp(
-            &map,
-            id,
-            &g,
-            &TransportConfig::default(),
-            nodes,
-            listener,
-            &peers,
-            coord,
-            timeout,
-        )
-        .unwrap_or_else(|e| {
-            eprintln!("shard {id} failed: {e}");
-            exit(1);
-        });
-        println!(
-            "shard {id}: outcome={outcome:?} nodes={}..{}",
-            map.nodes(id).start,
-            map.nodes(id).end
-        );
-        for (v, node) in map.nodes(id).zip(&nodes) {
-            for &s in &cfg.sources {
-                match node.best_for(s) {
-                    Some(b) => println!("dist {s} -> {v}: {} (hops {})", b.d, b.l),
-                    None => println!("dist {s} -> {v}: inf"),
-                }
-            }
-        }
-        return;
-    }
-    let node = hk_ssp_node(&cfg, id);
-    let (node, outcome) = run_node_tcp(
+    let gamma = Gamma::new(cfg.k(), cfg.h, cfg.delta);
+    let nodes: Vec<_> = map
+        .nodes(id)
+        .map(hk_ssp_nodes(&cfg, gamma, g.n()))
+        .collect();
+    let (nodes, outcome) = run_shard_tcp(
+        &map,
+        id,
         &g,
         &TransportConfig::default(),
-        id,
-        node,
+        nodes,
         listener,
         &peers,
         coord,
         timeout,
     )
     .unwrap_or_else(|e| {
-        eprintln!("node {id} failed: {e}");
+        eprintln!("worker {id} failed: {e}");
         exit(1);
     });
-    println!("node {id}: outcome={outcome:?}");
-    for &s in &cfg.sources {
-        match node.best_for(s) {
-            Some(b) => println!("dist {s} -> {id}: {} (hops {})", b.d, b.l),
-            None => println!("dist {s} -> {id}: inf"),
+    println!(
+        "worker {id}: outcome={outcome:?} nodes={}..{}",
+        map.nodes(id).start,
+        map.nodes(id).end
+    );
+    for (v, node) in map.nodes(id).zip(&nodes) {
+        for &s in &cfg.sources {
+            match node.best_for(s) {
+                Some(b) => println!("dist {s} -> {v}: {} (hops {})", b.d, b.l),
+                None => println!("dist {s} -> {v}: inf"),
+            }
         }
     }
 }
@@ -835,17 +808,15 @@ fn cmd_coordinator(get: &impl Fn(&str) -> Option<String>) {
         eprintln!("cannot listen: {e}");
         exit(1);
     });
-    let (outcome, st) = match shard_count(get, g.n()) {
-        Some(p) => {
-            let participants = ShardMap::new(g.n(), p).shards();
-            eprintln!("coordinator: waiting for {participants} shard workers (budget {budget})");
-            run_coordinator_tcp_mux(participants, budget, listener)
-        }
-        None => {
-            eprintln!("coordinator: waiting for {} nodes (budget {budget})", g.n());
-            run_coordinator_tcp(g.n(), budget, listener)
-        }
-    }
+    let participants = ShardMap::new(g.n(), shard_count(get, g.n())).shards();
+    eprintln!("coordinator: waiting for {participants} workers (budget {budget})");
+    let (outcome, st) = run_coordinator_tcp(
+        participants,
+        budget,
+        &CoordConfig::default(),
+        listener,
+        &mut NullRecorder,
+    )
     .unwrap_or_else(|e| {
         eprintln!("coordinator failed: {e}");
         exit(1);

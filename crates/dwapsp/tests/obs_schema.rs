@@ -116,8 +116,9 @@ fn chrome_trace_is_structurally_sound() {
 
 /// A recording is a property of the *protocol*, not the backend: the
 /// same seeded Algorithm 1 workload recorded under the simulator and
-/// the thread transport yields identical spans, stats and per-round
-/// samples (only wall time may differ).
+/// the thread transport — at any shard count — yields identical spans,
+/// stats, per-round samples and (no) events (only wall time may
+/// differ).
 #[test]
 fn recorded_phases_identical_sim_vs_threads() {
     let g = gen::zero_heavy(10, 0.3, 0.35, 5, true, 71);
@@ -136,6 +137,7 @@ fn recorded_phases_identical_sim_vs_threads() {
     assert_eq!(sim.spans.len(), 1, "alg1 records a single hk_ssp span");
     assert!(sim.spans[0].stats.rounds > 0);
     assert!(!sim.rounds.is_empty(), "sim run must emit round samples");
-    let threads = run(Runtime::Threads);
-    assert_eq!(threads, sim, "threads recording diverges from sim");
+    for rt in [Runtime::Threads, Runtime::ThreadsSharded(3)] {
+        assert_eq!(run(rt), sim, "{} recording diverges from sim", rt.label());
+    }
 }

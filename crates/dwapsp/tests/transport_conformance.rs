@@ -2,9 +2,9 @@
 //! message-passing runtimes: Algorithm 1 (pipelined (h,k)-SSP),
 //! Algorithm 2 (short-range), and the `Reliable`-wrapped short-range
 //! protocol must produce bit-identical results, `RunStats` and
-//! outcomes on the thread and loopback-TCP backends versus the
-//! lockstep simulator — on multiple seeded graphs, with and without
-//! an injected `FaultPlan`.
+//! outcomes on the thread and loopback-TCP backends — one node per
+//! worker, the paper's layout — versus the lockstep simulator, on
+//! multiple seeded graphs, with and without an injected `FaultPlan`.
 
 use dwapsp::congest::{
     EngineConfig, FaultPlan, Network, Reliable, ReliableConfig, RunOutcome, RunStats,
@@ -15,10 +15,7 @@ use dwapsp::obs::NullRecorder;
 use dwapsp::pipeline::short_range::{extract_instance, short_range_gamma, ShortRangeNode};
 use dwapsp::pipeline::{run_hk_ssp_chaos, ChaosConfig};
 use dwapsp::prelude::*;
-use dwapsp::transport::channels::run_threads;
-use dwapsp::transport::tcp::run_tcp_loopback;
-use dwapsp::transport::worker::TransportConfig;
-use dwapsp::transport::ChaosPlan;
+use dwapsp::transport::{run_tcp_loopback, run_threads, ChaosPlan, TransportConfig};
 use std::time::Duration;
 
 fn graphs() -> Vec<(u64, WGraph)> {
@@ -202,11 +199,12 @@ fn reliable_short_range_conforms_under_drops() {
         };
         let runs: Vec<(&str, _, RunStats, RunOutcome)> = vec![
             {
-                let r = run_threads(&g, &tcfg, budget, make).unwrap();
+                let r = run_threads(&g, &tcfg, budget, g.n(), make, &mut NullRecorder).unwrap();
                 ("threads", r.nodes, r.stats, r.outcome)
             },
             {
-                let r = run_tcp_loopback(&g, &tcfg, budget, make).unwrap();
+                let r =
+                    run_tcp_loopback(&g, &tcfg, budget, g.n(), make, &mut NullRecorder).unwrap();
                 ("tcp", r.nodes, r.stats, r.outcome)
             },
         ];

@@ -14,8 +14,9 @@
 //! over it: the engine and the transport coordinator emit per-round
 //! events, drivers emit spans, protocols may bump named counters. The
 //! default implementation of every method is a no-op and
-//! [`NullRecorder`] opts out entirely — recording disabled costs a
-//! handful of dead branches per *phase*, nothing per round or message.
+//! [`NullRecorder`] opts out entirely — recording disabled costs one
+//! no-op virtual call per span edge and per executed round, nothing per
+//! message.
 
 use crate::stats::RunStats;
 use std::collections::BTreeMap;
@@ -85,13 +86,8 @@ pub struct ObsEvent {
 /// The sink every instrumented layer writes into.
 ///
 /// All methods default to no-ops so implementors override only what
-/// they store; `enabled()` lets hot paths skip event construction.
+/// they store.
 pub trait Recorder {
-    /// Does this recorder keep anything? Hot paths may skip work when
-    /// `false`.
-    fn enabled(&self) -> bool {
-        false
-    }
     /// Open a span; returns the handle to close it with.
     fn begin(&mut self, _name: &'static str) -> SpanId {
         SpanId(u32::MAX)
@@ -245,10 +241,6 @@ impl ObsRecorder {
 }
 
 impl Recorder for ObsRecorder {
-    fn enabled(&self) -> bool {
-        true
-    }
-
     fn begin(&mut self, name: &'static str) -> SpanId {
         let id = SpanId(self.recording.spans.len() as u32);
         let parent = self.open.last().map(|&(p, _)| p);
@@ -440,7 +432,6 @@ mod tests {
     #[test]
     fn null_recorder_is_disabled() {
         let mut rec = NullRecorder;
-        assert!(!rec.enabled());
         let id = rec.begin("anything");
         rec.end(id, &RunStats::default());
         rec.round(1, 1);

@@ -313,11 +313,7 @@ mod validation {
             queue: VecDeque::new(),
         });
         let wave_budget = 2 * (k as u64 + h + 2) + g.n() as u64;
-        if rec.enabled() {
-            net.run_recorded(wave_budget, rec);
-        } else {
-            net.run(wave_budget);
-        }
+        net.run_recorded(wave_budget, rec);
         let stats = net.stats();
         let member = net
             .into_nodes()

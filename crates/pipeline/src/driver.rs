@@ -80,18 +80,10 @@ pub(crate) fn run_with_budget_named(
     span_name: &'static str,
 ) -> (HkSspResult, RunStats, RunOutcome) {
     let mut net = Network::new(g, engine, hk_ssp_nodes(cfg, gamma, g.n()));
-    // A disabled recorder stays on the engine's plain loop — the
-    // default entry points keep their pre-observability hot path.
-    let (outcome, stats) = if rec.enabled() {
-        let span = rec.begin(span_name);
-        let outcome = net.run_recorded(budget, rec);
-        let stats = net.stats();
-        rec.end(span, &stats);
-        (outcome, stats)
-    } else {
-        let outcome = net.run(budget);
-        (outcome, net.stats())
-    };
+    let span = rec.begin(span_name);
+    let outcome = net.run_recorded(budget, rec);
+    let stats = net.stats();
+    rec.end(span, &stats);
     let result = extract(g, &cfg.sources, net.nodes());
     (result, stats, outcome)
 }

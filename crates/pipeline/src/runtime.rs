@@ -6,8 +6,9 @@
 //! pure deployment decision: `Runtime::Sim` is the fast in-process
 //! simulator, `Runtime::Threads` runs every node as an OS thread over
 //! channels, `Runtime::Tcp` runs every node behind a loopback TCP
-//! socket with the serialized wire protocol. All three return
-//! bit-identical distances, statistics and outcomes on the same seeds.
+//! endpoint with the serialized wire protocol, and the `:P` forms pack
+//! the nodes into P such workers. All return bit-identical distances,
+//! statistics and outcomes on the same seeds.
 //!
 //! Transport runs can fail — a peer process dies, a socket breaks, a
 //! scripted [`ChaosPlan`] kills a node — so their entry points return
@@ -26,16 +27,10 @@ use crate::result::HkSspResult;
 use crate::short_range::{short_range_gamma, ShortRangeNode, ShortRangeResult};
 use dw_congest::{EngineConfig, NullRecorder, Recorder, Round, RunOutcome, RunStats};
 use dw_graph::{NodeId, WGraph, Weight, INFINITY};
-use dw_transport::channels::{
-    run_threads_chaos, run_threads_recorded, run_threads_sharded_chaos,
-    run_threads_sharded_recorded,
+use dw_transport::{
+    run_tcp_loopback, run_tcp_loopback_chaos, run_threads, run_threads_chaos, ChaosPlan,
+    PartialRun, TransportConfig, TransportError, TransportRun,
 };
-use dw_transport::tcp::{
-    run_tcp_loopback_chaos, run_tcp_loopback_recorded, run_tcp_loopback_sharded_chaos,
-    run_tcp_loopback_sharded_recorded,
-};
-use dw_transport::worker::TransportConfig;
-use dw_transport::{ChaosPlan, PartialRun, TransportError, TransportRun};
 use std::time::Duration;
 
 /// Which engine executes the protocol.
@@ -44,19 +39,19 @@ pub enum Runtime {
     /// The lockstep simulator (`dw_congest::Network`).
     #[default]
     Sim,
-    /// `dw-transport` thread backend: one OS thread per node, typed
-    /// channels as links.
+    /// `dw-transport` thread backend, one node per worker thread (the
+    /// paper's model): `ThreadsSharded(n)`.
     Threads,
-    /// `dw-transport` TCP backend on loopback: one socket per link,
-    /// serialized frames.
+    /// `dw-transport` TCP backend on loopback, one node per endpoint:
+    /// `TcpSharded(n)`.
     Tcp,
-    /// Sharded thread backend: the given number of workers, each
-    /// hosting a contiguous block of nodes with in-memory intra-shard
-    /// links (see `dw_transport::shard`).
+    /// Thread backend with the given number of workers, each hosting a
+    /// contiguous block of nodes with in-memory intra-shard links (see
+    /// `dw_transport::shard`), typed channels between workers.
     ThreadsSharded(usize),
-    /// Sharded TCP backend on loopback: one worker process slot per
-    /// shard, cross-shard traffic batched per round into `RoundBatch`
-    /// frames.
+    /// TCP backend on loopback with the given number of workers:
+    /// cross-shard traffic batched per round into serialized
+    /// `RoundBatch` frames.
     TcpSharded(usize),
 }
 
@@ -103,6 +98,18 @@ impl Runtime {
     }
 }
 
+impl Runtime {
+    /// The worker count this runtime lays an `n`-node graph out over —
+    /// the one place the per-node spellings become `P = n`. (The
+    /// simulator plays all `n` nodes itself.)
+    fn shards(self, n: usize) -> usize {
+        match self {
+            Runtime::Sim | Runtime::Threads | Runtime::Tcp => n,
+            Runtime::ThreadsSharded(p) | Runtime::TcpSharded(p) => p,
+        }
+    }
+}
+
 fn transport_run<P: dw_congest::Protocol>(
     rt: Runtime,
     g: &WGraph,
@@ -115,12 +122,15 @@ where
     P::Msg: dw_congest::WireCodec,
 {
     let cfg = TransportConfig::from(engine);
+    let shards = rt.shards(g.n());
     match rt {
         Runtime::Sim => unreachable!("simulator runs don't go through the transport"),
-        Runtime::Threads => run_threads_recorded(g, &cfg, budget, make, rec),
-        Runtime::Tcp => run_tcp_loopback_recorded(g, &cfg, budget, make, rec),
-        Runtime::ThreadsSharded(p) => run_threads_sharded_recorded(g, &cfg, budget, p, make, rec),
-        Runtime::TcpSharded(p) => run_tcp_loopback_sharded_recorded(g, &cfg, budget, p, make, rec),
+        Runtime::Threads | Runtime::ThreadsSharded(_) => {
+            run_threads(g, &cfg, budget, shards, make, rec)
+        }
+        Runtime::Tcp | Runtime::TcpSharded(_) => {
+            run_tcp_loopback(g, &cfg, budget, shards, make, rec)
+        }
     }
 }
 
@@ -369,10 +379,11 @@ fn residual_unreachable(g: &WGraph, sources: &[NodeId], plan: &ChaosPlan) -> Vec
 /// Algorithm 1 under scripted crash faults, with checkpoint/restore
 /// recovery.
 ///
-/// On a real transport (`Threads`, `Tcp`) the run executes `chaos.plan`:
-/// killed nodes discard their dynamic state, get detected by the
-/// coordinator's deadline + ping probe, and rejoin from their latest
-/// checkpoint plus the neighbors' replayed frames. A recovered run
+/// On a real transport the run executes `chaos.plan`: a killed node
+/// takes its worker down (itself alone on `Threads` / `Tcp`, its whole
+/// block on the `:P` forms), which discards its dynamic state, gets
+/// detected by the coordinator's deadline + ping probe, and rejoins from
+/// its latest checkpoint plus the neighbors' replayed frames. A recovered run
 /// returns `Ok` with distances **bit-identical** to the fault-free
 /// simulator on the same seeds — determinism makes replay exact, not
 /// approximate. An unrecoverable failure (no checkpoint, several
@@ -399,15 +410,14 @@ pub fn run_hk_ssp_chaos(
         ..TransportConfig::from(&engine)
     };
     let make = hk_ssp_nodes(cfg, Gamma::new(cfg.k(), cfg.h, cfg.delta), g.n());
+    let shards = rt.shards(g.n());
     let run = match rt {
         Runtime::Sim => unreachable!("handled above"),
-        Runtime::Threads => run_threads_chaos(g, &tcfg, budget, chaos.deadline, make, rec),
-        Runtime::Tcp => run_tcp_loopback_chaos(g, &tcfg, budget, chaos.deadline, make, rec),
-        Runtime::ThreadsSharded(p) => {
-            run_threads_sharded_chaos(g, &tcfg, budget, p, chaos.deadline, make, rec)
+        Runtime::Threads | Runtime::ThreadsSharded(_) => {
+            run_threads_chaos(g, &tcfg, budget, shards, chaos.deadline, make, rec)
         }
-        Runtime::TcpSharded(p) => {
-            run_tcp_loopback_sharded_chaos(g, &tcfg, budget, p, chaos.deadline, make, rec)
+        Runtime::Tcp | Runtime::TcpSharded(_) => {
+            run_tcp_loopback_chaos(g, &tcfg, budget, shards, chaos.deadline, make, rec)
         }
     };
     match run {

@@ -1,30 +1,30 @@
-//! In-process thread backend: one OS thread per node, mpsc channels as
-//! links.
+//! In-process thread backend: one OS thread per worker, mpsc channels
+//! as links.
 //!
 //! The cheapest real transport — messages move as typed values (no
 //! serialization), but the execution structure is the full distributed
-//! one: n independent workers, a coordinator thread, and nothing shared
-//! but channels. This is the reference backend for conformance testing
-//! because any divergence from the simulator here is a logic bug in the
-//! worker/coordinator protocol, not an I/O artifact.
+//! one: P independent workers ([`crate::shard`]), a coordinator, and
+//! nothing shared but channels. This is the reference backend for
+//! conformance testing because any divergence from the simulator here
+//! is a logic bug in the worker/coordinator protocol, not an I/O
+//! artifact.
 //!
 //! [`run_threads_chaos`] is the crash-fault entry point: workers run
-//! [`node_main_recoverable`], the coordinator runs with a round
+//! [`shard_main_recoverable`], the coordinator runs with a round
 //! deadline, and the fail-recover model of DESIGN.md §10 applies — a
-//! killed node loses its state but keeps its channels (the "process"
+//! killed worker loses its state but keeps its channels (the "process"
 //! restarts on the same links), so the coordinator can rejoin it from a
 //! checkpoint. Unrecoverable runs terminate with a [`PartialRun`]
 //! carrying whatever node states survived.
 
 use crate::chaos::ChaosPlan;
-use crate::coordinator::{coordinate_with, CoordConfig, CoordEndpoint};
+use crate::coordinator::{coordinate, CoordConfig, CoordEndpoint};
 use crate::error::TransportError;
-use crate::shard::{shard_main, shard_main_recoverable, ShardError, ShardMap};
-use crate::wire::{abort_reason, CtlMsg, Event, Frame};
-use crate::worker::{node_main, node_main_recoverable, NodeEndpoint, TransportConfig, WorkerError};
-use dw_congest::{
-    Checkpointable, NullRecorder, Protocol, Recorder, Round, RunOutcome, RunStats, WireCodec,
+use crate::shard::{
+    shard_main, shard_main_recoverable, NodeEndpoint, ShardError, ShardMap, TransportConfig,
 };
+use crate::wire::{abort_reason, CtlMsg, Event, Frame, NodeReport};
+use dw_congest::{Checkpointable, Protocol, Recorder, Round, RunOutcome, RunStats, WireCodec};
 use dw_graph::{NodeId, WGraph};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::time::Duration;
@@ -47,7 +47,7 @@ pub struct PartialRun<P> {
     /// Final protocol state per node where salvageable, id order.
     pub nodes: Vec<Option<P>>,
     /// Nodes the coordinator declared failed (empty when the fault was
-    /// not node-scoped).
+    /// not node-scoped): every node a failed worker hosted.
     pub failed: Vec<NodeId>,
     /// The round the run died in (0 if it never started).
     pub round: Round,
@@ -56,7 +56,7 @@ pub struct PartialRun<P> {
 
 struct ChannelNode<M> {
     id: NodeId,
-    /// Senders into each comm-neighbor's event channel, rank order.
+    /// Senders into each adjacent worker's event channel, rank order.
     peers: Vec<(NodeId, Sender<Event<M>>)>,
     ctl: Sender<(NodeId, CtlMsg)>,
     rx: Receiver<Event<M>>,
@@ -68,7 +68,7 @@ impl<M> NodeEndpoint<M> for ChannelNode<M> {
             .peers
             .binary_search_by_key(&to, |&(v, _)| v)
             .map_err(|_| {
-                TransportError::protocol(format!("node {}: send to non-neighbor {to}", self.id))
+                TransportError::protocol(format!("worker {}: send to non-neighbor {to}", self.id))
             })?;
         self.peers[i]
             .1
@@ -77,17 +77,17 @@ impl<M> NodeEndpoint<M> for ChannelNode<M> {
                 frame,
             })
             .map_err(|_| {
-                TransportError::peer_lost(format!("node {}: channel to {to} hung up", self.id))
+                TransportError::peer_lost(format!("worker {}: channel to {to} hung up", self.id))
             })
     }
     fn send_ctl(&mut self, msg: CtlMsg) -> Result<(), TransportError> {
         self.ctl.send((self.id, msg)).map_err(|_| {
-            TransportError::peer_lost(format!("node {}: coordinator channel hung up", self.id))
+            TransportError::peer_lost(format!("worker {}: coordinator channel hung up", self.id))
         })
     }
     fn recv(&mut self) -> Result<Event<M>, TransportError> {
         self.rx.recv().map_err(|_| {
-            TransportError::peer_lost(format!("node {}: all inbound channels hung up", self.id))
+            TransportError::peer_lost(format!("worker {}: all inbound channels hung up", self.id))
         })
     }
 }
@@ -99,13 +99,13 @@ struct ChannelCoord<M> {
 
 impl<M> CoordEndpoint for ChannelCoord<M> {
     fn broadcast(&mut self, msg: CtlMsg) -> Result<(), TransportError> {
-        // Attempt every node even if some channels are dead — an abort
-        // must reach the survivors.
+        // Attempt every worker even if some channels are dead — an
+        // abort must reach the survivors.
         let mut first_err = None;
         for (v, tx) in self.txs.iter().enumerate() {
             if tx.send(Event::Ctl(msg.clone())).is_err() && first_err.is_none() {
                 first_err = Some(TransportError::peer_lost(format!(
-                    "coordinator: channel to node {v} hung up"
+                    "coordinator: channel to worker {v} hung up"
                 )));
             }
         }
@@ -117,11 +117,11 @@ impl<M> CoordEndpoint for ChannelCoord<M> {
     fn send_to(&mut self, node: NodeId, msg: CtlMsg) -> Result<(), TransportError> {
         let Some(tx) = self.txs.get(node as usize) else {
             return Err(TransportError::protocol(format!(
-                "coordinator: no channel for node {node}"
+                "coordinator: no channel for worker {node}"
             )));
         };
         tx.send(Event::Ctl(msg)).map_err(|_| {
-            TransportError::peer_lost(format!("coordinator: channel to node {node} hung up"))
+            TransportError::peer_lost(format!("coordinator: channel to worker {node} hung up"))
         })
     }
     fn recv(
@@ -133,23 +133,21 @@ impl<M> CoordEndpoint for ChannelCoord<M> {
                 .rx
                 .recv()
                 .map(Some)
-                .map_err(|_| TransportError::peer_lost("coordinator: all nodes hung up")),
+                .map_err(|_| TransportError::peer_lost("coordinator: all workers hung up")),
             Some(d) => match self.rx.recv_timeout(d) {
                 Ok(m) => Ok(Some(m)),
                 Err(RecvTimeoutError::Timeout) => Ok(None),
-                Err(RecvTimeoutError::Disconnected) => {
-                    Err(TransportError::peer_lost("coordinator: all nodes hung up"))
-                }
+                Err(RecvTimeoutError::Disconnected) => Err(TransportError::peer_lost(
+                    "coordinator: all workers hung up",
+                )),
             },
         }
     }
 }
 
-/// Wire up a channel fabric for any participant topology: participant
-/// `i` gets senders into each of `adj[i]`'s event channels. The node
-/// plane passes per-node comm adjacency; the shard plane passes the
-/// shard adjacency of a [`ShardMap`].
-fn make_fabric_adj<M>(adj: &[Vec<NodeId>]) -> (Vec<ChannelNode<M>>, ChannelCoord<M>) {
+/// Wire up a channel fabric over the shard adjacency of a [`ShardMap`]:
+/// worker `i` gets senders into each of `adj[i]`'s event channels.
+fn make_fabric<M>(adj: &[Vec<NodeId>]) -> (Vec<ChannelNode<M>>, ChannelCoord<M>) {
     let n = adj.len();
     let (ctl_tx, ctl_rx) = channel();
     let mut event_txs: Vec<Sender<Event<M>>> = Vec::with_capacity(n);
@@ -180,292 +178,18 @@ fn make_fabric_adj<M>(adj: &[Vec<NodeId>]) -> (Vec<ChannelNode<M>>, ChannelCoord
     (endpoints, coord)
 }
 
-/// Wire up the channel fabric for `n` nodes of `g`.
-fn make_fabric<M>(g: &WGraph) -> (Vec<ChannelNode<M>>, ChannelCoord<M>) {
-    let adj: Vec<Vec<NodeId>> = (0..g.n())
-        .map(|v| g.comm_neighbors(v as NodeId).to_vec())
-        .collect();
-    make_fabric_adj(&adj)
-}
+/// What one worker thread hands back: [`shard_main`]'s result.
+type Joined<P> = std::thread::Result<Result<(Vec<P>, NodeReport, RunOutcome), Box<ShardError<P>>>>;
 
-/// Run a protocol over the thread backend: node `v` of `g` runs
-/// `make(v)` on its own thread, the calling thread coordinates.
-pub fn run_threads<P: Protocol>(
-    g: &WGraph,
+/// The coordinator configuration of a chaos run: failure detection on
+/// `deadline`, recovery routed along the shard adjacency, and the
+/// plan's scripted coordinator stalls.
+pub(crate) fn chaos_coord_config(
     cfg: &TransportConfig,
-    budget: Round,
-    make: impl FnMut(NodeId) -> P,
-) -> Result<TransportRun<P>, TransportError> {
-    run_threads_recorded(g, cfg, budget, make, &mut NullRecorder)
-}
-
-/// As [`run_threads`], emitting per-round [`Recorder`] events from the
-/// coordinator (the nodes stay uninstrumented — observability is a
-/// coordinator-side concern, matching the simulator's engine hook).
-pub fn run_threads_recorded<P: Protocol>(
-    g: &WGraph,
-    cfg: &TransportConfig,
-    budget: Round,
-    mut make: impl FnMut(NodeId) -> P,
-    rec: &mut dyn Recorder,
-) -> Result<TransportRun<P>, TransportError> {
-    let (mut endpoints, mut coord) = make_fabric::<P::Msg>(g);
-    let n = g.n();
-    std::thread::scope(|s| {
-        let handles: Vec<_> = endpoints
-            .drain(..)
-            .enumerate()
-            .map(|(v, mut ep)| {
-                let node = make(v as NodeId);
-                s.spawn(move || node_main(v as NodeId, g, cfg, node, &mut ep))
-            })
-            .collect();
-        let coord_result = coordinate_with(n, budget, &CoordConfig::default(), &mut coord, rec);
-        if coord_result.is_err() {
-            // Make sure nobody is left blocked on a barrier that will
-            // never complete before we join the threads.
-            let _ = coord.broadcast(CtlMsg::Abort {
-                reason: abort_reason::PEER_ERROR,
-            });
-        }
-        let mut nodes = Vec::with_capacity(n);
-        let mut worker_err: Option<TransportError> = None;
-        for h in handles {
-            match h.join() {
-                Ok(Ok((node, _report, node_outcome))) => {
-                    if let Ok((outcome, _)) = &coord_result {
-                        debug_assert_eq!(node_outcome, *outcome);
-                    }
-                    nodes.push(node);
-                }
-                Ok(Err(we)) => worker_err = Some(we.error),
-                Err(_) => worker_err = Some(TransportError::protocol("a node thread panicked")),
-            }
-        }
-        let (outcome, stats) = coord_result?;
-        if let Some(e) = worker_err {
-            return Err(e);
-        }
-        Ok(TransportRun {
-            nodes,
-            stats,
-            outcome,
-        })
-    })
-}
-
-/// Run a protocol over the thread backend with the full crash-fault
-/// control plane: checkpointing at `cfg.checkpoint_cadence`, failure
-/// detection on a `deadline` per barrier, scripted chaos from
-/// `cfg.chaos`, and coordinator-mediated recovery. A recoverable run
-/// returns the same [`TransportRun`] a fault-free one does — with
-/// distances and statistics bit-identical to the simulator's. An
-/// unrecoverable one terminates (no hangs: every wait in the system is
-/// bounded by `deadline`-derived budgets) with a [`PartialRun`].
-pub fn run_threads_chaos<P>(
-    g: &WGraph,
-    cfg: &TransportConfig,
-    budget: Round,
     deadline: Duration,
-    mut make: impl FnMut(NodeId) -> P,
-    rec: &mut dyn Recorder,
-) -> Result<TransportRun<P>, Box<PartialRun<P>>>
-where
-    P: Checkpointable,
-    P::Msg: WireCodec,
-{
-    let (mut endpoints, mut coord) = make_fabric::<P::Msg>(g);
-    let n = g.n();
-    let coord_cfg = CoordConfig {
-        round_deadline: Some(deadline),
-        probe_grace: deadline,
-        recovery_grace: deadline * 10,
-        max_probe_cycles: 0, // default
-        neighbors: Some(
-            (0..n)
-                .map(|v| g.comm_neighbors(v as NodeId).to_vec())
-                .collect(),
-        ),
-        stalls: cfg
-            .chaos
-            .as_ref()
-            .map(ChaosPlan::stalls)
-            .unwrap_or_default(),
-    };
-    std::thread::scope(|s| {
-        let handles: Vec<_> = endpoints
-            .drain(..)
-            .enumerate()
-            .map(|(v, mut ep)| {
-                let node = make(v as NodeId);
-                s.spawn(move || node_main_recoverable(v as NodeId, g, cfg, node, &mut ep))
-            })
-            .collect();
-        let coord_result = coordinate_with(n, budget, &coord_cfg, &mut coord, rec);
-        if coord_result.is_err() {
-            let _ = coord.broadcast(CtlMsg::Abort {
-                reason: abort_reason::PEER_ERROR,
-            });
-        }
-        let mut nodes: Vec<Option<P>> = Vec::with_capacity(n);
-        let mut worker_err: Option<TransportError> = None;
-        for h in handles {
-            match h.join() {
-                Ok(Ok((node, _report, _outcome))) => nodes.push(Some(node)),
-                Ok(Err(we)) => {
-                    let WorkerError { error, node } = *we;
-                    // Aborted workers are collateral, not the fault.
-                    if worker_err.is_none() && !matches!(error, TransportError::Aborted { .. }) {
-                        worker_err = Some(error);
-                    }
-                    nodes.push(node);
-                }
-                Err(_) => {
-                    worker_err = Some(TransportError::protocol("a node thread panicked"));
-                    nodes.push(None);
-                }
-            }
-        }
-        match coord_result {
-            Ok((outcome, stats)) => {
-                if nodes.iter().all(Option::is_some) {
-                    Ok(TransportRun {
-                        nodes: nodes.into_iter().flatten().collect(),
-                        stats,
-                        outcome,
-                    })
-                } else {
-                    let error = worker_err.unwrap_or_else(|| {
-                        TransportError::protocol("a worker died in a run the coordinator finished")
-                    });
-                    Err(Box::new(PartialRun {
-                        failed: error.failed_nodes().to_vec(),
-                        round: 0,
-                        nodes,
-                        error,
-                    }))
-                }
-            }
-            Err(coord_err) => {
-                // The coordinator's diagnosis outranks the workers'
-                // secondary errors.
-                let round = match &coord_err {
-                    TransportError::Unrecoverable { round, .. } => *round,
-                    _ => 0,
-                };
-                Err(Box::new(PartialRun {
-                    failed: coord_err.failed_nodes().to_vec(),
-                    round,
-                    nodes,
-                    error: coord_err,
-                }))
-            }
-        }
-    })
-}
-
-/// Run a protocol over the thread backend with `shards` worker threads,
-/// each hosting a contiguous block of nodes (see [`crate::shard`]).
-/// `shards = g.n()` degenerates to the per-node layout; `shards = 1`
-/// runs the whole network in one worker with a one-participant barrier.
-/// Results are bit-identical to [`run_threads`] and the simulator for
-/// every shard count.
-pub fn run_threads_sharded<P: Protocol>(
-    g: &WGraph,
-    cfg: &TransportConfig,
-    budget: Round,
-    shards: usize,
-    make: impl FnMut(NodeId) -> P,
-) -> Result<TransportRun<P>, TransportError> {
-    run_threads_sharded_recorded(g, cfg, budget, shards, make, &mut NullRecorder)
-}
-
-/// As [`run_threads_sharded`], with coordinator-side [`Recorder`]
-/// events plus a `shard.workers` event recording the effective layout.
-pub fn run_threads_sharded_recorded<P: Protocol>(
-    g: &WGraph,
-    cfg: &TransportConfig,
-    budget: Round,
-    shards: usize,
-    mut make: impl FnMut(NodeId) -> P,
-    rec: &mut dyn Recorder,
-) -> Result<TransportRun<P>, TransportError> {
-    let map = ShardMap::new(g.n(), shards);
-    let p = map.shards();
-    let adj = map.shard_adjacency(g);
-    rec.event(0, "shard.workers", p as u64);
-    rec.event(
-        0,
-        "shard.links",
-        adj.iter().map(|a| a.len() as u64).sum::<u64>() / 2,
-    );
-    let (mut endpoints, mut coord) = make_fabric_adj::<P::Msg>(&adj);
-    let map = &map;
-    std::thread::scope(|s| {
-        let handles: Vec<_> = endpoints
-            .drain(..)
-            .enumerate()
-            .map(|(sid, mut ep)| {
-                let nodes: Vec<P> = map.nodes(sid as NodeId).map(&mut make).collect();
-                s.spawn(move || shard_main(map, sid as NodeId, g, cfg, nodes, &mut ep))
-            })
-            .collect();
-        let coord_result = coordinate_with(p, budget, &CoordConfig::default(), &mut coord, rec);
-        if coord_result.is_err() {
-            let _ = coord.broadcast(CtlMsg::Abort {
-                reason: abort_reason::PEER_ERROR,
-            });
-        }
-        let mut nodes = Vec::with_capacity(g.n());
-        let mut worker_err: Option<TransportError> = None;
-        for h in handles {
-            match h.join() {
-                Ok(Ok((shard_nodes, _report, shard_outcome))) => {
-                    if let Ok((outcome, _)) = &coord_result {
-                        debug_assert_eq!(shard_outcome, *outcome);
-                    }
-                    nodes.extend(shard_nodes);
-                }
-                Ok(Err(se)) => worker_err = Some(se.error),
-                Err(_) => worker_err = Some(TransportError::protocol("a shard thread panicked")),
-            }
-        }
-        let (outcome, stats) = coord_result?;
-        if let Some(e) = worker_err {
-            return Err(e);
-        }
-        Ok(TransportRun {
-            nodes,
-            stats,
-            outcome,
-        })
-    })
-}
-
-/// As [`run_threads_chaos`], over the sharded layout: a scripted kill
-/// takes a whole worker (and every node it hosts) down, checkpoints and
-/// replay streams are per shard, and a [`PartialRun`] accounts for
-/// every node on a lost shard. The coordinator's shard-plane failure
-/// verdicts are translated back to node ids before returning.
-pub fn run_threads_sharded_chaos<P>(
-    g: &WGraph,
-    cfg: &TransportConfig,
-    budget: Round,
-    shards: usize,
-    deadline: Duration,
-    mut make: impl FnMut(NodeId) -> P,
-    rec: &mut dyn Recorder,
-) -> Result<TransportRun<P>, Box<PartialRun<P>>>
-where
-    P: Checkpointable,
-    P::Msg: WireCodec,
-{
-    let map = ShardMap::new(g.n(), shards);
-    let p = map.shards();
-    let adj = map.shard_adjacency(g);
-    rec.event(0, "shard.workers", p as u64);
-    let (mut endpoints, mut coord) = make_fabric_adj::<P::Msg>(&adj);
-    let coord_cfg = CoordConfig {
+    adj: Vec<Vec<NodeId>>,
+) -> CoordConfig {
+    CoordConfig {
         round_deadline: Some(deadline),
         probe_grace: deadline,
         recovery_grace: deadline * 10,
@@ -476,99 +200,196 @@ where
             .as_ref()
             .map(ChaosPlan::stalls)
             .unwrap_or_default(),
+    }
+}
+
+/// Fold the coordinator's verdict and the joined workers (shard order,
+/// which is node-id order) into a run. Anything short of "coordinator
+/// finished and every worker returned its nodes" is a [`PartialRun`]:
+/// the coordinator's diagnosis outranks the workers' secondary errors,
+/// aborted workers are collateral rather than the fault, and — because
+/// the coordinator blames worker slots while a `PartialRun` speaks node
+/// ids — each failed worker expands to the block it hosted.
+pub(crate) fn assemble<P>(
+    map: &ShardMap,
+    coord_result: Result<(RunOutcome, RunStats), TransportError>,
+    joined: impl Iterator<Item = Joined<P>>,
+) -> Result<TransportRun<P>, Box<PartialRun<P>>> {
+    let mut nodes: Vec<Option<P>> = Vec::with_capacity(map.n());
+    let mut worker_err: Option<TransportError> = None;
+    for (sid, j) in joined.enumerate() {
+        let hosted = map.nodes(sid as NodeId).len();
+        match j {
+            Ok(Ok((shard_nodes, _report, shard_outcome))) => {
+                if let Ok((outcome, _)) = &coord_result {
+                    debug_assert_eq!(shard_outcome, *outcome);
+                }
+                nodes.extend(shard_nodes.into_iter().map(Some));
+            }
+            Ok(Err(se)) => {
+                let ShardError { error, nodes: sn } = *se;
+                if worker_err.is_none() && !matches!(error, TransportError::Aborted { .. }) {
+                    worker_err = Some(error);
+                }
+                match sn {
+                    Some(sn) => nodes.extend(sn.into_iter().map(Some)),
+                    None => nodes.extend((0..hosted).map(|_| None)),
+                }
+            }
+            Err(_) => {
+                worker_err = Some(TransportError::protocol("a worker thread panicked"));
+                nodes.extend((0..hosted).map(|_| None));
+            }
+        }
+    }
+    let (round, error) = match coord_result {
+        Ok((outcome, stats)) if nodes.iter().all(Option::is_some) => {
+            return Ok(TransportRun {
+                nodes: nodes.into_iter().flatten().collect(),
+                stats,
+                outcome,
+            })
+        }
+        Ok(_) => (
+            0,
+            worker_err.unwrap_or_else(|| {
+                TransportError::protocol("a worker died in a run the coordinator finished")
+            }),
+        ),
+        Err(coord_err) => {
+            let round = match &coord_err {
+                TransportError::Unrecoverable { round, .. } => *round,
+                _ => 0,
+            };
+            (round, coord_err)
+        }
     };
-    let map = &map;
+    Err(Box::new(PartialRun {
+        failed: error
+            .failed_nodes()
+            .iter()
+            .flat_map(|&sfail| map.nodes(sfail))
+            .collect(),
+        round,
+        nodes,
+        error,
+    }))
+}
+
+/// The one body of the thread backend: lay `g` out over `shards`
+/// workers, run `worker` on a thread per shard, coordinate on the
+/// calling thread (with the chaos control plane iff `deadline` is set).
+#[allow(clippy::too_many_arguments)] // the thread entry points' arguments plus the worker function
+fn run_on_threads<P: Protocol>(
+    g: &WGraph,
+    cfg: &TransportConfig,
+    budget: Round,
+    shards: usize,
+    deadline: Option<Duration>,
+    mut make: impl FnMut(NodeId) -> P,
+    rec: &mut dyn Recorder,
+    worker: impl Fn(
+            &ShardMap,
+            NodeId,
+            Vec<P>,
+            &mut ChannelNode<P::Msg>,
+        ) -> Result<(Vec<P>, NodeReport, RunOutcome), Box<ShardError<P>>>
+        + Sync,
+) -> Result<TransportRun<P>, Box<PartialRun<P>>> {
+    let map = ShardMap::new(g.n(), shards);
+    let adj = map.shard_adjacency(g);
+    let (mut endpoints, mut coord) = make_fabric::<P::Msg>(&adj);
+    let coord_cfg = match deadline {
+        Some(d) => chaos_coord_config(cfg, d, adj),
+        None => CoordConfig::default(),
+    };
+    let (map, worker) = (&map, &worker);
     std::thread::scope(|s| {
         let handles: Vec<_> = endpoints
             .drain(..)
             .enumerate()
             .map(|(sid, mut ep)| {
                 let nodes: Vec<P> = map.nodes(sid as NodeId).map(&mut make).collect();
-                s.spawn(move || shard_main_recoverable(map, sid as NodeId, g, cfg, nodes, &mut ep))
+                s.spawn(move || worker(map, sid as NodeId, nodes, &mut ep))
             })
             .collect();
-        let coord_result = coordinate_with(p, budget, &coord_cfg, &mut coord, rec);
+        let coord_result = coordinate(map.shards(), budget, &coord_cfg, &mut coord, rec);
         if coord_result.is_err() {
+            // Make sure nobody is left blocked on a barrier that will
+            // never complete before we join the threads.
             let _ = coord.broadcast(CtlMsg::Abort {
                 reason: abort_reason::PEER_ERROR,
             });
         }
-        // Per-node salvage slots, flattened from per-shard results in
-        // shard order (= node-id order).
-        let mut nodes: Vec<Option<P>> = Vec::with_capacity(g.n());
-        let mut worker_err: Option<TransportError> = None;
-        for (sid, h) in handles.into_iter().enumerate() {
-            let hosted = map.nodes(sid as NodeId).len();
-            match h.join() {
-                Ok(Ok((shard_nodes, _report, _outcome))) => {
-                    nodes.extend(shard_nodes.into_iter().map(Some))
-                }
-                Ok(Err(se)) => {
-                    let ShardError { error, nodes: sn } = *se;
-                    if worker_err.is_none() && !matches!(error, TransportError::Aborted { .. }) {
-                        worker_err = Some(error);
-                    }
-                    match sn {
-                        Some(sn) => nodes.extend(sn.into_iter().map(Some)),
-                        None => nodes.extend((0..hosted).map(|_| None)),
-                    }
-                }
-                Err(_) => {
-                    worker_err = Some(TransportError::protocol("a shard thread panicked"));
-                    nodes.extend((0..hosted).map(|_| None));
-                }
-            }
-        }
-        // The coordinator blames shard slots; a PartialRun speaks node
-        // ids, so expand each failed shard to the block it hosted.
-        let expand = |failed_shards: &[NodeId]| -> Vec<NodeId> {
-            failed_shards
-                .iter()
-                .flat_map(|&sfail| map.nodes(sfail))
-                .collect()
-        };
-        match coord_result {
-            Ok((outcome, stats)) => {
-                if nodes.iter().all(Option::is_some) {
-                    Ok(TransportRun {
-                        nodes: nodes.into_iter().flatten().collect(),
-                        stats,
-                        outcome,
-                    })
-                } else {
-                    let error = worker_err.unwrap_or_else(|| {
-                        TransportError::protocol("a shard died in a run the coordinator finished")
-                    });
-                    Err(Box::new(PartialRun {
-                        failed: expand(error.failed_nodes()),
-                        round: 0,
-                        nodes,
-                        error,
-                    }))
-                }
-            }
-            Err(coord_err) => {
-                let round = match &coord_err {
-                    TransportError::Unrecoverable { round, .. } => *round,
-                    _ => 0,
-                };
-                Err(Box::new(PartialRun {
-                    failed: expand(coord_err.failed_nodes()),
-                    round,
-                    nodes,
-                    error: coord_err,
-                }))
-            }
-        }
+        assemble(map, coord_result, handles.into_iter().map(|h| h.join()))
     })
+}
+
+/// Run a protocol over the thread backend with `shards` worker threads,
+/// each hosting a contiguous block of nodes (see [`crate::shard`]);
+/// node `v` of `g` runs `make(v)`, the calling thread coordinates and
+/// emits per-round [`Recorder`] events (the workers stay
+/// uninstrumented — observability is a coordinator-side concern,
+/// matching the simulator's engine hook). `shards = g.n()` is the
+/// paper's one-processor-per-node layout; `shards = 1` runs the whole
+/// network in one worker with a one-participant barrier. Results are
+/// bit-identical to the simulator for every shard count.
+pub fn run_threads<P: Protocol>(
+    g: &WGraph,
+    cfg: &TransportConfig,
+    budget: Round,
+    shards: usize,
+    make: impl FnMut(NodeId) -> P,
+    rec: &mut dyn Recorder,
+) -> Result<TransportRun<P>, TransportError> {
+    run_on_threads(
+        g,
+        cfg,
+        budget,
+        shards,
+        None,
+        make,
+        rec,
+        |map, sid, nodes, ep| shard_main(map, sid, g, cfg, nodes, ep),
+    )
+    .map_err(|partial| partial.error)
+}
+
+/// Run a protocol over the thread backend with the full crash-fault
+/// control plane: checkpointing at `cfg.checkpoint_cadence`, failure
+/// detection on a `deadline` per barrier, scripted chaos from
+/// `cfg.chaos`, and coordinator-mediated recovery. A scripted kill
+/// takes a whole worker (and every node it hosts) down; checkpoints and
+/// replay streams are per worker. A recoverable run returns the same
+/// [`TransportRun`] a fault-free one does — with distances and
+/// statistics bit-identical to the simulator's. An unrecoverable one
+/// terminates (no hangs: every wait in the system is bounded by
+/// `deadline`-derived budgets) with a [`PartialRun`] that accounts for
+/// every node on a lost worker.
+pub fn run_threads_chaos<P>(
+    g: &WGraph,
+    cfg: &TransportConfig,
+    budget: Round,
+    shards: usize,
+    deadline: Duration,
+    make: impl FnMut(NodeId) -> P,
+    rec: &mut dyn Recorder,
+) -> Result<TransportRun<P>, Box<PartialRun<P>>>
+where
+    P: Checkpointable,
+    P::Msg: WireCodec,
+{
+    let worker = |map: &ShardMap, sid, nodes, ep: &mut ChannelNode<P::Msg>| {
+        shard_main_recoverable(map, sid, g, cfg, nodes, ep)
+    };
+    run_on_threads(g, cfg, budget, shards, Some(deadline), make, rec, worker)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::coordinator::merge_report;
-    use crate::wire::NodeReport;
-    use dw_congest::{EngineConfig, Network, NodeCtx, Outbox};
+    use dw_congest::{EngineConfig, Network, NodeCtx, NullRecorder, Outbox};
     use dw_graph::gen::{self, WeightDist};
 
     /// Hop-count flood from node 0; each node announces its distance
@@ -637,7 +458,14 @@ mod tests {
         let sim_stats = net.stats();
         let sim_dists: Vec<_> = net.nodes().map(|f| f.dist).collect();
 
-        let run = unwrap_run(run_threads(&g, &TransportConfig::default(), 200, new_flood));
+        let run = unwrap_run(run_threads(
+            &g,
+            &TransportConfig::default(),
+            200,
+            g.n(),
+            new_flood,
+            &mut NullRecorder,
+        ));
         let dists: Vec<_> = run.nodes.iter().map(|f| f.dist).collect();
         assert_eq!(run.outcome, sim_outcome);
         assert_eq!(dists, sim_dists);
@@ -664,7 +492,14 @@ mod tests {
             faults: Some(faults),
             ..TransportConfig::default()
         };
-        let run = unwrap_run(run_threads(&g, &cfg, 300, new_flood));
+        let run = unwrap_run(run_threads(
+            &g,
+            &cfg,
+            300,
+            g.n(),
+            new_flood,
+            &mut NullRecorder,
+        ));
         let dists: Vec<_> = run.nodes.iter().map(|f| f.dist).collect();
         assert_eq!(run.outcome, sim_outcome);
         assert_eq!(dists, sim_dists);
@@ -676,7 +511,14 @@ mod tests {
         let g = gen::path(6, false, WeightDist::Constant(1), 0);
         let mut net = Network::new(&g, EngineConfig::default(), new_flood);
         let sim_outcome = net.run(2);
-        let run = unwrap_run(run_threads(&g, &TransportConfig::default(), 2, new_flood));
+        let run = unwrap_run(run_threads(
+            &g,
+            &TransportConfig::default(),
+            2,
+            g.n(),
+            new_flood,
+            &mut NullRecorder,
+        ));
         assert_eq!(run.outcome, sim_outcome);
         assert_eq!(run.outcome, RunOutcome::BudgetExhausted);
         assert_eq!(run.stats, net.stats());
@@ -704,6 +546,7 @@ mod tests {
             &g,
             &cfg,
             300,
+            g.n(),
             Duration::from_millis(150),
             new_flood,
             &mut NullRecorder,
@@ -750,6 +593,7 @@ mod tests {
             &g,
             &cfg,
             300,
+            g.n(),
             Duration::from_millis(150),
             new_flood,
             &mut NullRecorder,
@@ -779,6 +623,7 @@ mod tests {
             &g,
             &cfg,
             200,
+            g.n(),
             Duration::from_millis(60),
             new_flood,
             &mut NullRecorder,
@@ -813,7 +658,7 @@ mod tests {
             chaos: Some(ChaosPlan::new(1).with_kill(5, 2)),
             ..TransportConfig::default()
         };
-        let run = run_threads_sharded_chaos(
+        let run = run_threads_chaos(
             &g,
             &cfg,
             300,
@@ -847,7 +692,7 @@ mod tests {
             chaos: Some(ChaosPlan::new(2).with_kill(5, 2)),
             ..TransportConfig::default()
         };
-        let partial = match run_threads_sharded_chaos(
+        let partial = match run_threads_chaos(
             &g,
             &cfg,
             200,
@@ -898,6 +743,7 @@ mod tests {
             &g,
             &cfg,
             200,
+            g.n(),
             Duration::from_millis(60),
             new_flood,
             &mut NullRecorder,
@@ -925,6 +771,7 @@ mod tests {
             &g,
             &cfg,
             200,
+            g.n(),
             Duration::from_millis(300),
             new_flood,
             &mut NullRecorder,
@@ -952,6 +799,7 @@ mod tests {
             &g,
             &cfg,
             300,
+            g.n(),
             Duration::from_millis(150),
             new_flood,
             &mut rec,
@@ -986,6 +834,7 @@ mod tests {
             &g,
             &cfg,
             200,
+            g.n(),
             Duration::from_millis(200),
             new_flood,
             &mut NullRecorder,

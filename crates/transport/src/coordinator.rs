@@ -2,16 +2,17 @@
 //!
 //! [`coordinate`] replicates the simulator's `Network::run` loop over a
 //! [`CoordEndpoint`]: it issues `Go(round)` tokens, waits for every
-//! node's `Done(round)`, and applies the same budget check and
-//! quiet-round fast-forward arithmetic — `Done` carries each node's
+//! participant's `Done(round)`, and applies the same budget check and
+//! quiet-round fast-forward arithmetic — `Done` carries each worker's
 //! `earliest_send` hint and earliest parked due round, whose minima are
 //! exactly the quantities `run` computes globally. After the loop it
-//! broadcasts `Stop` and merges the nodes' `Final` reports into a
+//! broadcasts `Stop` and merges the workers' `Final` reports into a
 //! [`RunStats`] with the same aggregation the simulator uses (sums for
 //! messages/words/fault counters, maxima for link load and per-node
-//! send rounds).
+//! send rounds). A participant ("node" in the messages below) is one
+//! worker of [`crate::shard`]; at `P = n` that is one graph node.
 //!
-//! [`coordinate_with`] is the full control plane (DESIGN.md §10). With
+//! It is also the full control plane (DESIGN.md §10). With
 //! a round deadline configured it doubles as the failure detector: a
 //! barrier that misses its deadline triggers a `Ping` probe sweep, and
 //! a node that neither finished the round nor answered the probe within
@@ -28,7 +29,7 @@ use crate::error::TransportError;
 use crate::wire::{abort_reason, CtlMsg, NodeReport};
 use dw_congest::{Round, RunOutcome, RunStats};
 use dw_graph::NodeId;
-use dw_obs::{NullRecorder, Recorder};
+use dw_obs::Recorder;
 use std::time::Duration;
 
 /// The coordinator's view of the transport: sends to one or all nodes
@@ -48,7 +49,7 @@ pub trait CoordEndpoint {
     ) -> Result<Option<(NodeId, CtlMsg)>, TransportError>;
 }
 
-/// Failure-detection and recovery knobs for [`coordinate_with`]. The
+/// Failure-detection and recovery knobs for [`coordinate`]. The
 /// default configuration (no deadline, no neighbor lists) makes the
 /// control plane purely passive — byte-identical behavior to the
 /// pre-recovery coordinator — which is what the conformance paths use.
@@ -109,36 +110,6 @@ pub(crate) fn min_opt(a: Option<Round>, b: Option<Round>) -> Option<Round> {
     }
 }
 
-/// Drive `n` nodes until the protocol goes quiet or `budget` rounds
-/// have elapsed; silent stretches are fast-forwarded, not executed.
-/// Returns the outcome and the run's aggregated statistics.
-pub fn coordinate<E: CoordEndpoint>(
-    n: usize,
-    budget: Round,
-    endpoint: &mut E,
-) -> Result<(RunOutcome, RunStats), TransportError> {
-    coordinate_with(
-        n,
-        budget,
-        &CoordConfig::default(),
-        endpoint,
-        &mut NullRecorder,
-    )
-}
-
-/// As [`coordinate`], emitting one [`Recorder::round`] event per
-/// executed round — the transport-side mirror of
-/// `Network::run_recorded`, so a recorded run decomposes into the same
-/// per-phase round timeline on every runtime.
-pub fn coordinate_recorded<E: CoordEndpoint>(
-    n: usize,
-    budget: Round,
-    endpoint: &mut E,
-    rec: &mut dyn Recorder,
-) -> Result<(RunOutcome, RunStats), TransportError> {
-    coordinate_with(n, budget, &CoordConfig::default(), endpoint, rec)
-}
-
 /// Per-node recovery state the coordinator keeps while driving a run.
 struct NodeSlot {
     /// Latest checkpoint received: `(round, snapshot bytes)`.
@@ -160,9 +131,15 @@ fn abort<E: CoordEndpoint>(
     err
 }
 
-/// The full coordinator control plane: barrier driving plus failure
-/// detection and checkpoint-based recovery per `cfg`.
-pub fn coordinate_with<E: CoordEndpoint>(
+/// Drive `n` participants until the protocol goes quiet or `budget`
+/// rounds have elapsed; silent stretches are fast-forwarded, not
+/// executed. Failure detection and checkpoint-based recovery follow
+/// `cfg` (`CoordConfig::default()` is the passive barrier). Emits one
+/// [`Recorder::round`] event per executed round that sent anything —
+/// the transport-side mirror of `Network::run_recorded`, so a recorded
+/// run decomposes into the same per-phase round timeline on every
+/// runtime. Returns the outcome and the run's aggregated statistics.
+pub fn coordinate<E: CoordEndpoint>(
     n: usize,
     budget: Round,
     cfg: &CoordConfig,

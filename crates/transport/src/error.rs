@@ -3,7 +3,7 @@
 //! Every runtime failure path in dw-transport — an I/O error on a
 //! socket, a frame the codec rejects, a barrier-protocol violation, a
 //! peer vanishing mid-run — surfaces as a [`TransportError`] value
-//! propagated through `node_main` / `coordinate` instead of a panic.
+//! propagated through `shard_main` / `coordinate` instead of a panic.
 //! Faults become values the coordinator can act on: suspect the node,
 //! recover it from a checkpoint, or abort the run with a structured
 //! partial outcome (DESIGN.md §10). Panics remain only for protocol

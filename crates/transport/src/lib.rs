@@ -2,32 +2,34 @@
 //!
 //! The `dw-congest` simulator plays all nodes of a [`Protocol`] inside
 //! one lockstep loop. This crate executes the *same unmodified node
-//! programs* as independent workers that only communicate — over one of
-//! three pluggable backends:
+//! programs* on independent workers that only communicate. There is one
+//! worker ([`shard`]): it hosts a contiguous block of nodes, and the
+//! paper's one-processor-per-node model is the layout with one node per
+//! worker (`P = n`). Workers talk over one of three pluggable backends:
 //!
-//! * [`channels`] — one OS thread per node, mpsc channels as links;
-//! * [`tcp`] — one worker per TCP endpoint, length-prefixed binary
+//! * [`channels`] — one OS thread per worker, mpsc channels as links;
+//! * [`tcp`] — one TCP endpoint per worker, length-prefixed binary
 //!   frames ([`WireCodec`]); works in-process on loopback and across OS
 //!   processes via the `dwapsp run-node` / `dwapsp coordinator` CLI;
-//! * [`stdio`] — a Maelstrom-style adapter: each node is a process
+//! * [`stdio`] — a Maelstrom-style adapter: each worker is a process
 //!   speaking JSON lines (`{"src":..,"dest":..,"body":{..}}`) on
 //!   stdin/stdout, routable by an external harness.
 //!
 //! Round synchronization is a bulk-synchronous barrier (see
-//! [`coordinator`]): a coordinator issues round tokens, nodes flush
-//! end-of-round markers to every neighbor so per-link FIFO order makes
-//! message collection complete, and `Done` reports carry the schedule
-//! hints that let the coordinator fast-forward quiet stretches exactly
-//! like the simulator's `run` loop.
+//! [`coordinator`]): one coordinator issues round tokens, workers flush
+//! end-of-round markers to every adjacent worker so per-link FIFO order
+//! makes message collection complete, and `Done` reports carry the
+//! schedule hints that let the coordinator fast-forward quiet stretches
+//! exactly like the simulator's `run` loop.
 //!
 //! The headline property is **conformance**: a transport run produces
 //! bit-identical results — final node states, `RunStats` (including
 //! congestion counters), outcome — to the simulator on the same seeds,
-//! with or without a [`dw_congest::FaultPlan`], whose pure per-link
-//! decisions are evaluated sender-side at the transport layer. The
-//! CONGEST constraint checks themselves live in the shared
-//! [`dw_congest::NodeRunner`], so both environments validate sends with
-//! the same code.
+//! at every shard count, with or without a [`dw_congest::FaultPlan`],
+//! whose pure per-link decisions are evaluated sender-side at the
+//! transport layer. The CONGEST constraint checks themselves live in
+//! the shared [`dw_congest::NodeRunner`], so both environments validate
+//! sends with the same code.
 
 pub mod channels;
 pub mod chaos;
@@ -38,26 +40,20 @@ pub mod shard;
 pub mod stdio;
 pub mod tcp;
 pub mod wire;
-pub mod worker;
 
-pub use channels::{
-    run_threads, run_threads_chaos, run_threads_recorded, run_threads_sharded,
-    run_threads_sharded_chaos, run_threads_sharded_recorded, PartialRun, TransportRun,
-};
+pub use channels::{run_threads, run_threads_chaos, PartialRun, TransportRun};
 pub use chaos::{ChaosEvent, ChaosPlan, LinkNemesis, LinkVerdict, NEVER};
-pub use coordinator::{coordinate, coordinate_recorded, CoordConfig, CoordEndpoint};
+pub use coordinator::{coordinate, CoordConfig, CoordEndpoint};
 pub use error::TransportError;
 pub use maelstrom::{maelstrom_serve, MaelstromInit, MaelstromStats};
-pub use shard::{shard_main, shard_main_recoverable, ShardError, ShardMap};
+pub use shard::{
+    shard_main, shard_main_recoverable, NodeEndpoint, ShardError, ShardMap, TransportConfig,
+};
 pub use tcp::{
-    run_coordinator_tcp, run_coordinator_tcp_mux, run_coordinator_tcp_mux_with,
-    run_coordinator_tcp_recorded, run_coordinator_tcp_with, run_node_tcp, run_node_tcp_recoverable,
-    run_shard_tcp, run_shard_tcp_recoverable, run_tcp_loopback, run_tcp_loopback_chaos,
-    run_tcp_loopback_recorded, run_tcp_loopback_sharded, run_tcp_loopback_sharded_chaos,
-    run_tcp_loopback_sharded_recorded,
+    run_coordinator_tcp, run_shard_tcp, run_shard_tcp_recoverable, run_tcp_loopback,
+    run_tcp_loopback_chaos,
 };
 pub use wire::{abort_reason, errkind, BatchEntry, CtlMsg, Event, Frame, NodeReport};
-pub use worker::{node_main, node_main_recoverable, NodeEndpoint, TransportConfig, WorkerError};
 
 // Re-exported so backend users don't need a direct dw-congest dep for
 // the common types that appear in this crate's signatures.

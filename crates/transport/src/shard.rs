@@ -1,10 +1,10 @@
-//! Sharded workers: one process hosts a contiguous block of protocol
-//! nodes instead of exactly one.
+//! The worker: one process (or thread) hosting a contiguous block of
+//! protocol nodes and driving them through the coordinator's rounds.
 //!
-//! The per-node runtime ([`crate::worker`]) pays per-message wire and
-//! barrier overhead for every link of every node, which is why the real
-//! transport trails the simulator by two orders of magnitude (BENCH_4's
-//! e15 rows). A [`ShardWorker`] amortizes that cost three ways:
+//! This is the only worker plane. The paper's literal model — one
+//! processor per node — is the layout `P = n`: n workers hosting one
+//! node each. Every other shard count runs the same loop and amortizes
+//! the per-round cost three ways:
 //!
 //! * **intra-shard links never hit the wire** — messages between two
 //!   hosted nodes go straight into the receiver's per-rank buffers,
@@ -14,37 +14,156 @@
 //!   [`Frame::RoundBatch`], closed by a single [`Frame::EndRound`]
 //!   marker per shard *pair* (not per node link);
 //! * **the coordinator barrier shrinks** — P shards report one `Done`
-//!   each instead of n nodes, and the unchanged
-//!   [`crate::coordinator::coordinate_with`] loop aggregates them.
+//!   each, and [`crate::coordinator::coordinate`] aggregates them.
 //!
-//! Bit-identity with the simulator is preserved because every reduction
-//! the coordinator performs is associative: `Done` sums `sent`/`late`
-//! and minimizes the schedule hints, and `merge_report` sums or maxes
-//! the counters, so P pre-aggregated shard reports reduce to the same
-//! [`RunStats`] as n per-node reports. Within a shard, nodes execute
-//! each phase in node-id order — the simulator's loop order — and the
-//! per-rank receive buffers keep the per-(sender, receiver) FIFO and
-//! delivery order unchanged. The conformance suite checks all of this
-//! for every shard count from 1 (whole network in one process) to n
-//! (one node per worker, the legacy layout).
+//! [`shard_main`] runs against any [`NodeEndpoint`] — an in-process
+//! channel pair, a bundle of TCP sockets, or a stdio line stream.
+//! Rounds are driven by the coordinator's `Go`/`Stop` control messages;
+//! within a round the worker replicates the simulator's phase order and
+//! delivery order *exactly*, which is what the conformance suite checks:
 //!
-//! Crash recovery (DESIGN.md §10) lifts to shard granularity: the whole
-//! shard checkpoints as one snapshot, replay buffers hold *cross-shard*
-//! traffic only (intra-shard traffic is re-derived by re-executing the
-//! hosted nodes together), and a killed worker rejoins by restoring
-//! every hosted node from the shard snapshot and replaying peer-shard
-//! [`Frame::BatchReplay`] batches.
+//! 1. per hosted node, deliver delay-faulted messages parked locally
+//!    whose due round has arrived (due-round then arrival order — the
+//!    simulator's `BTreeMap` pop order);
+//! 2. send phase, nodes in id order (the simulator's loop order): poll
+//!    the protocol, validate CONGEST constraints in the shared
+//!    [`NodeRunner`], evaluate the pure fault plan sender-side, deliver
+//!    intra-shard messages in place and batch cross-shard ones;
+//! 3. ship one batch and one [`Frame::EndRound`] marker per peer shard;
+//! 4. collect frames until every peer shard's marker is in (per-link
+//!    FIFO makes the marker a completeness proof), staging entries in
+//!    the destination node's neighbor-rank (= sender id) buffers;
+//! 5. stable-sort late-touched inboxes by sender (the simulator sorts
+//!    those only — for every other inbox the sort is the identity);
+//! 6. receive phase for nodes whose inbox is non-empty;
+//! 7. one `Done` with the summed send and late counts and the minimal
+//!    `earliest_send` hint and parked due round — everything the
+//!    coordinator needs to replicate the simulator's `run` loop.
+//!
+//! Bit-identity with the simulator holds for every P because every
+//! reduction the coordinator performs is associative: `Done` sums
+//! `sent`/`late` and minimizes the schedule hints, and `merge_report`
+//! sums or maxes the counters, so P pre-aggregated shard reports reduce
+//! to the same [`dw_congest::RunStats`] as n per-node ones. The
+//! conformance suite checks P ∈ {1, 2, ⌈n/3⌉, n}.
+//!
+//! Every runtime fault propagates as a [`TransportError`] value — no
+//! panic on any error path. [`shard_main_recoverable`] adds the
+//! crash-fault side of DESIGN.md §10 at shard granularity: the whole
+//! shard checkpoints as one snapshot at a round cadence, replay buffers
+//! hold *cross-shard* traffic only (intra-shard traffic is re-derived by
+//! re-executing the hosted nodes together), liveness pings are
+//! answered, and a worker killed by a [`crate::chaos::ChaosPlan`]
+//! rejoins by restoring every hosted node from the shard snapshot and
+//! replaying peer-shard [`Frame::BatchReplay`] batches.
 
-use crate::chaos::{LinkNemesis, LinkVerdict};
+use crate::chaos::{ChaosPlan, LinkNemesis, LinkVerdict};
 use crate::error::TransportError;
 use crate::wire::{abort_reason, errkind, BatchEntry, CtlMsg, Event, Frame, NodeReport};
-use crate::worker::{LocalTally, NodeEndpoint, TransportConfig};
 use dw_congest::{
     Checkpointable, Envelope, FaultAction, FaultPlan, NodeRunner, Protocol, Round, RunOutcome,
     SendSink, WireCodec,
 };
 use dw_graph::{NodeId, WGraph};
 use std::collections::{BTreeMap, VecDeque};
+
+/// One worker's view of the transport: typed sends to peer workers and
+/// the coordinator, and a single blocking event stream multiplexing
+/// both. Peers are addressed by shard id (= node id at `P = n`).
+///
+/// Implementations must preserve per-link FIFO order (frames from one
+/// peer arrive in send order) — every real transport here does: an mpsc
+/// channel, a TCP connection, an ordered stdio pipe. Every method is
+/// fallible: a dead channel or socket is a runtime fault, not a panic.
+pub trait NodeEndpoint<M> {
+    /// Send a frame to adjacent worker `to`.
+    fn send_peer(&mut self, to: NodeId, frame: Frame<M>) -> Result<(), TransportError>;
+    /// Send a control message to the coordinator.
+    fn send_ctl(&mut self, msg: CtlMsg) -> Result<(), TransportError>;
+    /// Block until the next event (peer frame or control message).
+    fn recv(&mut self) -> Result<Event<M>, TransportError>;
+}
+
+/// How the runtime constrains and perturbs message passing; the
+/// transport-relevant subset of [`dw_congest::EngineConfig`] plus the
+/// crash-fault knobs.
+#[derive(Debug, Clone)]
+pub struct TransportConfig {
+    /// Per-message word budget (exceeding it is a protocol bug and
+    /// panics, as in the simulator).
+    pub max_words: usize,
+    /// Enforce one message per directed link per round.
+    pub enforce_link_capacity: bool,
+    /// Deterministic fault injection, evaluated sender-side at the
+    /// transport layer. The plan is a pure function of
+    /// `(sender, receiver, round, seed)`, so a transport run makes
+    /// exactly the decisions the simulator makes.
+    pub faults: Option<FaultPlan>,
+    /// Checkpoint every this-many *executed* rounds (the schedule is
+    /// global — all workers execute the same rounds — so cadence
+    /// windows align across workers). `None` disables checkpointing and
+    /// replay buffering, making crashes unrecoverable.
+    pub checkpoint_cadence: Option<u64>,
+    /// Scripted process-level faults (see [`ChaosPlan`]). Kill, sever
+    /// and stall are only honored by [`shard_main_recoverable`]; the
+    /// link nemeses (partition, asymmetric loss, bandwidth cap) are
+    /// enforced sender-side in *every* drive loop, plain included.
+    pub chaos: Option<ChaosPlan>,
+}
+
+impl Default for TransportConfig {
+    fn default() -> Self {
+        TransportConfig {
+            max_words: 8,
+            enforce_link_capacity: true,
+            faults: None,
+            checkpoint_cadence: None,
+            chaos: None,
+        }
+    }
+}
+
+impl From<&dw_congest::EngineConfig> for TransportConfig {
+    fn from(cfg: &dw_congest::EngineConfig) -> Self {
+        TransportConfig {
+            max_words: cfg.max_words,
+            enforce_link_capacity: cfg.enforce_link_capacity,
+            faults: cfg.faults.clone(),
+            checkpoint_cadence: None,
+            chaos: None,
+        }
+    }
+}
+
+/// Receiver-side counters a hosted node accumulates outside its
+/// [`NodeRunner`] (which owns the send-side counters).
+#[derive(Default, Clone)]
+struct LocalTally {
+    dropped: u64,
+    outage_dropped: u64,
+    duplicated: u64,
+    delayed: u64,
+    late_delivered: u64,
+}
+
+impl LocalTally {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.dropped.encode(out);
+        self.outage_dropped.encode(out);
+        self.duplicated.encode(out);
+        self.delayed.encode(out);
+        self.late_delivered.encode(out);
+    }
+    fn decode(buf: &mut &[u8]) -> Option<Self> {
+        Some(LocalTally {
+            dropped: u64::decode(buf)?,
+            outage_dropped: u64::decode(buf)?,
+            duplicated: u64::decode(buf)?,
+            delayed: u64::decode(buf)?,
+            late_delivered: u64::decode(buf)?,
+        })
+    }
+}
 
 /// The shard layout: a balanced contiguous partition of `0..n` into
 /// `P` blocks, shared by every worker and the coordinator. Shard `s`
@@ -86,27 +205,27 @@ impl ShardMap {
         self.starts[s as usize]..self.starts[s as usize + 1]
     }
 
-    /// Per-shard sorted peer-shard lists: shard `a` lists shard `b` iff
-    /// some comm link of `g` crosses between them. This is the comm
-    /// topology of the shard plane — markers, batches and the
+    /// Shard `s`'s sorted peer shards: shard `t` is listed iff some comm
+    /// link of `g` crosses between `s` and `t`.
+    pub fn peer_shards(&self, g: &WGraph, s: NodeId) -> Vec<NodeId> {
+        let mut peers: Vec<NodeId> = self
+            .nodes(s)
+            .flat_map(|v| g.comm_neighbors(v).iter().copied())
+            .map(|v| self.shard_of(v))
+            .filter(|&t| t != s)
+            .collect();
+        peers.sort_unstable();
+        peers.dedup();
+        peers
+    }
+
+    /// Every shard's [`ShardMap::peer_shards`] list. This is the comm
+    /// topology of the worker plane — markers, batches and the
     /// coordinator's recovery neighbor sets all follow it.
     pub fn shard_adjacency(&self, g: &WGraph) -> Vec<Vec<NodeId>> {
-        let p = self.shards();
-        let mut adj: Vec<Vec<NodeId>> = vec![Vec::new(); p];
-        for u in 0..self.n() as NodeId {
-            let su = self.shard_of(u);
-            for &v in g.comm_neighbors(u) {
-                let sv = self.shard_of(v);
-                if sv != su {
-                    adj[su as usize].push(sv);
-                }
-            }
-        }
-        for a in &mut adj {
-            a.sort_unstable();
-            a.dedup();
-        }
-        adj
+        (0..self.shards() as NodeId)
+            .map(|s| self.peer_shards(g, s))
+            .collect()
     }
 }
 
@@ -134,9 +253,13 @@ struct NodeState<'g, P: Protocol> {
     late: u64,
 }
 
-/// The shard-aware [`SendSink`]: same sender-side fault evaluation as
-/// the per-node worker's sink, but delivery splits by destination
-/// shard. Intra-shard messages land directly in the receiver's staging
+/// The transport [`SendSink`]: evaluates the fault plan at the sender
+/// and delivers what survives, split by destination shard. A dropped
+/// message occupies the link (the runner already charged it) but goes
+/// nowhere; a delayed message travels immediately, stamped with its due
+/// round, and is parked at the *receiver* — keeping the wire
+/// round-synchronous so end-of-round markers stay a completeness proof.
+/// Intra-shard messages land directly in the receiver's staging
 /// buffers (even when `emit` is off — a replayed round must re-deliver
 /// locally, because the receivers lost their state too); cross-shard
 /// messages are appended to the per-peer-shard batch (wire emission,
@@ -199,7 +322,8 @@ impl<M: Clone> ShardSink<'_, M> {
 
     fn dispatch(&mut self, u: NodeId, v: NodeId, msg: M, words: usize) {
         let round = self.round;
-        // Link nemeses first, exactly as in the per-node FaultSink.
+        // Link nemeses first: the network's verdict bounds everything
+        // the protocol-level fault plan can add on top.
         let mut floor = round;
         if let Some(nem) = self.chaos.as_deref_mut() {
             match nem.decide(u, v, round, words) {
@@ -246,9 +370,10 @@ impl<M: Clone> SendSink<M> for ShardSink<'_, M> {
     }
 }
 
-/// A shard failure: the typed fault plus every hosted node's protocol
-/// state when the wreckage still holds it (the shard-level twin of
-/// [`crate::worker::WorkerError`]).
+/// A worker failure: the typed fault plus every hosted node's protocol
+/// state when the wreckage still holds it — an aborted worker holds a
+/// valid prefix of the computation (its distances are sound upper
+/// bounds), which is what dw-pipeline degrades into a `PartialOutcome`.
 #[derive(Debug)]
 pub struct ShardError<P> {
     pub error: TransportError,
@@ -256,9 +381,7 @@ pub struct ShardError<P> {
 }
 
 /// All of one shard worker's mutable state, shared by the plain and
-/// the recoverable drive loops. The round phases replicate
-/// [`crate::worker::node_main`] per hosted node, in node-id order, with
-/// one barrier report for the whole shard.
+/// the recoverable drive loops.
 struct ShardWorker<'g, P: Protocol> {
     shard: NodeId,
     base: NodeId,
@@ -277,19 +400,33 @@ struct ShardWorker<'g, P: Protocol> {
     /// Cross-shard emitted-frame log per peer-shard rank, for replaying
     /// to crashed peers. `None` when checkpointing is off.
     replay: Option<Vec<Vec<ShardReplayRecord<P::Msg>>>>,
-    /// Frames that raced ahead of the control plane (see
-    /// [`crate::worker`]).
+    /// Frames that raced ahead of the control plane: a peer may start
+    /// (and finish) sending for round r while we are still waiting for
+    /// our own Go(r). Nothing can run further ahead than that — the
+    /// coordinator only issues Go(r + 1) after *our* Done(r) — so every
+    /// stashed frame belongs to the round we are about to execute.
     stash: VecDeque<(NodeId, Frame<P::Msg>)>,
-    /// Executed-round count — the checkpoint cadence clock.
+    /// Executed-round count — the checkpoint cadence clock. Identical
+    /// on every worker because the round schedule is global.
     executed: u64,
+    /// Round of the most recent checkpoint.
     last_checkpoint: Round,
+    /// The checkpoint before that: the replay-buffer prune floor. Kept
+    /// one window back so a rejoin against the previous checkpoint
+    /// (should the latest one still be in flight) stays serviceable.
     prev_checkpoint: Round,
+    /// Last `Go` round seen; reported in `Pong`s for diagnostics.
     current_round: Round,
+    /// True from the moment a scripted crash discards the shard's state
+    /// until the rejoin fully restores it. Fail-stop: a worker that
+    /// errors out in this window has no node state worth salvaging.
     state_lost: bool,
-    /// Shard-wide link-nemesis evaluator (see [`crate::worker`]); one
-    /// per shard, shared by every hosted node's sink, because the cap
-    /// buckets are per directed *link* and each link has exactly one
-    /// sending shard.
+    /// Sender-side evaluator for the plan's link nemeses (partition /
+    /// asymmetric loss / bandwidth cap); `None` when the plan scripts
+    /// none. One per shard, shared by every hosted node's sink, because
+    /// the cap buckets are per directed *link* and each link has exactly
+    /// one sending shard. Its water-filling state rides in the snapshot
+    /// so a crash re-execution replays identical spill decisions.
     link_chaos: Option<LinkNemesis>,
 }
 
@@ -311,14 +448,7 @@ impl<'g, P: Protocol> ShardWorker<'g, P> {
             range.len(),
             nodes.len()
         );
-        let mut peer_shards: Vec<NodeId> = range
-            .clone()
-            .flat_map(|v| g.comm_neighbors(v).iter().copied())
-            .map(|v| map.shard_of(v))
-            .filter(|&s| s != shard)
-            .collect();
-        peer_shards.sort_unstable();
-        peer_shards.dedup();
+        let peer_shards = map.peer_shards(g, shard);
         let deg = peer_shards.len();
         let states: Vec<NodeState<'g, P>> = range
             .clone()
@@ -461,9 +591,14 @@ impl<'g, P: Protocol> ShardWorker<'g, P> {
     }
 
     /// Execute one round for every hosted node, in node-id order.
-    /// `live` and `prefilled` have the same meaning as in the per-node
-    /// worker; intra-shard delivery always happens (local receivers
-    /// need their input whether or not the wire is live).
+    /// `live` controls whether anything reaches the wire (batches,
+    /// markers, `Done`); replayed rounds after a crash run with
+    /// `live = false`, repeating all fault decisions and accounting
+    /// without re-delivering across shards — intra-shard delivery always
+    /// happens (local receivers need their input whether or not the wire
+    /// is live). `prefilled` means the round's cross-shard input is
+    /// already staged in `fresh`/`parked` (from replay batches) and the
+    /// collection loop is skipped.
     fn run_round<E: NodeEndpoint<P::Msg>>(
         &mut self,
         round: Round,
@@ -676,9 +811,9 @@ impl<'g, P: Protocol> ShardWorker<'g, P> {
                         self.stage_entry(from, e, round)?;
                     }
                 }
-                Frame::Payload { .. } | Frame::ReplayBatch { .. } | Frame::BatchReplay { .. } => {
+                Frame::BatchReplay { .. } => {
                     return Err(TransportError::protocol(format!(
-                        "shard {}: unexpected per-node frame from {from} during round {round}",
+                        "shard {}: unsolicited replay batch from {from} during round {round}",
                         self.shard
                     )))
                 }
@@ -809,8 +944,9 @@ where
         Some(())
     }
 
-    /// Snapshot, ship to the coordinator, prune replay buffers one
-    /// cadence window back (exactly as the per-node worker does).
+    /// Snapshot, ship to the coordinator, and prune replay buffers one
+    /// cadence window back (buffers therefore hold at most two windows
+    /// of traffic — the memory side of the cadence trade-off).
     fn take_checkpoint<E: NodeEndpoint<P::Msg>>(
         &mut self,
         round: Round,

@@ -1,18 +1,20 @@
-//! Maelstrom-style stdio backend: each node is a process speaking JSON
-//! lines on stdin/stdout, routed by an external harness.
+//! Maelstrom-style stdio backend: each worker is a process speaking
+//! JSON lines on stdin/stdout, routed by an external harness.
 //!
 //! One message per line, shaped like a Maelstrom network message:
 //!
 //! ```json
-//! {"src":"n0","dest":"n1","body":{"type":"payload","round":3,"due":3,"data":[42,0,0,0,0,0,0,0]}}
+//! {"src":"n0","dest":"n1","body":{"type":"end_round","round":3}}
 //! ```
 //!
-//! Node `v` is named `n<v>`; the coordinator is [`COORD`] (`c0`). Body
-//! types mirror the binary wire protocol one-to-one: `payload` /
-//! `end_round` / `replay_batch` for [`Frame`], `go` / `stop` / `done` /
-//! `final` plus the recovery family (`checkpoint`, `ping`, `pong`,
-//! `rejoin`, `replay_request`, `error`, `abort`) for [`CtlMsg`];
-//! protocol payloads ride as their [`WireCodec`] bytes in a JSON
+//! Worker `s` of the [`ShardMap`] layout is named `n<s>` — with one
+//! node per worker (`P = n`, what a harness that names graph nodes
+//! wants) that is the node's own id; the coordinator is [`COORD`]
+//! (`c0`). Body types mirror the binary wire protocol one-to-one:
+//! `end_round` / `round_batch` / `batch_replay` for [`Frame`], `go` /
+//! `stop` / `done` / `final` plus the recovery family (`checkpoint`,
+//! `ping`, `pong`, `rejoin`, `replay_request`, `error`, `abort`) for
+//! [`CtlMsg`]; batches ride as their [`WireCodec`] bytes in a JSON
 //! integer array, so any `Protocol` the binary backends can run, this
 //! one can too.
 //!
@@ -29,8 +31,8 @@
 //! process exits nonzero with a diagnostic instead of aborting.
 
 use crate::error::TransportError;
+use crate::shard::{shard_main, NodeEndpoint, ShardError, ShardMap, TransportConfig};
 use crate::wire::{BatchEntry, CtlMsg, Event, Frame, NodeReport};
-use crate::worker::{node_main, NodeEndpoint, TransportConfig, WorkerError};
 use dw_congest::{Protocol, Round, RunOutcome, WireCodec};
 use dw_graph::{NodeId, WGraph};
 use std::fmt::Write as _;
@@ -41,7 +43,7 @@ use std::time::Duration;
 /// The coordinator's node name.
 pub const COORD: &str = "c0";
 
-/// Name of node `v` on the wire.
+/// Name of worker `v` on the wire.
 pub fn node_name(v: NodeId) -> String {
     format!("n{v}")
 }
@@ -134,28 +136,12 @@ fn push_byte_array(out: &mut String, bytes: &[u8]) {
 /// Render a frame as a JSON body object.
 pub fn frame_body<M: WireCodec>(frame: &Frame<M>) -> String {
     match frame {
-        Frame::Payload { round, due, msg } => {
-            let mut bytes = Vec::new();
-            msg.encode(&mut bytes);
-            let mut s = format!("{{\"type\":\"payload\",\"round\":{round},\"due\":{due},\"data\":");
-            push_byte_array(&mut s, &bytes);
-            s.push('}');
-            s
-        }
         Frame::EndRound { round } => {
             format!("{{\"type\":\"end_round\",\"round\":{round}}}")
         }
-        Frame::ReplayBatch { frames } => {
-            // The whole batch rides as its binary encoding; the harness
-            // routes it opaquely like any payload.
-            let mut bytes = Vec::new();
-            frames.encode(&mut bytes);
-            let mut s = String::from("{\"type\":\"replay_batch\",\"data\":");
-            push_byte_array(&mut s, &bytes);
-            s.push('}');
-            s
-        }
         Frame::RoundBatch { round, entries } => {
+            // The whole batch rides as its binary encoding; the harness
+            // routes it opaquely.
             let mut bytes = Vec::new();
             entries.encode(&mut bytes);
             let mut s = format!("{{\"type\":\"round_batch\",\"round\":{round},\"data\":");
@@ -282,31 +268,9 @@ pub fn parse_line<M: WireCodec>(line: &str) -> Option<(String, String, LineBody<
     let src = json_str(line, "src")?.to_string();
     let dest = json_str(line, "dest")?.to_string();
     let body = match json_str(line, "type")? {
-        "payload" => {
-            let bytes = json_bytes(line, "data")?;
-            let mut view = bytes.as_slice();
-            let msg = M::decode(&mut view)?;
-            if !view.is_empty() {
-                return None;
-            }
-            LineBody::Frame(Frame::Payload {
-                round: json_u64(line, "round")?,
-                due: json_u64(line, "due")?,
-                msg,
-            })
-        }
         "end_round" => LineBody::Frame(Frame::EndRound {
             round: json_u64(line, "round")?,
         }),
-        "replay_batch" => {
-            let bytes = json_bytes(line, "data")?;
-            let mut view = bytes.as_slice();
-            let frames = Vec::<(Round, Round, M)>::decode(&mut view)?;
-            if !view.is_empty() {
-                return None;
-            }
-            LineBody::Frame(Frame::ReplayBatch { frames })
-        }
         "round_batch" => {
             let bytes = json_bytes(line, "data")?;
             let mut view = bytes.as_slice();
@@ -391,7 +355,7 @@ pub fn parse_line<M: WireCodec>(line: &str) -> Option<(String, String, LineBody<
 
 // --- endpoints -------------------------------------------------------------
 
-/// A node endpoint over a line stream (stdin/stdout or [`pipe`]s).
+/// A worker endpoint over a line stream (stdin/stdout or [`pipe`]s).
 pub struct StdioNode<M, R: BufRead, W: Write> {
     name: String,
     reader: R,
@@ -477,30 +441,34 @@ impl<M: WireCodec, R: BufRead, W: Write> NodeEndpoint<M> for StdioNode<M, R, W> 
     }
 }
 
-/// Run one node as a stdio process: reads its harness-routed lines
-/// from `reader`, writes its own messages to `writer`, returns when
-/// the coordinator stops the run. With `io::stdin().lock()` and
-/// `io::stdout()` this is the whole body of a Maelstrom-style binary.
-/// A transport fault (stdin closing mid-run, a malformed line) comes
-/// back as the typed error for the caller to exit nonzero on.
-pub fn run_node_stdio<P: Protocol>(
+/// Run worker `shard` of the layout as a stdio process hosting `nodes`
+/// (the protocol states of `map.nodes(shard)`, id order): reads its
+/// harness-routed lines from `reader`, writes its own messages to
+/// `writer`, returns the final states when the coordinator stops the
+/// run. With `io::stdin().lock()` and `io::stdout()` this is the whole
+/// body of a Maelstrom-style binary. A transport fault (stdin closing
+/// mid-run, a malformed line) comes back as the typed error for the
+/// caller to exit nonzero on.
+pub fn run_shard_stdio<P: Protocol>(
+    map: &ShardMap,
+    shard: NodeId,
     g: &WGraph,
     cfg: &TransportConfig,
-    id: NodeId,
-    node: P,
+    nodes: Vec<P>,
     reader: impl BufRead,
     writer: impl Write,
-) -> Result<(P, RunOutcome), Box<WorkerError<P>>>
+) -> Result<(Vec<P>, RunOutcome), Box<ShardError<P>>>
 where
     P::Msg: WireCodec,
 {
-    let mut ep = StdioNode::new(id, reader, writer);
-    let (node, _report, outcome) = node_main(id, g, cfg, node, &mut ep)?;
-    Ok((node, outcome))
+    let mut ep = StdioNode::new(shard, reader, writer);
+    let (nodes, _report, outcome) = shard_main(map, shard, g, cfg, nodes, &mut ep)?;
+    Ok((nodes, outcome))
 }
 
 /// The coordinator as a stdio participant: broadcasts `go`/`stop`
-/// lines to `n0..n{n-1}`, reads `done`/`final` lines routed to `c0`.
+/// lines to workers `n0..n{n-1}`, reads `done`/`final` lines routed to
+/// `c0`.
 ///
 /// Line streams have no timeout machinery, so a configured
 /// `round_deadline` degrades to a blocking read — the stdio backend is
@@ -680,17 +648,22 @@ mod tests {
 
     #[test]
     fn bodies_roundtrip_through_json() {
+        let entry = |due, msg| BatchEntry {
+            from: 4,
+            to: 9,
+            due,
+            msg,
+        };
         let frames: Vec<Frame<u64>> = vec![
-            Frame::Payload {
+            Frame::RoundBatch {
                 round: 3,
-                due: 7,
-                msg: 0xfeed,
+                entries: vec![entry(3, 0xfeed), entry(7, 1)],
             },
             Frame::EndRound { round: 12 },
-            Frame::ReplayBatch {
-                frames: vec![(4, 4, 11), (5, 9, 12)],
+            Frame::BatchReplay {
+                frames: vec![(4, entry(4, 11)), (5, entry(9, 12))],
             },
-            Frame::ReplayBatch { frames: vec![] },
+            Frame::BatchReplay { frames: vec![] },
         ];
         for f in frames {
             let line = format!(

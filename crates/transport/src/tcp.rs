@@ -1,13 +1,24 @@
 //! TCP backend: length-prefixed [`WireCodec`] frames between OS
 //! endpoints.
 //!
-//! Topology: one socket per graph link plus one socket per node to the
-//! coordinator. Connections are established deterministically — of two
-//! neighbors the lower id listens and the higher id dials — and every
-//! stream starts with a 4-byte little-endian handshake carrying the
-//! dialer's node id. Each worker multiplexes its sockets into one event
-//! queue with a reader thread per connection; TCP's per-stream ordering
-//! gives the per-link FIFO guarantee the round protocol relies on.
+//! Topology: one socket per adjacent pair of workers (see
+//! [`crate::shard`]; at `P = n` that is one per graph link) plus one
+//! socket per worker to the coordinator, so the socket count scales
+//! with the worker count, not the graph. Connections are established
+//! deterministically — of two adjacent workers the lower id dials and
+//! the higher id listens — and every stream starts with a 4-byte
+//! little-endian handshake carrying the dialer's id. Each worker
+//! multiplexes its sockets into one event queue with a reader thread
+//! per connection; TCP's per-stream ordering gives the per-link FIFO
+//! guarantee the round protocol relies on. Outbound, a round is at most
+//! one `RoundBatch` plus one `EndRound` per peer, which a buffered
+//! writer thread per peer turns into (typically) a single syscall.
+//!
+//! The coordinator ([`run_coordinator_tcp`]) accepts every worker, then
+//! parks one blocking reader thread on each connection: a `Done` wakes
+//! exactly the thread that forwards it, with no polling interval
+//! between the last `Done` and the next `Go` (DESIGN.md §8 has the
+//! measurement that retired the polling multiplexer).
 //!
 //! Failure semantics: reader threads never panic. A clean EOF mid-run
 //! (the peer process died and the kernel sent FIN) silently ends the
@@ -18,30 +29,28 @@
 //! [`TransportError`].
 //!
 //! [`run_tcp_loopback`] wires a whole network inside one process (the
-//! conformance and bench configuration); [`run_node_tcp`] and
+//! conformance and bench configuration); [`run_shard_tcp`] and
 //! [`run_coordinator_tcp`] are the building blocks the `dwapsp
-//! run-node` / `dwapsp coordinator` CLI uses to run each node as its
+//! run-node` / `dwapsp coordinator` CLI uses to run each worker as its
 //! own OS process. [`run_tcp_loopback_chaos`] is the crash-fault
 //! configuration: recoverable workers, a deadline-driven coordinator,
 //! and scripted [`crate::chaos::ChaosPlan`] faults over real sockets.
 
-use crate::channels::{PartialRun, TransportRun};
-use crate::chaos::{splitmix64, ChaosPlan};
-use crate::coordinator::{coordinate_with, CoordConfig, CoordEndpoint};
+use crate::channels::{assemble, chaos_coord_config, PartialRun, TransportRun};
+use crate::chaos::splitmix64;
+use crate::coordinator::{coordinate, CoordConfig, CoordEndpoint};
 use crate::error::TransportError;
-use crate::shard::{shard_main, shard_main_recoverable, ShardError, ShardMap};
+use crate::shard::{
+    shard_main, shard_main_recoverable, NodeEndpoint, ShardError, ShardMap, TransportConfig,
+};
 use crate::wire::{
-    abort_reason, errkind, read_frame, write_frame, CtlMsg, Event, Frame, NodeReport,
-    MAX_FRAME_BYTES,
+    abort_reason, encode_frame, errkind, read_frame, write_frame, CtlMsg, Event, Frame, NodeReport,
 };
-use crate::worker::{node_main, node_main_recoverable, NodeEndpoint, TransportConfig, WorkerError};
-use dw_congest::{
-    Checkpointable, NullRecorder, Protocol, Recorder, Round, RunOutcome, RunStats, WireCodec,
-};
+use dw_congest::{Checkpointable, Protocol, Recorder, Round, RunOutcome, RunStats, WireCodec};
 use dw_graph::{NodeId, WGraph};
 use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender, TryRecvError};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::time::{Duration, Instant};
 
 /// The dial backoff schedule: exponential from 2ms, capped at 250ms,
@@ -98,38 +107,6 @@ fn handshake_in(stream: &mut TcpStream) -> io::Result<NodeId> {
     Ok(NodeId::from_le_bytes(raw))
 }
 
-/// A node's socket bundle, multiplexed by reader threads into `rx`.
-struct TcpNode<M> {
-    id: NodeId,
-    /// Write halves to each comm neighbor, rank order.
-    peers: Vec<(NodeId, TcpStream)>,
-    ctl: TcpStream,
-    rx: Receiver<Event<M>>,
-    scratch: Vec<u8>,
-}
-
-impl<M: WireCodec> NodeEndpoint<M> for TcpNode<M> {
-    fn send_peer(&mut self, to: NodeId, frame: Frame<M>) -> Result<(), TransportError> {
-        let i = self
-            .peers
-            .binary_search_by_key(&to, |&(v, _)| v)
-            .map_err(|_| {
-                TransportError::protocol(format!("node {}: send to non-neighbor {to}", self.id))
-            })?;
-        write_frame(&mut self.peers[i].1, &frame, &mut self.scratch)
-            .map_err(|e| TransportError::io(format!("node {}: write to {to}", self.id), &e))
-    }
-    fn send_ctl(&mut self, msg: CtlMsg) -> Result<(), TransportError> {
-        write_frame(&mut self.ctl, &msg, &mut self.scratch)
-            .map_err(|e| TransportError::io(format!("node {}: write to coordinator", self.id), &e))
-    }
-    fn recv(&mut self) -> Result<Event<M>, TransportError> {
-        self.rx.recv().map_err(|_| {
-            TransportError::peer_lost(format!("node {}: all reader threads hung up", self.id))
-        })
-    }
-}
-
 fn peer_reader<M: WireCodec>(from: NodeId, stream: TcpStream, tx: Sender<Event<M>>) {
     let mut r = BufReader::new(stream);
     loop {
@@ -174,9 +151,12 @@ fn ctl_reader<M: WireCodec>(stream: TcpStream, tx: Sender<Event<M>>) {
     }
 }
 
-/// Establish node `id`'s link sockets: accept from lower-id neighbors
-/// on `listener`, dial higher-id neighbors from `peer_addrs`. Returns
-/// the streams in rank (neighbor id) order.
+/// Establish worker `id`'s link sockets to its adjacent workers `nbrs`
+/// (sorted): accept from the lower ids on `listener`, dial the higher
+/// ids at their `peer_addrs` entry. `peer_addrs` may be the whole
+/// deployment's address book — entries for non-adjacent workers are
+/// ignored — but must cover every higher-id neighbor. Returns the
+/// streams in rank (peer id) order.
 fn connect_links(
     id: NodeId,
     nbrs: &[NodeId],
@@ -184,11 +164,19 @@ fn connect_links(
     peer_addrs: &[(NodeId, SocketAddr)],
     timeout: Duration,
 ) -> io::Result<Vec<(NodeId, TcpStream)>> {
-    let dial: Vec<(NodeId, SocketAddr)> = peer_addrs
+    let dial: Vec<(NodeId, SocketAddr)> = nbrs
         .iter()
-        .copied()
-        .filter(|&(u, _)| u > id)
-        .collect();
+        .filter(|&&u| u > id)
+        .map(|&u| {
+            let addr = peer_addrs.iter().find(|&&(v, _)| v == u).ok_or_else(|| {
+                io::Error::new(
+                    io::ErrorKind::InvalidInput,
+                    format!("no address for adjacent worker {u}"),
+                )
+            })?;
+            Ok(*addr)
+        })
+        .collect::<io::Result<_>>()?;
     let accept_n = nbrs.iter().filter(|&&u| u < id).count();
     let mut links: Vec<(NodeId, TcpStream)> = Vec::with_capacity(nbrs.len());
     std::thread::scope(|s| -> io::Result<()> {
@@ -218,565 +206,16 @@ fn connect_links(
     debug_assert_eq!(
         links.iter().map(|&(u, _)| u).collect::<Vec<_>>(),
         nbrs,
-        "link sockets must cover exactly the comm neighbors"
+        "link sockets must cover exactly the adjacent workers"
     );
     Ok(links)
 }
 
-/// Socket setup plus reader-thread lifecycle around one worker drive
-/// function ([`node_main`] or [`node_main_recoverable`] — everything
-/// else is identical between the plain and the recoverable entry
-/// points).
-#[allow(clippy::too_many_arguments)] // deployment entry point: each arg is one wire-level endpoint
-fn tcp_worker_session<P, F>(
-    g: &WGraph,
-    id: NodeId,
-    node: P,
-    listener: TcpListener,
-    peer_addrs: &[(NodeId, SocketAddr)],
-    coord_addr: SocketAddr,
-    timeout: Duration,
-    drive: F,
-) -> Result<(P, NodeReport, RunOutcome), Box<WorkerError<P>>>
-where
-    P: Protocol,
-    P::Msg: WireCodec,
-    F: FnOnce(P, &mut TcpNode<P::Msg>) -> Result<(P, NodeReport, RunOutcome), Box<WorkerError<P>>>,
-{
-    let setup_err = |e: io::Error| {
-        Box::new(WorkerError {
-            error: TransportError::io(format!("node {id}: transport setup"), &e),
-            node: None,
-        })
-    };
-    let nbrs = g.comm_neighbors(id);
-    let links = connect_links(id, nbrs, &listener, peer_addrs, timeout).map_err(setup_err)?;
-    let (mut ctl, _) =
-        retry_connect_seeded(coord_addr, timeout, u64::from(id)).map_err(setup_err)?;
-    handshake_out(&mut ctl, id).map_err(setup_err)?;
-
-    let (tx, rx) = channel();
-    std::thread::scope(|s| {
-        for (u, stream) in &links {
-            let Ok(read_half) = stream.try_clone() else {
-                return Err(Box::new(WorkerError {
-                    error: TransportError::peer_lost(format!(
-                        "node {id}: could not clone the link socket to {u}"
-                    )),
-                    node: None,
-                }));
-            };
-            let tx = tx.clone();
-            let u = *u;
-            s.spawn(move || peer_reader::<P::Msg>(u, read_half, tx));
-        }
-        {
-            let Ok(read_half) = ctl.try_clone() else {
-                return Err(Box::new(WorkerError {
-                    error: TransportError::peer_lost(format!(
-                        "node {id}: could not clone the coordinator socket"
-                    )),
-                    node: None,
-                }));
-            };
-            let tx = tx.clone();
-            s.spawn(move || ctl_reader::<P::Msg>(read_half, tx));
-        }
-        drop(tx);
-        let mut ep = TcpNode {
-            id,
-            peers: links,
-            ctl,
-            rx,
-            scratch: Vec::new(),
-        };
-        let result = drive(node, &mut ep);
-        // Send FIN on every socket so peers' (and our) reader threads
-        // unblock with a clean EOF; without this the read halves keep
-        // the connections open and the scope never joins. This runs on
-        // the error path too — an aborted worker must not wedge its
-        // neighbors' readers.
-        for (_, stream) in &ep.peers {
-            let _ = stream.shutdown(Shutdown::Write);
-        }
-        let _ = ep.ctl.shutdown(Shutdown::Write);
-        result
-    })
-}
-
-/// Run node `id` of `g` over TCP: accept/dial link sockets, connect to
-/// the coordinator, then drive [`node_main`]. Blocks until the
-/// coordinator stops the run.
-#[allow(clippy::too_many_arguments)] // deployment entry point: each arg is one wire-level endpoint
-pub fn run_node_tcp<P: Protocol>(
-    g: &WGraph,
-    cfg: &TransportConfig,
-    id: NodeId,
-    node: P,
-    listener: TcpListener,
-    peer_addrs: &[(NodeId, SocketAddr)],
-    coord_addr: SocketAddr,
-    timeout: Duration,
-) -> Result<(P, RunOutcome), TransportError>
-where
-    P::Msg: WireCodec,
-{
-    tcp_worker_session(
-        g,
-        id,
-        node,
-        listener,
-        peer_addrs,
-        coord_addr,
-        timeout,
-        |node, ep| node_main(id, g, cfg, node, ep),
-    )
-    .map(|(node, _report, outcome)| (node, outcome))
-    .map_err(|we| we.error)
-}
-
-/// As [`run_node_tcp`], driving [`node_main_recoverable`]: the node
-/// checkpoints, serves replay, and honors `cfg.chaos` — the
-/// multi-process deployment of the crash-fault runtime.
-#[allow(clippy::too_many_arguments)] // deployment entry point: each arg is one wire-level endpoint
-pub fn run_node_tcp_recoverable<P: Checkpointable>(
-    g: &WGraph,
-    cfg: &TransportConfig,
-    id: NodeId,
-    node: P,
-    listener: TcpListener,
-    peer_addrs: &[(NodeId, SocketAddr)],
-    coord_addr: SocketAddr,
-    timeout: Duration,
-) -> Result<(P, RunOutcome), TransportError>
-where
-    P::Msg: WireCodec,
-{
-    tcp_worker_session(
-        g,
-        id,
-        node,
-        listener,
-        peer_addrs,
-        coord_addr,
-        timeout,
-        |node, ep| node_main_recoverable(id, g, cfg, node, ep),
-    )
-    .map(|(node, _report, outcome)| (node, outcome))
-    .map_err(|we| we.error)
-}
-
-struct TcpCoord {
-    streams: Vec<TcpStream>,
-    rx: Receiver<(NodeId, CtlMsg)>,
-    scratch: Vec<u8>,
-}
-
-impl CoordEndpoint for TcpCoord {
-    fn broadcast(&mut self, msg: CtlMsg) -> Result<(), TransportError> {
-        // Attempt every node even if some writes fail — an abort must
-        // reach the survivors.
-        let mut first_err = None;
-        for (v, stream) in self.streams.iter_mut().enumerate() {
-            if let Err(e) = write_frame(stream, &msg, &mut self.scratch) {
-                if first_err.is_none() {
-                    first_err = Some(TransportError::io(
-                        format!("coordinator: write to node {v}"),
-                        &e,
-                    ));
-                }
-            }
-        }
-        match first_err {
-            None => Ok(()),
-            Some(e) => Err(e),
-        }
-    }
-    fn send_to(&mut self, node: NodeId, msg: CtlMsg) -> Result<(), TransportError> {
-        let Some(stream) = self.streams.get_mut(node as usize) else {
-            return Err(TransportError::protocol(format!(
-                "coordinator: no connection for node {node}"
-            )));
-        };
-        write_frame(stream, &msg, &mut self.scratch)
-            .map_err(|e| TransportError::io(format!("coordinator: write to node {node}"), &e))
-    }
-    fn recv(
-        &mut self,
-        timeout: Option<Duration>,
-    ) -> Result<Option<(NodeId, CtlMsg)>, TransportError> {
-        match timeout {
-            None => self.rx.recv().map(Some).map_err(|_| {
-                TransportError::peer_lost("coordinator: all node connections hung up")
-            }),
-            Some(d) => match self.rx.recv_timeout(d) {
-                Ok(m) => Ok(Some(m)),
-                Err(RecvTimeoutError::Timeout) => Ok(None),
-                Err(RecvTimeoutError::Disconnected) => Err(TransportError::peer_lost(
-                    "coordinator: all node connections hung up",
-                )),
-            },
-        }
-    }
-}
-
-/// Accept `n` node connections on `listener`, coordinate the run, and
-/// return the outcome with aggregated [`dw_congest::RunStats`].
-pub fn run_coordinator_tcp(
-    n: usize,
-    budget: Round,
-    listener: TcpListener,
-) -> Result<(RunOutcome, RunStats), TransportError> {
-    run_coordinator_tcp_with(
-        n,
-        budget,
-        &CoordConfig::default(),
-        listener,
-        &mut NullRecorder,
-    )
-}
-
-/// As [`run_coordinator_tcp`], emitting per-round [`Recorder`] events.
-pub fn run_coordinator_tcp_recorded(
-    n: usize,
-    budget: Round,
-    listener: TcpListener,
-    rec: &mut dyn Recorder,
-) -> Result<(RunOutcome, RunStats), TransportError> {
-    run_coordinator_tcp_with(n, budget, &CoordConfig::default(), listener, rec)
-}
-
-/// The full TCP coordinator: accept `n` connections, then run
-/// [`coordinate_with`] under `cfg` (deadlines, probes, recovery).
-/// Reader threads report per-connection faults as synthesized
-/// [`CtlMsg::Error`] messages; a clean mid-run EOF is silence the
-/// deadline machinery attributes.
-pub fn run_coordinator_tcp_with(
-    n: usize,
-    budget: Round,
-    cfg: &CoordConfig,
-    listener: TcpListener,
-    rec: &mut dyn Recorder,
-) -> Result<(RunOutcome, RunStats), TransportError> {
-    let io_err = |context: &str, e: &io::Error| TransportError::io(context, e);
-    let mut conns: Vec<(NodeId, TcpStream)> = Vec::with_capacity(n);
-    for _ in 0..n {
-        let (mut stream, _) = listener
-            .accept()
-            .map_err(|e| io_err("coordinator: accept", &e))?;
-        let id = handshake_in(&mut stream).map_err(|e| io_err("coordinator: handshake", &e))?;
-        conns.push((id, stream));
-    }
-    conns.sort_by_key(|&(id, _)| id);
-    let (tx, rx) = channel();
-    std::thread::scope(|s| -> Result<(RunOutcome, RunStats), TransportError> {
-        let mut streams = Vec::with_capacity(n);
-        for (id, stream) in conns {
-            let read_half = stream
-                .try_clone()
-                .map_err(|e| io_err("coordinator: clone node socket", &e))?;
-            let tx = tx.clone();
-            s.spawn(move || {
-                let mut r = BufReader::new(read_half);
-                loop {
-                    match read_frame::<_, CtlMsg>(&mut r) {
-                        Ok(Some(msg)) => {
-                            if tx.send((id, msg)).is_err() {
-                                break;
-                            }
-                        }
-                        // Clean EOF: either the run is over, or the
-                        // node died — the latter shows up as barrier
-                        // silence, which the deadline machinery owns.
-                        Ok(None) => break,
-                        Err(e) => {
-                            // Surface a broken connection as a fatal
-                            // node-scoped fault.
-                            let _ = tx.send((
-                                id,
-                                CtlMsg::Error {
-                                    kind: errkind::IO,
-                                    peer: None,
-                                    round: 0,
-                                },
-                            ));
-                            let _ = e;
-                            break;
-                        }
-                    }
-                }
-            });
-            streams.push(stream);
-        }
-        drop(tx);
-        let mut ep = TcpCoord {
-            streams,
-            rx,
-            scratch: Vec::new(),
-        };
-        let result = coordinate_with(n, budget, cfg, &mut ep, rec);
-        if result.is_err() {
-            // Belt and braces: `coordinate_with` already broadcast an
-            // abort on its own failure paths, but a `?` on a broadcast
-            // error may not have — make sure nobody waits forever.
-            let _ = ep.broadcast(CtlMsg::Abort {
-                reason: abort_reason::PEER_ERROR,
-            });
-        }
-        for stream in &ep.streams {
-            let _ = stream.shutdown(Shutdown::Write);
-        }
-        // Drain until every node reader saw EOF so the scope joins;
-        // stray post-run traffic (late pongs, checkpoints, the odd
-        // error from a torn-down socket) is discarded.
-        loop {
-            match ep.rx.try_recv() {
-                Ok(_) => {}
-                Err(TryRecvError::Empty) => std::thread::sleep(Duration::from_millis(1)),
-                Err(TryRecvError::Disconnected) => break,
-            }
-        }
-        result
-    })
-}
-
-/// Run a whole network over TCP loopback inside one process: `n` node
-/// workers plus a coordinator, every link a real socket pair. The
-/// conformance configuration for the TCP backend (the multi-process
-/// deployment uses [`run_node_tcp`] / [`run_coordinator_tcp`] via the
-/// CLI with identical wire traffic).
-pub fn run_tcp_loopback<P: Protocol>(
-    g: &WGraph,
-    cfg: &TransportConfig,
-    budget: Round,
-    make: impl FnMut(NodeId) -> P,
-) -> Result<TransportRun<P>, TransportError>
-where
-    P::Msg: WireCodec,
-{
-    run_tcp_loopback_recorded(g, cfg, budget, make, &mut NullRecorder)
-}
-
-/// Bind one listener per node plus the coordinator's.
-fn bind_fabric(
-    n: usize,
-) -> io::Result<(Vec<TcpListener>, Vec<SocketAddr>, TcpListener, SocketAddr)> {
-    let listeners: Vec<TcpListener> = (0..n)
-        .map(|_| TcpListener::bind("127.0.0.1:0"))
-        .collect::<io::Result<_>>()?;
-    let addrs: Vec<SocketAddr> = listeners
-        .iter()
-        .map(|l| l.local_addr())
-        .collect::<io::Result<_>>()?;
-    let coord_listener = TcpListener::bind("127.0.0.1:0")?;
-    let coord_addr = coord_listener.local_addr()?;
-    Ok((listeners, addrs, coord_listener, coord_addr))
-}
-
-/// As [`run_tcp_loopback`], emitting per-round [`Recorder`] events from
-/// the coordinator.
-pub fn run_tcp_loopback_recorded<P: Protocol>(
-    g: &WGraph,
-    cfg: &TransportConfig,
-    budget: Round,
-    mut make: impl FnMut(NodeId) -> P,
-    rec: &mut dyn Recorder,
-) -> Result<TransportRun<P>, TransportError>
-where
-    P::Msg: WireCodec,
-{
-    let n = g.n();
-    let timeout = Duration::from_secs(10);
-    let (listeners, addrs, coord_listener, coord_addr) =
-        bind_fabric(n).map_err(|e| TransportError::io("tcp loopback setup", &e))?;
-
-    std::thread::scope(|s| -> Result<TransportRun<P>, TransportError> {
-        let handles: Vec<_> = listeners
-            .into_iter()
-            .enumerate()
-            .map(|(v, listener)| {
-                let v = v as NodeId;
-                let node = make(v);
-                let peer_addrs: Vec<(NodeId, SocketAddr)> = g
-                    .comm_neighbors(v)
-                    .iter()
-                    .map(|&u| (u, addrs[u as usize]))
-                    .collect();
-                s.spawn(move || {
-                    run_node_tcp(g, cfg, v, node, listener, &peer_addrs, coord_addr, timeout)
-                })
-            })
-            .collect();
-        let coord_result =
-            run_coordinator_tcp_with(n, budget, &CoordConfig::default(), coord_listener, rec);
-        let mut nodes = Vec::with_capacity(n);
-        let mut worker_err: Option<TransportError> = None;
-        for h in handles {
-            match h.join() {
-                Ok(Ok((node, node_outcome))) => {
-                    if let Ok((outcome, _)) = &coord_result {
-                        debug_assert_eq!(node_outcome, *outcome);
-                    }
-                    nodes.push(node);
-                }
-                Ok(Err(e)) => worker_err = Some(e),
-                Err(_) => worker_err = Some(TransportError::protocol("a node thread panicked")),
-            }
-        }
-        let (outcome, stats) = coord_result?;
-        if let Some(e) = worker_err {
-            return Err(e);
-        }
-        Ok(TransportRun {
-            nodes,
-            stats,
-            outcome,
-        })
-    })
-}
-
-/// Run a network over TCP loopback with the full crash-fault control
-/// plane: recoverable workers, checkpointing per `cfg`, failure
-/// detection on `deadline`, scripted chaos. The socket-level twin of
-/// [`crate::channels::run_threads_chaos`].
-pub fn run_tcp_loopback_chaos<P>(
-    g: &WGraph,
-    cfg: &TransportConfig,
-    budget: Round,
-    deadline: Duration,
-    mut make: impl FnMut(NodeId) -> P,
-    rec: &mut dyn Recorder,
-) -> Result<TransportRun<P>, Box<PartialRun<P>>>
-where
-    P: Checkpointable,
-    P::Msg: WireCodec,
-{
-    let n = g.n();
-    let timeout = Duration::from_secs(10);
-    let (listeners, addrs, coord_listener, coord_addr) = match bind_fabric(n) {
-        Ok(f) => f,
-        Err(e) => {
-            return Err(Box::new(PartialRun {
-                nodes: (0..n).map(|_| None).collect(),
-                failed: Vec::new(),
-                round: 0,
-                error: TransportError::io("tcp loopback setup", &e),
-            }))
-        }
-    };
-    let coord_cfg = CoordConfig {
-        round_deadline: Some(deadline),
-        probe_grace: deadline,
-        recovery_grace: deadline * 10,
-        max_probe_cycles: 0, // default
-        neighbors: Some(
-            (0..n)
-                .map(|v| g.comm_neighbors(v as NodeId).to_vec())
-                .collect(),
-        ),
-        stalls: cfg
-            .chaos
-            .as_ref()
-            .map(ChaosPlan::stalls)
-            .unwrap_or_default(),
-    };
-
-    std::thread::scope(|s| {
-        let handles: Vec<_> = listeners
-            .into_iter()
-            .enumerate()
-            .map(|(v, listener)| {
-                let v = v as NodeId;
-                let node = make(v);
-                let peer_addrs: Vec<(NodeId, SocketAddr)> = g
-                    .comm_neighbors(v)
-                    .iter()
-                    .map(|&u| (u, addrs[u as usize]))
-                    .collect();
-                s.spawn(move || {
-                    tcp_worker_session(
-                        g,
-                        v,
-                        node,
-                        listener,
-                        &peer_addrs,
-                        coord_addr,
-                        timeout,
-                        |node, ep| node_main_recoverable(v, g, cfg, node, ep),
-                    )
-                })
-            })
-            .collect();
-        let coord_result = run_coordinator_tcp_with(n, budget, &coord_cfg, coord_listener, rec);
-        let mut nodes: Vec<Option<P>> = Vec::with_capacity(n);
-        let mut worker_err: Option<TransportError> = None;
-        for h in handles {
-            match h.join() {
-                Ok(Ok((node, _report, _outcome))) => nodes.push(Some(node)),
-                Ok(Err(we)) => {
-                    let WorkerError { error, node } = *we;
-                    if worker_err.is_none() && !matches!(error, TransportError::Aborted { .. }) {
-                        worker_err = Some(error);
-                    }
-                    nodes.push(node);
-                }
-                Err(_) => {
-                    worker_err = Some(TransportError::protocol("a node thread panicked"));
-                    nodes.push(None);
-                }
-            }
-        }
-        match coord_result {
-            Ok((outcome, stats)) => {
-                if nodes.iter().all(Option::is_some) {
-                    Ok(TransportRun {
-                        nodes: nodes.into_iter().flatten().collect(),
-                        stats,
-                        outcome,
-                    })
-                } else {
-                    let error = worker_err.unwrap_or_else(|| {
-                        TransportError::protocol("a worker died in a run the coordinator finished")
-                    });
-                    Err(Box::new(PartialRun {
-                        failed: error.failed_nodes().to_vec(),
-                        round: 0,
-                        nodes,
-                        error,
-                    }))
-                }
-            }
-            Err(coord_err) => {
-                let round = match &coord_err {
-                    TransportError::Unrecoverable { round, .. } => *round,
-                    _ => 0,
-                };
-                Err(Box::new(PartialRun {
-                    failed: coord_err.failed_nodes().to_vec(),
-                    round,
-                    nodes,
-                    error: coord_err,
-                }))
-            }
-        }
-    })
-}
-
-// ---------------------------------------------------------------------
-// Sharded TCP plane: one endpoint per *shard* of nodes (see
-// [`crate::shard`]), so the socket count scales with the worker count,
-// not the graph. Each round a shard sends at most one `RoundBatch` plus
-// one `EndRound` per peer shard, and a buffered writer thread per peer
-// turns that into (typically) a single syscall. The coordinator side
-// replaces the thread-per-connection reader fan-in with one nonblocking
-// multiplexed reader.
-
-/// A shard worker's socket bundle. Outbound frames to each peer shard
-/// are queued on a channel and drained by a dedicated writer thread
-/// into one `BufWriter`, flushed when the queue is momentarily empty —
-/// a round's `RoundBatch` + `EndRound` pair usually leaves as one
-/// write. Inbound traffic is multiplexed by reader threads into `rx`
-/// exactly like [`TcpNode`].
+/// A worker's socket bundle. Outbound frames to each peer are queued on
+/// a channel and drained by a dedicated writer thread into one
+/// `BufWriter`, flushed when the queue is momentarily empty — a round's
+/// `RoundBatch` + `EndRound` pair usually leaves as one write. Inbound
+/// traffic is multiplexed by reader threads into `rx`.
 struct ShardTcpNode<M> {
     shard: NodeId,
     /// Frame queues to each peer shard's writer thread, rank order.
@@ -863,8 +302,10 @@ fn peer_writer<M: WireCodec>(
     let _ = w.get_ref().shutdown(Shutdown::Write);
 }
 
-/// Socket setup plus reader/writer-thread lifecycle around one shard
-/// drive function, the shard-plane analogue of [`tcp_worker_session`].
+/// Socket setup plus reader/writer-thread lifecycle around one worker
+/// drive function ([`shard_main`] or [`shard_main_recoverable`] —
+/// everything else is identical between the plain and the recoverable
+/// entry points).
 #[allow(clippy::too_many_arguments)] // deployment entry point: each arg is one wire-level endpoint
 fn shard_tcp_session<P, F>(
     map: &ShardMap,
@@ -891,9 +332,8 @@ where
             nodes: None,
         })
     };
-    let adj = map.shard_adjacency(g);
-    let nbrs = &adj[shard as usize];
-    let links = connect_links(shard, nbrs, &listener, peer_addrs, timeout).map_err(setup_err)?;
+    let nbrs = map.peer_shards(g, shard);
+    let links = connect_links(shard, &nbrs, &listener, peer_addrs, timeout).map_err(setup_err)?;
     let (mut ctl, _) =
         retry_connect_seeded(coord_addr, timeout, u64::from(shard)).map_err(setup_err)?;
     handshake_out(&mut ctl, shard).map_err(setup_err)?;
@@ -939,8 +379,10 @@ where
         };
         let result = drive(nodes, &mut ep);
         // Closing the frame queues makes each writer flush and FIN its
-        // socket; the FIN cascade unblocks every reader with a clean
-        // EOF so the scope joins. Runs on the error path too.
+        // socket; the FIN cascade unblocks every reader (ours and the
+        // peers') with a clean EOF so the scope joins. Runs on the error
+        // path too — an aborted worker must not wedge its neighbors'
+        // readers.
         ep.peers.clear();
         let _ = ep.ctl.shutdown(Shutdown::Write);
         result
@@ -949,8 +391,9 @@ where
 
 /// Run shard `shard` of the layout over TCP: accept/dial one socket per
 /// *adjacent shard*, connect to the coordinator, then drive
-/// [`shard_main`] over all hosted nodes. The multi-process deployment
-/// entry the `dwapsp run-node --shards` CLI uses.
+/// [`shard_main`] over all hosted nodes until the coordinator stops the
+/// run. The multi-process deployment entry the `dwapsp run-node` CLI
+/// uses (one hosted node per process unless `--shards` says otherwise).
 #[allow(clippy::too_many_arguments)] // deployment entry point: each arg is one wire-level endpoint
 pub fn run_shard_tcp<P: Protocol>(
     map: &ShardMap,
@@ -983,7 +426,8 @@ where
 
 /// As [`run_shard_tcp`], driving [`shard_main_recoverable`]: the shard
 /// checkpoints as a unit, serves whole-shard replay, and honors
-/// `cfg.chaos` for every hosted node.
+/// `cfg.chaos` for every hosted node — the multi-process deployment of
+/// the crash-fault runtime.
 #[allow(clippy::too_many_arguments)] // deployment entry point: each arg is one wire-level endpoint
 pub fn run_shard_tcp_recoverable<P: Checkpointable>(
     map: &ShardMap,
@@ -1014,60 +458,23 @@ where
     .map_err(|se| se.error)
 }
 
-/// `write_all` against a nonblocking socket: retry on `WouldBlock`
-/// (with a short sleep) until the whole buffer is out. The mux
-/// coordinator needs this because `try_clone` shares the file
-/// description — and therefore `O_NONBLOCK` — between the reader
-/// thread's half and the write half, and a partial frame write would
-/// corrupt the length-prefixed stream.
-fn write_all_nb(stream: &mut TcpStream, mut buf: &[u8]) -> io::Result<()> {
-    while !buf.is_empty() {
-        match stream.write(buf) {
-            Ok(0) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::WriteZero,
-                    "socket write returned zero",
-                ))
-            }
-            Ok(k) => buf = &buf[k..],
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_micros(100));
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(())
-}
-
-/// Encode one length-prefixed frame into `scratch` (same layout as
-/// [`write_frame`], without the write).
-fn frame_bytes<T: WireCodec>(value: &T, scratch: &mut Vec<u8>) {
-    scratch.clear();
-    scratch.extend_from_slice(&[0u8; 4]);
-    value.encode(scratch);
-    let body = (scratch.len() - 4) as u32;
-    scratch[..4].copy_from_slice(&body.to_le_bytes());
-}
-
-/// The multiplexed coordinator endpoint: same wire behavior as
-/// [`TcpCoord`], but all sockets are nonblocking (shared with the one
-/// mux reader thread) so writes go through [`write_all_nb`].
-struct MuxCoord {
+struct TcpCoord {
     streams: Vec<TcpStream>,
     rx: Receiver<(NodeId, CtlMsg)>,
     scratch: Vec<u8>,
 }
 
-impl CoordEndpoint for MuxCoord {
+impl CoordEndpoint for TcpCoord {
     fn broadcast(&mut self, msg: CtlMsg) -> Result<(), TransportError> {
-        frame_bytes(&msg, &mut self.scratch);
+        // One encoding for all streams. Attempt every worker even if
+        // some writes fail — an abort must reach the survivors.
+        encode_frame(&msg, &mut self.scratch);
         let mut first_err = None;
         for (v, stream) in self.streams.iter_mut().enumerate() {
-            if let Err(e) = write_all_nb(stream, &self.scratch) {
+            if let Err(e) = stream.write_all(&self.scratch) {
                 if first_err.is_none() {
                     first_err = Some(TransportError::io(
-                        format!("coordinator: write to participant {v}"),
+                        format!("coordinator: write to worker {v}"),
                         &e,
                     ));
                 }
@@ -1081,13 +488,11 @@ impl CoordEndpoint for MuxCoord {
     fn send_to(&mut self, node: NodeId, msg: CtlMsg) -> Result<(), TransportError> {
         let Some(stream) = self.streams.get_mut(node as usize) else {
             return Err(TransportError::protocol(format!(
-                "coordinator: no connection for participant {node}"
+                "coordinator: no connection for worker {node}"
             )));
         };
-        frame_bytes(&msg, &mut self.scratch);
-        write_all_nb(stream, &self.scratch).map_err(|e| {
-            TransportError::io(format!("coordinator: write to participant {node}"), &e)
-        })
+        write_frame(stream, &msg, &mut self.scratch)
+            .map_err(|e| TransportError::io(format!("coordinator: write to worker {node}"), &e))
     }
     fn recv(
         &mut self,
@@ -1095,150 +500,36 @@ impl CoordEndpoint for MuxCoord {
     ) -> Result<Option<(NodeId, CtlMsg)>, TransportError> {
         match timeout {
             None => self.rx.recv().map(Some).map_err(|_| {
-                TransportError::peer_lost("coordinator: the mux reader thread hung up")
+                TransportError::peer_lost("coordinator: all worker connections hung up")
             }),
             Some(d) => match self.rx.recv_timeout(d) {
                 Ok(m) => Ok(Some(m)),
                 Err(RecvTimeoutError::Timeout) => Ok(None),
                 Err(RecvTimeoutError::Disconnected) => Err(TransportError::peer_lost(
-                    "coordinator: the mux reader thread hung up",
+                    "coordinator: all worker connections hung up",
                 )),
             },
         }
     }
 }
 
-/// One participant's state inside the mux reader: its nonblocking read
-/// half plus the byte accumulator frames are parsed out of.
-struct MuxConn {
-    id: NodeId,
-    stream: TcpStream,
-    buf: Vec<u8>,
-    dead: bool,
-}
-
-/// Parse every complete length-prefixed [`CtlMsg`] frame out of the
-/// connection's accumulator and forward it. Returns `false` (after
-/// synthesizing a fatal [`CtlMsg::Error`]) on an oversized length
-/// prefix or a body the codec rejects.
-fn drain_ctl_frames(c: &mut MuxConn, tx: &Sender<(NodeId, CtlMsg)>) -> bool {
-    let mut off = 0usize;
-    let ok = loop {
-        let rest = &c.buf[off..];
-        if rest.len() < 4 {
-            break true;
-        }
-        let body = u32::from_le_bytes(rest[..4].try_into().expect("4-byte slice")) as usize;
-        if body > MAX_FRAME_BYTES {
-            break false;
-        }
-        if rest.len() < 4 + body {
-            break true; // incomplete frame: wait for more bytes
-        }
-        let mut view = &rest[4..4 + body];
-        let Some(msg) = CtlMsg::decode(&mut view) else {
-            break false;
-        };
-        if !view.is_empty() {
-            break false;
-        }
-        off += 4 + body;
-        let _ = tx.send((c.id, msg));
-    };
-    c.buf.drain(..off);
-    if !ok {
-        let _ = tx.send((
-            c.id,
-            CtlMsg::Error {
-                kind: errkind::IO,
-                peer: None,
-                round: 0,
-            },
-        ));
-    }
-    ok
-}
-
-/// The single readiness-driven reader the mux coordinator runs instead
-/// of a thread per connection: sweep all live sockets with nonblocking
-/// reads, accumulate bytes per connection, forward complete frames, and
-/// sleep briefly only when a whole sweep made no progress. Exits when
-/// every connection reached EOF.
-fn mux_reader(mut conns: Vec<MuxConn>, tx: Sender<(NodeId, CtlMsg)>) {
-    let mut tmp = [0u8; 64 * 1024];
-    while conns.iter().any(|c| !c.dead) {
-        let mut progress = false;
-        for c in conns.iter_mut() {
-            if c.dead {
-                continue;
-            }
-            loop {
-                match c.stream.read(&mut tmp) {
-                    Ok(0) => {
-                        // EOF inside a frame is a torn stream, not a
-                        // clean shutdown.
-                        if !c.buf.is_empty() {
-                            let _ = tx.send((
-                                c.id,
-                                CtlMsg::Error {
-                                    kind: errkind::IO,
-                                    peer: None,
-                                    round: 0,
-                                },
-                            ));
-                        }
-                        c.dead = true;
-                        break;
-                    }
-                    Ok(k) => {
-                        progress = true;
-                        c.buf.extend_from_slice(&tmp[..k]);
-                        if !drain_ctl_frames(c, &tx) {
-                            c.dead = true;
-                            break;
-                        }
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                    Err(_) => {
-                        let _ = tx.send((
-                            c.id,
-                            CtlMsg::Error {
-                                kind: errkind::IO,
-                                peer: None,
-                                round: 0,
-                            },
-                        ));
-                        c.dead = true;
-                        break;
-                    }
-                }
-            }
-        }
-        if !progress {
-            // Long enough to genuinely yield the core to worker threads
-            // (a tighter spin measurably starves them on small
-            // machines), short relative to the per-round barrier.
-            std::thread::sleep(Duration::from_micros(200));
-        }
-    }
-}
-
-/// Accept `n` participant connections and coordinate the run through
-/// one multiplexed nonblocking reader instead of `n` reader threads —
-/// the coordinator configuration for sharded runs, where `n` is the
-/// shard count. Wire behavior is identical to
-/// [`run_coordinator_tcp_with`].
-pub fn run_coordinator_tcp_mux_with(
-    n: usize,
+/// The TCP coordinator: accept `participants` worker connections on
+/// `listener`, then run [`coordinate`] under `cfg` (deadlines, probes,
+/// recovery; `CoordConfig::default()` for a fault-free run) and return
+/// the outcome with aggregated [`RunStats`]. One blocking reader thread
+/// per connection forwards control messages and reports
+/// per-connection faults as synthesized [`CtlMsg::Error`] messages; a
+/// clean mid-run EOF is silence the deadline machinery attributes.
+pub fn run_coordinator_tcp(
+    participants: usize,
     budget: Round,
     cfg: &CoordConfig,
     listener: TcpListener,
     rec: &mut dyn Recorder,
 ) -> Result<(RunOutcome, RunStats), TransportError> {
     let io_err = |context: &str, e: &io::Error| TransportError::io(context, e);
-    let mut conns: Vec<(NodeId, TcpStream)> = Vec::with_capacity(n);
-    for _ in 0..n {
+    let mut conns: Vec<(NodeId, TcpStream)> = Vec::with_capacity(participants);
+    for _ in 0..participants {
         let (mut stream, _) = listener
             .accept()
             .map_err(|e| io_err("coordinator: accept", &e))?;
@@ -1248,31 +539,54 @@ pub fn run_coordinator_tcp_mux_with(
     conns.sort_by_key(|&(id, _)| id);
     let (tx, rx) = channel();
     std::thread::scope(|s| -> Result<(RunOutcome, RunStats), TransportError> {
-        let mut streams = Vec::with_capacity(n);
-        let mut mux_conns = Vec::with_capacity(n);
+        let mut streams = Vec::with_capacity(participants);
         for (id, stream) in conns {
-            stream
-                .set_nonblocking(true)
-                .map_err(|e| io_err("coordinator: set nonblocking", &e))?;
             let read_half = stream
                 .try_clone()
-                .map_err(|e| io_err("coordinator: clone participant socket", &e))?;
-            mux_conns.push(MuxConn {
-                id,
-                stream: read_half,
-                buf: Vec::new(),
-                dead: false,
+                .map_err(|e| io_err("coordinator: clone worker socket", &e))?;
+            let tx = tx.clone();
+            s.spawn(move || {
+                let mut r = BufReader::new(read_half);
+                loop {
+                    match read_frame::<_, CtlMsg>(&mut r) {
+                        Ok(Some(msg)) => {
+                            if tx.send((id, msg)).is_err() {
+                                break;
+                            }
+                        }
+                        // Clean EOF: either the run is over, or the
+                        // worker died — the latter shows up as barrier
+                        // silence, which the deadline machinery owns.
+                        Ok(None) => break,
+                        Err(_) => {
+                            // Surface a broken connection as a fatal
+                            // worker-scoped fault.
+                            let _ = tx.send((
+                                id,
+                                CtlMsg::Error {
+                                    kind: errkind::IO,
+                                    peer: None,
+                                    round: 0,
+                                },
+                            ));
+                            break;
+                        }
+                    }
+                }
             });
             streams.push(stream);
         }
-        s.spawn(move || mux_reader(mux_conns, tx));
-        let mut ep = MuxCoord {
+        drop(tx);
+        let mut ep = TcpCoord {
             streams,
             rx,
             scratch: Vec::new(),
         };
-        let result = coordinate_with(n, budget, cfg, &mut ep, rec);
+        let result = coordinate(participants, budget, cfg, &mut ep, rec);
         if result.is_err() {
+            // Belt and braces: `coordinate` already broadcast an abort
+            // on its own failure paths, but a `?` on a broadcast error
+            // may not have — make sure nobody waits forever.
             let _ = ep.broadcast(CtlMsg::Abort {
                 reason: abort_reason::PEER_ERROR,
             });
@@ -1280,157 +594,60 @@ pub fn run_coordinator_tcp_mux_with(
         for stream in &ep.streams {
             let _ = stream.shutdown(Shutdown::Write);
         }
-        // Drain until the mux reader saw EOF everywhere so the scope
-        // joins; stray post-run traffic is discarded.
-        loop {
-            match ep.rx.try_recv() {
-                Ok(_) => {}
-                Err(TryRecvError::Empty) => std::thread::sleep(Duration::from_millis(1)),
-                Err(TryRecvError::Disconnected) => break,
-            }
-        }
+        // Drain until every reader saw EOF (and dropped its sender) so
+        // the scope joins; stray post-run traffic (late pongs,
+        // checkpoints, the odd error from a torn-down socket) is
+        // discarded.
+        while ep.rx.recv().is_ok() {}
         result
     })
 }
 
-/// [`run_coordinator_tcp_mux_with`] under the default config without
-/// recording — the `dwapsp coordinator --shards` entry point.
-pub fn run_coordinator_tcp_mux(
-    n: usize,
-    budget: Round,
-    listener: TcpListener,
-) -> Result<(RunOutcome, RunStats), TransportError> {
-    run_coordinator_tcp_mux_with(
-        n,
-        budget,
-        &CoordConfig::default(),
-        listener,
-        &mut NullRecorder,
-    )
+/// Bind one listener per worker plus the coordinator's.
+fn bind_fabric(
+    p: usize,
+) -> io::Result<(Vec<TcpListener>, Vec<SocketAddr>, TcpListener, SocketAddr)> {
+    let listeners: Vec<TcpListener> = (0..p)
+        .map(|_| TcpListener::bind("127.0.0.1:0"))
+        .collect::<io::Result<_>>()?;
+    let addrs: Vec<SocketAddr> = listeners
+        .iter()
+        .map(|l| l.local_addr())
+        .collect::<io::Result<_>>()?;
+    let coord_listener = TcpListener::bind("127.0.0.1:0")?;
+    let coord_addr = coord_listener.local_addr()?;
+    Ok((listeners, addrs, coord_listener, coord_addr))
 }
 
-/// Run a sharded network over TCP loopback inside one process: `P`
-/// shard workers plus the mux coordinator, one socket pair per adjacent
-/// shard pair. Bit-identical to [`run_tcp_loopback`], the thread
-/// backend, and the simulator for every shard count.
-pub fn run_tcp_loopback_sharded<P: Protocol>(
+/// The one body of the loopback configuration: lay `g` out over
+/// `shards` workers, run a [`shard_tcp_session`] around `drive` on a
+/// thread per shard, coordinate on the calling thread (with the chaos
+/// control plane iff `deadline` is set).
+#[allow(clippy::too_many_arguments)] // the loopback entry points' arguments plus the drive function
+fn run_on_loopback<P, F>(
     g: &WGraph,
     cfg: &TransportConfig,
     budget: Round,
     shards: usize,
-    make: impl FnMut(NodeId) -> P,
-) -> Result<TransportRun<P>, TransportError>
-where
-    P::Msg: WireCodec,
-{
-    run_tcp_loopback_sharded_recorded(g, cfg, budget, shards, make, &mut NullRecorder)
-}
-
-/// As [`run_tcp_loopback_sharded`], with coordinator-side [`Recorder`]
-/// events plus `shard.workers` / `shard.links` events recording the
-/// effective layout.
-pub fn run_tcp_loopback_sharded_recorded<P: Protocol>(
-    g: &WGraph,
-    cfg: &TransportConfig,
-    budget: Round,
-    shards: usize,
+    deadline: Option<Duration>,
     mut make: impl FnMut(NodeId) -> P,
     rec: &mut dyn Recorder,
-) -> Result<TransportRun<P>, TransportError>
-where
-    P::Msg: WireCodec,
-{
-    let map = ShardMap::new(g.n(), shards);
-    let p = map.shards();
-    let adj = map.shard_adjacency(g);
-    rec.event(0, "shard.workers", p as u64);
-    rec.event(
-        0,
-        "shard.links",
-        adj.iter().map(|a| a.len() as u64).sum::<u64>() / 2,
-    );
-    let timeout = Duration::from_secs(10);
-    let (listeners, addrs, coord_listener, coord_addr) =
-        bind_fabric(p).map_err(|e| TransportError::io("tcp sharded loopback setup", &e))?;
-    let map = &map;
-    let adj = &adj;
-    std::thread::scope(|s| {
-        let handles: Vec<_> = listeners
-            .into_iter()
-            .enumerate()
-            .map(|(sid, listener)| {
-                let sid = sid as NodeId;
-                let nodes: Vec<P> = map.nodes(sid).map(&mut make).collect();
-                let peer_addrs: Vec<(NodeId, SocketAddr)> = adj[sid as usize]
-                    .iter()
-                    .map(|&u| (u, addrs[u as usize]))
-                    .collect();
-                s.spawn(move || {
-                    run_shard_tcp(
-                        map,
-                        sid,
-                        g,
-                        cfg,
-                        nodes,
-                        listener,
-                        &peer_addrs,
-                        coord_addr,
-                        timeout,
-                    )
-                })
-            })
-            .collect();
-        let coord_result =
-            run_coordinator_tcp_mux_with(p, budget, &CoordConfig::default(), coord_listener, rec);
-        let mut nodes = Vec::with_capacity(g.n());
-        let mut worker_err: Option<TransportError> = None;
-        for h in handles {
-            match h.join() {
-                Ok(Ok((shard_nodes, shard_outcome))) => {
-                    if let Ok((outcome, _)) = &coord_result {
-                        debug_assert_eq!(shard_outcome, *outcome);
-                    }
-                    nodes.extend(shard_nodes);
-                }
-                Ok(Err(e)) => worker_err = Some(e),
-                Err(_) => worker_err = Some(TransportError::protocol("a shard thread panicked")),
-            }
-        }
-        let (outcome, stats) = coord_result?;
-        if let Some(e) = worker_err {
-            return Err(e);
-        }
-        Ok(TransportRun {
-            nodes,
-            stats,
-            outcome,
-        })
-    })
-}
-
-/// Run a sharded network over TCP loopback with the full crash-fault
-/// control plane: recoverable shard workers, whole-shard checkpoints
-/// and replay, failure detection on `deadline`, scripted chaos. The
-/// socket-level twin of [`crate::channels::run_threads_sharded_chaos`];
-/// a lost shard's `PartialRun` accounts for every node it hosted.
-#[allow(clippy::too_many_arguments)] // deployment entry point mirroring run_tcp_loopback_chaos
-pub fn run_tcp_loopback_sharded_chaos<P>(
-    g: &WGraph,
-    cfg: &TransportConfig,
-    budget: Round,
-    shards: usize,
-    deadline: Duration,
-    mut make: impl FnMut(NodeId) -> P,
-    rec: &mut dyn Recorder,
+    drive: F,
 ) -> Result<TransportRun<P>, Box<PartialRun<P>>>
 where
-    P: Checkpointable,
+    P: Protocol,
     P::Msg: WireCodec,
+    F: Fn(
+            &ShardMap,
+            NodeId,
+            Vec<P>,
+            &mut ShardTcpNode<P::Msg>,
+        ) -> Result<(Vec<P>, NodeReport, RunOutcome), Box<ShardError<P>>>
+        + Sync,
 {
     let map = ShardMap::new(g.n(), shards);
     let p = map.shards();
     let adj = map.shard_adjacency(g);
-    rec.event(0, "shard.workers", p as u64);
     let timeout = Duration::from_secs(10);
     let (listeners, addrs, coord_listener, coord_addr) = match bind_fabric(p) {
         Ok(f) => f,
@@ -1439,24 +656,15 @@ where
                 nodes: (0..g.n()).map(|_| None).collect(),
                 failed: Vec::new(),
                 round: 0,
-                error: TransportError::io("tcp sharded loopback setup", &e),
+                error: TransportError::io("tcp loopback setup", &e),
             }))
         }
     };
-    let coord_cfg = CoordConfig {
-        round_deadline: Some(deadline),
-        probe_grace: deadline,
-        recovery_grace: deadline * 10,
-        max_probe_cycles: 0, // default
-        neighbors: Some(adj.clone()),
-        stalls: cfg
-            .chaos
-            .as_ref()
-            .map(ChaosPlan::stalls)
-            .unwrap_or_default(),
+    let coord_cfg = match deadline {
+        Some(d) => chaos_coord_config(cfg, d, adj.clone()),
+        None => CoordConfig::default(),
     };
-    let map = &map;
-    let adj = &adj;
+    let (map, adj, addrs, drive) = (&map, &adj, &addrs, &drive);
     std::thread::scope(|s| {
         let handles: Vec<_> = listeners
             .into_iter()
@@ -1464,11 +672,11 @@ where
             .map(|(sid, listener)| {
                 let sid = sid as NodeId;
                 let nodes: Vec<P> = map.nodes(sid).map(&mut make).collect();
-                let peer_addrs: Vec<(NodeId, SocketAddr)> = adj[sid as usize]
-                    .iter()
-                    .map(|&u| (u, addrs[u as usize]))
-                    .collect();
                 s.spawn(move || {
+                    let peer_addrs: Vec<(NodeId, SocketAddr)> = adj[sid as usize]
+                        .iter()
+                        .map(|&u| (u, addrs[u as usize]))
+                        .collect();
                     shard_tcp_session(
                         map,
                         sid,
@@ -1478,86 +686,77 @@ where
                         &peer_addrs,
                         coord_addr,
                         timeout,
-                        |nodes, ep| shard_main_recoverable(map, sid, g, cfg, nodes, ep),
+                        |nodes, ep| drive(map, sid, nodes, ep),
                     )
                 })
             })
             .collect();
-        let coord_result = run_coordinator_tcp_mux_with(p, budget, &coord_cfg, coord_listener, rec);
-        // Per-node salvage slots, flattened from per-shard results in
-        // shard order (= node-id order).
-        let mut nodes: Vec<Option<P>> = Vec::with_capacity(g.n());
-        let mut worker_err: Option<TransportError> = None;
-        for (sid, h) in handles.into_iter().enumerate() {
-            let hosted = map.nodes(sid as NodeId).len();
-            match h.join() {
-                Ok(Ok((shard_nodes, _report, _outcome))) => {
-                    nodes.extend(shard_nodes.into_iter().map(Some))
-                }
-                Ok(Err(se)) => {
-                    let ShardError { error, nodes: sn } = *se;
-                    if worker_err.is_none() && !matches!(error, TransportError::Aborted { .. }) {
-                        worker_err = Some(error);
-                    }
-                    match sn {
-                        Some(sn) => nodes.extend(sn.into_iter().map(Some)),
-                        None => nodes.extend((0..hosted).map(|_| None)),
-                    }
-                }
-                Err(_) => {
-                    worker_err = Some(TransportError::protocol("a shard thread panicked"));
-                    nodes.extend((0..hosted).map(|_| None));
-                }
-            }
-        }
-        // The coordinator blames shard slots; a PartialRun speaks node
-        // ids, so expand each failed shard to the block it hosted.
-        let expand = |failed_shards: &[NodeId]| -> Vec<NodeId> {
-            failed_shards
-                .iter()
-                .flat_map(|&sfail| map.nodes(sfail))
-                .collect()
-        };
-        match coord_result {
-            Ok((outcome, stats)) => {
-                if nodes.iter().all(Option::is_some) {
-                    Ok(TransportRun {
-                        nodes: nodes.into_iter().flatten().collect(),
-                        stats,
-                        outcome,
-                    })
-                } else {
-                    let error = worker_err.unwrap_or_else(|| {
-                        TransportError::protocol("a shard died in a run the coordinator finished")
-                    });
-                    Err(Box::new(PartialRun {
-                        failed: expand(error.failed_nodes()),
-                        round: 0,
-                        nodes,
-                        error,
-                    }))
-                }
-            }
-            Err(coord_err) => {
-                let round = match &coord_err {
-                    TransportError::Unrecoverable { round, .. } => *round,
-                    _ => 0,
-                };
-                Err(Box::new(PartialRun {
-                    failed: expand(coord_err.failed_nodes()),
-                    round,
-                    nodes,
-                    error: coord_err,
-                }))
-            }
-        }
+        let coord_result = run_coordinator_tcp(p, budget, &coord_cfg, coord_listener, rec);
+        assemble(map, coord_result, handles.into_iter().map(|h| h.join()))
     })
+}
+
+/// Run a whole network over TCP loopback inside one process: `shards`
+/// workers plus the coordinator, one real socket pair per adjacent
+/// worker pair, per-round [`Recorder`] events from the coordinator. The
+/// conformance configuration for the TCP backend (the multi-process
+/// deployment uses [`run_shard_tcp`] / [`run_coordinator_tcp`] via the
+/// CLI with identical wire traffic). Bit-identical to the thread
+/// backend and the simulator for every shard count; `shards = g.n()` is
+/// the paper's one-processor-per-node layout.
+pub fn run_tcp_loopback<P: Protocol>(
+    g: &WGraph,
+    cfg: &TransportConfig,
+    budget: Round,
+    shards: usize,
+    make: impl FnMut(NodeId) -> P,
+    rec: &mut dyn Recorder,
+) -> Result<TransportRun<P>, TransportError>
+where
+    P::Msg: WireCodec,
+{
+    run_on_loopback(
+        g,
+        cfg,
+        budget,
+        shards,
+        None,
+        make,
+        rec,
+        |map, sid, nodes, ep| shard_main(map, sid, g, cfg, nodes, ep),
+    )
+    .map_err(|partial| partial.error)
+}
+
+/// Run a network over TCP loopback with the full crash-fault control
+/// plane: recoverable workers, whole-shard checkpoints and replay per
+/// `cfg`, failure detection on `deadline`, scripted chaos. The
+/// socket-level twin of [`crate::channels::run_threads_chaos`]; a lost
+/// worker's [`PartialRun`] accounts for every node it hosted.
+pub fn run_tcp_loopback_chaos<P>(
+    g: &WGraph,
+    cfg: &TransportConfig,
+    budget: Round,
+    shards: usize,
+    deadline: Duration,
+    make: impl FnMut(NodeId) -> P,
+    rec: &mut dyn Recorder,
+) -> Result<TransportRun<P>, Box<PartialRun<P>>>
+where
+    P: Checkpointable,
+    P::Msg: WireCodec,
+{
+    let drive = |map: &ShardMap, sid, nodes, ep: &mut ShardTcpNode<P::Msg>| {
+        shard_main_recoverable(map, sid, g, cfg, nodes, ep)
+    };
+    run_on_loopback(g, cfg, budget, shards, Some(deadline), make, rec, drive)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dw_congest::{EngineConfig, Envelope, Network, NodeCtx, Outbox};
+    use crate::chaos::ChaosPlan;
+    use dw_congest::{EngineConfig, Envelope, Network, NodeCtx, NullRecorder, Outbox};
     use dw_graph::gen::{self, WeightDist};
 
     /// Weighted SSSP relaxation from node 0 (each improvement is
@@ -1627,7 +826,14 @@ mod tests {
         let sim_stats = net.stats();
         let sim_dists: Vec<_> = net.nodes().map(|x| x.dist).collect();
 
-        let run = match run_tcp_loopback(&g, &TransportConfig::default(), 400, new_relax) {
+        let run = match run_tcp_loopback(
+            &g,
+            &TransportConfig::default(),
+            400,
+            g.n(),
+            new_relax,
+            &mut NullRecorder,
+        ) {
             Ok(run) => run,
             Err(e) => panic!("tcp loopback failed: {e}"),
         };
@@ -1656,6 +862,7 @@ mod tests {
             &g,
             &cfg,
             400,
+            g.n(),
             Duration::from_millis(400),
             new_relax,
             &mut NullRecorder,
@@ -1681,12 +888,13 @@ mod tests {
         let sim_dists: Vec<_> = net.nodes().map(|x| x.dist).collect();
 
         for shards in [1usize, 3, 10] {
-            let run = match run_tcp_loopback_sharded(
+            let run = match run_tcp_loopback(
                 &g,
                 &TransportConfig::default(),
                 400,
                 shards,
                 new_relax,
+                &mut NullRecorder,
             ) {
                 Ok(run) => run,
                 Err(e) => panic!("tcp sharded loopback (P={shards}) failed: {e}"),
@@ -1716,7 +924,7 @@ mod tests {
             chaos: Some(ChaosPlan::new(4).with_kill(2, 3)),
             ..TransportConfig::default()
         };
-        let run = match run_tcp_loopback_sharded_chaos(
+        let run = match run_tcp_loopback_chaos(
             &g,
             &cfg,
             400,

@@ -2,18 +2,19 @@
 //!
 //! Two message families cross the wire:
 //!
-//! * [`Frame`] — node-to-node traffic on graph links: protocol payloads
-//!   plus the per-link end-of-round marker that makes round collection
-//!   possible without global knowledge (FIFO links mean "marker for
-//!   round `r` arrived" implies "every round-`r` payload on this link
-//!   arrived").
-//! * [`CtlMsg`] — node-to-coordinator traffic implementing the
+//! * [`Frame`] — worker-to-worker traffic on shard links: one batch of
+//!   protocol payloads per round plus the per-link end-of-round marker
+//!   that makes round collection possible without global knowledge
+//!   (FIFO links mean "marker for round `r` arrived" implies "every
+//!   round-`r` payload on this link arrived").
+//! * [`CtlMsg`] — worker-to-coordinator traffic implementing the
 //!   bulk-synchronous barrier: `Go`/`Stop` downstream, `Done`/`Final`
-//!   upstream. `Done` carries exactly the per-node quantities the
-//!   simulator's `run` loop aggregates globally (messages sent, late
-//!   deliveries, the `earliest_send` fast-forward hint, the earliest
-//!   due round of delay-faulted traffic), so the coordinator can
-//!   replicate its quiet-round jumps bit for bit.
+//!   upstream. `Done` carries exactly the quantities the simulator's
+//!   `run` loop aggregates globally (messages sent, late deliveries,
+//!   the `earliest_send` fast-forward hint, the earliest due round of
+//!   delay-faulted traffic), pre-reduced over the worker's hosted
+//!   nodes, so the coordinator can replicate its quiet-round jumps bit
+//!   for bit.
 //!
 //! Everything implements [`WireCodec`]; the byte backends (TCP) move
 //! messages as length-prefixed frames via [`write_frame`] /
@@ -24,25 +25,13 @@ use dw_congest::{Round, RunOutcome, WireCodec};
 use dw_graph::NodeId;
 use std::io::{self, Read, Write};
 
-/// Node-to-node traffic over one graph link.
+/// Worker-to-worker traffic over one shard link. Wire tags 0 and 2
+/// belonged to the retired one-frame-per-message kinds and stay
+/// unassigned.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Frame<M> {
-    /// A protocol message sent in `round`. `due > round` marks a
-    /// delay-faulted message: the recipient holds it back and delivers
-    /// it at the start of round `due` (or its first executed round
-    /// after, under fast-forward), exactly like the simulator's delayed
-    /// queue.
-    Payload { round: Round, due: Round, msg: M },
     /// "I have sent everything I will send on this link for `round`."
     EndRound { round: Round },
-    /// Crash recovery: every frame this sender emitted on the link
-    /// since the target's checkpoint round, as `(round, due, msg)`
-    /// records in emission order (duplicates included, fault-dropped
-    /// messages excluded). Sent in response to a
-    /// [`CtlMsg::ReplayRequest`]; the batch is complete per round, so
-    /// it substitutes for the per-round `EndRound` markers the rejoiner
-    /// missed.
-    ReplayBatch { frames: Vec<(Round, Round, M)> },
     /// Every cross-shard payload one shard worker emits toward one peer
     /// shard in `round`, coalesced into a single wire message (see
     /// [`crate::shard`]). Entries are in emission order, which
@@ -53,18 +42,23 @@ pub enum Frame<M> {
         round: Round,
         entries: Vec<BatchEntry<M>>,
     },
-    /// Shard-level crash recovery: every cross-shard payload this shard
-    /// emitted toward the rejoining shard since its checkpoint round,
-    /// as `(round, entry)` records in emission order. The shard twin of
-    /// [`Frame::ReplayBatch`].
+    /// Crash recovery: every cross-shard payload this shard emitted
+    /// toward the rejoining shard since its checkpoint round, as
+    /// `(round, entry)` records in emission order (duplicates included,
+    /// fault-dropped messages excluded). Sent in response to a
+    /// [`CtlMsg::ReplayRequest`]; the batch is complete per round, so
+    /// it substitutes for the per-round `EndRound` markers the rejoiner
+    /// missed.
     BatchReplay { frames: Vec<(Round, BatchEntry<M>)> },
 }
 
 /// One cross-shard payload inside a [`Frame::RoundBatch`] or
 /// [`Frame::BatchReplay`]: the originating node, the destination node
 /// (both resolve to shards via the shared layout), and the payload with
-/// its due round (`due > round` marks a delay-faulted message, exactly
-/// as in [`Frame::Payload`]).
+/// its due round. `due > round` marks a delay-faulted message: the
+/// recipient holds it back and delivers it at the start of round `due`
+/// (or its first executed round after, under fast-forward), exactly
+/// like the simulator's delayed queue.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BatchEntry<M> {
     pub from: NodeId,
@@ -90,7 +84,9 @@ impl<M: WireCodec> WireCodec for BatchEntry<M> {
     }
 }
 
-/// Coordinator barrier traffic.
+/// Coordinator barrier traffic. "Node" below is a barrier participant:
+/// one worker, reporting for every node it hosts (exactly one at
+/// `P = n`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CtlMsg {
     /// Coordinator -> node: execute round `round` (not necessarily the
@@ -125,7 +121,7 @@ pub enum CtlMsg {
     Pong { round: Round },
     /// Coordinator -> node: rejoin handshake after a detected crash.
     /// Restore `snapshot` (taken at `checkpoint_round`), collect one
-    /// [`Frame::ReplayBatch`] per neighbor, re-execute the rounds in
+    /// [`Frame::BatchReplay`] per neighbor, re-execute the rounds in
     /// `executed` (the executed rounds strictly between checkpoint and
     /// crash — sparse under fast-forward), then execute `round` live.
     Rejoin {
@@ -135,7 +131,7 @@ pub enum CtlMsg {
         executed: Vec<Round>,
     },
     /// Coordinator -> node: resend every frame you emitted to `target`
-    /// in rounds after `from_round`, as one [`Frame::ReplayBatch`].
+    /// in rounds after `from_round`, as one [`Frame::BatchReplay`].
     ReplayRequest { target: NodeId, from_round: Round },
     /// Node -> coordinator: a local transport fault this node cannot
     /// continue past (kind is an [`errkind`] code; `peer` names the
@@ -186,7 +182,9 @@ pub mod abort_reason {
     }
 }
 
-/// A node's lifetime counters, merged by the coordinator into the run's
+/// A worker's lifetime counters over its hosted nodes (sums, except
+/// `node_sends` and `max_link_load`, which are maxima — the reductions
+/// `RunStats` applies), merged by the coordinator into the run's
 /// [`dw_congest::RunStats`]. Senders account drop/duplicate/delay
 /// decisions (they evaluate the pure fault plan); receivers account
 /// late deliveries.
@@ -206,19 +204,9 @@ pub struct NodeReport {
 impl<M: WireCodec> WireCodec for Frame<M> {
     fn encode(&self, out: &mut Vec<u8>) {
         match self {
-            Frame::Payload { round, due, msg } => {
-                out.push(0);
-                round.encode(out);
-                due.encode(out);
-                msg.encode(out);
-            }
             Frame::EndRound { round } => {
                 out.push(1);
                 round.encode(out);
-            }
-            Frame::ReplayBatch { frames } => {
-                out.push(2);
-                frames.encode(out);
             }
             Frame::RoundBatch { round, entries } => {
                 out.push(3);
@@ -233,16 +221,8 @@ impl<M: WireCodec> WireCodec for Frame<M> {
     }
     fn decode(buf: &mut &[u8]) -> Option<Self> {
         match u8::decode(buf)? {
-            0 => Some(Frame::Payload {
-                round: Round::decode(buf)?,
-                due: Round::decode(buf)?,
-                msg: M::decode(buf)?,
-            }),
             1 => Some(Frame::EndRound {
                 round: Round::decode(buf)?,
-            }),
-            2 => Some(Frame::ReplayBatch {
-                frames: Vec::<(Round, Round, M)>::decode(buf)?,
             }),
             3 => Some(Frame::RoundBatch {
                 round: Round::decode(buf)?,
@@ -417,8 +397,18 @@ impl WireCodec for CtlMsg {
     }
 }
 
-/// Write one length-prefixed frame: a `u32` little-endian byte count
-/// followed by the value's [`WireCodec`] encoding, in a single
+/// Encode one length-prefixed frame into `scratch` (replacing its
+/// contents): a `u32` little-endian byte count followed by the value's
+/// [`WireCodec`] encoding.
+pub fn encode_frame<T: WireCodec>(value: &T, scratch: &mut Vec<u8>) {
+    scratch.clear();
+    scratch.extend_from_slice(&[0u8; 4]);
+    value.encode(scratch);
+    let body = (scratch.len() - 4) as u32;
+    scratch[..4].copy_from_slice(&body.to_le_bytes());
+}
+
+/// Write one length-prefixed frame ([`encode_frame`]) in a single
 /// `write_all` (one syscall on an OS stream). `scratch` is reused
 /// across calls to stay allocation-free in steady state.
 pub fn write_frame<W: Write, T: WireCodec>(
@@ -426,11 +416,7 @@ pub fn write_frame<W: Write, T: WireCodec>(
     value: &T,
     scratch: &mut Vec<u8>,
 ) -> io::Result<()> {
-    scratch.clear();
-    scratch.extend_from_slice(&[0u8; 4]);
-    value.encode(scratch);
-    let body = (scratch.len() - 4) as u32;
-    scratch[..4].copy_from_slice(&body.to_le_bytes());
+    encode_frame(value, scratch);
     w.write_all(scratch)
 }
 
@@ -481,8 +467,8 @@ pub fn read_frame<R: Read, T: WireCodec>(r: &mut R) -> io::Result<Option<T>> {
     Ok(Some(value))
 }
 
-/// An event a node worker pulls off its transport: a frame from a
-/// neighbor, a control message from the coordinator, or a transport
+/// An event a worker pulls off its transport: a frame from a peer
+/// worker, a control message from the coordinator, or a transport
 /// fault reported by a reader thread (a connection that died mid-run).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Event<M> {
@@ -505,20 +491,36 @@ mod tests {
     use super::*;
     use dw_congest::codec::roundtrip;
 
+    fn entry(due: Round, msg: u64) -> BatchEntry<u64> {
+        BatchEntry {
+            from: 1,
+            to: 2,
+            due,
+            msg,
+        }
+    }
+
     #[test]
     fn frames_roundtrip() {
-        let p: Frame<u64> = Frame::Payload {
+        let p: Frame<u64> = Frame::RoundBatch {
             round: 3,
-            due: 7,
-            msg: 42,
+            entries: vec![entry(3, 42), entry(7, 43)],
         };
         assert_eq!(roundtrip(&p), Some(p.clone()));
         let e: Frame<u64> = Frame::EndRound { round: 9 };
         assert_eq!(roundtrip(&e), Some(e.clone()));
-        let b: Frame<u64> = Frame::ReplayBatch {
-            frames: vec![(4, 4, 11), (4, 6, 12), (5, 5, 13)],
+        let b: Frame<u64> = Frame::BatchReplay {
+            frames: vec![(4, entry(4, 11)), (4, entry(6, 12)), (5, entry(5, 13))],
         };
         assert_eq!(roundtrip(&b), Some(b.clone()));
+        // Surviving kinds keep their tags; the retired ones are rejected.
+        let mut bytes = Vec::new();
+        e.encode(&mut bytes);
+        assert_eq!(bytes[0], 1);
+        for retired in [0u8, 2] {
+            bytes[0] = retired;
+            assert_eq!(Frame::<u64>::decode(&mut bytes.as_slice()), None);
+        }
     }
 
     #[test]
@@ -603,29 +605,17 @@ mod tests {
         let mut buf = Vec::new();
         let mut scratch = Vec::new();
         write_frame(&mut buf, &CtlMsg::Go { round: 2 }, &mut scratch).unwrap();
-        write_frame(
-            &mut buf,
-            &Frame::Payload {
-                round: 2,
-                due: 2,
-                msg: 77u64,
-            },
-            &mut scratch,
-        )
-        .unwrap();
+        let batch = Frame::RoundBatch {
+            round: 2,
+            entries: vec![entry(2, 77)],
+        };
+        write_frame(&mut buf, &batch, &mut scratch).unwrap();
         let mut r = buf.as_slice();
         assert_eq!(
             read_frame::<_, CtlMsg>(&mut r).unwrap(),
             Some(CtlMsg::Go { round: 2 })
         );
-        assert_eq!(
-            read_frame::<_, Frame<u64>>(&mut r).unwrap(),
-            Some(Frame::Payload {
-                round: 2,
-                due: 2,
-                msg: 77
-            })
-        );
+        assert_eq!(read_frame::<_, Frame<u64>>(&mut r).unwrap(), Some(batch));
         assert_eq!(read_frame::<_, Frame<u64>>(&mut r).unwrap(), None);
     }
 

@@ -92,26 +92,17 @@ fn arb_entry() -> impl Strategy<Value = BatchEntry<u64>> {
         .prop_map(|(from, to, due, msg)| BatchEntry { from, to, due, msg })
 }
 
-/// `(discriminant, round, due, msg, batch, entries)` → one of the 5
-/// frame kinds, including the sharded `RoundBatch` / `BatchReplay`.
+/// `(discriminant, round, entries)` → one of the 3 frame kinds.
 fn arb_frame() -> impl Strategy<Value = Frame<u64>> {
-    (
-        0usize..5,
-        any::<u64>(),
-        any::<u64>(),
-        any::<u64>(),
-        collection::vec((any::<u64>(), any::<u64>(), any::<u64>()), 0..12),
-        collection::vec(arb_entry(), 0..12),
-    )
-        .prop_map(|(which, round, due, msg, batch, entries)| match which {
-            0 => Frame::Payload { round, due, msg },
-            1 => Frame::EndRound { round },
-            2 => Frame::ReplayBatch { frames: batch },
-            3 => Frame::RoundBatch { round, entries },
+    (0usize..3, any::<u64>(), collection::vec(arb_entry(), 0..12)).prop_map(
+        |(which, round, entries)| match which {
+            0 => Frame::EndRound { round },
+            1 => Frame::RoundBatch { round, entries },
             _ => Frame::BatchReplay {
                 frames: entries.into_iter().map(|e| (round, e)).collect(),
             },
-        })
+        },
+    )
 }
 
 proptest! {
@@ -271,8 +262,8 @@ proptest! {
     }
 
     // Raw BatchEntry decode on arbitrary bytes never panics and only
-    // consumes a prefix (the no-over-read contract the mux reader's
-    // exact-slice parsing relies on).
+    // consumes a prefix (the no-over-read contract `read_frame`'s
+    // trailing-bytes check relies on).
     #[test]
     fn raw_batch_entry_decode_never_over_reads(bytes in collection::vec(any::<u8>(), 0..256)) {
         let mut view = bytes.as_slice();

@@ -4,19 +4,18 @@
 //! on the same graphs, seeds and fault plans.
 
 use dw_congest::{
-    EngineConfig, Envelope, FaultPlan, LinkDelay, Network, NodeCtx, Outage, Outbox, Protocol,
-    Round, RunOutcome, RunStats,
+    EngineConfig, Envelope, FaultPlan, LinkDelay, Network, NodeCtx, NullRecorder, Outage, Outbox,
+    Protocol, Round, RunOutcome, RunStats, WireCodec,
 };
 use dw_graph::gen::{self, WeightDist};
 use dw_graph::{NodeId, WGraph};
-use dw_transport::channels::{run_threads, run_threads_sharded};
-use dw_transport::coordinator::coordinate;
 use dw_transport::stdio::{
-    line_dest, parse_node_name, pipe_with_sender, pipe_writer, run_node_stdio, StdioCoord, COORD,
+    line_dest, parse_node_name, pipe_with_sender, pipe_writer, run_shard_stdio, StdioCoord, COORD,
 };
-use dw_transport::tcp::{run_tcp_loopback, run_tcp_loopback_sharded};
-use dw_transport::worker::TransportConfig;
-use dw_transport::{ChaosPlan, TransportRun};
+use dw_transport::{
+    coordinate, run_tcp_loopback, run_threads, ChaosPlan, CoordConfig, ShardMap, TransportConfig,
+    TransportRun,
+};
 use proptest::prelude::*;
 use std::io::BufReader;
 use std::sync::mpsc::channel;
@@ -118,10 +117,39 @@ fn transport_cfg(faults: Option<FaultPlan>) -> TransportConfig {
     }
 }
 
-/// Run a whole network over the stdio backend inside one process: each
-/// node and the coordinator writes JSON lines into a shared sink; a
-/// router thread forwards every line to its `dest` stdin, exactly like
-/// an external Maelstrom-style harness would.
+/// The thread backend at `shards` workers; `g.n()` is the paper's
+/// one-processor-per-node layout.
+fn threads<P: Protocol>(
+    g: &WGraph,
+    cfg: &TransportConfig,
+    budget: Round,
+    shards: usize,
+    make: impl FnMut(NodeId) -> P,
+) -> TransportRun<P> {
+    run_threads(g, cfg, budget, shards, make, &mut NullRecorder)
+        .unwrap_or_else(|e| panic!("threads:{shards} failed: {e}"))
+}
+
+/// The loopback TCP backend at `shards` workers.
+fn tcp<P: Protocol>(
+    g: &WGraph,
+    cfg: &TransportConfig,
+    budget: Round,
+    shards: usize,
+    make: impl FnMut(NodeId) -> P,
+) -> TransportRun<P>
+where
+    P::Msg: WireCodec,
+{
+    run_tcp_loopback(g, cfg, budget, shards, make, &mut NullRecorder)
+        .unwrap_or_else(|e| panic!("tcp:{shards} failed: {e}"))
+}
+
+/// Run a whole network over the stdio backend inside one process, one
+/// node per worker: each worker and the coordinator writes JSON lines
+/// into a shared sink; a router thread forwards every line to its
+/// `dest` stdin, exactly like an external Maelstrom-style harness
+/// would.
 fn run_stdio_network<P: Protocol>(
     g: &WGraph,
     cfg: &TransportConfig,
@@ -129,9 +157,10 @@ fn run_stdio_network<P: Protocol>(
     mut make: impl FnMut(NodeId) -> P,
 ) -> TransportRun<P>
 where
-    P::Msg: dw_congest::WireCodec,
+    P::Msg: WireCodec,
 {
     let n = g.n();
+    let map = &ShardMap::new(n, n);
     let (net_tx, net_rx) = channel::<Vec<u8>>();
     let mut stdin_txs = Vec::with_capacity(n);
     let mut stdin_rxs = Vec::with_capacity(n);
@@ -164,23 +193,31 @@ where
             .into_iter()
             .enumerate()
             .map(|(v, rx)| {
-                let node = make(v as NodeId);
+                let v = v as NodeId;
+                let nodes = vec![make(v)];
                 let out = pipe_writer(net_tx.clone());
-                s.spawn(move || run_node_stdio(g, cfg, v as NodeId, node, BufReader::new(rx), out))
+                s.spawn(move || run_shard_stdio(map, v, g, cfg, nodes, BufReader::new(rx), out))
             })
             .collect();
         let mut coord = StdioCoord::new(n, BufReader::new(coord_rx), pipe_writer(net_tx.clone()));
         drop(net_tx);
-        let (outcome, stats) = coordinate(n, budget, &mut coord).expect("coordinator failed");
+        let (outcome, stats) = coordinate(
+            n,
+            budget,
+            &CoordConfig::default(),
+            &mut coord,
+            &mut NullRecorder,
+        )
+        .expect("coordinator failed");
         let nodes = handles
             .into_iter()
-            .map(|h| {
-                let (node, node_outcome) = h
+            .flat_map(|h| {
+                let (nodes, node_outcome) = h
                     .join()
                     .expect("node thread panicked")
                     .unwrap_or_else(|e| panic!("node failed: {}", e.error));
                 assert_eq!(node_outcome, outcome);
-                node
+                nodes
             })
             .collect();
         TransportRun {
@@ -198,7 +235,7 @@ fn threads_conform_across_seeds() {
     for seed in [5, 6, 7] {
         let g = gen::gnp_connected(20, 0.18, false, WeightDist::Constant(1), seed);
         let (nodes, stats, outcome) = simulate(&g, None, 300, new_flood);
-        let run = run_threads(&g, &transport_cfg(None), 300, new_flood).unwrap();
+        let run = threads(&g, &transport_cfg(None), 300, g.n(), new_flood);
         assert_eq!(run.outcome, outcome, "seed {seed}");
         assert_eq!(run.stats, stats, "seed {seed}");
         assert_eq!(
@@ -225,7 +262,7 @@ fn threads_conform_under_faults_across_seeds() {
                 symmetric: true,
             });
         let (nodes, stats, outcome) = simulate(&g, Some(faults.clone()), 400, new_flood);
-        let run = run_threads(&g, &transport_cfg(Some(faults)), 400, new_flood).unwrap();
+        let run = threads(&g, &transport_cfg(Some(faults)), 400, g.n(), new_flood);
         assert_eq!(run.outcome, outcome, "seed {seed}");
         assert_eq!(run.stats, stats, "seed {seed}");
         assert_eq!(
@@ -253,7 +290,7 @@ fn threads_conform_under_heterogeneous_link_delays() {
             max_delay: 2,
         });
     let (nodes, stats, outcome) = simulate(&g, Some(faults.clone()), 400, new_flood);
-    let run = run_threads(&g, &transport_cfg(Some(faults)), 400, new_flood).unwrap();
+    let run = threads(&g, &transport_cfg(Some(faults)), 400, g.n(), new_flood);
     assert_eq!(run.outcome, outcome);
     assert_eq!(run.stats, stats);
     assert!(stats.delayed > 0, "rules must fire: {stats:?}");
@@ -267,7 +304,7 @@ fn threads_conform_under_heterogeneous_link_delays() {
 fn threads_fast_forward_matches_simulator() {
     let g = gen::ring(5, false, WeightDist::Constant(1), 0);
     let (nodes, stats, outcome) = simulate(&g, None, 1000, new_sparse);
-    let run = run_threads(&g, &transport_cfg(None), 1000, new_sparse).unwrap();
+    let run = threads(&g, &transport_cfg(None), 1000, g.n(), new_sparse);
     assert_eq!(run.outcome, outcome);
     assert_eq!(outcome, RunOutcome::Quiet);
     assert_eq!(run.stats, stats);
@@ -289,7 +326,7 @@ fn tcp_loopback_conforms_across_seeds() {
     for seed in [21, 22, 23] {
         let g = gen::gnp_connected(8, 0.35, false, WeightDist::Constant(1), seed);
         let (nodes, stats, outcome) = simulate(&g, None, 200, new_flood);
-        let run = run_tcp_loopback(&g, &transport_cfg(None), 200, new_flood).unwrap();
+        let run = tcp(&g, &transport_cfg(None), 200, g.n(), new_flood);
         assert_eq!(run.outcome, outcome, "seed {seed}");
         assert_eq!(run.stats, stats, "seed {seed}");
         assert_eq!(
@@ -305,7 +342,7 @@ fn tcp_loopback_conforms_under_delay_faults() {
     let g = gen::gnp_connected(8, 0.3, false, WeightDist::Constant(1), 31);
     let faults = FaultPlan::new(99).with_delay(0.3, 6);
     let (nodes, stats, outcome) = simulate(&g, Some(faults.clone()), 300, new_flood);
-    let run = run_tcp_loopback(&g, &transport_cfg(Some(faults)), 300, new_flood).unwrap();
+    let run = tcp(&g, &transport_cfg(Some(faults)), 300, g.n(), new_flood);
     assert_eq!(run.outcome, outcome);
     assert_eq!(run.stats, stats);
     assert!(stats.delayed > 0, "plan must actually delay: {stats:?}");
@@ -317,7 +354,7 @@ fn tcp_loopback_conforms_under_delay_faults() {
 
 /// The canonical shard counts the differential harness sweeps: one
 /// worker for the whole network, two workers, three-nodes-per-worker,
-/// and the per-node degenerate layout.
+/// and one node per worker (the paper's layout).
 fn shard_counts(n: usize) -> [usize; 4] {
     [1, 2, n.div_ceil(3), n]
 }
@@ -336,8 +373,7 @@ proptest! {
         let (nodes, stats, outcome) = simulate(&g, None, 300, new_flood);
         let dists: Vec<_> = nodes.iter().map(|f| f.dist).collect();
         for p in shard_counts(n) {
-            let run = run_threads_sharded(&g, &transport_cfg(None), 300, p, new_flood)
-                .unwrap_or_else(|e| panic!("threads:{p} seed {seed} failed: {e}"));
+            let run = threads(&g, &transport_cfg(None), 300, p, new_flood);
             prop_assert_eq!(run.outcome, outcome, "P={} seed {}", p, seed);
             prop_assert_eq!(&run.stats, &stats, "P={} seed {}", p, seed);
             prop_assert_eq!(
@@ -371,8 +407,7 @@ proptest! {
         let (nodes, stats, outcome) = simulate(&g, Some(faults.clone()), 400, new_flood);
         let dists: Vec<_> = nodes.iter().map(|f| f.dist).collect();
         for p in shard_counts(n) {
-            let run = run_threads_sharded(&g, &transport_cfg(Some(faults.clone())), 400, p, new_flood)
-                .unwrap_or_else(|e| panic!("threads:{p} seed {seed} failed: {e}"));
+            let run = threads(&g, &transport_cfg(Some(faults.clone())), 400, p, new_flood);
             prop_assert_eq!(run.outcome, outcome, "P={} seed {}", p, seed);
             prop_assert_eq!(&run.stats, &stats, "P={} seed {}", p, seed);
             prop_assert_eq!(
@@ -391,8 +426,7 @@ proptest! {
         let g = gen::ring(n, false, WeightDist::Constant(1), seed);
         let (nodes, stats, outcome) = simulate(&g, None, 1000, new_sparse);
         for p in shard_counts(n) {
-            let run = run_threads_sharded(&g, &transport_cfg(None), 1000, p, new_sparse)
-                .unwrap_or_else(|e| panic!("threads:{p} seed {seed} failed: {e}"));
+            let run = threads(&g, &transport_cfg(None), 1000, p, new_sparse);
             prop_assert_eq!(run.outcome, outcome, "P={} seed {}", p, seed);
             prop_assert_eq!(&run.stats, &stats, "P={} seed {}", p, seed);
             prop_assert!(
@@ -411,9 +445,10 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(3))]
 
-    // The differential harness, socket plane: the sharded TCP backend
-    // (RoundBatch coalescing, writer threads, mux coordinator) at every
-    // canonical shard count against the simulator.
+    // The differential harness, socket plane: the TCP backend
+    // (RoundBatch coalescing, writer threads, one blocking coordinator
+    // reader per connection) at every canonical shard count against
+    // the simulator.
     #[test]
     fn sharded_tcp_conforms_for_canonical_shard_counts(seed in 0u64..10_000) {
         let n = 9usize;
@@ -421,8 +456,7 @@ proptest! {
         let (nodes, stats, outcome) = simulate(&g, None, 200, new_flood);
         let dists: Vec<_> = nodes.iter().map(|f| f.dist).collect();
         for p in shard_counts(n) {
-            let run = run_tcp_loopback_sharded(&g, &transport_cfg(None), 200, p, new_flood)
-                .unwrap_or_else(|e| panic!("tcp:{p} seed {seed} failed: {e}"));
+            let run = tcp(&g, &transport_cfg(None), 200, p, new_flood);
             prop_assert_eq!(run.outcome, outcome, "P={} seed {}", p, seed);
             prop_assert_eq!(&run.stats, &stats, "P={} seed {}", p, seed);
             prop_assert_eq!(
@@ -444,8 +478,7 @@ proptest! {
         let (nodes, stats, outcome) = simulate(&g, Some(faults.clone()), 300, new_flood);
         let dists: Vec<_> = nodes.iter().map(|f| f.dist).collect();
         for p in shard_counts(n) {
-            let run = run_tcp_loopback_sharded(&g, &transport_cfg(Some(faults.clone())), 300, p, new_flood)
-                .unwrap_or_else(|e| panic!("tcp:{p} seed {seed} failed: {e}"));
+            let run = tcp(&g, &transport_cfg(Some(faults.clone())), 300, p, new_flood);
             prop_assert_eq!(run.outcome, outcome, "P={} seed {}", p, seed);
             prop_assert_eq!(&run.stats, &stats, "P={} seed {}", p, seed);
             prop_assert_eq!(
@@ -526,17 +559,12 @@ fn healed_partition_converges_identically_on_every_backend() {
             "{label}"
         );
     };
-    check(&run_threads(&g, &cfg, 300, new_flood).unwrap(), "threads");
-    check(&run_tcp_loopback(&g, &cfg, 300, new_flood).unwrap(), "tcp");
     for p in shard_counts(n) {
         check(
-            &run_threads_sharded(&g, &cfg, 300, p, new_flood).unwrap(),
+            &threads(&g, &cfg, 300, p, new_flood),
             &format!("threads:{p}"),
         );
-        check(
-            &run_tcp_loopback_sharded(&g, &cfg, 300, p, new_flood).unwrap(),
-            &format!("tcp:{p}"),
-        );
+        check(&tcp(&g, &cfg, 300, p, new_flood), &format!("tcp:{p}"));
     }
     check(&run_stdio_network(&g, &cfg, 300, new_flood), "stdio");
 }
@@ -565,17 +593,12 @@ fn asymmetric_loss_drops_one_way_on_every_backend() {
             "{label}"
         );
     };
-    check(&run_threads(&g, &cfg, 200, new_flood).unwrap(), "threads");
-    check(&run_tcp_loopback(&g, &cfg, 200, new_flood).unwrap(), "tcp");
     for p in shard_counts(n) {
         check(
-            &run_threads_sharded(&g, &cfg, 200, p, new_flood).unwrap(),
+            &threads(&g, &cfg, 200, p, new_flood),
             &format!("threads:{p}"),
         );
-        check(
-            &run_tcp_loopback_sharded(&g, &cfg, 200, p, new_flood).unwrap(),
-            &format!("tcp:{p}"),
-        );
+        check(&tcp(&g, &cfg, 200, p, new_flood), &format!("tcp:{p}"));
     }
     check(&run_stdio_network(&g, &cfg, 200, new_flood), "stdio");
 }
@@ -601,20 +624,12 @@ fn bandwidth_cap_spills_but_loses_nothing_on_every_backend() {
         assert_eq!(run.nodes[1].heard, Chatter::ROUNDS, "{label}: nothing lost");
         assert_eq!(run.nodes[1].sum, want_sum, "{label}: nothing corrupted");
     };
-    check(&run_threads(&g, &cfg, 200, new_chatter).unwrap(), "threads");
-    check(
-        &run_tcp_loopback(&g, &cfg, 200, new_chatter).unwrap(),
-        "tcp",
-    );
     for p in [1usize, 2] {
         check(
-            &run_threads_sharded(&g, &cfg, 200, p, new_chatter).unwrap(),
+            &threads(&g, &cfg, 200, p, new_chatter),
             &format!("threads:{p}"),
         );
-        check(
-            &run_tcp_loopback_sharded(&g, &cfg, 200, p, new_chatter).unwrap(),
-            &format!("tcp:{p}"),
-        );
+        check(&tcp(&g, &cfg, 200, p, new_chatter), &format!("tcp:{p}"));
     }
     check(&run_stdio_network(&g, &cfg, 200, new_chatter), "stdio");
 }
