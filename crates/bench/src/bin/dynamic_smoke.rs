@@ -1,26 +1,29 @@
 //! Dynamic-update smoke test (`make dynamic-smoke`): seeded update
 //! batches against a **live** 2-shard deployment, end to end.
 //!
-//! 1. Compute APSP tables over a 6×6 grid, stand up 2 shard servers
-//!    plus the gateway on loopback (generation 0).
+//! 1. Compute APSP tables over a 6×6 grid with Algorithm 1, stand up 2
+//!    shard servers plus the gateway on loopback (generation 0).
 //! 2. Start a hammer thread that queries continuously throughout the
 //!    run — every answer must be typed (never `ShardUnavailable`: a
 //!    swap must not drop or degrade in-flight queries), and every
 //!    answer for the probe pair must equal some *installed* generation's
 //!    answer (old or new — never a mix, never a torn read).
 //! 3. Apply 3 seeded update batches through the incremental engine
-//!    (Algorithm-1 k-SSP re-solve) and push each generation through
-//!    `ServeClient::apply_tables`; every swap must be accepted by the
-//!    whole fleet and bump the gateway generation.
-//! 4. After the last swap, sweep **all** n² pairs and check every
-//!    distance against a fresh sequential Dijkstra on the patched
-//!    graph.
+//!    (cell-level repair in Algorithm 1's order) and push each
+//!    generation through `ServeClient::apply_tables`; every swap must
+//!    be accepted by the whole fleet and bump the gateway generation.
+//! 4. After the last swap, the final generation must equal a cold
+//!    Algorithm-1 APSP on the patched graph cell for cell (distance and
+//!    parent), and a sweep of **all** n² pairs must answer every
+//!    distance like a fresh sequential Dijkstra on the patched graph.
 //!
 //! Exit 0 on success, 1 on any violation.
 
+use dw_congest::EngineConfig;
 use dw_dynamic::{apply_update_batch, gen_update_batch, RecomputeEngine};
 use dw_graph::gen::{self, WeightDist};
 use dw_graph::{NodeId, INFINITY};
+use dw_pipeline::apsp_auto;
 use dw_seqref::dijkstra;
 use dw_serve::{
     spawn_loopback, GatewayConfig, QueryOutcome, ServeClient, TableSnapshot, VersionedTables,
@@ -47,9 +50,9 @@ fn probe_key(outcome: &QueryOutcome) -> Option<u64> {
     }
 }
 
-/// Queries the hammer must land between two swaps. A re-solve of this
-/// graph takes about as long as a handful of queries, so "the hammer
-/// runs throughout" is made true by waiting for it, not assumed.
+/// Queries the hammer must land between two swaps. A repair of this
+/// graph takes less time than one query, so "the hammer runs
+/// throughout" is made true by waiting for it, not assumed.
 const HAMMER_QUERIES_PER_SWAP: u64 = 50;
 
 /// Block until the hammer has landed `HAMMER_QUERIES_PER_SWAP` more
@@ -73,11 +76,10 @@ fn main() {
     let n = g.n();
     let probe = (0u32, n as NodeId - 1);
 
-    let runs: Vec<_> = (0..n as u32).map(|s| dijkstra(&g, s)).collect();
-    let snap = TableSnapshot::from_sssp(&runs, n as u32);
+    let (cold, _, _) = apsp_auto(&g, EngineConfig::default());
     let mut vt = VersionedTables {
         generation: 0,
-        snap,
+        snap: TableSnapshot::from_result(&cold),
     };
 
     let (mut gw, mut shards, _map) = spawn_loopback(&vt.snap, 2, GatewayConfig::default())
@@ -170,11 +172,12 @@ fn main() {
         }
         eprintln!(
             "dynamic_smoke: batch {b} -> generation {} swapped \
-             (recomputed {}/{} rows, delta={})",
+             (recomputed {}/{} rows, cells touched {} of {})",
             rep.generation,
             report.recomputed,
             report.recomputed + report.reused,
-            report.delta
+            report.cells,
+            n * n
         );
     }
 
@@ -184,6 +187,12 @@ fn main() {
         fail("hammer thread panicked".to_string());
     });
     let hammered = landed.load(Ordering::Relaxed);
+
+    // The repaired tables are the ones a cold solve would have written.
+    let (cold, _, _) = apsp_auto(&g, EngineConfig::default());
+    if vt.snap != TableSnapshot::from_result(&cold) {
+        fail("final generation differs from a cold Algorithm-1 APSP on the patched graph".into());
+    }
 
     // Post-swap sweep: the live deployment must now answer exactly like
     // a fresh Dijkstra on the patched graph, for every pair.
@@ -205,6 +214,7 @@ fn main() {
     }
     eprintln!(
         "dynamic_smoke: {hammered} mid-swap queries all typed and generation-consistent; \
+         final generation equals a cold Algorithm-1 APSP cell for cell; \
          {} post-swap answers match Dijkstra ✓",
         n * n
     );

@@ -188,4 +188,94 @@ mod tests {
             assert_eq!((a.rounds, a.messages), (b.rounds, b.messages));
         }
     }
+
+    /// The E20 addendum: what `RecomputeEngine::Alg1`'s cell-level
+    /// repair touches and costs per batch, at batch sizes 1/8/16/64, on
+    /// the four graphs of the pipeline benchmark (`benchmark/src/
+    /// workloads.rs`: same generators, sizes and source sets) with
+    /// tables from a cold Algorithm-1 solve, whose time is printed for
+    /// scale. `cargo test --release -p dw-bench -- --ignored --nocapture
+    /// repair_sweep` regenerates the EXPERIMENTS.md table.
+    #[test]
+    #[ignore]
+    fn repair_sweep() {
+        use dw_congest::{EngineConfig, RunOutcome};
+        use dw_graph::NodeId;
+        use dw_pipeline::k_ssp;
+
+        let spread = |n: usize, k: usize| (0..k).map(|i| (i * n / k) as NodeId).collect();
+        let positive = WeightDist::ZeroOr {
+            p_zero: 0.0,
+            max: 4,
+        };
+        let uniform = |max| WeightDist::Uniform { max };
+        let instances: [(&str, WGraph, Vec<NodeId>); 4] = [
+            (
+                "apsp256 (zero_heavy, directed)",
+                gen::zero_heavy(256, 3.0 / 256.0, 0.4, 6, true, 1),
+                (0..256).collect(),
+            ),
+            (
+                "kssp1k (gnp 1..=4, directed, k=16)",
+                gen::gnp_connected(1024, 3.0 / 1024.0, true, positive, 1),
+                spread(1024, 16),
+            ),
+            (
+                "kssp20k (power_law 0..=4, k=4)",
+                gen::power_law(20_000, 2, uniform(4), 1),
+                (0..4).map(|i| (i * 12_007 % 20_000) as NodeId).collect(),
+            ),
+            (
+                "apsp384 (gnp 0..=9, directed)",
+                gen::gnp_connected(384, 3.0 / 384.0, true, uniform(9), 1),
+                (0..384).collect(),
+            ),
+        ];
+        for (name, g0, mut sources) in instances {
+            sources.sort_unstable();
+            let t0 = Instant::now();
+            let mut delta = g0.max_weight().max(1) * 8;
+            let cold = loop {
+                let (res, _, outcome) = k_ssp(&g0, sources.clone(), delta, EngineConfig::default());
+                if outcome == RunOutcome::Quiet {
+                    break res;
+                }
+                delta *= 2;
+            };
+            let (k, n) = (sources.len(), g0.n());
+            eprintln!(
+                "{name}: n={n} m={} k={k}, cold solve(s) {:.0} ms",
+                g0.m(),
+                t0.elapsed().as_secs_f64() * 1e3
+            );
+            for batch_size in [1usize, 8, 16, 64] {
+                let mut g = g0.clone();
+                let mut vt = VersionedTables {
+                    generation: 0,
+                    snap: TableSnapshot::from_result(&cold),
+                };
+                let mut rng = ChaCha8Rng::seed_from_u64(STREAM_SEED);
+                let (mut rows, mut cells, mut ms) = (0, 0, Vec::new());
+                let batches = 16;
+                for b in 0..batches {
+                    let batch = gen_update_batch(&g, b, batch_size, g0.max_weight(), &mut rng);
+                    let t = Instant::now();
+                    let (next, report) =
+                        apply_update_batch(&mut g, &vt, &batch, RecomputeEngine::Alg1).unwrap();
+                    ms.push(t.elapsed().as_secs_f64() * 1e3);
+                    rows += report.recomputed;
+                    cells += report.cells;
+                    vt = next;
+                }
+                ms.sort_by(f64::total_cmp);
+                eprintln!(
+                    "  batch {batch_size:>2}: rows touched {:>5.1} %  cells touched {:>5.2} %  \
+                     {:>7.3} ms/batch (median of {batches})",
+                    100.0 * rows as f64 / (batches as usize * k) as f64,
+                    100.0 * cells as f64 / (batches as usize * k * n) as f64,
+                    ms[ms.len() / 2]
+                );
+            }
+        }
+    }
 }

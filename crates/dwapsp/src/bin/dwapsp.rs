@@ -1095,20 +1095,21 @@ fn parse_engine(get: &impl Fn(&str) -> Option<String>, flag: &str) -> RecomputeE
     }
 }
 
-fn print_update_report(r: &dwapsp::dynamic::UpdateReport) {
+fn print_update_report(r: &dwapsp::dynamic::UpdateReport, n: usize) {
     println!(
-        "batch {} -> generation {}: recomputed {}/{} rows ({:.1}%), edges +{} -{} ~{} ({} noops), \
-         delta={}, patch {}us solve {}us",
+        "batch {} -> generation {}: recomputed {}/{} rows ({:.1}%), cells touched {} of {}, \
+         edges +{} -{} ~{} ({} noops), patch {}us solve {}us",
         r.seq,
         r.generation,
         r.recomputed,
         r.recomputed + r.reused,
         100.0 * r.recomputed_fraction(),
+        r.cells,
+        (r.recomputed + r.reused) * n,
         r.inserted,
         r.removed,
         r.reweighted,
         r.noops,
-        r.delta,
         r.patch_micros,
         r.solve_micros
     );
@@ -1149,7 +1150,7 @@ fn run_update_batches(get: &impl Fn(&str) -> Option<String>) -> (WGraph, Version
     while let Some(batch) = pool.take_batch(batch_size) {
         match apply_update_batch(&mut g, &vt, &batch, engine) {
             Ok((next, report)) => {
-                print_update_report(&report);
+                print_update_report(&report, g.n());
                 vt = next;
             }
             Err(e) => {
@@ -1187,8 +1188,10 @@ fn write_update_outputs(get: &impl Fn(&str) -> Option<String>, g: &WGraph, vt: &
 }
 
 /// `update`: offline incremental recompute. Patches the graph with a
-/// batch file, re-solves only the rows the tight/slack invalidation
-/// rule marks dirty, and persists the next `DWD1` generation.
+/// batch file, brings the tables up to it (`--engine alg1`: cell-level
+/// repair of Algorithm 1's tables; `--engine oracle`: Dijkstra on the
+/// rows the tight/slack rule marks dirty, for `tables --oracle` files),
+/// and persists the next `DWD1` generation.
 fn cmd_update(get: &impl Fn(&str) -> Option<String>) {
     let (g, vt) = run_update_batches(get);
     write_update_outputs(get, &g, &vt);

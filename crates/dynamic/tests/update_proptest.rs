@@ -18,14 +18,24 @@
 //!   not copied;
 //! * **generations** — each batch advances the generation by exactly 1.
 //!
-//! The Alg1 engine is held to distance equality plus valid walkable
-//! paths (its parent trees are legitimate shortest-path trees, but tie
-//! broken by the pipeline's own rules, so parent bytes may differ).
+//! The Alg1 engine repairs cells in Algorithm 1's `(d, l, parent)`
+//! order, so its contract depends on whose tables it is given:
+//!
+//! * from a **cold Algorithm-1 solve** — after each batch the whole
+//!   snapshot equals the tables of a cold Algorithm-1 solve of the
+//!   patched graph, distances and parents of every row
+//!   (`alg1_repair_is_bit_identical_to_a_cold_solve`, the property the
+//!   cell-level repair rests on);
+//! * from **Dijkstra-built tables** — distance equality plus valid
+//!   walkable paths (legitimate shortest-path trees, but neither
+//!   solver's canonical one).
 
+use dw_congest::{EngineConfig, RunOutcome};
 use dw_dynamic::{apply_update_batch, gen_update_batch, RecomputeEngine};
 use dw_graph::gen::{self, WeightDist};
-use dw_graph::{WGraph, INFINITY};
-use dw_seqref::dijkstra;
+use dw_graph::{NodeId, WGraph, INFINITY};
+use dw_pipeline::k_ssp;
+use dw_seqref::{dijkstra, max_finite_distance};
 use dw_serve::{TableSnapshot, VersionedTables};
 use proptest::prelude::*;
 use rand::SeedableRng;
@@ -142,5 +152,73 @@ proptest! {
     ) {
         let g = seed_graph(which, 7);
         run_stream(g, 2, batch_size, stream_seed, RecomputeEngine::Alg1);
+    }
+}
+
+/// Tables of a cold, quiet Algorithm-1 k-SSP from `sources` on `g`.
+fn cold_alg1_tables(g: &WGraph, sources: &[NodeId]) -> TableSnapshot {
+    let mut delta = max_finite_distance(g).max(1);
+    loop {
+        let (res, _, outcome) = k_ssp(g, sources.to_vec(), delta, EngineConfig::default());
+        if outcome == RunOutcome::Quiet {
+            return TableSnapshot::from_result(&res);
+        }
+        delta *= 2;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    // The property the cell-level repair rests on: Algorithm 1's output
+    // is the unique fixed point of its Step-9 order, so repairing its
+    // tables reproduces a cold solve of the patched graph exactly.
+    // Families: zero-heavy directed, power-law undirected with weights
+    // 0..=max, grid, connected G(n,p) with weights 1..=max; APSP or
+    // every other node as sources; one half of the cases loads the
+    // tables from their file encoding first.
+    #[test]
+    fn alg1_repair_is_bit_identical_to_a_cold_solve(
+        which in 0usize..4,
+        graph_seed in 0u64..1000,
+        stream_seed in any::<u64>(),
+        batch_size in 1usize..64,
+        source_stride in 1usize..3,
+        through_file in 0usize..2,
+    ) {
+        let mut g = match which {
+            0 => gen::zero_heavy(24, 0.12, 0.5, 6, true, graph_seed),
+            1 => gen::power_law(24, 2, WeightDist::Uniform { max: 6 }, graph_seed),
+            2 => gen::grid2d(5, 5, WeightDist::Uniform { max: 9 }, graph_seed),
+            _ => gen::gnp_connected(24, 0.12, true, WeightDist::ZeroOr { p_zero: 0.0, max: 6 }, graph_seed),
+        };
+        let sources: Vec<NodeId> = g.nodes().step_by(source_stride).collect();
+        let mut vt = VersionedTables { generation: 0, snap: cold_alg1_tables(&g, &sources) };
+        if through_file == 1 {
+            vt = VersionedTables::from_file_bytes(&vt.to_file_bytes()).expect("own encoding loads");
+        }
+        let mut rng = ChaCha8Rng::seed_from_u64(stream_seed);
+        for b in 0..4 {
+            let batch = gen_update_batch(&g, b, batch_size, 9, &mut rng);
+            let (next, report) = apply_update_batch(&mut g, &vt, &batch, RecomputeEngine::Alg1)
+                .expect("streams drawn from the live graph always validate");
+            prop_assert_eq!(&next.snap, &cold_alg1_tables(&g, &sources), "batch {}", b);
+            prop_assert_eq!(report.recomputed + report.reused, sources.len());
+
+            let (mut shared, mut differing) = (0, 0);
+            for (old, new) in vt.snap.tables.iter().zip(&next.snap.tables) {
+                if Arc::ptr_eq(old, new) {
+                    shared += 1;
+                }
+                differing += (0..g.n())
+                    .filter(|&v| (old.dist[v], old.parent[v]) != (new.dist[v], new.parent[v]))
+                    .count();
+            }
+            // A row without a touched cell is carried by reference, and
+            // no cell changes without being counted.
+            prop_assert_eq!(shared, report.reused);
+            prop_assert!(report.recomputed <= report.cells && differing <= report.cells);
+            vt = next;
+        }
     }
 }

@@ -49,7 +49,7 @@ pub use driver::{
     apsp, apsp_auto, default_budget, k_ssp, run_hk_ssp, run_hk_ssp_recorded, run_with_budget,
     run_with_budget_recorded,
 };
-pub use incremental::{recompute_incremental, solve_dirty, IncrementalOutcome};
+pub use incremental::{recompute_incremental, IncrementalOutcome, RowRepair};
 pub use key::Gamma;
 pub use recovery::{
     run_hk_ssp_reliable, short_range_sssp_reliable, DegradationReport, RecoveryConfig,

@@ -283,14 +283,6 @@ impl NodeList {
         sorted.then_some(())
     }
 
-    /// Is an exact duplicate (same source, distance, hops, parent) already
-    /// on the list?
-    pub fn contains_exact(&self, src: u32, d: u64, l: u64, parent: u32) -> bool {
-        self.entries
-            .iter()
-            .any(|x| x.src == src && x.d == d && x.l == l && x.parent == parent)
-    }
-
     /// Demote the previous SP entry for `src` after a new SP entry landed
     /// at `new_idx`.
     ///

@@ -16,6 +16,20 @@ pub struct Best {
     pub parent: NodeId,
 }
 
+impl Best {
+    /// The paper's Step-9 order: does the candidate `(d, l, parent)`
+    /// come strictly before this record — smaller `d`, then smaller
+    /// `l`, then smaller parent id? `l` grows by one on every hop, so
+    /// the order is strict along every edge even at weight 0. Shared
+    /// by the cold solve ([`PipelinedNode`]'s receive step) and the
+    /// table repair ([`crate::incremental`]), which must agree on it
+    /// to the last tie.
+    #[inline]
+    pub fn improved_by(&self, d: Weight, l: u64, parent: NodeId) -> bool {
+        (d, l, parent) < (self.d, self.l, self.parent)
+    }
+}
+
 impl WireCodec for Best {
     fn encode(&self, out: &mut Vec<u8>) {
         self.d.encode(out);
@@ -144,14 +158,10 @@ impl PipelinedNode {
         &self.list
     }
 
-    /// Is `cand` strictly better than the current SP record under the
-    /// paper's Step-9 order: smaller `d`, then smaller `l`, then smaller
-    /// parent id?
+    /// Is the candidate strictly better than the current SP record (no
+    /// record at all loses to anything) under the paper's Step-9 order?
     fn improves(cur: Option<&Best>, d: Weight, l: u64, parent: NodeId) -> bool {
-        match cur {
-            None => true,
-            Some(b) => (d, l, parent) < (b.d, b.l, b.parent),
-        }
+        cur.is_none_or(|b| b.improved_by(d, l, parent))
     }
 
     fn after_insert(&mut self, idx: usize, round: Round, src: NodeId) {

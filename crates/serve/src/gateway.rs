@@ -378,7 +378,6 @@ fn route_home(
         st.walk_ns += reply.walk_ns;
         st.replies += batch.len() as u64;
     });
-    let mut lost = 0u64;
     let mut replies = reply.replies.into_iter();
     for p in batch.drain(..) {
         let outcome = match replies.next() {
@@ -387,14 +386,13 @@ fn route_home(
                 r.outcome
             }
             _ => {
-                lost += 1;
+                // Same rule as above, one lock a loss: this arm is a
+                // shard bug, not traffic.
+                shared.tally(|st| st.shard_unavailable += 1);
                 shared.unavailable(shard as NodeId)
             }
         };
         p.home.send_query(p.client_id, outcome);
-    }
-    if lost > 0 {
-        shared.tally(|st| st.shard_unavailable += lost);
     }
 }
 
