@@ -115,12 +115,13 @@ serve-smoke:
 	$(CARGO) run --release -q -p dw-bench --bin serve_smoke
 
 # Dynamic-update smoke test (DESIGN.md §14): seeded update batches
-# repaired cell by cell in Algorithm 1's order and pushed to a live
+# repaired cell by cell in the (d, l, parent) order and pushed to a live
 # 2-shard deployment — a hammer thread queries throughout and requires
 # zero ShardUnavailable, every mid-swap probe answer to match an
 # installed generation (old or new, never mixed), the final tables to
-# equal a cold Algorithm-1 APSP on the patched graph cell for cell, and
-# the deployment to answer like Dijkstra on the patched graph.
+# pass verify_row and equal Dijkstra's and a cold Algorithm-1 APSP's on
+# the patched graph cell for cell, and the deployment to answer like
+# Dijkstra on the patched graph.
 dynamic-smoke:
 	$(CARGO) run --release -q -p dw-bench --bin dynamic_smoke
 

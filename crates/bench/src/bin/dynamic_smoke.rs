@@ -9,13 +9,15 @@
 //!    answer for the probe pair must equal some *installed* generation's
 //!    answer (old or new — never a mix, never a torn read).
 //! 3. Apply 3 seeded update batches through the incremental engine
-//!    (cell-level repair in Algorithm 1's order) and push each
+//!    (cell-level repair in the `(d, l, parent)` order) and push each
 //!    generation through `ServeClient::apply_tables`; every swap must
 //!    be accepted by the whole fleet and bump the gateway generation.
-//! 4. After the last swap, the final generation must equal a cold
-//!    Algorithm-1 APSP on the patched graph cell for cell (distance and
-//!    parent), and a sweep of **all** n² pairs must answer every
-//!    distance like a fresh sequential Dijkstra on the patched graph.
+//! 4. After the last swap, the final generation must pass
+//!    `dw_seqref::verify_row` row by row and equal, cell for cell
+//!    (distance and parent), both one sequential Dijkstra per source
+//!    and a cold Algorithm-1 APSP on the patched graph, and a sweep of
+//!    **all** n² pairs must answer every distance like those Dijkstra
+//!    rows.
 //!
 //! Exit 0 on success, 1 on any violation.
 
@@ -24,7 +26,7 @@ use dw_dynamic::{apply_update_batch, gen_update_batch, RecomputeEngine};
 use dw_graph::gen::{self, WeightDist};
 use dw_graph::{NodeId, INFINITY};
 use dw_pipeline::apsp_auto;
-use dw_seqref::dijkstra;
+use dw_seqref::{dijkstra, verify_row};
 use dw_serve::{
     spawn_loopback, GatewayConfig, QueryOutcome, ServeClient, TableSnapshot, VersionedTables,
 };
@@ -188,7 +190,18 @@ fn main() {
     });
     let hammered = landed.load(Ordering::Relaxed);
 
-    // The repaired tables are the ones a cold solve would have written.
+    // The repaired tables certify themselves, and are the ones a cold
+    // solve would have written — by Dijkstra, and by Algorithm 1 as the
+    // third witness.
+    for t in &vt.snap.tables {
+        if let Err(e) = verify_row(&g, t.source, &t.dist, &t.parent) {
+            fail(format!("final generation is not canonical: {e}"));
+        }
+    }
+    let oracle: Vec<_> = (0..n as u32).map(|s| dijkstra(&g, s)).collect();
+    if vt.snap != TableSnapshot::from_sssp(&oracle, n as u32) {
+        fail("final generation differs from Dijkstra's tables on the patched graph".into());
+    }
     let (cold, _, _) = apsp_auto(&g, EngineConfig::default());
     if vt.snap != TableSnapshot::from_result(&cold) {
         fail("final generation differs from a cold Algorithm-1 APSP on the patched graph".into());
@@ -196,8 +209,7 @@ fn main() {
 
     // Post-swap sweep: the live deployment must now answer exactly like
     // a fresh Dijkstra on the patched graph, for every pair.
-    for s in 0..n as u32 {
-        let oracle = dijkstra(&g, s);
+    for (s, oracle) in (0..n as u32).zip(&oracle) {
         for v in 0..n as u32 {
             let outcome = push
                 .query(s, v, false)
@@ -214,7 +226,8 @@ fn main() {
     }
     eprintln!(
         "dynamic_smoke: {hammered} mid-swap queries all typed and generation-consistent; \
-         final generation equals a cold Algorithm-1 APSP cell for cell; \
+         final generation is canonical and equals Dijkstra and a cold Algorithm-1 APSP cell \
+         for cell; \
          {} post-swap answers match Dijkstra ✓",
         n * n
     );

@@ -33,7 +33,7 @@
 
 use dw_graph::gen::{self, WeightDist};
 use dw_graph::{EdgeUpdate, NodeId, INFINITY};
-use dw_seqref::dijkstra;
+use dw_seqref::{dijkstra, verify_row};
 use dw_serve::{
     Gateway, GatewayConfig, QueryOutcome, ServeClient, ShardHandle, TableSnapshot, VersionedTables,
 };
@@ -449,6 +449,14 @@ fn main() {
         fail(format!(
             "a query hung {max_latency:?} (budget {MAX_QUERY_LATENCY:?})"
         ));
+    }
+
+    // The newest generation certifies itself: the local check shares
+    // no code with the Dijkstra that built it.
+    for t in &snap.tables {
+        if let Err(e) = verify_row(&g, t.source, &t.dist, &t.parent) {
+            fail(format!("final generation is not canonical: {e}"));
+        }
     }
 
     // Final sweep: the surviving blocks answer exactly the newest

@@ -1,19 +1,19 @@
 //! `e20_dynamic`: incremental recompute throughput of the `dw-dynamic`
-//! subsystem (ROADMAP item 2, EXPERIMENTS.md E20).
+//! subsystem (EXPERIMENTS.md E20).
 //!
 //! One seeded update stream (the 50/25/25 reweight/remove/insert mix of
 //! [`dw_dynamic::gen_update_batch`]) applied to full APSP tables over a
-//! 20×20 grid, measured at batch sizes 1, 8 and 64 through the
-//! tight/slack invalidation engine, against a from-scratch baseline
-//! that re-runs every source per batch. All four entries use the same
-//! per-row solver (sequential Dijkstra), so the ratio isolates exactly
-//! what the invalidation rule saves.
+//! 20×20 grid, measured at batch sizes 1, 8 and 64 through
+//! [`apply_update_batch`]'s cell-level repair, against a from-scratch
+//! baseline that re-runs one sequential Dijkstra per source per batch.
+//! Both start from and arrive at the same tables, so the ratio is what
+//! repairing the touched cells saves over re-solving every row.
 //!
 //! `Measurement` mapping: a "round" is one applied batch, so
 //! `rounds_per_sec` is batches/sec and `p50_us`/`p99_us` are per-batch
-//! update latency percentiles. `messages` counts the source rows
-//! actually re-solved across the run — `messages / (rounds · n)` is the
-//! mean recomputed fraction, the number E20 reports per entry. The
+//! update latency percentiles. `messages` counts the source rows with
+//! at least one touched cell across the run — `messages / (rounds · n)`
+//! is the mean recomputed fraction, the number E20 reports per entry. The
 //! stream is seeded, so the round structure is deterministic (the
 //! unit test below pins that).
 
@@ -75,7 +75,7 @@ fn finish(
     }
 }
 
-/// Incremental path: patch, invalidate, re-solve only dirty rows.
+/// Incremental path: patch, then repair the rows the batch reaches.
 fn measure_incremental(
     mode: &'static str,
     smoke: bool,
@@ -91,7 +91,7 @@ fn measure_incremental(
     for b in 0..batches {
         let batch = gen_update_batch(&g, b as u64, batch_size, MAX_W, &mut rng);
         let t0 = Instant::now();
-        let (next, report) = apply_update_batch(&mut g, &vt, &batch, RecomputeEngine::Oracle)
+        let (next, report) = apply_update_batch(&mut g, &vt, &batch, RecomputeEngine::Alg1)
             .expect("seeded streams drawn from the live graph always validate");
         lat_us.push(t0.elapsed().as_micros() as u64);
         recomputed_rows += report.recomputed as u64;
@@ -158,9 +158,9 @@ mod tests {
     use super::*;
 
     /// The smoke set is the full pipeline in miniature: deterministic
-    /// round structure, and the invalidation rule must actually save
-    /// work — small batches re-solve strictly fewer rows than the
-    /// from-scratch baseline re-runs.
+    /// round structure, and the repair must actually save work — small
+    /// batches touch a cell in strictly fewer rows than the from-scratch
+    /// baseline re-runs.
     #[test]
     fn dynamic_bench_smoke_set_is_clean() {
         let ms = run_all_dynamic(true);
@@ -176,7 +176,7 @@ mod tests {
         assert_eq!(full.messages, 8 * full.n as u64);
         assert!(
             batch_1.messages < full.messages,
-            "single-update batches must dirty fewer rows than full recompute \
+            "single-update batches must touch fewer rows than full recompute \
              ({} vs {})",
             batch_1.messages,
             full.messages
@@ -189,8 +189,8 @@ mod tests {
         }
     }
 
-    /// The E20 addendum: what `RecomputeEngine::Alg1`'s cell-level
-    /// repair touches and costs per batch, at batch sizes 1/8/16/64, on
+    /// The E20 addendum: what the cell-level repair touches and costs
+    /// per batch, at batch sizes 1/8/16/64, on
     /// the four graphs of the pipeline benchmark (`benchmark/src/
     /// workloads.rs`: same generators, sizes and source sets) with
     /// tables from a cold Algorithm-1 solve, whose time is printed for

@@ -106,13 +106,12 @@ fn usage_and_exit() -> ! {
          dwapsp serve-shard --tables FILE --listen ADDR --shards P --shard-id S\n  \
          dwapsp query --gateway ADDR --src S --dst D [--path]\n  \
          dwapsp update --graph FILE --tables FILE --updates FILE [--batch-size B] \
-         [--engine <alg1|oracle>] [--out-tables FILE] [--out-graph FILE]\n  \
+         [--out-tables FILE] [--out-graph FILE]\n  \
          dwapsp apply-updates --graph FILE --tables FILE --updates FILE --gateway ADDR \
-         [--batch-size B] [--engine <alg1|oracle>] [--out-tables FILE] [--out-graph FILE]\n  \
+         [--batch-size B] [--out-tables FILE] [--out-graph FILE]\n  \
          dwapsp loadgen --gateway ADDR --tables FILE [--clients C] [--requests R] \
          [--zipf S] [--zipf-pairs P] [--path-fraction F] [--seed S] [--json] \
-         [--update-graph FILE [--update-every-ms T] [--update-batch B] [--update-seed S] \
-         [--update-engine <alg1|oracle>]]\n  \
+         [--update-graph FILE [--update-every-ms T] [--update-batch B] [--update-seed S]]\n  \
          dwapsp validate --graph FILE\n  dwapsp info --graph FILE"
     );
     exit(2);
@@ -850,8 +849,9 @@ fn load_tables(get: &impl Fn(&str) -> Option<String>) -> VersionedTables {
 }
 
 /// `tables`: compute k-SSP/APSP once — on any runtime, or with the
-/// sequential Dijkstra oracle (`--oracle`) — and persist the per-source
-/// distance + parent tables for the serving plane.
+/// sequential Dijkstra oracle (`--oracle`), which writes the same bytes
+/// — and persist the per-source distance + parent tables for the
+/// serving plane.
 fn cmd_tables(get: &impl Fn(&str) -> Option<String>) {
     let g = load(get);
     let out = get("--out").unwrap_or_else(|| {
@@ -1084,17 +1084,6 @@ fn cmd_query(get: &impl Fn(&str) -> Option<String>) {
     }
 }
 
-fn parse_engine(get: &impl Fn(&str) -> Option<String>, flag: &str) -> RecomputeEngine {
-    match get(flag).as_deref() {
-        None | Some("alg1") => RecomputeEngine::Alg1,
-        Some("oracle") => RecomputeEngine::Oracle,
-        Some(other) => {
-            eprintln!("{flag} {other}: expected alg1 or oracle");
-            exit(2);
-        }
-    }
-}
-
 fn print_update_report(r: &dwapsp::dynamic::UpdateReport, n: usize) {
     println!(
         "batch {} -> generation {}: recomputed {}/{} rows ({:.1}%), cells touched {} of {}, \
@@ -1142,13 +1131,12 @@ fn run_update_batches(get: &impl Fn(&str) -> Option<String>) -> (WGraph, Version
         eprintln!("{upath}: {e}");
         exit(2);
     });
-    let engine = parse_engine(get, "--engine");
     let batch_size: usize =
         get("--batch-size").map_or(updates.len().max(1), |s| s.parse().expect("--batch-size"));
     let mut pool = UpdatePool::new();
     pool.extend(updates);
     while let Some(batch) = pool.take_batch(batch_size) {
-        match apply_update_batch(&mut g, &vt, &batch, engine) {
+        match apply_update_batch(&mut g, &vt, &batch, RecomputeEngine::Alg1) {
             Ok((next, report)) => {
                 print_update_report(&report, g.n());
                 vt = next;
@@ -1188,10 +1176,9 @@ fn write_update_outputs(get: &impl Fn(&str) -> Option<String>, g: &WGraph, vt: &
 }
 
 /// `update`: offline incremental recompute. Patches the graph with a
-/// batch file, brings the tables up to it (`--engine alg1`: cell-level
-/// repair of Algorithm 1's tables; `--engine oracle`: Dijkstra on the
-/// rows the tight/slack rule marks dirty, for `tables --oracle` files),
-/// and persists the next `DWD1` generation.
+/// batch file, repairs the tables cell by cell — whichever solver wrote
+/// them, the result is the file `dwapsp tables` writes for the patched
+/// graph — and persists the next `DWD1` generation.
 fn cmd_update(get: &impl Fn(&str) -> Option<String>) {
     let (g, vt) = run_update_batches(get);
     write_update_outputs(get, &g, &vt);
@@ -1254,7 +1241,6 @@ fn cmd_loadgen(get: &impl Fn(&str) -> Option<String>) {
             get("--update-batch").map_or(8, |s| s.parse().expect("--update-batch"));
         let seed: u64 =
             get("--update-seed").map_or(cfg.seed ^ 0xD15C0, |s| s.parse().expect("--update-seed"));
-        let engine = parse_engine(get, "--update-engine");
         let text = std::fs::read_to_string(&gpath).unwrap_or_else(|e| {
             eprintln!("cannot read {gpath}: {e}");
             exit(1);
@@ -1287,7 +1273,8 @@ fn cmd_loadgen(get: &impl Fn(&str) -> Option<String>) {
                     break;
                 }
                 let batch = gen_update_batch(&g, seq, batch_size, max_w, &mut rng);
-                let Ok((next, _)) = apply_update_batch(&mut g, &vt, &batch, engine) else {
+                let Ok((next, _)) = apply_update_batch(&mut g, &vt, &batch, RecomputeEngine::Alg1)
+                else {
                     break;
                 };
                 vt = next;

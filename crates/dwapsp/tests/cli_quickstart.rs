@@ -5,7 +5,9 @@
 //! `dist s -> v` lines the node processes print must equal the matrix
 //! `dwapsp run --runtime sim` prints, and every process must exit 0 —
 //! for APSP, and for a k-source instance (`--sources`, where every
-//! process sizes Δ from those sources alone).
+//! process sizes Δ from those sources alone). Also the table files of
+//! the "Dynamic graphs" walkthrough: `tables` and `update` write one set
+//! of bytes whichever solver is behind them.
 
 use dwapsp::graph::gen::{self, WeightDist};
 use dwapsp::graph::io::to_json;
@@ -161,4 +163,63 @@ fn one_process_per_node_matches_the_simulator() {
 #[test]
 fn k_source_deployment_matches_the_simulator() {
     deploy_and_compare(Some("0,3"));
+}
+
+/// Run `dwapsp` to completion and return what it wrote to `out`.
+fn run_for_file(what: &str, args: &[&str], out: &str) -> Vec<u8> {
+    finish(what, spawn(args));
+    std::fs::read(out).expect("dwapsp wrote its output file")
+}
+
+/// One tree order, so one table file: the sequential `--oracle` path
+/// and Algorithm 1 write the same bytes, and `dwapsp update` on either
+/// writes the tables `dwapsp tables` writes for the patched graph. The
+/// stray `--engine oracle` is what a script from before the flag went
+/// would still pass; unknown flags are ignored.
+#[test]
+fn tables_are_byte_equal_whoever_wrote_them_and_update_keeps_them_so() {
+    use dwapsp::serve::VersionedTables;
+    let g = gen::zero_heavy(20, 0.15, 0.5, 6, true, 5);
+    let (u, v, _) = g
+        .edges()
+        .next()
+        .map(|e| (e.src, e.dst, e.w))
+        .expect("an edge");
+    let file = |name: &str| format!("{}/cli_tables_{name}", env!("CARGO_TARGET_TMPDIR"));
+    let (graph, updates, patched) = (file("g.json"), file("updates.txt"), file("g2.json"));
+    std::fs::write(&graph, to_json(&g)).expect("write graph file");
+    std::fs::write(
+        &updates,
+        format!("set {u} {v} 9\nins 19 0 0\ndel {v} {u}\n"),
+    )
+    .expect("write update file");
+
+    let tables = |how: &[&str], graph: &str, out: &str| {
+        let args = [&["tables", "--graph", graph, "--out", out], how].concat();
+        run_for_file("tables", &args, out)
+    };
+    let (a, b) = (file("oracle.tables"), file("sim.tables"));
+    assert_eq!(
+        tables(&["--oracle"], &graph, &a),
+        tables(&["--runtime", "sim"], &graph, &b)
+    );
+
+    let update = |tables: &str, out: &str| {
+        let args = [
+            &["update", "--graph", &graph, "--tables", tables][..],
+            &["--updates", &updates, "--engine", "oracle"],
+            &["--out-tables", out, "--out-graph", &patched],
+        ]
+        .concat();
+        run_for_file("update", &args, out)
+    };
+    let (a2, b2) = (
+        update(&a, &file("oracle.gen1")),
+        update(&b, &file("sim.gen1")),
+    );
+    assert_eq!(a2, b2);
+    let cold = tables(&["--oracle"], &patched, &file("patched.tables"));
+    let decode = |bytes: &[u8]| VersionedTables::from_any_file_bytes(bytes).expect("a table file");
+    assert_eq!(decode(&a2).generation, 1);
+    assert_eq!(decode(&a2).snap, decode(&cold).snap);
 }

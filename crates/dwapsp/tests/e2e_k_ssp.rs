@@ -11,7 +11,7 @@ fn pipelined_k_ssp_exact() {
         let sources = vec![1u32, 5, 9, 13];
         let delta = max_finite_distance(&g).max(1);
         let (res, stats, _) = k_ssp(&g, sources.clone(), delta, EngineConfig::default());
-        assert_matrices_equal(&k_source_dijkstra(&g, &sources), &res.to_matrix(), "k-ssp");
+        res.check_against_dijkstra(&g).unwrap();
         // Theorem I.1(iii): 2√(Δkn) + n + k
         let bound = dwapsp::pipeline::hk_round_bound(g.n() as u64, sources.len() as u64, delta);
         assert!(stats.rounds <= bound);
@@ -40,10 +40,7 @@ fn single_source_is_k_equals_one() {
     let g = gen::zero_heavy(18, 0.2, 0.5, 6, true, 9);
     let delta = max_finite_distance(&g).max(1);
     let (res, _, _) = k_ssp(&g, vec![4], delta, EngineConfig::default());
-    let reference = dijkstra(&g, 4);
-    for v in g.nodes() {
-        assert_eq!(res.dist[0][v as usize], reference.dist[v as usize]);
-    }
+    res.check_against_dijkstra(&g).unwrap();
 }
 
 #[test]

@@ -4,7 +4,6 @@
 
 use dwapsp::pipeline::Gamma;
 use dwapsp::prelude::*;
-use dwapsp::seqref::assert_matrices_equal;
 use proptest::prelude::*;
 
 /// Strategy: a random directed graph given as an edge list over `n <= 14`
@@ -31,7 +30,7 @@ proptest! {
         let cfg = SspConfig::apsp(g.n(), delta);
         let (res, stats, rep) =
             dwapsp::pipeline::invariants::run_with_report(&g, &cfg, EngineConfig::default());
-        assert_matrices_equal(&apsp_dijkstra(&g), &res.to_matrix(), "proptest apsp");
+        prop_assert_eq!(res.check_against_dijkstra(&g), Ok(()));
         // The theorem bound covers the convergence round and is asserted
         // whenever the run was healthy (Invariants 1-2 held, no re-armed
         // announcements; see E2/E3).

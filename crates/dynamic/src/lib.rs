@@ -1,30 +1,28 @@
 //! **dw-dynamic** — batched graph updates with incremental recompute
-//! and versioned table swaps (ROADMAP item 2, DESIGN.md §14).
+//! and versioned table swaps (DESIGN.md §14).
 //!
 //! Everything upstream of this crate computes shortest-path tables for
 //! a *fixed* graph; everything downstream serves them. This crate is
 //! the piece in between for graphs that change: edge insertions,
 //! deletions and weight changes accumulate mempool-style into
 //! [`UpdateBatch`]es, each batch patches the graph in place, the rows
-//! are brought up to the patched graph in the order they were built in
-//! — Algorithm 1's tables repaired cell by cell in its `(d, l, parent)`
-//! order, Dijkstra's tables re-solved row by row where the tight/slack
-//! rule says a row may have moved — and the result is the next
+//! are repaired cell by cell in the stack's one `(d, l, parent)` order
+//! — whichever solver wrote them — and the result is the next
 //! [`dw_serve::VersionedTables`] generation, untouched rows carried by
 //! `Arc` reference, ready for the gateway's atomic swap.
 //!
 //! ```text
 //!  EdgeUpdate ─► UpdatePool ─► UpdateBatch ─► apply_update_batch
 //!                                               │  patch CSR rows
-//!                                               │  Alg1:   RowRepair, touched cells only
-//!                                               │  Oracle: row_is_dirty ──► Dijkstra per dirty row
+//!                                               │  RowRepair::reaches ──► carry the row by Arc
+//!                                               │  RowRepair::repair, touched cells only
 //!                                               ▼
 //!                                        VersionedTables gen+1 ─► gateway swap
 //! ```
 //!
 //! * [`batch`] — the batch type, its wire codec, the pool, and the
 //!   `dwapsp update` text format;
-//! * [`engine`] — the recompute transaction (patch → recompute →
+//! * [`engine`] — the recompute transaction (patch → repair →
 //!   version) and its per-batch report;
 //! * [`stream`] — seeded random update streams for benches and the
 //!   randomized bit-equality suite in `tests/`.

@@ -28,4 +28,4 @@ pub mod patch;
 
 pub use builder::GraphBuilder;
 pub use graph::{Edge, NodeId, WGraph, Weight, INFINITY};
-pub use patch::{normalize_updates, row_is_dirty, EdgeUpdate, NetChange, PatchError, PatchSummary};
+pub use patch::{normalize_updates, EdgeUpdate, NetChange, PatchError, PatchSummary};

@@ -10,21 +10,8 @@
 //! of the final edge set, so every invariant the rest of the workspace
 //! relies on (sorted rows, canonical CSR, derived `PartialEq` ==
 //! logical equality) survives updates.
-//!
-//! This module also hosts the *invalidation rule* of the dynamic
-//! subsystem ([`row_is_dirty`]): given one source's old distance
-//! column, decide whether any change in the batch can alter that
-//! source's shortest-path tree. A source `s` is **clean** w.r.t. a
-//! changed edge `(u, v)` iff the edge is *strictly slack* under the old
-//! distances: `d(s,u) + w > d(s,v)` for the smallest weight the edge
-//! carries on either side of the change. Old distances form a feasible
-//! potential on the new graph and every old shortest path uses only
-//! tight edges — all unchanged for a clean source — so the old column
-//! (distances *and* parent pointers) is exact on the new graph and can
-//! be carried forward by reference. See DESIGN.md §14 for the proof and
-//! its relation to the paper's h-hop/blocker regions.
 
-use crate::graph::{NodeId, WGraph, Weight, INFINITY};
+use crate::graph::{NodeId, WGraph, Weight};
 use std::collections::BTreeMap;
 
 /// One edge-level update event. `Insert` and `SetWeight` are both
@@ -89,7 +76,7 @@ impl std::error::Error for PatchError {}
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PatchSummary {
     /// The normalized per-edge net changes, sorted by `(src, dst)`.
-    /// This is the input to the invalidation rule.
+    /// This is what the table repair reads.
     pub changes: Vec<NetChange>,
     /// Edges created by the batch.
     pub inserted: usize,
@@ -141,33 +128,6 @@ pub fn normalize_updates(
         }
     }
     Ok((changes, noops))
-}
-
-/// The invalidation rule: can any change in `changes` alter the
-/// shortest-path column `dist` (one source's old distances to every
-/// node)? Exact for full-range tables (no `Δ` truncation): a `false`
-/// answer means the old column — distances *and* recorded parents — is
-/// still exact on the patched graph.
-///
-/// Per change `(u, v)` with test weight `w = min(old, new)` (the
-/// present side(s) of the change), the source stays clean iff the edge
-/// is strictly slack: `d(u) = ∞` or `d(u) + w > d(v)`. Undirected
-/// graphs test both orientations. `O(|changes|)` array reads, no graph
-/// scan.
-pub fn row_is_dirty(dist: &[Weight], changes: &[NetChange], directed: bool) -> bool {
-    changes.iter().any(|c| {
-        let w = match (c.old, c.new) {
-            (Some(a), Some(b)) => a.min(b),
-            (Some(a), None) => a,
-            (None, Some(b)) => b,
-            (None, None) => return false,
-        };
-        let reaches = |u: NodeId, v: NodeId| {
-            let du = dist[u as usize];
-            du != INFINITY && du.saturating_add(w) <= dist[v as usize]
-        };
-        reaches(c.src, c.dst) || (!directed && reaches(c.dst, c.src))
-    })
 }
 
 /// Merge one sorted adjacency row with its sorted edit list.
@@ -264,7 +224,7 @@ impl WGraph {
     /// Apply a batch of edge updates in place, rebuilding only the
     /// adjacency slabs of touched rows. All-or-nothing: on error the
     /// graph is unchanged. The returned [`PatchSummary`] carries the
-    /// normalized net changes that drive the invalidation rule.
+    /// normalized net changes the table repair reads.
     ///
     /// Postcondition (pinned by tests): `self` equals — byte for byte,
     /// via the canonical CSR layout — `WGraph::from_edge_list` over the
@@ -503,61 +463,5 @@ mod tests {
             Err(PatchError::SelfLoop { node: 3 })
         );
         assert_eq!(g, before);
-    }
-
-    #[test]
-    fn dirty_rule_is_sound_on_a_path() {
-        // 0 -2- 1 -2- 2 -2- 3, undirected; dist from source 0.
-        let dist = [0u64, 2, 4, 6];
-        // Slack edge far from the tree: strictly slack change is clean.
-        let slack = NetChange {
-            src: 0,
-            dst: 3,
-            old: None,
-            new: Some(100),
-        };
-        assert!(!row_is_dirty(&dist, &[slack], false));
-        // A shortcut that beats the old distance must dirty the row.
-        let shortcut = NetChange {
-            src: 0,
-            dst: 3,
-            old: None,
-            new: Some(5),
-        };
-        assert!(row_is_dirty(&dist, &[shortcut], false));
-        // Removing a tree edge (tight by definition) must dirty.
-        let removal = NetChange {
-            src: 1,
-            dst: 2,
-            old: Some(2),
-            new: None,
-        };
-        assert!(row_is_dirty(&dist, &[removal], false));
-        // Equality counts as tight (parent identity could change).
-        let tie = NetChange {
-            src: 0,
-            dst: 2,
-            old: None,
-            new: Some(4),
-        };
-        assert!(row_is_dirty(&dist, &[tie], false));
-    }
-
-    #[test]
-    fn dirty_rule_respects_direction() {
-        // Directed path 0 -> 1 -> 2; dist from source 0.
-        let dist = [0u64, 1, 2];
-        // A new edge *into* the unreachable-from-nothing direction:
-        // (2, 0) cheap, but d(2) + w > d(0) = 0 so source 0 is clean.
-        let back = NetChange {
-            src: 2,
-            dst: 0,
-            old: None,
-            new: Some(1),
-        };
-        assert!(!row_is_dirty(&dist, &[back], true));
-        // Same change on an undirected reading tests both orientations
-        // and 0 -(1)- 2 beats d(2) = 2: dirty.
-        assert!(row_is_dirty(&dist, &[back], false));
     }
 }

@@ -1,17 +1,20 @@
-//! Table repair after a batch of edge updates, cell by cell, in
-//! Algorithm 1's own order (ROADMAP item 2, DESIGN.md §14).
+//! Table repair after a batch of edge updates, cell by cell, in the
+//! stack's one shortest-path-tree order (DESIGN.md §14).
 //!
 //! Step 9 orders a node's records for one source by `(d, l, parent)`
 //! ([`Best::improved_by`]). `l` grows by one on every hop, so that order
-//! is strict along every edge even at weight 0, and the output of a
-//! quiet run is the *unique* assignment in which every node `v` other
-//! than the source holds the least `(d(u) + w, l(u) + 1, u)` over its
-//! in-edges `(u, v)` — whatever `γ`, `Δ` and the schedule were. A table
-//! row is that assignment for one source, so after a batch it can be
-//! repaired in place of re-solved, Ramalingam–Reps style, and the
-//! result is the row a cold run on the patched graph would write, to
-//! the last tie:
+//! is strict along every edge even at weight 0, and a table row is the
+//! *unique* assignment in which every node `v` other than the source
+//! holds the least `(d(u) + w, l(u) + 1, u)` over its in-edges `(u, v)`
+//! — whether a quiet Algorithm-1 run wrote it (whatever `γ`, `Δ` and
+//! the schedule were) or [`dw_seqref::dijkstra`] did. So after a batch
+//! a row can be repaired in place of re-solved, Ramalingam–Reps style,
+//! and the result is the row a cold solve of the patched graph would
+//! write, to the last tie:
 //!
+//! 0. **reach** — [`RowRepair::reaches`], `O(|changes|)`: a row none of
+//!    whose tree edges got heavier or vanished, and on which every
+//!    changed edge still present is strictly slack, stands as it is;
 //! 1. **detach** — a changed edge `(u, v)` that was `v`'s tree edge and
 //!    got heavier or vanished detaches `v`'s subtree (read off the
 //!    stored parents); every other record is still a real path of the
@@ -24,10 +27,6 @@
 //!    far, relaxing patched out-edges with the same three-part
 //!    comparison. A node whose parent alone changed is not re-queued:
 //!    what it offers its out-neighbours depends on `(d, l)` only.
-//!
-//! With everything detached the repair *is* one `(d, l)` Dijkstra from
-//! the source ([`RowRepair::rebuild`]); there is no other path and no
-//! threshold between the two.
 
 use crate::node::Best;
 use crate::result::HkSspResult;
@@ -76,6 +75,15 @@ impl Row<'_> {
     }
 }
 
+/// Did the batch make this edge heavier, or remove it?
+fn got_heavier(c: &NetChange) -> bool {
+    match (c.old, c.new) {
+        (Some(old), Some(new)) => new > old,
+        (Some(_), None) => true,
+        (None, _) => false,
+    }
+}
+
 /// The repair of one batch, holding the patched graph, the batch's net
 /// changes and the scratch that is reused from row to row.
 pub struct RowRepair<'a> {
@@ -101,16 +109,41 @@ impl<'a> RowRepair<'a> {
         }
     }
 
+    /// Can the batch touch a cell of the row `(dist, parent)`, which
+    /// held on the graph before it? `O(|changes|)` reads, nothing
+    /// written, no parent followed: did a tree edge of this row get
+    /// heavier or vanish, or is a changed edge that is still present
+    /// tight or better (`d(u) + w ≤ d(v)`, either orientation when the
+    /// graph is undirected)? `false` means [`RowRepair::repair`] would
+    /// touch nothing — a slack edge is offered to its head and loses —
+    /// so the caller can carry the row without copying it. Columns that
+    /// do not span the graph count as reached.
+    pub fn reaches(&self, dist: &[Weight], parent: &[Option<NodeId>]) -> bool {
+        let n = self.g.n();
+        if dist.len() != n || parent.len() != n {
+            return true;
+        }
+        let undirected = !self.g.is_directed();
+        let hits = |u: NodeId, v: NodeId, c: &NetChange| {
+            (got_heavier(c) && parent[v as usize] == Some(u))
+                || c.new.is_some_and(|w| {
+                    let du = dist[u as usize];
+                    du != INFINITY && du.saturating_add(w) <= dist[v as usize]
+                })
+        };
+        self.changes
+            .iter()
+            .any(|c| hits(c.src, c.dst, c) || (undirected && hits(c.dst, c.src, c)))
+    }
+
     /// Repair `source`'s row, which held on the graph before the batch,
     /// so that it holds on the graph after it. Returns the number of
     /// cells touched (detached, or offered a better record); 0 means
     /// the columns were not written.
     ///
-    /// Given Algorithm 1's row the result is Algorithm 1's row. Given
-    /// any other row of exact distances whose parents form a tree with
-    /// `hops` its depths (Dijkstra's, say), the result again has exact
-    /// distances and such a tree, but not the canonical one. Parent
-    /// ids are only ever compared, never used as indices.
+    /// Given the canonical row of the old graph the result is the
+    /// canonical row of the patched one. Parent ids are only ever
+    /// compared, never used as indices.
     pub fn repair(
         &mut self,
         source: NodeId,
@@ -118,14 +151,14 @@ impl<'a> RowRepair<'a> {
         hops: &mut [u64],
         parent: &mut [Option<NodeId>],
     ) -> usize {
-        let mut row = self.row(source, dist, hops, parent);
+        let n = self.g.n();
+        assert!(
+            (source as usize) < n && dist.len() == n && hops.len() == n && parent.len() == n,
+            "row of source {source} does not span the graph's {n} nodes"
+        );
+        let mut row = Row { dist, hops, parent };
         for c in self.changes {
-            let heavier = match (c.old, c.new) {
-                (Some(old), Some(new)) => new > old,
-                (Some(_), None) => true,
-                (None, _) => false,
-            };
-            if heavier {
+            if got_heavier(c) {
                 self.detach_subtree(&mut row, c.src, c.dst);
                 if !self.g.is_directed() {
                     self.detach_subtree(&mut row, c.dst, c.src);
@@ -133,39 +166,6 @@ impl<'a> RowRepair<'a> {
             }
         }
         self.reattach_and_settle(&mut row)
-    }
-
-    /// Write `source`'s row from nothing: every other node counts as
-    /// detached, and the same re-attach and settle steps run. This is
-    /// what a row whose stored parents cannot be trusted gets.
-    pub fn rebuild(
-        &mut self,
-        source: NodeId,
-        dist: &mut [Weight],
-        hops: &mut [u64],
-        parent: &mut [Option<NodeId>],
-    ) -> usize {
-        let mut row = self.row(source, dist, hops, parent);
-        row.set(source, 0, 0, None);
-        for v in self.g.nodes().filter(|&v| v != source) {
-            self.detach(&mut row, v);
-        }
-        self.reattach_and_settle(&mut row)
-    }
-
-    fn row<'r>(
-        &self,
-        source: NodeId,
-        dist: &'r mut [Weight],
-        hops: &'r mut [u64],
-        parent: &'r mut [Option<NodeId>],
-    ) -> Row<'r> {
-        let n = self.g.n();
-        assert!(
-            (source as usize) < n && dist.len() == n && hops.len() == n && parent.len() == n,
-            "row of source {source} does not span the graph's {n} nodes"
-        );
-        Row { dist, hops, parent }
     }
 
     fn detach(&mut self, row: &mut Row, v: NodeId) {
@@ -331,13 +331,15 @@ mod tests {
     }
 
     /// Patch `g`, repair a cold solve of the old graph, and hold the
-    /// result against a cold solve of the patched one: dist, hops and
-    /// parent of every cell.
+    /// result against a cold solve of the patched one and, as a second
+    /// reference that shares no code with either, against Dijkstra:
+    /// dist, hops and parent of every cell.
     fn repaired(g: &mut WGraph, sources: &[NodeId], updates: &[EdgeUpdate]) -> IncrementalOutcome {
         let old = cold(g, sources);
         let summary = g.apply_updates(updates).unwrap();
         let out = recompute_incremental(g, &old, &summary.changes, EngineConfig::default());
         assert_eq!(out.result, cold(g, sources));
+        out.result.check_against_dijkstra(g).unwrap();
         assert_eq!(out.recomputed.len() + out.reused.len(), sources.len());
         out
     }
@@ -502,23 +504,6 @@ mod tests {
         assert!(out.recomputed.is_empty());
     }
 
-    #[test]
-    fn rebuild_is_a_cold_row() {
-        let g = gen::zero_heavy(24, 0.12, 0.5, 6, true, 4);
-        let want = cold(&g, &all(&g));
-        let mut repair = RowRepair::new(&g, &[]);
-        for (i, &s) in want.sources.iter().enumerate() {
-            // Whatever the columns held before.
-            let (mut dist, mut hops, mut parent) = (vec![7; 24], vec![9; 24], vec![Some(99); 24]);
-            let cells = repair.rebuild(s, &mut dist, &mut hops, &mut parent);
-            assert_eq!(cells, 23);
-            assert_eq!(
-                (&dist, &hops, &parent),
-                (&want.dist[i], &want.hops[i], &want.parent[i])
-            );
-        }
-    }
-
     /// A splitmix64 step: enough randomness to draw updates from without
     /// a dev-dependency.
     fn next(state: &mut u64) -> u64 {
@@ -564,6 +549,14 @@ mod tests {
                 let out =
                     recompute_incremental(&g, &cur, &summary.changes, EngineConfig::default());
                 assert_eq!(out.result, cold(&g, &sources), "batch {batch}");
+                // A row the batch does not reach is a row it leaves alone.
+                let repair = RowRepair::new(&g, &summary.changes);
+                for (i, s) in sources.iter().enumerate() {
+                    assert!(
+                        repair.reaches(&cur.dist[i], &cur.parent[i]) || !out.recomputed.contains(s),
+                        "batch {batch}: source {s} was touched unreached"
+                    );
+                }
                 cur = out.result;
             }
         }

@@ -1,7 +1,7 @@
 //! Results of an `(h,k)`-SSP run.
 
-use dw_graph::{NodeId, Weight, INFINITY};
-use dw_seqref::{DistMatrix, HopDist};
+use dw_graph::{NodeId, WGraph, Weight, INFINITY};
+use dw_seqref::{dijkstra, DistMatrix, HopDist};
 
 /// Per-source, per-node output of Algorithm 1: the h-hop shortest-path
 /// distance, the hop length of the recorded path, and the predecessor
@@ -59,6 +59,32 @@ impl HkSspResult {
         }
         rev.reverse();
         Some(rev)
+    }
+
+    /// Hold a full-range, quiet result against [`dijkstra`] on `g`:
+    /// dist, hops and parent of every cell, the first difference as the
+    /// error. Both write the one `(d, l, parent)` tree (DESIGN.md §14),
+    /// so a difference is a bug in one of them. Hop-bounded (`h < n − 1`)
+    /// and `Δ`-truncated results are not tables — a record there is the
+    /// best *within the bound*, not the canonical one — and keep their
+    /// distance and hop checks.
+    pub fn check_against_dijkstra(&self, g: &WGraph) -> Result<(), String> {
+        for (i, &s) in self.sources.iter().enumerate() {
+            if self.dist[i].len() != g.n() {
+                return Err(format!("source {s}: the row does not span the graph"));
+            }
+            let want = dijkstra(g, s);
+            let cell = |v: usize| (self.dist[i][v], self.hops[i][v], self.parent[i][v]);
+            let want_cell = |v: usize| (want.dist[v], u64::from(want.hops[v]), want.parent[v]);
+            if let Some(v) = (0..g.n()).find(|&v| cell(v) != want_cell(v)) {
+                return Err(format!(
+                    "source {s}, node {v}: (d, l, parent) is {:?}, Dijkstra writes {:?}",
+                    cell(v),
+                    want_cell(v)
+                ));
+            }
+        }
+        Ok(())
     }
 
     pub fn k(&self) -> usize {

@@ -1,57 +1,188 @@
-//! Dijkstra's algorithm with non-negative (including zero) weights.
+//! Dijkstra's algorithm with non-negative (including zero) weights,
+//! writing the stack's one shortest-path-tree order.
+//!
+//! Distances alone do not pick a tree: equally short paths tie, and at
+//! weight 0 they tie in bulk. The paper's Step 9 orders a node's records
+//! by `(d, l, parent)` — distance, then hop count, then the sender's id
+//! — and `l` grows by one per hop, so that order is strict along every
+//! edge. The tree in which every node other than the source holds the
+//! least `(d(u) + w, l(u) + 1, u)` over its in-edges `(u, v)` is
+//! therefore unique (DESIGN.md §14). It is what a quiet Algorithm-1 run
+//! writes, what [`dijkstra`] writes, what `dw_pipeline::RowRepair`
+//! maintains under edge updates, and what [`verify_row`] checks cell by
+//! cell without solving anything.
 
 use dw_graph::{NodeId, WGraph, Weight, INFINITY};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// Result of a single-source run: `dist[v]` and `parent[v]` (the
-/// predecessor on some shortest path, `None` for the source and for
-/// unreachable nodes).
+/// Result of a single-source run: `dist[v]`, `hops[v]` (the fewest edges
+/// on a path of that weight) and `parent[v]` (the smallest-id predecessor
+/// on such a path). An unreachable node is `(INFINITY, 0, None)`, the
+/// source `(0, 0, None)` — the layout of `dw_pipeline::HkSspResult`'s
+/// rows, except that a hop count is held in the 4 bytes a node id takes
+/// (`l < n`): rows are kept by the hundred, and tables are built from
+/// `dist` and `parent` alone.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SsspResult {
     pub source: NodeId,
     pub dist: Vec<Weight>,
+    pub hops: Vec<u32>,
     pub parent: Vec<Option<NodeId>>,
 }
 
 /// Single-source shortest paths from `s` (directed semantics; for
-/// undirected graphs the adjacency already mirrors edges).
+/// undirected graphs the adjacency already mirrors edges), in the
+/// `(d, l, parent)` order of the module header.
 ///
-/// Zero-weight edges are handled exactly: the lazy-deletion binary heap
-/// pops equal keys in insertion-refined order, which is all Dijkstra needs
-/// for non-negative weights.
+/// The heap is keyed on `(d, l << 32 | v)`: 16 bytes an entry, popped in
+/// `(d, l, v)` order. `(d, l)` strictly grows along every edge, so a
+/// node popped at its current pair is settled, and every in-neighbour
+/// that ties for a node's `(d, l)` is settled before the node is — which
+/// is when the smallest of them has been written as its parent.
 pub fn dijkstra(g: &WGraph, s: NodeId) -> SsspResult {
     let n = g.n();
     let mut dist = vec![INFINITY; n];
+    let mut hops = vec![0u32; n];
     let mut parent = vec![None; n];
-    let mut heap: BinaryHeap<Reverse<(Weight, NodeId)>> = BinaryHeap::new();
+    let mut heap: BinaryHeap<Reverse<(Weight, u64)>> = BinaryHeap::with_capacity(n);
     dist[s as usize] = 0;
-    heap.push(Reverse((0, s)));
-    while let Some(Reverse((d, v))) = heap.pop() {
-        if d > dist[v as usize] {
+    heap.push(Reverse((0, u64::from(s))));
+    while let Some(Reverse((d, lv))) = heap.pop() {
+        let (l, v) = ((lv >> 32) as u32, lv as NodeId);
+        if (dist[v as usize], hops[v as usize]) != (d, l) {
             continue; // stale entry
         }
         for &(u, w) in g.out_edges(v) {
-            let nd = d + w;
-            if nd < dist[u as usize] {
-                dist[u as usize] = nd;
-                parent[u as usize] = Some(v);
-                heap.push(Reverse((nd, u)));
+            let (nd, ui) = (d + w, u as usize);
+            if nd > dist[ui] {
+                continue;
+            }
+            let nl = l + 1;
+            if nd < dist[ui] || nl < hops[ui] {
+                dist[ui] = nd;
+                hops[ui] = nl;
+                parent[ui] = Some(v);
+                heap.push(Reverse((nd, u64::from(nl) << 32 | u64::from(u))));
+            } else if nl == hops[ui] && parent[ui].is_some_and(|p| v < p) {
+                parent[ui] = Some(v);
             }
         }
     }
     SsspResult {
         source: s,
         dist,
+        hops,
         parent,
     }
+}
+
+/// Every node's depth in the tree the parent pointers of `source`'s row
+/// draw. Tables persist distance and parent only; in the canonical tree
+/// the hop count `l` of a cell is its depth, so this restores the column
+/// the order is read by.
+///
+/// The columns may come from a file whose decoder checks column length
+/// and source range, not tree shape, so this is a bounded walk: each
+/// node is resolved once, a walk up marks its chain and stops at the
+/// first resolved node, and meeting its own chain again is a cycle.
+/// `None` unless the columns span `0..n`, the source sits at
+/// `(0, None)`, every other reachable node chains up to it through
+/// parents `< n`, and unreachable nodes have no parent.
+pub fn hops_from_parents(
+    n: usize,
+    source: NodeId,
+    dist: &[Weight],
+    parent: &[Option<NodeId>],
+) -> Option<Vec<u64>> {
+    const UNRESOLVED: u64 = u64::MAX;
+    const ON_CHAIN: u64 = u64::MAX - 1;
+    let s = source as usize;
+    if dist.len() != n || parent.len() != n || s >= n || (dist[s], parent[s]) != (0, None) {
+        return None;
+    }
+    let mut hops = vec![UNRESOLVED; n];
+    hops[s] = 0;
+    let mut chain = Vec::new();
+    for v in 0..n {
+        let mut at = v;
+        while hops[at] == UNRESOLVED {
+            if dist[at] == INFINITY {
+                if parent[at].is_some() {
+                    return None;
+                }
+                hops[at] = 0;
+            } else {
+                let p = parent[at]? as usize;
+                if p >= n {
+                    return None;
+                }
+                hops[at] = ON_CHAIN;
+                chain.push(at);
+                at = p;
+            }
+        }
+        if hops[at] == ON_CHAIN || (dist[at] == INFINITY && !chain.is_empty()) {
+            return None; // a cycle, or a path hanging off an unreachable node
+        }
+        let mut depth = hops[at];
+        while let Some(c) = chain.pop() {
+            depth += 1;
+            hops[c] = depth;
+        }
+    }
+    Some(hops)
+}
+
+/// Is `source`'s row the canonical tree of `g`? Returns its hop column,
+/// or the first cell that is not: the parents must draw a tree rooted
+/// at the source ([`hops_from_parents`]), every other reachable cell
+/// must equal the least `(d(u) + w, l(u) + 1, u)` over its in-edges, and
+/// an unreachable cell must have no reachable in-neighbour. That
+/// assignment is unique, so an accepted row is [`dijkstra`]'s — at
+/// `O(m)` a row, with no heap and no second solver.
+///
+/// This is a check for *tables*: full-range rows (`h = n − 1`, no `Δ`
+/// truncation). A hop-bounded `(h, k)`-SSP row or the Bellman–Ford
+/// baseline's tree is a valid witness without being this tree; those
+/// keep [`crate::verify_sssp_witnesses`].
+pub fn verify_row(
+    g: &WGraph,
+    source: NodeId,
+    dist: &[Weight],
+    parent: &[Option<NodeId>],
+) -> Result<Vec<u64>, String> {
+    let hops = hops_from_parents(g.n(), source, dist, parent)
+        .ok_or_else(|| format!("source {source}: the parents are not a tree rooted at it"))?;
+    for v in g.nodes().filter(|&v| v != source) {
+        let least = g
+            .in_edges(v)
+            .iter()
+            .filter(|&&(u, _)| dist[u as usize] != INFINITY)
+            .map(|&(u, w)| {
+                (
+                    dist[u as usize].saturating_add(w),
+                    hops[u as usize] + 1,
+                    Some(u),
+                )
+            })
+            .min();
+        let vi = v as usize;
+        let cell = (dist[vi] != INFINITY).then_some((dist[vi], hops[vi], parent[vi]));
+        if cell != least {
+            return Err(format!(
+                "source {source}, node {v}: holds {cell:?}, its in-edges offer {least:?}"
+            ));
+        }
+    }
+    Ok(hops)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use dw_graph::gen::{self, WeightDist};
-    use dw_graph::GraphBuilder;
+    use dw_graph::{Edge, GraphBuilder};
 
     #[test]
     fn simple_path() {
@@ -115,6 +246,90 @@ mod tests {
             for v in g.nodes() {
                 assert_eq!(r.dist[v as usize], fw[s as usize][v as usize], "{s}->{v}");
             }
+        }
+    }
+
+    /// DESIGN.md §14's G₁: node 4 is reached through 2 and through 3 at
+    /// the same distance and hop count. Node 5 is isolated.
+    const G1: [(NodeId, NodeId, Weight); 4] = [(0, 2, 1), (0, 3, 1), (2, 4, 1), (3, 4, 1)];
+
+    fn digraph(n: usize, edges: &[(NodeId, NodeId, Weight)]) -> WGraph {
+        WGraph::from_edge_list(n, true, edges.iter().map(|&(u, v, w)| Edge::new(u, v, w)))
+    }
+
+    #[test]
+    fn a_tie_in_distance_is_broken_by_hops_then_by_parent_id() {
+        let r = dijkstra(&digraph(6, &G1), 0);
+        assert_eq!((r.dist[4], r.hops[4], r.parent[4]), (2, 2, Some(2)));
+        // G₂ reaches 2 through 5 at weight 0: the same distance, one hop
+        // more, so 3 now offers node 4 the fewer hops.
+        let g2 = [(0, 5, 1), (5, 2, 0), (0, 3, 1), (2, 4, 1), (3, 4, 1)];
+        let r = dijkstra(&digraph(6, &g2), 0);
+        assert_eq!(r.dist, vec![0, INFINITY, 1, 1, 2, 1]);
+        assert_eq!(r.hops, vec![0, 0, 2, 1, 2, 1]);
+        assert_eq!(r.parent[4], Some(3));
+    }
+
+    #[test]
+    fn hops_are_tree_depths_and_a_bad_parent_column_is_refused() {
+        const INF: u64 = INFINITY;
+        // 1 is the source; 1 → 0 → 3; 2 is unreachable.
+        let (dist, parent) = ([4, 0, INF, 4], [Some(1), None, None, Some(0)]);
+        assert_eq!(
+            hops_from_parents(4, 1, &dist, &parent),
+            Some(vec![1, 0, 0, 2])
+        );
+        assert_eq!(hops_from_parents(5, 1, &dist, &parent), None); // columns do not span n
+
+        let refused = |what: &str, source, dist: &[Weight], parent: &[Option<NodeId>]| {
+            let hops = hops_from_parents(dist.len(), source, dist, parent);
+            assert_eq!(hops, None, "{what}");
+        };
+        refused("cycle", 0, &[0, 1, 1], &[None, Some(2), Some(1)]);
+        refused("self loop", 0, &[0, 1], &[None, Some(1)]);
+        refused("parent out of range", 0, &[0, 1], &[None, Some(2)]);
+        refused("no parent", 0, &[0, 1], &[None, None]);
+        let hanging = [None, None, Some(1)];
+        refused("hangs off an unreachable node", 0, &[0, INF, 3], &hanging);
+        refused("unreachable with a parent", 0, &[0, INF], &[None, Some(0)]);
+        refused("source has a parent", 0, &[0, 1], &[Some(1), Some(0)]);
+        refused("source not at distance 0", 0, &[2, 3], &[None, Some(0)]);
+        refused("source out of range", 7, &[0, 1], &[None, Some(0)]);
+    }
+
+    #[test]
+    fn verify_row_accepts_dijkstra_rows_on_a_zero_heavy_graph() {
+        let g = gen::zero_heavy(40, 0.08, 0.5, 6, true, 3);
+        for s in g.nodes() {
+            let r = dijkstra(&g, s);
+            let hops = r.hops.iter().map(|&l| u64::from(l)).collect();
+            assert_eq!(verify_row(&g, s, &r.dist, &r.parent), Ok(hops));
+        }
+    }
+
+    #[test]
+    fn verify_row_names_the_first_cell_that_is_not_canonical() {
+        let g = digraph(6, &G1);
+        let good = dijkstra(&g, 0);
+        let rejected = |edit: &dyn Fn(&mut SsspResult)| {
+            let mut r = good.clone();
+            edit(&mut r);
+            verify_row(&g, 0, &r.dist, &r.parent).expect_err("not the canonical row")
+        };
+        // A real shortest path, through the larger of two tied parents.
+        assert!(rejected(&|r| r.parent[4] = Some(3)).contains("node 4"));
+        assert!(rejected(&|r| r.dist[4] = 3).contains("node 4"));
+        // Reachable through 2 and 3, yet marked unreachable.
+        let unreached = rejected(&|r| (r.dist[4], r.parent[4]) = (INFINITY, None));
+        assert!(unreached.contains("node 4"));
+        // An isolated node given a distance and a parent that is no in-edge.
+        assert!(rejected(&|r| (r.dist[5], r.parent[5]) = (1, Some(0))).contains("node 5"));
+        for not_a_tree in [
+            rejected(&|r| (r.parent[2], r.parent[4]) = (Some(4), Some(2))),
+            rejected(&|r| r.parent[4] = Some(6)),
+            rejected(&|r| r.parent.truncate(5)),
+        ] {
+            assert!(not_a_tree.contains("not a tree"), "{not_a_tree}");
         }
     }
 }

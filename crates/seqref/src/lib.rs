@@ -2,7 +2,8 @@
 //! algorithm in the workspace).
 //!
 //! Everything here is centralized and straightforward: zero-weight-safe
-//! Dijkstra, hop-limited Bellman–Ford (the `h`-hop distances the paper's
+//! Dijkstra writing the stack's one `(d, l, parent)` shortest-path tree
+//! (and the local check that a row is that tree), hop-limited Bellman–Ford (the `h`-hop distances the paper's
 //! `(h,k)`-SSP computes), Floyd–Warshall for small instances, and
 //! validation helpers that diff distributed results against references.
 
@@ -17,7 +18,7 @@ pub mod validate;
 
 pub use apsp::{apsp_dijkstra, k_source_dijkstra, max_finite_distance};
 pub use bellman_ford::bellman_ford;
-pub use dijkstra::dijkstra;
+pub use dijkstra::{dijkstra, hops_from_parents, verify_row};
 pub use floyd_warshall::floyd_warshall;
 pub use hop_limited::{h_hop_distances, h_hop_sssp, max_finite_h_hop_distance, HopDist};
 pub use matrix::DistMatrix;

@@ -33,7 +33,10 @@ pub const TABLE_VERSION: u32 = 1;
 
 /// One source's complete answer: `dist[v]` and `parent[v]` for every
 /// node `v` in `0..n`. `parent` is `None` for the source itself and for
-/// unreachable nodes, exactly as in [`SsspResult`].
+/// unreachable nodes. Whoever computed it, a row is the one
+/// `(d, l, parent)` shortest-path tree of its source
+/// ([`dw_seqref::dijkstra`]'s module header): the fewest hops among the
+/// shortest paths, then the smallest parent id.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SourceTable {
     pub source: NodeId,
@@ -130,8 +133,9 @@ impl TableSnapshot {
         TableSnapshot::normalize(tables, r.n() as u32)
     }
 
-    /// Build from sequential-reference runs (the oracle path used by
-    /// benches and smoke tests).
+    /// Build from sequential-reference runs: the same bytes
+    /// [`TableSnapshot::from_result`] builds from a quiet, full-range
+    /// Algorithm-1 run over the same sources.
     pub fn from_sssp(runs: &[SsspResult], n: u32) -> TableSnapshot {
         let tables = runs
             .iter()
