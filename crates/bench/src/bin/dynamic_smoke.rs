@@ -12,6 +12,11 @@
 //!    (cell-level repair in the `(d, l, parent)` order) and push each
 //!    generation through `ServeClient::apply_tables`; every swap must
 //!    be accepted by the whole fleet and bump the gateway generation.
+//!    The first push goes whole (the client holds no base yet); the
+//!    second and third must be deltas (`ServeStats::installs_full`)
+//!    whose bytes (`ServeStats::install_bytes`) are within a frame
+//!    header, 9 B per changed row and 17 B per changed cell, and below
+//!    the first push's.
 //! 4. After the last swap, the final generation must pass
 //!    `dw_seqref::verify_row` row by row and equal, cell for cell
 //!    (distance and parent), both one sequential Dijkstra per source
@@ -41,6 +46,26 @@ use std::time::{Duration, Instant};
 fn fail(msg: String) -> ! {
     eprintln!("dynamic_smoke: FAIL: {msg}");
     exit(1);
+}
+
+/// A delta's frame header (`n`, a base, the row count), per-row header
+/// (tag, source, a length prefix) and largest cell (node, distance,
+/// tagged parent), in bytes.
+const DELTA_HEADER: u64 = 17;
+const ROW_HEADER: u64 = 9;
+const CELL_BYTES: u64 = 17;
+
+/// Rows, and cells, whose `(dist, parent)` differ between two generations.
+fn changed_rows_and_cells(old: &TableSnapshot, new: &TableSnapshot) -> (u64, u64) {
+    let (mut rows, mut cells) = (0, 0);
+    for (a, b) in old.tables.iter().zip(&new.tables) {
+        let differing = (0..a.dist.len())
+            .filter(|&v| (a.dist[v], a.parent[v]) != (b.dist[v], b.parent[v]))
+            .count() as u64;
+        rows += u64::from(differing > 0);
+        cells += differing;
+    }
+    (rows, cells)
 }
 
 /// A probe answer, with `u64::MAX` standing in for "unreachable".
@@ -151,10 +176,12 @@ fn main() {
     let mut push = ServeClient::connect(gw.addr, Duration::from_secs(5))
         .unwrap_or_else(|e| fail(format!("cannot connect: {e}")));
     let mut rng = ChaCha8Rng::seed_from_u64(7);
+    let mut first_push_bytes = 0u64;
     for b in 0..3u64 {
         let batch = gen_update_batch(&g, b, 8, 9, &mut rng);
         let (next, report) = apply_update_batch(&mut g, &vt, &batch, RecomputeEngine::Alg1)
             .unwrap_or_else(|e| fail(format!("batch {b} rejected: {e}")));
+        let changed = changed_rows_and_cells(&vt.snap, &next.snap);
         vt = next;
         valid_probe.lock().unwrap().insert(
             match vt.snap.table_for(probe.0).map(|t| t.dist[probe.1 as usize]) {
@@ -163,9 +190,31 @@ fn main() {
             },
         );
         let_the_hammer_run(&landed);
+        let before = gw.stats();
         let rep = push
             .apply_tables(vt.generation, &vt.snap)
             .unwrap_or_else(|e| fail(format!("apply {b} failed: {e}")));
+        let after = gw.stats();
+        let (bytes, full) = (
+            after.install_bytes - before.install_bytes,
+            after.installs_full - before.installs_full,
+        );
+        if b == 0 {
+            if full != 1 {
+                fail(format!("push {b} was not a full install"));
+            }
+            first_push_bytes = bytes;
+        } else {
+            let (rows, cells) = changed;
+            let bound = DELTA_HEADER + ROW_HEADER * rows + CELL_BYTES * cells;
+            if full != 0 || bytes > bound || bytes >= first_push_bytes {
+                fail(format!(
+                    "push {b} not a delta of the changed cells: {bytes} bytes (full={full}), \
+                     {cells} cells in {rows} rows changed (bound {bound}), first push \
+                     {first_push_bytes}"
+                ));
+            }
+        }
         if !rep.accepted || rep.shards_installed != 2 || rep.generation != vt.generation {
             fail(format!(
                 "swap {b} not clean: accepted={} installed={} down={} generation={}",
@@ -174,12 +223,13 @@ fn main() {
         }
         eprintln!(
             "dynamic_smoke: batch {b} -> generation {} swapped \
-             (recomputed {}/{} rows, cells touched {} of {})",
+             (recomputed {}/{} rows, cells touched {} of {}; {} {bytes} install bytes)",
             rep.generation,
             report.recomputed,
             report.recomputed + report.reused,
             report.cells,
-            n * n
+            n * n,
+            if full == 1 { "full," } else { "delta," }
         );
     }
 

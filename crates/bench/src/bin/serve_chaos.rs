@@ -18,7 +18,10 @@
 //!   budget (no hang past `shard_timeout`), live shards keep answering,
 //!   and the swap pushed while degraded reports itself honestly
 //!   (`accepted: false`, the generation still advancing for the
-//!   survivors).
+//!   survivors). The push after it (step 3, no nemesis) must reach the
+//!   survivors as a delta on the degraded swap's generation, not a full
+//!   install: a dead shard leaves the fleet generation the survivors
+//!   hold.
 //!
 //! Generation fencing is asserted two ways: during a swap every probe
 //! answer must equal an *installed* generation's value (old or new,
@@ -150,7 +153,8 @@ fn main() {
     let map = ShardMap::new(n, shards);
 
     // The script: swap 1 rides out a transient gateway<->shard-1
-    // partition; swap 2 happens with shard 2 freshly killed.
+    // partition; swap 2 happens with shard 2 freshly killed; swap 3
+    // follows on the survivors.
     let plan = ChaosPlan::new(21)
         .with_partition(vec![vec![1]], 1, Some(1))
         .with_kill(2, 2);
@@ -258,12 +262,14 @@ fn main() {
     let mut probe_client = ServeClient::connect(gw.addr, Duration::from_secs(5))
         .unwrap_or_else(|e| fail(format!("cannot connect: {e}")));
 
-    for step in 1..=2u64 {
+    for step in 1..=3u64 {
         // Recompute the next generation's tables on a visibly changed
         // graph (every edge +3: probe distances strictly increase, so
-        // generations are distinguishable by value).
+        // generations are distinguishable by value); step 3 moves one
+        // edge, which a delta carries in a few cells.
         let updates: Vec<EdgeUpdate> = g
             .edges()
+            .take(if step == 3 { 1 } else { usize::MAX })
             .map(|e| EdgeUpdate::SetWeight {
                 src: e.src,
                 dst: e.dst,
@@ -350,6 +356,7 @@ fn main() {
         }
 
         // Push the swap through whatever the nemesis left standing.
+        let installs_full = gw.stats().installs_full;
         let rep = push
             .apply_tables(generation, &snap)
             .unwrap_or_else(|e| fail(format!("apply {generation} failed: {e}")));
@@ -373,13 +380,30 @@ fn main() {
                     fail(format!("degraded swap misreported: {rep:?}"));
                 }
             }
+            (None, None) if step == 3 => {
+                // After the degraded swap: still degraded, and the
+                // survivors get a delta, not a full install.
+                if rep.accepted || rep.shards_installed != 2 || rep.shards_down != 1 {
+                    fail(format!("post-kill swap misreported: {rep:?}"));
+                }
+                if rep.full || gw.stats().installs_full != installs_full {
+                    fail(format!(
+                        "post-kill swap went whole, not as a delta: {rep:?}"
+                    ));
+                }
+                eprintln!(
+                    "serve_chaos: step 3: post-kill push reached the survivors as a \
+                     {}-byte delta",
+                    rep.install_bytes
+                );
+            }
             _ => fail(format!("step {step} scripted exactly one nemesis")),
         }
 
         // Generation fence: from here on, probes on live blocks must
         // answer *exactly* the newest generation — a stale answer after
         // an acknowledged swap is a fencing bug.
-        let live: &[usize] = if kill_detect_ms.is_some() {
+        let live: &[usize] = if killed_at.load(Ordering::Relaxed) != u64::MAX {
             &[0, 1]
         } else {
             &[0, 1, 2]

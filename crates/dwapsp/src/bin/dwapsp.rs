@@ -1202,13 +1202,30 @@ fn cmd_apply_updates(get: &impl Fn(&str) -> Option<String>) {
             exit(1);
         });
     println!(
-        "apply generation {}: accepted={} shards-installed={} shards-down={}",
-        rep.generation, rep.accepted, rep.shards_installed, rep.shards_down
+        "apply generation {}: accepted={} shards-installed={} shards-down={} \
+         install-bytes={} full={}",
+        rep.generation,
+        rep.accepted,
+        rep.shards_installed,
+        rep.shards_down,
+        rep.install_bytes,
+        rep.full
     );
     write_update_outputs(get, &g, &vt);
     if !rep.accepted {
         exit(3);
     }
+}
+
+/// What `loadgen --update-graph`'s updater pushed, from the gateway's
+/// reports.
+#[derive(Default)]
+struct SwapTally {
+    swaps: u64,
+    accepted: u64,
+    /// Installs that went whole rather than as a delta.
+    full: u64,
+    install_bytes: u64,
 }
 
 /// `loadgen`: the closed-loop generator behind BENCH_7 — reports
@@ -1262,11 +1279,11 @@ fn cmd_loadgen(get: &impl Fn(&str) -> Option<String>) {
         std::thread::spawn(move || {
             use rand::SeedableRng;
             let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+            let mut tally = SwapTally::default();
             let Ok(mut client) = ServeClient::connect(gateway, Duration::from_secs(5)) else {
-                return (0u64, 0u64);
+                return tally;
             };
             let max_w = g.max_weight().max(1);
-            let (mut swaps, mut accepted) = (0u64, 0u64);
             for seq in 0u64.. {
                 std::thread::sleep(interval);
                 if stop.load(std::sync::atomic::Ordering::Relaxed) {
@@ -1280,15 +1297,15 @@ fn cmd_loadgen(get: &impl Fn(&str) -> Option<String>) {
                 vt = next;
                 match client.apply_tables(vt.generation, &vt.snap) {
                     Ok(rep) => {
-                        swaps += 1;
-                        if rep.accepted {
-                            accepted += 1;
-                        }
+                        tally.swaps += 1;
+                        tally.accepted += u64::from(rep.accepted);
+                        tally.full += u64::from(rep.full);
+                        tally.install_bytes += rep.install_bytes;
                     }
                     Err(_) => break,
                 }
             }
-            (swaps, accepted)
+            tally
         })
     });
 
@@ -1300,8 +1317,11 @@ fn cmd_loadgen(get: &impl Fn(&str) -> Option<String>) {
     let swap_stats = updater.map(|h| h.join().expect("updater thread"));
 
     if has_flag("--json") {
-        let swap_suffix = swap_stats.map_or(String::new(), |(s, a)| {
-            format!(",\"swaps\":{s},\"swaps_accepted\":{a}")
+        let swap_suffix = swap_stats.map_or(String::new(), |t| {
+            format!(
+                ",\"swaps\":{},\"swaps_accepted\":{},\"installs_full\":{},\"install_bytes\":{}",
+                t.swaps, t.accepted, t.full, t.install_bytes
+            )
         });
         println!(
             "{{\"queries\":{},\"ok\":{},\"shard_unavailable\":{},\"errors\":{},\"wall_ms\":{},\
@@ -1329,9 +1349,11 @@ fn cmd_loadgen(get: &impl Fn(&str) -> Option<String>) {
             "latency: p50={}us p95={}us p99={}us; shard-unavailable={} errors={}",
             report.p50_us, report.p95_us, report.p99_us, report.shard_unavailable, report.errors
         );
-        if let Some((s, a)) = swap_stats {
+        if let Some(t) = swap_stats {
             println!(
-                "updates: {s} generation swaps applied mid-run ({a} accepted by the whole fleet)"
+                "updates: {} generation swaps applied mid-run ({} accepted by the whole fleet); \
+                 {} install bytes, {} full installs",
+                t.swaps, t.accepted, t.install_bytes, t.full
             );
         }
     }

@@ -19,6 +19,13 @@
 //!   held to Dijkstra with the rest), and no cell changes without being
 //!   counted in `UpdateReport::cells`;
 //! * **generations** — each batch advances the generation by exactly 1.
+//!
+//! A second property holds the install frame to the same streams: the
+//! delta between two chained generations rebuilds the newer one exactly,
+//! copy-on-write, costs no more than the cells that differ, and
+//! `TableSnapshot::apply` refuses it once it is made malformed. It lives
+//! here, not beside `TableDelta` in dw-serve, because generations come
+//! from `apply_update_batch` and dw-dynamic depends on dw-serve.
 
 use dw_congest::{EngineConfig, RunOutcome};
 use dw_dynamic::{apply_update_batch, gen_update_batch, RecomputeEngine};
@@ -26,7 +33,7 @@ use dw_graph::gen::{self, WeightDist};
 use dw_graph::{NodeId, WGraph};
 use dw_pipeline::k_ssp;
 use dw_seqref::{dijkstra, max_finite_distance, verify_row};
-use dw_serve::{TableSnapshot, VersionedTables};
+use dw_serve::{RowPatch, TableDelta, TableSnapshot, VersionedTables};
 use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -120,6 +127,85 @@ proptest! {
             // no cell changes without being counted.
             prop_assert_eq!(shared, report.reused);
             prop_assert!(report.recomputed <= report.cells && differing <= report.cells);
+            vt = next;
+        }
+    }
+}
+
+/// Frame header (`n`, a base, the row count) and per-row header (tag,
+/// source, a length prefix) of a delta's encoding, and the most a cell
+/// costs: node, distance, tagged parent.
+const DELTA_HEADER: usize = 4 + 9 + 4;
+const ROW_HEADER: usize = 1 + 4 + 4;
+const CELL_BYTES: usize = 4 + 8 + 5;
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    // The delta install's contract over chained generations: grid,
+    // zero-heavy directed and power-law graphs, batch sizes 1..16, four
+    // batches a case, APSP or every other node as sources.
+    #[test]
+    fn a_delta_rebuilds_the_next_generation_from_the_changed_cells(
+        family in 0usize..3,
+        graph_seed in 0u64..1000,
+        stream_seed in any::<u64>(),
+        batch_size in 1usize..16,
+        source_stride in 1usize..3,
+        tamper in any::<u64>(),
+    ) {
+        let mut g = seed_graph(family, graph_seed);
+        let sources: Vec<NodeId> = g.nodes().step_by(source_stride).collect();
+        let n = g.n() as u32;
+        let mut vt = VersionedTables { generation: 0, snap: dijkstra_tables(&g, &sources) };
+        let mut rng = ChaCha8Rng::seed_from_u64(stream_seed);
+        for b in 0..4 {
+            let batch = gen_update_batch(&g, b, batch_size, 9, &mut rng);
+            let (next, _) = apply_update_batch(&mut g, &vt, &batch, RecomputeEngine::Alg1)
+                .expect("streams drawn from the live graph always validate");
+            let delta = TableDelta::between(vt.generation, &vt.snap, &next.snap);
+            prop_assert_eq!(delta.base, Some(vt.generation));
+
+            // Exact, copy-on-write, and only onto its own base.
+            let built = vt.apply(next.generation, &delta).expect("a delta onto its base applies");
+            prop_assert_eq!(&built, &next, "batch {}", b);
+            let named: Vec<NodeId> = delta.rows.iter().map(RowPatch::source).collect();
+            for (old, new) in vt.snap.tables.iter().zip(&built.snap.tables) {
+                prop_assert_eq!(Arc::ptr_eq(old, new), !named.contains(&old.source));
+            }
+            let elsewhere = VersionedTables { generation: vt.generation + 1, ..vt.clone() };
+            prop_assert_eq!(elsewhere.apply(next.generation + 1, &delta), None);
+
+            // No more bytes than the cells that differ.
+            let mut bound = DELTA_HEADER;
+            for (old, new) in vt.snap.tables.iter().zip(&next.snap.tables) {
+                let differing = (0..g.n())
+                    .filter(|&v| (old.dist[v], old.parent[v]) != (new.dist[v], new.parent[v]))
+                    .count();
+                bound += if differing > 0 { ROW_HEADER + CELL_BYTES * differing } else { 0 };
+            }
+            prop_assert_eq!(delta.encoded_len(), dw_congest::to_bytes(&delta).len());
+            prop_assert!(delta.encoded_len() <= bound, "{} > {}", delta.encoded_len(), bound);
+
+            // Malformed, it is refused whole.
+            if let Some(i) = (!delta.rows.is_empty()).then(|| tamper as usize % delta.rows.len()) {
+                let mut bad = delta.clone();
+                match &mut bad.rows[i] {
+                    RowPatch::Cells { cells, .. } => {
+                        let c = tamper as usize % cells.len();
+                        cells[c].0 = n;
+                    }
+                    RowPatch::Whole(t) => Arc::make_mut(t).parent[0] = Some(n + 1),
+                }
+                prop_assert_eq!(vt.snap.apply(&bad), None);
+                let mut bad = delta.clone();
+                let again = bad.rows[i].clone();
+                bad.rows.insert(i, again);
+                prop_assert_eq!(vt.snap.apply(&bad), None);
+                let bad = TableDelta { base: None, ..delta.clone() };
+                let cells_only = delta.rows.iter().any(|r| matches!(r, RowPatch::Cells { .. }));
+                prop_assert_eq!(vt.snap.apply(&bad).is_none(), cells_only);
+            }
             vt = next;
         }
     }

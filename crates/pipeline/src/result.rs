@@ -1,7 +1,7 @@
 //! Results of an `(h,k)`-SSP run.
 
 use dw_graph::{NodeId, WGraph, Weight, INFINITY};
-use dw_seqref::{dijkstra, DistMatrix, HopDist};
+use dw_seqref::{dijkstra, hops_from_parents, DistMatrix, HopDist};
 
 /// Per-source, per-node output of Algorithm 1: the h-hop shortest-path
 /// distance, the hop length of the recorded path, and the predecessor
@@ -74,8 +74,10 @@ impl HkSspResult {
                 return Err(format!("source {s}: the row does not span the graph"));
             }
             let want = dijkstra(g, s);
+            let want_hops = hops_from_parents(g.n(), s, &want.dist, &want.parent)
+                .expect("Dijkstra's parents draw a tree");
             let cell = |v: usize| (self.dist[i][v], self.hops[i][v], self.parent[i][v]);
-            let want_cell = |v: usize| (want.dist[v], u64::from(want.hops[v]), want.parent[v]);
+            let want_cell = |v: usize| (want.dist[v], want_hops[v], want.parent[v]);
             if let Some(v) = (0..g.n()).find(|&v| cell(v) != want_cell(v)) {
                 return Err(format!(
                     "source {s}, node {v}: (d, l, parent) is {:?}, Dijkstra writes {:?}",

@@ -16,18 +16,17 @@ use dw_graph::{NodeId, WGraph, Weight, INFINITY};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// Result of a single-source run: `dist[v]`, `hops[v]` (the fewest edges
-/// on a path of that weight) and `parent[v]` (the smallest-id predecessor
-/// on such a path). An unreachable node is `(INFINITY, 0, None)`, the
-/// source `(0, 0, None)` — the layout of `dw_pipeline::HkSspResult`'s
-/// rows, except that a hop count is held in the 4 bytes a node id takes
-/// (`l < n`): rows are kept by the hundred, and tables are built from
-/// `dist` and `parent` alone.
+/// Result of a single-source run: `dist[v]` and `parent[v]` (the
+/// smallest-id predecessor on a path of that weight with the fewest
+/// edges). An unreachable node is `(INFINITY, None)`, the source
+/// `(0, None)`. The hop count `l` the order is read by is the cell's
+/// depth in the parent tree: rows are kept by the hundred and tables are
+/// built from `dist` and `parent` alone, so whoever needs it restores it
+/// with [`hops_from_parents`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SsspResult {
     pub source: NodeId,
     pub dist: Vec<Weight>,
-    pub hops: Vec<u32>,
     pub parent: Vec<Option<NodeId>>,
 }
 
@@ -39,7 +38,9 @@ pub struct SsspResult {
 /// `(d, l, v)` order. `(d, l)` strictly grows along every edge, so a
 /// node popped at its current pair is settled, and every in-neighbour
 /// that ties for a node's `(d, l)` is settled before the node is — which
-/// is when the smallest of them has been written as its parent.
+/// is when the smallest of them has been written as its parent. The hop
+/// column is scratch (`l < n` fits the 4 bytes of a node id) and is not
+/// returned.
 pub fn dijkstra(g: &WGraph, s: NodeId) -> SsspResult {
     let n = g.n();
     let mut dist = vec![INFINITY; n];
@@ -72,7 +73,6 @@ pub fn dijkstra(g: &WGraph, s: NodeId) -> SsspResult {
     SsspResult {
         source: s,
         dist,
-        hops,
         parent,
     }
 }
@@ -257,16 +257,21 @@ mod tests {
         WGraph::from_edge_list(n, true, edges.iter().map(|&(u, v, w)| Edge::new(u, v, w)))
     }
 
+    fn hops(r: &SsspResult) -> Vec<u64> {
+        hops_from_parents(r.dist.len(), r.source, &r.dist, &r.parent)
+            .expect("dijkstra writes a tree")
+    }
+
     #[test]
     fn a_tie_in_distance_is_broken_by_hops_then_by_parent_id() {
         let r = dijkstra(&digraph(6, &G1), 0);
-        assert_eq!((r.dist[4], r.hops[4], r.parent[4]), (2, 2, Some(2)));
+        assert_eq!((r.dist[4], hops(&r)[4], r.parent[4]), (2, 2, Some(2)));
         // G₂ reaches 2 through 5 at weight 0: the same distance, one hop
         // more, so 3 now offers node 4 the fewer hops.
         let g2 = [(0, 5, 1), (5, 2, 0), (0, 3, 1), (2, 4, 1), (3, 4, 1)];
         let r = dijkstra(&digraph(6, &g2), 0);
         assert_eq!(r.dist, vec![0, INFINITY, 1, 1, 2, 1]);
-        assert_eq!(r.hops, vec![0, 0, 2, 1, 2, 1]);
+        assert_eq!(hops(&r), vec![0, 0, 2, 1, 2, 1]);
         assert_eq!(r.parent[4], Some(3));
     }
 
@@ -302,8 +307,7 @@ mod tests {
         let g = gen::zero_heavy(40, 0.08, 0.5, 6, true, 3);
         for s in g.nodes() {
             let r = dijkstra(&g, s);
-            let hops = r.hops.iter().map(|&l| u64::from(l)).collect();
-            assert_eq!(verify_row(&g, s, &r.dist, &r.parent), Ok(hops));
+            assert_eq!(verify_row(&g, s, &r.dist, &r.parent), Ok(hops(&r)));
         }
     }
 

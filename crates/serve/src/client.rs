@@ -12,10 +12,18 @@
 //! that outlives it fails with [`io::ErrorKind::TimedOut`]. The deadline
 //! may have fired inside a frame, so the connection is closed with it;
 //! reconnect to go on.
+//!
+//! A client pushes table generations as deltas: it remembers the last
+//! snapshot it pushed that the gateway took as its generation (by `Arc`,
+//! not a copy) and sends the next one as the cells that differ from it
+//! ([`TableDelta::between`]). With nothing remembered, or when the
+//! gateway answers [`ClientReply::NeedFull`] because it cannot vouch
+//! that the fleet holds that base, the generation goes whole
+//! ([`TableDelta::full`]).
 
 use crate::gateway::GatewayConfig;
 use crate::proto::{ApplyReport, ClientReply, ClientRequest, QueryOutcome, QueryRequest};
-use crate::table::TableSnapshot;
+use crate::table::{TableDelta, TableSnapshot};
 use dw_transport::tcp::retry_connect;
 use dw_transport::wire::{read_frame, write_frame};
 use std::io::{self, BufReader};
@@ -26,6 +34,9 @@ pub struct ServeClient {
     stream: BufReader<TcpStream>,
     scratch: Vec<u8>,
     next_id: u64,
+    /// The last pushed `(generation, snapshot)` the gateway installed at
+    /// that generation: the base of the next push.
+    pushed: Option<(u64, TableSnapshot)>,
 }
 
 impl ServeClient {
@@ -49,6 +60,7 @@ impl ServeClient {
             stream: BufReader::new(stream),
             scratch: Vec::new(),
             next_id: 1,
+            pushed: None,
         })
     }
 
@@ -108,19 +120,43 @@ impl ServeClient {
 
     /// Push a new table generation into the deployment: the gateway
     /// fans the install out to every live shard, swaps atomically, and
-    /// reports what happened. Blocking — a swap of large tables takes
-    /// as long as the slowest shard's install.
+    /// reports what happened. What travels is the delta against this
+    /// client's previous push, or the whole snapshot when there is none
+    /// or the gateway refuses the base (then at the cost of one more
+    /// round trip). Blocking — a swap takes as long as the slowest
+    /// shard's install.
     pub fn apply_tables(
         &mut self,
         generation: u64,
         snap: &TableSnapshot,
     ) -> io::Result<ApplyReport> {
-        let req = ClientRequest::ApplyTables {
-            generation,
-            snap: snap.clone(),
+        let delta = match self.pushed.take() {
+            Some((base, old)) => TableDelta::between(base, &old, snap),
+            None => TableDelta::full(snap),
         };
+        let report = match self.install(generation, delta)? {
+            Some(report) => report,
+            None => self
+                .install(generation, TableDelta::full(snap))?
+                .ok_or_else(|| {
+                    io::Error::new(
+                        io::ErrorKind::InvalidData,
+                        "the gateway asked for a full install in reply to one",
+                    )
+                })?,
+        };
+        if report.generation == generation && report.shards_installed > 0 {
+            self.pushed = Some((generation, snap.clone()));
+        }
+        Ok(report)
+    }
+
+    /// One install round trip: the report, or `None` for `NeedFull`.
+    fn install(&mut self, generation: u64, delta: TableDelta) -> io::Result<Option<ApplyReport>> {
+        let req = ClientRequest::ApplyTables { generation, delta };
         self.round_trip(&req, |reply| match reply {
-            ClientReply::ApplyDone(report) => Some(report),
+            ClientReply::ApplyDone(report) => Some(Some(report)),
+            ClientReply::NeedFull => Some(None),
             ClientReply::Query(_) => None,
         })
     }

@@ -20,13 +20,16 @@
 //!    turns its queued and future queries into typed
 //!    [`QueryOutcome::ShardUnavailable`] replies carrying the orphaned
 //!    source range, while every other shard keeps serving;
-//! 5. **swaps** — a [`ClientRequest::ApplyTables`] fans the new
-//!    generation out to every live shard *through the dispatcher
-//!    mailboxes* (so installs serialize with query batches on each
-//!    shard connection — FIFO, no second socket — and ship ahead of the
-//!    queries parked beside them), waits for the acks, then bumps the
-//!    gateway generation and invalidates the cache. See DESIGN.md §14
-//!    for the protocol's old-or-new guarantee.
+//! 5. **swaps** — a [`ClientRequest::ApplyTables`] fans each live shard
+//!    its part of the new generation's [`TableDelta`] *through the
+//!    dispatcher mailboxes* (so installs serialize with query batches on
+//!    each shard connection — FIFO, no second socket — and ship ahead of
+//!    the queries parked beside them), waits for the acks, then bumps
+//!    the gateway generation and invalidates the cache. Installs run one
+//!    at a time, and the gateway keeps the *fleet generation*: the one
+//!    every shard not marked down is known to hold. A delta based on
+//!    anything else is answered [`ClientReply::NeedFull`] before it fans
+//!    out. See DESIGN.md §14 for the protocol's old-or-new guarantee.
 //!
 //! Threading: one dispatcher thread per shard (owns that shard's
 //! connection; write-then-read per frame, so batches to *different*
@@ -58,7 +61,7 @@ use crate::proto::{
     ApplyReport, ClientReply, ClientRequest, QueryBatch, QueryOutcome, QueryReply, QueryRequest,
     ReplyBatch, ShardFrame, ShardReply,
 };
-use crate::table::TableSnapshot;
+use crate::table::TableDelta;
 use dw_graph::{NodeId, INFINITY};
 use dw_transport::shard::ShardMap;
 use dw_transport::tcp::retry_connect;
@@ -167,12 +170,12 @@ struct Parked {
 }
 
 /// A table install parked on a dispatcher, serialized with query
-/// batches on the shard connection. `done` reports whether the shard
-/// acked at (or beyond) the requested generation.
+/// batches on the shard connection. `done` reports the generation the
+/// shard acked, or `None` if the shard was lost first.
 struct InstallJob {
     generation: u64,
-    snap: TableSnapshot,
-    done: Sender<bool>,
+    delta: TableDelta,
+    done: Sender<Option<u64>>,
 }
 
 /// One shard dispatcher's mailbox.
@@ -210,6 +213,11 @@ struct Shared {
     stop: AtomicBool,
     /// The currently installed table generation (monotone).
     generation: AtomicU64,
+    /// The fleet generation: the one every shard not marked down is
+    /// known to hold, `None` once a live shard failed to ack an install
+    /// at exactly its generation. Locked for the whole of an install, so
+    /// installs run one at a time.
+    fleet: Mutex<Option<u64>>,
     apply_timeout: Duration,
 }
 
@@ -231,6 +239,18 @@ impl Shared {
 
     fn cache(&self) -> std::sync::MutexGuard<'_, PathCache> {
         self.cache.lock().expect("cache updates do not panic")
+    }
+
+    fn fleet(&self) -> std::sync::MutexGuard<'_, Option<u64>> {
+        self.fleet.lock().unwrap_or_else(|poisoned| {
+            // An install that panicked may have left shards between
+            // generations: nothing is known of the fleet any more, so
+            // the next push goes whole.
+            self.fleet.clear_poison();
+            let mut fleet = poisoned.into_inner();
+            *fleet = None;
+            fleet
+        })
     }
 }
 
@@ -308,27 +328,33 @@ fn dispatcher_main(
         match work {
             Work::Installs(jobs) => {
                 let mut jobs = jobs.into_iter();
-                for job in jobs.by_ref() {
+                for InstallJob {
+                    generation,
+                    delta,
+                    done,
+                } in jobs.by_ref()
+                {
+                    let frame = ShardFrame::Install { generation, delta };
                     let acked = match &mut conn {
                         None => Err(io::Error::new(io::ErrorKind::NotConnected, "shard down")),
-                        Some(stream) => {
-                            ship_install(stream, &mut scratch, job.generation, &job.snap)
-                        }
+                        Some(stream) => ship_install(stream, &mut scratch, &frame),
                     };
                     match acked {
                         Ok(live_gen) => {
-                            let _ = job.done.send(live_gen >= job.generation);
+                            let _ = done.send(Some(live_gen));
                         }
                         Err(_) => {
-                            let _ = job.done.send(false);
+                            // Down first: the installer reads a lost ack
+                            // from a shard marked down as "left the fleet".
                             mark_down(shared, d, shard, &mut conn, &mut batch);
+                            let _ = done.send(None);
                             break;
                         }
                     }
                 }
                 // A connection death mid-install fails the rest too.
                 for job in jobs {
-                    let _ = job.done.send(false);
+                    let _ = job.done.send(None);
                 }
             }
             Work::Batch => {
@@ -422,7 +448,7 @@ fn mark_down(
             .send_query(p.client_id, shared.unavailable(shard as NodeId));
     }
     for job in installs {
-        let _ = job.done.send(false);
+        let _ = job.done.send(None);
     }
 }
 
@@ -457,14 +483,9 @@ fn ship_batch(
 fn ship_install(
     stream: &mut BufReader<TcpStream>,
     scratch: &mut Vec<u8>,
-    generation: u64,
-    snap: &TableSnapshot,
+    frame: &ShardFrame,
 ) -> io::Result<u64> {
-    let frame = ShardFrame::Install {
-        generation,
-        snap: snap.clone(),
-    };
-    write_frame(stream.get_mut(), &frame, scratch)?;
+    write_frame(stream.get_mut(), frame, scratch)?;
     loop {
         match read_frame::<_, ShardReply>(stream) {
             Ok(Some(ShardReply::Installed { generation })) => return Ok(generation),
@@ -476,26 +497,40 @@ fn ship_install(
     }
 }
 
-/// Handle one `ApplyTables` from a client: validate, fan the install
-/// out to every live shard through its dispatcher, await the acks, bump
-/// the gateway generation and invalidate the cache if anything
-/// installed, and report back.
-fn handle_apply(shared: &Shared, generation: u64, snap: TableSnapshot, home: &ClientSink) {
+/// Handle one `ApplyTables` from a client: validate, fence the base,
+/// fan each live shard its part of the delta through its dispatcher —
+/// every shard gets one, empty or not, so every shard moves to the new
+/// generation — await the acks, bump the gateway generation and
+/// invalidate the cache if anything installed, and report back.
+fn handle_apply(shared: &Shared, generation: u64, delta: TableDelta, home: &ClientSink) {
+    let mut fleet = shared.fleet();
     let current = shared.generation.load(Ordering::SeqCst);
-    if generation <= current || snap.n as usize != shared.map.n() {
+    if generation <= current || delta.n as usize != shared.map.n() {
         home.send(&ClientReply::ApplyDone(ApplyReport {
             accepted: false,
             generation: current,
             shards_installed: 0,
             shards_down: 0,
+            install_bytes: 0,
+            full: false,
         }));
         return;
     }
+    // A delta onto a generation some live shard may not hold could only
+    // be refused shard by shard, after others applied it.
+    if delta.base.is_some() && delta.base != *fleet {
+        home.send(&ClientReply::NeedFull);
+        return;
+    }
+    let (install_bytes, full) = (delta.encoded_len() as u64, delta.base.is_none());
+    shared.tally(|st| {
+        st.install_bytes += install_bytes;
+        st.installs_full += u64::from(full);
+    });
 
     let mut waits = Vec::new();
     let mut shards_down = 0u32;
     for (s, d) in shared.dispatchers.iter().enumerate() {
-        let sub = snap.for_shard(&shared.map, s as NodeId);
         let (done_tx, done_rx) = std::sync::mpsc::channel();
         let mut mb = d.mailbox();
         if mb.down {
@@ -504,23 +539,31 @@ fn handle_apply(shared: &Shared, generation: u64, snap: TableSnapshot, home: &Cl
         }
         mb.installs.push(InstallJob {
             generation,
-            snap: sub,
+            delta: delta.for_shard(&shared.map, s as NodeId),
             done: done_tx,
         });
         d.wake.notify_one();
         drop(mb);
-        waits.push(done_rx);
+        waits.push((d, done_rx));
     }
 
     let deadline = Instant::now() + shared.apply_timeout;
     let (mut installed, mut failed) = (0u32, 0u32);
-    for rx in waits {
+    // Whether every shard still up now holds exactly `generation`.
+    let mut fleet_holds = true;
+    for (d, rx) in waits {
         let left = deadline.saturating_duration_since(Instant::now());
-        match rx.recv_timeout(left) {
-            Ok(true) => installed += 1,
-            _ => failed += 1,
+        let acked = rx.recv_timeout(left).ok().flatten();
+        if acked.is_some_and(|g| g >= generation) {
+            installed += 1;
+        } else {
+            failed += 1;
+        }
+        if acked != Some(generation) && !d.mailbox().down {
+            fleet_holds = false;
         }
     }
+    *fleet = (installed > 0 && fleet_holds).then_some(generation);
 
     // Any successful install means live shards are now answering from
     // the new generation: the gateway must follow (and drop every
@@ -542,6 +585,8 @@ fn handle_apply(shared: &Shared, generation: u64, snap: TableSnapshot, home: &Cl
         generation: live_gen,
         shards_installed: installed,
         shards_down: shards_down + failed,
+        install_bytes,
+        full,
     }));
 }
 
@@ -649,8 +694,8 @@ fn client_main(shared: &Shared, stream: TcpStream, next_internal: &AtomicU64) {
                 let internal_id = next_internal.fetch_add(1, Ordering::Relaxed);
                 handle_query(shared, q, &home, internal_id);
             }
-            ClientRequest::ApplyTables { generation, snap } => {
-                handle_apply(shared, generation, snap, &home);
+            ClientRequest::ApplyTables { generation, delta } => {
+                handle_apply(shared, generation, delta, &home);
             }
         }
     }
@@ -710,6 +755,7 @@ impl Gateway {
             stats: Mutex::new(ServeStats::default()),
             stop: AtomicBool::new(false),
             generation: AtomicU64::new(cfg.initial_generation),
+            fleet: Mutex::new(Some(cfg.initial_generation)),
             apply_timeout: cfg.apply_timeout,
         });
 

@@ -55,7 +55,8 @@ pub use proto::{
 };
 pub use server::{answer, answer_batch, serve_shard, shared_tables, ShardHandle, SharedTables};
 pub use table::{
-    SourceTable, TableSnapshot, VersionedTables, TABLE_MAGIC, TABLE_V2_MAGIC, TABLE_VERSION,
+    RowPatch, SourceTable, TableDelta, TableSnapshot, VersionedTables, TABLE_MAGIC, TABLE_V2_MAGIC,
+    TABLE_VERSION,
 };
 pub use zipf::Zipf;
 

@@ -5,7 +5,9 @@
 //! (queue time plus the batched shard round trip), **lookup** (shard-side
 //! table reads) and **path_walk** (shard-side parent-pointer walks; the
 //! shard reports the latter two in each [`crate::proto::ReplyBatch`]) —
-//! and counts the cache and degradation events alongside. The totals
+//! and counts the cache and degradation events alongside, and what table
+//! installs moved (bytes, and how many were full rather than deltas).
+//! The totals
 //! export as a [`dw_obs::Recording`] through
 //! [`Recording::push_wall_span`], so `dwapsp` renders serve phases with
 //! the same span machinery as compute phases.
@@ -37,6 +39,10 @@ pub struct ServeStats {
     pub lookup_ns: u64,
     /// Shard-reported parent-walk time.
     pub walk_ns: u64,
+    /// Encoded bytes of the table deltas that fanned out to the shards.
+    pub install_bytes: u64,
+    /// Installs that fanned out with no base: full snapshots.
+    pub installs_full: u64,
 }
 
 impl ServeStats {
@@ -76,6 +82,8 @@ impl ServeStats {
             ("serve.batches", self.batches),
             ("serve.batched_queries", self.batched_queries),
             ("serve.shard_unavailable", self.shard_unavailable),
+            ("serve.install_bytes", self.install_bytes),
+            ("serve.installs_full", self.installs_full),
         ] {
             if v > 0 {
                 *r.counters.entry(name.to_string()).or_insert(0) += v;
@@ -103,11 +111,14 @@ mod tests {
             batch_ns: 200,
             lookup_ns: 50,
             walk_ns: 25,
+            install_bytes: 4096,
+            installs_full: 1,
         };
         let r = s.to_recording();
         let names: Vec<&str> = r.spans.iter().map(|sp| sp.name).collect();
         assert_eq!(names, vec!["route", "batch", "lookup", "path_walk"]);
         assert_eq!(r.counters["serve.queries"], 10);
+        assert_eq!(r.counters["serve.install_bytes"], 4096);
         assert!(!r.counters.contains_key("serve.shard_unavailable"));
         assert!((s.cache_hit_rate() - 0.4).abs() < 1e-9);
         assert!((s.mean_batch_size() - 3.0).abs() < 1e-9);

@@ -1,13 +1,17 @@
-//! The `dwapsp-serve-v2` wire protocol.
+//! The `dwapsp-serve-v3` wire protocol.
 //!
 //! Two hops, one framing. Clients speak [`ClientRequest`] /
 //! [`ClientReply`] to the gateway; the gateway speaks [`ShardFrame`] /
 //! [`ShardReply`] to the shard workers. Each hop's frame is a tagged
 //! enum: the query-path payloads ([`QueryRequest`] / [`QueryReply`] /
-//! [`QueryBatch`] / [`ReplyBatch`]) are unchanged from v1, and the new
-//! variants carry the dynamic-update subsystem's *install* traffic —
-//! a versioned [`TableSnapshot`] pushed through the gateway to every
+//! [`QueryBatch`] / [`ReplyBatch`]) are unchanged from v1, and the
+//! other variants carry the dynamic-update subsystem's *install*
+//! traffic — a new generation pushed through the gateway to every
 //! shard, acknowledged per shard, swapped atomically (DESIGN.md §14).
+//! v3 moves a generation as a [`TableDelta`]: the cells that changed
+//! since a base generation the receiver holds, or every row when there
+//! is no base. A delta the gateway cannot vouch for is answered
+//! [`ClientReply::NeedFull`], and the client sends the generation whole.
 //! Both hops move values as length-prefixed frames via
 //! [`dw_transport::wire::write_frame`] / [`read_frame`] — the same
 //! framing, length cap and malformed-input discipline as the transport
@@ -21,7 +25,7 @@
 //! position's id — a reply batch that lost or reordered entries is
 //! detected, not silently misattributed.
 
-use crate::table::TableSnapshot;
+use crate::table::TableDelta;
 use dw_congest::WireCodec;
 use dw_graph::{NodeId, Weight};
 
@@ -104,13 +108,12 @@ pub enum ClientRequest {
     /// The common case: a point-to-point lookup.
     Query(QueryRequest),
     /// Install a new table generation across the fleet (the `dwapsp
-    /// apply-updates` path). The gateway fans the snapshot out to every
-    /// live shard, waits for their acks, flips its own generation and
-    /// invalidates the cache, then answers with one [`ApplyReport`].
-    ApplyTables {
-        generation: u64,
-        snap: TableSnapshot,
-    },
+    /// apply-updates` path). The gateway fans each shard its part of the
+    /// delta, waits for their acks, flips its own generation and
+    /// invalidates the cache, then answers with one [`ApplyReport`] — or,
+    /// for a delta whose base is not the generation the whole live fleet
+    /// holds, with [`ClientReply::NeedFull`] before anything fans out.
+    ApplyTables { generation: u64, delta: TableDelta },
 }
 
 /// Gateway → client: one frame per reply.
@@ -118,13 +121,17 @@ pub enum ClientRequest {
 pub enum ClientReply {
     Query(QueryReply),
     ApplyDone(ApplyReport),
+    /// The install's base is not the generation every live shard is
+    /// known to hold; nothing was changed. Send the generation again as
+    /// a full install ([`TableDelta::full`]).
+    NeedFull,
 }
 
 /// The gateway's answer to an [`ClientRequest::ApplyTables`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ApplyReport {
     /// Whether the install was accepted and fully applied: the
-    /// generation was newer than the gateway's, the snapshot's domain
+    /// generation was newer than the gateway's, the delta's domain
     /// matched, and every *live* shard acknowledged it.
     pub accepted: bool,
     /// The gateway's generation after the call.
@@ -134,6 +141,10 @@ pub struct ApplyReport {
     /// Shards that were down (or died during the install); they pick up
     /// the current tables when restarted from the persisted file.
     pub shards_down: u32,
+    /// Encoded bytes of the delta that fanned out; 0 when none did.
+    pub install_bytes: u64,
+    /// Whether what fanned out was a full install (no base).
+    pub full: bool,
 }
 
 /// Gateway → shard: query batches interleaved with installs, FIFO on
@@ -143,10 +154,12 @@ pub struct ApplyReport {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ShardFrame {
     Queries(QueryBatch),
-    /// Install this shard's slice of a new table generation.
+    /// Install this shard's part of a new table generation: applied only
+    /// if `generation` is newer than the live one and the delta is full
+    /// or based on exactly the live one ([`crate::VersionedTables::apply`]).
     Install {
         generation: u64,
-        snap: TableSnapshot,
+        delta: TableDelta,
     },
 }
 
@@ -155,7 +168,7 @@ pub enum ShardFrame {
 pub enum ShardReply {
     Replies(ReplyBatch),
     /// Ack of an install: the shard's generation after applying it
-    /// (unchanged if the install was stale and ignored).
+    /// (unchanged if the install was stale or wrongly based and ignored).
     Installed {
         generation: u64,
     },
@@ -273,10 +286,10 @@ impl WireCodec for ClientRequest {
                 out.push(0);
                 q.encode(out);
             }
-            ClientRequest::ApplyTables { generation, snap } => {
+            ClientRequest::ApplyTables { generation, delta } => {
                 out.push(1);
                 generation.encode(out);
-                snap.encode(out);
+                delta.encode(out);
             }
         }
     }
@@ -285,7 +298,7 @@ impl WireCodec for ClientRequest {
             0 => Some(ClientRequest::Query(QueryRequest::decode(buf)?)),
             1 => Some(ClientRequest::ApplyTables {
                 generation: u64::decode(buf)?,
-                snap: TableSnapshot::decode(buf)?,
+                delta: TableDelta::decode(buf)?,
             }),
             _ => None,
         }
@@ -298,6 +311,8 @@ impl WireCodec for ApplyReport {
         self.generation.encode(out);
         self.shards_installed.encode(out);
         self.shards_down.encode(out);
+        self.install_bytes.encode(out);
+        self.full.encode(out);
     }
     fn decode(buf: &mut &[u8]) -> Option<Self> {
         Some(ApplyReport {
@@ -305,6 +320,8 @@ impl WireCodec for ApplyReport {
             generation: u64::decode(buf)?,
             shards_installed: u32::decode(buf)?,
             shards_down: u32::decode(buf)?,
+            install_bytes: u64::decode(buf)?,
+            full: bool::decode(buf)?,
         })
     }
 }
@@ -320,12 +337,14 @@ impl WireCodec for ClientReply {
                 out.push(1);
                 report.encode(out);
             }
+            ClientReply::NeedFull => out.push(2),
         }
     }
     fn decode(buf: &mut &[u8]) -> Option<Self> {
         match u8::decode(buf)? {
             0 => Some(ClientReply::Query(QueryReply::decode(buf)?)),
             1 => Some(ClientReply::ApplyDone(ApplyReport::decode(buf)?)),
+            2 => Some(ClientReply::NeedFull),
             _ => None,
         }
     }
@@ -338,10 +357,10 @@ impl WireCodec for ShardFrame {
                 out.push(0);
                 b.encode(out);
             }
-            ShardFrame::Install { generation, snap } => {
+            ShardFrame::Install { generation, delta } => {
                 out.push(1);
                 generation.encode(out);
-                snap.encode(out);
+                delta.encode(out);
             }
         }
     }
@@ -350,7 +369,7 @@ impl WireCodec for ShardFrame {
             0 => Some(ShardFrame::Queries(QueryBatch::decode(buf)?)),
             1 => Some(ShardFrame::Install {
                 generation: u64::decode(buf)?,
-                snap: TableSnapshot::decode(buf)?,
+                delta: TableDelta::decode(buf)?,
             }),
             _ => None,
         }
@@ -459,15 +478,22 @@ mod tests {
 
     #[test]
     fn tagged_frames_roundtrip() {
-        use crate::table::SourceTable;
+        use crate::table::{RowPatch, SourceTable};
         use std::sync::Arc;
-        let snap = TableSnapshot {
+        let delta = TableDelta {
             n: 3,
-            tables: vec![Arc::new(SourceTable {
-                source: 1,
-                dist: vec![2, 0, 5],
-                parent: vec![Some(1), None, Some(1)],
-            })],
+            base: Some(8),
+            rows: vec![
+                RowPatch::Whole(Arc::new(SourceTable {
+                    source: 1,
+                    dist: vec![2, 0, 5],
+                    parent: vec![Some(1), None, Some(1)],
+                })),
+                RowPatch::Cells {
+                    source: 2,
+                    cells: vec![(0, 4, Some(1)), (1, 3, None)],
+                },
+            ],
         };
         for req in [
             ClientRequest::Query(QueryRequest {
@@ -478,7 +504,7 @@ mod tests {
             }),
             ClientRequest::ApplyTables {
                 generation: 9,
-                snap: snap.clone(),
+                delta: delta.clone(),
             },
         ] {
             assert_eq!(roundtrip(&req), Some(req.clone()));
@@ -493,7 +519,10 @@ mod tests {
                 generation: 9,
                 shards_installed: 2,
                 shards_down: 0,
+                install_bytes: 1234,
+                full: false,
             }),
+            ClientReply::NeedFull,
         ] {
             assert_eq!(roundtrip(&reply), Some(reply.clone()));
         }
@@ -504,7 +533,7 @@ mod tests {
             }),
             ShardFrame::Install {
                 generation: 9,
-                snap,
+                delta,
             },
         ] {
             assert_eq!(roundtrip(&frame), Some(frame.clone()));

@@ -17,11 +17,20 @@
 //! (one read-lock acquisition per *batch*, not per query) and answers
 //! the whole batch against that pin — so a swap landing mid-batch never
 //! mixes generations within a batch, and in-flight batches keep the old
-//! tables alive until they finish. An [`ShardFrame::Install`] replaces
-//! the inner `Arc` under the write lock only if the incoming generation
-//! is strictly newer, which makes duplicated or reordered installs
-//! idempotent; the ack always reports the post-install generation so
-//! the installer can tell "applied" from "already there".
+//! tables alive until they finish. A [`ShardFrame::Install`] carries a
+//! [`crate::TableDelta`]; under the write lock it is applied
+//! copy-on-write onto the live tables ([`VersionedTables::apply`]) and
+//! replaces the inner `Arc` only if the incoming generation is strictly
+//! newer and the delta is full or based on exactly the live generation.
+//! That makes duplicated or reordered installs idempotent and a delta
+//! onto the wrong base a no-op, never a table mixing two generations;
+//! the ack always reports the post-install generation so the installer
+//! can tell "applied" from "already there" or "not applicable".
+//!
+//! The lock guards nothing but that `Arc` swap, so a thread that
+//! panicked holding it left one whole generation behind: a poisoned
+//! lock is used as is, and one panicking connection cannot stop the
+//! shard answering.
 
 use crate::accept::accept_until_stopped;
 use crate::proto::{
@@ -33,7 +42,7 @@ use dw_transport::wire::{read_frame, write_frame};
 use std::io::{self, BufReader};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, PoisonError, RwLock};
 use std::time::Instant;
 
 /// The shard's live table state: swap by replacing the inner `Arc`.
@@ -115,15 +124,15 @@ fn serve_conn(tables: &SharedTables, stream: TcpStream) -> io::Result<()> {
                 // a concurrent install can't mix old and new rows
                 // inside one batch, and the pin keeps the old tables
                 // alive until the batch is answered.
-                let pinned = tables.read().unwrap().clone();
+                let pinned = Arc::clone(&tables.read().unwrap_or_else(PoisonError::into_inner));
                 let reply = answer_batch(&pinned.snap, &batch);
                 write_frame(stream.get_mut(), &ShardReply::Replies(reply), &mut scratch)?;
             }
-            Some(ShardFrame::Install { generation, snap }) => {
+            Some(ShardFrame::Install { generation, delta }) => {
                 let generation = {
-                    let mut live = tables.write().unwrap();
-                    if generation > live.generation {
-                        *live = Arc::new(VersionedTables { generation, snap });
+                    let mut live = tables.write().unwrap_or_else(PoisonError::into_inner);
+                    if let Some(next) = live.apply(generation, &delta) {
+                        *live = Arc::new(next);
                     }
                     live.generation
                 };
@@ -209,7 +218,7 @@ impl Drop for ShardHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::table::SourceTable;
+    use crate::table::{SourceTable, TableDelta};
     use dw_congest::WireCodec;
 
     fn snap() -> TableSnapshot {
@@ -337,7 +346,7 @@ mod tests {
             &mut scratch,
             &ShardFrame::Install {
                 generation: 3,
-                snap: new_snap.clone(),
+                delta: TableDelta::full(&new_snap),
             },
         );
         assert_eq!(reply, Some(ShardReply::Installed { generation: 3 }));
@@ -346,21 +355,39 @@ mod tests {
         };
         assert_eq!(r.replies[0].outcome, QueryOutcome::Dist { dist: 9 });
 
-        // A stale (or duplicated) install is a no-op; the ack reports
-        // the generation actually live so the installer can tell.
+        // A stale (or duplicated) install, and a newer delta on a base
+        // the shard does not hold, are no-ops; the ack reports the
+        // generation actually live so the installer can tell.
+        for (generation, delta) in [
+            (2, TableDelta::full(&snap())),
+            (4, TableDelta::between(2, &new_snap, &snap())),
+        ] {
+            let reply = send(
+                &mut stream,
+                &mut scratch,
+                &ShardFrame::Install { generation, delta },
+            );
+            assert_eq!(reply, Some(ShardReply::Installed { generation: 3 }));
+            let Some(ShardReply::Replies(r)) = send(&mut stream, &mut scratch, &probe) else {
+                panic!("expected replies");
+            };
+            assert_eq!(r.replies[0].outcome, QueryOutcome::Dist { dist: 9 });
+        }
+        // On the live base it lands.
+        let delta = TableDelta::between(3, &new_snap, &snap());
         let reply = send(
             &mut stream,
             &mut scratch,
             &ShardFrame::Install {
-                generation: 2,
-                snap: snap(),
+                generation: 4,
+                delta,
             },
         );
-        assert_eq!(reply, Some(ShardReply::Installed { generation: 3 }));
+        assert_eq!(reply, Some(ShardReply::Installed { generation: 4 }));
         let Some(ShardReply::Replies(r)) = send(&mut stream, &mut scratch, &probe) else {
             panic!("expected replies");
         };
-        assert_eq!(r.replies[0].outcome, QueryOutcome::Dist { dist: 9 });
+        assert_eq!(r.replies[0].outcome, QueryOutcome::Dist { dist: 2 });
         h.stop();
     }
 
@@ -383,7 +410,7 @@ mod tests {
             &mut scratch,
             &ShardFrame::Install {
                 generation: 1,
-                snap: new_snap,
+                delta: TableDelta::full(&new_snap),
             },
         );
         assert_eq!(reply, Some(ShardReply::Installed { generation: 1 }));
@@ -404,6 +431,60 @@ mod tests {
         };
         assert_eq!(r.replies[0].outcome, QueryOutcome::Dist { dist: 7 });
         h.stop();
+    }
+
+    #[test]
+    fn a_thread_that_panicked_holding_the_lock_does_not_stop_the_shard() {
+        let tables = shared_tables(VersionedTables {
+            generation: 0,
+            snap: snap(),
+        });
+        let held = Arc::clone(&tables);
+        let panicked = std::thread::spawn(move || {
+            let _live = held.write().unwrap();
+            panic!("a connection thread dies holding the write lock");
+        })
+        .join();
+        assert!(panicked.is_err() && tables.is_poisoned());
+
+        let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        let addr = listener.local_addr().unwrap();
+        let stop = Arc::new(AtomicBool::new(false));
+        let server = {
+            let (tables, stop) = (Arc::clone(&tables), Arc::clone(&stop));
+            std::thread::spawn(move || serve_shard(listener, tables, stop))
+        };
+        let mut stream = TcpStream::connect(addr).unwrap();
+        let mut scratch = Vec::new();
+        let probe = ShardFrame::Queries(QueryBatch {
+            seq: 1,
+            queries: vec![QueryRequest {
+                id: 1,
+                src: 0,
+                dst: 2,
+                want_path: false,
+            }],
+        });
+        let Some(ShardReply::Replies(r)) = send(&mut stream, &mut scratch, &probe) else {
+            panic!("expected replies");
+        };
+        assert_eq!(r.replies[0].outcome, QueryOutcome::Dist { dist: 5 });
+        // Installs go on too.
+        let mut moved = snap();
+        Arc::make_mut(&mut moved.tables[0]).dist[2] = 6;
+        let install = ShardFrame::Install {
+            generation: 1,
+            delta: TableDelta::between(0, &snap(), &moved),
+        };
+        let reply = send(&mut stream, &mut scratch, &install);
+        assert_eq!(reply, Some(ShardReply::Installed { generation: 1 }));
+        let Some(ShardReply::Replies(r)) = send(&mut stream, &mut scratch, &probe) else {
+            panic!("expected replies");
+        };
+        assert_eq!(r.replies[0].outcome, QueryOutcome::Dist { dist: 6 });
+        stop.store(true, Ordering::Relaxed);
+        drop(stream);
+        server.join().unwrap().unwrap();
     }
 
     #[test]

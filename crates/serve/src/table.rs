@@ -14,6 +14,11 @@
 //! persists checkpoint snapshots, with the same contract: a file is one
 //! encoding, trailing bytes are malformed, and byte-identical inputs
 //! produce byte-identical files (which is what the golden test pins).
+//!
+//! A table swap moves a [`TableDelta`], not a snapshot: the rows and
+//! cells that differ from a base generation the receiver already holds,
+//! applied copy-on-write by [`TableSnapshot::apply`]. A full install is
+//! the same frame with no base and every row whole.
 
 use dw_congest::WireCodec;
 use dw_graph::{NodeId, Weight, INFINITY};
@@ -200,6 +205,268 @@ impl TableSnapshot {
             })
             .sum()
     }
+
+    /// The snapshot `delta` describes, built copy-on-write: a delta with
+    /// a base patches `self` (rows it does not name stay the same `Arc`s),
+    /// one without a base ([`TableDelta::full`]) replaces it. `None` — and
+    /// nothing built — for a delta that is not well formed
+    /// ([`TableDelta::is_well_formed`]), whose `n` differs from its base's,
+    /// or that patches cells of a row the base lacks. Whether `self` *is*
+    /// the generation the delta names is the caller's check
+    /// ([`VersionedTables::apply`]).
+    pub fn apply(&self, delta: &TableDelta) -> Option<TableSnapshot> {
+        let base: &[Arc<SourceTable>] = match delta.base {
+            None => &[],
+            Some(_) if delta.n != self.n => return None,
+            Some(_) => &self.tables,
+        };
+        if !delta.is_well_formed() {
+            return None;
+        }
+        let mut tables = Vec::with_capacity(base.len().max(delta.rows.len()));
+        let mut carried = base.iter().peekable();
+        for patch in &delta.rows {
+            let source = patch.source();
+            while let Some(t) = carried.next_if(|t| t.source < source) {
+                tables.push(Arc::clone(t));
+            }
+            let old = carried.next_if(|t| t.source == source);
+            tables.push(match patch {
+                RowPatch::Whole(row) => Arc::clone(row),
+                RowPatch::Cells { cells, .. } => {
+                    let mut row = SourceTable::clone(old?);
+                    for &(v, d, p) in cells {
+                        *row.dist.get_mut(v as usize)? = d;
+                        *row.parent.get_mut(v as usize)? = p;
+                    }
+                    Arc::new(row)
+                }
+            });
+        }
+        tables.extend(carried.cloned());
+        Some(TableSnapshot { n: delta.n, tables })
+    }
+}
+
+/// Wire bytes of one `Option<NodeId>`: a tag, then the id if present.
+fn parent_wire_bytes(p: &Option<NodeId>) -> usize {
+    if p.is_some() {
+        5
+    } else {
+        1
+    }
+}
+
+/// One row of a [`TableDelta`]: the whole row, or the cells that differ
+/// from the base's row of the same source.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum RowPatch {
+    Whole(Arc<SourceTable>),
+    /// `(node, dist, parent)` per changed cell, nodes strictly increasing.
+    Cells {
+        source: NodeId,
+        cells: Vec<(NodeId, Weight, Option<NodeId>)>,
+    },
+}
+
+impl RowPatch {
+    pub fn source(&self) -> NodeId {
+        match self {
+            RowPatch::Whole(t) => t.source,
+            RowPatch::Cells { source, .. } => *source,
+        }
+    }
+
+    /// Exactly `dw_congest::to_bytes(self).len()`, without encoding.
+    pub fn encoded_len(&self) -> usize {
+        // tag + source + one length prefix per vector
+        match self {
+            RowPatch::Whole(t) => {
+                let parents: usize = t.parent.iter().map(parent_wire_bytes).sum();
+                1 + 4 + 4 + 8 * t.dist.len() + 4 + parents
+            }
+            RowPatch::Cells { cells, .. } => {
+                let cells: usize = cells
+                    .iter()
+                    .map(|(_, _, p)| 12 + parent_wire_bytes(p))
+                    .sum();
+                1 + 4 + 4 + cells
+            }
+        }
+    }
+
+    /// How `new` differs from `old` (same source), whichever of the two
+    /// shapes encodes smaller; `None` when no cell differs.
+    fn diff(old: &SourceTable, new: &Arc<SourceTable>) -> Option<RowPatch> {
+        let whole = RowPatch::Whole(Arc::clone(new));
+        if old.dist.len() != new.dist.len() {
+            return Some(whole);
+        }
+        let cells: Vec<_> = (0..new.dist.len())
+            .filter(|&v| (old.dist[v], old.parent[v]) != (new.dist[v], new.parent[v]))
+            .map(|v| (v as NodeId, new.dist[v], new.parent[v]))
+            .collect();
+        if cells.is_empty() {
+            return None;
+        }
+        let cells = RowPatch::Cells {
+            source: new.source,
+            cells,
+        };
+        Some(if whole.encoded_len() < cells.encoded_len() {
+            whole
+        } else {
+            cells
+        })
+    }
+}
+
+/// What a table install carries (DESIGN.md §14): the rows and cells of
+/// a new generation that differ from generation `base`, which the
+/// receiver must already hold, or — with `base: None` — every row whole.
+/// Every table in the stack is the one `(d, l, parent)` tree of its
+/// source, so a cell a batch did not move is the same bytes in both
+/// generations and a diff carries exactly the cells that changed.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TableDelta {
+    /// Node-id domain of the generation this builds.
+    pub n: u32,
+    /// The generation the patches apply to; `None` for a full install.
+    pub base: Option<u64>,
+    /// Sorted by source, one entry per source at most.
+    pub rows: Vec<RowPatch>,
+}
+
+impl TableDelta {
+    /// A full install: no base, every row of `snap` whole (by `Arc`).
+    pub fn full(snap: &TableSnapshot) -> TableDelta {
+        TableDelta {
+            n: snap.n,
+            base: None,
+            rows: snap.tables.iter().cloned().map(RowPatch::Whole).collect(),
+        }
+    }
+
+    /// `new` as patches onto `old`, generation `base`. A row that is the
+    /// same `Arc` in both is skipped unread; any other is diffed cell by
+    /// cell and sent as the smaller of its changed cells and the whole
+    /// row. Snapshots over different domains or source sets are not
+    /// diffed: that is [`TableDelta::full`].
+    pub fn between(base: u64, old: &TableSnapshot, new: &TableSnapshot) -> TableDelta {
+        let same_rows = old.n == new.n
+            && old.tables.len() == new.tables.len()
+            && old
+                .tables
+                .iter()
+                .zip(&new.tables)
+                .all(|(a, b)| a.source == b.source);
+        if !same_rows {
+            return TableDelta::full(new);
+        }
+        let rows = old
+            .tables
+            .iter()
+            .zip(&new.tables)
+            .filter(|(a, b)| !Arc::ptr_eq(a, b))
+            .filter_map(|(a, b)| RowPatch::diff(a, b))
+            .collect();
+        TableDelta {
+            n: new.n,
+            base: Some(base),
+            rows,
+        }
+    }
+
+    /// The part of this delta shard `shard` of `map` installs: the rows
+    /// whose source falls in its block ([`TableSnapshot::for_shard`]),
+    /// same domain and base. A shard with no changed row gets an empty
+    /// delta, which still moves it to the new generation.
+    pub fn for_shard(&self, map: &ShardMap, shard: NodeId) -> TableDelta {
+        let block = map.nodes(shard);
+        TableDelta {
+            n: self.n,
+            base: self.base,
+            rows: self
+                .rows
+                .iter()
+                .filter(|r| block.contains(&r.source()))
+                .cloned()
+                .collect(),
+        }
+    }
+
+    /// Rows strictly increasing by source, every source, cell and parent
+    /// inside `0..n`, whole rows spanning `0..n`, each row's cells
+    /// strictly increasing by node. Decoding refuses a frame that is not
+    /// well formed, and [`TableSnapshot::apply`] a delta.
+    pub fn is_well_formed(&self) -> bool {
+        let n = self.n;
+        let in_range = |p: &Option<NodeId>| p.is_none_or(|p| p < n);
+        let row_ok = |r: &RowPatch| match r {
+            RowPatch::Whole(t) => {
+                t.dist.len() == n as usize
+                    && t.parent.len() == n as usize
+                    && t.parent.iter().all(in_range)
+            }
+            RowPatch::Cells { cells, .. } => {
+                cells.iter().all(|(v, _, p)| *v < n && in_range(p))
+                    && cells.windows(2).all(|w| w[0].0 < w[1].0)
+            }
+        };
+        self.rows.iter().all(|r| r.source() < n && row_ok(r))
+            && self.rows.windows(2).all(|w| w[0].source() < w[1].source())
+    }
+
+    /// Exactly `dw_congest::to_bytes(self).len()`, without encoding: what
+    /// the install moves on the client connection, less the frame's
+    /// length prefix.
+    pub fn encoded_len(&self) -> usize {
+        let base = if self.base.is_some() { 9 } else { 1 };
+        let rows: usize = self.rows.iter().map(RowPatch::encoded_len).sum();
+        4 + base + 4 + rows
+    }
+}
+
+impl WireCodec for RowPatch {
+    fn encode(&self, out: &mut Vec<u8>) {
+        match self {
+            RowPatch::Whole(t) => {
+                out.push(0);
+                t.encode(out);
+            }
+            RowPatch::Cells { source, cells } => {
+                out.push(1);
+                source.encode(out);
+                cells.encode(out);
+            }
+        }
+    }
+    fn decode(buf: &mut &[u8]) -> Option<Self> {
+        match u8::decode(buf)? {
+            0 => Some(RowPatch::Whole(Arc::<SourceTable>::decode(buf)?)),
+            1 => Some(RowPatch::Cells {
+                source: NodeId::decode(buf)?,
+                cells: Vec::decode(buf)?,
+            }),
+            _ => None,
+        }
+    }
+}
+
+impl WireCodec for TableDelta {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.n.encode(out);
+        self.base.encode(out);
+        self.rows.encode(out);
+    }
+    fn decode(buf: &mut &[u8]) -> Option<Self> {
+        let delta = TableDelta {
+            n: u32::decode(buf)?,
+            base: Option::<u64>::decode(buf)?,
+            rows: Vec::<RowPatch>::decode(buf)?,
+        };
+        delta.is_well_formed().then_some(delta)
+    }
 }
 
 impl WireCodec for TableSnapshot {
@@ -269,6 +536,21 @@ impl VersionedTables {
         TableSnapshot::from_file_bytes(bytes).map(|snap| VersionedTables {
             generation: 0,
             snap,
+        })
+    }
+
+    /// The shard's install rule: `delta` becomes generation `generation`
+    /// only if that is strictly newer than `self` and the delta is full
+    /// or based on exactly `self`'s generation. `None` means `self`
+    /// stays live — a stale, duplicated or wrongly based install can
+    /// never produce a table mixing two generations' rows.
+    pub fn apply(&self, generation: u64, delta: &TableDelta) -> Option<VersionedTables> {
+        if generation <= self.generation || delta.base.is_some_and(|b| b != self.generation) {
+            return None;
+        }
+        Some(VersionedTables {
+            generation,
+            snap: self.snap.apply(delta)?,
         })
     }
 }
@@ -388,6 +670,135 @@ mod tests {
         assert_eq!(t.path_to(2), None);
         t.parent = vec![None, None, Some(1)]; // dangling chain at 1
         assert_eq!(t.path_to(2), None);
+    }
+
+    /// `sample()` with row 2's cell 5 and row 3's cells 1 and 7 moved.
+    fn edited(snap: &TableSnapshot) -> TableSnapshot {
+        let mut next = snap.clone();
+        Arc::make_mut(&mut next.tables[2]).dist[5] = 776;
+        let row = Arc::make_mut(&mut next.tables[3]);
+        row.dist[1] = 777;
+        row.dist[7] = 778;
+        next
+    }
+
+    #[test]
+    fn a_delta_carries_the_changed_cells_and_applies_copy_on_write() {
+        let snap = sample();
+        let next = edited(&snap);
+        let delta = TableDelta::between(4, &snap, &next);
+        assert_eq!(delta.base, Some(4));
+        let changed: Vec<(NodeId, usize)> = delta
+            .rows
+            .iter()
+            .map(|r| match r {
+                RowPatch::Cells { source, cells } => (*source, cells.len()),
+                RowPatch::Whole(t) => panic!("row {} sent whole", t.source),
+            })
+            .collect();
+        assert_eq!(changed, vec![(2, 1), (3, 2)]);
+        assert_eq!(delta.encoded_len(), dw_congest::to_bytes(&delta).len());
+
+        let built = snap
+            .apply(&delta)
+            .expect("a delta onto its own base applies");
+        assert_eq!(built, next);
+        for i in [0, 1] {
+            assert!(Arc::ptr_eq(&built.tables[i], &snap.tables[i]));
+        }
+        // No base: every row whole, whatever `self` held.
+        let full = TableDelta::full(&next);
+        assert_eq!(full.encoded_len(), dw_congest::to_bytes(&full).len());
+        let empty = TableSnapshot {
+            n: 12,
+            tables: vec![],
+        };
+        assert_eq!(empty.apply(&full), Some(next.clone()));
+        // A row whose every cell moved is cheaper whole.
+        let mut moved = snap.clone();
+        let row = Arc::make_mut(&mut moved.tables[0]);
+        row.dist.iter_mut().for_each(|d| *d = d.wrapping_add(1));
+        let delta = TableDelta::between(0, &snap, &moved);
+        assert!(matches!(&delta.rows[..], [RowPatch::Whole(t)] if t.source == 0));
+    }
+
+    #[test]
+    fn apply_refuses_every_malformed_delta() {
+        let snap = sample();
+        let good = TableDelta::between(1, &snap, &edited(&snap));
+        assert_eq!(snap.apply(&good), Some(edited(&snap)));
+        // In memory, and through the wire: what decodes must still apply.
+        let refused = |what: &str, edit: &dyn Fn(&mut TableDelta)| {
+            let mut d = good.clone();
+            edit(&mut d);
+            assert_eq!(snap.apply(&d), None, "{what}");
+            let decoded = dw_congest::from_bytes::<TableDelta>(&dw_congest::to_bytes(&d));
+            assert_eq!(decoded.and_then(|d| snap.apply(&d)), None, "{what}");
+        };
+        refused("cell past n", &|d| {
+            if let RowPatch::Cells { cells, .. } = &mut d.rows[0] {
+                cells[0].0 = 12;
+            }
+        });
+        refused("parent past n", &|d| {
+            if let RowPatch::Cells { cells, .. } = &mut d.rows[0] {
+                cells[0].2 = Some(12);
+            }
+        });
+        refused("whole row with a parent past n", &|d| {
+            let mut t = SourceTable::clone(&snap.tables[2]);
+            t.parent[3] = Some(40);
+            d.rows[0] = RowPatch::Whole(Arc::new(t));
+        });
+        refused("whole row not spanning n", &|d| {
+            let mut t = SourceTable::clone(&snap.tables[2]);
+            t.dist.pop();
+            t.parent.pop();
+            d.rows[0] = RowPatch::Whole(Arc::new(t));
+        });
+        refused("source past n", &|d| {
+            d.rows.push(RowPatch::Cells {
+                source: 12,
+                cells: vec![],
+            })
+        });
+        refused("cells of a row the base lacks", &|d| {
+            d.rows.push(RowPatch::Cells {
+                source: 9,
+                cells: vec![(0, 1, None)],
+            })
+        });
+        refused("rows out of order", &|d| d.rows.reverse());
+        refused("a row twice", &|d| {
+            let again = d.rows[1].clone();
+            d.rows.push(again);
+        });
+        refused("cells out of order", &|d| {
+            if let RowPatch::Cells { cells, .. } = &mut d.rows[1] {
+                cells.reverse();
+            }
+        });
+        refused("another domain", &|d| d.n = 13);
+        refused("cells with no base", &|d| d.base = None);
+    }
+
+    #[test]
+    fn an_install_needs_a_newer_generation_and_its_own_base() {
+        let live = VersionedTables {
+            generation: 3,
+            snap: sample(),
+        };
+        let next = edited(&live.snap);
+        let onto_3 = TableDelta::between(3, &live.snap, &next);
+        let applied = live.apply(4, &onto_3).expect("newer, on the live base");
+        assert_eq!((applied.generation, &applied.snap), (4, &next));
+        assert_eq!(live.apply(3, &onto_3), None, "not newer");
+        let onto_2 = TableDelta::between(2, &live.snap, &next);
+        assert_eq!(live.apply(4, &onto_2), None, "another base");
+        let full = live
+            .apply(9, &TableDelta::full(&next))
+            .expect("a full install");
+        assert_eq!(full.snap, next);
     }
 
     #[test]

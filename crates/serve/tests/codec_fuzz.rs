@@ -4,10 +4,12 @@
 //! clean verdict, never panics, never allocates from a fabricated
 //! length, and never reads past its own frame. The gateway faces
 //! untrusted clients, so this boundary is the serving plane's blast
-//! door.
+//! door. Table installs travel as [`TableDelta`]s, so the delta is held
+//! to the same contract inside both frames that carry it, and a decoded
+//! install must move a shard only onto the generation it is based on.
 
 use dw_congest::WireCodec;
-use dw_serve::table::{SourceTable, TableSnapshot, VersionedTables};
+use dw_serve::table::{RowPatch, SourceTable, TableDelta, TableSnapshot, VersionedTables};
 use dw_serve::{
     ApplyReport, ClientReply, ClientRequest, QueryBatch, QueryOutcome, QueryReply, QueryRequest,
     ReplyBatch, ShardFrame, ShardReply,
@@ -107,19 +109,51 @@ fn arb_snapshot() -> impl Strategy<Value = TableSnapshot> {
     )
 }
 
-/// `(discriminant, request, generation, snapshot)` → a `ClientRequest`.
+/// A well-formed delta over an [`arb_snapshot`]: each row whole or a
+/// seeded subset of its cells, with or without a base.
+fn arb_delta() -> impl Strategy<Value = TableDelta> {
+    (arb_snapshot(), any::<u64>(), any::<u64>()).prop_map(|(snap, base, seed)| {
+        let rows = snap
+            .tables
+            .into_iter()
+            .enumerate()
+            .map(|(i, t)| {
+                let bits = seed.rotate_left(i as u32 * 7);
+                if bits & 1 == 1 {
+                    RowPatch::Whole(t)
+                } else {
+                    let cells = (0..snap.n)
+                        .filter(|v| (bits >> (1 + v % 63)) & 1 == 1)
+                        .map(|v| (v, t.dist[v as usize], t.parent[v as usize]))
+                        .collect();
+                    RowPatch::Cells {
+                        source: t.source,
+                        cells,
+                    }
+                }
+            })
+            .collect();
+        TableDelta {
+            n: snap.n,
+            base: (base % 3 != 0).then_some(base),
+            rows,
+        }
+    })
+}
+
+/// `(discriminant, request, generation, delta)` → a `ClientRequest`.
 fn arb_client_request() -> impl Strategy<Value = ClientRequest> {
-    (0usize..2, arb_request(), any::<u64>(), arb_snapshot()).prop_map(
-        |(which, req, generation, snap)| match which {
+    (0usize..2, arb_request(), any::<u64>(), arb_delta()).prop_map(
+        |(which, req, generation, delta)| match which {
             0 => ClientRequest::Query(req),
-            _ => ClientRequest::ApplyTables { generation, snap },
+            _ => ClientRequest::ApplyTables { generation, delta },
         },
     )
 }
 
 fn arb_client_reply() -> impl Strategy<Value = ClientReply> {
     (
-        0usize..2,
+        0usize..3,
         arb_reply(),
         any::<u64>(),
         any::<u32>(),
@@ -129,23 +163,33 @@ fn arb_client_reply() -> impl Strategy<Value = ClientReply> {
         .prop_map(
             |(which, reply, generation, installed, down, accepted)| match which {
                 0 => ClientReply::Query(reply),
+                1 => ClientReply::NeedFull,
                 _ => ClientReply::ApplyDone(ApplyReport {
                     accepted,
                     generation,
                     shards_installed: installed,
                     shards_down: down,
+                    install_bytes: generation.rotate_left(17),
+                    full: !accepted,
                 }),
             },
         )
 }
 
 fn arb_shard_frame() -> impl Strategy<Value = ShardFrame> {
-    (0usize..2, arb_query_batch(), any::<u64>(), arb_snapshot()).prop_map(
-        |(which, qb, generation, snap)| match which {
+    (0usize..2, arb_query_batch(), any::<u64>(), arb_delta()).prop_map(
+        |(which, qb, generation, delta)| match which {
             0 => ShardFrame::Queries(qb),
-            _ => ShardFrame::Install { generation, snap },
+            _ => ShardFrame::Install { generation, delta },
         },
     )
+}
+
+/// `frame` through the framed writer and reader.
+fn framed<T: WireCodec>(frame: &T) -> std::io::Result<Option<T>> {
+    let mut buf = Vec::new();
+    write_frame(&mut buf, frame, &mut Vec::new()).unwrap();
+    read_frame(&mut Cursor::new(buf))
 }
 
 fn arb_shard_reply() -> impl Strategy<Value = ShardReply> {
@@ -200,6 +244,14 @@ proptest! {
 
         let mut view = bytes.as_slice();
         let _ = ShardFrame::decode(&mut view);
+        prop_assert!(view.len() <= bytes.len());
+
+        let mut view = bytes.as_slice();
+        let _ = TableDelta::decode(&mut view);
+        prop_assert!(view.len() <= bytes.len());
+
+        let mut view = bytes.as_slice();
+        let _ = RowPatch::decode(&mut view);
         prop_assert!(view.len() <= bytes.len());
     }
 
@@ -257,9 +309,9 @@ proptest! {
 
     // Truncating a valid swap frame anywhere strictly inside it is an
     // error or clean EOF, never a phantom success; bit flips never
-    // panic.
+    // panic, and a flipped delta that still decodes is well formed.
     #[test]
-    fn swap_frames_reject_truncation_and_survive_flips(sf in arb_shard_frame(), cut_seed in any::<u64>(), flip in 1u8..=255) {
+    fn swap_frames_reject_truncation_and_survive_flips(sf in arb_shard_frame(), req in arb_client_request(), cut_seed in any::<u64>(), flip in 1u8..=255) {
         let mut scratch = Vec::new();
         let mut buf = Vec::new();
         write_frame(&mut buf, &sf, &mut scratch).unwrap();
@@ -273,7 +325,78 @@ proptest! {
         let pos = (cut_seed as usize) % flipped.len();
         flipped[pos] ^= flip;
         let mut r = Cursor::new(flipped);
-        let _ = read_frame::<_, ShardFrame>(&mut r);
+        if let Ok(Some(ShardFrame::Install { delta, .. })) = read_frame::<_, ShardFrame>(&mut r) {
+            prop_assert!(delta.is_well_formed());
+        }
+
+        let mut buf = Vec::new();
+        write_frame(&mut buf, &req, &mut scratch).unwrap();
+        let mut flipped = buf.clone();
+        buf.truncate((cut_seed as usize) % buf.len());
+        let mut r = Cursor::new(buf);
+        if let Ok(Some(_)) = read_frame::<_, ClientRequest>(&mut r) {
+            prop_assert!(false, "truncated ClientRequest decoded successfully");
+        }
+        let pos = (cut_seed as usize) % flipped.len();
+        flipped[pos] ^= flip;
+        let mut r = Cursor::new(flipped);
+        if let Ok(Some(ClientRequest::ApplyTables { delta, .. })) = read_frame::<_, ClientRequest>(&mut r) {
+            prop_assert!(delta.is_well_formed());
+        }
+    }
+
+    // A cell or parent index at or past `n` never decodes, whichever
+    // frame carries the delta, and a lying vector length inside it
+    // neither allocates for the lie nor decodes.
+    #[test]
+    fn out_of_range_indices_and_lying_lengths_never_decode(delta in arb_delta(), over in 0u32..1000, pick in any::<u64>()) {
+        let n = delta.n;
+        let mut bad = delta.clone();
+        let at = (pick as usize) % bad.rows.len().max(1);
+        match bad.rows.get_mut(at) {
+            Some(RowPatch::Cells { cells, .. }) if !cells.is_empty() => {
+                let c = (pick as usize >> 8) % cells.len();
+                if pick & 1 == 1 { cells[c].0 = n + over } else { cells[c].2 = Some(n + over) }
+            }
+            Some(RowPatch::Whole(t)) => {
+                let v = (pick as usize >> 8) % t.parent.len();
+                std::sync::Arc::make_mut(t).parent[v] = Some(n + over);
+            }
+            _ => bad.rows.push(RowPatch::Cells { source: n - 1, cells: vec![(n + over, 0, None)] }),
+        }
+        // Sources must still be increasing for the index to be the only fault.
+        prop_assume!(bad.rows.windows(2).all(|w| w[0].source() < w[1].source()));
+        prop_assert!(!bad.is_well_formed());
+        prop_assert!(framed(&ShardFrame::Install { generation: 1, delta: bad.clone() }).is_err());
+        prop_assert!(framed(&ClientRequest::ApplyTables { generation: 1, delta: bad }).is_err());
+
+        // The rows vector's length prefix sits after `n` and the base.
+        let mut bytes = dw_congest::to_bytes(&delta);
+        let at = 4 + if delta.base.is_some() { 9 } else { 1 };
+        bytes[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        prop_assert_eq!(dw_congest::from_bytes::<TableDelta>(&bytes), None);
+    }
+
+    // A decoded install moves a shard only onto the generation it is
+    // based on: onto any other it is refused whole, never half applied.
+    #[test]
+    fn a_decoded_install_applies_only_onto_its_base(snap in arb_snapshot(), live_gen in 0u64..4, base in 0u64..4, bump in 1u64..3, seed in any::<u64>()) {
+        let mut next = snap.clone();
+        for t in &mut next.tables {
+            let row = std::sync::Arc::make_mut(t);
+            let v = (seed as usize) % row.dist.len();
+            row.dist[v] ^= 1;
+        }
+        let generation = live_gen + bump;
+        let install = ShardFrame::Install { generation, delta: TableDelta::between(base, &snap, &next) };
+        let Ok(Some(ShardFrame::Install { delta, .. })) = framed(&install) else {
+            panic!("an install frame did not survive the wire");
+        };
+        let live = VersionedTables { generation: live_gen, snap };
+        let want = (base == live_gen).then_some(VersionedTables { generation, snap: next });
+        prop_assert_eq!(live.apply(generation, &delta), want);
+        // A stale install is refused on any base.
+        prop_assert_eq!(live.apply(live_gen, &delta), None);
     }
 
     // Every query/reply/batch shape survives a framed roundtrip.
@@ -364,6 +487,10 @@ fn oversized_length_prefix_is_rejected() {
     buf.extend_from_slice(&[0u8; 64]);
     let mut r = Cursor::new(buf.clone());
     assert!(read_frame::<_, QueryRequest>(&mut r).is_err());
-    let mut r = Cursor::new(buf);
+    let mut r = Cursor::new(buf.clone());
     assert!(read_frame::<_, QueryBatch>(&mut r).is_err());
+    let mut r = Cursor::new(buf.clone());
+    assert!(read_frame::<_, ClientRequest>(&mut r).is_err());
+    let mut r = Cursor::new(buf);
+    assert!(read_frame::<_, ShardFrame>(&mut r).is_err());
 }

@@ -8,18 +8,24 @@
 //! only when told to, so the interleaving under test is forced, not
 //! slept for. `make serve-conformance` runs this file in `--release` on
 //! one test thread.
+//!
+//! The install half (DESIGN.md §14, "Atomic swap"): each shard is sent
+//! only its rows of a delta, every shard moves generation, a delta on a
+//! base the gateway cannot vouch for never fans out, a shard on the
+//! wrong base installs nothing, and a probe never sees a half-applied
+//! generation.
 
-use dw_graph::NodeId;
+use dw_graph::{NodeId, INFINITY};
 use dw_serve::{
     spawn_loopback, ApplyReport, ClientReply, ClientRequest, Gateway, GatewayConfig, QueryOutcome,
-    QueryReply, QueryRequest, ReplyBatch, ServeClient, ShardFrame, ShardHandle, ShardReply,
-    SourceTable, TableSnapshot, CLIENT_WRITE_TIMEOUT,
+    QueryReply, QueryRequest, ReplyBatch, RowPatch, ServeClient, ShardFrame, ShardHandle,
+    ShardReply, SourceTable, TableDelta, TableSnapshot, CLIENT_WRITE_TIMEOUT,
 };
 use dw_transport::shard::ShardMap;
 use dw_transport::wire::{read_frame, write_frame};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -35,11 +41,15 @@ fn fake_dist(src: NodeId, dst: NodeId) -> u64 {
 
 /// A scripted shard: serves one connection (the gateway's dispatcher),
 /// hands each received frame to the test, and answers it after the test
-/// says `go`.
+/// says `go`. It holds no tables, only a generation, which an install
+/// moves by the real shard's rule: strictly newer, and full or based on
+/// exactly the live generation.
 struct FakeShard {
     addr: SocketAddr,
     frames: Receiver<ShardFrame>,
     go: Sender<()>,
+    /// The live generation; a test may move it behind the gateway's back.
+    live: Arc<AtomicU64>,
     thread: JoinHandle<()>,
 }
 
@@ -55,11 +65,17 @@ impl FakeShard {
         let addr = listener.local_addr().unwrap();
         let (frames_tx, frames) = channel();
         let (go, go_rx) = channel::<()>();
+        let live = Arc::new(AtomicU64::new(0));
+        let held = Arc::clone(&live);
         let thread = std::thread::spawn(move || {
             let (mut conn, _) = listener.accept().unwrap();
             let mut scratch = Vec::new();
             while let Ok(Some(frame)) = read_frame::<_, ShardFrame>(&mut conn) {
-                let reply = match &frame {
+                // Answered after `go`, so a test can move `live` first.
+                if frames_tx.send(frame.clone()).is_err() || go_rx.recv().is_err() {
+                    return;
+                }
+                let reply = match frame {
                     ShardFrame::Queries(batch) => {
                         let mut replies = batch
                             .queries
@@ -79,13 +95,16 @@ impl FakeShard {
                             walk_ns: 0,
                         })
                     }
-                    ShardFrame::Install { generation, .. } => ShardReply::Installed {
-                        generation: *generation,
-                    },
+                    ShardFrame::Install { generation, delta } => {
+                        let live = held.load(Ordering::SeqCst);
+                        if generation > live && delta.base.is_none_or(|b| b == live) {
+                            held.store(generation, Ordering::SeqCst);
+                        }
+                        ShardReply::Installed {
+                            generation: held.load(Ordering::SeqCst),
+                        }
+                    }
                 };
-                if frames_tx.send(frame).is_err() || go_rx.recv().is_err() {
-                    return;
-                }
                 if write_frame(&mut conn, &reply, &mut scratch).is_err() {
                     return;
                 }
@@ -95,6 +114,7 @@ impl FakeShard {
             addr,
             frames,
             go,
+            live,
             thread,
         }
     }
@@ -107,6 +127,16 @@ impl FakeShard {
 
     fn release(&self) {
         self.go.send(()).unwrap();
+    }
+
+    /// The next frame, which must be an install; answered at once.
+    fn next_install(&self) -> (u64, TableDelta) {
+        let frame = self.next_frame();
+        self.release();
+        match frame {
+            ShardFrame::Install { generation, delta } => (generation, delta),
+            ShardFrame::Queries(batch) => panic!("expected an install, got {batch:?}"),
+        }
     }
 
     /// The gateway has gone: the served connection ends and the thread
@@ -159,6 +189,34 @@ fn queries_of(frame: ShardFrame) -> Vec<(NodeId, NodeId)> {
             panic!("expected a query batch, got the install of generation {generation}")
         }
     }
+}
+
+/// A row for every source of `0..n`, each cell `fake_dist` plus `bump`.
+fn all_rows(n: u32, bump: u64) -> TableSnapshot {
+    TableSnapshot {
+        n,
+        tables: (0..n)
+            .map(|s| {
+                Arc::new(SourceTable {
+                    source: s,
+                    dist: (0..n).map(|v| fake_dist(s, v) + bump).collect(),
+                    parent: (0..n).map(|v| (v != s).then_some(s)).collect(),
+                })
+            })
+            .collect(),
+    }
+}
+
+/// `snap` with cell `(source, v)` set to `dist`.
+fn with_cell(snap: &TableSnapshot, source: NodeId, v: NodeId, dist: u64) -> TableSnapshot {
+    let mut next = snap.clone();
+    let i = next.tables.iter().position(|t| t.source == source).unwrap();
+    Arc::make_mut(&mut next.tables[i]).dist[v as usize] = dist;
+    next
+}
+
+fn sources_of(delta: &TableDelta) -> Vec<NodeId> {
+    delta.rows.iter().map(RowPatch::source).collect()
 }
 
 /// One source row over a path `0 - 1 - … - n-1`: the answer to
@@ -268,7 +326,9 @@ fn queries_parked_during_a_round_trip_ship_as_one_frame_behind_the_install() {
             accepted: true,
             generation: 1,
             shards_installed: 2,
-            shards_down: 0
+            shards_down: 0,
+            install_bytes: 9, // n, no base, no rows
+            full: true,
         }
     );
 
@@ -557,7 +617,7 @@ fn a_pause_inside_an_apply_tables_frame_still_gets_apply_done() {
     let mut frame = Vec::new();
     let req = ClientRequest::ApplyTables {
         generation: 1,
-        snap: path_snapshot(64),
+        delta: TableDelta::full(&path_snapshot(64)),
     };
     write_frame(&mut frame, &req, &mut Vec::new()).unwrap();
     write_in_two_halves(&mut client.stream, &frame);
@@ -580,7 +640,7 @@ fn a_pause_inside_an_install_frame_still_gets_installed() {
     let mut frame = Vec::new();
     let install = ShardFrame::Install {
         generation: 3,
-        snap: path_snapshot(64),
+        delta: TableDelta::full(&path_snapshot(64)),
     };
     write_frame(&mut frame, &install, &mut Vec::new()).unwrap();
     write_in_two_halves(&mut conn, &frame);
@@ -617,4 +677,268 @@ fn shutdown_does_not_wait_for_attached_clients() {
     stopping.join().unwrap();
     // The attached client was hung up on, not left waiting.
     assert!(idle.query(0, 5, false).is_err());
+}
+
+#[test]
+fn a_delta_reaches_each_shard_as_its_rows_and_every_shard_moves() {
+    let (lo, hi) = (FakeShard::spawn(), FakeShard::spawn());
+    let map = ShardMap::new(8, 2);
+    let mut gw = Gateway::spawn(map, &[lo.addr, hi.addr], GatewayConfig::default()).unwrap();
+    let addr = gw.addr;
+    // Generation 2 moves two cells, both in rows of shard 0 (sources 0..4).
+    let g1 = all_rows(8, 0);
+    let g2 = with_cell(&with_cell(&g1, 1, 6, 5), 3, 0, 7);
+    let pusher = std::thread::spawn(move || {
+        let mut c = ServeClient::connect(addr, PATIENCE).unwrap();
+        (
+            c.apply_tables(1, &g1).unwrap(),
+            c.apply_tables(2, &g2).unwrap(),
+        )
+    });
+
+    // The client had no base, so generation 1 goes whole: each shard
+    // its own block of rows.
+    for (shard, block) in [(&lo, 0..4), (&hi, 4..8)] {
+        let (generation, delta) = shard.next_install();
+        assert_eq!((generation, delta.base), (1, None));
+        assert_eq!(sources_of(&delta), block.collect::<Vec<NodeId>>());
+    }
+    // Generation 2: shard 0 gets its two cells, shard 1 an empty delta
+    // on the same base, which still moves it.
+    let (generation, delta) = lo.next_install();
+    assert_eq!((generation, delta.base), (2, Some(1)));
+    assert_eq!(
+        delta.rows,
+        vec![
+            RowPatch::Cells {
+                source: 1,
+                cells: vec![(6, 5, Some(1))]
+            },
+            RowPatch::Cells {
+                source: 3,
+                cells: vec![(0, 7, Some(3))]
+            },
+        ]
+    );
+    let (generation, delta) = hi.next_install();
+    assert_eq!((generation, delta.base, delta.rows.len()), (2, Some(1), 0));
+
+    let (first, second) = pusher.join().unwrap();
+    assert!(first.accepted && first.full, "{first:?}");
+    assert!(second.accepted && !second.full, "{second:?}");
+    assert!(second.install_bytes * 10 < first.install_bytes);
+    assert_eq!(hi.live.load(Ordering::SeqCst), 2);
+    let stats = gw.stats();
+    assert_eq!(stats.installs_full, 1);
+    assert_eq!(
+        stats.install_bytes,
+        first.install_bytes + second.install_bytes
+    );
+    gw.shutdown();
+    lo.join();
+    hi.join();
+}
+
+#[test]
+fn a_delta_on_a_base_the_fleet_may_not_hold_is_refused_then_sent_whole() {
+    let cfg = GatewayConfig {
+        cache_capacity: 0,
+        ..GatewayConfig::default()
+    };
+    let g0 = all_rows(8, 0);
+    let (gw, shards, _) = spawn_loopback(&g0, 2, cfg).unwrap();
+    let g1 = with_cell(&g0, 0, 5, 1);
+    let g2 = with_cell(&g1, 5, 2, 2);
+    let g3 = with_cell(&g2, 0, 5, 3);
+
+    // Client `a` pushes generation 1; client `b` then pushes 2, so the
+    // base `a` remembers is no longer what the fleet holds.
+    let mut a = ServeClient::connect(gw.addr, PATIENCE).unwrap();
+    let mut b = ServeClient::connect(gw.addr, PATIENCE).unwrap();
+    assert!(a.apply_tables(1, &g1).unwrap().accepted);
+    assert!(b.apply_tables(2, &g2).unwrap().accepted);
+
+    // On the wire: a delta onto generation 1 is refused, typed, and
+    // changes nothing.
+    let before = gw.stats();
+    let mut raw = RawClient::connect(gw.addr);
+    let stale = ClientRequest::ApplyTables {
+        generation: 3,
+        delta: TableDelta::between(1, &g1, &g3),
+    };
+    write_frame(&mut raw.stream, &stale, &mut raw.scratch).unwrap();
+    assert_eq!(
+        read_frame::<_, ClientReply>(&mut raw.stream).unwrap(),
+        Some(ClientReply::NeedFull)
+    );
+    assert_eq!((gw.generation(), gw.stats()), (2, before));
+
+    // Through `ServeClient` the refusal is one extra round trip: the
+    // same generation goes whole and lands.
+    let report = a.apply_tables(3, &g3).unwrap();
+    assert!(report.accepted && report.full, "{report:?}");
+    assert_eq!(report.generation, 3);
+    let after = gw.stats();
+    assert_eq!(after.installs_full, before.installs_full + 1);
+    assert_eq!(
+        after.install_bytes,
+        before.install_bytes + report.install_bytes
+    );
+    assert_eq!(a.dist(0, 5).unwrap(), QueryOutcome::Dist { dist: 3 });
+    // And `a` is back on deltas.
+    let report = a.apply_tables(4, &with_cell(&g3, 6, 1, 4)).unwrap();
+    assert!(report.accepted && !report.full, "{report:?}");
+    assert_eq!(a.dist(6, 1).unwrap(), QueryOutcome::Dist { dist: 4 });
+    drop((a, b, raw));
+    stop_all(gw, shards);
+}
+
+#[test]
+fn a_shard_on_the_wrong_base_installs_nothing_and_the_next_push_is_full() {
+    let (lo, hi) = (FakeShard::spawn(), FakeShard::spawn());
+    let map = ShardMap::new(8, 2);
+    let mut gw = Gateway::spawn(map, &[lo.addr, hi.addr], GatewayConfig::default()).unwrap();
+    let addr = gw.addr;
+    let g1 = all_rows(8, 0);
+    let g2 = with_cell(&with_cell(&g1, 1, 2, 2), 6, 2, 2);
+    let g3 = with_cell(&g2, 6, 3, 3);
+    let pusher = std::thread::spawn(move || {
+        let mut c = ServeClient::connect(addr, PATIENCE).unwrap();
+        [1, 2, 3].map(|g| c.apply_tables(g, [&g1, &g2, &g3][g as usize - 1]).unwrap())
+    });
+    for shard in [&lo, &hi] {
+        assert_eq!(shard.next_install().0, 1);
+    }
+    // Shard 1 goes back to generation 0 behind the gateway's back (a
+    // restart from its boot file), so generation 2's delta, based on 1,
+    // is not its to apply.
+    let t0 = Instant::now();
+    while hi.live.load(Ordering::SeqCst) != 1 {
+        assert!(
+            t0.elapsed() < PATIENCE,
+            "shard 1 never installed generation 1"
+        );
+        std::thread::yield_now();
+    }
+    hi.live.store(0, Ordering::SeqCst);
+    assert_eq!(lo.next_install().1.base, Some(1));
+    assert_eq!(hi.next_install().1.base, Some(1));
+    // Generation 3: the client's base is 2, which the fleet does not
+    // hold, so both shards get it whole. Shard 1's ack of 2 went out
+    // before the client could push 3: it installed nothing.
+    for shard in [&lo, &hi] {
+        let frame = shard.next_frame();
+        assert!(matches!(
+            frame,
+            ShardFrame::Install {
+                generation: 3,
+                delta: TableDelta { base: None, .. }
+            }
+        ));
+        if std::ptr::eq(shard, &hi) {
+            assert_eq!(hi.live.load(Ordering::SeqCst), 0, "installed nothing");
+        }
+        shard.release();
+    }
+    let [_, second, third] = pusher.join().unwrap();
+    assert_eq!(
+        (second.accepted, second.shards_installed, second.shards_down),
+        (false, 1, 1),
+        "{second:?}"
+    );
+    assert!(third.accepted && third.full, "{third:?}");
+    assert_eq!(hi.live.load(Ordering::SeqCst), 3);
+    gw.shutdown();
+    lo.join();
+    hi.join();
+}
+
+/// Rows 0 and 1 over a chain `s → s+1 → … → n-1`; with `detour`, the
+/// chain's last two cells are reached by 2-hop skips, 100 heavier.
+fn chain(n: u32, detour: bool) -> TableSnapshot {
+    let tables = (0..2)
+        .map(|s| {
+            let mut dist: Vec<u64> = (0..n)
+                .map(|v| if v >= s { u64::from(v - s) } else { INFINITY })
+                .collect();
+            let mut parent: Vec<Option<NodeId>> = (0..n).map(|v| (v > s).then(|| v - 1)).collect();
+            if detour {
+                for v in [n - 3, n - 1] {
+                    parent[v as usize] = Some(v - 2);
+                    dist[v as usize] += 100;
+                }
+            }
+            Arc::new(SourceTable {
+                source: s,
+                dist,
+                parent,
+            })
+        })
+        .collect();
+    TableSnapshot { n, tables }
+}
+
+#[test]
+fn a_probe_mid_swap_never_sees_a_half_applied_generation() {
+    const N: u32 = 64;
+    let cfg = GatewayConfig {
+        cache_capacity: 0,
+        ..GatewayConfig::default()
+    };
+    let (plain, detour) = (chain(N, false), chain(N, true));
+    let answer = |snap: &TableSnapshot, s: NodeId| {
+        let t = snap.table_for(s).unwrap();
+        QueryOutcome::Path {
+            dist: t.dist[N as usize - 1],
+            path: t.path_to(N - 1).unwrap(),
+        }
+    };
+    let valid: Vec<[QueryOutcome; 2]> = (0..2)
+        .map(|s| [answer(&plain, s), answer(&detour, s)])
+        .collect();
+    let (gw, shards, _) = spawn_loopback(&plain, 2, cfg).unwrap();
+
+    // The hammer walks both rows' paths through every swap: each walk
+    // reads cells the delta moves and cells it does not, so a row
+    // patched in place, or a batch answered half from either side,
+    // would show as a path of neither generation.
+    let (stop, landed) = (
+        Arc::new(AtomicBool::new(false)),
+        Arc::new(AtomicU64::new(0)),
+    );
+    let hammer = {
+        let (stop, landed, addr) = (Arc::clone(&stop), Arc::clone(&landed), gw.addr);
+        std::thread::spawn(move || {
+            let mut c = ServeClient::connect(addr, PATIENCE).unwrap();
+            let mut i = 0u32;
+            while !stop.load(Ordering::Relaxed) {
+                let s = i % 2;
+                let got = c.path(s, N - 1).unwrap();
+                assert!(valid[s as usize].contains(&got), "source {s}: {got:?}");
+                landed.fetch_add(1, Ordering::Relaxed);
+                i += 1;
+            }
+        })
+    };
+    let mut push = ServeClient::connect(gw.addr, PATIENCE).unwrap();
+    let mut fence = ServeClient::connect(gw.addr, PATIENCE).unwrap();
+    for generation in 1..=16u64 {
+        let target = landed.load(Ordering::Relaxed) + 8;
+        let t0 = Instant::now();
+        while landed.load(Ordering::Relaxed) < target {
+            assert!(t0.elapsed() < PATIENCE, "the hammer stalled");
+            std::thread::yield_now();
+        }
+        let next = if generation % 2 == 1 { &detour } else { &plain };
+        let report = push.apply_tables(generation, next).unwrap();
+        assert!(report.accepted, "{report:?}");
+        assert_eq!(report.full, generation == 1, "{report:?}");
+        for s in 0..2 {
+            assert_eq!(fence.path(s, N - 1).unwrap(), answer(next, s));
+        }
+    }
+    stop.store(true, Ordering::Relaxed);
+    hammer.join().unwrap();
+    drop((push, fence));
+    stop_all(gw, shards);
 }
