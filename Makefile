@@ -3,9 +3,9 @@
 
 CARGO ?= cargo
 
-.PHONY: ci build test fmt clippy report golden obs-schema bench-smoke transport-conformance pipeline-conformance shard-conformance chaos-smoke scale-smoke serve-conformance serve-smoke dynamic-smoke serve-chaos maelstrom-smoke
+.PHONY: ci build test fmt clippy report golden obs-schema bench-smoke transport-conformance pipeline-conformance shard-conformance chaos-smoke scale-smoke serve-conformance serve-smoke dynamic-conformance dynamic-smoke serve-chaos maelstrom-smoke
 
-ci: build test fmt clippy obs-schema transport-conformance pipeline-conformance chaos-smoke scale-smoke serve-conformance serve-smoke dynamic-smoke serve-chaos maelstrom-smoke
+ci: build test fmt clippy obs-schema transport-conformance pipeline-conformance chaos-smoke scale-smoke serve-conformance serve-smoke dynamic-conformance dynamic-smoke serve-chaos maelstrom-smoke
 
 build:
 	$(CARGO) build --release
@@ -113,6 +113,19 @@ serve-conformance:
 # the typed ShardUnavailable degradation within a bounded deadline.
 serve-smoke:
 	$(CARGO) run --release -q -p dw-bench --bin serve_smoke
+
+# The dynamic-update path (DESIGN.md §14), in release: dw-graph's unit
+# tests (the in-place CSR patch against a rebuild over chained batches),
+# dw-seqref's (the one tree order, `hops_from_parents`, `hops_match`
+# against the walk, `verify_row`'s refusals), dw-dynamic's (the recompute
+# transaction, the carried hop column), then the randomized update
+# streams against cold solves. Whole test targets only, as in
+# transport-conformance.
+dynamic-conformance:
+	$(CARGO) test --release -q -p dw-graph --lib
+	$(CARGO) test --release -q -p dw-seqref --lib
+	$(CARGO) test --release -q -p dw-dynamic --lib
+	$(CARGO) test --release -q -p dw-dynamic --test update_proptest
 
 # Dynamic-update smoke test (DESIGN.md §14): seeded update batches
 # repaired cell by cell in the (d, l, parent) order and pushed to a live

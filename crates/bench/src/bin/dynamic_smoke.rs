@@ -223,12 +223,14 @@ fn main() {
         }
         eprintln!(
             "dynamic_smoke: batch {b} -> generation {} swapped \
-             (recomputed {}/{} rows, cells touched {} of {}; {} {bytes} install bytes)",
+             (recomputed {}/{} rows, cells touched {} of {}, hop columns walked {}; \
+             {} {bytes} install bytes)",
             rep.generation,
             report.recomputed,
             report.recomputed + report.reused,
             report.cells,
             n * n,
+            report.walked,
             if full == 1 { "full," } else { "delta," }
         );
     }

@@ -189,19 +189,102 @@ mod tests {
         }
     }
 
+    /// What spreading independent rows over two threads can buy on this
+    /// machine: the same CPU-bound loop (64-bit LCGs, no memory
+    /// traffic) run once on one thread and once on each of two threads
+    /// at the same time, with one dependent chain (latency-bound) and
+    /// with eight independent ones (throughput-bound). A ratio near 1.0
+    /// means two threads get twice the work done; near 2.0, none.
+    /// `cargo test --release -p dw-bench -- --ignored --nocapture
+    /// two_threads_of_alu_work`.
+    #[test]
+    #[ignore]
+    fn two_threads_of_alu_work() {
+        fn spin<const LANES: usize>(steps: u64) {
+            let mut x = [1u64; LANES];
+            for _ in 0..steps {
+                for (i, v) in x.iter_mut().enumerate() {
+                    *v = v
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(i as u64 | 1);
+                }
+                x = std::hint::black_box(x);
+            }
+        }
+        let time = |f: fn(), threads: usize| {
+            let t = Instant::now();
+            std::thread::scope(|s| (0..threads).for_each(|_| drop(s.spawn(f))));
+            t.elapsed().as_secs_f64()
+        };
+        let loops: [(&str, fn()); 2] = [
+            ("one chain", || spin::<1>(200_000_000)),
+            ("eight chains", || spin::<8>(50_000_000)),
+        ];
+        let cpus = std::thread::available_parallelism().map_or(0, usize::from);
+        eprintln!("available parallelism: {cpus}");
+        for (what, f) in loops {
+            let mut ratios: Vec<f64> = (0..9).map(|_| time(f, 2) / time(f, 1)).collect();
+            ratios.sort_by(f64::total_cmp);
+            let [lo, mid, hi] = [ratios[0], ratios[4], ratios[8]];
+            eprintln!(
+                "{what}: two threads / one thread, wall time: median {mid:.2} \
+                 (min {lo:.2}, max {hi:.2}, 9 reps)"
+            );
+        }
+    }
+
     /// The E20 addendum: what the cell-level repair touches and costs
     /// per batch, at batch sizes 1/8/16/64, on
     /// the four graphs of the pipeline benchmark (`benchmark/src/
     /// workloads.rs`: same generators, sizes and source sets) with
     /// tables from a cold Algorithm-1 solve, whose time is printed for
-    /// scale. `cargo test --release -p dw-bench -- --ignored --nocapture
+    /// scale. Per batch, by phase: `patch` and `solve` (everything after
+    /// the patch) as `UpdateReport` times them; `restore`, the hop
+    /// columns of the rows the batch reaches, timed apart on a patched
+    /// copy of the graph — as `apply_update_batch` gets them (a carried
+    /// column checked, the others walked) and, for comparison, walked
+    /// from the parents every time; `repair` is `solve` less `restore`.
+    /// `cargo test --release -p dw-bench -- --ignored --nocapture
     /// repair_sweep` regenerates the EXPERIMENTS.md table.
     #[test]
     #[ignore]
     fn repair_sweep() {
         use dw_congest::{EngineConfig, RunOutcome};
-        use dw_graph::NodeId;
-        use dw_pipeline::k_ssp;
+        use dw_graph::{EdgeUpdate, NodeId};
+        use dw_pipeline::{k_ssp, RowRepair};
+        use dw_seqref::{hops_from_parents, hops_match};
+        use dw_serve::SourceTable;
+
+        // The hop columns of the rows `batch` reaches, the engine's way
+        // and the walk-every-row way, in µs.
+        let restore_us =
+            |g: &WGraph, rows: &[std::sync::Arc<SourceTable>], batch: &[EdgeUpdate]| {
+                let mut patched = g.clone();
+                let changes = patched.apply_updates(batch).unwrap().changes;
+                let mut repair = RowRepair::new(&patched, &changes);
+                let reached: Vec<&SourceTable> = rows
+                    .iter()
+                    .map(|t| t.as_ref())
+                    .filter(|t| repair.reaches(&t.dist, &t.parent))
+                    .collect();
+                let (n, mut hops) = (g.n(), Vec::new());
+                let t = Instant::now();
+                for t in &reached {
+                    if !hops_match(n, t.source, &t.dist, &t.parent, &t.hops) {
+                        repair.restore_hops(t.source, &t.dist, &t.parent, &mut hops);
+                    }
+                }
+                let now = t.elapsed().as_secs_f64() * 1e6;
+                let t = Instant::now();
+                for t in &reached {
+                    std::hint::black_box(hops_from_parents(n, t.source, &t.dist, &t.parent));
+                }
+                (now, t.elapsed().as_secs_f64() * 1e6)
+            };
+        let median = |mut v: Vec<f64>| {
+            v.sort_by(f64::total_cmp);
+            v[v.len() / 2]
+        };
 
         let spread = |n: usize, k: usize| (0..k).map(|i| (i * n / k) as NodeId).collect();
         let positive = WeightDist::ZeroOr {
@@ -255,25 +338,40 @@ mod tests {
                     snap: TableSnapshot::from_result(&cold),
                 };
                 let mut rng = ChaCha8Rng::seed_from_u64(STREAM_SEED);
-                let (mut rows, mut cells, mut ms) = (0, 0, Vec::new());
+                let (mut rows, mut cells, mut walked) = (0, 0, 0);
+                let mut phases: [Vec<f64>; 5] = Default::default();
                 let batches = 16;
                 for b in 0..batches {
                     let batch = gen_update_batch(&g, b, batch_size, g0.max_weight(), &mut rng);
+                    let (restore, walk_all) = restore_us(&g, &vt.snap.tables, &batch.updates);
                     let t = Instant::now();
                     let (next, report) =
                         apply_update_batch(&mut g, &vt, &batch, RecomputeEngine::Alg1).unwrap();
-                    ms.push(t.elapsed().as_secs_f64() * 1e3);
+                    let total = t.elapsed().as_secs_f64() * 1e6;
+                    let (patch, solve) = (report.patch_micros as f64, report.solve_micros as f64);
+                    for (col, v) in phases.iter_mut().zip([
+                        patch,
+                        restore,
+                        walk_all,
+                        (solve - restore).max(0.0),
+                        total,
+                    ]) {
+                        col.push(v);
+                    }
                     rows += report.recomputed;
                     cells += report.cells;
+                    walked += report.walked;
                     vt = next;
                 }
-                ms.sort_by(f64::total_cmp);
+                let [patch, restore, walk_all, repair, total] = phases.map(median);
                 eprintln!(
                     "  batch {batch_size:>2}: rows touched {:>5.1} %  cells touched {:>5.2} %  \
-                     {:>7.3} ms/batch (median of {batches})",
+                     rows walked {:>5.1} %  µs/batch: patch {patch:>6.0}  restore {restore:>6.0} \
+                     (walking every row {walk_all:>6.0})  repair {repair:>6.0}  total {total:>6.0} \
+                     (medians of {batches})",
                     100.0 * rows as f64 / (batches as usize * k) as f64,
                     100.0 * cells as f64 / (batches as usize * k * n) as f64,
-                    ms[ms.len() / 2]
+                    100.0 * walked as f64 / (batches as usize * k) as f64,
                 );
             }
         }

@@ -1087,7 +1087,7 @@ fn cmd_query(get: &impl Fn(&str) -> Option<String>) {
 fn print_update_report(r: &dwapsp::dynamic::UpdateReport, n: usize) {
     println!(
         "batch {} -> generation {}: recomputed {}/{} rows ({:.1}%), cells touched {} of {}, \
-         edges +{} -{} ~{} ({} noops), patch {}us solve {}us",
+         hop columns walked {}, edges +{} -{} ~{} ({} noops), patch {}us solve {}us",
         r.seq,
         r.generation,
         r.recomputed,
@@ -1095,6 +1095,7 @@ fn print_update_report(r: &dwapsp::dynamic::UpdateReport, n: usize) {
         100.0 * r.recomputed_fraction(),
         r.cells,
         (r.recomputed + r.reused) * n,
+        r.walked,
         r.inserted,
         r.removed,
         r.reweighted,

@@ -4,15 +4,24 @@
 //! (DESIGN.md §14):
 //!
 //! 1. **patch** — apply the batch to the graph in place
-//!    ([`WGraph::apply_updates`] rebuilds only the touched CSR rows)
-//!    and get back the batch's normalized *net* changes;
+//!    ([`WGraph::apply_updates`] splices the touched CSR rows into the
+//!    existing arrays) and get back the batch's normalized *net*
+//!    changes;
 //! 2. **repair** — bring every row up to the patched graph in the
 //!    stack's one `(d, l, parent)` order ([`dw_pipeline::RowRepair`]):
 //!    a row no change reaches is carried unread, the others are
-//!    repaired cell by cell;
+//!    repaired cell by cell, each with its hop column — the one the
+//!    previous repair left beside the row when [`hops_match`] accepts
+//!    it, else restored from the parents;
 //! 3. **version** — assemble the next [`VersionedTables`]: untouched
-//!    rows carried by `Arc` reference (zero copy), the others fresh,
-//!    generation bumped by one.
+//!    rows carried by `Arc` reference (zero copy), the others fresh and
+//!    holding their repaired hop column, generation bumped by one.
+//!
+//! So in a stream of batches a row pays the walk up its parents once,
+//! the first time a batch reaches it, and a one-pass check after that.
+//! The column is never trusted: a row whose carried column does not
+//! match its parents — edited since, or never repaired — is walked as
+//! if it had none.
 //!
 //! Tables canonical for the pre-batch graph in, tables canonical for
 //! the patched graph out, whoever built them — a quiet Algorithm-1 run
@@ -25,7 +34,7 @@
 use crate::batch::UpdateBatch;
 use dw_graph::{PatchError, WGraph};
 use dw_pipeline::RowRepair;
-use dw_seqref::{dijkstra, hops_from_parents};
+use dw_seqref::{dijkstra, hops_match};
 use dw_serve::{SourceTable, TableSnapshot, VersionedTables};
 use std::sync::Arc;
 use std::time::Instant;
@@ -56,6 +65,11 @@ pub struct UpdateReport {
     /// offered a better record, and every cell of a row it had to
     /// replace.
     pub cells: usize,
+    /// Reached rows whose hop column had to be restored from the
+    /// parents, because none that [`hops_match`] accepts was carried
+    /// beside them: rows no earlier batch repaired (fresh from a solver
+    /// or a file) and rows edited since.
+    pub walked: usize,
     /// Net edge effects of the batch (after normalization).
     pub inserted: usize,
     pub removed: usize,
@@ -65,7 +79,7 @@ pub struct UpdateReport {
     /// Wall time patching the CSR, in microseconds.
     pub patch_micros: u64,
     /// Wall time of everything after the patch — the reach test, the
-    /// repair, assembling the rows — in microseconds.
+    /// hop columns, the repair, assembling the rows — in microseconds.
     pub solve_micros: u64,
 }
 
@@ -104,12 +118,12 @@ pub fn apply_update_batch(
     let t1 = Instant::now();
     let g = &*g;
     let mut repair = RowRepair::new(g, &summary.changes);
-    let (mut recomputed, mut cells) = (0, 0);
+    let (mut recomputed, mut cells, mut walked) = (0, 0, 0);
     let new_tables: Vec<Arc<SourceTable>> = tables
         .snap
         .tables
         .iter()
-        .map(|t| match next_row(&mut repair, g, t) {
+        .map(|t| match next_row(&mut repair, g, t, &mut walked) {
             None => Arc::clone(t),
             Some((touched, row)) => {
                 recomputed += 1;
@@ -127,6 +141,7 @@ pub fn apply_update_batch(
         recomputed,
         reused: new_tables.len() - recomputed,
         cells,
+        walked,
         inserted: summary.inserted,
         removed: summary.removed,
         reweighted: summary.reweighted,
@@ -145,26 +160,39 @@ pub fn apply_update_batch(
 }
 
 /// `t`'s successor and its touched-cell count, or `None` to carry `t`
-/// by reference. A row no change reaches is carried before it is cloned
-/// or its parents walked. A reached row is repaired in a copy — tables
-/// persist distance and parent only, so the hop column the order reads
-/// is first restored from the parents ([`hops_from_parents`]) — and a
-/// reached row whose parents are not a tree is replaced by a cold one.
-fn next_row(repair: &mut RowRepair, g: &WGraph, t: &SourceTable) -> Option<(usize, SourceTable)> {
+/// by reference. A row no change reaches is carried before it is copied
+/// or read further. A reached row is repaired in a copy, which needs
+/// the hop column the order reads: the one carried beside `t` if
+/// [`hops_match`] accepts it, else the one [`RowRepair::restore_hops`]
+/// walks up the parents (counted in `walked`). A reached row whose
+/// parents are not a tree is replaced by a cold one. The repaired copy
+/// keeps its column for the next batch.
+fn next_row(
+    repair: &mut RowRepair,
+    g: &WGraph,
+    t: &SourceTable,
+    walked: &mut usize,
+) -> Option<(usize, SourceTable)> {
     if !repair.reaches(&t.dist, &t.parent) {
         return None;
     }
-    let Some(mut hops) = hops_from_parents(g.n(), t.source, &t.dist, &t.parent) else {
-        let cold = dijkstra(g, t.source);
-        let row = SourceTable {
-            source: t.source,
-            dist: cold.dist,
-            parent: cold.parent,
-        };
-        return Some((g.n(), row));
+    let mut hops = Vec::new();
+    if hops_match(g.n(), t.source, &t.dist, &t.parent, &t.hops) {
+        hops.extend_from_slice(&t.hops);
+    } else {
+        *walked += 1;
+        if !repair.restore_hops(t.source, &t.dist, &t.parent, &mut hops) {
+            let cold = dijkstra(g, t.source);
+            return Some((g.n(), SourceTable::new(t.source, cold.dist, cold.parent)));
+        }
+    }
+    let mut row = SourceTable {
+        source: t.source,
+        dist: t.dist.clone(),
+        parent: t.parent.clone(),
+        hops,
     };
-    let mut row = t.clone();
-    let touched = repair.repair(t.source, &mut row.dist, &mut hops, &mut row.parent);
+    let touched = repair.repair(t.source, &mut row.dist, &mut row.hops, &mut row.parent);
     (touched > 0).then_some((touched, row))
 }
 
@@ -175,6 +203,7 @@ mod tests {
     use dw_graph::gen::{self, WeightDist};
     use dw_graph::{EdgeUpdate, INFINITY};
     use dw_pipeline::apsp_auto;
+    use dw_seqref::hops_from_parents;
 
     /// Tables from one sequential Dijkstra per source.
     fn tables_for(g: &WGraph) -> VersionedTables {
@@ -323,6 +352,65 @@ mod tests {
         }
         assert_eq!(carried_by_reference(&vt, &next), report.reused);
         assert!(report.cells >= 3 * 16);
+    }
+
+    /// A batch that makes every edge of `g` one heavier: every tree edge
+    /// of every row got heavier, so every row is rewritten.
+    fn every_edge_heavier(g: &WGraph, seq: u64) -> UpdateBatch {
+        let updates = g.edges().map(|e| EdgeUpdate::SetWeight {
+            src: e.src,
+            dst: e.dst,
+            w: e.w + 1,
+        });
+        UpdateBatch {
+            seq,
+            updates: updates.collect(),
+        }
+    }
+
+    fn carries_its_own_hops(t: &SourceTable, n: usize) -> bool {
+        Some(&t.hops) == hops_from_parents(n, t.source, &t.dist, &t.parent).as_ref()
+    }
+
+    #[test]
+    fn a_row_the_last_batch_repaired_is_not_walked_again() {
+        let mut g = gen::grid2d(4, 5, WeightDist::Uniform { max: 5 }, 2);
+        let (n, vt, heavier) = (g.n(), tables_for(&g), every_edge_heavier(&g, 0));
+        let (vt, first) = apply_update_batch(&mut g, &vt, &heavier, RecomputeEngine::Alg1).unwrap();
+        // Rows from a solver carry no column: every reached row is walked.
+        assert_eq!((first.recomputed, first.walked), (n, n));
+        assert!(vt.snap.tables.iter().all(|t| carries_its_own_hops(t, n)));
+
+        let one = batch(vec![EdgeUpdate::SetWeight {
+            src: 0,
+            dst: 1,
+            w: 40,
+        }]);
+        let (next, second) = apply_update_batch(&mut g, &vt, &one, RecomputeEngine::Alg1).unwrap();
+        assert!(second.recomputed > 0);
+        assert_eq!(second.walked, 0);
+        assert_eq!(next.snap, tables_for(&g).snap);
+    }
+
+    #[test]
+    fn a_carried_column_that_does_not_match_is_walked() {
+        let mut g = gen::grid2d(4, 4, WeightDist::Uniform { max: 5 }, 6);
+        let (n, vt, heavier) = (g.n(), tables_for(&g), every_edge_heavier(&g, 0));
+        let (mut vt, _) = apply_update_batch(&mut g, &vt, &heavier, RecomputeEngine::Alg1).unwrap();
+        // Row 3: one cell one hop off. Row 9: row 10's column.
+        let row3 = Arc::make_mut(&mut vt.snap.tables[3]);
+        let cell = (0..n).find(|&v| v != 3).unwrap();
+        row3.hops[cell] += 1;
+        let other = vt.snap.tables[10].hops.clone();
+        Arc::make_mut(&mut vt.snap.tables[9]).hops = other;
+
+        let heavier = every_edge_heavier(&g, 1);
+        let (next, report) =
+            apply_update_batch(&mut g, &vt, &heavier, RecomputeEngine::Alg1).unwrap();
+        assert_eq!((report.recomputed, report.walked), (n, 2));
+        let cold = alg1_tables_for(&g).snap;
+        assert_eq!(next.snap, cold);
+        assert!(next.snap.tables.iter().all(|t| carries_its_own_hops(t, n)));
     }
 
     #[test]

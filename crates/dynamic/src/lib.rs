@@ -13,8 +13,9 @@
 //!
 //! ```text
 //!  EdgeUpdate ─► UpdatePool ─► UpdateBatch ─► apply_update_batch
-//!                                               │  patch CSR rows
+//!                                               │  patch CSR rows in place
 //!                                               │  RowRepair::reaches ──► carry the row by Arc
+//!                                               │  hop column: the carried one if hops_match, else walked
 //!                                               │  RowRepair::repair, touched cells only
 //!                                               ▼
 //!                                        VersionedTables gen+1 ─► gateway swap

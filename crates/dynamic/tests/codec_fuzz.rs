@@ -41,13 +41,13 @@ fn arb_versioned() -> impl Strategy<Value = VersionedTables> {
         let tables: Vec<Arc<SourceTable>> = (0..n)
             .filter(|s| (seed >> (s % 60)) & 1 == 1)
             .map(|source| {
-                Arc::new(SourceTable {
+                Arc::new(SourceTable::new(
                     source,
-                    dist: (0..n as u64).map(|v| v.wrapping_mul(seed | 1)).collect(),
-                    parent: (0..n)
+                    (0..n as u64).map(|v| v.wrapping_mul(seed | 1)).collect(),
+                    (0..n)
                         .map(|v| (v % 2 == 1).then_some(v.saturating_sub(1)))
                         .collect(),
-                })
+                ))
             })
             .collect();
         VersionedTables {

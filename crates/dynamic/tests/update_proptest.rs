@@ -12,7 +12,10 @@
 //!   source on the patched graph, distances and parents byte for byte,
 //!   and (in the cases that pay for it) a cold Algorithm-1 solve too;
 //! * **self-certification** — every generation passes
-//!   `dw_seqref::verify_row`, the local check that needs no solver;
+//!   `dw_seqref::verify_row`, the local check that needs no solver, and
+//!   every row the repair wrote carries the hop column
+//!   `dw_seqref::hops_from_parents` restores from it, which the next
+//!   batch reads in place of walking the parents;
 //! * **partition** — recomputed + reused covers all sources, reused
 //!   rows are carried by reference (`Arc::ptr_eq`), never copied (a row
 //!   whose answer changed is therefore never carried: carried rows are
@@ -32,7 +35,7 @@ use dw_dynamic::{apply_update_batch, gen_update_batch, RecomputeEngine};
 use dw_graph::gen::{self, WeightDist};
 use dw_graph::{NodeId, WGraph};
 use dw_pipeline::k_ssp;
-use dw_seqref::{dijkstra, max_finite_distance, verify_row};
+use dw_seqref::{dijkstra, hops_from_parents, max_finite_distance, verify_row};
 use dw_serve::{RowPatch, TableDelta, TableSnapshot, VersionedTables};
 use proptest::prelude::*;
 use rand::SeedableRng;
@@ -118,6 +121,11 @@ proptest! {
             let (mut shared, mut differing) = (0, 0);
             for (old, new) in vt.snap.tables.iter().zip(&next.snap.tables) {
                 prop_assert_eq!(verify_row(&g, new.source, &new.dist, &new.parent).err(), None);
+                if !Arc::ptr_eq(old, new) {
+                    // A row the repair wrote holds its own hop column.
+                    let hops = hops_from_parents(g.n(), new.source, &new.dist, &new.parent);
+                    prop_assert_eq!(Some(&new.hops), hops.as_ref(), "batch {}", b);
+                }
                 shared += usize::from(Arc::ptr_eq(old, new));
                 differing += (0..g.n())
                     .filter(|&v| (old.dist[v], old.parent[v]) != (new.dist[v], new.parent[v]))

@@ -4,15 +4,22 @@
 //! [`NetChange`]s — the net effect of the batch on each logical edge,
 //! measured against the graph's current state, with no-ops dropped —
 //! and then applied by [`WGraph::apply_updates`], which rebuilds only
-//! the adjacency slabs of touched rows (untouched row spans are bulk
-//! `memcpy`s between the old and new arenas). The patched graph is
-//! byte-identical to a from-scratch [`WGraph::from_edge_list`] rebuild
-//! of the final edge set, so every invariant the rest of the workspace
-//! relies on (sorted rows, canonical CSR, derived `PartialEq` ==
-//! logical equality) survives updates.
+//! the adjacency slabs of touched rows and splices them into the
+//! existing `out` / `inc` / `comm` arrays ([`splice_rows`]): each
+//! untouched span between two touched rows moves at most once, by
+//! `copy_within`, and offsets change only from the first touched row
+//! on. A batch costs the rows it touches plus the spans it has to
+//! shift; no array is rebuilt or cloned, and once an array has grown
+//! to its working size a batch allocates nothing proportional to `m`.
+//! The patched graph is byte-identical to a from-scratch
+//! [`WGraph::from_edge_list`] rebuild of the final edge set, so every
+//! invariant the rest of the workspace relies on (sorted rows,
+//! canonical CSR, derived `PartialEq` == logical equality) survives
+//! updates.
 
 use crate::graph::{NodeId, WGraph, Weight};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Range;
 
 /// One edge-level update event. `Insert` and `SetWeight` are both
 /// upserts (two names for intent: feeding an `Insert` for an existing
@@ -154,75 +161,77 @@ fn merge_row(
     }
 }
 
-/// Rebuild a weighted CSR applying per-row edit lists; rows absent from
-/// `edits` are copied wholesale, contiguous untouched spans in one
-/// `extend_from_slice`.
-fn patch_csr(
-    off: &[usize],
-    adj: &[(NodeId, Weight)],
-    edits: &BTreeMap<NodeId, Vec<(NodeId, Option<Weight>)>>,
-) -> (Vec<usize>, Vec<(NodeId, Weight)>) {
-    let n = off.len() - 1;
-    let mut new_off = Vec::with_capacity(n + 1);
-    let mut new_adj: Vec<(NodeId, Weight)> = Vec::with_capacity(adj.len());
-    new_off.push(0);
-    let mut done = 0usize; // rows [0, done) already emitted
-    for (&row, row_edits) in edits {
-        let row = row as usize;
-        copy_span(off, adj, done, row, &mut new_off, &mut new_adj);
-        merge_row(&adj[off[row]..off[row + 1]], row_edits, &mut new_adj);
-        new_off.push(new_adj.len());
-        done = row + 1;
-    }
-    copy_span(off, adj, done, n, &mut new_off, &mut new_adj);
-    (new_off, new_adj)
-}
-
-/// Bulk-copy the untouched row span `[done, upto)` from the old arena.
-fn copy_span<T: Copy>(
-    off: &[usize],
-    adj: &[T],
-    done: usize,
-    upto: usize,
-    new_off: &mut Vec<usize>,
-    new_adj: &mut Vec<T>,
+/// Replace rows of the CSR pair `(off, adj)` in place. `rows` names the
+/// replaced rows in increasing order, each with its new contents as a
+/// range of `contents`.
+///
+/// The untouched span after each replaced row (up to the next one)
+/// moves by the net growth of the replaced rows before it, and moves
+/// once, by `copy_within`: first every span that moves left, left to
+/// right, then every span that moves right, right to left. Neither pass
+/// overwrites a span that has yet to move — a span's new place ends
+/// before the old place of any later span that moves left, and starts
+/// after the old place of any earlier span that moves right, because
+/// the new layout keeps the spans in order. The replaced rows' old
+/// contents may be overwritten; they are no longer read.
+fn splice_rows<T: Copy + Default>(
+    off: &mut [usize],
+    adj: &mut Vec<T>,
+    rows: &[(usize, Range<usize>)],
+    contents: &[T],
 ) {
-    if done < upto {
-        let base = new_adj.len();
-        new_adj.extend_from_slice(&adj[off[done]..off[upto]]);
-        for r in done..upto {
-            new_off.push(base + (off[r + 1] - off[done]));
+    let n = off.len() - 1;
+    let upto = |i: usize| rows.get(i + 1).map_or(n, |next| next.0);
+    let mut shifts = Vec::with_capacity(rows.len());
+    let mut shift = 0isize;
+    for (r, new) in rows {
+        shift += new.len() as isize - (off[r + 1] - off[*r]) as isize;
+        shifts.push(shift);
+    }
+    if shift > 0 {
+        adj.resize(adj.len() + shift as usize, T::default());
+    }
+    let left = (0..rows.len()).filter(|&i| shifts[i] < 0);
+    let right = (0..rows.len()).rev().filter(|&i| shifts[i] > 0);
+    for i in left.chain(right) {
+        let from = off[rows[i].0 + 1]..off[upto(i)];
+        let to = from.start.wrapping_add_signed(shifts[i]);
+        adj.copy_within(from, to);
+    }
+    for (i, (r, _)) in rows.iter().enumerate() {
+        for o in &mut off[r + 1..=upto(i)] {
+            *o = o.wrapping_add_signed(shifts[i]);
         }
     }
+    for (r, new) in rows {
+        adj[off[*r]..off[r + 1]].copy_from_slice(&contents[new.clone()]);
+    }
+    adj.truncate(off[n]);
 }
 
-/// As [`patch_csr`] for the unweighted communication CSR: touched rows
-/// are *replaced* outright (their new contents are recomputed from the
-/// patched out/in rows), untouched spans are bulk-copied.
-fn replace_comm_rows(
-    off: &[usize],
-    adj: &[NodeId],
-    rows: &BTreeMap<NodeId, Vec<NodeId>>,
-) -> (Vec<usize>, Vec<NodeId>) {
-    let n = off.len() - 1;
-    let mut new_off = Vec::with_capacity(n + 1);
-    let mut new_adj: Vec<NodeId> = Vec::with_capacity(adj.len());
-    new_off.push(0);
-    let mut done = 0usize;
-    for (&row, contents) in rows {
-        let row = row as usize;
-        copy_span(off, adj, done, row, &mut new_off, &mut new_adj);
-        new_adj.extend_from_slice(contents);
-        new_off.push(new_adj.len());
-        done = row + 1;
-    }
-    copy_span(off, adj, done, n, &mut new_off, &mut new_adj);
-    (new_off, new_adj)
+/// Apply per-row edit lists to a weighted CSR pair in place: merge each
+/// edited row into a scratch buffer, then [`splice_rows`] them in.
+fn patch_rows(
+    off: &mut [usize],
+    adj: &mut Vec<(NodeId, Weight)>,
+    edits: &BTreeMap<NodeId, Vec<(NodeId, Option<Weight>)>>,
+) {
+    let mut contents = Vec::new();
+    let rows: Vec<_> = edits
+        .iter()
+        .map(|(&row, row_edits)| {
+            let (r, start) = (row as usize, contents.len());
+            merge_row(&adj[off[r]..off[r + 1]], row_edits, &mut contents);
+            (r, start..contents.len())
+        })
+        .collect();
+    splice_rows(off, adj, &rows, &contents);
 }
 
 impl WGraph {
     /// Apply a batch of edge updates in place, rebuilding only the
-    /// adjacency slabs of touched rows. All-or-nothing: on error the
+    /// adjacency slabs of touched rows and splicing them into the
+    /// existing arrays (module header). All-or-nothing: on error the
     /// graph is unchanged. The returned [`PatchSummary`] carries the
     /// normalized net changes the table repair reads.
     ///
@@ -260,40 +269,34 @@ impl WGraph {
             edits.sort_unstable_by_key(|e| e.0);
         }
 
-        let (out_off, out_adj) = patch_csr(&self.out_off, &self.out_adj, &out_edits);
-        let (inc_off, inc_adj) = patch_csr(&self.inc_off, &self.inc_adj, &inc_edits);
-        self.out_off = out_off;
-        self.out_adj = out_adj;
-        self.inc_off = inc_off;
-        self.inc_adj = inc_adj;
+        patch_rows(&mut self.out_off, &mut self.out_adj, &out_edits);
+        patch_rows(&mut self.inc_off, &mut self.inc_adj, &inc_edits);
         self.m = self.m + summary.inserted - summary.removed;
 
         // Communication rows only change on membership changes; rebuild
         // the touched nodes' rows as the union of their (new) out and
         // in neighbors.
-        let mut comm_rows: BTreeMap<NodeId, Vec<NodeId>> = BTreeMap::new();
-        for c in &changes {
-            if c.old.is_none() != c.new.is_none() {
-                comm_rows.insert(c.src, Vec::new());
-                comm_rows.insert(c.dst, Vec::new());
-            }
-        }
-        if !comm_rows.is_empty() {
-            for (&v, row) in comm_rows.iter_mut() {
-                let mut nbrs: Vec<NodeId> = self
-                    .out_edges(v)
-                    .iter()
-                    .map(|&(u, _)| u)
-                    .chain(self.in_edges(v).iter().map(|&(u, _)| u))
-                    .collect();
-                nbrs.sort_unstable();
-                nbrs.dedup();
-                *row = nbrs;
-            }
-            let (comm_off, comm_adj) =
-                replace_comm_rows(&self.comm_off, &self.comm_adj, &comm_rows);
-            self.comm_off = comm_off;
-            self.comm_adj = comm_adj;
+        let comm_touched: BTreeSet<NodeId> = changes
+            .iter()
+            .filter(|c| c.old.is_none() != c.new.is_none())
+            .flat_map(|c| [c.src, c.dst])
+            .collect();
+        if !comm_touched.is_empty() {
+            let (mut contents, mut nbrs) = (Vec::new(), Vec::new());
+            let rows: Vec<_> = comm_touched
+                .into_iter()
+                .map(|v| {
+                    nbrs.clear();
+                    let out = self.out_edges(v).iter();
+                    nbrs.extend(out.chain(self.in_edges(v)).map(|&(u, _)| u));
+                    nbrs.sort_unstable();
+                    nbrs.dedup();
+                    let start = contents.len();
+                    contents.extend_from_slice(&nbrs);
+                    (v as usize, start..contents.len())
+                })
+                .collect();
+            splice_rows(&mut self.comm_off, &mut self.comm_adj, &rows, &contents);
         }
 
         summary.changes = changes;
@@ -374,6 +377,82 @@ mod tests {
             .collect()
     }
 
+    /// A batch that grows the out-row of a node in the first third by one
+    /// edge and shrinks the out-row of a node in the middle third by two
+    /// (`flip`: shrinks the first by one and grows the second by two), so
+    /// that in one batch the span between them moves one way and the
+    /// span after the second the other.
+    fn grow_then_shrink(g: &WGraph, rng: &mut ChaCha8Rng, flip: bool) -> Vec<EdgeUpdate> {
+        let n = g.n() as NodeId;
+        let grow = |v: NodeId, by: usize, rng: &mut ChaCha8Rng| -> Vec<EdgeUpdate> {
+            let free: Vec<NodeId> = (0..n)
+                .filter(|&u| u != v && g.edge_weight(v, u).is_none())
+                .collect();
+            let from = rng.gen_range(0..free.len());
+            let picked: Vec<NodeId> = free.iter().cycle().skip(from).take(by).copied().collect();
+            picked
+                .into_iter()
+                .map(|dst| EdgeUpdate::Insert {
+                    src: v,
+                    dst,
+                    w: rng.gen_range(0..10),
+                })
+                .collect()
+        };
+        let shrink = |v: NodeId, by: usize| -> Vec<EdgeUpdate> {
+            let out = g.out_edges(v).iter().take(by);
+            out.map(|&(dst, _)| EdgeUpdate::Remove { src: v, dst })
+                .collect()
+        };
+        let first = rng.gen_range(0..n / 3);
+        let second = rng.gen_range(n / 3..2 * n / 3);
+        let (a, b) = if flip {
+            (shrink(first, 1), grow(second, 2, rng))
+        } else {
+            (grow(first, 1, rng), shrink(second, 2))
+        };
+        a.into_iter().chain(b).collect()
+    }
+
+    /// Did the patch move an untouched, non-empty out-row left, and
+    /// another one right?
+    fn out_spans_moved_both_ways(before: &WGraph, after: &WGraph, touched: &[NetChange]) -> bool {
+        let rows: BTreeSet<NodeId> = touched.iter().flat_map(|c| [c.src, c.dst]).collect();
+        let moved = |right: bool| {
+            before.nodes().any(|v| {
+                let (old, new) = (before.out_off[v as usize], after.out_off[v as usize]);
+                !rows.contains(&v)
+                    && !before.out_edges(v).is_empty()
+                    && (new > old) == right
+                    && new != old
+            })
+        };
+        moved(true) && moved(false)
+    }
+
+    fn assert_same_csr(g: &WGraph, want: &WGraph, what: &str) {
+        assert_eq!(
+            (g.n, g.directed, g.m),
+            (want.n, want.directed, want.m),
+            "{what}"
+        );
+        assert_eq!(
+            (&g.out_off, &g.out_adj),
+            (&want.out_off, &want.out_adj),
+            "{what}: out"
+        );
+        assert_eq!(
+            (&g.inc_off, &g.inc_adj),
+            (&want.inc_off, &want.inc_adj),
+            "{what}: inc"
+        );
+        assert_eq!(
+            (&g.comm_off, &g.comm_adj),
+            (&want.comm_off, &want.comm_adj),
+            "{what}: comm"
+        );
+    }
+
     #[test]
     fn patched_graph_equals_rebuild() {
         for (directed, seed) in [(false, 1u64), (true, 2), (false, 3), (true, 4)] {
@@ -385,6 +464,66 @@ mod tests {
                 assert_eq!(g, want, "directed={directed} seed={seed} round={round}");
             }
         }
+        // Chained batches patched in place, one array growing and
+        // shrinking under them: random batches of 1..24 updates, and
+        // every third batch one that moves spans both ways at once.
+        let graphs = [
+            (
+                "zero-heavy directed",
+                gen::zero_heavy(60, 0.06, 0.5, 6, true, 5),
+            ),
+            (
+                "power-law undirected",
+                gen::power_law(60, 2, WeightDist::Uniform { max: 9 }, 6),
+            ),
+            ("grid", gen::grid2d(6, 8, WeightDist::Uniform { max: 9 }, 7)),
+        ];
+        for (name, mut g) in graphs {
+            let mut rng = ChaCha8Rng::seed_from_u64(g.m() as u64);
+            let mut both_ways = 0;
+            for batch in 0..24 {
+                let updates = if batch % 3 == 2 {
+                    grow_then_shrink(&g, &mut rng, batch % 2 == 0)
+                } else {
+                    let size = rng.gen_range(1..24);
+                    random_updates(&g, size, rng.gen())
+                };
+                let (before, want) = (g.clone(), rebuilt(&g, &updates));
+                let summary = g.apply_updates(&updates).unwrap();
+                assert_same_csr(&g, &want, &format!("{name}, batch {batch}"));
+                both_ways += usize::from(out_spans_moved_both_ways(&before, &g, &summary.changes));
+            }
+            assert!(
+                both_ways >= 4,
+                "{name}: spans moved both ways in {both_ways} batches"
+            );
+        }
+    }
+
+    #[test]
+    fn splicing_moves_spans_both_ways_in_one_call() {
+        // Rows of lengths 2, 1, 2, 4, 2. Row 1 grows by 2 and row 3
+        // shrinks by 3: row 2 moves right by 2, row 4 left by 1.
+        let mut off = vec![0, 2, 3, 5, 9, 11];
+        let mut adj: Vec<u32> = vec![10, 11, 20, 30, 31, 40, 41, 42, 43, 50, 51];
+        splice_rows(
+            &mut off,
+            &mut adj,
+            &[(1, 0..3), (3, 3..4)],
+            &[21, 22, 23, 44],
+        );
+        assert_eq!(off, [0, 2, 5, 7, 8, 10]);
+        assert_eq!(adj, [10, 11, 21, 22, 23, 30, 31, 44, 50, 51]);
+        // The reverse: row 1 shrinks by 3 and row 3 grows by 4, so row 2
+        // moves left by 3 and row 4 right by 1.
+        splice_rows(
+            &mut off,
+            &mut adj,
+            &[(1, 0..0), (3, 0..5)],
+            &[45, 46, 47, 48, 49],
+        );
+        assert_eq!(off, [0, 2, 2, 4, 9, 11]);
+        assert_eq!(adj, [10, 11, 30, 31, 45, 46, 47, 48, 49, 50, 51]);
     }
 
     #[test]

@@ -32,6 +32,7 @@ use crate::node::Best;
 use crate::result::HkSspResult;
 use dw_congest::EngineConfig;
 use dw_graph::{NetChange, NodeId, WGraph, Weight, INFINITY};
+use dw_seqref::hops_from_parents_into;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -94,6 +95,8 @@ pub struct RowRepair<'a> {
     /// first touched. The detach phase also uses it as its queue.
     touched: Vec<NodeId>,
     heap: BinaryHeap<Reverse<(Weight, u64, NodeId)>>,
+    /// The stack of [`RowRepair::restore_hops`]' walk.
+    chain: Vec<usize>,
 }
 
 impl<'a> RowRepair<'a> {
@@ -106,7 +109,24 @@ impl<'a> RowRepair<'a> {
             cell: vec![Cell::Kept; g.n()],
             touched: Vec::new(),
             heap: BinaryHeap::new(),
+            chain: Vec::new(),
         }
+    }
+
+    /// Restore the hop column of `source`'s row from its parents into
+    /// `hops`, the column [`RowRepair::repair`] reads
+    /// ([`dw_seqref::hops_from_parents`]; the walk's stack is kept from
+    /// row to row). `false`: the parents are not a tree rooted at
+    /// `source`, and the row cannot be repaired.
+    pub fn restore_hops(
+        &mut self,
+        source: NodeId,
+        dist: &[Weight],
+        parent: &[Option<NodeId>],
+        hops: &mut Vec<u64>,
+    ) -> bool {
+        let n = self.g.n();
+        hops_from_parents_into(n, source, dist, parent, hops, &mut self.chain)
     }
 
     /// Can the batch touch a cell of the row `(dist, parent)`, which

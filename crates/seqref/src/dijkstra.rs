@@ -11,6 +11,14 @@
 //! writes, what [`dijkstra`] writes, what `dw_pipeline::RowRepair`
 //! maintains under edge updates, and what [`verify_row`] checks cell by
 //! cell without solving anything.
+//!
+//! The hop count `l` is a cell's depth in the parent tree, so a row
+//! needs no hop column to be the tree: tables persist distance and
+//! parent only, [`hops_from_parents`] restores `l` by a bounded walk up
+//! the parents, and [`hops_match`] checks, in one pass with no walk, a
+//! column somebody carried beside a row. It accepts exactly the column
+//! the walk would restore, so a carried column is never trusted, only
+//! checked.
 
 use dw_graph::{NodeId, WGraph, Weight, INFINITY};
 use std::cmp::Reverse;
@@ -95,35 +103,51 @@ pub fn hops_from_parents(
     dist: &[Weight],
     parent: &[Option<NodeId>],
 ) -> Option<Vec<u64>> {
+    let mut hops = Vec::new();
+    hops_from_parents_into(n, source, dist, parent, &mut hops, &mut Vec::new()).then_some(hops)
+}
+
+/// [`hops_from_parents`] into buffers the caller keeps from row to row:
+/// `hops` is overwritten with the column (its contents are unspecified
+/// when the parents are refused) and `chain` is the walk's stack.
+/// `false` exactly where [`hops_from_parents`] returns `None`.
+pub fn hops_from_parents_into(
+    n: usize,
+    source: NodeId,
+    dist: &[Weight],
+    parent: &[Option<NodeId>],
+    hops: &mut Vec<u64>,
+    chain: &mut Vec<usize>,
+) -> bool {
     const UNRESOLVED: u64 = u64::MAX;
     const ON_CHAIN: u64 = u64::MAX - 1;
     let s = source as usize;
     if dist.len() != n || parent.len() != n || s >= n || (dist[s], parent[s]) != (0, None) {
-        return None;
+        return false;
     }
-    let mut hops = vec![UNRESOLVED; n];
+    hops.clear();
+    hops.resize(n, UNRESOLVED);
     hops[s] = 0;
-    let mut chain = Vec::new();
+    chain.clear();
     for v in 0..n {
         let mut at = v;
         while hops[at] == UNRESOLVED {
             if dist[at] == INFINITY {
                 if parent[at].is_some() {
-                    return None;
+                    return false;
                 }
                 hops[at] = 0;
             } else {
-                let p = parent[at]? as usize;
-                if p >= n {
-                    return None;
-                }
+                let Some(p) = parent[at].map(|p| p as usize).filter(|&p| p < n) else {
+                    return false;
+                };
                 hops[at] = ON_CHAIN;
                 chain.push(at);
                 at = p;
             }
         }
         if hops[at] == ON_CHAIN || (dist[at] == INFINITY && !chain.is_empty()) {
-            return None; // a cycle, or a path hanging off an unreachable node
+            return false; // a cycle, or a path hanging off an unreachable node
         }
         let mut depth = hops[at];
         while let Some(c) = chain.pop() {
@@ -131,7 +155,48 @@ pub fn hops_from_parents(
             hops[c] = depth;
         }
     }
-    Some(hops)
+    true
+}
+
+/// Is `hops` the column [`hops_from_parents`] restores from these
+/// parents? One pass, nothing allocated, no parent followed: it accepts
+/// exactly when `hops_from_parents(n, source, dist, parent)` is
+/// `Some(hops)`.
+///
+/// The columns must span `0..n` and the source sit at `(0, None, 0)`;
+/// every other reachable cell's parent must be `< n`, reachable, and
+/// one hop shallower; `None` may appear only at the source and at
+/// unreachable cells, whose hop count is 0. Those are local consequences
+/// of a walk that succeeds. Conversely, hop counts that fall by one
+/// along every parent pointer cannot close a cycle, and a chain of
+/// reachable cells can only stop at the one reachable cell with no
+/// parent, the source — so the walk succeeds, and the depth it assigns
+/// is the hop count, by induction up the chain.
+///
+/// A hop column is derived data: whoever holds one beside a row (a
+/// repaired table row) trusts it only after this check.
+pub fn hops_match(
+    n: usize,
+    source: NodeId,
+    dist: &[Weight],
+    parent: &[Option<NodeId>],
+    hops: &[u64],
+) -> bool {
+    let s = source as usize;
+    if dist.len() != n || parent.len() != n || hops.len() != n || s >= n {
+        return false;
+    }
+    if (dist[s], parent[s], hops[s]) != (0, None, 0) {
+        return false;
+    }
+    let mut cells = dist.iter().zip(parent).zip(hops).enumerate();
+    cells.all(|(v, ((&d, &p), &l))| match p {
+        None => v == s || (d == INFINITY && l == 0),
+        Some(p) => {
+            let p = p as usize;
+            d != INFINITY && p < n && dist[p] != INFINITY && l.checked_sub(1) == Some(hops[p])
+        }
+    })
 }
 
 /// Is `source`'s row the canonical tree of `g`? Returns its hop column,
@@ -334,6 +399,139 @@ mod tests {
             rejected(&|r| r.parent.truncate(5)),
         ] {
             assert!(not_a_tree.contains("not a tree"), "{not_a_tree}");
+        }
+    }
+
+    /// 40 nodes; the zero-heavy one is not forced connected, so its rows
+    /// have unreachable cells.
+    fn sample_graph(family: usize, seed: u64) -> WGraph {
+        match family {
+            0 => {
+                let zero_heavy = WeightDist::ZeroOr {
+                    p_zero: 0.5,
+                    max: 6,
+                };
+                gen::gnp(40, 0.05, true, zero_heavy, seed)
+            }
+            1 => gen::grid2d(5, 8, WeightDist::Uniform { max: 5 }, seed),
+            _ => gen::power_law(40, 2, WeightDist::Uniform { max: 4 }, seed),
+        }
+    }
+
+    /// Break `r` the way `verify_row_names_the_first_cell_that_is_not_canonical`
+    /// does, at the `pick`-th cell that admits it (unchanged if none does):
+    /// 0 nothing, 1 a cycle, 2 a parent ≥ n, 3 a reachable cell without a
+    /// parent, 4 an unreachable cell with a parent, 5 a path hanging off
+    /// an unreachable cell, 6 a short column.
+    fn corrupt(r: &mut SsspResult, how: usize, pick: usize) {
+        let n = r.dist.len();
+        let s = r.source as usize;
+        let reached: Vec<usize> = (0..n)
+            .filter(|&v| v != s && r.dist[v] != INFINITY)
+            .collect();
+        let inner: Vec<usize> = reached
+            .iter()
+            .filter_map(|&v| r.parent[v].map(|p| p as usize))
+            .filter(|&p| p != s)
+            .collect();
+        let nth = |of: &[usize]| (!of.is_empty()).then(|| of[pick % of.len()]);
+        match how {
+            1 => {
+                if let Some(p) = nth(&inner) {
+                    let child = reached.iter().find(|&&v| r.parent[v] == Some(p as NodeId));
+                    r.parent[p] = child.map(|&c| c as NodeId);
+                }
+            }
+            2 => {
+                if let Some(v) = nth(&reached) {
+                    r.parent[v] = Some((n + pick % 3) as NodeId);
+                }
+            }
+            3 => {
+                if let Some(v) = nth(&reached) {
+                    r.parent[v] = None;
+                }
+            }
+            4 => {
+                if let Some(v) = nth(&reached) {
+                    r.dist[v] = INFINITY;
+                }
+            }
+            5 => {
+                if let Some(x) = nth(&inner) {
+                    (r.dist[x], r.parent[x]) = (INFINITY, None);
+                }
+            }
+            6 => {
+                r.dist.pop();
+                r.parent.pop();
+            }
+            _ => {}
+        }
+    }
+
+    /// The column a check that reads each cell against its parent alone
+    /// would want for `r`: 0 at the source, at unreachable cells and at
+    /// cells without a usable parent, else the parent's plus one, filled
+    /// in the order of `depth` (a good row's depths). It is the column a
+    /// check missing one of `hops_match`'s clauses would wrongly accept.
+    fn local_column(r: &SsspResult, n: usize, depth: &[u64]) -> Vec<u64> {
+        let mut order: Vec<usize> = (0..n).collect();
+        order.sort_by_key(|&v| depth[v]);
+        let mut col = vec![0; n];
+        for v in order {
+            let p = r.parent.get(v).copied().flatten().map(|p| p as usize);
+            if let Some(p) = p.filter(|&p| p < n && r.dist.get(v) != Some(&INFINITY)) {
+                col[v] = col[p] + 1;
+            }
+        }
+        col
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        // `hops_match` accepts a column exactly when the walk restores
+        // that column: over Dijkstra rows of zero-heavy directed, grid
+        // and power-law graphs, each broken one of the ways above, and
+        // columns that are right, one cell off, another row's, of the
+        // wrong length, or locally consistent with a broken tree.
+        #[test]
+        fn hops_match_accepts_exactly_the_column_the_walk_restores(
+            family in 0usize..3,
+            seed in 0u64..1000,
+            source in 0u32..40,
+            other in 0u32..40,
+            how in 0usize..7,
+            pick in 0usize..1000,
+            off_by in 0usize..2,
+        ) {
+            let g = sample_graph(family, seed);
+            let n = g.n();
+            let mut r = dijkstra(&g, source);
+            let good = hops(&r);
+            corrupt(&mut r, how, pick);
+            let walked = hops_from_parents(n, r.source, &r.dist, &r.parent);
+
+            let mut one_off = good.clone();
+            let c = pick % n;
+            one_off[c] = if off_by == 1 || one_off[c] == 0 { one_off[c] + 1 } else { one_off[c] - 1 };
+            let (mut longer, mut shorter) = (good.clone(), good.clone());
+            longer.push(0);
+            shorter.pop();
+            let mut columns = vec![
+                good.clone(),
+                one_off,
+                hops(&dijkstra(&g, other)),
+                longer,
+                shorter,
+                local_column(&r, n, &good),
+            ];
+            columns.extend(walked.clone());
+            for col in &columns {
+                let accepted = hops_match(n, r.source, &r.dist, &r.parent, col);
+                proptest::prop_assert_eq!(accepted, walked.as_ref() == Some(col), "how {}", how);
+            }
         }
     }
 }

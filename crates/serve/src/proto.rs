@@ -484,11 +484,11 @@ mod tests {
             n: 3,
             base: Some(8),
             rows: vec![
-                RowPatch::Whole(Arc::new(SourceTable {
-                    source: 1,
-                    dist: vec![2, 0, 5],
-                    parent: vec![Some(1), None, Some(1)],
-                })),
+                RowPatch::Whole(Arc::new(SourceTable::new(
+                    1,
+                    vec![2, 0, 5],
+                    vec![Some(1), None, Some(1)],
+                ))),
                 RowPatch::Cells {
                     source: 2,
                     cells: vec![(0, 4, Some(1)), (1, 3, None)],

@@ -225,11 +225,11 @@ mod tests {
         // 0 -> 1 -> 2 (weights 2, 3); node 3 unreachable.
         TableSnapshot {
             n: 4,
-            tables: vec![Arc::new(SourceTable {
-                source: 0,
-                dist: vec![0, 2, 5, INFINITY],
-                parent: vec![None, Some(0), Some(1), None],
-            })],
+            tables: vec![Arc::new(SourceTable::new(
+                0,
+                vec![0, 2, 5, INFINITY],
+                vec![None, Some(0), Some(1), None],
+            ))],
         }
     }
 
@@ -335,11 +335,11 @@ mod tests {
         // New tables where 0 -> 1 now costs 9.
         let new_snap = TableSnapshot {
             n: 4,
-            tables: vec![Arc::new(SourceTable {
-                source: 0,
-                dist: vec![0, 9, 12, INFINITY],
-                parent: vec![None, Some(0), Some(1), None],
-            })],
+            tables: vec![Arc::new(SourceTable::new(
+                0,
+                vec![0, 9, 12, INFINITY],
+                vec![None, Some(0), Some(1), None],
+            ))],
         };
         let reply = send(
             &mut stream,
@@ -399,11 +399,11 @@ mod tests {
         let mut scratch = Vec::new();
         let new_snap = TableSnapshot {
             n: 4,
-            tables: vec![Arc::new(SourceTable {
-                source: 0,
-                dist: vec![0, 7, 10, INFINITY],
-                parent: vec![None, Some(0), Some(1), None],
-            })],
+            tables: vec![Arc::new(SourceTable::new(
+                0,
+                vec![0, 7, 10, INFINITY],
+                vec![None, Some(0), Some(1), None],
+            ))],
         };
         let reply = send(
             &mut a,

@@ -19,6 +19,13 @@
 //! cells that differ from a base generation the receiver already holds,
 //! applied copy-on-write by [`TableSnapshot::apply`]. A full install is
 //! the same frame with no base and every row whole.
+//!
+//! A row may also hold, in memory only, the hop column the table repair
+//! last wrote into it ([`SourceTable::hops`]). It is derived data: not
+//! encoded, so `DWT1` / `DWD1` files and install frames are the same
+//! bytes with or without it; not compared; left empty by every
+//! constructor and decoder and on every row [`TableSnapshot::apply`]
+//! patches; and checked by its one reader before use.
 
 use dw_congest::WireCodec;
 use dw_graph::{NodeId, Weight, INFINITY};
@@ -42,14 +49,42 @@ pub const TABLE_VERSION: u32 = 1;
 /// `(d, l, parent)` shortest-path tree of its source
 /// ([`dw_seqref::dijkstra`]'s module header): the fewest hops among the
 /// shortest paths, then the smallest parent id.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// `hops` is derived, in-memory data beside the row: the hop column `l`
+/// (each cell's depth in the parent tree) that the table repair last
+/// wrote into it, so that the next batch need not restore it from the
+/// parents. It is empty unless the repair wrote the row; it is not
+/// encoded and not part of equality; and nobody trusts it — the repair
+/// uses it only after [`dw_seqref::hops_match`] has accepted it against
+/// `dist` and `parent`, which it does exactly when it is the column
+/// [`dw_seqref::hops_from_parents`] would restore.
+#[derive(Debug, Clone)]
 pub struct SourceTable {
     pub source: NodeId,
     pub dist: Vec<Weight>,
     pub parent: Vec<Option<NodeId>>,
+    pub hops: Vec<u64>,
 }
 
+impl PartialEq for SourceTable {
+    fn eq(&self, other: &Self) -> bool {
+        (self.source, &self.dist, &self.parent) == (other.source, &other.dist, &other.parent)
+    }
+}
+
+impl Eq for SourceTable {}
+
 impl SourceTable {
+    /// A row with no hop column beside it.
+    pub fn new(source: NodeId, dist: Vec<Weight>, parent: Vec<Option<NodeId>>) -> SourceTable {
+        SourceTable {
+            source,
+            dist,
+            parent,
+            hops: Vec::new(),
+        }
+    }
+
     /// Reconstruct the recorded shortest path `source, …, dst` by
     /// walking parent pointers backwards. `None` when `dst` is
     /// unreachable or out of range, or when the parent chain is
@@ -88,11 +123,7 @@ impl WireCodec for SourceTable {
         if dist.len() != parent.len() {
             return None;
         }
-        Some(SourceTable {
-            source,
-            dist,
-            parent,
-        })
+        Some(SourceTable::new(source, dist, parent))
     }
 }
 
@@ -127,13 +158,7 @@ impl TableSnapshot {
             .sources
             .iter()
             .enumerate()
-            .map(|(i, &s)| {
-                Arc::new(SourceTable {
-                    source: s,
-                    dist: r.dist[i].clone(),
-                    parent: r.parent[i].clone(),
-                })
-            })
+            .map(|(i, &s)| Arc::new(SourceTable::new(s, r.dist[i].clone(), r.parent[i].clone())))
             .collect();
         TableSnapshot::normalize(tables, r.n() as u32)
     }
@@ -144,13 +169,7 @@ impl TableSnapshot {
     pub fn from_sssp(runs: &[SsspResult], n: u32) -> TableSnapshot {
         let tables = runs
             .iter()
-            .map(|r| {
-                Arc::new(SourceTable {
-                    source: r.source,
-                    dist: r.dist.clone(),
-                    parent: r.parent.clone(),
-                })
-            })
+            .map(|r| Arc::new(SourceTable::new(r.source, r.dist.clone(), r.parent.clone())))
             .collect();
         TableSnapshot::normalize(tables, n)
     }
@@ -195,7 +214,8 @@ impl TableSnapshot {
         Some(snap)
     }
 
-    /// Total heap footprint of the table payload, for capacity logs.
+    /// Heap footprint of the persisted columns (distance and parent),
+    /// for capacity logs.
     pub fn payload_bytes(&self) -> usize {
         self.tables
             .iter()
@@ -234,7 +254,9 @@ impl TableSnapshot {
             tables.push(match patch {
                 RowPatch::Whole(row) => Arc::clone(row),
                 RowPatch::Cells { cells, .. } => {
-                    let mut row = SourceTable::clone(old?);
+                    // A patched row's old hop column no longer fits it.
+                    let old = old?;
+                    let mut row = SourceTable::new(source, old.dist.clone(), old.parent.clone());
                     for &(v, d, p) in cells {
                         *row.dist.get_mut(v as usize)? = d;
                         *row.parent.get_mut(v as usize)? = p;
@@ -661,12 +683,27 @@ mod tests {
     }
 
     #[test]
+    fn the_hop_column_is_neither_encoded_nor_compared() {
+        let snap = sample();
+        let mut carried = snap.clone();
+        for t in &mut carried.tables {
+            let t = Arc::make_mut(t);
+            t.hops = dw_seqref::hops_from_parents(12, t.source, &t.dist, &t.parent).unwrap();
+        }
+        assert_eq!(carried, snap);
+        assert_eq!(carried.to_file_bytes(), snap.to_file_bytes());
+        let decoded = TableSnapshot::from_file_bytes(&carried.to_file_bytes()).unwrap();
+        assert!(decoded.tables.iter().all(|t| t.hops.is_empty()));
+        // A row the delta patches loses its column; the rest stay shared.
+        let delta = TableDelta::between(0, &carried, &edited(&carried));
+        let built = carried.apply(&delta).unwrap();
+        assert!(built.tables[2].hops.is_empty() && built.tables[3].hops.is_empty());
+        assert!(Arc::ptr_eq(&built.tables[0], &carried.tables[0]));
+    }
+
+    #[test]
     fn corrupt_parent_chain_fails_closed() {
-        let mut t = SourceTable {
-            source: 0,
-            dist: vec![0, 1, 2],
-            parent: vec![None, Some(2), Some(1)], // 1 <-> 2 cycle
-        };
+        let mut t = SourceTable::new(0, vec![0, 1, 2], vec![None, Some(2), Some(1)]); // 1 <-> 2 cycle
         assert_eq!(t.path_to(2), None);
         t.parent = vec![None, None, Some(1)]; // dangling chain at 1
         assert_eq!(t.path_to(2), None);

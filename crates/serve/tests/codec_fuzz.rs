@@ -88,9 +88,9 @@ fn arb_snapshot() -> impl Strategy<Value = TableSnapshot> {
             let tables: Vec<Arc<SourceTable>> = (0..n)
                 .filter(|s| (seed >> (s % 60)) & 1 == 1)
                 .map(|source| {
-                    Arc::new(SourceTable {
+                    Arc::new(SourceTable::new(
                         source,
-                        dist: (0..n as usize)
+                        (0..n as usize)
                             .map(|v| {
                                 row_material
                                     .get(v % row_material.len().max(1))
@@ -98,10 +98,10 @@ fn arb_snapshot() -> impl Strategy<Value = TableSnapshot> {
                                     .unwrap_or(u64::MAX)
                             })
                             .collect(),
-                        parent: (0..n)
+                        (0..n)
                             .map(|v| (v % 3 == 1).then_some(v.saturating_sub(1)))
                             .collect(),
-                    })
+                    ))
                 })
                 .collect();
             TableSnapshot { n, tables }

@@ -197,11 +197,11 @@ fn all_rows(n: u32, bump: u64) -> TableSnapshot {
         n,
         tables: (0..n)
             .map(|s| {
-                Arc::new(SourceTable {
-                    source: s,
-                    dist: (0..n).map(|v| fake_dist(s, v) + bump).collect(),
-                    parent: (0..n).map(|v| (v != s).then_some(s)).collect(),
-                })
+                Arc::new(SourceTable::new(
+                    s,
+                    (0..n).map(|v| fake_dist(s, v) + bump).collect(),
+                    (0..n).map(|v| (v != s).then_some(s)).collect(),
+                ))
             })
             .collect(),
     }
@@ -225,11 +225,11 @@ fn sources_of(delta: &TableDelta) -> Vec<NodeId> {
 fn path_snapshot(n: u32) -> TableSnapshot {
     TableSnapshot {
         n,
-        tables: vec![Arc::new(SourceTable {
-            source: 0,
-            dist: (0..n as u64).collect(),
-            parent: (0..n).map(|v| v.checked_sub(1)).collect(),
-        })],
+        tables: vec![Arc::new(SourceTable::new(
+            0,
+            (0..n as u64).collect(),
+            (0..n).map(|v| v.checked_sub(1)).collect(),
+        ))],
     }
 }
 
@@ -868,11 +868,7 @@ fn chain(n: u32, detour: bool) -> TableSnapshot {
                     dist[v as usize] += 100;
                 }
             }
-            Arc::new(SourceTable {
-                source: s,
-                dist,
-                parent,
-            })
+            Arc::new(SourceTable::new(s, dist, parent))
         })
         .collect();
     TableSnapshot { n, tables }
