@@ -3,9 +3,9 @@
 
 CARGO ?= cargo
 
-.PHONY: ci build test fmt clippy report golden obs-schema bench-smoke transport-conformance pipeline-conformance shard-conformance chaos-smoke scale-smoke serve-conformance serve-smoke dynamic-conformance dynamic-smoke serve-chaos maelstrom-smoke
+.PHONY: ci build test fmt clippy doc report golden obs-schema bench-smoke transport-conformance pipeline-conformance shard-conformance chaos-smoke scale-smoke serve-conformance serve-smoke dynamic-conformance dynamic-smoke serve-chaos maelstrom-smoke
 
-ci: build test fmt clippy obs-schema transport-conformance pipeline-conformance chaos-smoke scale-smoke serve-conformance serve-smoke dynamic-conformance dynamic-smoke serve-chaos maelstrom-smoke
+ci: build test fmt clippy doc obs-schema transport-conformance pipeline-conformance chaos-smoke scale-smoke serve-conformance serve-smoke dynamic-conformance dynamic-smoke serve-chaos maelstrom-smoke
 
 build:
 	$(CARGO) build --release
@@ -18,6 +18,11 @@ fmt:
 
 clippy:
 	$(CARGO) clippy --workspace --all-targets -- -D warnings
+
+# Rustdoc with warnings denied: a doc link to a renamed, deleted or
+# private item fails here instead of rendering as plain text.
+doc:
+	RUSTDOCFLAGS="-D warnings" $(CARGO) doc --workspace --no-deps --offline
 
 # Regenerate every experiment table (quick mode).
 report:

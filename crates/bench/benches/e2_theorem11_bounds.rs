@@ -3,9 +3,9 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dw_bench::workloads;
-use dw_congest::EngineConfig;
 use dw_graph::NodeId;
-use dw_pipeline::{run_hk_ssp, SspConfig};
+use dw_obs::NullRecorder;
+use dw_pipeline::{solve_hk_ssp, Run, SspConfig};
 
 fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("e2_theorem11");
@@ -18,7 +18,7 @@ fn bench(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("hk_ssp", format!("h={h},k={k}")),
             &cfg,
-            |b, cfg| b.iter(|| run_hk_ssp(&wl.graph, cfg, EngineConfig::default())),
+            |b, cfg| b.iter(|| solve_hk_ssp(&wl.graph, cfg, &Run::default(), &mut NullRecorder)),
         );
     }
     group.finish();

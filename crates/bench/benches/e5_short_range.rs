@@ -6,15 +6,18 @@ use dw_bench::workloads;
 use dw_congest::scheduler::schedule_instances;
 use dw_congest::EngineConfig;
 use dw_graph::NodeId;
-use dw_pipeline::short_range::{short_range_instances, short_range_sssp};
+use dw_obs::NullRecorder;
+use dw_pipeline::short_range::{short_range_instances, solve_short_range};
+use dw_pipeline::Run;
 
 fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("e5_short_range");
     group.sample_size(10);
     let wl = workloads::zero_heavy(24, 6, 13);
+    let run = Run::default();
     for h in [4u64, 16] {
         group.bench_with_input(BenchmarkId::new("single_source", h), &h, |b, &h| {
-            b.iter(|| short_range_sssp(&wl.graph, 0, h, wl.delta, EngineConfig::default()))
+            b.iter(|| solve_short_range(&wl.graph, 0, h, wl.delta, &run, &mut NullRecorder))
         });
     }
     let sources: Vec<NodeId> = (0..8).collect();

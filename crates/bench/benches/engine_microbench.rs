@@ -16,7 +16,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dw_bench::engine_bench::DensePing;
 use dw_bench::workloads;
-use dw_congest::{EngineConfig, Network, SchedulingMode};
+use dw_congest::{EngineConfig, Network, NullRecorder, SchedulingMode};
 use dw_pipeline as pipeline;
 use dw_pipeline::entry::Entry;
 use dw_pipeline::list::NodeList;
@@ -80,7 +80,13 @@ fn fast_forward(c: &mut Criterion) {
     group.sample_size(10);
     for (label, mode, parallel) in MODES {
         group.bench_with_input(BenchmarkId::from_parameter(label), &wl, |b, wl| {
-            b.iter(|| pipeline::short_range_sssp(&wl.graph, 0, 48, wl.delta, cfg(mode, parallel)))
+            let run = pipeline::Run {
+                engine: cfg(mode, parallel),
+                ..pipeline::Run::default()
+            };
+            b.iter(|| {
+                pipeline::solve_short_range(&wl.graph, 0, 48, wl.delta, &run, &mut NullRecorder)
+            })
         });
     }
     group.finish();

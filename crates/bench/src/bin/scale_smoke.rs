@@ -33,7 +33,7 @@
 use dw_bench::workloads;
 use dw_congest::{EngineConfig, Network, RunOutcome};
 use dw_graph::NodeId;
-use dw_pipeline::short_range::{short_range_gamma, ShortRangeNode};
+use dw_pipeline::short_range::{short_range_budget, short_range_gamma, ShortRangeNode};
 use std::process::ExitCode;
 use std::time::Instant;
 
@@ -74,7 +74,7 @@ fn main() -> ExitCode {
     );
 
     let gamma = short_range_gamma(h);
-    let budget = gamma.ceil_kappa(w.delta, h) + 2;
+    let budget = short_range_budget(h, w.delta);
     let mut net = Network::new(&w.graph, EngineConfig::default(), |v| {
         ShortRangeNode::new(gamma, h, (v == src).then_some(0))
     });

@@ -19,7 +19,7 @@
 use dw_congest::EngineConfig;
 use dw_graph::gen;
 use dw_graph::{NodeId, INFINITY};
-use dw_pipeline::{run_hk_ssp, SspConfig};
+use dw_pipeline::apsp;
 use dw_seqref::{dijkstra, max_finite_distance};
 use dw_serve::{spawn_loopback, GatewayConfig, QueryOutcome, ServeClient, TableSnapshot};
 use rand::{Rng, SeedableRng};
@@ -39,8 +39,7 @@ fn main() {
 
     // Compute once (Algorithm 1, all sources), persist, re-read: the
     // tables the shards serve went through the file codec.
-    let cfg = SspConfig::apsp(n, delta);
-    let (result, stats, _) = run_hk_ssp(&g, &cfg, EngineConfig::default());
+    let (result, stats, _) = apsp(&g, delta, EngineConfig::default());
     let bytes = TableSnapshot::from_result(&result).to_file_bytes();
     let snap = TableSnapshot::from_file_bytes(&bytes)
         .unwrap_or_else(|| fail("persisted snapshot failed to re-read".into()));

@@ -26,9 +26,8 @@
 
 use crate::engine_bench::Measurement;
 use crate::workloads;
-use dw_congest::EngineConfig;
 use dw_obs::NullRecorder;
-use dw_pipeline::{run_hk_ssp_chaos, run_hk_ssp_on, ChaosConfig, Runtime, SspConfig};
+use dw_pipeline::{solve_hk_ssp, ChaosConfig, Recovery, Run, Runtime, SspConfig};
 use dw_transport::ChaosPlan;
 use std::time::{Duration, Instant};
 
@@ -60,27 +59,19 @@ fn measure_nemesis(
         cadence: None,
         deadline: Duration::from_millis(500),
     };
+    let run = Run {
+        recovery: Some(Recovery::Chaos(chaos)),
+        ..Run::on(Runtime::Threads)
+    };
     let (stats, wall) = best_of_three(|| {
-        let (res, stats, _) = run_hk_ssp_chaos(
-            Runtime::Threads,
-            &wl.graph,
-            cfg,
-            EngineConfig::default(),
-            &chaos,
-            &mut NullRecorder,
-        )
-        .unwrap_or_else(|p| {
-            panic!(
-                "{workload}: healing nemesis was unrecoverable: {}",
-                p.reason
-            )
-        });
+        let solved = solve_hk_ssp(&wl.graph, cfg, &run, &mut NullRecorder)
+            .unwrap_or_else(|e| panic!("{workload}: healing nemesis was unrecoverable: {e}"));
         assert_eq!(
-            res.to_matrix(),
+            solved.result.to_matrix(),
             reference.to_matrix(),
             "{workload}: healed run diverged from the fault-free simulator"
         );
-        stats
+        solved.stats
     });
     Measurement {
         workload,
@@ -103,15 +94,15 @@ fn measure_nemesis(
 pub fn run_all_chaos(smoke: bool) -> Vec<Measurement> {
     let wl = workloads::zero_heavy(if smoke { 14 } else { 24 }, 5, 9);
     let cfg = SspConfig::apsp(wl.n(), wl.delta);
-    let (reference, _, _) = run_hk_ssp_on(Runtime::Sim, &wl.graph, &cfg, EngineConfig::default())
-        .expect("fault-free simulator cannot fail");
+    let solve = |rt| solve_hk_ssp(&wl.graph, &cfg, &Run::on(rt), &mut NullRecorder);
+    let reference = solve(Runtime::Sim)
+        .expect("fault-free simulator cannot fail")
+        .result;
 
     // The fault-free thread run is the latency baseline the recovery
     // figure is measured against — same backend, no plan.
-    let (_, clean_wall) = best_of_three(|| {
-        run_hk_ssp_on(Runtime::Threads, &wl.graph, &cfg, EngineConfig::default())
-            .expect("fault-free thread run cannot fail")
-    });
+    let (_, clean_wall) =
+        best_of_three(|| solve(Runtime::Threads).expect("fault-free thread run cannot fail"));
 
     let group: Vec<dw_graph::NodeId> = (0..wl.n() as u32 / 3).collect();
     let (u, v) = (0, wl.graph.comm_neighbors(0)[0]);

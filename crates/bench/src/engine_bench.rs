@@ -14,7 +14,8 @@
 //!   scheduling overhead (the active-set engine must not regress it).
 
 use dw_congest::{
-    EngineConfig, Envelope, Network, NodeCtx, Outbox, Protocol, Round, RunStats, SchedulingMode,
+    EngineConfig, Envelope, Network, NodeCtx, NullRecorder, Outbox, Protocol, Round, RunStats,
+    SchedulingMode,
 };
 use dw_graph::NodeId;
 use dw_pipeline as pipeline;
@@ -156,7 +157,13 @@ pub fn run_all(modes: &[(&'static str, EngineConfig)]) -> Vec<Measurement> {
     for (mode, cfg) in modes {
         let sr = &sr;
         out.push(measure("short_range_sssp", mode, sr.n(), || {
-            pipeline::short_range_sssp(&sr.graph, 0, 64, sr.delta, cfg.clone()).1
+            let run = pipeline::Run {
+                engine: cfg.clone(),
+                ..pipeline::Run::default()
+            };
+            pipeline::solve_short_range(&sr.graph, 0, 64, sr.delta, &run, &mut NullRecorder)
+                .expect("simulator run")
+                .stats
         }));
     }
 
@@ -199,7 +206,7 @@ pub fn scale_modes() -> Vec<(&'static str, EngineConfig)> {
 /// measurement can use [`Network::stats_with_memory`] and record the
 /// inbox-slab footprint alongside throughput.
 pub fn run_scale(modes: &[(&'static str, EngineConfig)]) -> Vec<Measurement> {
-    use pipeline::short_range::{short_range_gamma, ShortRangeNode};
+    use pipeline::short_range::{short_range_budget, short_range_gamma, ShortRangeNode};
 
     let mut out = Vec::new();
 
@@ -213,7 +220,7 @@ pub fn run_scale(modes: &[(&'static str, EngineConfig)]) -> Vec<Measurement> {
     let src: NodeId = (112 * cols + 112) as NodeId;
     let grid = workloads::scale_grid2d(rows, cols, 8, h as usize, src, 5001);
     let gamma = short_range_gamma(h);
-    let budget = gamma.ceil_kappa(grid.delta, h) + 2;
+    let budget = short_range_budget(h, grid.delta);
     for (mode, cfg) in modes {
         let grid = &grid;
         out.push(measure("scale_grid_short_range", mode, grid.n(), || {
@@ -231,27 +238,16 @@ pub fn run_scale(modes: &[(&'static str, EngineConfig)]) -> Vec<Measurement> {
     // not the invariant checker.
     let sources: Vec<NodeId> = (0..4).map(|i| (i * 12_007) as NodeId).collect();
     let pl = workloads::scale_power_law(50_000, 2, 4, &sources, 5002);
-    let k = sources.len() as u64;
-    let hop = pl.n() as u64;
-    let kgamma = pipeline::Gamma::new(k, hop, pl.delta);
-    let kbudget = 2 * pipeline::hk_round_bound(hop, k, pl.delta) + 2 * pl.n() as u64 + 128;
-    let mut is_source = vec![false; pl.n()];
-    for &s in &sources {
-        is_source[s as usize] = true;
-    }
+    let kcfg = pipeline::SspConfig {
+        track_invariants: false,
+        ..pipeline::SspConfig::k_ssp(pl.n(), sources, pl.delta)
+    };
+    let kbudget = pipeline::default_budget(&kcfg, pl.n());
     for (mode, cfg) in modes {
-        let (pl, is_source) = (&pl, &is_source);
+        let (pl, kcfg) = (&pl, &kcfg);
         out.push(measure("scale_powerlaw_kssp", mode, pl.n(), || {
-            let mut net = Network::new(&pl.graph, cfg.clone(), |v| {
-                pipeline::node::PipelinedNode::with_admission(
-                    kgamma,
-                    hop,
-                    k,
-                    is_source[v as usize],
-                    false,
-                    pipeline::AdmissionRule::default(),
-                )
-            });
+            let mut net =
+                Network::new(&pl.graph, cfg.clone(), pipeline::hk_ssp_nodes(kcfg, pl.n()));
             net.run(kbudget);
             net.stats_with_memory()
         }));

@@ -14,24 +14,16 @@ use crate::experiments::ok;
 use crate::table::Table;
 use crate::trow;
 use crate::workloads;
-use dw_congest::{EngineConfig, FaultPlan, Outage};
-use dw_pipeline::recovery::{run_hk_ssp_reliable, short_range_sssp_reliable, RecoveryConfig};
-use dw_pipeline::SspConfig;
+use dw_congest::{FaultPlan, Outage};
+use dw_obs::NullRecorder;
+use dw_pipeline::{solve_hk_ssp, solve_short_range, Run, SspConfig};
 use dw_seqref::apsp_dijkstra;
-
-fn engine_with(plan: Option<FaultPlan>) -> EngineConfig {
-    EngineConfig {
-        faults: plan,
-        ..EngineConfig::default()
-    }
-}
 
 pub fn run(full: bool) -> Vec<Table> {
     let n = if full { 32 } else { 18 };
     let wl = workloads::zero_heavy(n, 6, 14);
     let cfg = SspConfig::apsp(n, wl.delta);
     let reference = apsp_dijkstra(&wl.graph);
-    let rc = RecoveryConfig::default();
 
     // E14a: Algorithm 1 APSP under increasing drop rates plus two mixed
     // adversaries.
@@ -72,17 +64,24 @@ pub fn run(full: bool) -> Vec<Table> {
         plans.push(("drop 30%".into(), FaultPlan::drop_only(145, 0.3)));
     }
     for (name, plan) in plans {
-        let (res, rep) = run_hk_ssp_reliable(&wl.graph, &cfg, engine_with(Some(plan)), &rc);
-        let exact = res.to_matrix() == reference;
+        let solved = solve_hk_ssp(
+            &wl.graph,
+            &cfg,
+            &Run::reliable(Some(plan)),
+            &mut NullRecorder,
+        )
+        .expect("simulator run");
+        let rep = solved.degradation.expect("reliable run");
+        let exact = solved.result.to_matrix() == reference;
         t.row(trow![
             name,
-            rep.stats.fault_events(),
-            rep.rounds,
+            solved.stats.fault_events(),
+            solved.stats.rounds,
             rep.base_rounds,
             rep.extra_rounds,
             rep.retries,
             rep.late_sends,
-            ok(rep.outcome == dw_congest::RunOutcome::Quiet),
+            ok(solved.outcome == dw_congest::RunOutcome::Quiet),
             ok(exact)
         ]);
     }
@@ -107,8 +106,11 @@ pub fn run(full: bool) -> Vec<Table> {
     let exact_ref = dw_seqref::bellman_ford(&wl.graph, 0);
     for drop_pct in [0u32, 1, 5, 15] {
         let plan = FaultPlan::drop_only(150 + drop_pct as u64, drop_pct as f64 / 100.0);
-        let (res, rep) =
-            short_range_sssp_reliable(&wl.graph, 0, h, wl.delta, engine_with(Some(plan)), &rc);
+        let run = Run::reliable(Some(plan));
+        let solved = solve_short_range(&wl.graph, 0, h, wl.delta, &run, &mut NullRecorder)
+            .expect("simulator run");
+        let rep = solved.degradation.expect("reliable run");
+        let res = solved.result;
         let mut exact = true;
         for v in wl.graph.nodes() {
             let vi = v as usize;
@@ -122,7 +124,7 @@ pub fn run(full: bool) -> Vec<Table> {
         t2.row(trow![
             format!("{drop_pct}%"),
             h,
-            rep.rounds,
+            solved.stats.rounds,
             rep.base_rounds,
             rep.extra_rounds,
             rep.retries,

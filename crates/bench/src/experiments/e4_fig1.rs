@@ -7,8 +7,9 @@ use crate::table::Table;
 use crate::trow;
 use dw_congest::EngineConfig;
 use dw_graph::gen;
+use dw_obs::NullRecorder;
 use dw_pipeline::csssp::{check_consistency, parent_chain_hops};
-use dw_pipeline::{build_csssp, run_hk_ssp, SspConfig};
+use dw_pipeline::{build_csssp, solve_hk_ssp, Run, SspConfig};
 
 pub fn run(full: bool) -> Vec<Table> {
     let mut t = Table::new(
@@ -30,7 +31,9 @@ pub fn run(full: bool) -> Vec<Table> {
         let s = nds[0].s;
         let delta_h = dw_seqref::max_finite_h_hop_distance(&g, h as usize).max(1);
         let cfg = SspConfig::new(vec![s], h, delta_h);
-        let (raw, _, _) = run_hk_ssp(&g, &cfg, EngineConfig::default());
+        let raw = solve_hk_ssp(&g, &cfg, &Run::default(), &mut NullRecorder)
+            .expect("simulator run")
+            .result;
         let naive_max = g
             .nodes()
             .filter_map(|v| parent_chain_hops(&raw, 0, v))

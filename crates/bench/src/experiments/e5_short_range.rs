@@ -9,9 +9,11 @@ use crate::workloads;
 use dw_congest::scheduler::schedule_instances;
 use dw_congest::EngineConfig;
 use dw_graph::NodeId;
+use dw_obs::NullRecorder;
 use dw_pipeline::short_range::{
-    extract_instance, short_range_gamma, short_range_instances, short_range_sssp,
+    extract_instance, short_range_budget, short_range_instances, solve_short_range,
 };
+use dw_pipeline::Run;
 
 pub fn run(full: bool) -> Vec<Table> {
     let n = if full { 48 } else { 30 };
@@ -36,9 +38,11 @@ pub fn run(full: bool) -> Vec<Table> {
         &[4, 9, 16]
     };
     for &h in hs {
-        let (res, st) = short_range_sssp(&wl.graph, 0, h, wl.delta, EngineConfig::default());
-        let gamma = short_range_gamma(h);
-        let dil_bound = gamma.ceil_kappa(wl.delta, h) + 2;
+        let run = Run::default();
+        let solved = solve_short_range(&wl.graph, 0, h, wl.delta, &run, &mut NullRecorder)
+            .expect("simulator run");
+        let (res, st) = (solved.result, solved.stats);
+        let dil_bound = short_range_budget(h, wl.delta);
         let send_bound = (h as f64).sqrt() as u64 + 1;
         let max_sends = res.sends.iter().copied().max().unwrap_or(0);
         t.row(trow![

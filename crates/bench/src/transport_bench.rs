@@ -17,8 +17,8 @@
 
 use crate::engine_bench::{measure, Measurement};
 use crate::workloads;
-use dw_congest::EngineConfig;
-use dw_pipeline::{run_hk_ssp_on, short_range_sssp_on, Runtime, SspConfig};
+use dw_obs::NullRecorder;
+use dw_pipeline::{solve_hk_ssp, solve_short_range, Run, Runtime, SspConfig};
 
 const RUNTIMES: [Runtime; 3] = [Runtime::Sim, Runtime::Threads, Runtime::Tcp];
 
@@ -63,9 +63,9 @@ pub fn run_all_transport(smoke: bool) -> Vec<Measurement> {
     for rt in RUNTIMES {
         let (apsp, cfg) = (&apsp, &cfg);
         out.push(measure("e15_alg1_apsp", mode_label(rt), apsp.n(), || {
-            let (_, stats, _) =
-                run_hk_ssp_on(rt, &apsp.graph, cfg, EngineConfig::default()).expect("runtime run");
-            stats
+            solve_hk_ssp(&apsp.graph, cfg, &Run::on(rt), &mut NullRecorder)
+                .expect("runtime run")
+                .stats
         }));
     }
 
@@ -76,10 +76,9 @@ pub fn run_all_transport(smoke: bool) -> Vec<Measurement> {
     for rt in RUNTIMES {
         let sr = &sr;
         out.push(measure("e15_short_range", mode_label(rt), sr.n(), || {
-            let (_, stats) =
-                short_range_sssp_on(rt, &sr.graph, 0, h, sr.delta, EngineConfig::default())
-                    .expect("runtime run");
-            stats
+            solve_short_range(&sr.graph, 0, h, sr.delta, &Run::on(rt), &mut NullRecorder)
+                .expect("runtime run")
+                .stats
         }));
     }
 
@@ -96,9 +95,9 @@ pub fn run_all_transport(smoke: bool) -> Vec<Measurement> {
     ] {
         let (sh, cfg) = (&sh, &cfg);
         out.push(measure("e15_sharded_kssp", mode_label(rt), sh.n(), || {
-            let (_, stats, _) =
-                run_hk_ssp_on(rt, &sh.graph, cfg, EngineConfig::default()).expect("runtime run");
-            stats
+            solve_hk_ssp(&sh.graph, cfg, &Run::on(rt), &mut NullRecorder)
+                .expect("runtime run")
+                .stats
         }));
     }
 
@@ -178,9 +177,10 @@ mod tests {
     fn shard_count_sweep() {
         let (sh, cfg) = sharded_workload(false);
         let sim = measure("e18_sweep", "sim", sh.n(), || {
-            let (_, stats, _) =
-                run_hk_ssp_on(Runtime::Sim, &sh.graph, &cfg, EngineConfig::default()).unwrap();
-            stats
+            let run = Run::default();
+            solve_hk_ssp(&sh.graph, &cfg, &run, &mut NullRecorder)
+                .unwrap()
+                .stats
         });
         eprintln!(
             "sim       {:>8.0} rounds/s  {:>10.0} msgs/s",
@@ -189,14 +189,10 @@ mod tests {
         );
         for p in [1usize, 2, 4, 8, 16] {
             let m = measure("e18_sweep", "tcp_sharded", sh.n(), || {
-                let (_, stats, _) = run_hk_ssp_on(
-                    Runtime::TcpSharded(p),
-                    &sh.graph,
-                    &cfg,
-                    EngineConfig::default(),
-                )
-                .unwrap();
-                stats
+                let run = Run::on(Runtime::TcpSharded(p));
+                solve_hk_ssp(&sh.graph, &cfg, &run, &mut NullRecorder)
+                    .unwrap()
+                    .stats
             });
             eprintln!(
                 "tcp P={p:<3} {:>8.0} rounds/s  {:>10.0} msgs/s  sim-gap {:.2}x",

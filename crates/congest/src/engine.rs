@@ -19,7 +19,7 @@
 //! lockstep simulation: the poll set, delivery into in-memory inboxes
 //! (where fault decisions are applied), and quiet-round fast-forward.
 //!
-//! Hot paths are allocation-free in steady state: per-node [`Outbox`]
+//! Hot paths are allocation-free in steady state: per-node [`Outbox`](crate::Outbox)
 //! buffers are reused round to round, inboxes live in a recycled
 //! [`Slab`] (a node holds a buffer only between its first delivery and
 //! its receive, so resident memory tracks the per-round dirty set, not

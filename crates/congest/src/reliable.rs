@@ -203,11 +203,6 @@ impl<P: Protocol> Reliable<P> {
         &self.inner
     }
 
-    /// Unwrap, discarding channel state.
-    pub fn into_inner(self) -> P {
-        self.inner
-    }
-
     /// This node's reliability accounting.
     pub fn stats(&self) -> &ReliableStats {
         &self.stats

@@ -25,7 +25,9 @@ fn main() {
     // Raw h-hop run: t's parent chain passes through a's h-hop zero path.
     let delta_h = dwapsp::seqref::max_finite_h_hop_distance(&g, h).max(1);
     let cfg = SspConfig::new(vec![nd.s], h as u64, delta_h);
-    let (raw, _, _) = run_hk_ssp(&g, &cfg, EngineConfig::default());
+    let raw = solve_hk_ssp(&g, &cfg, &Run::default(), &mut NullRecorder)
+        .expect("simulator run")
+        .result;
     let chain = parent_chain_hops(&raw, 0, nd.t).unwrap();
     println!(
         "raw h-hop run: δ⁴(s,t) = {} via parent a; but following parent pointers from t ",
@@ -58,7 +60,9 @@ fn main() {
         let (g, nds) = gen::fig1_chain(h, copies, 7, true);
         let delta_h = dwapsp::seqref::max_finite_h_hop_distance(&g, h).max(1);
         let cfg = SspConfig::new(vec![nds[0].s], h as u64, delta_h);
-        let (raw, _, _) = run_hk_ssp(&g, &cfg, EngineConfig::default());
+        let raw = solve_hk_ssp(&g, &cfg, &Run::default(), &mut NullRecorder)
+            .expect("simulator run")
+            .result;
         let worst = g
             .nodes()
             .filter_map(|v| parent_chain_hops(&raw, 0, v))

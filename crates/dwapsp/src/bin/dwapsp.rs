@@ -34,8 +34,7 @@ use dwapsp::obs::export::{parse_jsonl, to_chrome_trace, to_jsonl};
 use dwapsp::obs::report::{aggregate_phases, render_report, PhaseBound};
 use dwapsp::obs::{ObsRecorder, Recorder, Recording};
 use dwapsp::pipeline::bound::hk_round_bound;
-use dwapsp::pipeline::runtime::run_hk_ssp_on_recorded;
-use dwapsp::pipeline::{default_budget, hk_ssp_nodes, run_hk_ssp_chaos, ChaosConfig, Gamma};
+use dwapsp::pipeline::{default_budget, hk_ssp_nodes, ChaosConfig, HkSspResult, SolveError};
 use dwapsp::prelude::*;
 use dwapsp::seqref::matrices_equal;
 use dwapsp::serve::{
@@ -201,6 +200,22 @@ fn parse_sources(get: &impl Fn(&str) -> Option<String>, n: usize) -> Option<Vec<
     })
 }
 
+/// Algorithm 1 on `rt`, or exit 1 naming the runtime that failed.
+fn solve_or_exit(
+    g: &WGraph,
+    cfg: &SspConfig,
+    rt: Runtime,
+    rec: &mut dyn Recorder,
+) -> (HkSspResult, RunStats) {
+    match solve_hk_ssp(g, cfg, &Run::on(rt), rec) {
+        Ok(s) => (s.result, s.stats),
+        Err(e) => {
+            eprintln!("{} runtime failed: {e}", rt.as_str());
+            exit(1);
+        }
+    }
+}
+
 fn print_stats(prefix: &str, rounds: u64, messages: u64, link: u64) {
     println!("{prefix}: rounds={rounds} messages={messages} max-link-load={link}");
 }
@@ -230,44 +245,22 @@ fn cmd_run(get: &impl Fn(&str) -> Option<String>) {
             // bound on the distances of interest keeps the run correct
             // (only the round budget depends on Δ).
             let delta_flag = get("--delta").map(|s| s.parse().expect("--delta"));
-            if let Some(sources) = parse_sources(get, g.n()) {
-                let delta = delta_flag.unwrap_or_else(|| max_finite_distance(&g).max(1));
-                let cfg = SspConfig::k_ssp(g.n(), sources, delta);
-                let (res, st, _) = run_hk_ssp_on(rt, &g, &cfg, engine).unwrap_or_else(|e| {
-                    eprintln!("{} runtime failed: {e}", rt.as_str());
-                    exit(1);
-                });
-                print_stats(
-                    &format!("alg1 k-ssp [{}]", rt.as_str()),
-                    st.rounds,
-                    st.messages,
-                    st.max_link_load,
-                );
-                print_matrix(&res.to_matrix());
-            } else if rt == Runtime::Sim && delta_flag.is_none() {
-                let (res, st, delta) = apsp_auto(&g, engine);
-                print_stats(
-                    &format!("alg1 apsp (Δ={delta})"),
-                    st.rounds,
-                    st.messages,
-                    st.max_link_load,
-                );
-                print_matrix(&res.to_matrix());
-            } else {
-                let delta = delta_flag.unwrap_or_else(|| max_finite_distance(&g).max(1));
-                let cfg = SspConfig::apsp(g.n(), delta);
-                let (res, st, _) = run_hk_ssp_on(rt, &g, &cfg, engine).unwrap_or_else(|e| {
-                    eprintln!("{} runtime failed: {e}", rt.as_str());
-                    exit(1);
-                });
-                print_stats(
-                    &format!("alg1 apsp (Δ={delta}) [{}]", rt.as_str()),
-                    st.rounds,
-                    st.messages,
-                    st.max_link_load,
-                );
-                print_matrix(&res.to_matrix());
-            }
+            let sources = parse_sources(get, g.n());
+            let (res, st, label) =
+                if sources.is_none() && rt == Runtime::Sim && delta_flag.is_none() {
+                    let (res, st, delta) = apsp_auto(&g, engine);
+                    (res, st, format!("alg1 apsp (Δ={delta})"))
+                } else {
+                    let delta = delta_flag.unwrap_or_else(|| max_finite_distance(&g).max(1));
+                    let (cfg, what) = match sources {
+                        Some(s) => (SspConfig::k_ssp(g.n(), s, delta), "k-ssp".to_string()),
+                        None => (SspConfig::apsp(g.n(), delta), format!("apsp (Δ={delta})")),
+                    };
+                    let (res, st) = solve_or_exit(&g, &cfg, rt, &mut NullRecorder);
+                    (res, st, format!("alg1 {what} [{}]", rt.as_str()))
+                };
+            print_stats(&label, st.rounds, st.messages, st.max_link_load);
+            print_matrix(&res.to_matrix());
         }
         "alg3" => {
             let h = get("--h").map_or_else(
@@ -348,13 +341,7 @@ fn cmd_solve(get: &impl Fn(&str) -> Option<String>) {
             rec.meta("k", cfg.k().to_string());
             rec.meta("h", cfg.h.to_string());
             rec.meta("delta", delta.to_string());
-            let (res, _, _) =
-                run_hk_ssp_on_recorded(rt, &g, &cfg, EngineConfig::default(), &mut rec)
-                    .unwrap_or_else(|e| {
-                        eprintln!("{} runtime failed: {e}", rt.as_str());
-                        exit(1);
-                    });
-            res.to_matrix()
+            solve_or_exit(&g, &cfg, rt, &mut rec).0.to_matrix()
         }
         "alg3" => {
             if rt != Runtime::Sim {
@@ -542,30 +529,33 @@ fn cmd_chaos(get: &impl Fn(&str) -> Option<String>) {
         Some(s) => SspConfig::k_ssp(g.n(), s, delta),
         None => SspConfig::apsp(g.n(), delta),
     };
-    let engine = EngineConfig::default();
-    let (reference, _, _) = run_hk_ssp_on(Runtime::Sim, &g, &cfg, engine.clone())
-        .expect("fault-free simulator cannot fail");
+    let (reference, _) = solve_or_exit(&g, &cfg, Runtime::Sim, &mut NullRecorder);
 
     let mut rec = ObsRecorder::new();
     rec.meta("algo", "alg1-chaos".to_string());
     rec.meta("runtime", rt.as_str().to_string());
     rec.meta("n", g.n().to_string());
     rec.meta("chaos_seed", seed.to_string());
-    let res = run_hk_ssp_chaos(rt, &g, &cfg, engine, &chaos, &mut rec);
+    let run = Run {
+        recovery: Some(Recovery::Chaos(chaos)),
+        ..Run::on(rt)
+    };
+    let res = solve_hk_ssp(&g, &cfg, &run, &mut rec);
     let recording = rec.into_recording();
     if let Some(path) = get("--metrics-out") {
         std::fs::write(&path, to_jsonl(&recording)).expect("write metrics file");
         eprintln!("wrote {path} (render the recovery timeline with `dwapsp report`)");
     }
     match res {
-        Ok((res, st, outcome)) => {
+        Ok(solved) => {
+            let st = &solved.stats;
             print_stats(
-                &format!("alg1 chaos [{}] outcome={outcome:?}", rt.as_str()),
+                &format!("alg1 chaos [{}] outcome={:?}", rt.as_str(), solved.outcome),
                 st.rounds,
                 st.messages,
                 st.max_link_load,
             );
-            let diffs = matrices_equal(&reference.to_matrix(), &res.to_matrix(), 5).len();
+            let diffs = matrices_equal(&reference.to_matrix(), &solved.result.to_matrix(), 5).len();
             if diffs == 0 {
                 println!("recovered: distances bit-identical to the fault-free simulator ✓");
             } else {
@@ -573,7 +563,7 @@ fn cmd_chaos(get: &impl Fn(&str) -> Option<String>) {
                 exit(1);
             }
         }
-        Err(partial) => {
+        Err(SolveError::Partial(partial)) => {
             eprintln!(
                 "unrecoverable: {} (round {}, failed nodes {:?}, incomplete sources {:?})",
                 partial.reason, partial.round, partial.failed, partial.incomplete_sources
@@ -581,6 +571,10 @@ fn cmd_chaos(get: &impl Fn(&str) -> Option<String>) {
             println!("salvaged distance upper bounds (failed columns are inf):");
             print_matrix(&partial.result.to_matrix());
             exit(3);
+        }
+        Err(e) => {
+            eprintln!("{} runtime failed: {e}", rt.as_str());
+            exit(1);
         }
     }
 }
@@ -761,11 +755,7 @@ fn cmd_run_node(get: &impl Fn(&str) -> Option<String>) {
         eprintln!("cannot listen: {e}");
         exit(1);
     });
-    let gamma = Gamma::new(cfg.k(), cfg.h, cfg.delta);
-    let nodes: Vec<_> = map
-        .nodes(id)
-        .map(hk_ssp_nodes(&cfg, gamma, g.n()))
-        .collect();
+    let nodes: Vec<_> = map.nodes(id).map(hk_ssp_nodes(&cfg, g.n())).collect();
     let (nodes, outcome) = run_shard_tcp(
         &map,
         id,
@@ -865,11 +855,7 @@ fn cmd_tables(get: &impl Fn(&str) -> Option<String>) {
     } else {
         let rt = parse_runtime(get);
         let cfg = deployment_config(get, &g);
-        let (res, st, _) =
-            run_hk_ssp_on(rt, &g, &cfg, EngineConfig::default()).unwrap_or_else(|e| {
-                eprintln!("{} runtime failed: {e}", rt.as_str());
-                exit(1);
-            });
+        let (res, st) = solve_or_exit(&g, &cfg, rt, &mut NullRecorder);
         print_stats(
             &format!("alg1 tables [{}]", rt.as_str()),
             st.rounds,

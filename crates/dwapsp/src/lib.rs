@@ -62,8 +62,8 @@ pub mod prelude {
     pub use dw_graph::{gen, GraphBuilder, NodeId, WGraph, Weight, INFINITY};
     pub use dw_obs::{NullRecorder, ObsRecorder, Recorder, Recording};
     pub use dw_pipeline::{
-        apsp, apsp_auto, build_csssp, k_ssp, run_hk_ssp, run_hk_ssp_on, short_range_sssp,
-        short_range_sssp_on, Runtime, SspConfig,
+        apsp, apsp_auto, build_csssp, k_ssp, solve_hk_ssp, solve_short_range, Recovery, Run,
+        Runtime, SspConfig,
     };
     pub use dw_seqref::{apsp_dijkstra, dijkstra, max_finite_distance, DistMatrix};
 }

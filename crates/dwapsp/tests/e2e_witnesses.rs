@@ -52,7 +52,9 @@ fn short_range_parents_are_witnesses() {
     for (name, g) in families() {
         let delta = max_finite_distance(&g).max(1);
         for h in [2u64, 4, g.n() as u64] {
-            let (res, _) = short_range_sssp(&g, 0, h, delta, EngineConfig::default());
+            let res = solve_short_range(&g, 0, h, delta, &Run::default(), &mut NullRecorder)
+                .unwrap()
+                .result;
             // the recorded walk must be a real path of the claimed weight
             verify_sssp_witnesses(&g, 0, &res.dist, &res.parent)
                 .unwrap_or_else(|e| panic!("{name}, h={h}: {e}"));

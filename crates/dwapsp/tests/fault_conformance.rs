@@ -7,8 +7,7 @@ use dwapsp::congest::{
     trace::RoundTrace, EngineConfig, FaultPlan, Network, RunStats, SchedulingMode,
 };
 use dwapsp::pipeline::node::PipelinedNode;
-use dwapsp::pipeline::recovery::{run_hk_ssp_reliable, short_range_sssp_reliable, RecoveryConfig};
-use dwapsp::pipeline::{default_budget, Gamma};
+use dwapsp::pipeline::{default_budget, Solved};
 use dwapsp::prelude::*;
 use dwapsp::seqref::assert_matrices_equal;
 use proptest::prelude::*;
@@ -57,7 +56,7 @@ fn traced_apsp_mode(
 ) -> (Vec<Vec<Weight>>, RunStats, RoundTrace) {
     let delta = max_finite_distance(g).max(1);
     let cfg = SspConfig::apsp(g.n(), delta);
-    let gamma = Gamma::new(cfg.k(), cfg.h, cfg.delta);
+    let gamma = cfg.gamma();
     let engine = EngineConfig {
         faults: Some(plan.clone()),
         parallel_threshold: if parallel { 1 } else { usize::MAX },
@@ -161,11 +160,9 @@ fn alg1_recovers_exact_apsp_under_drop_rates() {
         let cfg = SspConfig::apsp(g.n(), delta);
         let reference = apsp_dijkstra(&g);
         for drop_p in [0.0, 0.01, 0.05] {
-            let engine = EngineConfig {
-                faults: Some(FaultPlan::drop_only(1000 + seed, drop_p)),
-                ..EngineConfig::default()
-            };
-            let (res, rep) = run_hk_ssp_reliable(&g, &cfg, engine, &RecoveryConfig::default());
+            let run = Run::reliable(Some(FaultPlan::drop_only(1000 + seed, drop_p)));
+            let solved = solve_hk_ssp(&g, &cfg, &run, &mut NullRecorder).unwrap();
+            let (res, rep) = (&solved.result, solved.degradation.unwrap());
             assert_matrices_equal(
                 &reference,
                 &res.to_matrix(),
@@ -174,7 +171,7 @@ fn alg1_recovers_exact_apsp_under_drop_rates() {
             if drop_p == 0.0 {
                 assert_eq!(rep.retries, 0, "seed {seed}: clean run retried");
                 assert_eq!(rep.extra_rounds, 0, "seed {seed}: clean run degraded");
-            } else if rep.stats.dropped > 0 {
+            } else if solved.stats.dropped > 0 {
                 assert!(
                     rep.retries > 0,
                     "seed {seed} drop {drop_p}: drops must force retries"
@@ -194,12 +191,9 @@ fn alg2_recovers_h_hop_distances_under_drop_rates() {
         let h = 6u64;
         let exact = dwapsp::seqref::bellman_ford(&g, 0);
         for drop_p in [0.0, 0.01, 0.05] {
-            let engine = EngineConfig {
-                faults: Some(FaultPlan::drop_only(2000 + seed, drop_p)),
-                ..EngineConfig::default()
-            };
-            let (res, rep) =
-                short_range_sssp_reliable(&g, 0, h, delta, engine, &RecoveryConfig::default());
+            let run = Run::reliable(Some(FaultPlan::drop_only(2000 + seed, drop_p)));
+            let solved = solve_short_range(&g, 0, h, delta, &run, &mut NullRecorder).unwrap();
+            let (res, rep) = (solved.result, solved.degradation.unwrap());
             for v in g.nodes() {
                 let vi = v as usize;
                 if exact[vi].is_reachable() && u64::from(exact[vi].hops) <= h {
@@ -227,13 +221,17 @@ fn alg1_unwrapped_absorbs_pure_delays() {
     let g = gen::zero_heavy(14, 0.2, 0.4, 5, true, 9);
     let delta = max_finite_distance(&g).max(1);
     let cfg = SspConfig::apsp(g.n(), delta);
-    let engine = EngineConfig {
-        faults: Some(FaultPlan::new(31).with_delay(0.25, 4)),
-        ..EngineConfig::default()
+    let run = Run {
+        engine: EngineConfig {
+            faults: Some(FaultPlan::new(31).with_delay(0.25, 4)),
+            ..EngineConfig::default()
+        },
+        budget: Some(4 * default_budget(&cfg, g.n())),
+        ..Run::default()
     };
-    let gamma = Gamma::new(cfg.k(), cfg.h, cfg.delta);
-    let (res, stats, _) =
-        dwapsp::pipeline::run_with_budget(&g, &cfg, gamma, 4 * default_budget(&cfg, g.n()), engine);
+    let Solved {
+        result: res, stats, ..
+    } = solve_hk_ssp(&g, &cfg, &run, &mut NullRecorder).unwrap();
     assert_matrices_equal(&apsp_dijkstra(&g), &res.to_matrix(), "delay-only apsp");
     assert!(stats.delayed > 0, "the plan must actually delay messages");
     assert_eq!(stats.delayed, stats.late_delivered, "all delays must land");

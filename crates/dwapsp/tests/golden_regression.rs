@@ -13,7 +13,6 @@
 //! and commit the rewritten files under `tests/golden/`.
 
 use dwapsp::congest::{EngineConfig, FaultPlan, RunStats};
-use dwapsp::pipeline::recovery::{run_hk_ssp_reliable, RecoveryConfig};
 use dwapsp::prelude::*;
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -104,7 +103,8 @@ fn golden_e5_short_range() {
     )
     .unwrap();
     for h in [4u64, 9] {
-        let (res, stats) = short_range_sssp(&g, 0, h, delta, EngineConfig::default());
+        let solved = solve_short_range(&g, 0, h, delta, &Run::default(), &mut NullRecorder);
+        let (res, stats) = solved.map(|s| (s.result, s.stats)).unwrap();
         writeln!(out, "h={h}").unwrap();
         writeln!(out, "  rounds {}", stats.rounds).unwrap();
         writeln!(out, "  messages {}", stats.messages).unwrap();
@@ -125,11 +125,9 @@ fn golden_e14_faulted_recovery() {
     let g = gen::zero_heavy(12, 0.3, 0.4, 5, true, 42);
     let delta = max_finite_distance(&g).max(1);
     let cfg = SspConfig::apsp(g.n(), delta);
-    let engine = EngineConfig {
-        faults: Some(FaultPlan::drop_only(0xD0_5E, 0.05)),
-        ..EngineConfig::default()
-    };
-    let (res, rep) = run_hk_ssp_reliable(&g, &cfg, engine, &RecoveryConfig::default());
+    let run = Run::reliable(Some(FaultPlan::drop_only(0xD0_5E, 0.05)));
+    let solved = solve_hk_ssp(&g, &cfg, &run, &mut NullRecorder).unwrap();
+    let rep = solved.degradation.unwrap();
 
     let mut out = String::new();
     writeln!(
@@ -141,16 +139,16 @@ fn golden_e14_faulted_recovery() {
     )
     .unwrap();
     writeln!(out, "plan drop_only seed=0xD05E p=0.05").unwrap();
-    writeln!(out, "rounds          {}", rep.rounds).unwrap();
+    writeln!(out, "rounds          {}", solved.stats.rounds).unwrap();
     writeln!(out, "base_rounds     {}", rep.base_rounds).unwrap();
     writeln!(out, "extra_rounds    {}", rep.extra_rounds).unwrap();
     writeln!(out, "retries         {}", rep.retries).unwrap();
     writeln!(out, "late_sends      {}", rep.late_sends).unwrap();
-    writeln!(out, "outcome         {:?}", rep.outcome).unwrap();
-    writeln!(out, "dropped         {}", rep.stats.dropped).unwrap();
+    writeln!(out, "outcome         {:?}", solved.outcome).unwrap();
+    writeln!(out, "dropped         {}", solved.stats.dropped).unwrap();
     writeln!(out, "data_sent       {}", rep.reliable.data_sent).unwrap();
     writeln!(out, "acks_sent       {}", rep.reliable.acks_sent).unwrap();
     writeln!(out, "delivered       {}", rep.reliable.delivered).unwrap();
-    render_matrix(&mut out, &res.dist);
+    render_matrix(&mut out, &solved.result.dist);
     check_golden("e14_faulted_recovery.txt", &out);
 }

@@ -16,7 +16,6 @@
 //! transport must produce equal spans and round samples.
 
 use dwapsp::obs::export::{parse_jsonl, to_chrome_trace, to_jsonl, JSONL_SCHEMA};
-use dwapsp::pipeline::runtime::run_hk_ssp_on_recorded;
 use dwapsp::prelude::*;
 use dwapsp::seqref::max_finite_h_hop_distance;
 use std::path::PathBuf;
@@ -127,7 +126,7 @@ fn recorded_phases_identical_sim_vs_threads() {
 
     let run = |rt: Runtime| {
         let mut rec = ObsRecorder::new();
-        run_hk_ssp_on_recorded(rt, &g, &cfg, EngineConfig::default(), &mut rec)
+        solve_hk_ssp(&g, &cfg, &Run::on(rt), &mut rec)
             .unwrap_or_else(|e| panic!("{} runtime failed: {e}", rt.as_str()));
         let mut r = rec.into_recording();
         r.normalize_wall();

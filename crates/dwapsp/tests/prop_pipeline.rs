@@ -96,7 +96,9 @@ proptest! {
     #[test]
     fn short_range_contract(g in arb_graph(), h in 1u64..=8) {
         let delta = max_finite_distance(&g).max(1);
-        let (res, _) = short_range_sssp(&g, 0, h, delta, EngineConfig::default());
+        let res = solve_short_range(&g, 0, h, delta, &Run::default(), &mut NullRecorder)
+            .unwrap()
+            .result;
         let exact = dwapsp::seqref::bellman_ford(&g, 0);
         for v in g.nodes() {
             let vi = v as usize;

@@ -6,16 +6,12 @@
 //! worker, the paper's layout — versus the lockstep simulator, on
 //! multiple seeded graphs, with and without an injected `FaultPlan`.
 
-use dwapsp::congest::{
-    EngineConfig, FaultPlan, Network, Reliable, ReliableConfig, RunOutcome, RunStats,
-};
+use dwapsp::congest::{EngineConfig, FaultPlan};
 use dwapsp::graph::gen;
 use dwapsp::graph::WGraph;
-use dwapsp::obs::NullRecorder;
-use dwapsp::pipeline::short_range::{extract_instance, short_range_gamma, ShortRangeNode};
-use dwapsp::pipeline::{run_hk_ssp_chaos, ChaosConfig};
+use dwapsp::pipeline::{ChaosConfig, HkSspResult, Solved};
 use dwapsp::prelude::*;
-use dwapsp::transport::{run_tcp_loopback, run_threads, ChaosPlan, TransportConfig};
+use dwapsp::transport::ChaosPlan;
 use std::time::Duration;
 
 fn graphs() -> Vec<(u64, WGraph)> {
@@ -32,10 +28,32 @@ fn fault_plan(seed: u64) -> FaultPlan {
         .with_delay(0.1, 3)
 }
 
-fn engine(faults: Option<FaultPlan>) -> EngineConfig {
-    EngineConfig {
+/// `rt` over links faulted by `faults`.
+fn run_on(rt: Runtime, faults: Option<FaultPlan>) -> Run {
+    let engine = EngineConfig {
         faults,
         ..EngineConfig::default()
+    };
+    Run {
+        engine,
+        ..Run::on(rt)
+    }
+}
+
+fn alg1(
+    rt: Runtime,
+    g: &WGraph,
+    cfg: &SspConfig,
+    faults: Option<FaultPlan>,
+) -> Solved<HkSspResult> {
+    solve_hk_ssp(g, cfg, &run_on(rt, faults), &mut NullRecorder).unwrap()
+}
+
+/// `rt` over reliable links under `plan`.
+fn reliable_on(rt: Runtime, plan: &FaultPlan) -> Run {
+    Run {
+        runtime: rt,
+        ..Run::reliable(Some(plan.clone()))
     }
 }
 
@@ -44,9 +62,9 @@ fn alg1_conforms_across_seeds_and_runtimes() {
     for (seed, g) in graphs() {
         let delta = max_finite_distance(&g).max(1);
         let cfg = SspConfig::apsp(g.n(), delta);
-        let sim = run_hk_ssp_on(Runtime::Sim, &g, &cfg, engine(None)).unwrap();
+        let sim = alg1(Runtime::Sim, &g, &cfg, None);
         for rt in [Runtime::Threads, Runtime::Tcp] {
-            let got = run_hk_ssp_on(rt, &g, &cfg, engine(None)).unwrap();
+            let got = alg1(rt, &g, &cfg, None);
             assert_eq!(got, sim, "seed {seed} runtime {}", rt.as_str());
         }
     }
@@ -57,9 +75,9 @@ fn alg1_conforms_under_faults() {
     for (seed, g) in graphs() {
         let delta = max_finite_distance(&g).max(1);
         let cfg = SspConfig::k_ssp(g.n(), vec![0, (g.n() / 2) as NodeId], delta);
-        let sim = run_hk_ssp_on(Runtime::Sim, &g, &cfg, engine(Some(fault_plan(seed)))).unwrap();
+        let sim = alg1(Runtime::Sim, &g, &cfg, Some(fault_plan(seed)));
         for rt in [Runtime::Threads, Runtime::Tcp] {
-            let got = run_hk_ssp_on(rt, &g, &cfg, engine(Some(fault_plan(seed)))).unwrap();
+            let got = alg1(rt, &g, &cfg, Some(fault_plan(seed)));
             assert_eq!(got, sim, "seed {seed} runtime {}", rt.as_str());
         }
     }
@@ -70,9 +88,10 @@ fn short_range_conforms_across_seeds() {
     for (seed, g) in graphs() {
         let delta = max_finite_distance(&g).max(1);
         let h = g.n() as u64;
-        let sim = short_range_sssp_on(Runtime::Sim, &g, 0, h, delta, engine(None)).unwrap();
+        let solve = |rt| solve_short_range(&g, 0, h, delta, &Run::on(rt), &mut NullRecorder);
+        let sim = solve(Runtime::Sim).unwrap();
         for rt in [Runtime::Threads, Runtime::Tcp] {
-            let got = short_range_sssp_on(rt, &g, 0, h, delta, engine(None)).unwrap();
+            let got = solve(rt).unwrap();
             assert_eq!(got, sim, "seed {seed} runtime {}", rt.as_str());
         }
     }
@@ -84,10 +103,13 @@ fn short_range_conforms_under_faults() {
         let delta = max_finite_distance(&g).max(1);
         let h = g.n() as u64;
         let plan = fault_plan(seed ^ 1);
-        let sim =
-            short_range_sssp_on(Runtime::Sim, &g, 0, h, delta, engine(Some(plan.clone()))).unwrap();
+        let solve = |rt| {
+            let run = run_on(rt, Some(plan.clone()));
+            solve_short_range(&g, 0, h, delta, &run, &mut NullRecorder).unwrap()
+        };
+        let sim = solve(Runtime::Sim);
         for rt in [Runtime::Threads, Runtime::Tcp] {
-            let got = short_range_sssp_on(rt, &g, 0, h, delta, engine(Some(plan.clone()))).unwrap();
+            let got = solve(rt);
             assert_eq!(got, sim, "seed {seed} runtime {}", rt.as_str());
         }
     }
@@ -107,8 +129,7 @@ fn fault_counters_match_bit_for_bit_across_runtimes() {
         let delta = max_finite_distance(&g).max(1);
         let cfg = SspConfig::apsp(g.n(), delta);
         let plan = fault_plan(seed);
-        let (_, sim, _) =
-            run_hk_ssp_on(Runtime::Sim, &g, &cfg, engine(Some(plan.clone()))).unwrap();
+        let sim = alg1(Runtime::Sim, &g, &cfg, Some(plan.clone())).stats;
         assert!(
             sim.dropped > 0 && sim.duplicated > 0 && sim.delayed > 0,
             "seed {seed}: plan must exercise every fault type \
@@ -119,7 +140,7 @@ fn fault_counters_match_bit_for_bit_across_runtimes() {
         );
         late_total += sim.late_delivered;
         for rt in [Runtime::Threads, Runtime::Tcp] {
-            let (_, st, _) = run_hk_ssp_on(rt, &g, &cfg, engine(Some(plan.clone()))).unwrap();
+            let st = alg1(rt, &g, &cfg, Some(plan.clone())).stats;
             for ((name, want), (_, got)) in sim.fields().iter().zip(st.fields().iter()) {
                 assert_eq!(
                     got,
@@ -145,17 +166,19 @@ fn chaos_kill_recovers_bit_identical_across_runtimes() {
     for (seed, g) in graphs() {
         let delta = max_finite_distance(&g).max(1);
         let cfg = SspConfig::apsp(g.n(), delta);
-        let sim = run_hk_ssp_on(Runtime::Sim, &g, &cfg, engine(None)).unwrap();
+        let sim = alg1(Runtime::Sim, &g, &cfg, None);
         let chaos = ChaosConfig {
             plan: ChaosPlan::new(seed).with_kill((g.n() / 2) as NodeId, 4),
             cadence: Some(3),
             deadline: Duration::from_millis(500),
         };
         for rt in [Runtime::Threads, Runtime::Tcp] {
-            let got = run_hk_ssp_chaos(rt, &g, &cfg, engine(None), &chaos, &mut NullRecorder)
-                .unwrap_or_else(|p| {
-                    panic!("seed {seed} {}: unrecoverable: {}", rt.as_str(), p.reason)
-                });
+            let run = Run {
+                recovery: Some(Recovery::Chaos(chaos.clone())),
+                ..Run::on(rt)
+            };
+            let got = solve_hk_ssp(&g, &cfg, &run, &mut NullRecorder)
+                .unwrap_or_else(|e| panic!("seed {seed} {}: {e}", rt.as_str()));
             assert_eq!(got, sim, "seed {seed} runtime {}", rt.as_str());
         }
     }
@@ -169,50 +192,46 @@ fn reliable_short_range_conforms_under_drops() {
     for (seed, g) in graphs() {
         let delta = max_finite_distance(&g).max(1);
         let h = g.n() as u64;
-        let gamma = short_range_gamma(h);
-        let budget = 4 * (gamma.ceil_kappa(delta.max(1), h) + 2) + 64;
         let plan = FaultPlan::new(seed ^ 0xd00d).with_drop(0.15);
-        let make = |v: NodeId| {
-            Reliable::new(
-                ShortRangeNode::new(gamma, h, (v == 0).then_some(0)),
-                ReliableConfig::default(),
-            )
+        let solve = |rt| {
+            let run = reliable_on(rt, &plan);
+            solve_short_range(&g, 0, h, delta, &run, &mut NullRecorder).unwrap()
         };
-
-        let mut net = Network::new(&g, engine(Some(plan.clone())), make);
-        let sim_outcome = net.run(budget);
-        let sim_stats = net.stats();
-        let sim_inner: Vec<ShortRangeNode> = net
-            .into_nodes()
-            .into_iter()
-            .map(|r| r.into_inner())
-            .collect();
-        let sim_res = extract_instance(0, &sim_inner);
+        let sim = solve(Runtime::Sim);
         assert!(
-            sim_stats.dropped > 0,
+            sim.stats.dropped > 0,
             "seed {seed}: plan must drop messages"
         );
+        for rt in [Runtime::Threads, Runtime::Tcp] {
+            let name = rt.as_str();
+            let got = solve(rt);
+            assert_eq!(got.outcome, sim.outcome, "seed {seed} {name}");
+            assert_eq!(got.stats, sim.stats, "seed {seed} {name}");
+            assert_eq!(got.result, sim.result, "seed {seed} {name}");
+        }
+    }
+}
 
-        let tcfg = TransportConfig {
-            faults: Some(plan.clone()),
-            ..TransportConfig::default()
-        };
-        let runs: Vec<(&str, _, RunStats, RunOutcome)> = vec![
-            {
-                let r = run_threads(&g, &tcfg, budget, g.n(), make, &mut NullRecorder).unwrap();
-                ("threads", r.nodes, r.stats, r.outcome)
-            },
-            {
-                let r =
-                    run_tcp_loopback(&g, &tcfg, budget, g.n(), make, &mut NullRecorder).unwrap();
-                ("tcp", r.nodes, r.stats, r.outcome)
-            },
-        ];
-        for (name, nodes, stats, outcome) in runs {
-            assert_eq!(outcome, sim_outcome, "seed {seed} {name}");
-            assert_eq!(stats, sim_stats, "seed {seed} {name}");
-            let inner: Vec<ShortRangeNode> = nodes.into_iter().map(|r| r.into_inner()).collect();
-            assert_eq!(extract_instance(0, &inner), sim_res, "seed {seed} {name}");
+/// Algorithm 1 over reliable links, on the thread backend at one node
+/// per worker and on two loopback TCP shards: the same distances, the
+/// same `RunStats` and the same degradation report (retries, late
+/// sends, the fault-free baseline's rounds) as the simulator.
+#[test]
+fn reliable_alg1_conforms_under_drops() {
+    for (seed, g) in graphs() {
+        let delta = max_finite_distance(&g).max(1);
+        let cfg = SspConfig::apsp(g.n(), delta);
+        let plan = FaultPlan::new(seed ^ 0xbeef).with_drop(0.1);
+        let solve = |rt| solve_hk_ssp(&g, &cfg, &reliable_on(rt, &plan), &mut NullRecorder);
+        let sim = solve(Runtime::Sim).unwrap();
+        let report = sim.degradation.as_ref().expect("a reliable run reports");
+        assert!(report.retries > 0, "seed {seed}: drops must force retries");
+        for rt in [Runtime::Threads, Runtime::TcpSharded(2)] {
+            let got = solve(rt).unwrap();
+            let name = rt.label();
+            assert_eq!(got.result, sim.result, "seed {seed} {name}");
+            assert_eq!(got.stats, sim.stats, "seed {seed} {name}");
+            assert_eq!(got.degradation, sim.degradation, "seed {seed} {name}");
         }
     }
 }

@@ -25,7 +25,7 @@
 //!
 //! Tables canonical for the pre-batch graph in, tables canonical for
 //! the patched graph out, whoever built them — a quiet Algorithm-1 run
-//! on any runtime, [`dw_seqref::dijkstra`], or an earlier batch.
+//! on any runtime, [`dw_seqref::dijkstra()`], or an earlier batch.
 //!
 //! The whole transaction is all-or-nothing: a batch that fails
 //! validation ([`PatchError`]) leaves the graph untouched and produces

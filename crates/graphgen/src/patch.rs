@@ -5,7 +5,7 @@
 //! measured against the graph's current state, with no-ops dropped —
 //! and then applied by [`WGraph::apply_updates`], which rebuilds only
 //! the adjacency slabs of touched rows and splices them into the
-//! existing `out` / `inc` / `comm` arrays ([`splice_rows`]): each
+//! existing `out` / `inc` / `comm` arrays (`splice_rows`): each
 //! untouched span between two touched rows moves at most once, by
 //! `copy_within`, and offsets change only from the first touched row
 //! on. A batch costs the rows it touches plus the spans it has to

@@ -1,5 +1,6 @@
 //! Run configuration for the pipelined `(h,k)`-SSP algorithm.
 
+use crate::key::Gamma;
 use dw_graph::{NodeId, Weight};
 
 /// How Step 13 counts existing same-source entries when deciding whether
@@ -65,6 +66,11 @@ impl SspConfig {
 
     pub fn k(&self) -> u64 {
         self.sources.len() as u64
+    }
+
+    /// The key schedule `γ = sqrt(kh/Δ)` of this configuration.
+    pub fn gamma(&self) -> Gamma {
+        Gamma::new(self.k(), self.h, self.delta)
     }
 }
 

@@ -148,11 +148,8 @@ pub fn build_csssp_with_slack_recorded(
 ) -> (Csssp, RunStats) {
     assert!(slack >= 1);
     let cfg = SspConfig::new(sources.to_vec(), slack * h, delta);
-    let gamma = crate::key::Gamma::new(cfg.k(), cfg.h, cfg.delta);
-    let budget = crate::driver::default_budget(&cfg, g.n());
     let span = rec.begin("csssp");
-    let (res, stats, _) =
-        crate::driver::run_with_budget_named(g, &cfg, gamma, budget, engine.clone(), rec, "hk_2h");
+    let (res, stats, _) = crate::driver::simulate_hk(g, &cfg, engine.clone(), "hk_2h", rec);
     let val_span = rec.begin("validate");
     let (member, val_stats) = validation::validate_membership(g, sources, h, &res, engine, rec);
     rec.end(val_span, &val_stats);
@@ -472,7 +469,9 @@ mod tests {
         // Raw h-hop run: t's parent chain goes through a's h-hop path,
         // exceeding h hops.
         let cfg = SspConfig::new(vec![nd.s], h, delta_h);
-        let (raw, _, _) = crate::driver::run_hk_ssp(&g, &cfg, EngineConfig::default());
+        let raw = crate::solve_hk_ssp(&g, &cfg, &crate::Run::default(), &mut NullRecorder)
+            .unwrap()
+            .result;
         assert_eq!(raw.dist[0][nd.a as usize], 0, "a reached by zero path");
         assert_eq!(
             raw.dist[0][nd.t as usize], 8,

@@ -1,36 +1,65 @@
-//! Drivers: wire the node program to the engine, run to the theorem
-//! bound, extract results.
+//! Algorithm 1's solve call, [`solve_hk_ssp`]: wire the node program to
+//! the engine or a transport, run to the theorem bound, extract results.
+//! Theorem I.1's shapes ([`apsp`], [`k_ssp`], [`apsp_auto`]) take its
+//! simulator arm, which cannot fail.
 
 use crate::bound::hk_round_bound;
 use crate::config::SspConfig;
-use crate::key::Gamma;
 use crate::node::PipelinedNode;
+use crate::recovery::solve_reliable;
 use crate::result::HkSspResult;
-use crate::runtime::hk_ssp_nodes;
-use dw_congest::{EngineConfig, Network, NullRecorder, Recorder, RunOutcome, RunStats};
+use crate::runtime::{
+    execute, hk_ssp_nodes, simulate, solve_chaos, Recovery, Run, Runtime, SolveError, Solved,
+};
+use dw_congest::{EngineConfig, NullRecorder, Recorder, RunOutcome, RunStats};
 use dw_graph::{NodeId, WGraph, Weight, INFINITY};
 
-/// Run Algorithm 1 with the given configuration. The round budget is the
-/// Theorem I.1 bound `⌈2·sqrt(Δhk)⌉ + k + h`; by the theorem the protocol
-/// is quiet (or at least correct) within it.
-pub fn run_hk_ssp(
+/// Algorithm 1 `(h,k)`-SSP as `run` says: on `run.runtime`, under
+/// `run.recovery`, within `run.budget` (by default [`default_budget`];
+/// by the theorem the protocol is quiet, or at least correct, within
+/// it), inside an `hk_ssp` span on `rec` — the same phase attribution on
+/// every runtime, which is what lets the conformance tests compare
+/// recordings bit-for-bit across sim/threads/TCP.
+pub fn solve_hk_ssp(
     g: &WGraph,
     cfg: &SspConfig,
-    engine: EngineConfig,
-) -> (HkSspResult, RunStats, RunOutcome) {
-    run_hk_ssp_recorded(g, cfg, engine, &mut NullRecorder)
+    run: &Run,
+    rec: &mut dyn Recorder,
+) -> Result<Solved<HkSspResult>, SolveError> {
+    let budget = run.round_cap(default_budget(cfg, g.n()), 0);
+    let make = hk_ssp_nodes(cfg, g.n());
+    let finish = |nodes: &mut dyn ExactSizeIterator<Item = &PipelinedNode>| {
+        extract(g, &cfg.sources, nodes.map(Some))
+    };
+    match &run.recovery {
+        Some(Recovery::Reliable(rc)) => {
+            let late = |n: &PipelinedNode| n.stats.late_sends;
+            solve_reliable(g, run, rc, budget, "hk_ssp", rec, make, late, finish)
+        }
+        Some(Recovery::Chaos(chaos)) if run.runtime != Runtime::Sim => {
+            solve_chaos(g, cfg, run, chaos, budget, rec, make)
+        }
+        _ => Ok(execute(g, run, budget, "hk_ssp", rec, make, finish)?.into()),
+    }
 }
 
-/// As [`run_hk_ssp`], wrapping the run in an `hk_ssp` span on `rec`.
-pub fn run_hk_ssp_recorded(
+/// [`solve_hk_ssp`] as a tuple, on `rt` with `engine`. Kept for
+/// `benchmark/src/layers.rs`, which changes only with the benchmark (the
+/// way `dw_dynamic::RecomputeEngine` is kept); new code calls
+/// [`solve_hk_ssp`].
+pub fn run_hk_ssp_on_recorded(
+    rt: Runtime,
     g: &WGraph,
     cfg: &SspConfig,
     engine: EngineConfig,
     rec: &mut dyn Recorder,
-) -> (HkSspResult, RunStats, RunOutcome) {
-    let k = cfg.k();
-    let gamma = Gamma::new(k, cfg.h, cfg.delta);
-    run_with_budget_recorded(g, cfg, gamma, default_budget(cfg, g.n()), engine, rec)
+) -> Result<(HkSspResult, RunStats, RunOutcome), SolveError> {
+    let run = Run {
+        engine,
+        ..Run::on(rt)
+    };
+    let s = solve_hk_ssp(g, cfg, &run, rec)?;
+    Ok((s.result, s.stats, s.outcome))
 }
 
 /// The default round cap: twice the Theorem I.1 bound plus slack.
@@ -43,74 +72,43 @@ pub fn default_budget(cfg: &SspConfig, n: usize) -> u64 {
     2 * hk_round_bound(cfg.h, cfg.k(), cfg.delta) + 2 * n as u64 + 128
 }
 
-/// As [`run_hk_ssp`] but with an explicit round budget (used by
-/// [`apsp_auto`]'s guess-and-double and by experiments probing tightness).
-pub fn run_with_budget(
+/// [`solve_hk_ssp`]'s simulator arm at the default budget with no
+/// recovery, which cannot fail. The span name is a call-site concern:
+/// the same run is `hk_ssp` standalone but `hk_2h` inside a CSSSP
+/// construction.
+pub(crate) fn simulate_hk(
     g: &WGraph,
     cfg: &SspConfig,
-    gamma: Gamma,
-    budget: u64,
     engine: EngineConfig,
-) -> (HkSspResult, RunStats, RunOutcome) {
-    run_with_budget_recorded(g, cfg, gamma, budget, engine, &mut NullRecorder)
-}
-
-/// As [`run_with_budget`], wrapping the engine run in an `hk_ssp` span
-/// (with per-round events) on `rec`.
-pub fn run_with_budget_recorded(
-    g: &WGraph,
-    cfg: &SspConfig,
-    gamma: Gamma,
-    budget: u64,
-    engine: EngineConfig,
+    span: &'static str,
     rec: &mut dyn Recorder,
 ) -> (HkSspResult, RunStats, RunOutcome) {
-    run_with_budget_named(g, cfg, gamma, budget, engine, rec, "hk_ssp")
+    let budget = default_budget(cfg, g.n());
+    let make = hk_ssp_nodes(cfg, g.n());
+    simulate(g, engine, budget, span, rec, make, |nodes| {
+        extract(g, &cfg.sources, nodes.map(Some))
+    })
 }
 
-/// The span name is a call-site concern: the same Algorithm 1 run is
-/// `hk_ssp` standalone but `hk_2h` inside a CSSSP construction.
-pub(crate) fn run_with_budget_named(
-    g: &WGraph,
-    cfg: &SspConfig,
-    gamma: Gamma,
-    budget: u64,
-    engine: EngineConfig,
-    rec: &mut dyn Recorder,
-    span_name: &'static str,
-) -> (HkSspResult, RunStats, RunOutcome) {
-    let mut net = Network::new(g, engine, hk_ssp_nodes(cfg, gamma, g.n()));
-    let span = rec.begin(span_name);
-    let outcome = net.run_recorded(budget, rec);
-    let stats = net.stats();
-    rec.end(span, &stats);
-    let result = extract(g, &cfg.sources, net.nodes());
-    (result, stats, outcome)
-}
-
-/// Pull per-source records out of the final node states. Takes the
-/// nodes as an iterator so both execution environments feed it: the
-/// simulator yields borrows out of [`Network::nodes`], the transport
-/// runtime out of its joined worker results.
+/// Pull per-source records out of the final node states, in id order. A
+/// `None` is a node whose state was lost (a crashed worker's, in a
+/// [`crate::PartialOutcome`]): its column stays unreported.
 pub(crate) fn extract<'a>(
     g: &WGraph,
     sources: &[NodeId],
-    nodes: impl Iterator<Item = &'a PipelinedNode>,
+    nodes: impl Iterator<Item = Option<&'a PipelinedNode>>,
 ) -> HkSspResult {
     let n = g.n();
     let mut dist = vec![vec![INFINITY; n]; sources.len()];
     let mut hops = vec![vec![0u64; n]; sources.len()];
     let mut parent = vec![vec![None; n]; sources.len()];
     for (v, node) in nodes.enumerate() {
+        let Some(node) = node else { continue };
         for (i, &s) in sources.iter().enumerate() {
             if let Some(b) = node.best_for(s) {
                 dist[i][v] = b.d;
                 hops[i][v] = b.l;
-                parent[i][v] = if v as NodeId == s {
-                    None
-                } else {
-                    Some(b.parent)
-                };
+                parent[i][v] = (v as NodeId != s).then_some(b.parent);
             }
         }
     }
@@ -129,7 +127,13 @@ pub fn apsp(
     delta: Weight,
     engine: EngineConfig,
 ) -> (HkSspResult, RunStats, RunOutcome) {
-    run_hk_ssp(g, &SspConfig::apsp(g.n(), delta), engine)
+    simulate_hk(
+        g,
+        &SspConfig::apsp(g.n(), delta),
+        engine,
+        "hk_ssp",
+        &mut NullRecorder,
+    )
 }
 
 /// `k`-SSP for shortest-path distances at most `delta`
@@ -140,7 +144,8 @@ pub fn k_ssp(
     delta: Weight,
     engine: EngineConfig,
 ) -> (HkSspResult, RunStats, RunOutcome) {
-    run_hk_ssp(g, &SspConfig::k_ssp(g.n(), sources, delta), engine)
+    let cfg = SspConfig::k_ssp(g.n(), sources, delta);
+    simulate_hk(g, &cfg, engine, "hk_ssp", &mut NullRecorder)
 }
 
 /// APSP when `Δ` is unknown: guess-and-double.

@@ -7,7 +7,7 @@
 //! *unique* assignment in which every node `v` other than the source
 //! holds the least `(d(u) + w, l(u) + 1, u)` over its in-edges `(u, v)`
 //! — whether a quiet Algorithm-1 run wrote it (whatever `γ`, `Δ` and
-//! the schedule were) or [`dw_seqref::dijkstra`] did. So after a batch
+//! the schedule were) or [`dw_seqref::dijkstra()`] did. So after a batch
 //! a row can be repaired in place of re-solved, Ramalingam–Reps style,
 //! and the result is the row a cold solve of the patched graph would
 //! write, to the last tie:

@@ -73,23 +73,19 @@ pub fn run_with_report(
     dw_congest::RunStats,
     InvariantReport,
 ) {
-    use dw_congest::Network;
-    let k = cfg.k();
-    let gamma = crate::key::Gamma::new(k, cfg.h, cfg.delta);
-    let budget = crate::driver::default_budget(cfg, g.n());
     let tracked = crate::config::SspConfig {
         track_invariants: true,
         ..cfg.clone()
     };
-    let mut net = Network::new(
-        g,
-        engine,
-        crate::runtime::hk_ssp_nodes(&tracked, gamma, g.n()),
-    );
-    net.run(budget);
-    let stats = net.stats();
-    let report = gather(net.nodes());
-    let result = crate::driver::extract(g, &cfg.sources, net.nodes());
+    let budget = crate::driver::default_budget(cfg, g.n());
+    let make = crate::runtime::hk_ssp_nodes(&tracked, g.n());
+    let rec = &mut dw_congest::NullRecorder;
+    let ((result, report), stats, _) =
+        crate::runtime::simulate(g, engine, budget, "hk_ssp", rec, make, |nodes| {
+            let nodes: Vec<&PipelinedNode> = nodes.collect();
+            let result = crate::driver::extract(g, &cfg.sources, nodes.iter().copied().map(Some));
+            (result, gather(nodes.into_iter()))
+        });
     (result, stats, report)
 }
 

@@ -45,19 +45,14 @@ pub use csssp::{
     build_csssp, build_csssp_recorded, build_csssp_with_slack, build_csssp_with_slack_recorded,
     Csssp,
 };
-pub use driver::{
-    apsp, apsp_auto, default_budget, k_ssp, run_hk_ssp, run_hk_ssp_recorded, run_with_budget,
-    run_with_budget_recorded,
-};
+pub use driver::{apsp, apsp_auto, default_budget, k_ssp, run_hk_ssp_on_recorded, solve_hk_ssp};
 pub use incremental::{recompute_incremental, IncrementalOutcome, RowRepair};
 pub use key::Gamma;
-pub use recovery::{
-    run_hk_ssp_reliable, short_range_sssp_reliable, DegradationReport, RecoveryConfig,
-};
+pub use recovery::{DegradationReport, RecoveryConfig};
 pub use result::HkSspResult;
 pub use runtime::{
-    hk_ssp_node, hk_ssp_nodes, run_hk_ssp_chaos, run_hk_ssp_on, run_hk_ssp_on_recorded,
-    short_range_sssp_on, ChaosConfig, PartialOutcome, Runtime,
+    hk_ssp_node, hk_ssp_nodes, ChaosConfig, PartialOutcome, Recovery, Run, Runtime, SolveError,
+    Solved,
 };
 pub use scaling::{scaling_apsp, scaling_k_ssp, ScalingOutcome};
-pub use short_range::{short_range_extension, short_range_sssp, ShortRangeResult};
+pub use short_range::{solve_short_range, ShortRangeResult};

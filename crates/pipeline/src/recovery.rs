@@ -1,9 +1,11 @@
-//! Recovery drivers: run Algorithm 1 / Algorithm 2 over **faulty links**
-//! and still converge to correct h-hop distances.
+//! Reliable links: run Algorithm 1 / Algorithm 2 over **faulty links**
+//! and still converge to correct h-hop distances — the
+//! [`crate::Recovery::Reliable`] arm of both solve calls, on any runtime.
 //!
 //! The fault model lives in the engine ([`dw_congest::FaultPlan`]: seeded
-//! drops, duplicates, delays and link outages). This module composes two
-//! mechanisms on top of it:
+//! drops, duplicates, delays and link outages), and the transports make
+//! the same fault decisions. This module composes two mechanisms on top
+//! of it:
 //!
 //! 1. **Reliable links** — every node program is wrapped in
 //!    [`dw_congest::Reliable`], the per-link sequence/ack/retransmit layer.
@@ -30,17 +32,12 @@
 //! late announcements) relative to a fault-free baseline of the same
 //! stack.
 
-use crate::config::SspConfig;
-use crate::driver::{default_budget, extract};
-use crate::key::Gamma;
-use crate::node::PipelinedNode;
-use crate::result::HkSspResult;
-use crate::runtime::hk_ssp_nodes;
-use crate::short_range::{extract_instance, short_range_gamma, ShortRangeNode, ShortRangeResult};
+use crate::runtime::{execute, Run, SolveError, Solved};
 use dw_congest::{
-    EngineConfig, Network, Reliable, ReliableConfig, ReliableStats, RunOutcome, RunStats,
+    EngineConfig, NullRecorder, Protocol, Recorder, Reliable, ReliableConfig, ReliableStats, Round,
+    WireCodec,
 };
-use dw_graph::{NodeId, WGraph, Weight};
+use dw_graph::{NodeId, WGraph};
 
 /// Knobs for a recovered run.
 #[derive(Debug, Clone)]
@@ -64,174 +61,120 @@ impl Default for RecoveryConfig {
 }
 
 /// How much a faulty run degraded relative to the fault-free baseline of
-/// the same reliable stack.
+/// the same reliable stack. The run's own rounds, fault accounting and
+/// outcome (`Quiet` = ack-drained termination) are the [`Solved`]'s
+/// `stats` and `outcome`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DegradationReport {
-    /// Rounds of the (possibly faulty) run.
-    pub rounds: u64,
     /// Rounds the identical stack takes with faults disabled.
     pub base_rounds: u64,
-    /// `rounds - base_rounds`, floored at 0 (dropped residual non-SP
-    /// traffic can occasionally *shorten* a run).
+    /// `stats.rounds - base_rounds`, floored at 0 (dropped residual
+    /// non-SP traffic can occasionally *shorten* a run).
     pub extra_rounds: u64,
     /// Data-frame retransmissions across all links.
     pub retries: u64,
     /// Announcements sent past their scheduled round (protocol-level
     /// re-arms; 0 in fault-free runs).
     pub late_sends: u64,
-    /// How the run ended (`Quiet` = ack-drained termination).
-    pub outcome: RunOutcome,
-    /// Engine metrics of the faulty run (includes fault accounting).
-    pub stats: RunStats,
     /// Aggregated reliable-channel metrics of the faulty run.
     pub reliable: ReliableStats,
 }
 
-fn degradation(
-    rounds: u64,
-    base_rounds: u64,
-    late_sends: u64,
-    outcome: RunOutcome,
-    stats: RunStats,
-    reliable: ReliableStats,
-) -> DegradationReport {
-    DegradationReport {
-        rounds,
+/// The [`crate::Recovery::Reliable`] arm of both solve calls: wrap every node
+/// `make` builds in [`dw_congest::Reliable`], run once with
+/// `run.engine`'s faults and, when there are any, once more without them
+/// for the report's `base_rounds` (with faults disabled the run *is* its
+/// own baseline, `extra_rounds = 0`). `late_sends` reads one node's
+/// re-armed announcements.
+#[allow(clippy::too_many_arguments)] // `execute`'s arguments plus the retry policy and the re-arm count
+pub(crate) fn solve_reliable<P, R>(
+    g: &WGraph,
+    run: &Run,
+    rc: &RecoveryConfig,
+    budget: Round,
+    span: &'static str,
+    rec: &mut dyn Recorder,
+    make: impl Fn(NodeId) -> P,
+    late_sends: impl Fn(&P) -> u64,
+    finish: impl FnOnce(&mut dyn ExactSizeIterator<Item = &P>) -> R,
+) -> Result<Solved<R>, SolveError>
+where
+    P: Protocol,
+    P::Msg: WireCodec,
+{
+    let wrapped = |v: NodeId| Reliable::new(make(v), rc.reliable);
+    let mut reliable = ReliableStats::default();
+    let mut late = 0;
+    let (result, stats, outcome) = execute(g, run, budget, span, rec, &wrapped, |nodes| {
+        let inner: Vec<&P> = nodes
+            .map(|r| {
+                reliable = reliable.merge(r.stats());
+                late += late_sends(r.inner());
+                r.inner()
+            })
+            .collect();
+        finish(&mut inner.into_iter())
+    })?;
+    let base_rounds = match &run.engine.faults {
+        None => stats.rounds,
+        Some(_) => {
+            let engine = EngineConfig {
+                faults: None,
+                ..run.engine.clone()
+            };
+            let clean = Run {
+                engine,
+                ..Run::on(run.runtime)
+            };
+            let rec = &mut NullRecorder;
+            execute(g, &clean, budget, span, rec, &wrapped, |_| ())?
+                .1
+                .rounds
+        }
+    };
+    let degradation = Some(DegradationReport {
         base_rounds,
-        extra_rounds: rounds.saturating_sub(base_rounds),
+        extra_rounds: stats.rounds.saturating_sub(base_rounds),
         retries: reliable.retries,
-        late_sends,
-        outcome,
-        stats,
+        late_sends: late,
         reliable,
-    }
-}
-
-fn reliable_hk_run(
-    g: &WGraph,
-    cfg: &SspConfig,
-    gamma: Gamma,
-    budget: u64,
-    engine: EngineConfig,
-    rc: &RecoveryConfig,
-) -> (HkSspResult, RunStats, RunOutcome, ReliableStats, u64) {
-    let make = hk_ssp_nodes(cfg, gamma, g.n());
-    let mut net = Network::new(g, engine, |v| Reliable::new(make(v), rc.reliable));
-    let outcome = net.run(budget);
-    let stats = net.stats();
-    let mut rstats = ReliableStats::default();
-    let nodes: Vec<PipelinedNode> = net
-        .into_nodes()
-        .into_iter()
-        .map(|r| {
-            rstats = rstats.merge(r.stats());
-            r.into_inner()
-        })
-        .collect();
-    let late = nodes.iter().map(|nd| nd.stats.late_sends).sum();
-    let result = extract(g, &cfg.sources, nodes.iter());
-    (result, stats, outcome, rstats, late)
-}
-
-/// Algorithm 1 `(h,k)`-SSP over reliable links, tolerant of the faults in
-/// `engine.faults`.
-///
-/// When faults are enabled, a second fault-free run of the same stack
-/// establishes the `base_rounds` baseline for the report; with faults
-/// disabled the run *is* its own baseline (`extra_rounds = 0`).
-pub fn run_hk_ssp_reliable(
-    g: &WGraph,
-    cfg: &SspConfig,
-    engine: EngineConfig,
-    rc: &RecoveryConfig,
-) -> (HkSspResult, DegradationReport) {
-    let gamma = Gamma::new(cfg.k(), cfg.h, cfg.delta);
-    let budget = default_budget(cfg, g.n()).saturating_mul(rc.budget_factor.max(1));
-    let (result, stats, outcome, rstats, late) =
-        reliable_hk_run(g, cfg, gamma, budget, engine.clone(), rc);
-    let base_rounds = if engine.faults.is_some() {
-        let mut clean = engine;
-        clean.faults = None;
-        reliable_hk_run(g, cfg, gamma, budget, clean, rc).1.rounds
-    } else {
-        stats.rounds
-    };
-    let report = degradation(stats.rounds, base_rounds, late, outcome, stats, rstats);
-    (result, report)
-}
-
-fn reliable_sr_run(
-    g: &WGraph,
-    x: NodeId,
-    init: &[Option<Weight>],
-    h: u64,
-    budget: u64,
-    engine: EngineConfig,
-    rc: &RecoveryConfig,
-) -> (ShortRangeResult, RunStats, RunOutcome, ReliableStats) {
-    let gamma = short_range_gamma(h);
-    let mut net = Network::new(g, engine, |v| {
-        Reliable::new(ShortRangeNode::new(gamma, h, init[v as usize]), rc.reliable)
     });
-    let outcome = net.run(budget);
-    let stats = net.stats();
-    let mut rstats = ReliableStats::default();
-    let nodes: Vec<ShortRangeNode> = net
-        .into_nodes()
-        .into_iter()
-        .map(|r| {
-            rstats = rstats.merge(r.stats());
-            r.into_inner()
-        })
-        .collect();
-    (extract_instance(x, &nodes), stats, outcome, rstats)
-}
-
-/// Algorithm 2 h-hop SSSP from `x` over reliable links (the recovered
-/// counterpart of [`crate::short_range::short_range_sssp`]).
-pub fn short_range_sssp_reliable(
-    g: &WGraph,
-    x: NodeId,
-    h: u64,
-    delta: Weight,
-    engine: EngineConfig,
-    rc: &RecoveryConfig,
-) -> (ShortRangeResult, DegradationReport) {
-    assert!(g.n() > 0);
-    let init: Vec<Option<Weight>> = (0..g.n())
-        .map(|v| (v as NodeId == x).then_some(0))
-        .collect();
-    let gamma = short_range_gamma(h);
-    let budget = (gamma.ceil_kappa(delta.max(1), h) + 2)
-        .saturating_mul(rc.budget_factor.max(1))
-        .saturating_add(64);
-    let (result, stats, outcome, rstats) =
-        reliable_sr_run(g, x, &init, h, budget, engine.clone(), rc);
-    let base_rounds = if engine.faults.is_some() {
-        let mut clean = engine;
-        clean.faults = None;
-        reliable_sr_run(g, x, &init, h, budget, clean, rc).1.rounds
-    } else {
-        stats.rounds
-    };
-    let late = result.late_sends.iter().sum();
-    let report = degradation(stats.rounds, base_rounds, late, outcome, stats, rstats);
-    (result, report)
+    Ok(Solved {
+        result,
+        stats,
+        outcome,
+        degradation,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dw_congest::FaultPlan;
+    use crate::config::SspConfig;
+    use crate::result::HkSspResult;
+    use crate::short_range::ShortRangeResult;
+    use crate::{solve_hk_ssp, solve_short_range};
+    use dw_congest::{FaultPlan, RunOutcome};
     use dw_graph::gen::{self, WeightDist};
     use dw_graph::INFINITY;
     use dw_seqref::{apsp_dijkstra, assert_matrices_equal, max_finite_distance};
 
-    fn faulty_engine(plan: FaultPlan) -> EngineConfig {
-        EngineConfig {
-            faults: Some(plan),
-            ..EngineConfig::default()
-        }
+    fn hk(g: &WGraph, cfg: &SspConfig, run: &Run) -> (Solved<HkSspResult>, DegradationReport) {
+        let s = solve_hk_ssp(g, cfg, run, &mut NullRecorder).unwrap();
+        let rep = s.degradation.clone().unwrap();
+        (s, rep)
+    }
+
+    fn sr(
+        g: &WGraph,
+        x: NodeId,
+        h: u64,
+        run: &Run,
+    ) -> (Solved<ShortRangeResult>, DegradationReport) {
+        let delta = max_finite_distance(g).max(1);
+        let s = solve_short_range(g, x, h, delta, run, &mut NullRecorder).unwrap();
+        let rep = s.degradation.clone().unwrap();
+        (s, rep)
     }
 
     #[test]
@@ -239,14 +182,9 @@ mod tests {
         let g = gen::gnp_connected(12, 0.25, false, WeightDist::Uniform { max: 6 }, 5);
         let delta = max_finite_distance(&g);
         let cfg = SspConfig::apsp(g.n(), delta);
-        let (res, rep) = run_hk_ssp_reliable(
-            &g,
-            &cfg,
-            EngineConfig::default(),
-            &RecoveryConfig::default(),
-        );
-        assert_matrices_equal(&apsp_dijkstra(&g), &res.to_matrix(), "reliable apsp");
-        assert_eq!(rep.outcome, RunOutcome::Quiet);
+        let (res, rep) = hk(&g, &cfg, &Run::reliable(None));
+        assert_matrices_equal(&apsp_dijkstra(&g), &res.result.to_matrix(), "reliable apsp");
+        assert_eq!(res.outcome, RunOutcome::Quiet);
         assert_eq!(rep.extra_rounds, 0);
         assert_eq!(rep.retries, 0);
         assert_eq!(rep.late_sends, 0);
@@ -258,36 +196,28 @@ mod tests {
         let g = gen::zero_heavy(14, 0.2, 0.4, 5, false, 11);
         let delta = max_finite_distance(&g);
         let cfg = SspConfig::apsp(g.n(), delta);
-        let (res, rep) = run_hk_ssp_reliable(
+        let (res, rep) = hk(
             &g,
             &cfg,
-            faulty_engine(FaultPlan::drop_only(0xFA_17, 0.05)),
-            &RecoveryConfig::default(),
+            &Run::reliable(Some(FaultPlan::drop_only(0xFA_17, 0.05))),
         );
-        assert_matrices_equal(&apsp_dijkstra(&g), &res.to_matrix(), "5% drop apsp");
-        assert_eq!(rep.outcome, RunOutcome::Quiet);
-        assert!(rep.stats.dropped > 0, "plan should actually drop frames");
+        assert_matrices_equal(&apsp_dijkstra(&g), &res.result.to_matrix(), "5% drop apsp");
+        assert_eq!(res.outcome, RunOutcome::Quiet);
+        assert!(res.stats.dropped > 0, "plan should actually drop frames");
         assert!(rep.retries > 0, "drops must be recovered by retransmission");
     }
 
     #[test]
     fn short_range_survives_drops_dups_and_delays() {
         let g = gen::zero_heavy(16, 0.18, 0.5, 4, true, 23);
-        let delta = max_finite_distance(&g).max(1);
         let h = 8u64;
         let plan = FaultPlan::new(99)
             .with_drop(0.08)
             .with_duplicate(0.05)
             .with_delay(0.05, 3);
-        let (res, rep) = short_range_sssp_reliable(
-            &g,
-            0,
-            h,
-            delta,
-            faulty_engine(plan),
-            &RecoveryConfig::default(),
-        );
-        assert_eq!(rep.outcome, RunOutcome::Quiet);
+        let (solved, _) = sr(&g, 0, h, &Run::reliable(Some(plan)));
+        assert_eq!(solved.outcome, RunOutcome::Quiet);
+        let res = solved.result;
         let exact = dw_seqref::bellman_ford(&g, 0);
         for v in g.nodes() {
             let vi = v as usize;
@@ -304,18 +234,12 @@ mod tests {
         let g = gen::gnp_connected(10, 0.3, false, WeightDist::Uniform { max: 5 }, 3);
         let delta = max_finite_distance(&g).max(1);
         let h = 6u64;
-        let (plain, _) =
-            crate::short_range::short_range_sssp(&g, 2, h, delta, EngineConfig::default());
-        let (rel, rep) = short_range_sssp_reliable(
-            &g,
-            2,
-            h,
-            delta,
-            EngineConfig::default(),
-            &RecoveryConfig::default(),
-        );
-        assert_eq!(plain.dist, rel.dist);
-        assert_eq!(plain.hops, rel.hops);
+        let plain = solve_short_range(&g, 2, h, delta, &Run::default(), &mut NullRecorder)
+            .unwrap()
+            .result;
+        let (rel, rep) = sr(&g, 2, h, &Run::reliable(None));
+        assert_eq!(plain.dist, rel.result.dist);
+        assert_eq!(plain.hops, rel.result.hops);
         assert_eq!(rep.extra_rounds, 0);
         assert_eq!(rep.retries, 0);
         assert_eq!(rep.late_sends, 0);
@@ -339,11 +263,10 @@ mod tests {
             end: 40,
             symmetric: true,
         });
-        let (res, rep) =
-            run_hk_ssp_reliable(&g, &cfg, faulty_engine(plan), &RecoveryConfig::default());
-        assert_matrices_equal(&apsp_dijkstra(&g), &res.to_matrix(), "outage apsp");
-        assert_eq!(rep.outcome, RunOutcome::Quiet);
-        assert!(rep.stats.outage_dropped > 0);
+        let (res, rep) = hk(&g, &cfg, &Run::reliable(Some(plan)));
+        assert_matrices_equal(&apsp_dijkstra(&g), &res.result.to_matrix(), "outage apsp");
+        assert_eq!(res.outcome, RunOutcome::Quiet);
+        assert!(res.stats.outage_dropped > 0);
         assert!(rep.extra_rounds > 0, "the outage must cost rounds");
     }
 }

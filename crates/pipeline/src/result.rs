@@ -61,7 +61,7 @@ impl HkSspResult {
         Some(rev)
     }
 
-    /// Hold a full-range, quiet result against [`dijkstra`] on `g`:
+    /// Hold a full-range, quiet result against [`dijkstra()`] on `g`:
     /// dist, hops and parent of every cell, the first difference as the
     /// error. Both write the one `(d, l, parent)` tree (DESIGN.md §14),
     /// so a difference is a bug in one of them. Hop-bounded (`h < n − 1`)

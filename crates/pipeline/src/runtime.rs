@@ -1,8 +1,7 @@
-//! Execution-environment selection: run the paper's algorithms on the
-//! lockstep simulator or on a real message-passing runtime
-//! (`dw-transport`), with identical results.
+//! How a solve executes — runtime, recovery and budget, one [`Run`] —
+//! and the simulator and transport bodies both solve calls share.
 //!
-//! The conformance guarantee (see `dw-transport`) makes the choice a
+//! The conformance guarantee (see `dw-transport`) makes the runtime a
 //! pure deployment decision: `Runtime::Sim` is the fast in-process
 //! simulator, `Runtime::Threads` runs every node as an OS thread over
 //! channels, `Runtime::Tcp` runs every node behind a loopback TCP
@@ -10,27 +9,27 @@
 //! the nodes into P such workers. All return bit-identical distances,
 //! statistics and outcomes on the same seeds.
 //!
-//! Transport runs can fail — a peer process dies, a socket breaks, a
-//! scripted [`ChaosPlan`] kills a node — so their entry points return
-//! [`dw_transport::TransportError`]. The chaos entry point
-//! [`run_hk_ssp_chaos`] adds checkpoint-based crash recovery: when the
-//! failure is recoverable the run completes with distances
-//! bit-identical to the fault-free simulator; when it is not, the
-//! salvaged state comes back as a structured [`PartialOutcome`] instead
-//! of a hang or a panic.
+//! Transport runs can fail — a peer process dies, a socket breaks — so
+//! every solve returns [`SolveError`]. Under [`Recovery::Chaos`] a
+//! recoverable crash still ends bit-identical to the fault-free
+//! simulator, and an unrecoverable one comes back as a structured
+//! [`PartialOutcome`] instead of a hang or a panic.
 
 use crate::config::SspConfig;
-use crate::driver::default_budget;
+use crate::driver::extract;
 use crate::key::Gamma;
 use crate::node::PipelinedNode;
+use crate::recovery::{DegradationReport, RecoveryConfig};
 use crate::result::HkSspResult;
-use crate::short_range::{short_range_gamma, ShortRangeNode, ShortRangeResult};
-use dw_congest::{EngineConfig, NullRecorder, Recorder, Round, RunOutcome, RunStats};
-use dw_graph::{NodeId, WGraph, Weight, INFINITY};
+use dw_congest::{
+    EngineConfig, FaultPlan, Network, Protocol, Recorder, Round, RunOutcome, RunStats, WireCodec,
+};
+use dw_graph::{NodeId, WGraph};
 use dw_transport::{
     run_tcp_loopback, run_tcp_loopback_chaos, run_threads, run_threads_chaos, ChaosPlan,
-    PartialRun, TransportConfig, TransportError, TransportRun,
+    PartialRun, TransportConfig, TransportError,
 };
+use std::fmt;
 use std::time::Duration;
 
 /// Which engine executes the protocol.
@@ -96,9 +95,7 @@ impl Runtime {
             other => other.as_str().to_string(),
         }
     }
-}
 
-impl Runtime {
     /// The worker count this runtime lays an `n`-node graph out over —
     /// the one place the per-node spellings become `P = n`. (The
     /// simulator plays all `n` nodes itself.)
@@ -108,135 +105,217 @@ impl Runtime {
             Runtime::ThreadsSharded(p) | Runtime::TcpSharded(p) => p,
         }
     }
+
+    /// A transport runtime on the thread backend (else loopback TCP).
+    fn on_threads(self) -> bool {
+        matches!(self, Runtime::Threads | Runtime::ThreadsSharded(_))
+    }
 }
 
-fn transport_run<P: dw_congest::Protocol>(
-    rt: Runtime,
-    g: &WGraph,
-    engine: &EngineConfig,
-    budget: u64,
-    make: impl FnMut(NodeId) -> P,
-    rec: &mut dyn Recorder,
-) -> Result<TransportRun<P>, TransportError>
-where
-    P::Msg: dw_congest::WireCodec,
-{
-    let cfg = TransportConfig::from(engine);
-    let shards = rt.shards(g.n());
-    match rt {
-        Runtime::Sim => unreachable!("simulator runs don't go through the transport"),
-        Runtime::Threads | Runtime::ThreadsSharded(_) => {
-            run_threads(g, &cfg, budget, shards, make, rec)
+/// How one solve executes. `Run::default()` is the fault-free simulator
+/// at the algorithm's own round budget; link faults are
+/// `engine.faults`.
+#[derive(Debug, Clone, Default)]
+pub struct Run {
+    pub runtime: Runtime,
+    pub engine: EngineConfig,
+    pub recovery: Option<Recovery>,
+    /// The round cap. `None` is the algorithm's default
+    /// ([`crate::default_budget`],
+    /// [`crate::short_range::short_range_budget`]), stretched by
+    /// [`RecoveryConfig::budget_factor`] under [`Recovery::Reliable`].
+    pub budget: Option<Round>,
+}
+
+/// A recovery mechanism on top of a run.
+#[derive(Debug, Clone)]
+pub enum Recovery {
+    /// Per-link sequence/ack/retransmit over the faulty links of
+    /// `engine.faults`, on any runtime; the solve reports a
+    /// [`DegradationReport`].
+    Reliable(RecoveryConfig),
+    /// Scripted crashes and link nemeses with checkpoint/restore
+    /// recovery, Algorithm 1 only. On `Runtime::Sim` the plan is ignored
+    /// (the simulator has no processes to kill) and the run is the
+    /// fault-free reference.
+    Chaos(ChaosConfig),
+}
+
+impl Run {
+    /// The plain run on `runtime`.
+    pub fn on(runtime: Runtime) -> Run {
+        Run {
+            runtime,
+            ..Run::default()
         }
-        Runtime::Tcp | Runtime::TcpSharded(_) => {
-            run_tcp_loopback(g, &cfg, budget, shards, make, rec)
+    }
+
+    /// The simulator over reliable links (the default [`RecoveryConfig`])
+    /// under the link faults `faults`.
+    pub fn reliable(faults: Option<FaultPlan>) -> Run {
+        Run {
+            engine: EngineConfig {
+                faults,
+                ..EngineConfig::default()
+            },
+            recovery: Some(Recovery::Reliable(RecoveryConfig::default())),
+            ..Run::default()
+        }
+    }
+
+    /// The round cap of an algorithm whose own budget is `default`: an
+    /// explicit `budget` wins; a reliable run gets `budget_factor ×`
+    /// the default plus `slack` for retries and ack round trips.
+    pub(crate) fn round_cap(&self, default: Round, slack: Round) -> Round {
+        match (self.budget, &self.recovery) {
+            (Some(budget), _) => budget,
+            (None, Some(Recovery::Reliable(rc))) => default
+                .saturating_mul(rc.budget_factor.max(1))
+                .saturating_add(slack),
+            (None, _) => default,
         }
     }
 }
 
-/// The Algorithm 1 node instance the transport backends execute for
-/// `cfg`. Exposed so a multi-process deployment (`dwapsp run-node`)
-/// constructs exactly the node that [`run_hk_ssp_on`] would, which is
-/// what makes its wire traffic conformant. Looks `v` up among the
-/// sources; to construct many nodes use [`hk_ssp_nodes`].
-pub fn hk_ssp_node(cfg: &SspConfig, v: NodeId) -> PipelinedNode {
-    let k = cfg.k();
+/// A finished solve.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Solved<R> {
+    pub result: R,
+    pub stats: RunStats,
+    pub outcome: RunOutcome,
+    /// `Some` exactly when the run used [`Recovery::Reliable`].
+    pub degradation: Option<DegradationReport>,
+}
+
+impl<R> From<(R, RunStats, RunOutcome)> for Solved<R> {
+    fn from((result, stats, outcome): (R, RunStats, RunOutcome)) -> Self {
+        Solved {
+            result,
+            stats,
+            outcome,
+            degradation: None,
+        }
+    }
+}
+
+/// Why a solve produced no [`Solved`].
+#[derive(Debug)]
+pub enum SolveError {
+    /// A transport run failed (a peer died, a socket broke).
+    Transport(TransportError),
+    /// A chaos run could not recover; the salvaged state.
+    Partial(Box<PartialOutcome>),
+    /// The [`Run`] asks for a combination no code runs. Returned before
+    /// anything starts.
+    Unsupported(&'static str),
+}
+
+impl From<TransportError> for SolveError {
+    fn from(e: TransportError) -> Self {
+        SolveError::Transport(e)
+    }
+}
+
+impl fmt::Display for SolveError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            SolveError::Transport(e) => write!(f, "{e}"),
+            SolveError::Partial(p) => write!(f, "unrecoverable at round {}: {}", p.round, p.reason),
+            SolveError::Unsupported(what) => write!(f, "unsupported: {what}"),
+        }
+    }
+}
+
+impl std::error::Error for SolveError {}
+
+/// The one simulator body: build `make`'s nodes on a
+/// `dw_congest::Network`, run at most `budget` rounds inside a `span` on
+/// `rec`, and hand the final node states to `finish` in place.
+pub(crate) fn simulate<P: Protocol, R>(
+    g: &WGraph,
+    engine: EngineConfig,
+    budget: Round,
+    span: &'static str,
+    rec: &mut dyn Recorder,
+    make: impl FnMut(NodeId) -> P,
+    finish: impl FnOnce(&mut dyn ExactSizeIterator<Item = &P>) -> R,
+) -> (R, RunStats, RunOutcome) {
+    let mut net = Network::new(g, engine, make);
+    let span = rec.begin(span);
+    let outcome = net.run_recorded(budget, rec);
+    let stats = net.stats();
+    rec.end(span, &stats);
+    let result = finish(&mut net.nodes());
+    (result, stats, outcome)
+}
+
+/// One run on `run.runtime` (its recovery is the caller's business):
+/// [`simulate`] on `Sim`, else the one transport body — the thread or
+/// loopback-TCP backend at the runtime's shard count, under the same
+/// `span`.
+pub(crate) fn execute<P, R>(
+    g: &WGraph,
+    run: &Run,
+    budget: Round,
+    span: &'static str,
+    rec: &mut dyn Recorder,
+    make: impl FnMut(NodeId) -> P,
+    finish: impl FnOnce(&mut dyn ExactSizeIterator<Item = &P>) -> R,
+) -> Result<(R, RunStats, RunOutcome), TransportError>
+where
+    P: Protocol,
+    P::Msg: WireCodec,
+{
+    let engine = &run.engine;
+    if run.runtime == Runtime::Sim {
+        return Ok(simulate(g, engine.clone(), budget, span, rec, make, finish));
+    }
+    let cfg = TransportConfig::from(engine);
+    let shards = run.runtime.shards(g.n());
+    let span = rec.begin(span);
+    let done = if run.runtime.on_threads() {
+        run_threads(g, &cfg, budget, shards, make, rec)
+    } else {
+        run_tcp_loopback(g, &cfg, budget, shards, make, rec)
+    }?;
+    rec.end(span, &done.stats);
+    Ok((finish(&mut done.nodes.iter()), done.stats, done.outcome))
+}
+
+fn hk_node(cfg: &SspConfig, gamma: Gamma, is_source: bool) -> PipelinedNode {
     PipelinedNode::with_admission(
-        Gamma::new(k, cfg.h, cfg.delta),
+        gamma,
         cfg.h,
-        k,
-        cfg.sources.contains(&v),
+        cfg.k(),
+        is_source,
         cfg.track_invariants,
         cfg.admission,
     )
 }
 
+/// The Algorithm 1 node instance the transport backends execute for
+/// `cfg`. Exposed so a multi-process deployment (`dwapsp run-node`)
+/// constructs exactly the node that [`crate::solve_hk_ssp`] would, which
+/// is what makes its wire traffic conformant. Looks `v` up among the
+/// sources; to construct many nodes use [`hk_ssp_nodes`].
+pub fn hk_ssp_node(cfg: &SspConfig, v: NodeId) -> PipelinedNode {
+    hk_node(cfg, cfg.gamma(), cfg.sources.contains(&v))
+}
+
 /// The constructor every Algorithm 1 run hands its engine or transport:
 /// node id to node program, for a graph of `n` nodes. The source table
 /// is built once, so constructing all the nodes costs `O(n + k)` where
-/// asking [`hk_ssp_node`] for each costs `O(n·k)`. `gamma` is a
-/// parameter because a caller's key schedule need not be `cfg`'s own.
-pub fn hk_ssp_nodes(
-    cfg: &SspConfig,
-    gamma: Gamma,
-    n: usize,
-) -> impl Fn(NodeId) -> PipelinedNode + '_ {
+/// asking [`hk_ssp_node`] for each costs `O(n·k)`.
+pub fn hk_ssp_nodes(cfg: &SspConfig, n: usize) -> impl Fn(NodeId) -> PipelinedNode + '_ {
     let mut is_source = vec![false; n];
     for &s in &cfg.sources {
         is_source[s as usize] = true;
     }
-    move |v| {
-        PipelinedNode::with_admission(
-            gamma,
-            cfg.h,
-            cfg.k(),
-            is_source[v as usize],
-            cfg.track_invariants,
-            cfg.admission,
-        )
-    }
+    let gamma = cfg.gamma();
+    move |v| hk_node(cfg, gamma, is_source[v as usize])
 }
 
-/// [`crate::run_hk_ssp`] on the chosen runtime.
-pub fn run_hk_ssp_on(
-    rt: Runtime,
-    g: &WGraph,
-    cfg: &SspConfig,
-    engine: EngineConfig,
-) -> Result<(HkSspResult, RunStats, RunOutcome), TransportError> {
-    run_hk_ssp_on_recorded(rt, g, cfg, engine, &mut NullRecorder)
-}
-
-/// As [`run_hk_ssp_on`], wrapping the run in an `hk_ssp` span on `rec` —
-/// identical phase attribution on every runtime, which is what lets the
-/// conformance tests compare recordings bit-for-bit across sim/threads/
-/// TCP.
-pub fn run_hk_ssp_on_recorded(
-    rt: Runtime,
-    g: &WGraph,
-    cfg: &SspConfig,
-    engine: EngineConfig,
-    rec: &mut dyn Recorder,
-) -> Result<(HkSspResult, RunStats, RunOutcome), TransportError> {
-    if rt == Runtime::Sim {
-        return Ok(crate::driver::run_hk_ssp_recorded(g, cfg, engine, rec));
-    }
-    let budget = default_budget(cfg, g.n());
-    let span = rec.begin("hk_ssp");
-    let make = hk_ssp_nodes(cfg, Gamma::new(cfg.k(), cfg.h, cfg.delta), g.n());
-    let run = transport_run(rt, g, &engine, budget, make, rec)?;
-    rec.end(span, &run.stats);
-    let result = crate::driver::extract(g, &cfg.sources, run.nodes.iter());
-    Ok((result, run.stats, run.outcome))
-}
-
-/// [`crate::short_range_sssp`] on the chosen runtime.
-pub fn short_range_sssp_on(
-    rt: Runtime,
-    g: &WGraph,
-    x: NodeId,
-    h: u64,
-    delta: Weight,
-    engine: EngineConfig,
-) -> Result<(ShortRangeResult, RunStats), TransportError> {
-    if rt == Runtime::Sim {
-        return Ok(crate::short_range::short_range_sssp(g, x, h, delta, engine));
-    }
-    let gamma = short_range_gamma(h);
-    let budget = gamma.ceil_kappa(delta.max(1), h) + 2;
-    let run = transport_run(
-        rt,
-        g,
-        &engine,
-        budget,
-        |v| ShortRangeNode::new(gamma, h, (v == x).then_some(0)),
-        &mut NullRecorder,
-    )?;
-    let result = crate::short_range::extract_instance(x, &run.nodes);
-    Ok((result, run.stats))
-}
-
-/// Crash-fault knobs for [`run_hk_ssp_chaos`].
+/// Crash-fault knobs for [`Recovery::Chaos`].
 #[derive(Debug, Clone)]
 pub struct ChaosConfig {
     /// Scripted faults (node kills, link severs, coordinator stalls).
@@ -294,34 +373,14 @@ fn partial_outcome(
     sources: &[NodeId],
     run: PartialRun<PipelinedNode>,
 ) -> PartialOutcome {
-    let n = g.n();
-    let mut dist = vec![vec![INFINITY; n]; sources.len()];
-    let mut hops = vec![vec![0u64; n]; sources.len()];
-    let mut parent = vec![vec![None; n]; sources.len()];
-    for (v, node) in run.nodes.iter().enumerate() {
-        let Some(node) = node else { continue };
-        for (i, &s) in sources.iter().enumerate() {
-            if let Some(b) = node.best_for(s) {
-                dist[i][v] = b.d;
-                hops[i][v] = b.l;
-                parent[i][v] = (v as NodeId != s).then_some(b.parent);
-            }
-        }
-    }
-    let incomplete_sources: Vec<NodeId> = sources
-        .iter()
-        .copied()
-        .filter(|s| run.failed.contains(s))
-        .collect();
     PartialOutcome {
-        result: HkSspResult {
-            sources: sources.to_vec(),
-            dist,
-            hops,
-            parent,
-        },
+        result: extract(g, sources, run.nodes.iter().map(Option::as_ref)),
+        incomplete_sources: sources
+            .iter()
+            .copied()
+            .filter(|s| run.failed.contains(s))
+            .collect(),
         failed: run.failed,
-        incomplete_sources,
         unreachable: Vec::new(),
         round: run.round,
         reason: run.error.to_string(),
@@ -376,79 +435,93 @@ fn residual_unreachable(g: &WGraph, sources: &[NodeId], plan: &ChaosPlan) -> Vec
     (0..n as NodeId).filter(|&v| cut_off[v as usize]).collect()
 }
 
-/// Algorithm 1 under scripted crash faults, with checkpoint/restore
-/// recovery.
+/// Algorithm 1 on a transport runtime under `chaos`, with
+/// checkpoint/restore recovery.
 ///
-/// On a real transport the run executes `chaos.plan`: a killed node
-/// takes its worker down (itself alone on `Threads` / `Tcp`, its whole
-/// block on the `:P` forms), which discards its dynamic state, gets
-/// detected by the coordinator's deadline + ping probe, and rejoins from
-/// its latest checkpoint plus the neighbors' replayed frames. A recovered run
-/// returns `Ok` with distances **bit-identical** to the fault-free
-/// simulator on the same seeds — determinism makes replay exact, not
-/// approximate. An unrecoverable failure (no checkpoint, several
-/// simultaneous crashes, a severed link) terminates within the deadline
-/// budget and returns the salvaged [`PartialOutcome`].
-///
-/// `Runtime::Sim` ignores the plan (the lockstep simulator has no
-/// processes to kill) and serves as the recovery tests' ground truth.
-pub fn run_hk_ssp_chaos(
-    rt: Runtime,
+/// The run executes `chaos.plan`: a killed node takes its worker down
+/// (itself alone on `Threads` / `Tcp`, its whole block on the `:P`
+/// forms), which discards its dynamic state, gets detected by the
+/// coordinator's deadline + ping probe, and rejoins from its latest
+/// checkpoint plus the neighbors' replayed frames. A recovered run
+/// returns distances **bit-identical** to the fault-free simulator on
+/// the same seeds — determinism makes replay exact, not approximate. An
+/// unrecoverable failure (no checkpoint, several simultaneous crashes, a
+/// severed link) terminates within the deadline budget and returns the
+/// salvaged [`PartialOutcome`].
+pub(crate) fn solve_chaos(
     g: &WGraph,
     cfg: &SspConfig,
-    engine: EngineConfig,
+    run: &Run,
     chaos: &ChaosConfig,
+    budget: Round,
     rec: &mut dyn Recorder,
-) -> Result<(HkSspResult, RunStats, RunOutcome), Box<PartialOutcome>> {
-    if rt == Runtime::Sim {
-        return Ok(crate::driver::run_hk_ssp_recorded(g, cfg, engine, rec));
-    }
-    let budget = default_budget(cfg, g.n());
+    make: impl FnMut(NodeId) -> PipelinedNode,
+) -> Result<Solved<HkSspResult>, SolveError> {
     let tcfg = TransportConfig {
         checkpoint_cadence: chaos.cadence,
         chaos: Some(chaos.plan.clone()),
-        ..TransportConfig::from(&engine)
+        ..TransportConfig::from(&run.engine)
     };
-    let make = hk_ssp_nodes(cfg, Gamma::new(cfg.k(), cfg.h, cfg.delta), g.n());
-    let shards = rt.shards(g.n());
-    let run = match rt {
-        Runtime::Sim => unreachable!("handled above"),
-        Runtime::Threads | Runtime::ThreadsSharded(_) => {
-            run_threads_chaos(g, &tcfg, budget, shards, chaos.deadline, make, rec)
-        }
-        Runtime::Tcp | Runtime::TcpSharded(_) => {
-            run_tcp_loopback_chaos(g, &tcfg, budget, shards, chaos.deadline, make, rec)
-        }
+    let shards = run.runtime.shards(g.n());
+    let done = if run.runtime.on_threads() {
+        run_threads_chaos(g, &tcfg, budget, shards, chaos.deadline, make, rec)
+    } else {
+        run_tcp_loopback_chaos(g, &tcfg, budget, shards, chaos.deadline, make, rec)
     };
-    match run {
-        Ok(run) => {
-            let result = crate::driver::extract(g, &cfg.sources, run.nodes.iter());
-            let unreachable = residual_unreachable(g, &cfg.sources, &chaos.plan);
-            if !unreachable.is_empty() {
-                // The run terminated (permanent cuts drop payloads, they
-                // never stall the barrier), but some sources provably
-                // could not inform every node. Degrade to the typed
-                // outcome instead of claiming convergence; the salvaged
-                // distances remain valid upper bounds.
-                return Err(Box::new(PartialOutcome {
-                    result,
-                    failed: Vec::new(),
-                    incomplete_sources: Vec::new(),
-                    unreachable,
-                    round: run.stats.rounds_executed,
-                    reason: "permanent link cuts disconnect the communication graph".to_string(),
-                }));
-            }
-            Ok((result, run.stats, run.outcome))
-        }
-        Err(partial) => Err(Box::new(partial_outcome(g, &cfg.sources, *partial))),
+    let done = done.map_err(|partial| {
+        SolveError::Partial(Box::new(partial_outcome(g, &cfg.sources, *partial)))
+    })?;
+    let result = extract(g, &cfg.sources, done.nodes.iter().map(Some));
+    let unreachable = residual_unreachable(g, &cfg.sources, &chaos.plan);
+    if unreachable.is_empty() {
+        return Ok((result, done.stats, done.outcome).into());
     }
+    // The run terminated (permanent cuts drop payloads, they never stall
+    // the barrier), but some sources provably could not inform every
+    // node. Degrade to the typed outcome instead of claiming
+    // convergence; the salvaged distances remain valid upper bounds.
+    Err(SolveError::Partial(Box::new(PartialOutcome {
+        result,
+        failed: Vec::new(),
+        incomplete_sources: Vec::new(),
+        unreachable,
+        round: done.stats.rounds_executed,
+        reason: "permanent link cuts disconnect the communication graph".to_string(),
+    })))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{solve_hk_ssp, solve_short_range};
+    use dw_congest::{NullRecorder, ObsRecorder};
     use dw_graph::gen::{self, WeightDist};
+    use dw_graph::INFINITY;
+
+    fn solve_on(rt: Runtime, g: &WGraph, cfg: &SspConfig) -> Solved<HkSspResult> {
+        solve_hk_ssp(g, cfg, &Run::on(rt), &mut NullRecorder).unwrap()
+    }
+
+    fn solve_chaos_on(
+        rt: Runtime,
+        g: &WGraph,
+        cfg: &SspConfig,
+        chaos: &ChaosConfig,
+    ) -> Result<Solved<HkSspResult>, SolveError> {
+        let run = Run {
+            recovery: Some(Recovery::Chaos(chaos.clone())),
+            ..Run::on(rt)
+        };
+        solve_hk_ssp(g, cfg, &run, &mut NullRecorder)
+    }
+
+    fn partial(r: Result<Solved<HkSspResult>, SolveError>, why: &str) -> Box<PartialOutcome> {
+        match r {
+            Err(SolveError::Partial(p)) => p,
+            Err(e) => panic!("{why}: {e}"),
+            Ok(_) => panic!("{why}: the run completed"),
+        }
+    }
 
     #[test]
     fn runtime_parse_roundtrip() {
@@ -474,14 +547,9 @@ mod tests {
         let g = gen::zero_heavy(18, 0.15, 0.4, 5, true, 2);
         let delta = dw_seqref::max_finite_distance(&g).max(1);
         let cfg = SspConfig::apsp(g.n(), delta);
-        let (sim_res, sim_stats, sim_outcome) =
-            run_hk_ssp_on(Runtime::Sim, &g, &cfg, EngineConfig::default()).unwrap();
+        let sim = solve_on(Runtime::Sim, &g, &cfg);
         for rt in [Runtime::ThreadsSharded(4), Runtime::TcpSharded(3)] {
-            let (res, stats, outcome) =
-                run_hk_ssp_on(rt, &g, &cfg, EngineConfig::default()).unwrap();
-            assert_eq!(res, sim_res, "{}", rt.label());
-            assert_eq!(stats, sim_stats, "{}", rt.label());
-            assert_eq!(outcome, sim_outcome, "{}", rt.label());
+            assert_eq!(solve_on(rt, &g, &cfg), sim, "{}", rt.label());
         }
     }
 
@@ -490,25 +558,69 @@ mod tests {
         let g = gen::zero_heavy(18, 0.15, 0.4, 5, true, 2);
         let delta = dw_seqref::max_finite_distance(&g).max(1);
         let cfg = SspConfig::apsp(g.n(), delta);
-        let (sim_res, sim_stats, sim_outcome) =
-            run_hk_ssp_on(Runtime::Sim, &g, &cfg, EngineConfig::default()).unwrap();
-        let (res, stats, outcome) =
-            run_hk_ssp_on(Runtime::Threads, &g, &cfg, EngineConfig::default()).unwrap();
-        assert_eq!(res, sim_res);
-        assert_eq!(stats, sim_stats);
-        assert_eq!(outcome, sim_outcome);
+        let sim = solve_on(Runtime::Sim, &g, &cfg);
+        assert_eq!(solve_on(Runtime::Threads, &g, &cfg), sim);
     }
 
     #[test]
     fn short_range_tcp_matches_sim() {
         let g = gen::path(8, false, WeightDist::Uniform { max: 4 }, 5);
         let delta = dw_seqref::max_finite_distance(&g).max(1);
-        let (sim_res, sim_stats) =
-            short_range_sssp_on(Runtime::Sim, &g, 0, 8, delta, EngineConfig::default()).unwrap();
-        let (res, stats) =
-            short_range_sssp_on(Runtime::Tcp, &g, 0, 8, delta, EngineConfig::default()).unwrap();
-        assert_eq!(res, sim_res);
-        assert_eq!(stats, sim_stats);
+        let solve = |rt| solve_short_range(&g, 0, 8, delta, &Run::on(rt), &mut NullRecorder);
+        assert_eq!(solve(Runtime::Tcp).unwrap(), solve(Runtime::Sim).unwrap());
+    }
+
+    /// Algorithm 2 has no crash-recovery plane: asking for one is refused
+    /// on every runtime before a node is built or a span opened.
+    #[test]
+    fn short_range_chaos_is_unsupported() {
+        let g = gen::path(8, false, WeightDist::Constant(1), 11);
+        for rt in [Runtime::Sim, Runtime::Threads] {
+            let run = Run {
+                recovery: Some(Recovery::Chaos(ChaosConfig::default())),
+                ..Run::on(rt)
+            };
+            let mut rec = ObsRecorder::new();
+            let got = solve_short_range(&g, 0, 8, 7, &run, &mut rec);
+            assert!(
+                matches!(got, Err(SolveError::Unsupported(_))),
+                "{}: {got:?}",
+                rt.label()
+            );
+            assert!(rec.into_recording().spans.is_empty(), "{}", rt.label());
+        }
+    }
+
+    /// On the simulator a chaos plan is ignored: the run is the
+    /// fault-free reference, recording included.
+    #[test]
+    fn chaos_on_sim_is_the_fault_free_run() {
+        let g = gen::zero_heavy(14, 0.2, 0.4, 4, true, 9);
+        let delta = dw_seqref::max_finite_distance(&g).max(1);
+        let cfg = SspConfig::apsp(g.n(), delta);
+        let chaos = ChaosConfig {
+            plan: ChaosPlan::new(3).with_kill(5, 4),
+            ..ChaosConfig::default()
+        };
+        let record = |run: &Run| {
+            let mut rec = ObsRecorder::new();
+            let solved = solve_hk_ssp(&g, &cfg, run, &mut rec).unwrap();
+            let mut recording = rec.into_recording();
+            recording.normalize_wall();
+            (solved, recording)
+        };
+        let run = Run {
+            recovery: Some(Recovery::Chaos(chaos)),
+            ..Run::default()
+        };
+        assert_eq!(record(&run), record(&Run::default()));
+    }
+
+    #[test]
+    fn solve_error_displays_the_transport_error() {
+        let e = TransportError::protocol("worker 3: send to non-neighbor 7".to_string());
+        let text = e.to_string();
+        assert_eq!(SolveError::from(e).to_string(), text);
     }
 
     #[test]
@@ -516,25 +628,15 @@ mod tests {
         let g = gen::zero_heavy(14, 0.2, 0.4, 4, true, 9);
         let delta = dw_seqref::max_finite_distance(&g).max(1);
         let cfg = SspConfig::apsp(g.n(), delta);
-        let (sim_res, sim_stats, sim_outcome) =
-            run_hk_ssp_on(Runtime::Sim, &g, &cfg, EngineConfig::default()).unwrap();
+        let sim = solve_on(Runtime::Sim, &g, &cfg);
         let chaos = ChaosConfig {
             plan: ChaosPlan::new(3).with_kill(5, 4),
             cadence: Some(3),
             deadline: Duration::from_millis(200),
         };
-        let (res, stats, outcome) = run_hk_ssp_chaos(
-            Runtime::Threads,
-            &g,
-            &cfg,
-            EngineConfig::default(),
-            &chaos,
-            &mut NullRecorder,
-        )
-        .expect("kill at round 4 with cadence 3 must recover");
-        assert_eq!(res, sim_res, "recovered distances must be bit-identical");
-        assert_eq!(stats, sim_stats);
-        assert_eq!(outcome, sim_outcome);
+        let got = solve_chaos_on(Runtime::Threads, &g, &cfg, &chaos)
+            .expect("kill at round 4 with cadence 3 must recover");
+        assert_eq!(got, sim, "recovered distances must be bit-identical");
     }
 
     #[test]
@@ -542,25 +644,15 @@ mod tests {
         let g = gen::zero_heavy(14, 0.2, 0.4, 4, true, 9);
         let delta = dw_seqref::max_finite_distance(&g).max(1);
         let cfg = SspConfig::apsp(g.n(), delta);
-        let (sim_res, sim_stats, sim_outcome) =
-            run_hk_ssp_on(Runtime::Sim, &g, &cfg, EngineConfig::default()).unwrap();
+        let sim = solve_on(Runtime::Sim, &g, &cfg);
         let chaos = ChaosConfig {
             plan: ChaosPlan::new(3).with_kill(5, 4),
             cadence: Some(3),
             deadline: Duration::from_millis(200),
         };
-        let (res, stats, outcome) = run_hk_ssp_chaos(
-            Runtime::ThreadsSharded(4),
-            &g,
-            &cfg,
-            EngineConfig::default(),
-            &chaos,
-            &mut NullRecorder,
-        )
-        .expect("a killed multi-node shard with cadence 3 must recover");
-        assert_eq!(res, sim_res, "recovered distances must be bit-identical");
-        assert_eq!(stats, sim_stats);
-        assert_eq!(outcome, sim_outcome);
+        let got = solve_chaos_on(Runtime::ThreadsSharded(4), &g, &cfg, &chaos)
+            .expect("a killed multi-node shard with cadence 3 must recover");
+        assert_eq!(got, sim, "recovered distances must be bit-identical");
     }
 
     #[test]
@@ -573,15 +665,10 @@ mod tests {
             cadence: None, // no checkpoints: the kill cannot be recovered
             deadline: Duration::from_millis(100),
         };
-        let partial = run_hk_ssp_chaos(
-            Runtime::ThreadsSharded(4),
-            &g,
-            &cfg,
-            EngineConfig::default(),
-            &chaos,
-            &mut NullRecorder,
-        )
-        .expect_err("an uncheckpointed shard kill must not complete");
+        let partial = partial(
+            solve_chaos_on(Runtime::ThreadsSharded(4), &g, &cfg, &chaos),
+            "an uncheckpointed shard kill must not complete",
+        );
         // Node 4 lives on the shard hosting nodes 3..6 (12 nodes over 4
         // workers); the PartialOutcome must blame that whole block, and
         // every source on it loses its instance.
@@ -605,15 +692,10 @@ mod tests {
             cadence: None, // no checkpoints: the kill cannot be recovered
             deadline: Duration::from_millis(100),
         };
-        let partial = run_hk_ssp_chaos(
-            Runtime::Threads,
-            &g,
-            &cfg,
-            EngineConfig::default(),
-            &chaos,
-            &mut NullRecorder,
-        )
-        .expect_err("an uncheckpointed kill must not complete");
+        let partial = partial(
+            solve_chaos_on(Runtime::Threads, &g, &cfg, &chaos),
+            "an uncheckpointed kill must not complete",
+        );
         assert_eq!(partial.failed, vec![4]);
         assert!(partial.round >= 3);
         assert!(
@@ -624,12 +706,11 @@ mod tests {
         assert!(!partial.reason.is_empty());
         // Salvaged distances are upper bounds of the true h-hop
         // distances (they come from real paths).
-        let (sim_res, _, _) =
-            run_hk_ssp_on(Runtime::Sim, &g, &cfg, EngineConfig::default()).unwrap();
+        let sim = solve_on(Runtime::Sim, &g, &cfg);
         for (i, row) in partial.result.dist.iter().enumerate() {
             for (v, &d) in row.iter().enumerate() {
                 if d != INFINITY {
-                    assert!(d >= sim_res.dist[i][v], "source row {i}, node {v}");
+                    assert!(d >= sim.result.dist[i][v], "source row {i}, node {v}");
                 }
             }
         }
@@ -650,8 +731,7 @@ mod tests {
         let g = gen::zero_heavy(14, 0.2, 0.4, 4, true, 9);
         let delta = dw_seqref::max_finite_distance(&g).max(1);
         let cfg = SspConfig::apsp(g.n(), delta);
-        let (sim_res, _, sim_outcome) =
-            run_hk_ssp_on(Runtime::Sim, &g, &cfg, EngineConfig::default()).unwrap();
+        let sim = solve_on(Runtime::Sim, &g, &cfg);
         let chaos = ChaosConfig {
             plan: ChaosPlan::new(5).with_partition(vec![vec![0, 1, 2, 3]], 1, Some(6)),
             cadence: None,
@@ -663,26 +743,20 @@ mod tests {
             Runtime::ThreadsSharded(4),
             Runtime::TcpSharded(3),
         ] {
-            let (res, stats, outcome) = run_hk_ssp_chaos(
-                rt,
-                &g,
-                &cfg,
-                EngineConfig::default(),
-                &chaos,
-                &mut NullRecorder,
-            )
-            .expect("a healed partition must not degrade the run");
+            let got = solve_chaos_on(rt, &g, &cfg, &chaos)
+                .expect("a healed partition must not degrade the run");
             assert_eq!(
-                res,
-                sim_res,
+                got.result,
+                sim.result,
                 "{}: healed run must be bit-identical",
                 rt.label()
             );
-            assert_eq!(outcome, sim_outcome, "{}", rt.label());
+            assert_eq!(got.outcome, sim.outcome, "{}", rt.label());
             assert!(
-                stats.delayed > 0,
-                "{}: the partition must actually defer: {stats:?}",
-                rt.label()
+                got.stats.delayed > 0,
+                "{}: the partition must actually defer: {:?}",
+                rt.label(),
+                got.stats
             );
         }
     }
@@ -696,8 +770,7 @@ mod tests {
         let g = gen::zero_heavy(14, 0.2, 0.4, 4, true, 9);
         let delta = dw_seqref::max_finite_distance(&g).max(1);
         let cfg = SspConfig::apsp(g.n(), delta);
-        let (sim_res, _, sim_outcome) =
-            run_hk_ssp_on(Runtime::Sim, &g, &cfg, EngineConfig::default()).unwrap();
+        let sim = solve_on(Runtime::Sim, &g, &cfg);
         let nb = g.comm_neighbors(0)[0];
         let chaos = ChaosConfig {
             plan: ChaosPlan::new(6).with_bandwidth_cap(0, nb, 8),
@@ -705,26 +778,20 @@ mod tests {
             deadline: Duration::from_millis(200),
         };
         for rt in [Runtime::Threads, Runtime::ThreadsSharded(4)] {
-            let (res, stats, outcome) = run_hk_ssp_chaos(
-                rt,
-                &g,
-                &cfg,
-                EngineConfig::default(),
-                &chaos,
-                &mut NullRecorder,
-            )
-            .expect("a bandwidth cap must not degrade the run");
+            let got = solve_chaos_on(rt, &g, &cfg, &chaos)
+                .expect("a bandwidth cap must not degrade the run");
             assert_eq!(
-                res,
-                sim_res,
+                got.result,
+                sim.result,
                 "{}: capped run must be bit-identical",
                 rt.label()
             );
-            assert_eq!(outcome, sim_outcome, "{}", rt.label());
+            assert_eq!(got.outcome, sim.outcome, "{}", rt.label());
             assert!(
-                stats.delayed > 0,
-                "{}: the cap must actually spill: {stats:?}",
-                rt.label()
+                got.stats.delayed > 0,
+                "{}: the cap must actually spill: {:?}",
+                rt.label(),
+                got.stats
             );
         }
     }
@@ -742,15 +809,10 @@ mod tests {
             cadence: None,
             deadline: Duration::from_millis(200),
         };
-        let partial = run_hk_ssp_chaos(
-            Runtime::Threads,
-            &g,
-            &cfg,
-            EngineConfig::default(),
-            &chaos,
-            &mut NullRecorder,
-        )
-        .expect_err("a permanent cut must degrade, not converge");
+        let partial = partial(
+            solve_chaos_on(Runtime::Threads, &g, &cfg, &chaos),
+            "a permanent cut must degrade, not converge",
+        );
         assert_eq!(partial.unreachable, vec![4, 5, 6, 7]);
         assert!(
             partial.failed.is_empty(),
@@ -782,15 +844,10 @@ mod tests {
 
         // Downstream source: information cannot cross 3 -> 4.
         let cfg = SspConfig::new(vec![0], 8, 7);
-        let partial = run_hk_ssp_chaos(
-            Runtime::Threads,
-            &g,
-            &cfg,
-            EngineConfig::default(),
-            &chaos,
-            &mut NullRecorder,
-        )
-        .expect_err("the one-way cut must degrade the downstream source");
+        let partial = partial(
+            solve_chaos_on(Runtime::Threads, &g, &cfg, &chaos),
+            "the one-way cut must degrade the downstream source",
+        );
         assert_eq!(partial.unreachable, vec![4, 5, 6, 7]);
         assert!(partial.failed.is_empty());
         assert_eq!(&partial.result.dist[0][..4], &[0, 1, 2, 3]);
@@ -798,22 +855,15 @@ mod tests {
         // Upstream source: 4 -> 3 still flows, so the run completes and
         // matches the fault-free simulator exactly.
         let cfg = SspConfig::new(vec![7], 8, 7);
-        let (sim_res, _, sim_outcome) =
-            run_hk_ssp_on(Runtime::Sim, &g, &cfg, EngineConfig::default()).unwrap();
-        let (res, stats, outcome) = run_hk_ssp_chaos(
-            Runtime::Threads,
-            &g,
-            &cfg,
-            EngineConfig::default(),
-            &chaos,
-            &mut NullRecorder,
-        )
-        .expect("the reverse direction is uncut");
-        assert_eq!(res, sim_res);
-        assert_eq!(outcome, sim_outcome);
+        let sim = solve_on(Runtime::Sim, &g, &cfg);
+        let got = solve_chaos_on(Runtime::Threads, &g, &cfg, &chaos)
+            .expect("the reverse direction is uncut");
+        assert_eq!(got.result, sim.result);
+        assert_eq!(got.outcome, sim.outcome);
         assert!(
-            stats.dropped > 0,
-            "node 3's rebroadcasts toward 4 must hit the cut: {stats:?}"
+            got.stats.dropped > 0,
+            "node 3's rebroadcasts toward 4 must hit the cut: {:?}",
+            got.stats
         );
     }
 }

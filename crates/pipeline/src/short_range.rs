@@ -29,8 +29,11 @@
 //! for exactly this composition.
 
 use crate::key::Gamma;
+use crate::recovery::solve_reliable;
+use crate::runtime::{execute, simulate, Recovery, Run, SolveError, Solved};
 use dw_congest::{
-    EngineConfig, Envelope, MsgSize, Network, NodeCtx, Outbox, Protocol, Round, RunStats, WireCodec,
+    EngineConfig, Envelope, MsgSize, NodeCtx, NullRecorder, Outbox, Protocol, Recorder, Round,
+    RunStats, WireCodec,
 };
 use dw_graph::{NodeId, WGraph, Weight, INFINITY};
 
@@ -199,35 +202,24 @@ fn extract<'a>(
     source: NodeId,
     nodes: impl ExactSizeIterator<Item = &'a ShortRangeNode>,
 ) -> ShortRangeResult {
-    let mut dist = Vec::with_capacity(nodes.len());
-    let mut hops = Vec::with_capacity(nodes.len());
-    let mut parent = Vec::with_capacity(nodes.len());
-    let mut sends = Vec::with_capacity(nodes.len());
-    let mut late_sends = Vec::with_capacity(nodes.len());
-    for nd in nodes {
-        match nd.best {
-            Some((d, l, p)) => {
-                dist.push(d);
-                hops.push(l);
-                parent.push(p);
-            }
-            None => {
-                dist.push(INFINITY);
-                hops.push(0);
-                parent.push(None);
-            }
-        }
-        sends.push(nd.sends);
-        late_sends.push(nd.late_sends);
-    }
-    ShortRangeResult {
+    let n = nodes.len();
+    let mut r = ShortRangeResult {
         source,
-        dist,
-        hops,
-        parent,
-        sends,
-        late_sends,
+        dist: Vec::with_capacity(n),
+        hops: Vec::with_capacity(n),
+        parent: Vec::with_capacity(n),
+        sends: Vec::with_capacity(n),
+        late_sends: Vec::with_capacity(n),
+    };
+    for nd in nodes {
+        let (d, l, p) = nd.best.unwrap_or((INFINITY, 0, None));
+        r.dist.push(d);
+        r.hops.push(l);
+        r.parent.push(p);
+        r.sends.push(nd.sends);
+        r.late_sends.push(nd.late_sends);
     }
+    r
 }
 
 /// The short-range schedule key `γ = sqrt(h)` (i.e. `γ² = h/1`).
@@ -235,23 +227,46 @@ pub fn short_range_gamma(h: u64) -> Gamma {
     Gamma::new(1, h, 1)
 }
 
-/// h-hop SSSP from `x` by Algorithm 2. `delta` bounds the h-hop distances
-/// of interest (it only sets the round budget `⌈Δ·sqrt(h)⌉ + h + 2`).
-pub fn short_range_sssp(
+/// Algorithm 2's round budget `⌈Δ·sqrt(h)⌉ + h + 2` (`κ` of the
+/// furthest announcement `(Δ, h)`, plus the shifted start and one round
+/// to deliver it).
+pub fn short_range_budget(h: u64, delta: Weight) -> Round {
+    short_range_gamma(h).ceil_kappa(delta.max(1), h) + 2
+}
+
+/// h-hop SSSP from `x` by Algorithm 2, as `run` says: on `run.runtime`,
+/// under `run.recovery`, within `run.budget` (by default
+/// [`short_range_budget`]; `delta` bounds the h-hop distances of
+/// interest and only sets that budget), inside a `short_range` span on
+/// `rec`. [`Recovery::Chaos`] is [`SolveError::Unsupported`]: there is
+/// no crash-recovery plane for Algorithm 2.
+pub fn solve_short_range(
     g: &WGraph,
     x: NodeId,
     h: u64,
     delta: Weight,
-    engine: EngineConfig,
-) -> (ShortRangeResult, RunStats) {
-    let init: Vec<Option<Weight>> = (0..g.n())
-        .map(|v| (v as NodeId == x).then_some(0))
-        .collect();
-    short_range_extension(g, x, &init, h, delta, engine)
+    run: &Run,
+    rec: &mut dyn Recorder,
+) -> Result<Solved<ShortRangeResult>, SolveError> {
+    if let Some(Recovery::Chaos(_)) = run.recovery {
+        return Err(SolveError::Unsupported("chaos recovery of Algorithm 2"));
+    }
+    let gamma = short_range_gamma(h);
+    let budget = run.round_cap(short_range_budget(h, delta), 64);
+    let make = |v: NodeId| ShortRangeNode::new(gamma, h, (v == x).then_some(0));
+    let finish = |nodes: &mut dyn ExactSizeIterator<Item = &ShortRangeNode>| extract(x, nodes);
+    match &run.recovery {
+        Some(Recovery::Reliable(rc)) => {
+            let late = |n: &ShortRangeNode| n.late_sends;
+            solve_reliable(g, run, rc, budget, "short_range", rec, make, late, finish)
+        }
+        _ => Ok(execute(g, run, budget, "short_range", rec, make, finish)?.into()),
+    }
 }
 
-/// h-hop **extension**: nodes with `init[v] = Some(d0)` start knowing a
-/// distance `d0` from `x`; the run extends these by up to `h` hops.
+/// h-hop **extension** on the simulator: nodes with `init[v] = Some(d0)`
+/// start knowing a distance `d0` from `x`; the run extends these by up
+/// to `h` hops.
 pub fn short_range_extension(
     g: &WGraph,
     x: NodeId,
@@ -262,13 +277,13 @@ pub fn short_range_extension(
 ) -> (ShortRangeResult, RunStats) {
     assert_eq!(init.len(), g.n());
     let gamma = short_range_gamma(h);
-    let budget = gamma.ceil_kappa(delta.max(1), h) + 2;
-    let mut net = Network::new(g, engine, |v| {
-        ShortRangeNode::new(gamma, h, init[v as usize])
+    let budget = short_range_budget(h, delta);
+    let make = |v: NodeId| ShortRangeNode::new(gamma, h, init[v as usize]);
+    let rec = &mut NullRecorder;
+    let sim = simulate(g, engine, budget, "short_range", rec, make, |n| {
+        extract(x, n)
     });
-    net.run(budget);
-    let stats = net.stats();
-    (extract(x, net.nodes()), stats)
+    (sim.0, sim.1)
 }
 
 /// Build `k` independent short-range instances (one per source) with the
@@ -304,8 +319,12 @@ mod tests {
     /// Verify the short-range contract: exact `δ(x,v)` wherever the
     /// min-hop shortest path fits in `h` hops; never an underestimate of
     /// `δ` elsewhere.
+    fn solve(g: &WGraph, x: NodeId, h: u64, delta: Weight) -> Solved<ShortRangeResult> {
+        solve_short_range(g, x, h, delta, &Run::default(), &mut NullRecorder).unwrap()
+    }
+
     fn check_against_reference(g: &WGraph, x: NodeId, h: u64, delta: Weight) -> ShortRangeResult {
-        let (res, _) = short_range_sssp(g, x, h, delta, EngineConfig::default());
+        let res = solve(g, x, h, delta).result;
         let exact = dw_seqref::bellman_ford(g, x); // (δ, min-hops of δ)
         for v in g.nodes() {
             let vi = v as usize;
@@ -350,9 +369,8 @@ mod tests {
         let g = gen::path(12, false, WeightDist::Uniform { max: 4 }, 2);
         let delta = dw_seqref::max_finite_distance(&g).max(1);
         let h = 12u64;
-        let (_, stats) = short_range_sssp(&g, 0, h, delta, EngineConfig::default());
-        let gamma = short_range_gamma(h);
-        assert!(stats.rounds <= gamma.ceil_kappa(delta, h) + 2);
+        let stats = solve(&g, 0, h, delta).stats;
+        assert!(stats.rounds <= short_range_budget(h, delta));
     }
 
     #[test]

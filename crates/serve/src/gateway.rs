@@ -36,7 +36,7 @@
 //! shards overlap freely) and one intake thread per client connection.
 //! A reply is written to the client's socket by the thread that holds
 //! it — a cache hit by the intake thread, a shard answer by the
-//! dispatcher — under the connection's [`ClientSink`] lock, so frames
+//! dispatcher — under the connection's `ClientSink` lock, so frames
 //! never interleave. Replies complete out of submission order (cache
 //! hits overtake shard round trips); clients correlate by id. A client
 //! that stops reading is cut off after [`CLIENT_WRITE_TIMEOUT`] rather
@@ -51,7 +51,7 @@
 //! stamped with the *old* gateway generation, or folding an
 //! old-generation answer in after the bump, would poison the cache. So
 //! every parked query records the generation it was admitted under and
-//! [`cache_put`] drops answers whose intake generation is no longer
+//! `cache_put` drops answers whose intake generation is no longer
 //! current — the cheap, conservative rule.
 
 use crate::accept::accept_until_stopped;

@@ -13,7 +13,8 @@
 //! is no base. A delta the gateway cannot vouch for is answered
 //! [`ClientReply::NeedFull`], and the client sends the generation whole.
 //! Both hops move values as length-prefixed frames via
-//! [`dw_transport::wire::write_frame`] / [`read_frame`] — the same
+//! [`dw_transport::wire::write_frame`] /
+//! [`read_frame`](dw_transport::wire::read_frame) — the same
 //! framing, length cap and malformed-input discipline as the transport
 //! runtime's round traffic, so the codec fuzz suite applies unchanged.
 //!

@@ -10,7 +10,7 @@
 //!
 //! The encoding is the repo's canonical [`WireCodec`] layout behind a
 //! magic/version header, written and read through
-//! [`dw_congest::to_bytes`] / [`from_bytes`] — the same machinery that
+//! [`dw_congest::to_bytes`] / [`from_bytes`](dw_congest::from_bytes) — the same machinery that
 //! persists checkpoint snapshots, with the same contract: a file is one
 //! encoding, trailing bytes are malformed, and byte-identical inputs
 //! produce byte-identical files (which is what the golden test pins).
@@ -47,7 +47,7 @@ pub const TABLE_VERSION: u32 = 1;
 /// node `v` in `0..n`. `parent` is `None` for the source itself and for
 /// unreachable nodes. Whoever computed it, a row is the one
 /// `(d, l, parent)` shortest-path tree of its source
-/// ([`dw_seqref::dijkstra`]'s module header): the fewest hops among the
+/// ([`dw_seqref::dijkstra`](mod@dw_seqref::dijkstra)'s module header): the fewest hops among the
 /// shortest paths, then the smallest parent id.
 ///
 /// `hops` is derived, in-memory data beside the row: the hop column `l`
