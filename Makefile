@@ -111,13 +111,16 @@ scale-smoke:
 serve-conformance:
 	$(CARGO) test --release -q -p dw-serve --test gateway_conformance -- --test-threads=1
 
-# Serving-plane smoke test (DESIGN.md §13): compute APSP tables with
-# Algorithm 1, persist them through the snapshot codec, stand up 2 shard
-# servers + the gateway on loopback, verify ~1k mixed distance/path
-# queries against sequential Dijkstra, then kill one shard and require
-# the typed ShardUnavailable degradation within a bounded deadline.
+# Serving-plane smoke test (DESIGN.md §13), in release: dw-serve's unit
+# tests stand up live loopback deployments (`Deployment`). Algorithm 1's
+# tables go through the snapshot codec to 3 shards + the gateway and
+# every pair is asked both ways against sequential Dijkstra; a killed
+# shard must surface the typed ShardUnavailable within a bounded
+# deadline while the survivor stays correct; swaps, versioned boots, the
+# cache, and the deployment's own stall / restart hooks. Whole test
+# target, as in transport-conformance.
 serve-smoke:
-	$(CARGO) run --release -q -p dw-bench --bin serve_smoke
+	$(CARGO) test --release -q -p dw-serve --lib
 
 # The dynamic-update path (DESIGN.md §14), in release: dw-graph's unit
 # tests (the in-place CSR patch against a rebuild over chained batches),

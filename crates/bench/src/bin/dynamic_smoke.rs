@@ -33,7 +33,7 @@ use dw_graph::{NodeId, INFINITY};
 use dw_pipeline::apsp_auto;
 use dw_seqref::{dijkstra, verify_row};
 use dw_serve::{
-    spawn_loopback, GatewayConfig, QueryOutcome, ServeClient, TableSnapshot, VersionedTables,
+    Deployment, GatewayConfig, QueryOutcome, ServeClient, TableSnapshot, VersionedTables,
 };
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -68,15 +68,6 @@ fn changed_rows_and_cells(old: &TableSnapshot, new: &TableSnapshot) -> (u64, u64
     (rows, cells)
 }
 
-/// A probe answer, with `u64::MAX` standing in for "unreachable".
-fn probe_key(outcome: &QueryOutcome) -> Option<u64> {
-    match outcome {
-        QueryOutcome::Dist { dist } => Some(*dist),
-        QueryOutcome::Unreachable => Some(u64::MAX),
-        _ => None,
-    }
-}
-
 /// Queries the hammer must land between two swaps. A repair of this
 /// graph takes less time than one query, so "the hammer runs
 /// throughout" is made true by waiting for it, not assumed.
@@ -109,13 +100,11 @@ fn main() {
         snap: TableSnapshot::from_result(&cold),
     };
 
-    let (mut gw, mut shards, _map) = spawn_loopback(&vt.snap, 2, GatewayConfig::default())
-        .unwrap_or_else(|e| {
-            fail(format!("cannot spawn deployment: {e}"));
-        });
+    let d = Deployment::spawn(&vt.snap, 2, GatewayConfig::default())
+        .unwrap_or_else(|e| fail(format!("cannot spawn deployment: {e}")));
     eprintln!(
         "dynamic_smoke: 2 shards + gateway up at {} (n={n})",
-        gw.addr
+        d.gateway.addr
     );
 
     // Every distance the probe pair has legitimately had across the
@@ -133,7 +122,7 @@ fn main() {
         let stop = Arc::clone(&stop);
         let landed = Arc::clone(&landed);
         let valid_probe = Arc::clone(&valid_probe);
-        let addr = gw.addr;
+        let addr = d.gateway.addr;
         std::thread::spawn(move || {
             let mut client = ServeClient::connect(addr, Duration::from_secs(5))
                 .unwrap_or_else(|e| fail(format!("hammer cannot connect: {e}")));
@@ -155,7 +144,8 @@ fn main() {
                     ));
                 }
                 if (src, dst) == probe {
-                    let key = probe_key(&outcome)
+                    let key = outcome
+                        .distance()
                         .unwrap_or_else(|| fail(format!("untyped probe answer {outcome:?}")));
                     if !valid_probe.lock().unwrap().contains(&key) {
                         fail(format!(
@@ -173,7 +163,8 @@ fn main() {
     // live. The new generation's probe answer becomes valid *before*
     // the push — mid-swap the hammer may see old or new, never a third
     // value.
-    let mut push = ServeClient::connect(gw.addr, Duration::from_secs(5))
+    let mut push = d
+        .client()
         .unwrap_or_else(|e| fail(format!("cannot connect: {e}")));
     let mut rng = ChaCha8Rng::seed_from_u64(7);
     let mut first_push_bytes = 0u64;
@@ -184,17 +175,16 @@ fn main() {
         let changed = changed_rows_and_cells(&vt.snap, &next.snap);
         vt = next;
         valid_probe.lock().unwrap().insert(
-            match vt.snap.table_for(probe.0).map(|t| t.dist[probe.1 as usize]) {
-                Some(d) if d != INFINITY => d,
-                _ => u64::MAX,
-            },
+            vt.snap
+                .table_for(probe.0)
+                .map_or(INFINITY, |t| t.dist[probe.1 as usize]),
         );
         let_the_hammer_run(&landed);
-        let before = gw.stats();
+        let before = d.gateway.stats();
         let rep = push
             .apply_tables(vt.generation, &vt.snap)
             .unwrap_or_else(|e| fail(format!("apply {b} failed: {e}")));
-        let after = gw.stats();
+        let after = d.gateway.stats();
         let (bytes, full) = (
             after.install_bytes - before.install_bytes,
             after.installs_full - before.installs_full,
@@ -267,12 +257,10 @@ fn main() {
                 .query(s, v, false)
                 .unwrap_or_else(|e| fail(format!("sweep query failed: {e}")));
             let want = oracle.dist[v as usize];
-            match outcome {
-                QueryOutcome::Dist { dist } if dist == want => {}
-                QueryOutcome::Unreachable if want == INFINITY => {}
-                other => fail(format!(
-                    "post-swap {s}->{v}: got {other:?}, oracle says {want}"
-                )),
+            if outcome.distance() != Some(want) {
+                fail(format!(
+                    "post-swap {s}->{v}: got {outcome:?}, oracle says {want}"
+                ));
             }
         }
     }
@@ -284,9 +272,4 @@ fn main() {
         n * n
     );
     eprintln!("dynamic_smoke: ok");
-
-    gw.shutdown();
-    for h in &mut shards {
-        h.stop();
-    }
 }

@@ -7,9 +7,10 @@
 //! plan's node ids:
 //!
 //! * `Partition { groups: [[s]], heal_round: Some(_) }` — a transient
-//!   gateway↔shard network partition: shard `s` sits behind a byte-level
-//!   TCP proxy whose pumps *stall* (never close, never drop) for
-//!   [`CUT_MS`] while queries and the swap keep flowing. Healing inside
+//!   gateway↔shard network partition: shard `s` sits behind the
+//!   deployment's byte relay, which *stalls* its link (never closes,
+//!   never drops) for [`CUT_MS`] while queries and the swap keep flowing
+//!   ([`Deployment::stall`]). Healing inside
 //!   `shard_timeout` means the gateway must ride it out: zero
 //!   `ShardUnavailable`, the mid-cut swap lands, and recovery latency is
 //!   measured from the heal instant to the shard's next answered probe.
@@ -37,20 +38,16 @@
 use dw_graph::gen::{self, WeightDist};
 use dw_graph::{EdgeUpdate, NodeId, INFINITY};
 use dw_seqref::{dijkstra, verify_row};
-use dw_serve::{
-    Gateway, GatewayConfig, QueryOutcome, ServeClient, ShardHandle, TableSnapshot, VersionedTables,
-};
-use dw_transport::shard::ShardMap;
+use dw_serve::{Deployment, GatewayConfig, QueryOutcome, ServeClient, TableSnapshot};
 use dw_transport::{ChaosEvent, ChaosPlan};
 use std::collections::HashSet;
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::TcpListener;
 use std::process::exit;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// How long a scripted transient partition stalls the proxied link.
+/// How long a scripted transient partition stalls the relayed link.
 const CUT_MS: u64 = 300;
 /// Gateway `shard_timeout`: a transient cut must fit well inside it, a
 /// killed shard must be detected within a small multiple of it.
@@ -63,94 +60,19 @@ fn fail(msg: String) -> ! {
     exit(1);
 }
 
-/// A stallable byte proxy: both pump directions hold bytes (without
-/// closing or dropping anything) while `cut` is set — a network
-/// partition as TCP actually experiences it.
-struct Proxy {
-    addr: SocketAddr,
-    cut: Arc<AtomicBool>,
-}
-
-fn spawn_proxy(target: SocketAddr) -> std::io::Result<Proxy> {
-    let listener = TcpListener::bind(("127.0.0.1", 0))?;
-    let addr = listener.local_addr()?;
-    let cut = Arc::new(AtomicBool::new(false));
-    let cut_accept = Arc::clone(&cut);
-    std::thread::spawn(move || {
-        for stream in listener.incoming() {
-            let Ok(client) = stream else { break };
-            let Ok(upstream) = TcpStream::connect(target) else {
-                break;
-            };
-            let _ = client.set_nodelay(true);
-            let _ = upstream.set_nodelay(true);
-            let pairs = [
-                (client.try_clone(), upstream.try_clone()),
-                (Ok(upstream), Ok(client)),
-            ];
-            for (from, to) in pairs {
-                let (Ok(mut from), Ok(mut to)) = (from, to) else {
-                    break;
-                };
-                let cut = Arc::clone(&cut_accept);
-                // Short read timeout so a stalled link still polls the
-                // cut flag instead of blocking forever.
-                let _ = from.set_read_timeout(Some(Duration::from_millis(50)));
-                std::thread::spawn(move || {
-                    let mut buf = [0u8; 8192];
-                    loop {
-                        match from.read(&mut buf) {
-                            Ok(0) => break,
-                            Ok(k) => {
-                                while cut.load(Ordering::Relaxed) {
-                                    std::thread::sleep(Duration::from_millis(5));
-                                }
-                                if to.write_all(&buf[..k]).is_err() {
-                                    break;
-                                }
-                            }
-                            Err(e)
-                                if e.kind() == std::io::ErrorKind::WouldBlock
-                                    || e.kind() == std::io::ErrorKind::TimedOut =>
-                            {
-                                continue
-                            }
-                            Err(_) => break,
-                        }
-                    }
-                });
-            }
-        }
-    });
-    Ok(Proxy { addr, cut })
-}
-
-/// The probe answer as a set key (`u64::MAX` = unreachable).
-fn probe_key(outcome: &QueryOutcome) -> Option<u64> {
-    match outcome {
-        QueryOutcome::Dist { dist } => Some(*dist),
-        QueryOutcome::Unreachable => Some(u64::MAX),
-        _ => None,
-    }
-}
-
 fn snapshot_for(g: &dw_graph::WGraph) -> TableSnapshot {
     let runs: Vec<_> = (0..g.n() as u32).map(|s| dijkstra(g, s)).collect();
     TableSnapshot::from_sssp(&runs, g.n() as u32)
 }
 
 fn expected(snap: &TableSnapshot, (s, d): (NodeId, NodeId)) -> u64 {
-    match snap.table_for(s).map(|t| t.dist[d as usize]) {
-        Some(x) if x != INFINITY => x,
-        _ => u64::MAX,
-    }
+    snap.table_for(s).map_or(INFINITY, |t| t.dist[d as usize])
 }
 
 fn main() {
     let mut g = gen::grid2d(6, 6, WeightDist::Uniform { max: 9 }, 42);
     let n = g.n();
     let shards = 3usize;
-    let map = ShardMap::new(n, shards);
 
     // The script: swap 1 rides out a transient gateway<->shard-1
     // partition; swap 2 happens with shard 2 freshly killed; swap 3
@@ -162,35 +84,27 @@ fn main() {
     let mut snap = snapshot_for(&g);
     let mut generation = 0u64;
 
-    // Shard 1 sits behind the stallable proxy; 0 and 2 are direct.
-    let mut handles: Vec<ShardHandle> = Vec::new();
-    let mut addrs: Vec<SocketAddr> = Vec::new();
-    let mut proxy: Option<Proxy> = None;
-    for s in 0..map.shards() {
-        let h = ShardHandle::spawn_versioned(VersionedTables {
-            generation,
-            snap: snap.for_shard(&map, s as NodeId),
+    // The shards the plan partitions sit behind the stallable relay; the
+    // rest are dialled directly.
+    let stallable: Vec<usize> = plan
+        .events()
+        .iter()
+        .filter_map(|ev| match ev {
+            ChaosEvent::Partition { groups, .. } => Some(groups[0][0] as usize),
+            _ => None,
         })
-        .unwrap_or_else(|e| fail(format!("cannot spawn shard {s}: {e}")));
-        if s == 1 {
-            let p = spawn_proxy(h.addr).unwrap_or_else(|e| fail(format!("proxy: {e}")));
-            addrs.push(p.addr);
-            proxy = Some(p);
-        } else {
-            addrs.push(h.addr);
-        }
-        handles.push(h);
-    }
-    let proxy = proxy.expect("shard 1 is proxied");
+        .collect();
     let cfg = GatewayConfig {
         shard_timeout: SHARD_TIMEOUT,
         ..GatewayConfig::default()
     };
-    let mut gw = Gateway::spawn(map.clone(), &addrs, cfg)
-        .unwrap_or_else(|e| fail(format!("cannot spawn gateway: {e}")));
+    let mut d = TcpListener::bind(("127.0.0.1", 0))
+        .and_then(|l| Deployment::spawn_on(l, &snap, shards, cfg, &stallable))
+        .unwrap_or_else(|e| fail(format!("cannot spawn deployment: {e}")));
+    let map = d.map.clone();
     eprintln!(
-        "serve_chaos: 3 shards (shard 1 proxied) + gateway up at {} (n={n})",
-        gw.addr
+        "serve_chaos: 3 shards (stallable {stallable:?}) + gateway up at {} (n={n})",
+        d.gateway.addr
     );
 
     // One probe pair per shard block; every answer the pair has had
@@ -215,7 +129,7 @@ fn main() {
         let killed_at = Arc::clone(&killed_at);
         let valid: Vec<_> = valid.iter().map(Arc::clone).collect();
         let probes = probes.clone();
-        let addr = gw.addr;
+        let addr = d.gateway.addr;
         std::thread::spawn(move || -> (u64, Duration) {
             let mut client = ServeClient::connect(addr, Duration::from_secs(5))
                 .unwrap_or_else(|e| fail(format!("hammer cannot connect: {e}")));
@@ -240,7 +154,8 @@ fn main() {
                         }
                     }
                     _ => {
-                        let key = probe_key(&outcome)
+                        let key = outcome
+                            .distance()
                             .unwrap_or_else(|| fail(format!("untyped answer {outcome:?}")));
                         if !valid[i % probes.len()].lock().unwrap().contains(&key) {
                             fail(format!(
@@ -257,10 +172,11 @@ fn main() {
         })
     };
 
-    let mut push = ServeClient::connect(gw.addr, Duration::from_secs(5))
-        .unwrap_or_else(|e| fail(format!("cannot connect: {e}")));
-    let mut probe_client = ServeClient::connect(gw.addr, Duration::from_secs(5))
-        .unwrap_or_else(|e| fail(format!("cannot connect: {e}")));
+    let connect = || {
+        d.client()
+            .unwrap_or_else(|e| fail(format!("cannot connect: {e}")))
+    };
+    let (mut push, mut probe_client) = (connect(), connect());
 
     for step in 1..=3u64 {
         // Recompute the next generation's tables on a visibly changed
@@ -285,7 +201,7 @@ fn main() {
         }
 
         // Fire this step's scripted nemeses.
-        let mut healed_at: Option<Arc<Mutex<Option<Instant>>>> = None;
+        let mut healing = None;
         let mut kill_detect_ms: Option<u128> = None;
         for ev in plan.events() {
             match ev {
@@ -300,21 +216,15 @@ fn main() {
                         "serve_chaos: step {step}: partitioning gateway<->shard {s} \
                          for {CUT_MS}ms (timeout {SHARD_TIMEOUT:?})"
                     );
-                    proxy.cut.store(true, Ordering::Relaxed);
-                    let cut = Arc::clone(&proxy.cut);
-                    let healed = Arc::new(Mutex::new(None));
-                    let healed2 = Arc::clone(&healed);
-                    std::thread::spawn(move || {
-                        std::thread::sleep(Duration::from_millis(CUT_MS));
-                        cut.store(false, Ordering::Relaxed);
-                        *healed2.lock().unwrap() = Some(Instant::now());
-                    });
-                    healed_at = Some(healed);
+                    healing = Some(
+                        d.stall(s, Duration::from_millis(CUT_MS))
+                            .unwrap_or_else(|e| fail(format!("cannot stall shard {s}: {e}"))),
+                    );
                 }
                 ChaosEvent::Kill { node, round } if *round == step => {
                     let s = *node as usize;
                     eprintln!("serve_chaos: step {step}: killing shard {s}");
-                    handles[s].stop();
+                    d.kill(s);
                     killed_at.store(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
                     // Detection: the block must surface the *typed*
                     // error, within a small multiple of shard_timeout.
@@ -356,7 +266,7 @@ fn main() {
         }
 
         // Push the swap through whatever the nemesis left standing.
-        let installs_full = gw.stats().installs_full;
+        let installs_full = d.gateway.stats().installs_full;
         let rep = push
             .apply_tables(generation, &snap)
             .unwrap_or_else(|e| fail(format!("apply {generation} failed: {e}")));
@@ -365,7 +275,7 @@ fn main() {
                 "swap {generation} did not advance the fleet: {rep:?}"
             ));
         }
-        match (healed_at.as_ref(), kill_detect_ms) {
+        match (healing.as_ref(), kill_detect_ms) {
             (Some(_), None) => {
                 // Transient partition: the mid-cut swap must land on the
                 // full fleet — the cut healed inside shard_timeout.
@@ -386,7 +296,7 @@ fn main() {
                 if rep.accepted || rep.shards_installed != 2 || rep.shards_down != 1 {
                     fail(format!("post-kill swap misreported: {rep:?}"));
                 }
-                if rep.full || gw.stats().installs_full != installs_full {
+                if rep.full || d.gateway.stats().installs_full != installs_full {
                     fail(format!(
                         "post-kill swap went whole, not as a delta: {rep:?}"
                     ));
@@ -415,7 +325,7 @@ fn main() {
                 .query(src, dst, false)
                 .unwrap_or_else(|e| fail(format!("fence probe failed: {e}")))
             {
-                ref o if probe_key(o) == Some(want) => {}
+                o if o.distance() == Some(want) => {}
                 other => fail(format!(
                     "stale answer after accepted swap {generation}: \
                      {src}->{dst} = {other:?}, newest generation says {want}"
@@ -424,13 +334,10 @@ fn main() {
         }
 
         // E21 row: recovery latency + degradation shape per nemesis.
-        if let Some(healed) = healed_at {
-            let healed = loop {
-                if let Some(t) = *healed.lock().unwrap() {
-                    break t;
-                }
-                std::thread::sleep(Duration::from_millis(5));
-            };
+        if let Some(healing) = healing {
+            let healed = healing
+                .join()
+                .unwrap_or_else(|_| fail("heal thread panicked".to_string()));
             let (src, dst) = probes[1];
             let want = expected(&snap, (src, dst));
             let recovery = loop {
@@ -438,7 +345,7 @@ fn main() {
                     .query(src, dst, false)
                     .unwrap_or_else(|e| fail(format!("recovery probe failed: {e}")))
                 {
-                    ref o if probe_key(o) == Some(want) => break healed.elapsed(),
+                    o if o.distance() == Some(want) => break healed.elapsed(),
                     QueryOutcome::ShardUnavailable { .. } => {
                         fail("healed partition degraded to ShardUnavailable".to_string())
                     }
@@ -491,15 +398,13 @@ fn main() {
             let oracle = dijkstra(&g, src);
             for dst in 0..n as u32 {
                 let want = oracle.dist[dst as usize];
-                match probe_client
+                let got = probe_client
                     .query(src, dst, false)
-                    .unwrap_or_else(|e| fail(format!("sweep query failed: {e}")))
-                {
-                    QueryOutcome::Dist { dist } if dist == want => {}
-                    QueryOutcome::Unreachable if want == INFINITY => {}
-                    other => fail(format!(
-                        "post-chaos {src}->{dst}: got {other:?}, oracle says {want}"
-                    )),
+                    .unwrap_or_else(|e| fail(format!("sweep query failed: {e}")));
+                if got.distance() != Some(want) {
+                    fail(format!(
+                        "post-chaos {src}->{dst}: got {got:?}, oracle says {want}"
+                    ));
                 }
             }
         }
@@ -518,10 +423,4 @@ fn main() {
          blocks sweep clean vs Dijkstra ✓"
     );
     eprintln!("serve_chaos: ok");
-
-    gw.shutdown();
-    for h in &mut handles {
-        h.stop();
-    }
-    exit(0);
 }

@@ -20,7 +20,7 @@
 use crate::engine_bench::Measurement;
 use dw_graph::gen::{self, WeightDist};
 use dw_seqref::dijkstra;
-use dw_serve::{run_loadgen, spawn_loopback, GatewayConfig, LoadgenConfig, TableSnapshot};
+use dw_serve::{run_loadgen, Deployment, GatewayConfig, LoadgenConfig, TableSnapshot};
 
 /// The serving instance: n nodes, full APSP tables. Sized so table
 /// construction (n sequential Dijkstras) is a footnote next to the
@@ -55,18 +55,19 @@ fn measure_serve(
     shards: usize,
     cfg: &LoadgenConfig,
 ) -> Measurement {
-    let (mut gw, mut handles, _) =
-        spawn_loopback(snap, shards, GatewayConfig::default()).expect("spawn serve deployment");
+    let d =
+        Deployment::spawn(snap, shards, GatewayConfig::default()).expect("spawn serve deployment");
+    let addr = d.gateway.addr;
     let sources: Vec<u32> = snap.tables.iter().map(|t| t.source).collect();
 
     let warm = LoadgenConfig {
         requests_per_client: (cfg.requests_per_client / 10).max(1),
         ..cfg.clone()
     };
-    let _ = run_loadgen(gw.addr, &sources, snap.n, &warm).expect("warmup loadgen");
+    let _ = run_loadgen(addr, &sources, snap.n, &warm).expect("warmup loadgen");
 
-    let mut best = run_loadgen(gw.addr, &sources, snap.n, cfg).expect("loadgen");
-    let second = run_loadgen(gw.addr, &sources, snap.n, cfg).expect("loadgen");
+    let mut best = run_loadgen(addr, &sources, snap.n, cfg).expect("loadgen");
+    let second = run_loadgen(addr, &sources, snap.n, cfg).expect("loadgen");
     if second.qps > best.qps {
         best = second;
     }
@@ -76,10 +77,6 @@ fn measure_serve(
         "serve bench ran against a degraded deployment"
     );
 
-    gw.shutdown();
-    for h in &mut handles {
-        h.stop();
-    }
     Measurement {
         workload,
         mode,

@@ -38,8 +38,8 @@ use dwapsp::pipeline::{default_budget, hk_ssp_nodes, ChaosConfig, HkSspResult, S
 use dwapsp::prelude::*;
 use dwapsp::seqref::matrices_equal;
 use dwapsp::serve::{
-    run_loadgen, serve_shard, shared_tables, Gateway, GatewayConfig, LoadgenConfig, QueryOutcome,
-    ServeClient, ShardHandle, TableSnapshot, VersionedTables,
+    run_loadgen, serve_shard, shared_tables, Deployment, Gateway, GatewayConfig, LoadgenConfig,
+    QueryOutcome, ServeClient, TableSnapshot, VersionedTables,
 };
 use dwapsp::transport::{
     run_coordinator_tcp, run_shard_tcp, ChaosPlan, CoordConfig, ShardMap, TransportConfig,
@@ -898,8 +898,15 @@ fn cmd_serve(get: &impl Fn(&str) -> Option<String>) {
         exit(1);
     });
 
-    let mut local_shards: Vec<ShardHandle> = Vec::new();
-    let (map, addrs) = if let Some(spec) = get("--shard-addrs") {
+    let cannot_start = |e: std::io::Error| -> ! {
+        eprintln!("cannot start gateway: {e}");
+        exit(1);
+    };
+    // `--shard-addrs` fronts shards started elsewhere; otherwise a
+    // deployment runs them in-process. Either lives until this returns.
+    let mut fronting;
+    let mut local;
+    let (gw, map, addrs) = if let Some(spec) = get("--shard-addrs") {
         let addrs: Vec<SocketAddr> = spec
             .split(',')
             .map(|a| {
@@ -909,29 +916,19 @@ fn cmd_serve(get: &impl Fn(&str) -> Option<String>) {
                 })
             })
             .collect();
-        (ShardMap::new(snap.n as usize, addrs.len()), addrs)
+        let map = ShardMap::new(snap.n as usize, addrs.len());
+        fronting = Gateway::spawn_on(listener, map.clone(), &addrs, cfg)
+            .unwrap_or_else(|e| cannot_start(e));
+        (&mut fronting, map, addrs)
     } else {
         let shards: usize = get("--shards").map_or(1, |s| s.parse().expect("--shards"));
-        let map = ShardMap::new(snap.n as usize, shards);
-        let mut addrs = Vec::with_capacity(map.shards());
-        for s in 0..map.shards() {
-            let h = ShardHandle::spawn_versioned(VersionedTables {
-                generation: vt.generation,
-                snap: snap.for_shard(&map, s as NodeId),
-            })
-            .unwrap_or_else(|e| {
-                eprintln!("cannot spawn shard {s}: {e}");
-                exit(1);
-            });
-            addrs.push(h.addr);
-            local_shards.push(h);
-        }
-        (map, addrs)
+        local = Deployment::spawn_on(listener, snap, shards, cfg, &[])
+            .unwrap_or_else(|e| cannot_start(e));
+        let addrs = (0..local.map.shards())
+            .map(|s| local.shard_addr(s))
+            .collect();
+        (&mut local.gateway, local.map.clone(), addrs)
     };
-    let mut gw = Gateway::spawn_on(listener, map.clone(), &addrs, cfg).unwrap_or_else(|e| {
-        eprintln!("cannot start gateway: {e}");
-        exit(1);
-    });
     println!(
         "gateway listening on {} (tables generation {})",
         gw.addr, vt.generation
@@ -957,9 +954,6 @@ fn cmd_serve(get: &impl Fn(&str) -> Option<String>) {
                 st.shard_unavailable
             );
             gw.shutdown();
-            for h in &mut local_shards {
-                h.stop();
-            }
         }
         None => loop {
             std::thread::sleep(Duration::from_secs(3600));

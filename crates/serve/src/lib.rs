@@ -30,12 +30,15 @@
 //! * [`client`] / [`loadgen`] — the synchronous client and the
 //!   closed-loop Zipf/uniform load generator behind `dwapsp loadgen`
 //!   and BENCH_7;
+//! * [`deployment`] — the one bootstrap: shards plus gateway on
+//!   loopback, with the kill / stall / restart hooks chaos runs script;
 //! * [`metrics`] — route/batch/lookup/path-walk phase accounting,
 //!   exported as [`dw_obs::Recording`] wall spans.
 
 mod accept;
 pub mod cache;
 pub mod client;
+pub mod deployment;
 pub mod gateway;
 pub mod loadgen;
 pub mod metrics;
@@ -46,6 +49,7 @@ pub mod zipf;
 
 pub use cache::{CachedAnswer, PathCache};
 pub use client::ServeClient;
+pub use deployment::Deployment;
 pub use gateway::{Gateway, GatewayConfig, CLIENT_WRITE_TIMEOUT};
 pub use loadgen::{run_loadgen, LoadgenConfig, LoadgenReport};
 pub use metrics::ServeStats;
@@ -60,61 +64,33 @@ pub use table::{
 };
 pub use zipf::Zipf;
 
-use dw_graph::NodeId;
 use dw_transport::shard::ShardMap;
 use std::io;
 
-/// Spawn a full loopback deployment — `shards` shard servers plus a
-/// gateway — serving `snap` as generation 0. Returns the gateway (whose
-/// `addr` clients connect to) and the shard handles (kill one to
-/// exercise degraded mode). This is the in-process path used by `dwapsp
-/// serve`, the smoke tests and the serve bench.
+/// [`Deployment::spawn`] as a `(gateway, shards, layout)` tuple, kept
+/// for `benchmark/src/layers.rs`.
 pub fn spawn_loopback(
     snap: &TableSnapshot,
     shards: usize,
     cfg: GatewayConfig,
 ) -> io::Result<(Gateway, Vec<ShardHandle>, ShardMap)> {
-    spawn_loopback_versioned(
-        &VersionedTables {
-            generation: 0,
-            snap: snap.clone(),
-        },
+    let Deployment {
+        gateway,
+        map,
         shards,
-        cfg,
-    )
-}
-
-/// As [`spawn_loopback`], but the tables carry a starting generation (a
-/// `DWD1` file's): shards boot at it and the gateway only accepts
-/// installs that beat it.
-pub fn spawn_loopback_versioned(
-    tables: &VersionedTables,
-    shards: usize,
-    mut cfg: GatewayConfig,
-) -> io::Result<(Gateway, Vec<ShardHandle>, ShardMap)> {
-    let map = ShardMap::new(tables.snap.n as usize, shards);
-    let mut handles = Vec::with_capacity(map.shards());
-    let mut addrs = Vec::with_capacity(map.shards());
-    for s in 0..map.shards() {
-        let h = ShardHandle::spawn_versioned(VersionedTables {
-            generation: tables.generation,
-            snap: tables.snap.for_shard(&map, s as NodeId),
-        })?;
-        addrs.push(h.addr);
-        handles.push(h);
-    }
-    cfg.initial_generation = tables.generation;
-    let gateway = Gateway::spawn(map.clone(), &addrs, cfg)?;
-    Ok((gateway, handles, map))
+        ..
+    } = Deployment::spawn(snap, shards, cfg)?;
+    Ok((gateway, shards, map))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dw_congest::EngineConfig;
     use dw_graph::gen::{self, WeightDist};
-    use dw_graph::INFINITY;
-    use dw_seqref::dijkstra;
-    use std::time::Duration;
+    use dw_graph::{NodeId, INFINITY};
+    use dw_seqref::{dijkstra, max_finite_distance};
+    use std::time::{Duration, Instant};
 
     fn snapshot(n: u32, k: u32, seed: u64) -> (dw_graph::WGraph, TableSnapshot) {
         let g = gen::gnp(n as usize, 0.2, false, WeightDist::Uniform { max: 9 }, seed);
@@ -123,89 +99,90 @@ mod tests {
         (g, snap)
     }
 
+    /// The compute-once / query-forever path: Algorithm 1's tables on a
+    /// graph with zero-weight edges, through the file codec exactly as
+    /// `dwapsp tables` writes and `dwapsp serve` reads them, then every
+    /// pair asked both ways. Distances equal Dijkstra's; a path starts
+    /// and ends where asked, walks real edges and sums to the distance.
     #[test]
     fn end_to_end_queries_match_the_oracle() {
-        let (g, snap) = snapshot(30, 30, 42);
-        let (mut gw, mut shards, _) = spawn_loopback(&snap, 3, GatewayConfig::default()).unwrap();
-        let mut client = ServeClient::connect(gw.addr, Duration::from_secs(5)).unwrap();
-        for src in 0..30u32 {
+        let g = gen::zero_heavy(36, 0.18, 0.4, 7, true, 1231);
+        let n = g.n() as NodeId;
+        let delta = max_finite_distance(&g).max(1);
+        let (result, _, _) = dw_pipeline::apsp(&g, delta, EngineConfig::default());
+        let bytes = TableSnapshot::from_result(&result).to_file_bytes();
+        let snap = TableSnapshot::from_file_bytes(&bytes).unwrap();
+        let d = Deployment::spawn(&snap, 3, GatewayConfig::default()).unwrap();
+        let mut client = d.client().unwrap();
+        for src in 0..n {
             let oracle = dijkstra(&g, src);
-            for dst in 0..30u32 {
+            for dst in 0..n {
                 let want = oracle.dist[dst as usize];
-                match client.query(src, dst, (src + dst) % 2 == 0).unwrap() {
-                    QueryOutcome::Dist { dist } => assert_eq!(dist, want, "{src}->{dst}"),
-                    QueryOutcome::Path { dist, path } => {
-                        assert_eq!(dist, want, "{src}->{dst}");
-                        assert_eq!(path.first(), Some(&src));
-                        assert_eq!(path.last(), Some(&dst));
-                        let walked: u64 = path
-                            .windows(2)
-                            .map(|p| {
-                                g.out_edges(p[0])
-                                    .iter()
-                                    .find(|&&(u, _)| u == p[1])
-                                    .map(|&(_, w)| w)
-                                    .expect("path edge exists")
-                            })
-                            .sum();
-                        assert_eq!(walked, want, "{src}->{dst}");
-                    }
-                    QueryOutcome::Unreachable => assert_eq!(want, INFINITY, "{src}->{dst}"),
-                    other => panic!("unexpected outcome {other:?} for {src}->{dst}"),
+                for want_path in [false, true] {
+                    let got = client.query(src, dst, want_path).unwrap();
+                    assert_eq!(got.distance(), Some(want), "{src}->{dst}");
+                    let QueryOutcome::Path { path, .. } = got else {
+                        assert!(!want_path || want == INFINITY, "{src}->{dst}: {got:?}");
+                        continue;
+                    };
+                    assert_eq!((path.first(), path.last()), (Some(&src), Some(&dst)));
+                    let walked: u64 = path
+                        .windows(2)
+                        .map(|p| {
+                            g.out_edges(p[0])
+                                .iter()
+                                .find(|&&(u, _)| u == p[1])
+                                .map(|&(_, w)| w)
+                                .expect("path edge exists")
+                        })
+                        .sum();
+                    assert_eq!(walked, want, "{src}->{dst}");
                 }
             }
         }
-        let stats = gw.stats();
-        assert_eq!(stats.queries, 900);
-        assert_eq!(stats.cache_hits + stats.cache_misses, 900);
-        gw.shutdown();
-        for s in &mut shards {
-            s.stop();
-        }
+        let stats = d.gateway.stats();
+        let asked = 2 * u64::from(n * n);
+        assert_eq!(stats.queries, asked);
+        assert_eq!(stats.cache_hits + stats.cache_misses, asked);
     }
 
     #[test]
     fn killed_shard_degrades_to_typed_unavailable() {
-        let (_, snap) = snapshot(20, 20, 7);
-        let (mut gw, mut shards, map) = spawn_loopback(&snap, 2, GatewayConfig::default()).unwrap();
-        let mut client = ServeClient::connect(gw.addr, Duration::from_secs(5)).unwrap();
+        let (g, snap) = snapshot(20, 20, 7);
+        let mut d = Deployment::spawn(&snap, 2, GatewayConfig::default()).unwrap();
+        let mut client = d.client().unwrap();
+        let dist = |src: NodeId, dst: NodeId| Some(dijkstra(&g, src).dist[dst as usize]);
 
         // Warm: both shards answer.
-        assert!(matches!(
-            client.query(0, 5, false).unwrap(),
-            QueryOutcome::Dist { .. } | QueryOutcome::Unreachable
-        ));
-        let hi_src = map.nodes(1).start;
-        assert!(matches!(
-            client.query(hi_src, 3, false).unwrap(),
-            QueryOutcome::Dist { .. } | QueryOutcome::Unreachable
-        ));
+        assert_eq!(client.query(0, 5, false).unwrap().distance(), dist(0, 5));
+        let hi_src = d.map.nodes(1).start;
+        assert_eq!(
+            client.query(hi_src, 3, false).unwrap().distance(),
+            dist(hi_src, 3)
+        );
 
-        // Kill shard 1; its block must fail typed, shard 0 keeps going.
-        shards[1].stop();
-        let mut saw_unavailable = false;
-        for _ in 0..50 {
+        // Kill shard 1; its block must fail typed within a deadline (not
+        // hang), shard 0 keeps going.
+        d.kill(1);
+        let deadline = Instant::now() + Duration::from_secs(10);
+        loop {
             match client.query(hi_src, 4, false).unwrap() {
                 QueryOutcome::ShardUnavailable { shard, lo, hi } => {
-                    assert_eq!(shard, 1);
-                    assert_eq!(lo..hi, map.nodes(1));
-                    saw_unavailable = true;
+                    assert_eq!((shard, lo..hi), (1, d.map.nodes(1)));
                     break;
                 }
                 // Cached answers and in-flight batches may still
-                // succeed right after the kill; retry on a fresh pair.
-                _ => std::thread::sleep(Duration::from_millis(20)),
+                // succeed right after the kill; retry.
+                _ => {
+                    assert!(
+                        Instant::now() < deadline,
+                        "shard loss never surfaced as typed error"
+                    );
+                    std::thread::sleep(Duration::from_millis(20));
+                }
             }
         }
-        assert!(saw_unavailable, "shard loss never surfaced as typed error");
-        assert!(matches!(
-            client.query(1, 6, false).unwrap(),
-            QueryOutcome::Dist { .. } | QueryOutcome::Unreachable
-        ));
-        gw.shutdown();
-        for s in &mut shards {
-            s.stop();
-        }
+        assert_eq!(client.query(1, 6, false).unwrap().distance(), dist(1, 6));
     }
 
     #[test]
@@ -230,13 +207,13 @@ mod tests {
         let runs: Vec<_> = (0..24).map(|s| dijkstra(&g1, s)).collect();
         let snap1 = TableSnapshot::from_sssp(&runs, 24);
 
-        let (mut gw, mut shards, _) = spawn_loopback(&snap0, 2, GatewayConfig::default()).unwrap();
-        let mut client = ServeClient::connect(gw.addr, Duration::from_secs(5)).unwrap();
+        let d = Deployment::spawn(&snap0, 2, GatewayConfig::default()).unwrap();
+        let mut client = d.client().unwrap();
 
         // Warm the cache on the old generation.
         let pre = client.query(0, 7, false).unwrap();
         assert_eq!(client.query(0, 7, false).unwrap(), pre);
-        assert_eq!(gw.generation(), 0);
+        assert_eq!(d.gateway.generation(), 0);
 
         // A non-advancing generation is rejected without touching shards.
         let report = client.apply_tables(0, &snap1).unwrap();
@@ -248,38 +225,33 @@ mod tests {
         assert_eq!(report.generation, 1);
         assert_eq!(report.shards_installed, 2);
         assert_eq!(report.shards_down, 0);
-        assert_eq!(gw.generation(), 1);
+        assert_eq!(d.gateway.generation(), 1);
 
         // Every post-swap answer — including the previously cached pair
         // — must match the new oracle.
         for src in 0..24u32 {
             let oracle = dijkstra(&g1, src);
             for dst in 0..24u32 {
-                let want = oracle.dist[dst as usize];
-                match client.query(src, dst, false).unwrap() {
-                    QueryOutcome::Dist { dist } => assert_eq!(dist, want, "{src}->{dst}"),
-                    QueryOutcome::Unreachable => assert_eq!(want, INFINITY, "{src}->{dst}"),
-                    other => panic!("unexpected outcome {other:?} for {src}->{dst}"),
-                }
+                let got = client.query(src, dst, false).unwrap();
+                assert_eq!(
+                    got.distance(),
+                    Some(oracle.dist[dst as usize]),
+                    "{src}->{dst}"
+                );
             }
-        }
-        gw.shutdown();
-        for s in &mut shards {
-            s.stop();
         }
     }
 
     #[test]
     fn versioned_boot_rejects_stale_installs() {
         let (_, snap) = snapshot(16, 16, 5);
-        let tables = VersionedTables {
-            generation: 4,
-            snap: snap.clone(),
+        let cfg = GatewayConfig {
+            initial_generation: 4,
+            ..GatewayConfig::default()
         };
-        let (mut gw, mut shards, _) =
-            spawn_loopback_versioned(&tables, 2, GatewayConfig::default()).unwrap();
-        let mut client = ServeClient::connect(gw.addr, Duration::from_secs(5)).unwrap();
-        assert_eq!(gw.generation(), 4);
+        let d = Deployment::spawn(&snap, 2, cfg).unwrap();
+        let mut client = d.client().unwrap();
+        assert_eq!(d.gateway.generation(), 4);
         // Installing at or below the boot generation is refused.
         let report = client.apply_tables(4, &snap).unwrap();
         assert!(!report.accepted);
@@ -288,22 +260,18 @@ mod tests {
         let report = client.apply_tables(5, &snap).unwrap();
         assert!(report.accepted);
         assert_eq!(report.generation, 5);
-        gw.shutdown();
-        for s in &mut shards {
-            s.stop();
-        }
     }
 
     #[test]
     fn apply_with_a_dead_shard_installs_the_rest() {
         let (_, snap) = snapshot(20, 20, 13);
-        let (mut gw, mut shards, map) = spawn_loopback(&snap, 2, GatewayConfig::default()).unwrap();
-        let mut client = ServeClient::connect(gw.addr, Duration::from_secs(5)).unwrap();
+        let mut d = Deployment::spawn(&snap, 2, GatewayConfig::default()).unwrap();
+        let mut client = d.client().unwrap();
 
         // Kill shard 1 and let the gateway notice (queries to its block
         // must surface the typed error first).
-        shards[1].stop();
-        let hi_src = map.nodes(1).start;
+        d.kill(1);
+        let hi_src = d.map.nodes(1).start;
         let mut noticed = false;
         for _ in 0..100 {
             if matches!(
@@ -325,33 +293,22 @@ mod tests {
         assert_eq!(report.shards_installed, 1);
         assert_eq!(report.shards_down, 1);
         assert_eq!(report.generation, 1);
-        assert_eq!(gw.generation(), 1);
-        assert!(matches!(
-            client.query(0, 3, false).unwrap(),
-            QueryOutcome::Dist { .. } | QueryOutcome::Unreachable
-        ));
-        gw.shutdown();
-        for s in &mut shards {
-            s.stop();
-        }
+        assert_eq!(d.gateway.generation(), 1);
+        assert!(client.query(0, 3, false).unwrap().distance().is_some());
     }
 
     #[test]
     fn cache_serves_repeat_pairs() {
         let (_, snap) = snapshot(16, 16, 3);
-        let (mut gw, mut shards, _) = spawn_loopback(&snap, 2, GatewayConfig::default()).unwrap();
-        let mut client = ServeClient::connect(gw.addr, Duration::from_secs(5)).unwrap();
+        let d = Deployment::spawn(&snap, 2, GatewayConfig::default()).unwrap();
+        let mut client = d.client().unwrap();
         for _ in 0..20 {
             let _ = client.query(2, 9, true).unwrap();
         }
-        let stats = gw.stats();
+        let stats = d.gateway.stats();
         assert!(
             stats.cache_hits >= 19,
             "expected repeats to hit the cache, got {stats:?}"
         );
-        gw.shutdown();
-        for s in &mut shards {
-            s.stop();
-        }
     }
 }

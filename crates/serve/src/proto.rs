@@ -28,7 +28,7 @@
 
 use crate::table::TableDelta;
 use dw_congest::WireCodec;
-use dw_graph::{NodeId, Weight};
+use dw_graph::{NodeId, Weight, INFINITY};
 
 /// One point-to-point lookup.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -69,6 +69,18 @@ pub enum QueryOutcome {
         lo: NodeId,
         hi: NodeId,
     },
+}
+
+impl QueryOutcome {
+    /// The distance the answer states, in table units: [`INFINITY`] for
+    /// `Unreachable`, `None` for an answer that states no distance.
+    pub fn distance(&self) -> Option<Weight> {
+        match self {
+            QueryOutcome::Dist { dist } | QueryOutcome::Path { dist, .. } => Some(*dist),
+            QueryOutcome::Unreachable => Some(INFINITY),
+            _ => None,
+        }
+    }
 }
 
 /// One answered query.

@@ -165,9 +165,8 @@ pub fn serve_shard(
 }
 
 /// A shard server running on a background thread, for in-process
-/// deployments (benches, smoke tests, the loopback path of `dwapsp
-/// serve`). Kill it with [`ShardHandle::stop`] — dropping the handle
-/// also stops it.
+/// deployments ([`crate::Deployment`]). Kill it with
+/// [`ShardHandle::stop`] — dropping the handle also stops it.
 pub struct ShardHandle {
     pub addr: std::net::SocketAddr,
     stop: Arc<AtomicBool>,
@@ -178,15 +177,17 @@ impl ShardHandle {
     /// Bind a loopback listener and serve `snap` (as generation 0) on a
     /// new thread.
     pub fn spawn(snap: TableSnapshot) -> io::Result<ShardHandle> {
-        ShardHandle::spawn_versioned(VersionedTables {
-            generation: 0,
-            snap,
-        })
+        ShardHandle::spawn_on(
+            TcpListener::bind(("127.0.0.1", 0))?,
+            VersionedTables {
+                generation: 0,
+                snap,
+            },
+        )
     }
 
-    /// Bind a loopback listener and serve an already-stamped table set.
-    pub fn spawn_versioned(tables: VersionedTables) -> io::Result<ShardHandle> {
-        let listener = TcpListener::bind(("127.0.0.1", 0))?;
+    /// Serve an already-stamped table set on `listener`, on a new thread.
+    pub fn spawn_on(listener: TcpListener, tables: VersionedTables) -> io::Result<ShardHandle> {
         let addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
         let stop2 = Arc::clone(&stop);

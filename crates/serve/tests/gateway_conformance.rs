@@ -17,7 +17,7 @@
 
 use dw_graph::{NodeId, INFINITY};
 use dw_serve::{
-    spawn_loopback, ApplyReport, ClientReply, ClientRequest, Gateway, GatewayConfig, QueryOutcome,
+    ApplyReport, ClientReply, ClientRequest, Deployment, Gateway, GatewayConfig, QueryOutcome,
     QueryReply, QueryRequest, ReplyBatch, RowPatch, ServeClient, ShardFrame, ShardHandle,
     ShardReply, SourceTable, TableDelta, TableSnapshot, CLIENT_WRITE_TIMEOUT,
 };
@@ -233,13 +233,6 @@ fn path_snapshot(n: u32) -> TableSnapshot {
     }
 }
 
-fn stop_all(mut gw: Gateway, mut shards: Vec<ShardHandle>) {
-    gw.shutdown();
-    for s in &mut shards {
-        s.stop();
-    }
-}
-
 #[test]
 fn queries_parked_during_a_round_trip_ship_as_one_frame_behind_the_install() {
     // Shard 0 owns sources 0..4 and is the slow one; shard 1 owns 4..8.
@@ -350,8 +343,8 @@ fn no_query_waits_on_a_clock() {
         cache_capacity: 0,
         ..GatewayConfig::default()
     };
-    let (gw, shards, _) = spawn_loopback(&path_snapshot(64), 1, cfg).unwrap();
-    let mut client = ServeClient::connect(gw.addr, PATIENCE).unwrap();
+    let d = Deployment::spawn(&path_snapshot(64), 1, cfg).unwrap();
+    let mut client = d.client().unwrap();
     let mut best = Duration::MAX;
     for i in 0..5000u32 {
         let t0 = Instant::now();
@@ -371,8 +364,6 @@ fn no_query_waits_on_a_clock() {
         best < OLD_TICK,
         "fastest of 5000 cache-miss round trips took {best:?}"
     );
-    drop(client);
-    stop_all(gw, shards);
 }
 
 #[test]
@@ -474,8 +465,8 @@ fn reply_frames_from_two_writers_never_interleave() {
     // decode below or break the id/answer pairing.
     const N: u32 = 4096;
     const ASKED: u64 = 2000;
-    let (gw, shards, _) = spawn_loopback(&path_snapshot(N), 1, GatewayConfig::default()).unwrap();
-    let mut warm = ServeClient::connect(gw.addr, PATIENCE).unwrap();
+    let d = Deployment::spawn(&path_snapshot(N), 1, GatewayConfig::default()).unwrap();
+    let mut warm = d.client().unwrap();
     warm.query(0, N - 1, true).unwrap();
 
     // Even ids ask the cached pair, odd ids a pair nobody asked before.
@@ -486,7 +477,7 @@ fn reply_frames_from_two_writers_never_interleave() {
             N - 2 - id as u32
         }
     };
-    let mut client = RawClient::connect(gw.addr);
+    let mut client = RawClient::connect(d.gateway.addr);
     let mut writer = RawClient {
         stream: client.stream.try_clone().unwrap(),
         scratch: Vec::new(),
@@ -512,10 +503,8 @@ fn reply_frames_from_two_writers_never_interleave() {
         assert!(!std::mem::replace(&mut seen[reply.id as usize], true));
     }
     asking.join().unwrap();
-    let stats = gw.stats();
+    let stats = d.gateway.stats();
     assert!(stats.cache_hits >= ASKED / 2 && stats.batched_queries >= ASKED / 2);
-    drop((client, warm));
-    stop_all(gw, shards);
 }
 
 #[test]
@@ -528,9 +517,9 @@ fn a_client_that_stops_reading_is_dropped_and_delays_nobody_for_long() {
         cache_capacity: 0,
         ..GatewayConfig::default()
     };
-    let (gw, shards, _) = spawn_loopback(&path_snapshot(N), 1, cfg).unwrap();
+    let d = Deployment::spawn(&path_snapshot(N), 1, cfg).unwrap();
 
-    let mut stalled = RawClient::connect(gw.addr);
+    let mut stalled = RawClient::connect(d.gateway.addr);
     for id in 0..FLOOD {
         stalled.ask(id, 0, N - 1, true);
     }
@@ -538,7 +527,7 @@ fn a_client_that_stops_reading_is_dropped_and_delays_nobody_for_long() {
     // A well-behaved client on another connection keeps asking the same
     // shard until the stalled one is gone.
     let done = Arc::new(AtomicBool::new(false));
-    let (done2, addr) = (Arc::clone(&done), gw.addr);
+    let (done2, addr) = (Arc::clone(&done), d.gateway.addr);
     let bystander = std::thread::spawn(move || {
         let mut c = ServeClient::connect(addr, PATIENCE).unwrap();
         let mut worst = Duration::ZERO;
@@ -597,7 +586,6 @@ fn a_client_that_stops_reading_is_dropped_and_delays_nobody_for_long() {
         worst < CLIENT_WRITE_TIMEOUT + Duration::from_secs(2),
         "a bystander waited {worst:?} (stalled client dropped after {dropped_after:?})"
     );
-    stop_all(gw, shards);
 }
 
 /// Write `frame` in two halves with a pause between them that outlasts
@@ -612,8 +600,8 @@ fn write_in_two_halves(stream: &mut TcpStream, frame: &[u8]) {
 
 #[test]
 fn a_pause_inside_an_apply_tables_frame_still_gets_apply_done() {
-    let (gw, shards, _) = spawn_loopback(&path_snapshot(64), 2, GatewayConfig::default()).unwrap();
-    let mut client = RawClient::connect(gw.addr);
+    let d = Deployment::spawn(&path_snapshot(64), 2, GatewayConfig::default()).unwrap();
+    let mut client = RawClient::connect(d.gateway.addr);
     let mut frame = Vec::new();
     let req = ClientRequest::ApplyTables {
         generation: 1,
@@ -628,8 +616,6 @@ fn a_pause_inside_an_apply_tables_frame_still_gets_apply_done() {
         }
         other => panic!("expected ApplyDone, got {other:?}"),
     }
-    drop(client);
-    stop_all(gw, shards);
 }
 
 #[test]
@@ -653,9 +639,8 @@ fn a_pause_inside_an_install_frame_still_gets_installed() {
 
 #[test]
 fn shutdown_does_not_wait_for_attached_clients() {
-    let (mut gw, mut shards, _) =
-        spawn_loopback(&path_snapshot(64), 2, GatewayConfig::default()).unwrap();
-    let mut idle = ServeClient::connect(gw.addr, PATIENCE).unwrap();
+    let d = Deployment::spawn(&path_snapshot(64), 2, GatewayConfig::default()).unwrap();
+    let mut idle = d.client().unwrap();
     assert_eq!(
         idle.query(0, 5, false).unwrap(),
         QueryOutcome::Dist { dist: 5 }
@@ -665,10 +650,7 @@ fn shutdown_does_not_wait_for_attached_clients() {
     // test instead of hanging it.
     let (returned_tx, returned) = channel();
     let stopping = std::thread::spawn(move || {
-        gw.shutdown();
-        for s in &mut shards {
-            s.stop();
-        }
+        drop(d);
         let _ = returned_tx.send(());
     });
     returned
@@ -746,22 +728,22 @@ fn a_delta_on_a_base_the_fleet_may_not_hold_is_refused_then_sent_whole() {
         ..GatewayConfig::default()
     };
     let g0 = all_rows(8, 0);
-    let (gw, shards, _) = spawn_loopback(&g0, 2, cfg).unwrap();
+    let d = Deployment::spawn(&g0, 2, cfg).unwrap();
     let g1 = with_cell(&g0, 0, 5, 1);
     let g2 = with_cell(&g1, 5, 2, 2);
     let g3 = with_cell(&g2, 0, 5, 3);
 
     // Client `a` pushes generation 1; client `b` then pushes 2, so the
     // base `a` remembers is no longer what the fleet holds.
-    let mut a = ServeClient::connect(gw.addr, PATIENCE).unwrap();
-    let mut b = ServeClient::connect(gw.addr, PATIENCE).unwrap();
+    let mut a = d.client().unwrap();
+    let mut b = d.client().unwrap();
     assert!(a.apply_tables(1, &g1).unwrap().accepted);
     assert!(b.apply_tables(2, &g2).unwrap().accepted);
 
     // On the wire: a delta onto generation 1 is refused, typed, and
     // changes nothing.
-    let before = gw.stats();
-    let mut raw = RawClient::connect(gw.addr);
+    let before = d.gateway.stats();
+    let mut raw = RawClient::connect(d.gateway.addr);
     let stale = ClientRequest::ApplyTables {
         generation: 3,
         delta: TableDelta::between(1, &g1, &g3),
@@ -771,14 +753,14 @@ fn a_delta_on_a_base_the_fleet_may_not_hold_is_refused_then_sent_whole() {
         read_frame::<_, ClientReply>(&mut raw.stream).unwrap(),
         Some(ClientReply::NeedFull)
     );
-    assert_eq!((gw.generation(), gw.stats()), (2, before));
+    assert_eq!((d.gateway.generation(), d.gateway.stats()), (2, before));
 
     // Through `ServeClient` the refusal is one extra round trip: the
     // same generation goes whole and lands.
     let report = a.apply_tables(3, &g3).unwrap();
     assert!(report.accepted && report.full, "{report:?}");
     assert_eq!(report.generation, 3);
-    let after = gw.stats();
+    let after = d.gateway.stats();
     assert_eq!(after.installs_full, before.installs_full + 1);
     assert_eq!(
         after.install_bytes,
@@ -789,8 +771,6 @@ fn a_delta_on_a_base_the_fleet_may_not_hold_is_refused_then_sent_whole() {
     let report = a.apply_tables(4, &with_cell(&g3, 6, 1, 4)).unwrap();
     assert!(report.accepted && !report.full, "{report:?}");
     assert_eq!(a.dist(6, 1).unwrap(), QueryOutcome::Dist { dist: 4 });
-    drop((a, b, raw));
-    stop_all(gw, shards);
 }
 
 #[test]
@@ -892,7 +872,7 @@ fn a_probe_mid_swap_never_sees_a_half_applied_generation() {
     let valid: Vec<[QueryOutcome; 2]> = (0..2)
         .map(|s| [answer(&plain, s), answer(&detour, s)])
         .collect();
-    let (gw, shards, _) = spawn_loopback(&plain, 2, cfg).unwrap();
+    let d = Deployment::spawn(&plain, 2, cfg).unwrap();
 
     // The hammer walks both rows' paths through every swap: each walk
     // reads cells the delta moves and cells it does not, so a row
@@ -903,7 +883,7 @@ fn a_probe_mid_swap_never_sees_a_half_applied_generation() {
         Arc::new(AtomicU64::new(0)),
     );
     let hammer = {
-        let (stop, landed, addr) = (Arc::clone(&stop), Arc::clone(&landed), gw.addr);
+        let (stop, landed, addr) = (Arc::clone(&stop), Arc::clone(&landed), d.gateway.addr);
         std::thread::spawn(move || {
             let mut c = ServeClient::connect(addr, PATIENCE).unwrap();
             let mut i = 0u32;
@@ -916,8 +896,8 @@ fn a_probe_mid_swap_never_sees_a_half_applied_generation() {
             }
         })
     };
-    let mut push = ServeClient::connect(gw.addr, PATIENCE).unwrap();
-    let mut fence = ServeClient::connect(gw.addr, PATIENCE).unwrap();
+    let mut push = d.client().unwrap();
+    let mut fence = d.client().unwrap();
     for generation in 1..=16u64 {
         let target = landed.load(Ordering::Relaxed) + 8;
         let t0 = Instant::now();
@@ -935,6 +915,4 @@ fn a_probe_mid_swap_never_sees_a_half_applied_generation() {
     }
     stop.store(true, Ordering::Relaxed);
     hammer.join().unwrap();
-    drop((push, fence));
-    stop_all(gw, shards);
 }
