@@ -22,23 +22,31 @@
 //! within a round the worker replicates the simulator's phase order and
 //! delivery order *exactly*, which is what the conformance suite checks:
 //!
-//! 1. per hosted node, deliver delay-faulted messages parked locally
-//!    whose due round has arrived (due-round then arrival order — the
-//!    simulator's `BTreeMap` pop order);
-//! 2. send phase, nodes in id order (the simulator's loop order): poll
-//!    the protocol, validate CONGEST constraints in the shared
-//!    [`NodeRunner`], evaluate the pure fault plan sender-side, deliver
-//!    intra-shard messages in place and batch cross-shard ones;
+//! 1. deliver the delay-faulted messages parked on the shard whose due
+//!    round has arrived (due-round then arrival order — the simulator's
+//!    `BTreeMap` pop order);
+//! 2. send phase, due nodes only, in id order (the simulator's loop
+//!    order): the worker keeps the simulator's active-set schedule
+//!    (DESIGN.md §7) — a cached next send round per hosted node in a
+//!    lazy min-heap — and polls the nodes whose round has come, which
+//!    under the `earliest_send` contract are the only ones that can
+//!    send; each poll validates CONGEST constraints in the shared
+//!    [`NodeRunner`], evaluates the pure fault plan sender-side,
+//!    delivers intra-shard messages in place and batches cross-shard
+//!    ones;
 //! 3. ship one batch and one [`Frame::EndRound`] marker per peer shard;
 //! 4. collect frames until every peer shard's marker is in (per-link
-//!    FIFO makes the marker a completeness proof), staging entries in
-//!    the destination node's neighbor-rank (= sender id) buffers;
-//! 5. stable-sort late-touched inboxes by sender (the simulator sorts
-//!    those only — for every other inbox the sort is the identity);
-//! 6. receive phase for nodes whose inbox is non-empty;
-//! 7. one `Done` with the summed send and late counts and the minimal
-//!    `earliest_send` hint and parked due round — everything the
-//!    coordinator needs to replicate the simulator's `run` loop.
+//!    FIFO makes the marker a completeness proof), appending entries to
+//!    the destination node's inbox and listing it as touched;
+//! 5. stable-sort each touched inbox by sender — one sender's messages
+//!    keep their emission order, so this is the simulator's delivery
+//!    order;
+//! 6. receive phase for the touched nodes only;
+//! 7. re-query `earliest_send` for the polled and touched nodes (no
+//!    other node's state changed), then one `Done` with the summed send
+//!    and late counts, the cached schedule's minimum as the hint and the
+//!    first parked due round — everything the coordinator needs to
+//!    replicate the simulator's `run` loop.
 //!
 //! Bit-identity with the simulator holds for every P because every
 //! reduction the coordinator performs is associative: `Done` sums
@@ -54,8 +62,9 @@
 //! hold *cross-shard* traffic only (intra-shard traffic is re-derived by
 //! re-executing the hosted nodes together), liveness pings are
 //! answered, and a worker killed by a [`crate::chaos::ChaosPlan`]
-//! rejoins by restoring every hosted node from the shard snapshot and
-//! replaying peer-shard [`Frame::BatchReplay`] batches.
+//! rejoins by restoring every hosted node from the shard snapshot,
+//! rebuilding the schedule from the restored states, and replaying
+//! peer-shard [`Frame::BatchReplay`] batches.
 
 use crate::chaos::{ChaosPlan, LinkNemesis, LinkVerdict};
 use crate::error::TransportError;
@@ -65,7 +74,8 @@ use dw_congest::{
     SendSink, WireCodec,
 };
 use dw_graph::{NodeId, WGraph};
-use std::collections::{BTreeMap, VecDeque};
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 
 /// One worker's view of the transport: typed sends to peer workers and
 /// the coordinator, and a single blocking event stream multiplexing
@@ -229,28 +239,51 @@ impl ShardMap {
     }
 }
 
-/// One due round's parked delayed messages in snapshot wire form.
-type PendingBatch<M> = (Round, Vec<(NodeId, M)>);
+/// One due round's parked delayed messages `(to, from, msg)` in
+/// snapshot wire form.
+type ParkedBatch<M> = (Round, Vec<(NodeId, NodeId, M)>);
 
 /// A cross-shard replay record: `(emission round, entry)`.
 type ShardReplayRecord<M> = (Round, BatchEntry<M>);
 
-/// One node's per-rank parked (delay-faulted) staging buffers.
-type ParkedBuf<M> = Vec<Vec<(Round, M)>>;
-
-/// One hosted node's private state inside a [`ShardWorker`]. The
-/// per-rank `fresh`/`parked` staging buffers live on the shard (indexed
-/// by local node index) so the send phase can borrow one node's runner
-/// and every node's staging buffers disjointly.
-struct NodeState<'g, P: Protocol> {
+/// One hosted node's private state inside a [`ShardWorker`]. Its inbox
+/// lives in the shard's [`Mailboxes`] so the send phase can borrow one
+/// node's runner and every node's inbox disjointly.
+struct NodeState<P: Protocol> {
     runner: NodeRunner<P>,
-    nbrs: &'g [NodeId],
-    /// Delay-faulted messages parked until their due round.
-    pending: BTreeMap<Round, Vec<(NodeId, P::Msg)>>,
     tally: LocalTally,
-    inbox: Vec<Envelope<P::Msg>>,
-    /// This round's late-delivery count (transient, reset each round).
-    late: u64,
+}
+
+/// Every hosted node's incoming mail. An inbox fills in arrival order
+/// and is stable-sorted by sender before its receive, which reproduces
+/// the simulator's sender-order delivery (one sender's messages keep
+/// their emission order). `touched` lists the nodes whose inbox went
+/// non-empty this round — the receive phase walks those only.
+struct Mailboxes<M> {
+    base: NodeId,
+    inboxes: Vec<Vec<Envelope<M>>>,
+    touched: Vec<u32>,
+    /// Delay-faulted messages `(to, from, msg)` parked until their due
+    /// round, in arrival order within a round.
+    parked: BTreeMap<Round, Vec<(NodeId, NodeId, M)>>,
+}
+
+impl<M> Mailboxes<M> {
+    fn push(&mut self, from: NodeId, to: NodeId, msg: M) {
+        let local = (to - self.base) as usize;
+        if self.inboxes[local].is_empty() {
+            self.touched.push(local as u32);
+        }
+        self.inboxes[local].push(Envelope::new(from, msg));
+    }
+
+    fn deliver(&mut self, round: Round, from: NodeId, to: NodeId, due: Round, msg: M) {
+        if due == round {
+            self.push(from, to, msg);
+        } else {
+            self.parked.entry(due).or_default().push((to, from, msg));
+        }
+    }
 }
 
 /// The transport [`SendSink`]: evaluates the fault plan at the sender
@@ -259,17 +292,15 @@ struct NodeState<'g, P: Protocol> {
 /// nowhere; a delayed message travels immediately, stamped with its due
 /// round, and is parked at the *receiver* — keeping the wire
 /// round-synchronous so end-of-round markers stay a completeness proof.
-/// Intra-shard messages land directly in the receiver's staging
-/// buffers (even when `emit` is off — a replayed round must re-deliver
-/// locally, because the receivers lost their state too); cross-shard
-/// messages are appended to the per-peer-shard batch (wire emission,
-/// gated by `emit`) and the replay log (always, so a rejoined shard can
-/// serve its own neighbors later).
+/// Intra-shard messages land directly in the receiver's mailbox (even
+/// when `emit` is off — a replayed round must re-deliver locally,
+/// because the receivers lost their state too); cross-shard messages
+/// are appended to the per-peer-shard batch (wire emission, gated by
+/// `emit`) and the replay log (always, so a rejoined shard can serve
+/// its own neighbors later).
 struct ShardSink<'a, M> {
-    g: &'a WGraph,
     map: &'a ShardMap,
     shard: NodeId,
-    base: NodeId,
     peer_shards: &'a [NodeId],
     faults: Option<&'a FaultPlan>,
     /// Link-nemesis evaluator, consulted before the fault plan —
@@ -279,8 +310,7 @@ struct ShardSink<'a, M> {
     tally: &'a mut LocalTally,
     round: Round,
     emit: bool,
-    fresh: &'a mut [Vec<Vec<M>>],
-    parked: &'a mut [Vec<Vec<(Round, M)>>],
+    mail: &'a mut Mailboxes<M>,
     batches: &'a mut [Vec<BatchEntry<M>>],
     replay: Option<&'a mut Vec<Vec<ShardReplayRecord<M>>>>,
 }
@@ -289,17 +319,7 @@ impl<M: Clone> ShardSink<'_, M> {
     fn put(&mut self, u: NodeId, v: NodeId, due: Round, msg: M) {
         let sv = self.map.shard_of(v);
         if sv == self.shard {
-            let local = (v - self.base) as usize;
-            let rank = self
-                .g
-                .comm_neighbors(v)
-                .binary_search(&u)
-                .expect("sender is a comm neighbor of its target");
-            if due == self.round {
-                self.fresh[local][rank].push(msg);
-            } else {
-                self.parked[local][rank].push((due, msg));
-            }
+            self.mail.deliver(self.round, u, v, due, msg);
         } else {
             let ps = self
                 .peer_shards
@@ -388,11 +408,16 @@ struct ShardWorker<'g, P: Protocol> {
     g: &'g WGraph,
     map: &'g ShardMap,
     cfg: &'g TransportConfig,
-    nodes: Vec<NodeState<'g, P>>,
-    /// Per-node per-rank fresh staging buffers, `[local][rank]`.
-    fresh: Vec<Vec<Vec<P::Msg>>>,
-    /// Per-node per-rank parked (delay-faulted) staging buffers.
-    parked: Vec<ParkedBuf<P::Msg>>,
+    nodes: Vec<NodeState<P>>,
+    mail: Mailboxes<P::Msg>,
+    /// The active-set schedule (DESIGN.md §7): each hosted node's cached
+    /// next send round (`Round::MAX` = dormant, or polled this round)
+    /// and a lazy min-heap of `(round, local)` entries, valid iff the
+    /// round still equals the cache. A round polls the due nodes only.
+    next_send: Vec<Round>,
+    schedule: BinaryHeap<Reverse<(Round, u32)>>,
+    /// This round's polled nodes (scratch).
+    polled: Vec<u32>,
     /// Sorted peer shards (shards sharing at least one comm link).
     peer_shards: Vec<NodeId>,
     /// This round's outgoing cross-shard batches, per peer-shard rank.
@@ -431,6 +456,7 @@ struct ShardWorker<'g, P: Protocol> {
 }
 
 impl<'g, P: Protocol> ShardWorker<'g, P> {
+    /// Wrap the hosted nodes, run their `init` and seed the schedule.
     fn new(
         map: &'g ShardMap,
         shard: NodeId,
@@ -450,35 +476,30 @@ impl<'g, P: Protocol> ShardWorker<'g, P> {
         );
         let peer_shards = map.peer_shards(g, shard);
         let deg = peer_shards.len();
-        let states: Vec<NodeState<'g, P>> = range
-            .clone()
+        let states: Vec<NodeState<P>> = range
             .zip(nodes)
             .map(|(id, node)| NodeState {
                 runner: NodeRunner::new(id, g, node),
-                nbrs: g.comm_neighbors(id),
-                pending: BTreeMap::new(),
                 tally: LocalTally::default(),
-                inbox: Vec::new(),
-                late: 0,
             })
             .collect();
-        let fresh = states
-            .iter()
-            .map(|st| (0..st.nbrs.len()).map(|_| Vec::new()).collect())
-            .collect();
-        let parked = states
-            .iter()
-            .map(|st| (0..st.nbrs.len()).map(|_| Vec::new()).collect())
-            .collect();
-        ShardWorker {
+        let hosted = states.len();
+        let mut w = ShardWorker {
             shard,
             base,
             g,
             map,
             cfg,
             nodes: states,
-            fresh,
-            parked,
+            mail: Mailboxes {
+                base,
+                inboxes: (0..hosted).map(|_| Vec::new()).collect(),
+                touched: Vec::new(),
+                parked: BTreeMap::new(),
+            },
+            next_send: Vec::new(),
+            schedule: BinaryHeap::new(),
+            polled: Vec::new(),
             peer_shards,
             batches: (0..deg).map(|_| Vec::new()).collect(),
             replay: buffered.then(|| (0..deg).map(|_| Vec::new()).collect()),
@@ -489,7 +510,48 @@ impl<'g, P: Protocol> ShardWorker<'g, P> {
             current_round: 0,
             state_lost: false,
             link_chaos: cfg.chaos.as_ref().and_then(|p| p.link_nemesis()),
+        };
+        for st in &mut w.nodes {
+            st.runner.init(g);
         }
+        w.rebuild_schedule(1);
+        w
+    }
+
+    /// Re-query every hosted node's `earliest_send(after)` from scratch:
+    /// after `init`, and after a rejoin restored older node states.
+    fn rebuild_schedule(&mut self, after: Round) {
+        self.schedule.clear();
+        self.next_send = vec![Round::MAX; self.nodes.len()];
+        for local in 0..self.nodes.len() {
+            self.refresh(local, after);
+        }
+    }
+
+    /// Re-query one node whose state may have changed; a new answer
+    /// supersedes its heap entry.
+    fn refresh(&mut self, local: usize, after: Round) {
+        let r = self.nodes[local]
+            .runner
+            .earliest_send(after, self.g)
+            .unwrap_or(Round::MAX);
+        if r != self.next_send[local] {
+            self.next_send[local] = r;
+            if r != Round::MAX {
+                self.schedule.push(Reverse((r, local as u32)));
+            }
+        }
+    }
+
+    /// The earliest cached send round, discarding superseded entries.
+    fn next_due(&mut self) -> Option<Round> {
+        while let Some(&Reverse((r, local))) = self.schedule.peek() {
+            if self.next_send[local as usize] == r {
+                return Some(r);
+            }
+            self.schedule.pop();
+        }
+        None
     }
 
     fn peer_rank(&self, from: NodeId) -> Result<usize, TransportError> {
@@ -501,9 +563,9 @@ impl<'g, P: Protocol> ShardWorker<'g, P> {
         })
     }
 
-    /// Route one cross-shard entry into the destination node's staging
-    /// buffers, validating that the destination is hosted here, the
-    /// origin lives on `from_shard`, and the link exists.
+    /// Route one cross-shard entry into the destination node's mailbox,
+    /// validating that the destination is hosted here, the origin lives
+    /// on `from_shard`, and the link exists.
     fn stage_entry(
         &mut self,
         from_shard: NodeId,
@@ -522,22 +584,13 @@ impl<'g, P: Protocol> ShardWorker<'g, P> {
                 self.shard, e.from
             )));
         }
-        let local = (e.to - self.base) as usize;
-        let rank = self
-            .g
-            .comm_neighbors(e.to)
-            .binary_search(&e.from)
-            .map_err(|_| {
-                TransportError::protocol(format!(
-                    "shard {}: batch entry over non-link {} -> {}",
-                    self.shard, e.from, e.to
-                ))
-            })?;
-        if e.due == round {
-            self.fresh[local][rank].push(e.msg);
-        } else {
-            self.parked[local][rank].push((e.due, e.msg));
+        if self.g.comm_neighbors(e.to).binary_search(&e.from).is_err() {
+            return Err(TransportError::protocol(format!(
+                "shard {}: batch entry over non-link {} -> {}",
+                self.shard, e.from, e.to
+            )));
         }
+        self.mail.deliver(round, e.from, e.to, e.due, e.msg);
         Ok(())
     }
 
@@ -590,78 +643,76 @@ impl<'g, P: Protocol> ShardWorker<'g, P> {
         }
     }
 
-    /// Execute one round for every hosted node, in node-id order.
-    /// `live` controls whether anything reaches the wire (batches,
-    /// markers, `Done`); replayed rounds after a crash run with
-    /// `live = false`, repeating all fault decisions and accounting
-    /// without re-delivering across shards — intra-shard delivery always
-    /// happens (local receivers need their input whether or not the wire
-    /// is live). `prefilled` means the round's cross-shard input is
-    /// already staged in `fresh`/`parked` (from replay batches) and the
-    /// collection loop is skipped.
+    /// Execute one round: the due nodes send, in node-id order, and the
+    /// nodes that got mail receive. `live` controls whether anything
+    /// reaches the wire (batches, markers, `Done`); replayed rounds
+    /// after a crash run with `live = false`, repeating all fault
+    /// decisions and accounting without re-delivering across shards —
+    /// intra-shard delivery always happens (local receivers need their
+    /// input whether or not the wire is live). `replayed` holds a
+    /// rejoin's replay batches: the round's cross-shard input comes from
+    /// them instead of the collection loop.
     fn run_round<E: NodeEndpoint<P::Msg>>(
         &mut self,
         round: Round,
         endpoint: &mut E,
         live: bool,
-        prefilled: bool,
+        replayed: Option<&mut [VecDeque<ShardReplayRecord<P::Msg>>]>,
     ) -> Result<(), TransportError> {
         self.current_round = round;
 
-        // --- 1. late deliveries from delay faults, per node ---
+        // --- 1. late deliveries from delay faults ---
         let mut late_total = 0u64;
-        for st in &mut self.nodes {
-            st.late = 0;
-            while let Some((&due, _)) = st.pending.first_key_value() {
-                if due > round {
-                    break;
-                }
-                if let Some((_, batch)) = st.pending.pop_first() {
-                    for (from, msg) in batch {
-                        st.inbox.push(Envelope::new(from, msg));
-                        st.late += 1;
-                    }
-                }
+        while let Some(entry) = self.mail.parked.first_entry() {
+            if *entry.key() > round {
+                break;
             }
-            st.tally.late_delivered += st.late;
-            late_total += st.late;
+            for (to, from, msg) in entry.remove() {
+                self.nodes[(to - self.base) as usize].tally.late_delivered += 1;
+                self.mail.push(from, to, msg);
+                late_total += 1;
+            }
         }
 
-        // --- 2. send phase, per node; intra-shard messages are
+        // --- 2. send phase, due nodes only; intra-shard messages are
         //        delivered in place, cross-shard ones accumulate in the
         //        per-peer-shard batches ---
+        while self.next_due().is_some_and(|r| r <= round) {
+            if let Some(Reverse((_, local))) = self.schedule.pop() {
+                self.next_send[local as usize] = Round::MAX;
+                self.polled.push(local);
+            }
+        }
+        self.polled.sort_unstable();
         let mut sent_total = 0u64;
         {
             let ShardWorker {
                 shard,
-                base,
                 g,
                 map,
                 cfg,
                 nodes,
-                fresh,
-                parked,
+                mail,
+                polled,
                 peer_shards,
                 batches,
                 replay,
                 link_chaos,
                 ..
             } = self;
-            for st in nodes.iter_mut() {
+            for &local in polled.iter() {
+                let st = &mut nodes[local as usize];
                 st.runner.poll_send(round, g);
                 let mut sink = ShardSink {
-                    g,
                     map,
                     shard: *shard,
-                    base: *base,
                     peer_shards,
                     faults: cfg.faults.as_ref(),
                     chaos: link_chaos.as_mut(),
                     tally: &mut st.tally,
                     round,
                     emit: live,
-                    fresh,
-                    parked,
+                    mail,
                     batches,
                     replay: replay.as_mut(),
                 };
@@ -692,58 +743,68 @@ impl<'g, P: Protocol> ShardWorker<'g, P> {
             );
         }
 
-        // --- 4. collect this round's cross-shard frames ---
-        if live && !prefilled {
-            self.collect_round(round, endpoint)?;
+        // --- 4. collect this round's cross-shard frames (after the
+        //        late deliveries, as on the live path) ---
+        match replayed {
+            Some(batches) => self.prefill_round(batches, round)?,
+            None => self.collect_round(round, endpoint)?,
         }
 
-        // --- 5/6. drain staging, sort late-touched inboxes, receive ---
-        for (local, st) in self.nodes.iter_mut().enumerate() {
-            for rank in 0..st.nbrs.len() {
-                for msg in self.fresh[local][rank].drain(..) {
-                    st.inbox.push(Envelope::new(st.nbrs[rank], msg));
-                }
-                for (due, msg) in self.parked[local][rank].drain(..) {
-                    st.pending
-                        .entry(due)
-                        .or_default()
-                        .push((st.nbrs[rank], msg));
-                }
-            }
-            if st.late > 0 && st.inbox.len() > 1 {
-                st.inbox.sort_by_key(|e| e.from);
-            }
-            if !st.inbox.is_empty() {
-                st.runner.receive(round, &st.inbox, self.g);
-                st.inbox.clear();
-            }
+        // --- 5/6. sort and receive the touched inboxes ---
+        for &local in &self.mail.touched {
+            let inbox = &mut self.mail.inboxes[local as usize];
+            inbox.sort_by_key(|e| e.from);
+            self.nodes[local as usize]
+                .runner
+                .receive(round, inbox, self.g);
+            inbox.clear();
         }
         self.executed += 1;
 
-        // --- 7. one barrier report for the whole shard ---
+        // --- 7. re-query the polled and woken nodes; one barrier report
+        //        for the whole shard ---
+        self.polled.append(&mut self.mail.touched);
+        self.polled.sort_unstable();
+        self.polled.dedup();
+        for i in 0..self.polled.len() {
+            self.refresh(self.polled[i] as usize, round + 1);
+        }
+        self.polled.clear();
         if live {
-            let mut hint = None;
-            let mut pending_due = None;
-            for st in &self.nodes {
-                hint =
-                    crate::coordinator::min_opt(hint, st.runner.earliest_send(round + 1, self.g));
-                pending_due =
-                    crate::coordinator::min_opt(pending_due, st.pending.keys().next().copied());
-            }
             endpoint.send_ctl(CtlMsg::Done {
                 round,
                 sent: sent_total,
                 late: late_total,
-                hint,
-                pending_due,
+                hint: self.next_due(),
+                pending_due: self.mail.parked.keys().next().copied(),
             })?;
+        }
+        Ok(())
+    }
+
+    /// Stage one round's worth of replay entries into the mailboxes.
+    /// Entries per peer shard arrive in emission order, so rounds are
+    /// non-decreasing and a front-drain suffices.
+    fn prefill_round(
+        &mut self,
+        batches: &mut [VecDeque<ShardReplayRecord<P::Msg>>],
+        round: Round,
+    ) -> Result<(), TransportError> {
+        for (ps, batch) in batches.iter_mut().enumerate() {
+            let from_shard = self.peer_shards[ps];
+            while batch.front().is_some_and(|(r, _)| *r == round) {
+                let Some((_, entry)) = batch.pop_front() else {
+                    break;
+                };
+                self.stage_entry(from_shard, entry, round)?;
+            }
         }
         Ok(())
     }
 
     /// The collection loop of a live round: pull frames until every
     /// peer shard's end-of-round marker is in, unpacking batch entries
-    /// into the destination nodes' staging buffers.
+    /// into the destination nodes' mailboxes.
     fn collect_round<E: NodeEndpoint<P::Msg>>(
         &mut self,
         round: Round,
@@ -867,7 +928,7 @@ impl<'g, P: Protocol> ShardWorker<'g, P> {
     ) -> Result<RunOutcome, TransportError> {
         loop {
             match self.wait_ctl(endpoint)? {
-                CtlMsg::Go { round } => self.run_round(round, endpoint, true, false)?,
+                CtlMsg::Go { round } => self.run_round(round, endpoint, true, None)?,
                 CtlMsg::Stop { outcome } => {
                     debug_assert!(
                         self.stash.is_empty(),
@@ -896,8 +957,8 @@ where
     P::Msg: WireCodec,
 {
     /// Serialize the whole shard: the cadence clock once, then every
-    /// hosted node's protocol snapshot, runner accounting, fault tally
-    /// and parked delayed-message queue, in node-id order.
+    /// hosted node's protocol snapshot, runner accounting and fault
+    /// tally in node-id order, then the parked delayed messages.
     fn encode_snapshot(&self, out: &mut Vec<u8>) {
         self.executed.encode(out);
         for st in &self.nodes {
@@ -906,13 +967,14 @@ where
             proto.encode(out);
             st.runner.encode_accounting(out);
             st.tally.encode(out);
-            let pending: Vec<PendingBatch<P::Msg>> = st
-                .pending
-                .iter()
-                .map(|(&due, batch)| (due, batch.clone()))
-                .collect();
-            pending.encode(out);
         }
+        let parked: Vec<ParkedBatch<P::Msg>> = self
+            .mail
+            .parked
+            .iter()
+            .map(|(&due, batch)| (due, batch.clone()))
+            .collect();
+        parked.encode(out);
         // Shard-wide bandwidth-cap water-filling state, for replaying
         // identical spill decisions after a crash.
         let chaos_state = self
@@ -934,9 +996,9 @@ where
             }
             st.runner.restore_accounting(buf)?;
             st.tally = LocalTally::decode(buf)?;
-            let pending = Vec::<PendingBatch<P::Msg>>::decode(buf)?;
-            st.pending = pending.into_iter().collect();
         }
+        let parked = Vec::<ParkedBatch<P::Msg>>::decode(buf)?;
+        self.mail.parked = parked.into_iter().collect();
         let chaos_state = Vec::<((NodeId, NodeId), (Round, u64))>::decode(buf)?;
         if let Some(nem) = &mut self.link_chaos {
             nem.restore(chaos_state);
@@ -966,31 +1028,11 @@ where
         Ok(())
     }
 
-    /// Stage one round's worth of replay entries into the staging
-    /// buffers. Entries per peer shard arrive in emission order, so
-    /// rounds are non-decreasing and a front-drain suffices.
-    fn prefill_round(
-        &mut self,
-        batches: &mut [VecDeque<ShardReplayRecord<P::Msg>>],
-        round: Round,
-    ) -> Result<(), TransportError> {
-        for (ps, batch) in batches.iter_mut().enumerate() {
-            let from_shard = self.peer_shards[ps];
-            while batch.front().is_some_and(|(r, _)| *r == round) {
-                let Some((_, entry)) = batch.pop_front() else {
-                    break;
-                };
-                self.stage_entry(from_shard, entry, round)?;
-            }
-        }
-        Ok(())
-    }
-
     /// The crash: discard every hosted node's dynamic state and go
-    /// silent, then rejoin — restore the shard snapshot, collect one
-    /// replay batch per peer shard, re-execute the lost rounds without
-    /// emitting (intra-shard traffic regenerates locally), and execute
-    /// the crash round live.
+    /// silent, then rejoin — restore the shard snapshot and rebuild the
+    /// schedule from it, collect one replay batch per peer shard,
+    /// re-execute the lost rounds without emitting (intra-shard traffic
+    /// regenerates locally), and execute the crash round live.
     fn crash_and_rejoin<E: NodeEndpoint<P::Msg>>(
         &mut self,
         endpoint: &mut E,
@@ -1000,20 +1042,13 @@ where
         self.state_lost = true;
         self.stash.clear();
         for st in &mut self.nodes {
-            st.pending.clear();
-            st.inbox.clear();
             st.tally = LocalTally::default();
         }
-        for node_bufs in self.fresh.iter_mut() {
-            for b in node_bufs.iter_mut() {
-                b.clear();
-            }
+        for &local in &self.mail.touched {
+            self.mail.inboxes[local as usize].clear();
         }
-        for node_bufs in self.parked.iter_mut() {
-            for b in node_bufs.iter_mut() {
-                b.clear();
-            }
-        }
+        self.mail.touched.clear();
+        self.mail.parked.clear();
         for b in &mut self.batches {
             b.clear();
         }
@@ -1078,6 +1113,7 @@ where
         }
         self.last_checkpoint = checkpoint_round;
         self.prev_checkpoint = checkpoint_round;
+        self.rebuild_schedule(checkpoint_round + 1);
 
         // Collect the remaining replay batches; pings get answered.
         while got_count < deg {
@@ -1119,18 +1155,16 @@ where
         // batches, intra-shard input regenerated by the hosted nodes
         // executing together.
         for &rho in &executed_rounds {
-            self.prefill_round(&mut batches, rho)?;
-            self.run_round(rho, endpoint, false, true)?;
+            self.run_round(rho, endpoint, false, Some(&mut batches))?;
         }
 
         // The crash round runs live, unblocking the peer shards parked
         // in its collection loop.
-        self.prefill_round(&mut batches, round)?;
+        self.run_round(round, endpoint, true, Some(&mut batches))?;
         debug_assert!(
             batches.iter().all(|b| b.is_empty()),
             "replay batches contained rounds outside (checkpoint, crash]"
         );
-        self.run_round(round, endpoint, true, true)?;
         self.state_lost = false;
         Ok(())
     }
@@ -1182,7 +1216,7 @@ where
                         died = true;
                         self.crash_and_rejoin(endpoint, pristine)?;
                     } else {
-                        self.run_round(round, endpoint, true, false)?;
+                        self.run_round(round, endpoint, true, None)?;
                     }
                     if let Some(k) = self.cfg.checkpoint_cadence {
                         if k > 0 && self.executed.is_multiple_of(k) {
@@ -1247,9 +1281,6 @@ where
     E: NodeEndpoint<P::Msg>,
 {
     let mut w = ShardWorker::new(map, shard, g, cfg, nodes, false);
-    for st in &mut w.nodes {
-        st.runner.init(g);
-    }
     match w.drive_plain(endpoint) {
         Ok(outcome) => finish(w, outcome, endpoint),
         Err(error) => Err(Box::new(ShardError {
@@ -1279,9 +1310,6 @@ where
     let pristine = nodes.clone();
     let buffered = cfg.checkpoint_cadence.is_some();
     let mut w = ShardWorker::new(map, shard, g, cfg, nodes, buffered);
-    for st in &mut w.nodes {
-        st.runner.init(g);
-    }
     match w.drive_recoverable(endpoint, &pristine) {
         Ok(outcome) => finish(w, outcome, endpoint),
         Err(error) => {

@@ -11,8 +11,10 @@
 //! multiplexes its sockets into one event queue with a reader thread
 //! per connection; TCP's per-stream ordering gives the per-link FIFO
 //! guarantee the round protocol relies on. Outbound, a round is at most
-//! one `RoundBatch` plus one `EndRound` per peer, which a buffered
-//! writer thread per peer turns into (typically) a single syscall.
+//! one `RoundBatch` plus one `EndRound` per peer, which the worker
+//! thread writes itself through a per-peer `BufWriter` flushed at the
+//! marker: one write per peer per round, with no writer thread to wake,
+//! and a failed write is a typed error at the call.
 //!
 //! The coordinator ([`run_coordinator_tcp`]) accepts every worker, then
 //! parks one blocking reader thread on each connection: a `Done` wakes
@@ -211,15 +213,15 @@ fn connect_links(
     Ok(links)
 }
 
-/// A worker's socket bundle. Outbound frames to each peer are queued on
-/// a channel and drained by a dedicated writer thread into one
-/// `BufWriter`, flushed when the queue is momentarily empty — a round's
-/// `RoundBatch` + `EndRound` pair usually leaves as one write. Inbound
-/// traffic is multiplexed by reader threads into `rx`.
+/// A worker's socket bundle. The worker thread writes its outbound
+/// frames itself, into one `BufWriter` per peer shard flushed at every
+/// `EndRound` and `BatchReplay`: a round's `RoundBatch` + `EndRound`
+/// pair leaves as one write. Inbound traffic is multiplexed by reader
+/// threads into `rx`.
 struct ShardTcpNode<M> {
     shard: NodeId,
-    /// Frame queues to each peer shard's writer thread, rank order.
-    peers: Vec<(NodeId, Sender<Frame<M>>)>,
+    /// Buffered link sockets to each peer shard, rank order.
+    peers: Vec<(NodeId, BufWriter<TcpStream>)>,
     ctl: TcpStream,
     rx: Receiver<Event<M>>,
     scratch: Vec<u8>,
@@ -236,14 +238,15 @@ impl<M: WireCodec> NodeEndpoint<M> for ShardTcpNode<M> {
                     self.shard
                 ))
             })?;
-        // A writer thread that hit a socket error drops its receiver;
-        // the disconnect surfaces here as a typed peer-lost error.
-        self.peers[i].1.send(frame).map_err(|_| {
-            TransportError::peer_lost(format!(
-                "shard {}: writer thread to shard {to} is gone",
-                self.shard
-            ))
-        })
+        let w = &mut self.peers[i].1;
+        write_frame(w, &frame, &mut self.scratch)
+            .and_then(|()| match frame {
+                Frame::RoundBatch { .. } => Ok(()),
+                _ => w.flush(),
+            })
+            .map_err(|e| {
+                TransportError::peer_lost(format!("shard {}: link to {to}: {e}", self.shard))
+            })
     }
     fn send_ctl(&mut self, msg: CtlMsg) -> Result<(), TransportError> {
         write_frame(&mut self.ctl, &msg, &mut self.scratch).map_err(|e| {
@@ -257,52 +260,7 @@ impl<M: WireCodec> NodeEndpoint<M> for ShardTcpNode<M> {
     }
 }
 
-/// Writer-thread body for one peer-shard link: block for the next
-/// frame, then greedily drain everything already queued into the
-/// buffered stream and flush once. A write or flush error is reported
-/// into the shared event queue as [`Event::Lost`] and ends the thread
-/// (dropping the queue receiver, so senders observe the loss).
-fn peer_writer<M: WireCodec>(
-    to: NodeId,
-    stream: TcpStream,
-    frames: Receiver<Frame<M>>,
-    events: Sender<Event<M>>,
-) {
-    let mut w = BufWriter::new(stream);
-    let mut scratch = Vec::new();
-    'session: while let Ok(first) = frames.recv() {
-        let mut burst = Some(first);
-        loop {
-            let frame = match burst.take() {
-                Some(f) => f,
-                None => match frames.try_recv() {
-                    Ok(f) => f,
-                    Err(_) => break, // queue momentarily empty (or closing): flush the burst
-                },
-            };
-            if let Err(e) = write_frame(&mut w, &frame, &mut scratch) {
-                let _ = events.send(Event::Lost {
-                    from: Some(to),
-                    detail: format!("writer to shard {to}: {e}"),
-                });
-                break 'session;
-            }
-        }
-        if let Err(e) = w.flush() {
-            let _ = events.send(Event::Lost {
-                from: Some(to),
-                detail: format!("writer to shard {to}: flush: {e}"),
-            });
-            break;
-        }
-    }
-    // Queue closed (normal teardown) or the socket died: flush what
-    // remains and send FIN so the peer's reader sees a clean EOF.
-    let _ = w.flush();
-    let _ = w.get_ref().shutdown(Shutdown::Write);
-}
-
-/// Socket setup plus reader/writer-thread lifecycle around one worker
+/// Socket setup plus reader-thread lifecycle around one worker
 /// drive function ([`shard_main`] or [`shard_main_recoverable`] —
 /// everything else is identical between the plain and the recoverable
 /// entry points).
@@ -340,7 +298,7 @@ where
 
     let (tx, rx) = channel();
     std::thread::scope(|s| {
-        let mut peers: Vec<(NodeId, Sender<Frame<P::Msg>>)> = Vec::with_capacity(links.len());
+        let mut peers = Vec::with_capacity(links.len());
         for (u, stream) in links {
             let Ok(read_half) = stream.try_clone() else {
                 return Err(Box::new(ShardError {
@@ -350,12 +308,9 @@ where
                     nodes: None,
                 }));
             };
-            let (ftx, frx) = channel();
             let rtx = tx.clone();
-            let etx = tx.clone();
             s.spawn(move || peer_reader::<P::Msg>(u, read_half, rtx));
-            s.spawn(move || peer_writer::<P::Msg>(u, stream, frx, etx));
-            peers.push((u, ftx));
+            peers.push((u, BufWriter::new(stream)));
         }
         {
             let Ok(read_half) = ctl.try_clone() else {
@@ -378,12 +333,14 @@ where
             scratch: Vec::new(),
         };
         let result = drive(nodes, &mut ep);
-        // Closing the frame queues makes each writer flush and FIN its
-        // socket; the FIN cascade unblocks every reader (ours and the
-        // peers') with a clean EOF so the scope joins. Runs on the error
-        // path too — an aborted worker must not wedge its neighbors'
-        // readers.
-        ep.peers.clear();
+        // FIN every socket: the cascade unblocks every reader (ours and
+        // the peers') with a clean EOF so the scope joins. Runs on the
+        // error path too — an aborted worker must not wedge its
+        // neighbors' readers.
+        for (_, w) in &mut ep.peers {
+            let _ = w.flush();
+            let _ = w.get_ref().shutdown(Shutdown::Write);
+        }
         let _ = ep.ctl.shutdown(Shutdown::Write);
         result
     })
@@ -943,6 +900,54 @@ mod tests {
             "recovered sharded distances over sockets must be bit-identical"
         );
         assert_eq!(run.stats, sim_stats);
+    }
+
+    /// A severed link over sockets: the reporting worker's typed error
+    /// reaches the coordinator, the other workers stand down (a write
+    /// to a worker that already left is a typed error at the call), and
+    /// the run ends as a `PartialRun` blaming the reporting endpoint's
+    /// worker — well inside the deadline, so neither a hang nor the
+    /// failure detector ends it.
+    #[test]
+    fn tcp_chaos_sever_terminates_with_partial_run() {
+        let g = gen::gnp_connected(10, 0.3, false, WeightDist::Uniform { max: 9 }, 3);
+        let Some(&peer) = g.comm_neighbors(1).first() else {
+            panic!("node 1 has no neighbors in this fixture");
+        };
+        let cfg = TransportConfig {
+            checkpoint_cadence: Some(2),
+            chaos: Some(ChaosPlan::new(2).with_sever(1, peer, 3)),
+            ..TransportConfig::default()
+        };
+        let deadline = Duration::from_secs(2);
+        for shards in [2, g.n()] {
+            let start = Instant::now();
+            let partial = match run_tcp_loopback_chaos(
+                &g,
+                &cfg,
+                200,
+                shards,
+                deadline,
+                new_relax,
+                &mut NullRecorder,
+            ) {
+                Ok(_) => panic!("P={shards}: a severed link must not produce a full run"),
+                Err(p) => p,
+            };
+            assert!(
+                start.elapsed() < deadline,
+                "P={shards}: took {:?}",
+                start.elapsed()
+            );
+            let map = ShardMap::new(g.n(), shards);
+            let blamed: Vec<NodeId> = map.nodes(map.shard_of(1)).collect();
+            assert_eq!(partial.failed, blamed, "P={shards}");
+            assert!(
+                matches!(partial.error, TransportError::Unrecoverable { .. }),
+                "P={shards}: {:?}",
+                partial.error
+            );
+        }
     }
 
     #[test]

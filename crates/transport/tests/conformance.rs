@@ -4,8 +4,8 @@
 //! on the same graphs, seeds and fault plans.
 
 use dw_congest::{
-    EngineConfig, Envelope, FaultPlan, LinkDelay, Network, NodeCtx, NullRecorder, Outage, Outbox,
-    Protocol, Round, RunOutcome, RunStats, WireCodec,
+    Checkpointable, EngineConfig, Envelope, FaultPlan, LinkDelay, Network, NodeCtx, NullRecorder,
+    Outage, Outbox, Protocol, Round, RunOutcome, RunStats, WireCodec,
 };
 use dw_graph::gen::{self, WeightDist};
 use dw_graph::{NodeId, WGraph};
@@ -13,12 +13,13 @@ use dw_transport::stdio::{
     line_dest, parse_node_name, pipe_with_sender, pipe_writer, run_shard_stdio, StdioCoord, COORD,
 };
 use dw_transport::{
-    coordinate, run_tcp_loopback, run_threads, ChaosPlan, CoordConfig, ShardMap, TransportConfig,
-    TransportRun,
+    coordinate, run_tcp_loopback, run_tcp_loopback_chaos, run_threads, run_threads_chaos,
+    ChaosPlan, CoordConfig, ShardMap, TransportConfig, TransportRun,
 };
 use proptest::prelude::*;
 use std::io::BufReader;
 use std::sync::mpsc::channel;
+use std::time::Duration;
 
 /// Hop-count flood from node 0: broadcast-heavy, converges quietly.
 struct Flood {
@@ -145,26 +146,27 @@ where
         .unwrap_or_else(|e| panic!("tcp:{shards} failed: {e}"))
 }
 
-/// Run a whole network over the stdio backend inside one process, one
-/// node per worker: each worker and the coordinator writes JSON lines
-/// into a shared sink; a router thread forwards every line to its
-/// `dest` stdin, exactly like an external Maelstrom-style harness
-/// would.
+/// Run a whole network over the stdio backend inside one process, at
+/// `shards` workers (`g.n()` is one node per worker): each worker and
+/// the coordinator writes JSON lines into a shared sink; a router
+/// thread forwards every line to its `dest` stdin, exactly like an
+/// external Maelstrom-style harness would.
 fn run_stdio_network<P: Protocol>(
     g: &WGraph,
     cfg: &TransportConfig,
     budget: Round,
+    shards: usize,
     mut make: impl FnMut(NodeId) -> P,
 ) -> TransportRun<P>
 where
     P::Msg: WireCodec,
 {
-    let n = g.n();
-    let map = &ShardMap::new(n, n);
+    let map = &ShardMap::new(g.n(), shards);
+    let p = map.shards();
     let (net_tx, net_rx) = channel::<Vec<u8>>();
-    let mut stdin_txs = Vec::with_capacity(n);
-    let mut stdin_rxs = Vec::with_capacity(n);
-    for _ in 0..n {
+    let mut stdin_txs = Vec::with_capacity(p);
+    let mut stdin_rxs = Vec::with_capacity(p);
+    for _ in 0..p {
         let (tx, rx) = pipe_with_sender();
         stdin_txs.push(tx);
         stdin_rxs.push(rx);
@@ -192,17 +194,17 @@ where
         let handles: Vec<_> = stdin_rxs
             .into_iter()
             .enumerate()
-            .map(|(v, rx)| {
-                let v = v as NodeId;
-                let nodes = vec![make(v)];
+            .map(|(s_id, rx)| {
+                let s_id = s_id as NodeId;
+                let nodes: Vec<P> = map.nodes(s_id).map(&mut make).collect();
                 let out = pipe_writer(net_tx.clone());
-                s.spawn(move || run_shard_stdio(map, v, g, cfg, nodes, BufReader::new(rx), out))
+                s.spawn(move || run_shard_stdio(map, s_id, g, cfg, nodes, BufReader::new(rx), out))
             })
             .collect();
-        let mut coord = StdioCoord::new(n, BufReader::new(coord_rx), pipe_writer(net_tx.clone()));
+        let mut coord = StdioCoord::new(p, BufReader::new(coord_rx), pipe_writer(net_tx.clone()));
         drop(net_tx);
         let (outcome, stats) = coordinate(
-            n,
+            p,
             budget,
             &CoordConfig::default(),
             &mut coord,
@@ -566,7 +568,7 @@ fn healed_partition_converges_identically_on_every_backend() {
         );
         check(&tcp(&g, &cfg, 300, p, new_flood), &format!("tcp:{p}"));
     }
-    check(&run_stdio_network(&g, &cfg, 300, new_flood), "stdio");
+    check(&run_stdio_network(&g, &cfg, 300, n, new_flood), "stdio");
 }
 
 /// A permanent one-way cut on the bridge of a path graph: the flood
@@ -600,7 +602,7 @@ fn asymmetric_loss_drops_one_way_on_every_backend() {
         );
         check(&tcp(&g, &cfg, 200, p, new_flood), &format!("tcp:{p}"));
     }
-    check(&run_stdio_network(&g, &cfg, 200, new_flood), "stdio");
+    check(&run_stdio_network(&g, &cfg, 200, n, new_flood), "stdio");
 }
 
 /// An undersized bandwidth cap (half the offered byte rate) must spill
@@ -631,14 +633,14 @@ fn bandwidth_cap_spills_but_loses_nothing_on_every_backend() {
         );
         check(&tcp(&g, &cfg, 200, p, new_chatter), &format!("tcp:{p}"));
     }
-    check(&run_stdio_network(&g, &cfg, 200, new_chatter), "stdio");
+    check(&run_stdio_network(&g, &cfg, 200, n, new_chatter), "stdio");
 }
 
 #[test]
 fn stdio_network_conforms() {
     let g = gen::gnp_connected(6, 0.4, false, WeightDist::Constant(1), 41);
     let (nodes, stats, outcome) = simulate(&g, None, 100, new_flood);
-    let run = run_stdio_network(&g, &transport_cfg(None), 100, new_flood);
+    let run = run_stdio_network(&g, &transport_cfg(None), 100, g.n(), new_flood);
     assert_eq!(run.outcome, outcome);
     assert_eq!(run.stats, stats);
     assert_eq!(
@@ -652,11 +654,267 @@ fn stdio_network_conforms_under_faults() {
     let g = gen::gnp_connected(6, 0.4, false, WeightDist::Constant(1), 43);
     let faults = FaultPlan::new(7).with_drop(0.1).with_delay(0.15, 4);
     let (nodes, stats, outcome) = simulate(&g, Some(faults.clone()), 200, new_flood);
-    let run = run_stdio_network(&g, &transport_cfg(Some(faults)), 200, new_flood);
+    let run = run_stdio_network(&g, &transport_cfg(Some(faults)), 200, g.n(), new_flood);
     assert_eq!(run.outcome, outcome);
     assert_eq!(run.stats, stats);
     assert_eq!(
         run.nodes.iter().map(|f| f.dist).collect::<Vec<_>>(),
         nodes.iter().map(|f| f.dist).collect::<Vec<_>>(),
     );
+}
+
+/// A sparse relay with an exact `earliest_send`, shaped like
+/// `SparseRelay` in dw-congest's scheduling conformance: every third
+/// node starts with its own phase and the rest sleep until a receive
+/// wakes them; each receive schedules a re-announcement 1–4 rounds
+/// later while the node's budget lasts. `wasted` counts the `send`
+/// calls made while the node's own `earliest_send(round)` was `None` or
+/// later than `round` — polls a worker that follows the active-set
+/// contract (DESIGN.md §7) never makes.
+#[derive(Clone, Debug)]
+struct Relay {
+    next_fire: Option<Round>,
+    gap: u64,
+    remaining: u32,
+    heard: u64,
+    wasted: u64,
+}
+
+impl Relay {
+    fn seeded(v: NodeId) -> Self {
+        Relay {
+            next_fire: v.is_multiple_of(3).then_some(1 + (u64::from(v) * 11) % 41),
+            gap: 1 + u64::from(v) % 4,
+            remaining: 1 + v % 2,
+            heard: 0,
+            wasted: 0,
+        }
+    }
+
+    /// Everything but the poll counter, which differs by design: the
+    /// simulator re-polls a node the round after it sent.
+    fn state(&self) -> (Option<Round>, u32, u64) {
+        (self.next_fire, self.remaining, self.heard)
+    }
+}
+
+impl Protocol for Relay {
+    type Msg = u64;
+    fn send(&mut self, round: Round, ctx: &NodeCtx, out: &mut Outbox<u64>) {
+        if self.earliest_send(round, ctx) != Some(round) {
+            self.wasted += 1;
+        }
+        if let Some(f) = self.next_fire {
+            if round >= f {
+                self.next_fire = None;
+                if self.remaining > 0 {
+                    self.remaining -= 1;
+                    out.broadcast(self.heard.wrapping_add(u64::from(ctx.id)) % 1000);
+                }
+            }
+        }
+    }
+    fn receive(&mut self, round: Round, inbox: &[Envelope<u64>], _ctx: &NodeCtx) {
+        for env in inbox {
+            self.heard = self.heard.wrapping_mul(31).wrapping_add(*env.msg());
+        }
+        if self.remaining > 0 && self.next_fire.is_none() {
+            self.next_fire = Some(round + self.gap);
+        }
+    }
+    fn earliest_send(&self, after: Round, _ctx: &NodeCtx) -> Option<Round> {
+        self.next_fire.map(|f| f.max(after))
+    }
+}
+
+impl Checkpointable for Relay {
+    fn snapshot(&self, out: &mut Vec<u8>) {
+        (self.next_fire, self.gap, self.remaining).encode(out);
+        (self.heard, self.wasted).encode(out);
+    }
+    fn restore(&mut self, buf: &mut &[u8]) -> Option<()> {
+        (self.next_fire, self.gap, self.remaining) = WireCodec::decode(buf)?;
+        (self.heard, self.wasted) = WireCodec::decode(buf)?;
+        Some(())
+    }
+}
+
+/// The simulator's run of [`Relay`] as the reference: comparable node
+/// states, stats and outcome.
+type RelayRef = (Vec<(Option<Round>, u32, u64)>, RunStats, RunOutcome);
+
+fn relay_reference(g: &WGraph, faults: Option<FaultPlan>) -> RelayRef {
+    let (nodes, stats, outcome) = simulate(g, faults, 400, Relay::seeded);
+    assert!(
+        stats.rounds_executed < stats.rounds,
+        "the relay must fast-forward: {stats:?}"
+    );
+    assert!(
+        nodes.iter().any(|x| x.wasted > 0),
+        "the simulator re-polls senders, so the counter must see polls"
+    );
+    (nodes.iter().map(Relay::state).collect(), stats, outcome)
+}
+
+fn check_relay(run: &TransportRun<Relay>, want: &RelayRef, label: &str) {
+    let wasted: u64 = run.nodes.iter().map(|x| x.wasted).sum();
+    assert_eq!(wasted, 0, "{label}: nodes polled before they were due");
+    assert_eq!(run.outcome, want.2, "{label}");
+    assert_eq!(run.stats, want.1, "{label}");
+    let states: Vec<_> = run.nodes.iter().map(Relay::state).collect();
+    assert_eq!(states, want.0, "{label}");
+}
+
+/// The worker polls only the nodes that are due: on every backend and
+/// at every shard count, no `send` call lands before the node's own
+/// `earliest_send`, and the run is bit-identical to the simulator —
+/// fault-free and under a delay plan, whose parked messages wake
+/// sleeping nodes rounds later.
+#[test]
+fn worker_polls_only_due_nodes_on_every_backend() {
+    let n = 15usize;
+    let g = gen::gnp_connected(n, 0.25, false, WeightDist::Constant(1), 29);
+    for faults in [None, Some(FaultPlan::new(8).with_delay(0.3, 4))] {
+        let want = relay_reference(&g, faults.clone());
+        if faults.is_some() {
+            assert!(want.1.late_delivered > 0, "the plan must delay");
+        }
+        let cfg = transport_cfg(faults);
+        for p in shard_counts(n) {
+            let label = format!("P={p} faults={}", cfg.faults.is_some());
+            let run = threads(&g, &cfg, 400, p, Relay::seeded);
+            check_relay(&run, &want, &format!("threads {label}"));
+            let run = tcp(&g, &cfg, 400, p, Relay::seeded);
+            check_relay(&run, &want, &format!("tcp {label}"));
+            let run = run_stdio_network(&g, &cfg, 400, p, Relay::seeded);
+            check_relay(&run, &want, &format!("stdio {label}"));
+        }
+    }
+}
+
+/// A whole-worker kill in round 11, when every node sleeps. Rounds 1–10
+/// all execute, so with a checkpoint every four executed rounds the
+/// rejoin restores round-8 node states and re-executes rounds 9–10, in
+/// which both victims fire. The worker must rebuild its schedule from
+/// the restored states — a cache left from before the crash skips those
+/// re-sends and the run diverges from the simulator.
+#[test]
+fn rejoined_worker_rebuilds_its_schedule() {
+    let n = 15usize;
+    let g = gen::gnp_connected(n, 0.25, false, WeightDist::Constant(1), 29);
+    let want = relay_reference(&g, None);
+    let kill_round = 11;
+    let mut net = Network::new(&g, EngineConfig::default(), Relay::seeded);
+    while net.round() + 1 < kill_round {
+        net.step_one();
+    }
+    let asleep = net
+        .nodes()
+        .filter(|x| x.next_fire.is_none_or(|f| f > kill_round))
+        .count();
+    assert!(asleep * 2 > n, "only {asleep} of {n} nodes asleep");
+    for victim in [5, 11] {
+        let cfg = TransportConfig {
+            checkpoint_cadence: Some(4),
+            chaos: Some(ChaosPlan::new(6).with_kill(victim, kill_round)),
+            ..TransportConfig::default()
+        };
+        for p in [2, n] {
+            let label = format!("kill {victim} at P={p}");
+            let deadline = Duration::from_millis(150);
+            let run =
+                run_threads_chaos(&g, &cfg, 400, p, deadline, Relay::seeded, &mut NullRecorder)
+                    .unwrap_or_else(|e| panic!("threads {label}: {}", e.error));
+            check_relay(&run, &want, &format!("threads {label}"));
+            let run = run_tcp_loopback_chaos(
+                &g,
+                &cfg,
+                400,
+                p,
+                deadline,
+                Relay::seeded,
+                &mut NullRecorder,
+            )
+            .unwrap_or_else(|e| panic!("tcp {label}: {}", e.error));
+            check_relay(&run, &want, &format!("tcp {label}"));
+        }
+    }
+}
+
+/// Every node broadcasts a digest of everything it heard, every round
+/// up to [`Gossip::ROUNDS`]; the digest depends on delivery order, so
+/// any reordering of one node's inbox shows in the final states.
+#[derive(Clone, Debug)]
+struct Gossip {
+    digest: u64,
+}
+
+impl Gossip {
+    const ROUNDS: Round = 14;
+}
+
+impl Protocol for Gossip {
+    type Msg = u64;
+    fn send(&mut self, round: Round, _ctx: &NodeCtx, out: &mut Outbox<u64>) {
+        if round <= Gossip::ROUNDS {
+            out.broadcast(self.digest % 1_000_003);
+        }
+    }
+    fn receive(&mut self, _round: Round, inbox: &[Envelope<u64>], _ctx: &NodeCtx) {
+        for env in inbox {
+            self.digest = self
+                .digest
+                .wrapping_mul(31)
+                .wrapping_add(*env.msg() ^ u64::from(env.from));
+        }
+    }
+    fn earliest_send(&self, after: Round, _ctx: &NodeCtx) -> Option<Round> {
+        (after <= Gossip::ROUNDS).then_some(after)
+    }
+}
+
+impl Checkpointable for Gossip {
+    fn snapshot(&self, out: &mut Vec<u8>) {
+        self.digest.encode(out);
+    }
+    fn restore(&mut self, buf: &mut &[u8]) -> Option<()> {
+        self.digest = u64::decode(buf)?;
+        Some(())
+    }
+}
+
+/// A rejoined worker re-executes rounds whose inboxes mix late
+/// (delay-faulted) mail with cross-shard mail from the replay batches;
+/// the late mail must stay ahead, as in the simulator, or a sender's
+/// delayed and fresh messages swap places.
+#[test]
+fn rejoin_keeps_late_mail_ahead_of_replayed_mail() {
+    let n = 12usize;
+    let g = gen::gnp_connected(n, 0.3, false, WeightDist::Constant(1), 41);
+    let faults = FaultPlan::new(3).with_delay(0.4, 3);
+    let (nodes, stats, outcome) = simulate(&g, Some(faults.clone()), 200, |_| Gossip { digest: 1 });
+    let want: Vec<u64> = nodes.iter().map(|x| x.digest).collect();
+    let cfg = TransportConfig {
+        faults: Some(faults),
+        checkpoint_cadence: Some(4),
+        chaos: Some(ChaosPlan::new(5).with_kill(7, 11)),
+        ..TransportConfig::default()
+    };
+    for p in [2, n] {
+        let deadline = Duration::from_millis(150);
+        let run = run_threads_chaos(
+            &g,
+            &cfg,
+            200,
+            p,
+            deadline,
+            |_| Gossip { digest: 1 },
+            &mut NullRecorder,
+        )
+        .unwrap_or_else(|e| panic!("P={p}: {}", e.error));
+        assert_eq!(run.outcome, outcome, "P={p}");
+        assert_eq!(run.stats, stats, "P={p}");
+        let got: Vec<u64> = run.nodes.iter().map(|x| x.digest).collect();
+        assert_eq!(got, want, "P={p}");
+    }
 }
