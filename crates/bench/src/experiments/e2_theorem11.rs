@@ -7,7 +7,7 @@
 //! asserted to sit inside the theorem bound; when it is positive the
 //! schedule provably extends past the bound, and the run is still exact.
 
-use crate::experiments::ok;
+use crate::experiments::{ok, within_bound};
 use crate::table::Table;
 use crate::trow;
 use crate::workloads;
@@ -68,17 +68,7 @@ pub fn run(full: bool) -> Vec<Table> {
             }
         }
         let bound = hk_round_bound(h, k as u64, delta);
-        // Lemma II.14 bounds the round by which all shortest-path records
-        // are in place; residual non-SP traffic may continue after it.
-        // Its derivation uses both invariants, so the bound is asserted
-        // exactly when the run was "healthy": Invariants 1-2 held and no
-        // announcement had to be re-armed.
-        let within = rep.convergence_round <= bound;
-        let healthy = rep.holds() && rep.late_sends == 0;
         assert!(correct, "exactness contract must hold in every regime");
-        if healthy {
-            assert!(within, "healthy run ⇒ Theorem I.1 bound must hold");
-        }
         t.row(trow![
             h,
             k,
@@ -86,15 +76,7 @@ pub fn run(full: bool) -> Vec<Table> {
             rep.convergence_round,
             bound,
             format!("{:.2}", rep.convergence_round as f64 / bound as f64),
-            if within {
-                "yes".into()
-            } else {
-                format!(
-                    "no (late={}, inv viol.={})",
-                    rep.late_sends,
-                    rep.inv1_violations + rep.inv2_violations
-                )
-            },
+            within_bound(&rep, bound),
             ok(correct)
         ]);
     }

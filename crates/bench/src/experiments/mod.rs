@@ -16,6 +16,7 @@ pub mod e8_approx;
 pub mod e9_scaling;
 
 use crate::table::Table;
+use dw_pipeline::invariants::InvariantReport;
 
 /// Marker rendered in "within bound?" columns.
 pub fn ok(b: bool) -> &'static str {
@@ -23,6 +24,31 @@ pub fn ok(b: bool) -> &'static str {
         "yes"
     } else {
         "NO"
+    }
+}
+
+/// The "within bound" cell of an Algorithm 1 run measured against a
+/// Theorem I.1 `bound`: "yes" when the run converged by it, else "no"
+/// with the late sends and invariant violations that explain why.
+///
+/// Lemma II.14 bounds the round by which all shortest-path records are
+/// in place (residual non-SP traffic may continue after it), and its
+/// derivation uses both invariants. So the bound is asserted exactly
+/// when the run was healthy: Invariants 1-2 held and no announcement
+/// had to be re-armed.
+pub fn within_bound(rep: &InvariantReport, bound: u64) -> String {
+    let within = rep.convergence_round <= bound;
+    if rep.holds() && rep.late_sends == 0 {
+        assert!(within, "healthy run ⇒ Theorem I.1 bound must hold");
+    }
+    if within {
+        "yes".into()
+    } else {
+        format!(
+            "no (late={}, inv viol.={})",
+            rep.late_sends,
+            rep.inv1_violations + rep.inv2_violations
+        )
     }
 }
 
