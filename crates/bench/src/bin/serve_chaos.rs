@@ -1,12 +1,11 @@
-//! Serving-plane chaos (`make serve-chaos`): a [`ChaosPlan`]-scripted
-//! nemesis run against a **live** 3-shard deployment under a mixed
-//! query + table-swap stream (DESIGN.md §15).
+//! Serving-plane chaos (`make serve-chaos`): a scripted nemesis run
+//! against a **live** 3-shard deployment under a mixed query +
+//! table-swap stream (DESIGN.md §15).
 //!
-//! The plan's round index is the *swap step*: before pushing generation
-//! `r`, every event scheduled at round `r` fires, with shard ids as the
-//! plan's node ids:
+//! The script ([`SCRIPT`]) is indexed by *swap step*: before pushing
+//! generation `r`, every nemesis scheduled at step `r` fires:
 //!
-//! * `Partition { groups: [[s]], heal_round: Some(_) }` — a transient
+//! * [`Nemesis::Stall`]`(s)` — a transient
 //!   gateway↔shard network partition: shard `s` sits behind the
 //!   deployment's byte relay, which *stalls* its link (never closes,
 //!   never drops) for [`CUT_MS`] while queries and the swap keep flowing
@@ -14,7 +13,7 @@
 //!   `shard_timeout` means the gateway must ride it out: zero
 //!   `ShardUnavailable`, the mid-cut swap lands, and recovery latency is
 //!   measured from the heal instant to the shard's next answered probe.
-//! * `Kill { node: s, .. }` — shard `s`'s process stops. Its block must
+//! * [`Nemesis::Kill`]`(s)` — shard `s`'s process stops. Its block must
 //!   degrade to the *typed* `ShardUnavailable` within the detection
 //!   budget (no hang past `shard_timeout`), live shards keep answering,
 //!   and the swap pushed while degraded reports itself honestly
@@ -39,7 +38,6 @@ use dw_graph::gen::{self, WeightDist};
 use dw_graph::{EdgeUpdate, NodeId, INFINITY};
 use dw_seqref::{dijkstra, verify_row};
 use dw_serve::{Deployment, GatewayConfig, QueryOutcome, ServeClient, TableSnapshot};
-use dw_transport::{ChaosEvent, ChaosPlan};
 use std::collections::HashSet;
 use std::net::TcpListener;
 use std::process::exit;
@@ -54,6 +52,20 @@ const CUT_MS: u64 = 300;
 const SHARD_TIMEOUT: Duration = Duration::from_millis(1500);
 /// No query, under any scripted nemesis, may take longer than this.
 const MAX_QUERY_LATENCY: Duration = Duration::from_secs(5);
+
+/// One serving-plane nemesis, by shard id.
+#[derive(Debug, Clone, Copy)]
+enum Nemesis {
+    /// Stall the gateway<->shard relay for [`CUT_MS`], then heal.
+    Stall(usize),
+    /// Stop the shard's process for good.
+    Kill(usize),
+}
+
+/// `(swap step, nemesis)`: swap 1 rides out a transient gateway<->shard-1
+/// partition; swap 2 happens with shard 2 freshly killed; swap 3
+/// follows on the survivors.
+const SCRIPT: [(u64, Nemesis); 2] = [(1, Nemesis::Stall(1)), (2, Nemesis::Kill(2))];
 
 fn fail(msg: String) -> ! {
     eprintln!("serve_chaos: FAIL: {msg}");
@@ -74,24 +86,16 @@ fn main() {
     let n = g.n();
     let shards = 3usize;
 
-    // The script: swap 1 rides out a transient gateway<->shard-1
-    // partition; swap 2 happens with shard 2 freshly killed; swap 3
-    // follows on the survivors.
-    let plan = ChaosPlan::new(21)
-        .with_partition(vec![vec![1]], 1, Some(1))
-        .with_kill(2, 2);
-
     let mut snap = snapshot_for(&g);
     let mut generation = 0u64;
 
-    // The shards the plan partitions sit behind the stallable relay; the
+    // The shards the script stalls sit behind the stallable relay; the
     // rest are dialled directly.
-    let stallable: Vec<usize> = plan
-        .events()
+    let stallable: Vec<usize> = SCRIPT
         .iter()
-        .filter_map(|ev| match ev {
-            ChaosEvent::Partition { groups, .. } => Some(groups[0][0] as usize),
-            _ => None,
+        .filter_map(|&(_, nemesis)| match nemesis {
+            Nemesis::Stall(s) => Some(s),
+            Nemesis::Kill(_) => None,
         })
         .collect();
     let cfg = GatewayConfig {
@@ -203,15 +207,12 @@ fn main() {
         // Fire this step's scripted nemeses.
         let mut healing = None;
         let mut kill_detect_ms: Option<u128> = None;
-        for ev in plan.events() {
-            match ev {
-                ChaosEvent::Partition {
-                    groups,
-                    from_round,
-                    heal_round,
-                } if *from_round == step => {
-                    let s = groups[0][0] as usize;
-                    assert!(heal_round.is_some(), "scripted cuts here are transient");
+        for &(at, nemesis) in &SCRIPT {
+            if at != step {
+                continue;
+            }
+            match nemesis {
+                Nemesis::Stall(s) => {
                     eprintln!(
                         "serve_chaos: step {step}: partitioning gateway<->shard {s} \
                          for {CUT_MS}ms (timeout {SHARD_TIMEOUT:?})"
@@ -221,8 +222,7 @@ fn main() {
                             .unwrap_or_else(|e| fail(format!("cannot stall shard {s}: {e}"))),
                     );
                 }
-                ChaosEvent::Kill { node, round } if *round == step => {
-                    let s = *node as usize;
+                Nemesis::Kill(s) => {
                     eprintln!("serve_chaos: step {step}: killing shard {s}");
                     d.kill(s);
                     killed_at.store(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
@@ -261,7 +261,6 @@ fn main() {
                     }
                     kill_detect_ms = Some(k0.elapsed().as_millis());
                 }
-                _ => {}
             }
         }
 

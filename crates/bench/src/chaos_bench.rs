@@ -2,7 +2,7 @@
 //! (DESIGN.md §15, EXPERIMENTS.md E21).
 //!
 //! One Algorithm 1 APSP instance on the thread backend, run three ways
-//! under the link nemeses of [`dw_transport::ChaosPlan`]:
+//! under the link-fault rules of a [`dw_congest::FaultPlan`]:
 //!
 //! * `chaos_partition` — a group partition active from round 1 that
 //!   heals at round 8 (parked frames delivered on heal);
@@ -12,7 +12,7 @@
 //!   link for the whole run (RoundBatch spill-over across rounds).
 //!
 //! Every nemesis here heals (or merely delays), so each run must end
-//! bit-identical to the fault-free simulator — the measurement itself
+//! with the fault-free simulator's distances — the measurement itself
 //! re-asserts that before reporting a number, making the bench row a
 //! recovery proof as well as a latency figure.
 //!
@@ -26,9 +26,9 @@
 
 use crate::engine_bench::Measurement;
 use crate::workloads;
+use dw_congest::{EngineConfig, FaultPlan, Outage};
 use dw_obs::NullRecorder;
-use dw_pipeline::{solve_hk_ssp, ChaosConfig, Recovery, Run, Runtime, SspConfig};
-use dw_transport::ChaosPlan;
+use dw_pipeline::{solve_hk_ssp, Run, Runtime, SspConfig};
 use std::time::{Duration, Instant};
 
 /// Best-of-three wall clock for one closure (one warmup first),
@@ -50,17 +50,15 @@ fn measure_nemesis(
     workload: &'static str,
     wl: &workloads::Workload,
     cfg: &SspConfig,
-    plan: ChaosPlan,
+    faults: FaultPlan,
     clean_wall: Duration,
     reference: &dw_pipeline::HkSspResult,
 ) -> Measurement {
-    let chaos = ChaosConfig {
-        plan,
-        cadence: None,
-        deadline: Duration::from_millis(500),
-    };
     let run = Run {
-        recovery: Some(Recovery::Chaos(chaos)),
+        engine: EngineConfig {
+            faults: Some(faults),
+            ..EngineConfig::default()
+        },
         ..Run::on(Runtime::Threads)
     };
     let (stats, wall) = best_of_three(|| {
@@ -111,7 +109,7 @@ pub fn run_all_chaos(smoke: bool) -> Vec<Measurement> {
             "chaos_partition",
             &wl,
             &cfg,
-            ChaosPlan::new(21).with_partition(vec![group], 1, Some(8)),
+            FaultPlan::new(21).with_partition(vec![group], 1, Some(8)),
             clean_wall,
             &reference,
         ),
@@ -119,7 +117,14 @@ pub fn run_all_chaos(smoke: bool) -> Vec<Measurement> {
             "chaos_asym_loss",
             &wl,
             &cfg,
-            ChaosPlan::new(21).with_asym_loss(u, v, 1, 8),
+            // Lost for rounds 1..8.
+            FaultPlan::new(21).with_outage(Outage {
+                from: u,
+                to: v,
+                start: 1,
+                end: 7,
+                symmetric: false,
+            }),
             clean_wall,
             &reference,
         ),
@@ -127,7 +132,7 @@ pub fn run_all_chaos(smoke: bool) -> Vec<Measurement> {
             "chaos_bandwidth_cap",
             &wl,
             &cfg,
-            ChaosPlan::new(21).with_bandwidth_cap(u, v, 8),
+            FaultPlan::new(21).with_bandwidth_cap(u, v, 8),
             clean_wall,
             &reference,
         ),

@@ -45,7 +45,7 @@
 
 use crate::slab::{Slab, SlabRef};
 
-use crate::fault::{FaultAction, FaultPlan};
+use crate::fault::{CapBuckets, FaultAction, FaultPlan};
 use crate::message::Envelope;
 use crate::metrics::RunStats;
 use crate::pool::{Ptr, WorkerPool};
@@ -142,8 +142,9 @@ pub enum RunOutcome {
     BudgetExhausted,
 }
 
-/// Delay-faulted messages held back by the engine, keyed by due round;
-/// each entry is (recipient, envelope).
+/// Messages held back by the engine (delay faults, partitions awaiting
+/// their heal round, bandwidth-cap spill), keyed by due round; each
+/// entry is (recipient, envelope).
 type DelayedQueue<M> = BTreeMap<Round, Vec<(NodeId, Envelope<M>)>>;
 
 /// Tally of fault decisions that tampered with a message.
@@ -173,6 +174,7 @@ struct EngineSink<'a, M> {
     inbox_mark: &'a mut [Round],
     pending: &'a mut DelayedQueue<M>,
     faults: Option<&'a FaultPlan>,
+    buckets: &'a mut CapBuckets,
     tally: &'a mut FaultTally,
     round: Round,
     on_msg: &'a mut dyn FnMut(NodeId, NodeId, &M),
@@ -193,15 +195,31 @@ impl<M: Clone> EngineSink<'_, M> {
         self.slab.get_mut(self.inbox_ref[i])
     }
 
+    /// Into `v`'s inbox now, or held until round `due`.
+    fn put(&mut self, v: NodeId, due: Round, env: Envelope<M>) {
+        if due == self.round {
+            self.inbox_of(v).push(env);
+        } else {
+            self.pending.entry(due).or_default().push((v, env));
+        }
+    }
+
     /// The sender occupied the link either way; only delivery is faulted.
-    fn deliver(&mut self, u: NodeId, v: NodeId, env: Envelope<M>) {
+    fn deliver(&mut self, u: NodeId, v: NodeId, env: Envelope<M>, words: usize) {
         let Some(plan) = self.faults else {
             self.inbox_of(v).push(env);
             return;
         };
-        match plan.decide(u, v, self.round) {
-            FaultAction::Deliver => {
-                self.inbox_of(v).push(env);
+        match plan.decide(u, v, self.round, words, self.buckets) {
+            FaultAction::Deliver { due, duplicate } => {
+                if duplicate {
+                    self.tally.duplicated += 1;
+                    self.put(v, due, env.clone());
+                }
+                if due > self.round {
+                    self.tally.delayed += 1;
+                }
+                self.put(v, due, env);
             }
             FaultAction::Drop => {
                 self.tally.dropped += 1;
@@ -209,30 +227,17 @@ impl<M: Clone> EngineSink<'_, M> {
             FaultAction::OutageDrop => {
                 self.tally.outage_dropped += 1;
             }
-            FaultAction::Duplicate => {
-                let inbox = self.inbox_of(v);
-                inbox.push(env.clone());
-                inbox.push(env);
-                self.tally.duplicated += 1;
-            }
-            FaultAction::Delay(d) => {
-                self.pending
-                    .entry(self.round + d)
-                    .or_default()
-                    .push((v, env));
-                self.tally.delayed += 1;
-            }
         }
     }
 }
 
 impl<M: Clone> SendSink<M> for EngineSink<'_, M> {
-    fn unicast(&mut self, from: NodeId, _rank: usize, to: NodeId, msg: M, _words: usize) {
+    fn unicast(&mut self, from: NodeId, _rank: usize, to: NodeId, msg: M, words: usize) {
         (self.on_msg)(from, to, &msg);
-        self.deliver(from, to, Envelope::new(from, msg));
+        self.deliver(from, to, Envelope::new(from, msg), words);
     }
 
-    fn broadcast(&mut self, from: NodeId, nbrs: &[NodeId], msg: M, _words: usize) {
+    fn broadcast(&mut self, from: NodeId, nbrs: &[NodeId], msg: M, words: usize) {
         // Zero-copy means "never duplicate a heap payload per recipient",
         // not "always share". Word-sized plain-old-data messages
         // (`needs_drop` = false guarantees the clone is a flat memcpy)
@@ -244,7 +249,7 @@ impl<M: Clone> SendSink<M> for EngineSink<'_, M> {
         if !std::mem::needs_drop::<M>() && std::mem::size_of::<M>() <= 32 {
             for &v in nbrs {
                 (self.on_msg)(from, v, &msg);
-                self.deliver(from, v, Envelope::new(from, msg.clone()));
+                self.deliver(from, v, Envelope::new(from, msg.clone()), words);
             }
             return;
         }
@@ -254,7 +259,7 @@ impl<M: Clone> SendSink<M> for EngineSink<'_, M> {
         let payload = Arc::new(msg);
         for &v in nbrs {
             (self.on_msg)(from, v, &payload);
-            self.deliver(from, v, Envelope::shared(from, Arc::clone(&payload)));
+            self.deliver(from, v, Envelope::shared(from, Arc::clone(&payload)), words);
         }
     }
 }
@@ -296,8 +301,10 @@ pub struct Network<'g, P: Protocol> {
     last_activity: Round,
     rounds_executed: u64,
     max_round_messages: u64,
-    /// Delay-faulted messages awaiting delivery, keyed by due round.
+    /// Held messages awaiting delivery, keyed by due round.
     pending: DelayedQueue<P::Msg>,
+    /// The fault plan's bandwidth-cap state, one bucket per capped link.
+    buckets: CapBuckets,
     tally: FaultTally,
 }
 
@@ -356,6 +363,7 @@ impl<'g, P: Protocol> Network<'g, P> {
             rounds_executed: 0,
             max_round_messages: 0,
             pending: BTreeMap::new(),
+            buckets: CapBuckets::default(),
             tally: FaultTally::default(),
         }
     }
@@ -422,7 +430,7 @@ impl<'g, P: Protocol> Network<'g, P> {
         sent
     }
 
-    /// Delay-faulted messages still in flight.
+    /// Held messages still in flight.
     pub fn pending_deliveries(&self) -> usize {
         self.pending.values().map(|b| b.len()).sum()
     }
@@ -457,7 +465,7 @@ impl<'g, P: Protocol> Network<'g, P> {
         let round = self.round;
         let n = self.g.n();
 
-        // --- late deliveries from delay faults ---
+        // --- late deliveries of held messages ---
         let late = if self.cfg.faults.is_some() {
             self.deliver_pending(round)
         } else {
@@ -527,6 +535,7 @@ impl<'g, P: Protocol> Network<'g, P> {
                 inbox_mark: &mut self.inbox_mark,
                 pending: &mut self.pending,
                 faults: self.cfg.faults.as_ref(),
+                buckets: &mut self.buckets,
                 tally: &mut self.tally,
                 round,
                 on_msg,
@@ -915,7 +924,7 @@ impl<'g, P: Protocol> Network<'g, P> {
                     SchedulingMode::ExhaustivePoll => self.scan_earliest(),
                     SchedulingMode::ActiveSet => self.next_scheduled(),
                 };
-                // A delay-faulted message still in flight forces its due
+                // A held message still in flight forces its due
                 // round to be simulated (all pending rounds are > round:
                 // deliver_pending drained the rest at the top of the step).
                 if let Some((&due, _)) = self.pending.first_key_value() {

@@ -42,7 +42,7 @@ pub mod trace;
 
 pub use codec::{from_bytes, to_bytes, WireCodec};
 pub use engine::{EngineConfig, Network, RunOutcome, SchedulingMode};
-pub use fault::{FaultAction, FaultPlan, LinkDelay, Outage};
+pub use fault::{CapBuckets, FaultAction, FaultPlan, LinkDelay, Outage};
 pub use message::{Envelope, MsgSize};
 pub use metrics::RunStats;
 // Observability: re-export the recording surface so engine users don't

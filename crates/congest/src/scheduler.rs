@@ -20,7 +20,7 @@
 //! round totals.
 
 use crate::engine::EngineConfig;
-use crate::fault::FaultAction;
+use crate::fault::{CapBuckets, FaultAction};
 use crate::message::{Envelope, MsgSize};
 use crate::outbox::{Outbox, SendOp};
 use crate::protocol::{NodeCtx, Protocol, Round};
@@ -128,9 +128,11 @@ impl<P: Protocol> Instance<P> {
 ///
 /// Fault injection: if `cfg.faults` is set, every committed transmission
 /// is subjected to the plan keyed by the **global** round (stalled retries
-/// draw fresh decisions). Drop, outage and duplicate faults are supported;
-/// delay faults are rejected — a delayed delivery would cross instance
-/// stall boundaries, which the schedule abstraction cannot express.
+/// draw fresh decisions). Drop, outage, unhealed-partition and duplicate
+/// faults are supported; anything that delivers late (delay faults,
+/// healing partitions, bandwidth caps: [`crate::FaultPlan::has_delays`])
+/// is rejected — a late delivery would cross instance stall boundaries,
+/// which the schedule abstraction cannot express.
 pub fn schedule_instances<P>(
     g: &WGraph,
     instances: Vec<Vec<P>>,
@@ -152,6 +154,16 @@ where
             "the multi-instance scheduler does not support delay faults"
         );
     }
+    // The fate of one committed transmission. The buckets stay empty:
+    // caps are among the rejected delays.
+    let mut buckets = CapBuckets::default();
+    let decide = |u, v, global, words, buckets: &mut CapBuckets| match fault_plan {
+        Some(p) => p.decide(u, v, global, words, buckets),
+        None => FaultAction::Deliver {
+            due: global,
+            duplicate: false,
+        },
+    };
     let mut fault_dropped = 0u64;
     let mut fault_duplicated = 0u64;
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
@@ -336,6 +348,7 @@ where
                                 m.size_words() <= cfg.max_words,
                                 "protocol bug: oversized message from {u}"
                             );
+                            let words = m.size_words();
                             // One payload allocation shared across all
                             // recipients, as in the engine's delivery path.
                             let payload = Arc::new(m);
@@ -344,25 +357,22 @@ where
                                 link_stamp[lid] = global;
                                 link_load[lid] += 1;
                                 sent += 1;
-                                match fault_plan
-                                    .map_or(FaultAction::Deliver, |p| p.decide(u, v, global))
-                                {
-                                    FaultAction::Deliver => {
-                                        inbox_of(&mut slab, &mut inbox_ref, &mut receivers, v)
-                                            .push(Envelope::shared(u, Arc::clone(&payload)));
-                                    }
-                                    FaultAction::Drop | FaultAction::OutageDrop => {
-                                        fault_dropped += 1;
-                                    }
-                                    FaultAction::Duplicate => {
+                                match decide(u, v, global, words, &mut buckets) {
+                                    FaultAction::Deliver { due, duplicate } => {
+                                        debug_assert_eq!(
+                                            due, global,
+                                            "late deliveries rejected above"
+                                        );
                                         let inbox =
                                             inbox_of(&mut slab, &mut inbox_ref, &mut receivers, v);
                                         inbox.push(Envelope::shared(u, Arc::clone(&payload)));
-                                        inbox.push(Envelope::shared(u, Arc::clone(&payload)));
-                                        fault_duplicated += 1;
+                                        if duplicate {
+                                            inbox.push(Envelope::shared(u, Arc::clone(&payload)));
+                                            fault_duplicated += 1;
+                                        }
                                     }
-                                    FaultAction::Delay(_) => {
-                                        unreachable!("delay faults rejected above")
+                                    FaultAction::Drop | FaultAction::OutageDrop => {
+                                        fault_dropped += 1;
                                     }
                                 }
                             }
@@ -376,25 +386,20 @@ where
                             link_stamp[lid] = global;
                             link_load[lid] += 1;
                             sent += 1;
-                            match fault_plan
-                                .map_or(FaultAction::Deliver, |p| p.decide(u, v, global))
-                            {
-                                FaultAction::Deliver => {
-                                    inbox_of(&mut slab, &mut inbox_ref, &mut receivers, v)
-                                        .push(Envelope::new(u, m));
+                            let words = m.size_words();
+                            match decide(u, v, global, words, &mut buckets) {
+                                FaultAction::Deliver { due, duplicate } => {
+                                    debug_assert_eq!(due, global, "late deliveries rejected above");
+                                    let inbox =
+                                        inbox_of(&mut slab, &mut inbox_ref, &mut receivers, v);
+                                    if duplicate {
+                                        inbox.push(Envelope::new(u, m.clone()));
+                                        fault_duplicated += 1;
+                                    }
+                                    inbox.push(Envelope::new(u, m));
                                 }
                                 FaultAction::Drop | FaultAction::OutageDrop => {
                                     fault_dropped += 1;
-                                }
-                                FaultAction::Duplicate => {
-                                    let inbox =
-                                        inbox_of(&mut slab, &mut inbox_ref, &mut receivers, v);
-                                    inbox.push(Envelope::new(u, m.clone()));
-                                    inbox.push(Envelope::new(u, m));
-                                    fault_duplicated += 1;
-                                }
-                                FaultAction::Delay(_) => {
-                                    unreachable!("delay faults rejected above")
                                 }
                             }
                         }

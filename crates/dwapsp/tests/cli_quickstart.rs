@@ -223,3 +223,27 @@ fn tables_are_byte_equal_whoever_wrote_them_and_update_keeps_them_so() {
     assert_eq!(decode(&a2).generation, 1);
     assert_eq!(decode(&a2).snap, decode(&cold).snap);
 }
+
+/// `dwapsp chaos` refuses link rules whose window is empty — a one-way
+/// loss that ends where it starts, a partition that heals at or before
+/// it starts — with exit 2 and a message naming the entry, before any
+/// run starts.
+#[test]
+fn chaos_rejects_empty_link_fault_windows() {
+    let g = gen::path(6, false, WeightDist::Constant(1), 3);
+    let graph = format!("{}/cli_chaos_g.json", env!("CARGO_TARGET_TMPDIR"));
+    std::fs::write(&graph, to_json(&g)).expect("write graph file");
+    for (flag, entry) in [
+        ("--asym-loss", "3-4@5:5"),
+        ("--asym-loss", "3-4@5:2"),
+        ("--partition", "0.1.2@4:4"),
+        ("--partition", "0.1.2@4:1"),
+    ] {
+        let out = spawn(&["chaos", "--graph", &graph, flag, entry])
+            .wait_with_output()
+            .expect("wait for dwapsp");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{flag} {entry}: {stderr}");
+        assert!(stderr.contains(entry), "{flag} {entry}: {stderr}");
+    }
+}

@@ -9,7 +9,8 @@ use crate::node::PipelinedNode;
 use crate::recovery::solve_reliable;
 use crate::result::HkSspResult;
 use crate::runtime::{
-    execute, hk_ssp_nodes, simulate, solve_chaos, Recovery, Run, Runtime, SolveError, Solved,
+    degrade_on_permanent_cuts, execute, hk_ssp_nodes, simulate, solve_chaos, Recovery, Run,
+    Runtime, SolveError, Solved,
 };
 use dw_congest::{EngineConfig, NullRecorder, Recorder, RunOutcome, RunStats};
 use dw_graph::{NodeId, WGraph, Weight, INFINITY};
@@ -31,7 +32,7 @@ pub fn solve_hk_ssp(
     let finish = |nodes: &mut dyn ExactSizeIterator<Item = &PipelinedNode>| {
         extract(g, &cfg.sources, nodes.map(Some))
     };
-    match &run.recovery {
+    let solved = match &run.recovery {
         Some(Recovery::Reliable(rc)) => {
             let late = |n: &PipelinedNode| n.stats.late_sends;
             solve_reliable(g, run, rc, budget, "hk_ssp", rec, make, late, finish)
@@ -40,7 +41,8 @@ pub fn solve_hk_ssp(
             solve_chaos(g, cfg, run, chaos, budget, rec, make)
         }
         _ => Ok(execute(g, run, budget, "hk_ssp", rec, make, finish)?.into()),
-    }
+    }?;
+    degrade_on_permanent_cuts(g, &cfg.sources, run.engine.faults.as_ref(), solved)
 }
 
 /// [`solve_hk_ssp`] as a tuple, on `rt` with `engine`. Kept for

@@ -134,10 +134,11 @@ pub enum Recovery {
     /// `engine.faults`, on any runtime; the solve reports a
     /// [`DegradationReport`].
     Reliable(RecoveryConfig),
-    /// Scripted crashes and link nemeses with checkpoint/restore
-    /// recovery, Algorithm 1 only. On `Runtime::Sim` the plan is ignored
-    /// (the simulator has no processes to kill) and the run is the
-    /// fault-free reference.
+    /// Scripted process faults (kills, severs, coordinator stalls) with
+    /// checkpoint/restore recovery, Algorithm 1 only. On `Runtime::Sim`
+    /// the plan is ignored (the simulator has no processes to kill) and
+    /// the run is the reference. Link faults are `engine.faults`, on
+    /// every runtime.
     Chaos(ChaosConfig),
 }
 
@@ -354,13 +355,14 @@ pub struct PartialOutcome {
     /// Sources whose own node failed: their instance state is lost, so
     /// their rows are incomplete beyond the salvaged upper bounds.
     pub incomplete_sources: Vec<NodeId>,
-    /// Nodes cut off from some source by the chaos plan's *permanent*
-    /// link cuts (an unhealed [`dw_transport::ChaosEvent::Partition`],
-    /// a never-healing `AsymmetricLoss`): exactly the nodes unreachable
-    /// from a source in the residual communication graph with the cut
-    /// directed links removed. These runs terminate (the cut links go
-    /// quiet, they do not hang) but degrade to this typed outcome
-    /// instead of claiming convergence. Empty for crash-path failures.
+    /// Nodes cut off from some source by the fault plan's *permanent*
+    /// link cuts ([`FaultPlan::cuts_forever`]: an unhealed partition, a
+    /// never-ending outage or one-way loss): exactly the nodes
+    /// unreachable from a source in the residual communication graph
+    /// with the cut directed links removed. These runs terminate (the
+    /// cut links go quiet, they do not hang) but degrade to this typed
+    /// outcome instead of claiming convergence, on every runtime. Empty
+    /// for crash-path failures.
     pub unreachable: Vec<NodeId>,
     /// The barrier round the run died in.
     pub round: Round,
@@ -394,23 +396,13 @@ fn partial_outcome(
 ///
 /// The check is structural: it asks what information flow the cuts make
 /// impossible, not what a particular run achieved before the cut bit.
-/// With `from_round == 0` (the scripted case the chaos suite exercises)
-/// the two coincide — no payload ever crosses a cut link, so a named
-/// node provably cannot have learned its distance. A cut starting mid-run
-/// may leave valid upper bounds in `result` for nodes named here.
-fn residual_unreachable(g: &WGraph, sources: &[NodeId], plan: &ChaosPlan) -> Vec<NodeId> {
-    if !plan.events().iter().any(|e| {
-        matches!(
-            e,
-            dw_transport::ChaosEvent::Partition {
-                heal_round: None,
-                ..
-            } | dw_transport::ChaosEvent::AsymmetricLoss {
-                until_round: dw_transport::NEVER,
-                ..
-            }
-        )
-    }) {
+/// With cuts from round 0 (the scripted case the suites exercise) the
+/// two coincide — no payload ever crosses a cut link, so a named node
+/// provably cannot have learned its distance. A cut starting mid-run may
+/// leave valid upper bounds in `result` for nodes named here.
+fn residual_unreachable(g: &WGraph, sources: &[NodeId], plan: &FaultPlan) -> Vec<NodeId> {
+    let cut = |u: NodeId| g.comm_neighbors(u).iter().any(|&v| plan.cuts_forever(u, v));
+    if !g.nodes().any(cut) {
         return Vec::new();
     }
     let n = g.n();
@@ -433,6 +425,31 @@ fn residual_unreachable(g: &WGraph, sources: &[NodeId], plan: &ChaosPlan) -> Vec
         }
     }
     (0..n as NodeId).filter(|&v| cut_off[v as usize]).collect()
+}
+
+/// `solved`, unless `faults` cut some node off from a source forever.
+/// Such a run terminates (permanent cuts drop payloads, they never stall
+/// a barrier), but some sources provably could not inform every node, so
+/// it degrades to the typed [`PartialOutcome`] instead of claiming
+/// convergence; the salvaged distances remain valid upper bounds.
+pub(crate) fn degrade_on_permanent_cuts(
+    g: &WGraph,
+    sources: &[NodeId],
+    faults: Option<&FaultPlan>,
+    solved: Solved<HkSspResult>,
+) -> Result<Solved<HkSspResult>, SolveError> {
+    let unreachable = faults.map_or_else(Vec::new, |plan| residual_unreachable(g, sources, plan));
+    if unreachable.is_empty() {
+        return Ok(solved);
+    }
+    Err(SolveError::Partial(Box::new(PartialOutcome {
+        result: solved.result,
+        failed: Vec::new(),
+        incomplete_sources: Vec::new(),
+        unreachable,
+        round: solved.stats.rounds_executed,
+        reason: "permanent link cuts disconnect the communication graph".to_string(),
+    })))
 }
 
 /// Algorithm 1 on a transport runtime under `chaos`, with
@@ -472,22 +489,7 @@ pub(crate) fn solve_chaos(
         SolveError::Partial(Box::new(partial_outcome(g, &cfg.sources, *partial)))
     })?;
     let result = extract(g, &cfg.sources, done.nodes.iter().map(Some));
-    let unreachable = residual_unreachable(g, &cfg.sources, &chaos.plan);
-    if unreachable.is_empty() {
-        return Ok((result, done.stats, done.outcome).into());
-    }
-    // The run terminated (permanent cuts drop payloads, they never stall
-    // the barrier), but some sources provably could not inform every
-    // node. Degrade to the typed outcome instead of claiming
-    // convergence; the salvaged distances remain valid upper bounds.
-    Err(SolveError::Partial(Box::new(PartialOutcome {
-        result,
-        failed: Vec::new(),
-        incomplete_sources: Vec::new(),
-        unreachable,
-        round: done.stats.rounds_executed,
-        reason: "permanent link cuts disconnect the communication graph".to_string(),
-    })))
+    Ok((result, done.stats, done.outcome).into())
 }
 
 #[cfg(test)]
@@ -510,6 +512,22 @@ mod tests {
     ) -> Result<Solved<HkSspResult>, SolveError> {
         let run = Run {
             recovery: Some(Recovery::Chaos(chaos.clone())),
+            ..Run::on(rt)
+        };
+        solve_hk_ssp(g, cfg, &run, &mut NullRecorder)
+    }
+
+    fn solve_faulted(
+        rt: Runtime,
+        g: &WGraph,
+        cfg: &SspConfig,
+        faults: &FaultPlan,
+    ) -> Result<Solved<HkSspResult>, SolveError> {
+        let run = Run {
+            engine: EngineConfig {
+                faults: Some(faults.clone()),
+                ..EngineConfig::default()
+            },
             ..Run::on(rt)
         };
         solve_hk_ssp(g, cfg, &run, &mut NullRecorder)
@@ -722,108 +740,93 @@ mod tests {
 
     /// A partition that heals before quiescence delays cross-group
     /// payloads but loses none: after the heal the pipeline converges
-    /// to distances bit-identical to the fault-free simulator on every
-    /// transport runtime. (`RunStats` legitimately differ — parked
-    /// messages count as delayed — so only result and outcome are
-    /// compared.)
+    /// to the fault-free distances, and every transport runtime matches
+    /// the simulator under the same plan — result, stats and outcome.
     #[test]
     fn healed_partition_pipeline_matches_sim_on_every_runtime() {
         let g = gen::zero_heavy(14, 0.2, 0.4, 4, true, 9);
         let delta = dw_seqref::max_finite_distance(&g).max(1);
         let cfg = SspConfig::apsp(g.n(), delta);
-        let sim = solve_on(Runtime::Sim, &g, &cfg);
-        let chaos = ChaosConfig {
-            plan: ChaosPlan::new(5).with_partition(vec![vec![0, 1, 2, 3]], 1, Some(6)),
-            cadence: None,
-            deadline: Duration::from_millis(200),
-        };
+        let faults = FaultPlan::new(5).with_partition(vec![vec![0, 1, 2, 3]], 1, Some(6));
+        let sim = solve_faulted(Runtime::Sim, &g, &cfg, &faults)
+            .expect("a healed partition must not degrade the run");
+        let clean = solve_on(Runtime::Sim, &g, &cfg);
+        assert_eq!(sim.result, clean.result, "healed run must be bit-identical");
+        assert_eq!(sim.outcome, clean.outcome);
+        assert!(
+            sim.stats.delayed > 0,
+            "the partition must actually defer: {:?}",
+            sim.stats
+        );
         for rt in [
             Runtime::Threads,
             Runtime::Tcp,
             Runtime::ThreadsSharded(4),
             Runtime::TcpSharded(3),
         ] {
-            let got = solve_chaos_on(rt, &g, &cfg, &chaos)
+            let got = solve_faulted(rt, &g, &cfg, &faults)
                 .expect("a healed partition must not degrade the run");
-            assert_eq!(
-                got.result,
-                sim.result,
-                "{}: healed run must be bit-identical",
-                rt.label()
-            );
-            assert_eq!(got.outcome, sim.outcome, "{}", rt.label());
-            assert!(
-                got.stats.delayed > 0,
-                "{}: the partition must actually defer: {:?}",
-                rt.label(),
-                got.stats
-            );
+            assert_eq!(got, sim, "{}", rt.label());
         }
     }
 
     /// An undersized bandwidth cap on a real communication edge spreads
     /// deliveries across extra rounds but changes no distances: the
     /// pipeline's lexicographic improves-rule makes the fixpoint
-    /// independent of delivery timing.
+    /// independent of delivery timing. The transports match the
+    /// simulator's capped run exactly.
     #[test]
     fn bandwidth_cap_pipeline_matches_sim() {
         let g = gen::zero_heavy(14, 0.2, 0.4, 4, true, 9);
         let delta = dw_seqref::max_finite_distance(&g).max(1);
         let cfg = SspConfig::apsp(g.n(), delta);
-        let sim = solve_on(Runtime::Sim, &g, &cfg);
         let nb = g.comm_neighbors(0)[0];
-        let chaos = ChaosConfig {
-            plan: ChaosPlan::new(6).with_bandwidth_cap(0, nb, 8),
-            cadence: None,
-            deadline: Duration::from_millis(200),
-        };
+        let faults = FaultPlan::new(6).with_bandwidth_cap(0, nb, 8);
+        let sim = solve_faulted(Runtime::Sim, &g, &cfg, &faults)
+            .expect("a bandwidth cap must not degrade the run");
+        let clean = solve_on(Runtime::Sim, &g, &cfg);
+        assert_eq!(sim.result, clean.result, "capped run must be bit-identical");
+        assert_eq!(sim.outcome, clean.outcome);
+        assert!(
+            sim.stats.delayed > 0,
+            "the cap must actually spill: {:?}",
+            sim.stats
+        );
         for rt in [Runtime::Threads, Runtime::ThreadsSharded(4)] {
-            let got = solve_chaos_on(rt, &g, &cfg, &chaos)
+            let got = solve_faulted(rt, &g, &cfg, &faults)
                 .expect("a bandwidth cap must not degrade the run");
-            assert_eq!(
-                got.result,
-                sim.result,
-                "{}: capped run must be bit-identical",
-                rt.label()
-            );
-            assert_eq!(got.outcome, sim.outcome, "{}", rt.label());
-            assert!(
-                got.stats.delayed > 0,
-                "{}: the cap must actually spill: {:?}",
-                rt.label(),
-                got.stats
-            );
+            assert_eq!(got, sim, "{}", rt.label());
         }
     }
 
     /// An unhealed partition on a path graph: the run terminates (no
     /// hang) and degrades to a typed [`PartialOutcome`] naming exactly
     /// the nodes on the far side of the cut, with the reachable prefix
-    /// still carrying correct distances.
+    /// still carrying correct distances — on the simulator and on a
+    /// transport alike.
     #[test]
     fn permanent_partition_reports_exact_unreachable_set() {
         let g = gen::path(8, false, WeightDist::Constant(1), 11);
         let cfg = SspConfig::new(vec![0], 8, 7);
-        let chaos = ChaosConfig {
-            plan: ChaosPlan::new(7).with_partition(vec![vec![0, 1, 2, 3]], 0, None),
-            cadence: None,
-            deadline: Duration::from_millis(200),
-        };
-        let partial = partial(
-            solve_chaos_on(Runtime::Threads, &g, &cfg, &chaos),
-            "a permanent cut must degrade, not converge",
-        );
-        assert_eq!(partial.unreachable, vec![4, 5, 6, 7]);
-        assert!(
-            partial.failed.is_empty(),
-            "no node crashed: {:?}",
-            partial.failed
-        );
-        assert!(partial.incomplete_sources.is_empty());
-        assert!(!partial.reason.is_empty());
-        assert_eq!(&partial.result.dist[0][..4], &[0, 1, 2, 3]);
-        for v in 4..8 {
-            assert_eq!(partial.result.dist[0][v], INFINITY, "cut-off node {v}");
+        let faults = FaultPlan::new(7).with_partition(vec![vec![0, 1, 2, 3]], 0, None);
+        for rt in [Runtime::Sim, Runtime::Threads] {
+            let partial = partial(
+                solve_faulted(rt, &g, &cfg, &faults),
+                "a permanent cut must degrade, not converge",
+            );
+            assert_eq!(partial.unreachable, vec![4, 5, 6, 7], "{}", rt.label());
+            assert!(
+                partial.failed.is_empty(),
+                "{}: no node crashed: {:?}",
+                rt.label(),
+                partial.failed
+            );
+            assert!(partial.incomplete_sources.is_empty());
+            assert!(!partial.reason.is_empty());
+            assert_eq!(&partial.result.dist[0][..4], &[0, 1, 2, 3]);
+            for v in 4..8 {
+                assert_eq!(partial.result.dist[0][v], INFINITY, "cut-off node {v}");
+            }
         }
     }
 
@@ -831,39 +834,41 @@ mod tests {
     /// downstream direction: flooding from node 0 degrades to a typed
     /// partial outcome naming the far side, while the same plan leaves a
     /// source on the other end fully functional (the reverse direction
-    /// still flows).
+    /// still flows) — on the simulator and on a transport alike.
     #[test]
     fn asym_loss_on_bridge_degrades_one_way_only() {
         let g = gen::path(8, false, WeightDist::Constant(1), 11);
-        let plan = ChaosPlan::new(8).with_asym_loss(3, 4, 0, dw_transport::NEVER);
-        let chaos = ChaosConfig {
-            plan,
-            cadence: None,
-            deadline: Duration::from_millis(200),
-        };
+        let faults = FaultPlan::new(8).with_outage(dw_congest::Outage {
+            from: 3,
+            to: 4,
+            start: 0,
+            end: Round::MAX,
+            symmetric: false,
+        });
+        for rt in [Runtime::Sim, Runtime::Threads] {
+            // Downstream source: information cannot cross 3 -> 4.
+            let cfg = SspConfig::new(vec![0], 8, 7);
+            let partial = partial(
+                solve_faulted(rt, &g, &cfg, &faults),
+                "the one-way cut must degrade the downstream source",
+            );
+            assert_eq!(partial.unreachable, vec![4, 5, 6, 7], "{}", rt.label());
+            assert!(partial.failed.is_empty());
+            assert_eq!(&partial.result.dist[0][..4], &[0, 1, 2, 3]);
 
-        // Downstream source: information cannot cross 3 -> 4.
-        let cfg = SspConfig::new(vec![0], 8, 7);
-        let partial = partial(
-            solve_chaos_on(Runtime::Threads, &g, &cfg, &chaos),
-            "the one-way cut must degrade the downstream source",
-        );
-        assert_eq!(partial.unreachable, vec![4, 5, 6, 7]);
-        assert!(partial.failed.is_empty());
-        assert_eq!(&partial.result.dist[0][..4], &[0, 1, 2, 3]);
-
-        // Upstream source: 4 -> 3 still flows, so the run completes and
-        // matches the fault-free simulator exactly.
-        let cfg = SspConfig::new(vec![7], 8, 7);
-        let sim = solve_on(Runtime::Sim, &g, &cfg);
-        let got = solve_chaos_on(Runtime::Threads, &g, &cfg, &chaos)
-            .expect("the reverse direction is uncut");
-        assert_eq!(got.result, sim.result);
-        assert_eq!(got.outcome, sim.outcome);
-        assert!(
-            got.stats.dropped > 0,
-            "node 3's rebroadcasts toward 4 must hit the cut: {:?}",
-            got.stats
-        );
+            // Upstream source: 4 -> 3 still flows, so the run completes
+            // with the fault-free distances.
+            let cfg = SspConfig::new(vec![7], 8, 7);
+            let clean = solve_on(Runtime::Sim, &g, &cfg);
+            let got = solve_faulted(rt, &g, &cfg, &faults).expect("the reverse direction is uncut");
+            assert_eq!(got.result, clean.result, "{}", rt.label());
+            assert_eq!(got.outcome, clean.outcome, "{}", rt.label());
+            assert!(
+                got.stats.outage_dropped > 0,
+                "{}: node 3's rebroadcasts toward 4 must hit the cut: {:?}",
+                rt.label(),
+                got.stats
+            );
+        }
     }
 }

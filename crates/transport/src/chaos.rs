@@ -1,10 +1,12 @@
-//! Seeded chaos injection for the transport runtime.
+//! Seeded process-level chaos for the transport runtime.
 //!
-//! A [`ChaosPlan`] is a deterministic script of process-level faults —
-//! kill node `v` at round `r`, sever a link, stall the coordinator —
-//! evaluated locally by each worker (and the coordinator) from the
-//! shared plan, the same way [`dw_congest::FaultPlan`] scripts
-//! message-level faults. Determinism is the point: a chaos run with
+//! A [`ChaosPlan`] is a deterministic script of the faults only a
+//! deployment has — kill node `v` at round `r`, sever a link, stall the
+//! coordinator — evaluated locally by each worker (and the coordinator)
+//! from the shared plan. Link faults (loss, delay, outages, partitions,
+//! one-way loss, bandwidth caps) are not chaos events: they are rules of
+//! the [`dw_congest::FaultPlan`] in `TransportConfig::faults`, which the
+//! simulator runs too. Determinism is the point: a chaos run with
 //! recovery enabled must produce distances bit-identical to the
 //! fault-free simulator on the same seeds, and that claim is only
 //! testable if the faults themselves are reproducible.
@@ -20,13 +22,8 @@
 //! modelling a slow coordinator that workers must tolerate without
 //! diverging.
 
-use dw_congest::{Round, WireCodec};
+use dw_congest::Round;
 use dw_graph::NodeId;
-use std::collections::{BTreeMap, HashMap};
-
-/// Sentinel "never": an [`ChaosEvent::AsymmetricLoss`] whose window
-/// never closes, the one-way twin of an unhealed partition.
-pub const NEVER: Round = Round::MAX;
 
 /// One scripted process-level fault.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -40,45 +37,6 @@ pub enum ChaosEvent {
     /// The coordinator sleeps `millis` before broadcasting `Go` for the
     /// first round `>= round`.
     StallCoordinator { round: Round, millis: u64 },
-    /// Network partition: payloads between nodes in *different* groups
-    /// are cut during `[from_round, heal_round)`. Nodes listed in no
-    /// group form one implicit extra group (so a majority/minority
-    /// split is just `groups: vec![minority]`). With `heal_round:
-    /// Some(h)` the link layer parks cross-cut traffic and flushes it
-    /// at round `h` — the CONGEST links stay reliable, delivery is
-    /// merely late, and a healed run must converge bit-identical to
-    /// the fault-free simulation. With `heal_round: None` the cut is
-    /// permanent: cross-group payloads are dropped forever and the run
-    /// degrades to a typed `PartialOutcome` naming the unreachable
-    /// nodes (DESIGN.md §15).
-    Partition {
-        groups: Vec<Vec<NodeId>>,
-        from_round: Round,
-        heal_round: Option<Round>,
-    },
-    /// One-way link loss — the direction-sensitive case `SeverLink`
-    /// cannot express: payloads `from -> to` are dropped during
-    /// `[from_round, until_round)` while the reverse direction keeps
-    /// flowing. `until_round == NEVER` never heals.
-    AsymmetricLoss {
-        from: NodeId,
-        to: NodeId,
-        from_round: Round,
-        until_round: Round,
-    },
-    /// Per-link bandwidth cap: each direction of the `{a, b}` link
-    /// carries at most `bytes_per_round` payload bytes (one CONGEST
-    /// word = 8 bytes) per round. Excess messages spill to the next
-    /// free round, water-filling — they travel immediately but arrive
-    /// with a later `due` round, exactly like a delay fault, so on the
-    /// sharded backend they surface as `RoundBatch` entries spilling
-    /// across rounds. Nothing is dropped: a capped run converges
-    /// bit-identical to the fault-free simulation.
-    BandwidthCap {
-        a: NodeId,
-        b: NodeId,
-        bytes_per_round: u64,
-    },
 }
 
 /// A seeded, deterministic script of process-level faults.
@@ -109,53 +67,6 @@ impl ChaosPlan {
     pub fn with_stall(mut self, round: Round, millis: u64) -> Self {
         self.events
             .push(ChaosEvent::StallCoordinator { round, millis });
-        self
-    }
-
-    /// Partition the network into `groups` (plus one implicit group of
-    /// every unlisted node) during `[from_round, heal_round)`; `None`
-    /// never heals.
-    pub fn with_partition(
-        mut self,
-        groups: Vec<Vec<NodeId>>,
-        from_round: Round,
-        heal_round: Option<Round>,
-    ) -> Self {
-        self.events.push(ChaosEvent::Partition {
-            groups,
-            from_round,
-            heal_round,
-        });
-        self
-    }
-
-    /// Drop payloads `from -> to` during `[from_round, until_round)`
-    /// (pass [`NEVER`] to never heal); the reverse direction is
-    /// untouched.
-    pub fn with_asym_loss(
-        mut self,
-        from: NodeId,
-        to: NodeId,
-        from_round: Round,
-        until_round: Round,
-    ) -> Self {
-        self.events.push(ChaosEvent::AsymmetricLoss {
-            from,
-            to,
-            from_round,
-            until_round,
-        });
-        self
-    }
-
-    /// Cap each direction of the `{a, b}` link at `bytes_per_round`
-    /// payload bytes per round; excess spills to later due rounds.
-    pub fn with_bandwidth_cap(mut self, a: NodeId, b: NodeId, bytes_per_round: u64) -> Self {
-        self.events.push(ChaosEvent::BandwidthCap {
-            a,
-            b,
-            bytes_per_round,
-        });
         self
     }
 
@@ -202,307 +113,6 @@ impl ChaosPlan {
             })
             .collect()
     }
-
-    /// Whether the plan scripts any per-message link nemesis
-    /// (partition, asymmetric loss or bandwidth cap) — the events a
-    /// worker enforces through its send sink rather than at `Go`.
-    pub fn has_link_events(&self) -> bool {
-        self.events.iter().any(|e| {
-            matches!(
-                e,
-                ChaosEvent::Partition { .. }
-                    | ChaosEvent::AsymmetricLoss { .. }
-                    | ChaosEvent::BandwidthCap { .. }
-            )
-        })
-    }
-
-    /// Build the stateful sender-side evaluator for the link nemeses,
-    /// or `None` when the plan scripts none (the common case — workers
-    /// skip the per-message check entirely).
-    pub fn link_nemesis(&self) -> Option<LinkNemesis> {
-        if !self.has_link_events() {
-            return None;
-        }
-        Some(LinkNemesis::from_plan(self))
-    }
-
-    /// True iff the directed link `u -> v` is cut *forever* by this
-    /// plan: an unhealed [`ChaosEvent::Partition`] separating the two,
-    /// or an [`ChaosEvent::AsymmetricLoss`] in that direction whose
-    /// window never closes. The syntactic permanence test the pipeline
-    /// layer uses to name unreachable nodes in a `PartialOutcome`.
-    pub fn cuts_forever(&self, u: NodeId, v: NodeId) -> bool {
-        self.events.iter().any(|e| match e {
-            ChaosEvent::Partition {
-                groups,
-                heal_round: None,
-                ..
-            } => group_of(groups, u) != group_of(groups, v),
-            ChaosEvent::AsymmetricLoss {
-                from,
-                to,
-                until_round: NEVER,
-                ..
-            } => *from == u && *to == v,
-            _ => false,
-        })
-    }
-}
-
-/// The group index of `v` under a partition's `groups`, with every
-/// unlisted node in one implicit extra group.
-fn group_of(groups: &[Vec<NodeId>], v: NodeId) -> usize {
-    groups
-        .iter()
-        .position(|g| g.contains(&v))
-        .unwrap_or(usize::MAX)
-}
-
-/// What the link nemeses decided for one payload message.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LinkVerdict {
-    /// Deliver normally this round.
-    Deliver,
-    /// Silently dropped (unhealed partition window, asymmetric loss).
-    Drop,
-    /// Deliver, but parked at the receiver until the given due round
-    /// (healing partition, bandwidth-cap spill-over).
-    DeferTo(Round),
-}
-
-/// The stateful sender-side evaluator of the per-message link
-/// nemeses. Partition and asymmetric-loss verdicts are pure functions
-/// of `(u, v, round)`; the bandwidth caps water-fill a per-directed-link
-/// bucket, whose state depends only on the sequence of that link's own
-/// sends — deterministic for a fixed protocol run, identical across
-/// backends and shard layouts, and snapshotted with the worker so a
-/// crash-rejoin re-execution replays the same spill decisions
-/// ([`LinkNemesis::state`] / [`LinkNemesis::restore`]).
-#[derive(Debug, Clone)]
-pub struct LinkNemesis {
-    /// `(group index per node, from_round, heal_round)` per partition.
-    partitions: Vec<(HashMap<NodeId, usize>, Round, Option<Round>)>,
-    /// `(from, to, from_round, until_round)` per asymmetric loss.
-    asym: Vec<(NodeId, NodeId, Round, Round)>,
-    /// Unordered `{a, b}` (stored both ways) -> bytes per round.
-    caps: HashMap<(NodeId, NodeId), u64>,
-    /// Leaky-bucket state per capped directed link: `(as_of_round,
-    /// backlog_bytes)`. The backlog drains `cap` bytes per elapsed
-    /// round; a message lands `backlog / cap` rounds late. `BTreeMap`
-    /// so the snapshot encoding is deterministic.
-    buckets: BTreeMap<(NodeId, NodeId), (Round, u64)>,
-}
-
-impl LinkNemesis {
-    fn from_plan(plan: &ChaosPlan) -> LinkNemesis {
-        let mut partitions = Vec::new();
-        let mut asym = Vec::new();
-        let mut caps = HashMap::new();
-        for e in &plan.events {
-            match e {
-                ChaosEvent::Partition {
-                    groups,
-                    from_round,
-                    heal_round,
-                } => {
-                    let mut idx = HashMap::new();
-                    for (i, g) in groups.iter().enumerate() {
-                        for &v in g {
-                            idx.insert(v, i);
-                        }
-                    }
-                    partitions.push((idx, *from_round, *heal_round));
-                }
-                ChaosEvent::AsymmetricLoss {
-                    from,
-                    to,
-                    from_round,
-                    until_round,
-                } => asym.push((*from, *to, *from_round, *until_round)),
-                ChaosEvent::BandwidthCap {
-                    a,
-                    b,
-                    bytes_per_round,
-                } => {
-                    caps.insert((*a, *b), *bytes_per_round);
-                    caps.insert((*b, *a), *bytes_per_round);
-                }
-                _ => {}
-            }
-        }
-        LinkNemesis {
-            partitions,
-            asym,
-            caps,
-            buckets: BTreeMap::new(),
-        }
-    }
-
-    /// Decide the fate of one `words`-word payload on `u -> v` at
-    /// `round`. Drops win over defers; a healing partition and a
-    /// bandwidth cap on the same link compose by taking the later due
-    /// round. Capacity is only consumed by messages that survive the
-    /// drop checks.
-    pub fn decide(&mut self, u: NodeId, v: NodeId, round: Round, words: usize) -> LinkVerdict {
-        let mut due = round;
-        for (idx, from, heal) in &self.partitions {
-            if round < *from {
-                continue;
-            }
-            let gu = idx.get(&u).copied().unwrap_or(usize::MAX);
-            let gv = idx.get(&v).copied().unwrap_or(usize::MAX);
-            if gu == gv {
-                continue;
-            }
-            match heal {
-                None => return LinkVerdict::Drop,
-                Some(h) if round < *h => due = due.max(*h),
-                Some(_) => {}
-            }
-        }
-        for &(f, t, fr, ur) in &self.asym {
-            if u == f && v == t && round >= fr && round < ur {
-                return LinkVerdict::Drop;
-            }
-        }
-        if let Some(&cap) = self.caps.get(&(u, v)) {
-            let cap = cap.max(1);
-            let cost = (words as u64).saturating_mul(8).max(1);
-            let bucket = self.buckets.entry((u, v)).or_insert((round, 0));
-            // Leaky bucket: the link drains `cap` bytes every round.
-            if round > bucket.0 {
-                let elapsed = round - bucket.0;
-                bucket.1 = bucket.1.saturating_sub(elapsed.saturating_mul(cap));
-                bucket.0 = round;
-            }
-            // This message queues behind the backlog: `backlog / cap`
-            // whole rounds' worth of bytes are ahead of it. The message
-            // itself travels now (and cannot be split), so an oversize
-            // message on an empty link is on time — but it leaves a
-            // multi-round backlog behind it.
-            due = due.max(round + bucket.1 / cap);
-            bucket.1 += cost;
-        }
-        if due > round {
-            LinkVerdict::DeferTo(due)
-        } else {
-            LinkVerdict::Deliver
-        }
-    }
-
-    /// The mutable water-filling state, in snapshot wire form (sorted,
-    /// so byte-identical for identical histories).
-    pub fn state(&self) -> Vec<((NodeId, NodeId), (Round, u64))> {
-        self.buckets.iter().map(|(&k, &v)| (k, v)).collect()
-    }
-
-    /// Restore the water-filling state captured by [`LinkNemesis::state`].
-    pub fn restore(&mut self, state: Vec<((NodeId, NodeId), (Round, u64))>) {
-        self.buckets = state.into_iter().collect();
-    }
-}
-
-impl WireCodec for ChaosEvent {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            ChaosEvent::Kill { node, round } => {
-                out.push(0);
-                node.encode(out);
-                round.encode(out);
-            }
-            ChaosEvent::SeverLink { a, b, round } => {
-                out.push(1);
-                a.encode(out);
-                b.encode(out);
-                round.encode(out);
-            }
-            ChaosEvent::StallCoordinator { round, millis } => {
-                out.push(2);
-                round.encode(out);
-                millis.encode(out);
-            }
-            ChaosEvent::Partition {
-                groups,
-                from_round,
-                heal_round,
-            } => {
-                out.push(3);
-                groups.encode(out);
-                from_round.encode(out);
-                heal_round.encode(out);
-            }
-            ChaosEvent::AsymmetricLoss {
-                from,
-                to,
-                from_round,
-                until_round,
-            } => {
-                out.push(4);
-                from.encode(out);
-                to.encode(out);
-                from_round.encode(out);
-                until_round.encode(out);
-            }
-            ChaosEvent::BandwidthCap {
-                a,
-                b,
-                bytes_per_round,
-            } => {
-                out.push(5);
-                a.encode(out);
-                b.encode(out);
-                bytes_per_round.encode(out);
-            }
-        }
-    }
-    fn decode(buf: &mut &[u8]) -> Option<Self> {
-        match u8::decode(buf)? {
-            0 => Some(ChaosEvent::Kill {
-                node: NodeId::decode(buf)?,
-                round: Round::decode(buf)?,
-            }),
-            1 => Some(ChaosEvent::SeverLink {
-                a: NodeId::decode(buf)?,
-                b: NodeId::decode(buf)?,
-                round: Round::decode(buf)?,
-            }),
-            2 => Some(ChaosEvent::StallCoordinator {
-                round: Round::decode(buf)?,
-                millis: u64::decode(buf)?,
-            }),
-            3 => Some(ChaosEvent::Partition {
-                groups: Vec::<Vec<NodeId>>::decode(buf)?,
-                from_round: Round::decode(buf)?,
-                heal_round: Option::<Round>::decode(buf)?,
-            }),
-            4 => Some(ChaosEvent::AsymmetricLoss {
-                from: NodeId::decode(buf)?,
-                to: NodeId::decode(buf)?,
-                from_round: Round::decode(buf)?,
-                until_round: Round::decode(buf)?,
-            }),
-            5 => Some(ChaosEvent::BandwidthCap {
-                a: NodeId::decode(buf)?,
-                b: NodeId::decode(buf)?,
-                bytes_per_round: u64::decode(buf)?,
-            }),
-            _ => None,
-        }
-    }
-}
-
-impl WireCodec for ChaosPlan {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.seed.encode(out);
-        self.events.encode(out);
-    }
-    fn decode(buf: &mut &[u8]) -> Option<Self> {
-        Some(ChaosPlan {
-            seed: u64::decode(buf)?,
-            events: Vec::<ChaosEvent>::decode(buf)?,
-        })
-    }
 }
 
 /// SplitMix64: a tiny, high-quality mixing function used for seeded
@@ -544,172 +154,5 @@ mod tests {
     fn splitmix_is_deterministic_and_mixing() {
         assert_eq!(splitmix64(42), splitmix64(42));
         assert_ne!(splitmix64(1), splitmix64(2));
-    }
-
-    #[test]
-    fn kill_sever_stall_have_no_link_nemesis() {
-        let plan = ChaosPlan::new(0)
-            .with_kill(1, 5)
-            .with_sever(0, 1, 3)
-            .with_stall(2, 100);
-        assert!(!plan.has_link_events());
-        assert!(plan.link_nemesis().is_none());
-    }
-
-    #[test]
-    fn healing_partition_defers_cross_group_then_delivers() {
-        let plan = ChaosPlan::new(0).with_partition(vec![vec![0, 1], vec![2, 3]], 4, Some(9));
-        let mut nem = plan.link_nemesis().expect("partition is a link event");
-        // Before the window: untouched.
-        assert_eq!(nem.decide(0, 2, 3, 4), LinkVerdict::Deliver);
-        // Inside the window, cross-group: parked until the heal round.
-        assert_eq!(nem.decide(0, 2, 4, 4), LinkVerdict::DeferTo(9));
-        assert_eq!(nem.decide(3, 1, 8, 4), LinkVerdict::DeferTo(9));
-        // Inside the window, same group: untouched.
-        assert_eq!(nem.decide(0, 1, 6, 4), LinkVerdict::Deliver);
-        // At and after heal: untouched.
-        assert_eq!(nem.decide(0, 2, 9, 4), LinkVerdict::Deliver);
-        assert!(!plan.cuts_forever(0, 2), "healed partitions are not cuts");
-    }
-
-    #[test]
-    fn unhealed_partition_drops_and_unlisted_nodes_share_a_group() {
-        let plan = ChaosPlan::new(0).with_partition(vec![vec![0]], 2, None);
-        let mut nem = plan.link_nemesis().unwrap();
-        assert_eq!(nem.decide(0, 1, 2, 4), LinkVerdict::Drop);
-        assert_eq!(nem.decide(1, 0, 7, 4), LinkVerdict::Drop);
-        // 1 and 2 are both unlisted -> same implicit group.
-        assert_eq!(nem.decide(1, 2, 7, 4), LinkVerdict::Deliver);
-        assert!(plan.cuts_forever(0, 1) && plan.cuts_forever(1, 0));
-        assert!(!plan.cuts_forever(1, 2));
-    }
-
-    #[test]
-    fn asymmetric_loss_is_one_way_and_windowed() {
-        let plan = ChaosPlan::new(0).with_asym_loss(2, 5, 3, 8);
-        let mut nem = plan.link_nemesis().unwrap();
-        assert_eq!(nem.decide(2, 5, 3, 1), LinkVerdict::Drop);
-        assert_eq!(nem.decide(2, 5, 7, 1), LinkVerdict::Drop);
-        // Reverse direction and outside the window are untouched.
-        assert_eq!(nem.decide(5, 2, 4, 1), LinkVerdict::Deliver);
-        assert_eq!(nem.decide(2, 5, 8, 1), LinkVerdict::Deliver);
-        assert!(!plan.cuts_forever(2, 5), "windowed loss is not permanent");
-        let forever = ChaosPlan::new(0).with_asym_loss(2, 5, 3, NEVER);
-        assert!(forever.cuts_forever(2, 5));
-        assert!(!forever.cuts_forever(5, 2), "loss is directional");
-    }
-
-    #[test]
-    fn bandwidth_cap_water_fills_across_rounds() {
-        // 16 bytes/round = two 1-word messages per slot per direction.
-        let plan = ChaosPlan::new(0).with_bandwidth_cap(0, 1, 16);
-        let mut nem = plan.link_nemesis().unwrap();
-        assert_eq!(nem.decide(0, 1, 5, 1), LinkVerdict::Deliver);
-        assert_eq!(nem.decide(0, 1, 5, 1), LinkVerdict::Deliver);
-        // Third message of round 5 spills to round 6, fourth rides along.
-        assert_eq!(nem.decide(0, 1, 5, 1), LinkVerdict::DeferTo(6));
-        assert_eq!(nem.decide(0, 1, 5, 1), LinkVerdict::DeferTo(6));
-        // Each direction has its own bucket; the cap applies both ways.
-        assert_eq!(nem.decide(1, 0, 5, 1), LinkVerdict::Deliver);
-        // An oversize message still gets a slot of its own.
-        assert_eq!(nem.decide(0, 1, 5, 4), LinkVerdict::DeferTo(7));
-        // A later round past the backlog resets the bucket.
-        assert_eq!(nem.decide(0, 1, 9, 1), LinkVerdict::Deliver);
-        // Uncapped links are untouched.
-        assert_eq!(nem.decide(0, 2, 5, 64), LinkVerdict::Deliver);
-    }
-
-    #[test]
-    fn undersized_cap_builds_cross_round_backlog() {
-        // 4 bytes/round against an 8-byte message every round: the link
-        // sustains half the offered load, so lateness grows one round
-        // per round — real cross-round backpressure, not per-round
-        // clipping.
-        let plan = ChaosPlan::new(0).with_bandwidth_cap(2, 3, 4);
-        let mut nem = plan.link_nemesis().unwrap();
-        assert_eq!(nem.decide(2, 3, 0, 1), LinkVerdict::Deliver);
-        assert_eq!(nem.decide(2, 3, 1, 1), LinkVerdict::DeferTo(2));
-        assert_eq!(nem.decide(2, 3, 2, 1), LinkVerdict::DeferTo(4));
-        assert_eq!(nem.decide(2, 3, 3, 1), LinkVerdict::DeferTo(6));
-        // After a long silence the backlog fully drains.
-        assert_eq!(nem.decide(2, 3, 100, 1), LinkVerdict::Deliver);
-    }
-
-    #[test]
-    fn bucket_state_roundtrips_for_snapshots() {
-        let plan = ChaosPlan::new(0).with_bandwidth_cap(0, 1, 8);
-        let mut nem = plan.link_nemesis().unwrap();
-        nem.decide(0, 1, 2, 1);
-        nem.decide(0, 1, 2, 1);
-        let state = nem.state();
-        let mut fresh = plan.link_nemesis().unwrap();
-        fresh.restore(state.clone());
-        // Both evaluators now make the same next decision.
-        assert_eq!(fresh.decide(0, 1, 2, 1), nem.decide(0, 1, 2, 1));
-        assert_eq!(fresh.state(), nem.state());
-    }
-
-    #[test]
-    fn drop_wins_over_defer_and_dropped_messages_spend_no_capacity() {
-        let plan = ChaosPlan::new(0)
-            .with_asym_loss(0, 1, 0, NEVER)
-            .with_bandwidth_cap(0, 1, 8);
-        let mut nem = plan.link_nemesis().unwrap();
-        assert_eq!(nem.decide(0, 1, 3, 1), LinkVerdict::Drop);
-        assert!(nem.state().is_empty(), "drops must not fill the bucket");
-        // The reverse direction is only capped, never dropped.
-        assert_eq!(nem.decide(1, 0, 3, 1), LinkVerdict::Deliver);
-        assert_eq!(nem.decide(1, 0, 3, 1), LinkVerdict::DeferTo(4));
-    }
-
-    #[test]
-    fn partition_heal_composes_with_cap_by_later_due() {
-        let plan = ChaosPlan::new(0)
-            .with_partition(vec![vec![0], vec![1]], 0, Some(10))
-            .with_bandwidth_cap(0, 1, 8);
-        let mut nem = plan.link_nemesis().unwrap();
-        // Cap alone would defer to round 2-3; the heal round is later.
-        assert_eq!(nem.decide(0, 1, 2, 1), LinkVerdict::DeferTo(10));
-        assert_eq!(nem.decide(0, 1, 2, 1), LinkVerdict::DeferTo(10));
-        // After heal the cap dominates again: bucket backlog is at
-        // round 3 from the two sends above... a round-11 send resets it.
-        assert_eq!(nem.decide(0, 1, 11, 1), LinkVerdict::Deliver);
-    }
-
-    #[test]
-    fn chaos_plan_codec_roundtrips() {
-        let plan = ChaosPlan::new(9)
-            .with_kill(3, 12)
-            .with_sever(1, 4, 9)
-            .with_stall(5, 250)
-            .with_partition(vec![vec![0, 1], vec![2]], 4, Some(9))
-            .with_partition(vec![vec![7]], 1, None)
-            .with_asym_loss(2, 5, 3, NEVER)
-            .with_bandwidth_cap(0, 1, 16);
-        let mut buf = Vec::new();
-        plan.encode(&mut buf);
-        let mut slice = &buf[..];
-        let back = ChaosPlan::decode(&mut slice).expect("roundtrip");
-        assert!(slice.is_empty(), "decode must consume exactly");
-        assert_eq!(back.seed(), plan.seed());
-        assert_eq!(back.events(), plan.events());
-    }
-
-    #[test]
-    fn chaos_event_codec_rejects_unknown_tag_and_truncation() {
-        let mut buf = Vec::new();
-        ChaosEvent::BandwidthCap {
-            a: 0,
-            b: 1,
-            bytes_per_round: 16,
-        }
-        .encode(&mut buf);
-        for cut in 0..buf.len() {
-            let mut slice = &buf[..cut];
-            assert!(ChaosEvent::decode(&mut slice).is_none());
-        }
-        let bad = [200u8, 0, 0];
-        let mut slice = &bad[..];
-        assert!(ChaosEvent::decode(&mut slice).is_none());
     }
 }

@@ -26,8 +26,8 @@
 //! bit-identical results — final node states, `RunStats` (including
 //! congestion counters), outcome — to the simulator on the same seeds,
 //! at every shard count, with or without a [`dw_congest::FaultPlan`],
-//! whose pure per-link decisions are evaluated sender-side at the
-//! transport layer. The CONGEST constraint checks themselves live in
+//! whose per-link decisions the workers evaluate sender-side with the
+//! simulator's own evaluator. The CONGEST constraint checks themselves live in
 //! the shared [`dw_congest::NodeRunner`], so both environments validate
 //! sends with the same code.
 
@@ -42,7 +42,7 @@ pub mod tcp;
 pub mod wire;
 
 pub use channels::{run_threads, run_threads_chaos, PartialRun, TransportRun};
-pub use chaos::{ChaosEvent, ChaosPlan, LinkNemesis, LinkVerdict, NEVER};
+pub use chaos::{ChaosEvent, ChaosPlan};
 pub use coordinator::{coordinate, CoordConfig, CoordEndpoint};
 pub use error::TransportError;
 pub use maelstrom::{maelstrom_serve, MaelstromInit, MaelstromStats};

@@ -22,8 +22,9 @@
 //! within a round the worker replicates the simulator's phase order and
 //! delivery order *exactly*, which is what the conformance suite checks:
 //!
-//! 1. deliver the delay-faulted messages parked on the shard whose due
-//!    round has arrived (due-round then arrival order — the simulator's
+//! 1. deliver the held messages (delay faults, partitions awaiting
+//!    their heal round, bandwidth-cap spill) parked on the shard whose
+//!    due round has arrived (due-round then arrival order — the simulator's
 //!    `BTreeMap` pop order);
 //! 2. send phase, due nodes only, in id order (the simulator's loop
 //!    order): the worker keeps the simulator's active-set schedule
@@ -31,7 +32,8 @@
 //!    lazy min-heap — and polls the nodes whose round has come, which
 //!    under the `earliest_send` contract are the only ones that can
 //!    send; each poll validates CONGEST constraints in the shared
-//!    [`NodeRunner`], evaluates the pure fault plan sender-side,
+//!    [`NodeRunner`], evaluates the fault plan sender-side (the one
+//!    [`FaultPlan::decide`], against the shard's own cap buckets),
 //!    delivers intra-shard messages in place and batches cross-shard
 //!    ones;
 //! 3. ship one batch and one [`Frame::EndRound`] marker per peer shard;
@@ -66,12 +68,12 @@
 //! rebuilding the schedule from the restored states, and replaying
 //! peer-shard [`Frame::BatchReplay`] batches.
 
-use crate::chaos::{ChaosPlan, LinkNemesis, LinkVerdict};
+use crate::chaos::ChaosPlan;
 use crate::error::TransportError;
 use crate::wire::{abort_reason, errkind, BatchEntry, CtlMsg, Event, Frame, NodeReport};
 use dw_congest::{
-    Checkpointable, Envelope, FaultAction, FaultPlan, NodeRunner, Protocol, Round, RunOutcome,
-    SendSink, WireCodec,
+    CapBuckets, Checkpointable, Envelope, FaultAction, FaultPlan, NodeRunner, Protocol, Round,
+    RunOutcome, SendSink, WireCodec,
 };
 use dw_graph::{NodeId, WGraph};
 use std::cmp::Reverse;
@@ -104,9 +106,11 @@ pub struct TransportConfig {
     pub max_words: usize,
     /// Enforce one message per directed link per round.
     pub enforce_link_capacity: bool,
-    /// Deterministic fault injection, evaluated sender-side at the
-    /// transport layer. The plan is a pure function of
-    /// `(sender, receiver, round, seed)`, so a transport run makes
+    /// Deterministic link faults — the seeded mix, outages, partitions,
+    /// bandwidth caps — evaluated sender-side by the one
+    /// [`FaultPlan::decide`] the simulator runs. Each decision is a pure
+    /// function of `(sender, receiver, round, seed)` plus, on a capped
+    /// link, the sending worker's own bucket, so a transport run makes
     /// exactly the decisions the simulator makes.
     pub faults: Option<FaultPlan>,
     /// Checkpoint every this-many *executed* rounds (the schedule is
@@ -114,10 +118,9 @@ pub struct TransportConfig {
     /// windows align across workers). `None` disables checkpointing and
     /// replay buffering, making crashes unrecoverable.
     pub checkpoint_cadence: Option<u64>,
-    /// Scripted process-level faults (see [`ChaosPlan`]). Kill, sever
-    /// and stall are only honored by [`shard_main_recoverable`]; the
-    /// link nemeses (partition, asymmetric loss, bandwidth cap) are
-    /// enforced sender-side in *every* drive loop, plain included.
+    /// Scripted process-level faults (see [`ChaosPlan`]): kills and
+    /// severs, honored only by [`shard_main_recoverable`], and
+    /// coordinator stalls. Link faults belong in `faults`.
     pub chaos: Option<ChaosPlan>,
 }
 
@@ -263,8 +266,9 @@ struct Mailboxes<M> {
     base: NodeId,
     inboxes: Vec<Vec<Envelope<M>>>,
     touched: Vec<u32>,
-    /// Delay-faulted messages `(to, from, msg)` parked until their due
-    /// round, in arrival order within a round.
+    /// Held messages `(to, from, msg)` (delay faults, partitions
+    /// awaiting their heal round, bandwidth-cap spill) parked until
+    /// their due round, in arrival order within a round.
     parked: BTreeMap<Round, Vec<(NodeId, NodeId, M)>>,
 }
 
@@ -289,7 +293,7 @@ impl<M> Mailboxes<M> {
 /// The transport [`SendSink`]: evaluates the fault plan at the sender
 /// and delivers what survives, split by destination shard. A dropped
 /// message occupies the link (the runner already charged it) but goes
-/// nowhere; a delayed message travels immediately, stamped with its due
+/// nowhere; a held message travels immediately, stamped with its due
 /// round, and is parked at the *receiver* — keeping the wire
 /// round-synchronous so end-of-round markers stay a completeness proof.
 /// Intra-shard messages land directly in the receiver's mailbox (even
@@ -302,11 +306,11 @@ struct ShardSink<'a, M> {
     map: &'a ShardMap,
     shard: NodeId,
     peer_shards: &'a [NodeId],
+    /// Consulted on intra-shard links too: a partition separates
+    /// *nodes*, and two nodes in one process are still two CONGEST
+    /// endpoints.
     faults: Option<&'a FaultPlan>,
-    /// Link-nemesis evaluator, consulted before the fault plan —
-    /// intra-shard links included: a partition separates *nodes*, and
-    /// two nodes in one process are still two CONGEST endpoints.
-    chaos: Option<&'a mut LinkNemesis>,
+    buckets: &'a mut CapBuckets,
     tally: &'a mut LocalTally,
     round: Round,
     emit: bool,
@@ -342,39 +346,23 @@ impl<M: Clone> ShardSink<'_, M> {
 
     fn dispatch(&mut self, u: NodeId, v: NodeId, msg: M, words: usize) {
         let round = self.round;
-        // Link nemeses first: the network's verdict bounds everything
-        // the protocol-level fault plan can add on top.
-        let mut floor = round;
-        if let Some(nem) = self.chaos.as_deref_mut() {
-            match nem.decide(u, v, round, words) {
-                LinkVerdict::Deliver => {}
-                LinkVerdict::Drop => {
-                    self.tally.dropped += 1;
-                    return;
-                }
-                LinkVerdict::DeferTo(due) => {
-                    self.tally.delayed += 1;
-                    floor = due;
-                }
-            }
-        }
         let Some(plan) = self.faults else {
-            self.put(u, v, floor, msg);
+            self.put(u, v, round, msg);
             return;
         };
-        match plan.decide(u, v, round) {
-            FaultAction::Deliver => self.put(u, v, floor, msg),
+        match plan.decide(u, v, round, words, self.buckets) {
+            FaultAction::Deliver { due, duplicate } => {
+                if duplicate {
+                    self.tally.duplicated += 1;
+                    self.put(u, v, due, msg.clone());
+                }
+                if due > round {
+                    self.tally.delayed += 1;
+                }
+                self.put(u, v, due, msg);
+            }
             FaultAction::Drop => self.tally.dropped += 1,
             FaultAction::OutageDrop => self.tally.outage_dropped += 1,
-            FaultAction::Duplicate => {
-                self.put(u, v, floor, msg.clone());
-                self.put(u, v, floor, msg);
-                self.tally.duplicated += 1;
-            }
-            FaultAction::Delay(d) => {
-                self.put(u, v, floor.max(round + d), msg);
-                self.tally.delayed += 1;
-            }
         }
     }
 }
@@ -410,6 +398,12 @@ struct ShardWorker<'g, P: Protocol> {
     cfg: &'g TransportConfig,
     nodes: Vec<NodeState<P>>,
     mail: Mailboxes<P::Msg>,
+    /// The fault plan's bandwidth-cap state for the links this shard's
+    /// nodes send on. Each directed link has exactly one sending shard,
+    /// so the shards' buckets together are the simulator's; they ride in
+    /// the snapshot so a crash re-execution replays identical spill
+    /// decisions.
+    buckets: CapBuckets,
     /// The active-set schedule (DESIGN.md §7): each hosted node's cached
     /// next send round (`Round::MAX` = dormant, or polled this round)
     /// and a lazy min-heap of `(round, local)` entries, valid iff the
@@ -446,13 +440,6 @@ struct ShardWorker<'g, P: Protocol> {
     /// until the rejoin fully restores it. Fail-stop: a worker that
     /// errors out in this window has no node state worth salvaging.
     state_lost: bool,
-    /// Sender-side evaluator for the plan's link nemeses (partition /
-    /// asymmetric loss / bandwidth cap); `None` when the plan scripts
-    /// none. One per shard, shared by every hosted node's sink, because
-    /// the cap buckets are per directed *link* and each link has exactly
-    /// one sending shard. Its water-filling state rides in the snapshot
-    /// so a crash re-execution replays identical spill decisions.
-    link_chaos: Option<LinkNemesis>,
 }
 
 impl<'g, P: Protocol> ShardWorker<'g, P> {
@@ -497,6 +484,7 @@ impl<'g, P: Protocol> ShardWorker<'g, P> {
                 touched: Vec::new(),
                 parked: BTreeMap::new(),
             },
+            buckets: CapBuckets::default(),
             next_send: Vec::new(),
             schedule: BinaryHeap::new(),
             polled: Vec::new(),
@@ -509,7 +497,6 @@ impl<'g, P: Protocol> ShardWorker<'g, P> {
             prev_checkpoint: 0,
             current_round: 0,
             state_lost: false,
-            link_chaos: cfg.chaos.as_ref().and_then(|p| p.link_nemesis()),
         };
         for st in &mut w.nodes {
             st.runner.init(g);
@@ -661,7 +648,7 @@ impl<'g, P: Protocol> ShardWorker<'g, P> {
     ) -> Result<(), TransportError> {
         self.current_round = round;
 
-        // --- 1. late deliveries from delay faults ---
+        // --- 1. late deliveries of held messages ---
         let mut late_total = 0u64;
         while let Some(entry) = self.mail.parked.first_entry() {
             if *entry.key() > round {
@@ -693,11 +680,11 @@ impl<'g, P: Protocol> ShardWorker<'g, P> {
                 cfg,
                 nodes,
                 mail,
+                buckets,
                 polled,
                 peer_shards,
                 batches,
                 replay,
-                link_chaos,
                 ..
             } = self;
             for &local in polled.iter() {
@@ -708,7 +695,7 @@ impl<'g, P: Protocol> ShardWorker<'g, P> {
                     shard: *shard,
                     peer_shards,
                     faults: cfg.faults.as_ref(),
-                    chaos: link_chaos.as_mut(),
+                    buckets,
                     tally: &mut st.tally,
                     round,
                     emit: live,
@@ -958,7 +945,8 @@ where
 {
     /// Serialize the whole shard: the cadence clock once, then every
     /// hosted node's protocol snapshot, runner accounting and fault
-    /// tally in node-id order, then the parked delayed messages.
+    /// tally in node-id order, then the parked messages and the cap
+    /// buckets.
     fn encode_snapshot(&self, out: &mut Vec<u8>) {
         self.executed.encode(out);
         for st in &self.nodes {
@@ -975,14 +963,7 @@ where
             .map(|(&due, batch)| (due, batch.clone()))
             .collect();
         parked.encode(out);
-        // Shard-wide bandwidth-cap water-filling state, for replaying
-        // identical spill decisions after a crash.
-        let chaos_state = self
-            .link_chaos
-            .as_ref()
-            .map(|nem| nem.state())
-            .unwrap_or_default();
-        chaos_state.encode(out);
+        self.buckets.state().encode(out);
     }
 
     fn restore_snapshot(&mut self, buf: &mut &[u8]) -> Option<()> {
@@ -999,10 +980,8 @@ where
         }
         let parked = Vec::<ParkedBatch<P::Msg>>::decode(buf)?;
         self.mail.parked = parked.into_iter().collect();
-        let chaos_state = Vec::<((NodeId, NodeId), (Round, u64))>::decode(buf)?;
-        if let Some(nem) = &mut self.link_chaos {
-            nem.restore(chaos_state);
-        }
+        let buckets = Vec::<((NodeId, NodeId), (Round, u64))>::decode(buf)?;
+        self.buckets = CapBuckets::from_state(buckets);
         Some(())
     }
 

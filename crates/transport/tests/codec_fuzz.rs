@@ -6,7 +6,7 @@
 
 use dw_congest::{RunOutcome, WireCodec};
 use dw_transport::wire::{read_frame, write_frame, BatchEntry, CtlMsg, Frame, NodeReport};
-use dw_transport::{maelstrom_serve, ChaosEvent, ChaosPlan, MaelstromInit};
+use dw_transport::{maelstrom_serve, MaelstromInit};
 use proptest::prelude::*;
 use std::io::Cursor;
 
@@ -276,71 +276,6 @@ proptest! {
     }
 }
 
-/// `(discriminant, a, b, r1, r2, groups)` → one of the 6 `ChaosEvent`
-/// variants (the nemesis vocabulary of DESIGN.md §15).
-fn arb_chaos_event() -> impl Strategy<Value = ChaosEvent> {
-    (
-        0usize..6,
-        any::<u32>(),
-        any::<u32>(),
-        any::<u64>(),
-        any::<u64>(),
-        collection::vec(collection::vec(any::<u32>(), 0..6), 0..4),
-    )
-        .prop_map(|(which, a, b, r1, r2, groups)| match which {
-            0 => ChaosEvent::Kill { node: a, round: r1 },
-            1 => ChaosEvent::SeverLink { a, b, round: r1 },
-            2 => ChaosEvent::StallCoordinator {
-                round: r1,
-                millis: r2,
-            },
-            3 => ChaosEvent::Partition {
-                groups,
-                from_round: r1,
-                heal_round: opt(r2, r1 ^ r2),
-            },
-            4 => ChaosEvent::AsymmetricLoss {
-                from: a,
-                to: b,
-                from_round: r1,
-                until_round: r2,
-            },
-            _ => ChaosEvent::BandwidthCap {
-                a,
-                b,
-                bytes_per_round: r2,
-            },
-        })
-}
-
-/// Rebuild a plan through the public builders (fields are private), so
-/// the roundtrip also exercises the builder → event mapping.
-fn plan_from(seed: u64, events: Vec<ChaosEvent>) -> ChaosPlan {
-    events
-        .into_iter()
-        .fold(ChaosPlan::new(seed), |p, ev| match ev {
-            ChaosEvent::Kill { node, round } => p.with_kill(node, round),
-            ChaosEvent::SeverLink { a, b, round } => p.with_sever(a, b, round),
-            ChaosEvent::StallCoordinator { round, millis } => p.with_stall(round, millis),
-            ChaosEvent::Partition {
-                groups,
-                from_round,
-                heal_round,
-            } => p.with_partition(groups, from_round, heal_round),
-            ChaosEvent::AsymmetricLoss {
-                from,
-                to,
-                from_round,
-                until_round,
-            } => p.with_asym_loss(from, to, from_round, until_round),
-            ChaosEvent::BandwidthCap {
-                a,
-                b,
-                bytes_per_round,
-            } => p.with_bandwidth_cap(a, b, bytes_per_round),
-        })
-}
-
 /// One syntactically valid Maelstrom init line for the mutation tests.
 fn init_line(msg_id: u64) -> String {
     format!(
@@ -350,73 +285,6 @@ fn init_line(msg_id: u64) -> String {
 }
 
 proptest! {
-    // Chaos events survive an encode/decode roundtrip untouched —
-    // crash-recovery snapshots carry these, so the roundtrip being
-    // exact (not just structurally similar) matters.
-    #[test]
-    fn chaos_event_roundtrips(ev in arb_chaos_event()) {
-        let mut buf = Vec::new();
-        ev.encode(&mut buf);
-        let mut view = buf.as_slice();
-        prop_assert_eq!(ChaosEvent::decode(&mut view), Some(ev));
-        prop_assert!(view.is_empty());
-    }
-
-    // A whole plan (seed + scripted nemeses, built through the public
-    // builders) roundtrips through the wire codec.
-    #[test]
-    fn chaos_plan_roundtrips(seed in any::<u64>(), events in collection::vec(arb_chaos_event(), 0..8)) {
-        let plan = plan_from(seed, events);
-        let mut buf = Vec::new();
-        plan.encode(&mut buf);
-        let mut view = buf.as_slice();
-        prop_assert_eq!(ChaosPlan::decode(&mut view), Some(plan));
-        prop_assert!(view.is_empty());
-    }
-
-    // Raw chaos decode on arbitrary bytes (which covers unknown event
-    // tags — anything >= 6) never panics and only consumes a prefix.
-    #[test]
-    fn chaos_decode_never_panics_or_over_reads(bytes in collection::vec(any::<u8>(), 0..256)) {
-        let mut view = bytes.as_slice();
-        let _ = ChaosEvent::decode(&mut view);
-        prop_assert!(view.len() <= bytes.len());
-
-        let mut view = bytes.as_slice();
-        let _ = ChaosPlan::decode(&mut view);
-        prop_assert!(view.len() <= bytes.len());
-    }
-
-    // Truncating a valid plan encoding strictly inside it decodes to
-    // `None`, never a panic or a phantom plan.
-    #[test]
-    fn truncated_chaos_plan_is_rejected(seed in any::<u64>(), events in collection::vec(arb_chaos_event(), 1..8), cut_seed in any::<u64>()) {
-        let plan = plan_from(seed, events);
-        let mut buf = Vec::new();
-        plan.encode(&mut buf);
-        let cut = (cut_seed as usize) % buf.len();
-        buf.truncate(cut);
-        let mut view = buf.as_slice();
-        // A cut inside the seed's varint or the length prefix can still
-        // decode an (empty or shorter) plan from the prefix; what must
-        // never happen is a panic or the original plan reappearing.
-        if let Some(got) = ChaosPlan::decode(&mut view) {
-            prop_assert!(got != plan, "truncated encoding decoded to the full plan");
-        }
-    }
-
-    // Flipping any single byte of a plan encoding never panics.
-    #[test]
-    fn bit_flipped_chaos_plan_never_panics(seed in any::<u64>(), events in collection::vec(arb_chaos_event(), 1..8), pos_seed in any::<u64>(), flip in 1u8..=255) {
-        let plan = plan_from(seed, events);
-        let mut buf = Vec::new();
-        plan.encode(&mut buf);
-        let pos = (pos_seed as usize) % buf.len();
-        buf[pos] ^= flip;
-        let mut view = buf.as_slice();
-        let _ = ChaosPlan::decode(&mut view);
-    }
-
     // Maelstrom init parsing on arbitrary text: `None` or a parse,
     // never a panic (the harness frames are attacker-shaped input as
     // far as the node is concerned).

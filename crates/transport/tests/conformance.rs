@@ -528,112 +528,106 @@ fn new_chatter(_v: NodeId) -> Chatter {
     Chatter { sum: 0, heard: 0 }
 }
 
-fn nemesis_cfg(plan: ChaosPlan) -> TransportConfig {
-    TransportConfig {
-        chaos: Some(plan),
-        ..TransportConfig::default()
+/// Every backend under `faults` against the simulator under the same
+/// plan: threads and TCP at every canonical shard count, and stdio at
+/// one node per worker. Final nodes (compared through `key`), `RunStats`
+/// and outcome must all equal the simulator's, which this returns.
+fn every_backend_matches_sim<P: Protocol, K: PartialEq + std::fmt::Debug>(
+    g: &WGraph,
+    faults: FaultPlan,
+    budget: Round,
+    make: fn(NodeId) -> P,
+    key: impl Fn(&P) -> K,
+) -> (Vec<K>, RunStats, RunOutcome)
+where
+    P::Msg: WireCodec,
+{
+    let (nodes, stats, outcome) = simulate(g, Some(faults.clone()), budget, make);
+    let want: Vec<K> = nodes.iter().map(&key).collect();
+    let cfg = transport_cfg(Some(faults));
+    let check = |run: TransportRun<P>, label: &str| {
+        assert_eq!(run.outcome, outcome, "{label}");
+        assert_eq!(run.stats, stats, "{label}");
+        assert_eq!(
+            run.nodes.iter().map(&key).collect::<Vec<_>>(),
+            want,
+            "{label}"
+        );
+    };
+    for p in shard_counts(g.n()) {
+        check(threads(g, &cfg, budget, p, make), &format!("threads:{p}"));
+        check(tcp(g, &cfg, budget, p, make), &format!("tcp:{p}"));
     }
+    check(run_stdio_network(g, &cfg, budget, g.n(), make), "stdio");
+    (want, stats, outcome)
 }
 
-/// A healed partition must leave every backend bit-identical to the
-/// fault-free simulator in final distances and outcome: cross-group
-/// payloads are parked, not lost, and flushed at the heal round.
-/// (`RunStats` legitimately differ — the deferred messages are counted
-/// as delayed.)
+/// A healed partition holds cross-group payloads and flushes them at
+/// the heal round: every backend matches the simulator under the same
+/// plan, and nothing is lost — the distances and outcome are the
+/// fault-free run's.
 #[test]
 fn healed_partition_converges_identically_on_every_backend() {
     let n = 12usize;
     let g = gen::gnp_connected(n, 0.25, false, WeightDist::Constant(1), 71);
-    let (nodes, _, outcome) = simulate(&g, None, 300, new_flood);
-    let dists: Vec<_> = nodes.iter().map(|f| f.dist).collect();
-    let cfg = nemesis_cfg(ChaosPlan::new(1).with_partition(vec![vec![0, 1, 2, 3]], 1, Some(8)));
-
-    let check = |run: &TransportRun<Flood>, label: &str| {
-        assert_eq!(run.outcome, outcome, "{label}");
-        assert!(
-            run.stats.delayed > 0,
-            "{label}: the partition must actually defer: {:?}",
-            run.stats
-        );
-        assert_eq!(
-            run.nodes.iter().map(|f| f.dist).collect::<Vec<_>>(),
-            dists,
-            "{label}"
-        );
-    };
-    for p in shard_counts(n) {
-        check(
-            &threads(&g, &cfg, 300, p, new_flood),
-            &format!("threads:{p}"),
-        );
-        check(&tcp(&g, &cfg, 300, p, new_flood), &format!("tcp:{p}"));
-    }
-    check(&run_stdio_network(&g, &cfg, 300, n, new_flood), "stdio");
+    let faults = FaultPlan::new(1).with_partition(vec![vec![0, 1, 2, 3]], 1, Some(8));
+    let (dists, stats, outcome) = every_backend_matches_sim(&g, faults, 300, new_flood, |f| f.dist);
+    assert!(
+        stats.delayed > 0,
+        "the partition must actually defer: {stats:?}"
+    );
+    let (clean, _, clean_outcome) = simulate(&g, None, 300, new_flood);
+    assert_eq!(dists, clean.iter().map(|f| f.dist).collect::<Vec<_>>());
+    assert_eq!(outcome, clean_outcome);
 }
 
 /// A permanent one-way cut on the bridge of a path graph: the flood
 /// never reaches the far side (their distance stays `None`), the
 /// reverse direction keeps flowing, and the run goes quiet instead of
-/// hanging — on every backend.
+/// hanging — on every backend, exactly as in the simulator.
 #[test]
 fn asymmetric_loss_drops_one_way_on_every_backend() {
     let n = 6usize;
     let g = gen::path(n, false, WeightDist::Constant(1), 3);
-    let cfg = nemesis_cfg(ChaosPlan::new(2).with_asym_loss(2, 3, 0, dw_transport::NEVER));
-    let want: Vec<Option<u64>> = vec![Some(0), Some(1), Some(2), None, None, None];
-
-    let check = |run: &TransportRun<Flood>, label: &str| {
-        assert_eq!(run.outcome, RunOutcome::Quiet, "{label}: no hang");
-        assert!(
-            run.stats.dropped > 0,
-            "{label}: the cut must actually drop: {:?}",
-            run.stats
-        );
-        assert_eq!(
-            run.nodes.iter().map(|f| f.dist).collect::<Vec<_>>(),
-            want,
-            "{label}"
-        );
-    };
-    for p in shard_counts(n) {
-        check(
-            &threads(&g, &cfg, 200, p, new_flood),
-            &format!("threads:{p}"),
-        );
-        check(&tcp(&g, &cfg, 200, p, new_flood), &format!("tcp:{p}"));
-    }
-    check(&run_stdio_network(&g, &cfg, 200, n, new_flood), "stdio");
+    let faults = FaultPlan::new(2).with_outage(Outage {
+        from: 2,
+        to: 3,
+        start: 0,
+        end: Round::MAX,
+        symmetric: false,
+    });
+    let (dists, stats, outcome) = every_backend_matches_sim(&g, faults, 200, new_flood, |f| f.dist);
+    assert_eq!(outcome, RunOutcome::Quiet, "no hang");
+    assert!(
+        stats.outage_dropped > 0,
+        "the cut must actually drop: {stats:?}"
+    );
+    assert_eq!(dists, vec![Some(0), Some(1), Some(2), None, None, None]);
 }
 
-/// An undersized bandwidth cap (half the offered byte rate) must spill
-/// deliveries across rounds without losing anything: the receiver ends
-/// with the full message set on every backend, late but complete.
+/// An undersized bandwidth cap (half the offered byte rate) spills
+/// deliveries across rounds without losing anything: every backend
+/// matches the simulator, and the receiver ends with the full message
+/// set, late but complete.
 #[test]
 fn bandwidth_cap_spills_but_loses_nothing_on_every_backend() {
     let n = 2usize;
     let g = gen::path(n, false, WeightDist::Constant(1), 5);
     // 12 one-word (8-byte) messages against a 4-byte/round cap.
-    let cfg = nemesis_cfg(ChaosPlan::new(3).with_bandwidth_cap(0, 1, 4));
+    let faults = FaultPlan::new(3).with_bandwidth_cap(0, 1, 4);
+    let (heard, stats, outcome) =
+        every_backend_matches_sim(&g, faults, 200, new_chatter, |c| (c.heard, c.sum));
+    assert_eq!(outcome, RunOutcome::Quiet);
+    assert!(
+        stats.delayed > 0 && stats.late_delivered > 0,
+        "the cap must actually spill: {stats:?}"
+    );
     let want_sum: u64 = (1..=Chatter::ROUNDS).sum();
-
-    let check = |run: &TransportRun<Chatter>, label: &str| {
-        assert_eq!(run.outcome, RunOutcome::Quiet, "{label}");
-        assert!(
-            run.stats.delayed > 0 && run.stats.late_delivered > 0,
-            "{label}: the cap must actually spill: {:?}",
-            run.stats
-        );
-        assert_eq!(run.nodes[1].heard, Chatter::ROUNDS, "{label}: nothing lost");
-        assert_eq!(run.nodes[1].sum, want_sum, "{label}: nothing corrupted");
-    };
-    for p in [1usize, 2] {
-        check(
-            &threads(&g, &cfg, 200, p, new_chatter),
-            &format!("threads:{p}"),
-        );
-        check(&tcp(&g, &cfg, 200, p, new_chatter), &format!("tcp:{p}"));
-    }
-    check(&run_stdio_network(&g, &cfg, 200, n, new_chatter), "stdio");
+    assert_eq!(
+        heard[1],
+        (Chatter::ROUNDS, want_sum),
+        "nothing lost or corrupted"
+    );
 }
 
 #[test]
