@@ -247,3 +247,21 @@ fn chaos_rejects_empty_link_fault_windows() {
         assert!(stderr.contains(entry), "{flag} {entry}: {stderr}");
     }
 }
+
+/// A graph file whose edge names a node `>= n` is refused with exit 1
+/// and a parse error, not a panic.
+#[test]
+fn out_of_range_graph_file_is_a_parse_error() {
+    let graph = format!("{}/cli_out_of_range.json", env!("CARGO_TARGET_TMPDIR"));
+    std::fs::write(
+        &graph,
+        r#"{"n":2,"directed":true,"edges":[{"src":5,"dst":0,"w":1}]}"#,
+    )
+    .expect("write graph file");
+    let out = spawn(&["info", "--graph", &graph])
+        .wait_with_output()
+        .expect("wait for dwapsp");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("cannot parse"), "{stderr}");
+}

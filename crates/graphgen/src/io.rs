@@ -2,263 +2,99 @@
 //!
 //! The on-disk format is a plain JSON document with an explicit edge list,
 //! so instances can be inspected, diffed and regenerated independently of
-//! the in-memory adjacency layout. The encoder/parser are hand-rolled (no
-//! serde in the offline build); the grammar is the fixed document shape
-//! `{"n":..,"directed":..,"edges":[{"src":..,"dst":..,"w":..},..]}` with
-//! arbitrary whitespace and arbitrary key order accepted on input.
+//! the in-memory adjacency layout. The document shape is
+//! `{"n":..,"directed":..,"edges":[{"src":..,"dst":..,"w":..},..]}`; the
+//! writer is hand-rolled (no serde in the offline build) and the reader is
+//! [`crate::json`], so any whitespace and any key order are accepted.
 
 use crate::builder::GraphBuilder;
-use crate::graph::{Edge, WGraph};
-use std::fmt;
-
-/// Serializable graph document.
-#[derive(Debug, Clone, PartialEq)]
-pub struct GraphDoc {
-    pub n: usize,
-    pub directed: bool,
-    pub edges: Vec<Edge>,
-}
-
-impl From<&WGraph> for GraphDoc {
-    fn from(g: &WGraph) -> Self {
-        GraphDoc {
-            n: g.n(),
-            directed: g.is_directed(),
-            edges: g.edges().collect(),
-        }
-    }
-}
-
-impl GraphDoc {
-    /// Rebuild the graph (re-validating all invariants).
-    pub fn to_graph(&self) -> WGraph {
-        let mut b = GraphBuilder::new(self.n, self.directed);
-        for e in &self.edges {
-            b.add_edge(e.src, e.dst, e.w);
-        }
-        b.build()
-    }
-}
-
-/// Error produced when parsing a graph document.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JsonError {
-    msg: String,
-    /// Byte offset in the input where the error was detected.
-    pub offset: usize,
-}
-
-impl fmt::Display for JsonError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "graph json error at byte {}: {}", self.offset, self.msg)
-    }
-}
-
-impl std::error::Error for JsonError {}
+use crate::graph::{Edge, NodeId, WGraph};
+pub use crate::json::JsonError;
+use crate::json::Reader;
+use std::fmt::Write as _;
 
 /// Serialize a graph to a JSON string.
 pub fn to_json(g: &WGraph) -> String {
-    let doc = GraphDoc::from(g);
-    let mut s = String::with_capacity(64 + doc.edges.len() * 24);
-    s.push_str("{\"n\":");
-    s.push_str(&doc.n.to_string());
-    s.push_str(",\"directed\":");
-    s.push_str(if doc.directed { "true" } else { "false" });
-    s.push_str(",\"edges\":[");
-    for (i, e) in doc.edges.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str("{\"src\":");
-        s.push_str(&e.src.to_string());
-        s.push_str(",\"dst\":");
-        s.push_str(&e.dst.to_string());
-        s.push_str(",\"w\":");
-        s.push_str(&e.w.to_string());
-        s.push('}');
+    let mut s = String::with_capacity(64 + g.m() * 24);
+    let (n, directed) = (g.n(), g.is_directed());
+    let _ = write!(s, "{{\"n\":{n},\"directed\":{directed},\"edges\":[");
+    for (i, e) in g.edges().enumerate() {
+        let sep = if i > 0 { "," } else { "" };
+        let _ = write!(
+            s,
+            "{sep}{{\"src\":{},\"dst\":{},\"w\":{}}}",
+            e.src, e.dst, e.w
+        );
     }
     s.push_str("]}");
     s
 }
 
-/// Parse a graph from JSON produced by [`to_json`].
+/// Parse a graph from JSON produced by [`to_json`]. Node counts beyond
+/// [`NodeId`] and edge endpoints `>= n` are errors, so any input either
+/// parses into a valid graph or comes back as a [`JsonError`].
 pub fn from_json(s: &str) -> Result<WGraph, JsonError> {
-    let mut p = Parser {
-        bytes: s.as_bytes(),
-        pos: 0,
+    let mut r = Reader::new(s);
+    let (mut n, mut directed, mut edges) = (None, None, None);
+    r.object(|r, key| {
+        match key {
+            "n" => {
+                let v = r.u64()?;
+                if v > u64::from(NodeId::MAX) {
+                    return Err(r.err("n out of range"));
+                }
+                n = Some(v as usize);
+            }
+            "directed" => directed = Some(r.bool()?),
+            "edges" => {
+                let mut list = Vec::new();
+                r.array(|r| {
+                    list.push(edge(r)?);
+                    Ok(())
+                })?;
+                edges = Some(list);
+            }
+            _ => return Err(r.err("unknown document key")),
+        }
+        Ok(())
+    })?;
+    let (Some(n), Some(directed), Some(edges)) = (n, directed, edges) else {
+        return Err(r.err("document missing n/directed/edges"));
     };
-    let doc = p.document()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.err("trailing data after document"));
+    if let Some(e) = edges
+        .iter()
+        .find(|e| e.src as usize >= n || e.dst as usize >= n)
+    {
+        return Err(r.err(format!(
+            "edge {} -> {} out of range for n = {n}",
+            e.src, e.dst
+        )));
     }
-    Ok(doc.to_graph())
+    r.end()?;
+    let mut b = GraphBuilder::new(n, directed);
+    for e in edges {
+        b.add_edge(e.src, e.dst, e.w);
+    }
+    Ok(b.build())
 }
 
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn err(&self, msg: &str) -> JsonError {
-        JsonError {
-            msg: msg.to_string(),
-            offset: self.pos,
+/// One `{"src":..,"dst":..,"w":..}` edge object.
+fn edge(r: &mut Reader) -> Result<Edge, JsonError> {
+    let (mut src, mut dst, mut w) = (None, None, None);
+    r.object(|r, key| {
+        let v = r.u64()?;
+        let id = || NodeId::try_from(v).map_err(|_| r.err("endpoint out of range"));
+        match key {
+            "src" => src = Some(id()?),
+            "dst" => dst = Some(id()?),
+            "w" => w = Some(v),
+            _ => return Err(r.err("unknown edge key")),
         }
-    }
-
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), JsonError> {
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected '{}'", b as char)))
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.bytes.get(self.pos).copied()
-    }
-
-    /// Parse a `"key"` token and return it.
-    fn key(&mut self) -> Result<&'a str, JsonError> {
-        self.expect(b'"')?;
-        let start = self.pos;
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b'"' {
-                let k = std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|_| self.err("non-utf8 key"))?;
-                self.pos += 1;
-                return Ok(k);
-            }
-            if b == b'\\' {
-                return Err(self.err("escapes not supported in keys"));
-            }
-            self.pos += 1;
-        }
-        Err(self.err("unterminated string"))
-    }
-
-    fn u64_value(&mut self) -> Result<u64, JsonError> {
-        self.skip_ws();
-        let start = self.pos;
-        while matches!(self.bytes.get(self.pos), Some(b'0'..=b'9')) {
-            self.pos += 1;
-        }
-        if self.pos == start {
-            return Err(self.err("expected number"));
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .expect("digits are ascii")
-            .parse::<u64>()
-            .map_err(|_| self.err("number out of range"))
-    }
-
-    fn bool_value(&mut self) -> Result<bool, JsonError> {
-        self.skip_ws();
-        if self.bytes[self.pos..].starts_with(b"true") {
-            self.pos += 4;
-            Ok(true)
-        } else if self.bytes[self.pos..].starts_with(b"false") {
-            self.pos += 5;
-            Ok(false)
-        } else {
-            Err(self.err("expected boolean"))
-        }
-    }
-
-    fn edge(&mut self) -> Result<Edge, JsonError> {
-        self.expect(b'{')?;
-        let (mut src, mut dst, mut w) = (None, None, None);
-        loop {
-            let k = self.key()?;
-            self.expect(b':')?;
-            let v = self.u64_value()?;
-            match k {
-                "src" => src = Some(u32::try_from(v).map_err(|_| self.err("src out of range"))?),
-                "dst" => dst = Some(u32::try_from(v).map_err(|_| self.err("dst out of range"))?),
-                "w" => w = Some(v),
-                _ => return Err(self.err("unknown edge key")),
-            }
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    break;
-                }
-                _ => return Err(self.err("expected ',' or '}' in edge")),
-            }
-        }
-        match (src, dst, w) {
-            (Some(src), Some(dst), Some(w)) => Ok(Edge { src, dst, w }),
-            _ => Err(self.err("edge missing src/dst/w")),
-        }
-    }
-
-    fn edges(&mut self) -> Result<Vec<Edge>, JsonError> {
-        self.expect(b'[')?;
-        let mut out = Vec::new();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(out);
-        }
-        loop {
-            out.push(self.edge()?);
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                _ => return Err(self.err("expected ',' or ']' in edge list")),
-            }
-        }
-    }
-
-    fn document(&mut self) -> Result<GraphDoc, JsonError> {
-        self.expect(b'{')?;
-        let (mut n, mut directed, mut edges) = (None, None, None);
-        if self.peek() == Some(b'}') {
-            return Err(self.err("document missing n/directed/edges"));
-        }
-        loop {
-            let k = self.key()?;
-            self.expect(b':')?;
-            match k {
-                "n" => {
-                    let v = self.u64_value()?;
-                    n = Some(usize::try_from(v).map_err(|_| self.err("n out of range"))?);
-                }
-                "directed" => directed = Some(self.bool_value()?),
-                "edges" => edges = Some(self.edges()?),
-                _ => return Err(self.err("unknown document key")),
-            }
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    break;
-                }
-                _ => return Err(self.err("expected ',' or '}' in document")),
-            }
-        }
-        match (n, directed, edges) {
-            (Some(n), Some(directed), Some(edges)) => Ok(GraphDoc { n, directed, edges }),
-            _ => Err(self.err("document missing n/directed/edges")),
-        }
+        Ok(())
+    })?;
+    match (src, dst, w) {
+        (Some(src), Some(dst), Some(w)) => Ok(Edge { src, dst, w }),
+        _ => Err(r.err("edge missing src/dst/w")),
     }
 }
 
@@ -301,6 +137,22 @@ mod tests {
         let g = from_json(j).unwrap();
         assert_eq!(g.n(), 2);
         assert_eq!(g.edge_weight(0, 1), Some(3));
+    }
+
+    #[test]
+    fn out_of_range_input_is_an_error_not_a_panic() {
+        let e =
+            from_json(r#"{"n":2,"directed":true,"edges":[{"src":5,"dst":0,"w":1}]}"#).unwrap_err();
+        assert!(e.to_string().contains("out of range"), "{e}");
+        // `n` after the edges is checked all the same.
+        assert!(
+            from_json(r#"{"directed":false,"edges":[{"src":0,"dst":2,"w":1}],"n":2}"#).is_err()
+        );
+        assert!(from_json(r#"{"n":4294967296,"directed":true,"edges":[]}"#).is_err());
+        assert!(
+            from_json(r#"{"n":2,"directed":true,"edges":[{"src":4294967296,"dst":0,"w":1}]}"#)
+                .is_err()
+        );
     }
 
     #[test]

@@ -16,14 +16,17 @@
 //!   mixtures);
 //! * [`analysis`] — weight and degree statistics used by the experiment
 //!   harness;
-//! * [`io`] — serde-based graph (de)serialization for reproducible
-//!   experiment manifests.
+//! * [`io`] — graph (de)serialization for reproducible experiment
+//!   manifests;
+//! * [`json`] — the workspace's one JSON reader (graph files, obs logs,
+//!   the stdio and Maelstrom line formats).
 
 pub mod analysis;
 pub mod builder;
 pub mod gen;
 pub mod graph;
 pub mod io;
+pub mod json;
 pub mod patch;
 
 pub use builder::GraphBuilder;

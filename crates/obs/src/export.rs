@@ -3,13 +3,16 @@
 //! round-trip it) and Chrome-trace JSON for `chrome://tracing` /
 //! Perfetto.
 //!
-//! Everything is hand-rolled (the workspace builds offline, without
-//! serde) against one schema, `dwapsp-obs-v1`; the field list comes
-//! from [`RunStats::fields`] so the formats can never drift from the
-//! stat record.
+//! The writers are hand-rolled (the workspace builds offline, without
+//! serde), the parser reads through [`dw_graph::json`], and both follow
+//! one schema, `dwapsp-obs-v1`; the field list comes from
+//! [`RunStats::fields`] so the formats can never drift from the stat
+//! record.
 
 use crate::recorder::{ObsEvent, Recording, Span, SpanId};
 use crate::stats::RunStats;
+use dw_graph::json::{JsonError, Reader};
+use std::borrow::Cow;
 use std::fmt::Write as _;
 
 /// Schema tag of the JSONL log; bump on breaking changes.
@@ -100,60 +103,45 @@ pub fn to_jsonl(rec: &Recording) -> String {
     out
 }
 
-// --- minimal JSON field extraction (one object per line) -------------------
+// --- parsing ---------------------------------------------------------------
 
-fn field_raw<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let tag = format!("\"{key}\":");
-    let start = line.find(&tag)? + tag.len();
-    let rest = &line[start..];
-    if let Some(stripped) = rest.strip_prefix('"') {
-        // first unescaped quote ends the string
-        let mut escaped = false;
-        for (i, c) in stripped.char_indices() {
-            match c {
-                '\\' if !escaped => escaped = true,
-                '"' if !escaped => return Some(&stripped[..i]),
-                _ => escaped = false,
-            }
-        }
-        None
-    } else {
-        let end = rest.find([',', '}']).unwrap_or(rest.len());
-        Some(&rest[..end])
+/// One log line's fields as `(key, raw value)`, keys in any order. A
+/// key means different things on different line types (`value` is a
+/// string on `meta` lines and a number on `counter` lines), so values
+/// are read once the line's `type` is known.
+struct Fields<'a>(Vec<(String, &'a str)>);
+
+impl<'a> Fields<'a> {
+    fn parse(line: &'a str) -> Result<Fields<'a>, JsonError> {
+        let (mut r, mut fields) = (Reader::new(line), Vec::new());
+        r.object(|r, key| r.raw().map(|v| fields.push((key.to_string(), v))))?;
+        r.end()?;
+        Ok(Fields(fields))
     }
-}
 
-fn unescape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match chars.next() {
-            Some('n') => out.push('\n'),
-            Some('r') => out.push('\r'),
-            Some('t') => out.push('\t'),
-            Some('u') => {
-                let hex: String = (0..4).filter_map(|_| chars.next()).collect();
-                if let Some(c) = u32::from_str_radix(&hex, 16).ok().and_then(char::from_u32) {
-                    out.push(c);
-                }
-            }
-            Some(other) => out.push(other),
-            None => {}
-        }
+    fn raw(&self, key: &str) -> Result<&'a str, String> {
+        let hit = self.0.iter().find(|(k, _)| k == key);
+        hit.map(|&(_, v)| v).ok_or_else(|| format!("missing {key}"))
     }
-    out
-}
 
-fn field_str(line: &str, key: &str) -> Option<String> {
-    Some(unescape_json(field_raw(line, key)?))
-}
+    /// The value at `key`, read whole by `value`.
+    fn read<T>(
+        &self,
+        key: &str,
+        value: impl FnOnce(&mut Reader<'a>) -> Result<T, JsonError>,
+    ) -> Result<T, String> {
+        let mut r = Reader::new(self.raw(key)?);
+        let v = value(&mut r).and_then(|v| r.end().map(|()| v));
+        v.map_err(|e| format!("bad {key}: {e}"))
+    }
 
-fn field_u64(line: &str, key: &str) -> Option<u64> {
-    field_raw(line, key)?.trim().parse().ok()
+    fn str(&self, key: &str) -> Result<String, String> {
+        self.read(key, |r| r.str().map(Cow::into_owned))
+    }
+
+    fn u64(&self, key: &str) -> Result<u64, String> {
+        self.read(key, Reader::u64)
+    }
 }
 
 /// Parse a [`to_jsonl`] document back into a [`Recording`].
@@ -163,93 +151,65 @@ fn field_u64(line: &str, key: &str) -> Option<u64> {
 pub fn parse_jsonl(doc: &str) -> Result<Recording, String> {
     let mut rec = Recording::default();
     let mut saw_schema = false;
-    // SpanId is constructed through begin(); here we rebuild the span
-    // table directly, so parent links are raw indices re-wrapped below.
     for (lineno, line) in doc.lines().enumerate() {
         let line = line.trim();
         if line.is_empty() {
             continue;
         }
-        let err = |what: &str| format!("line {}: {what}: {line}", lineno + 1);
-        match field_raw(line, "type") {
+        let err = |what: String| format!("line {}: {what}: {line}", lineno + 1);
+        let f = Fields::parse(line).map_err(|e| err(e.to_string()))?;
+        match f.str("type").ok().as_deref() {
             Some("schema") => {
-                let schema = field_str(line, "schema").ok_or_else(|| err("missing schema"))?;
+                let schema = f.str("schema").map_err(err)?;
                 if schema != JSONL_SCHEMA {
-                    return Err(err(&format!(
+                    return Err(err(format!(
                         "unsupported schema {schema:?} (want {JSONL_SCHEMA:?})"
                     )));
                 }
                 saw_schema = true;
             }
-            Some("meta") => {
-                let k = field_str(line, "key").ok_or_else(|| err("missing key"))?;
-                let v = field_str(line, "value").ok_or_else(|| err("missing value"))?;
-                rec.meta.push((k, v));
-            }
+            Some("meta") => rec
+                .meta
+                .push((f.str("key").map_err(err)?, f.str("value").map_err(err)?)),
             Some("span") => {
-                let id = field_u64(line, "id").ok_or_else(|| err("missing id"))? as usize;
-                if id != rec.spans.len() {
-                    return Err(err("span ids must be dense and in order"));
+                if f.u64("id").map_err(err)? != rec.spans.len() as u64 {
+                    return Err(err("span ids must be dense and in order".into()));
                 }
-                let parent = match field_raw(line, "parent") {
-                    Some("null") | None => None,
-                    Some(p) => {
-                        let p: usize = p.trim().parse().map_err(|_| err("bad parent"))?;
-                        if p >= rec.spans.len() {
-                            return Err(err("parent references a later span"));
-                        }
-                        Some(SpanId::from_index(p))
-                    }
+                // SpanId is constructed through begin(); the table is
+                // rebuilt directly, so parent links are raw indices.
+                let parent = match f.raw("parent") {
+                    Ok("null") | Err(_) => None,
+                    Ok(_) => match f.u64("parent").map_err(err)? as usize {
+                        p if p < rec.spans.len() => Some(SpanId::from_index(p)),
+                        _ => return Err(err("parent references a later span".into())),
+                    },
                 };
-                let name = field_str(line, "name").ok_or_else(|| err("missing name"))?;
                 let mut stats = RunStats::default();
                 for (field, _) in RunStats::default().fields() {
-                    let v = field_u64(line, field)
-                        .ok_or_else(|| err(&format!("missing stat {field}")))?;
-                    stats.set_field(field, v);
+                    stats.set_field(field, f.u64(field).map_err(err)?);
                 }
                 rec.spans.push(Span {
-                    name: leak_name(&name),
+                    name: leak_name(&f.str("name").map_err(err)?),
                     parent,
-                    start_round: field_u64(line, "start_round")
-                        .ok_or_else(|| err("missing start_round"))?,
-                    end_round: field_u64(line, "end_round")
-                        .ok_or_else(|| err("missing end_round"))?,
+                    start_round: f.u64("start_round").map_err(err)?,
+                    end_round: f.u64("end_round").map_err(err)?,
                     stats,
-                    wall_ns: field_u64(line, "wall_ns").unwrap_or(0),
+                    wall_ns: f.u64("wall_ns").unwrap_or(0),
                 });
             }
             Some("counter") => {
-                let name = field_str(line, "name").ok_or_else(|| err("missing name"))?;
-                let value = field_u64(line, "value").ok_or_else(|| err("missing value"))?;
-                *rec.counters.entry(name).or_insert(0) += value;
+                let name = f.str("name").map_err(err)?;
+                *rec.counters.entry(name).or_insert(0) += f.u64("value").map_err(err)?;
             }
-            Some("event") => {
-                rec.events.push(ObsEvent {
-                    round: field_u64(line, "round").ok_or_else(|| err("missing round"))?,
-                    name: leak_name(&field_str(line, "name").ok_or_else(|| err("missing name"))?),
-                    value: field_u64(line, "value").ok_or_else(|| err("missing value"))?,
-                });
-            }
+            Some("event") => rec.events.push(ObsEvent {
+                round: f.u64("round").map_err(err)?,
+                name: leak_name(&f.str("name").map_err(err)?),
+                value: f.u64("value").map_err(err)?,
+            }),
             Some("rounds") => {
-                rec.rounds_dropped = field_u64(line, "dropped").unwrap_or(0);
-                // samples":[[r,m],[r,m]] — field_raw stops at the first
-                // ',' so extract the bracketed list manually.
-                let tag = "\"samples\":[";
-                if let Some(start) = line.find(tag) {
-                    let rest = &line[start + tag.len()..];
-                    let end = rest.rfind(']').unwrap_or(0);
-                    for pair in rest[..end].split("],") {
-                        let pair = pair.trim_matches(|c| c == '[' || c == ']');
-                        if pair.is_empty() {
-                            continue;
-                        }
-                        let (r, m) = pair.split_once(',').ok_or_else(|| err("bad sample"))?;
-                        rec.rounds.push((
-                            r.trim().parse().map_err(|_| err("bad sample round"))?,
-                            m.trim().parse().map_err(|_| err("bad sample count"))?,
-                        ));
-                    }
+                rec.rounds_dropped = f.u64("dropped").unwrap_or(0);
+                if let Ok(raw) = f.raw("samples") {
+                    rec.rounds = samples(raw).map_err(|e| err(format!("bad samples: {e}")))?;
                 }
             }
             _ => {} // unknown line types are forward-compatible
@@ -259,6 +219,21 @@ pub fn parse_jsonl(doc: &str) -> Result<Recording, String> {
         return Err("no schema line (not a dwapsp-obs JSONL log?)".to_string());
     }
     Ok(rec)
+}
+
+/// `[[round,messages],…]`.
+fn samples(raw: &str) -> Result<Vec<(u64, u64)>, JsonError> {
+    let mut out = Vec::new();
+    Reader::new(raw).array(|r| {
+        let mut pair = Vec::with_capacity(2);
+        r.array(|r| r.u64().map(|v| pair.push(v)))?;
+        let [round, messages] = pair[..] else {
+            return Err(r.err("a sample is [round, messages]"));
+        };
+        out.push((round, messages));
+        Ok(())
+    })?;
+    Ok(out)
 }
 
 /// Span names parsed from a file are dynamic, but [`Span::name`] is

@@ -13,7 +13,8 @@
 //!   processes via the `dwapsp run-node` / `dwapsp coordinator` CLI;
 //! * [`stdio`] — a Maelstrom-style adapter: each worker is a process
 //!   speaking JSON lines (`{"src":..,"dest":..,"body":{..}}`) on
-//!   stdin/stdout, routable by an external harness.
+//!   stdin/stdout, routable by an external harness; a body carries the
+//!   same [`WireCodec`] bytes as a TCP frame.
 //!
 //! Round synchronization is a bulk-synchronous barrier (see
 //! [`coordinator`]): one coordinator issues round tokens, workers flush

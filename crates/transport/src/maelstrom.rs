@@ -1,6 +1,7 @@
 //! A true [Maelstrom](https://github.com/jepsen-io/maelstrom) node: the
-//! init/echo protocol the Jepsen harness speaks, on top of the same
-//! line-oriented JSON the [`crate::stdio`] backend uses.
+//! init/echo protocol the Jepsen harness speaks, in the same
+//! `{"src":..,"dest":..,"body":{..}}` JSON lines the [`crate::stdio`]
+//! backend uses, read with the same [`dw_graph::json`] reader.
 //!
 //! Maelstrom drives binaries over stdin/stdout: it first sends an
 //! `init` message naming this node and the full cluster
@@ -26,77 +27,116 @@
 //!   behavior the harness's partition nemesis expects from a node that
 //!   stays up while the network misbehaves.
 //!
+//! A line is read once, keys in any order at both levels, into one
+//! `Request` (`Init | Echo | Topology | Other`) that one loop answers. A
+//! reply's `dest` and an `echo_ok`'s value reflect the request's `src`
+//! and `echo` as spelled, so nothing is re-encoded.
+//!
 //! `dwapsp run-node --maelstrom` wraps [`maelstrom_serve`] around real
 //! stdin/stdout; `make maelstrom-smoke` runs it under the real harness
 //! when one is available (see `scripts/maelstrom_smoke.sh`).
 
 use crate::error::TransportError;
-use crate::stdio::{json_str, json_u64, value_start, write_line};
+use dw_graph::json::{JsonError, Reader};
 use dw_graph::NodeId;
+use std::borrow::Cow;
 use std::io::{BufRead, Write};
 
-/// The raw JSON value at `"key":` — object, array, string, number or
-/// literal — exactly as spelled in `line`, so an `echo` value of any
-/// shape can be reflected back byte-for-byte. Balanced-scan over
-/// nesting and string escapes; `None` when the key is absent or the
-/// value never closes (a truncated line).
-pub(crate) fn json_raw<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let rest = value_start(line, key)?;
-    let bytes = rest.as_bytes();
-    let mut depth = 0usize;
-    let mut in_str = false;
-    let mut esc = false;
-    for (i, &b) in bytes.iter().enumerate() {
-        if in_str {
-            if esc {
-                esc = false;
-            } else if b == b'\\' {
-                esc = true;
-            } else if b == b'"' {
-                in_str = false;
-                if depth == 0 {
-                    return Some(rest[..=i].trim_end());
-                }
-            }
-            continue;
-        }
-        match b {
-            b'"' => in_str = true,
-            b'{' | b'[' => depth += 1,
-            b'}' | b']' => {
-                if depth == 0 {
-                    // The enclosing object closes: the value ended just
-                    // before this brace.
-                    return Some(rest[..i].trim_end()).filter(|v| !v.is_empty());
-                }
-                depth -= 1;
-                if depth == 0 {
-                    return Some(rest[..=i].trim_end());
-                }
-            }
-            b',' if depth == 0 => {
-                return Some(rest[..i].trim_end()).filter(|v| !v.is_empty());
-            }
-            _ => {}
-        }
-    }
-    None
+/// The fields of one Maelstrom message this node reads: the envelope's
+/// `src` and the body's fields, keys in any order at both levels. A
+/// line without a `body` is read as a bare body.
+#[derive(Default)]
+struct Message<'a> {
+    /// The sender as spelled (quotes included): a reply's `dest`
+    /// reflects it, as `echo_ok` reflects the `echo` value.
+    src: Option<&'a str>,
+    typ: Option<Cow<'a, str>>,
+    msg_id: Option<u64>,
+    /// The `echo` value as spelled.
+    echo: Option<&'a str>,
+    node_id: Option<String>,
+    node_ids: Option<Vec<String>>,
 }
 
-/// A JSON array of strings (`["n1","n2"]`), for `node_ids`.
-pub(crate) fn json_str_array(line: &str, key: &str) -> Option<Vec<String>> {
-    let rest = value_start(line, key)?.strip_prefix('[')?;
-    let end = rest.find(']')?;
-    let body = &rest[..end];
-    if body.trim().is_empty() {
-        return Some(Vec::new());
+impl<'a> Message<'a> {
+    fn parse(line: &'a str) -> Result<Message<'a>, JsonError> {
+        let mut r = Reader::new(line);
+        let (mut src, mut top, mut body) = (None, Message::default(), None);
+        r.object(|r, key| match key {
+            "src" => {
+                if r.peek() != Some(b'"') {
+                    return Err(r.err("src is not a string"));
+                }
+                src = Some(r.raw()?);
+                Ok(())
+            }
+            "body" => {
+                let mut fields = Message::default();
+                r.object(|r, key| fields.field(r, key))?;
+                body = Some(fields);
+                Ok(())
+            }
+            _ => top.field(r, key),
+        })?;
+        r.end()?;
+        let mut msg = body.unwrap_or(top);
+        msg.src = src;
+        Ok(msg)
     }
-    body.split(',')
-        .map(|tok| {
-            let t = tok.trim().strip_prefix('"')?.strip_suffix('"')?;
-            Some(t.to_string())
-        })
-        .collect()
+
+    /// One body field; fields this node does not read are skipped.
+    fn field(&mut self, r: &mut Reader<'a>, key: &str) -> Result<(), JsonError> {
+        match key {
+            "type" => self.typ = Some(r.str()?),
+            "msg_id" => self.msg_id = Some(r.u64()?),
+            "echo" => self.echo = Some(r.raw()?),
+            "node_id" => self.node_id = Some(r.str()?.into_owned()),
+            "node_ids" => {
+                let mut ids = Vec::new();
+                r.array(|r| {
+                    ids.push(r.str()?.into_owned());
+                    Ok(())
+                })?;
+                self.node_ids = Some(ids);
+            }
+            _ => r.skip()?,
+        }
+        Ok(())
+    }
+
+    fn init(&self) -> Option<MaelstromInit> {
+        let node_id = self.node_id.clone()?;
+        let mut node_ids = self.node_ids.clone()?;
+        node_ids.sort_by(|a, b| a.len().cmp(&b.len()).then_with(|| a.cmp(b)));
+        node_ids
+            .contains(&node_id)
+            .then_some(MaelstromInit { node_id, node_ids })
+    }
+}
+
+/// What a Maelstrom message asks of this node.
+#[derive(Debug, PartialEq, Eq)]
+enum Request<'a> {
+    Init(MaelstromInit),
+    /// The `echo` value as spelled, to come back verbatim.
+    Echo(&'a str),
+    Topology,
+    /// A type this node does not serve.
+    Other,
+}
+
+/// A line as `(raw src, msg_id, request)`; `None` when it is no
+/// request: not JSON, no `src` or `type`, an `init` whose cluster list
+/// lacks the node's own id, an `echo` without a value.
+fn parse_request(line: &str) -> Option<(&str, Option<u64>, Request<'_>)> {
+    let msg = Message::parse(line).ok()?;
+    let request = match msg.typ.as_deref()? {
+        "init" => Request::Init(msg.init()?),
+        "echo" => Request::Echo(msg.echo?),
+        "topology" => Request::Topology,
+        _ => Request::Other,
+    };
+    Some((msg.src?, msg.msg_id, request))
 }
 
 /// The cluster facts from Maelstrom's `init` message, plus the derived
@@ -114,12 +154,7 @@ impl MaelstromInit {
     /// Parse from an `init` message line; `None` if the node's own id
     /// is missing from the cluster list.
     pub fn from_line(line: &str) -> Option<MaelstromInit> {
-        let node_id = json_str(line, "node_id")?.to_string();
-        let mut node_ids = json_str_array(line, "node_ids")?;
-        node_ids.sort_by(|a, b| a.len().cmp(&b.len()).then_with(|| a.cmp(b)));
-        node_ids
-            .contains(&node_id)
-            .then_some(MaelstromInit { node_id, node_ids })
+        Message::parse(line).ok()?.init()
     }
 
     /// This node's internal id: its name's rank in the sorted cluster
@@ -188,71 +223,45 @@ pub fn maelstrom_serve<R: BufRead, W: Write>(
         if trimmed.is_empty() {
             continue;
         }
-        let (Some(src), Some(typ)) = (json_str(trimmed, "src"), json_str(trimmed, "type")) else {
+        let Some((src, msg_id, request)) = parse_request(trimmed) else {
             stats.skipped += 1;
             continue;
         };
-        let src = src.to_string();
-        let in_reply_to = json_u64(trimmed, "msg_id");
-        next_id += 1;
-        let me = init
-            .as_ref()
-            .map(|i| i.node_id.clone())
-            .unwrap_or_else(|| json_str(trimmed, "node_id").unwrap_or("n?").to_string());
-        let body = match typ {
-            "init" => match MaelstromInit::from_line(trimmed) {
-                Some(parsed) => {
-                    init = Some(parsed);
-                    format!(
-                        "{{\"type\":\"init_ok\",\"msg_id\":{next_id},\"in_reply_to\":{}}}",
-                        in_reply_to.unwrap_or(0)
-                    )
-                }
-                None => {
-                    stats.skipped += 1;
-                    continue;
-                }
-            },
-            "echo" => match (json_raw(trimmed, "echo"), in_reply_to) {
-                (Some(echo), Some(m)) => {
-                    stats.echoes += 1;
-                    format!(
-                        "{{\"type\":\"echo_ok\",\"msg_id\":{next_id},\"in_reply_to\":{m},\
-                         \"echo\":{echo}}}"
-                    )
-                }
-                _ => {
-                    stats.skipped += 1;
-                    continue;
-                }
-            },
-            "topology" => match in_reply_to {
-                Some(m) => {
-                    format!("{{\"type\":\"topology_ok\",\"msg_id\":{next_id},\"in_reply_to\":{m}}}")
-                }
-                None => {
-                    stats.skipped += 1;
-                    continue;
-                }
-            },
-            _ => match in_reply_to {
-                // A well-formed request we do not serve: the standard
-                // Maelstrom "not supported" error, so the harness can
-                // tell a healthy node from a wedged one.
-                Some(m) => {
-                    stats.unsupported += 1;
-                    format!(
-                        "{{\"type\":\"error\",\"msg_id\":{next_id},\"in_reply_to\":{m},\
-                         \"code\":10,\"text\":\"not supported\"}}"
-                    )
-                }
-                None => {
-                    stats.skipped += 1;
-                    continue;
-                }
-            },
+        let (kind, in_reply_to, extra) = match (request, msg_id) {
+            (Request::Init(parsed), m) => {
+                init = Some(parsed);
+                ("init_ok", m.unwrap_or(0), String::new())
+            }
+            (Request::Echo(echo), Some(m)) => {
+                stats.echoes += 1;
+                ("echo_ok", m, format!(",\"echo\":{echo}"))
+            }
+            (Request::Topology, Some(m)) => ("topology_ok", m, String::new()),
+            // A well-formed request we do not serve: the standard
+            // Maelstrom "not supported" error, so the harness can tell a
+            // healthy node from a wedged one.
+            (Request::Other, Some(m)) => {
+                stats.unsupported += 1;
+                (
+                    "error",
+                    m,
+                    ",\"code\":10,\"text\":\"not supported\"".to_string(),
+                )
+            }
+            (_, None) => {
+                stats.skipped += 1;
+                continue;
+            }
         };
-        write_line(&mut writer, &me, &src, &body)
+        next_id += 1;
+        let me = init.as_ref().map_or("n?", |i| i.node_id.as_str());
+        let reply = format!(
+            "{{\"src\":\"{me}\",\"dest\":{src},\"body\":{{\"type\":\"{kind}\",\
+             \"msg_id\":{next_id},\"in_reply_to\":{in_reply_to}{extra}}}}}\n"
+        );
+        writer
+            .write_all(reply.as_bytes())
+            .and_then(|()| writer.flush())
             .map_err(|e| TransportError::io("maelstrom: stdout write", &e))?;
     }
 }
@@ -260,7 +269,6 @@ pub fn maelstrom_serve<R: BufRead, W: Write>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stdio::pipe;
     use std::io::BufReader;
 
     #[test]
@@ -290,58 +298,69 @@ mod tests {
 
     #[test]
     fn json_raw_extracts_every_value_shape() {
-        let line = r#"{"a":{"x":[1,2],"y":"s"},"b":[3,{"z":4}],"c":"he\"llo","d":42,"e":null}"#;
-        assert_eq!(json_raw(line, "a"), Some(r#"{"x":[1,2],"y":"s"}"#));
-        assert_eq!(json_raw(line, "b"), Some(r#"[3,{"z":4}]"#));
-        assert_eq!(json_raw(line, "c"), Some(r#""he\"llo""#));
-        assert_eq!(json_raw(line, "d"), Some("42"));
-        assert_eq!(json_raw(line, "e"), Some("null"));
-        assert_eq!(json_raw(line, "zz"), None);
-        // Truncated nesting never closes: no value, no panic.
-        assert_eq!(json_raw(r#"{"a":{"x":[1,2"#, "a"), None);
+        for value in [
+            r#"{"x":[1,2],"y":"s}"}"#,
+            r#"[3,{"z":4}]"#,
+            r#""he\"llo""#,
+            "42",
+            "null",
+        ] {
+            let line =
+                format!(r#"{{"src":"c1","body":{{"echo":{value},"type":"echo","msg_id":7}}}}"#);
+            assert_eq!(
+                parse_request(&line),
+                Some((r#""c1""#, Some(7), Request::Echo(value)))
+            );
+        }
+        // Truncated nesting never closes: no request, no panic.
+        let cut = r#"{"src":"c1","body":{"type":"echo","msg_id":1,"echo":{"x":[1,2"#;
+        assert_eq!(parse_request(cut), None);
+    }
+
+    /// Serve `lines`; the init, the stats and the reply lines.
+    fn serve(lines: &[&str]) -> (MaelstromInit, MaelstromStats, Vec<String>) {
+        let input = lines.join("\n");
+        let mut out = Vec::new();
+        let (init, stats) = maelstrom_serve(input.as_bytes(), &mut out).unwrap();
+        let out = String::from_utf8(out).unwrap();
+        (init, stats, out.lines().map(str::to_string).collect())
+    }
+
+    const INIT_N1: &str = r#"{"src":"c1","dest":"n1","body":{"type":"init","msg_id":1,"node_id":"n1","node_ids":["n1","n2","n3"]}}"#;
+
+    #[test]
+    fn keys_in_any_order_and_nested_types_read_as_meant() {
+        let (_, _, replies) = serve(&[
+            INIT_N1,
+            // A `"type"` inside the echo value does not hide the echo.
+            r#"{"src":"c1","dest":"n1","body":{"echo":{"type":"init","msg_id":9},"type":"echo","msg_id":2}}"#,
+            // The reply goes to the envelope's `src`, not the body's.
+            r#"{"dest":"n1","body":{"src":"x","type":"echo","msg_id":4,"echo":1},"src":"c1"}"#,
+        ]);
+        assert_eq!(
+            replies[1..],
+            [
+                r#"{"src":"n1","dest":"c1","body":{"type":"echo_ok","msg_id":2,"in_reply_to":2,"echo":{"type":"init","msg_id":9}}}"#,
+                r#"{"src":"n1","dest":"c1","body":{"type":"echo_ok","msg_id":3,"in_reply_to":4,"echo":1}}"#,
+            ]
+        );
     }
 
     #[test]
     fn serve_handshakes_echoes_and_survives_garbage() {
-        let (mut tx, rx) = pipe();
-        let (mut out_tx, mut out_rx) = pipe();
-        writeln!(
-            tx,
-            r#"{{"src":"c1","dest":"n2","body":{{"type":"init","msg_id":1,"node_id":"n2","node_ids":["n1","n2","n3"]}}}}"#
-        )
-        .unwrap();
-        writeln!(tx, "%%% not json at all %%%").unwrap();
-        writeln!(
-            tx,
-            r#"{{"src":"c1","dest":"n2","body":{{"type":"echo","msg_id":2,"echo":"Please echo 35"}}}}"#
-        )
-        .unwrap();
-        writeln!(
-            tx,
-            r#"{{"src":"c1","dest":"n2","body":{{"type":"echo","msg_id":3,"echo":{{"deep":[1,2,3]}}}}}}"#
-        )
-        .unwrap();
-        writeln!(
-            tx,
-            r#"{{"src":"c1","dest":"n2","body":{{"type":"broadcast","msg_id":4,"message":7}}}}"#
-        )
-        .unwrap();
-        drop(tx);
-        let (init, stats) = maelstrom_serve(BufReader::new(rx), &mut out_tx).unwrap();
-        drop(out_tx);
-        assert_eq!(init.node_id, "n2");
-        assert_eq!(init.internal_id(), 1);
-        assert_eq!(
-            stats,
-            MaelstromStats {
-                echoes: 2,
-                unsupported: 1,
-                skipped: 1,
-            }
-        );
-        let mut out = String::new();
-        std::io::Read::read_to_string(&mut out_rx, &mut out).unwrap();
-        let lines: Vec<&str> = out.lines().collect();
+        let (init, stats, lines) = serve(&[
+            r#"{"src":"c1","dest":"n2","body":{"type":"init","msg_id":1,"node_id":"n2","node_ids":["n1","n2","n3"]}}"#,
+            "%%% not json at all %%%",
+            r#"{"src":"c1","dest":"n2","body":{"type":"echo","msg_id":2,"echo":"Please echo 35"}}"#,
+            r#"{"src":"c1","dest":"n2","body":{"type":"echo","msg_id":3,"echo":{"deep":[1,2,3]}}}"#,
+            r#"{"src":"c1","dest":"n2","body":{"type":"broadcast","msg_id":4,"message":7}}"#,
+        ]);
+        let want = MaelstromStats {
+            echoes: 2,
+            unsupported: 1,
+            skipped: 1,
+        };
+        assert_eq!((init.internal_id(), stats), (1, want));
         assert_eq!(lines.len(), 4);
         assert!(
             lines[0].contains(r#""type":"init_ok""#) && lines[0].contains(r#""in_reply_to":1"#)
@@ -350,11 +369,9 @@ mod tests {
         assert!(lines[2].contains(r#""echo":{"deep":[1,2,3]}"#));
         assert!(lines[3].contains(r#""code":10"#));
         for l in &lines {
-            assert_eq!(json_str(l, "src"), Some("n2"), "replies come from us: {l}");
-            assert_eq!(
-                json_str(l, "dest"),
-                Some("c1"),
-                "replies go to the asker: {l}"
+            assert!(
+                l.starts_with(r#"{"src":"n2","dest":"c1","#),
+                "replies come from us and go to the asker: {l}"
             );
         }
     }

@@ -16,10 +16,12 @@
 //!   nodes, so the coordinator can replicate its quiet-round jumps bit
 //!   for bit.
 //!
-//! Everything implements [`WireCodec`]; the byte backends (TCP) move
-//! messages as length-prefixed frames via [`write_frame`] /
-//! [`read_frame`], while the in-process channel backend moves the typed
-//! values directly and the stdio backend re-encodes them as JSON lines.
+//! Everything implements [`WireCodec`], and this encoding is the one
+//! definition of each message on every byte backend: TCP moves it as
+//! length-prefixed frames via [`write_frame`] / [`read_frame`], and the
+//! stdio backend carries the same bytes as the `data` array of a JSON
+//! line (`crate::stdio`). Only the in-process channel backend moves the
+//! typed values directly.
 
 use dw_congest::{Round, RunOutcome, WireCodec};
 use dw_graph::NodeId;
@@ -455,16 +457,20 @@ pub fn read_frame<R: Read, T: WireCodec>(r: &mut R) -> io::Result<Option<T>> {
     }
     let mut buf = vec![0u8; body];
     r.read_exact(&mut buf)?;
-    let mut view = buf.as_slice();
-    let value = T::decode(&mut view)
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "malformed frame body"))?;
-    if !view.is_empty() {
-        return Err(io::Error::new(
+    let value = decode_exact(&buf).ok_or_else(|| {
+        io::Error::new(
             io::ErrorKind::InvalidData,
-            "trailing bytes in frame body",
-        ));
-    }
+            "malformed frame body or trailing bytes",
+        )
+    })?;
     Ok(Some(value))
+}
+
+/// Decode one value that must span all of `bytes`; `None` if it does
+/// not decode or leaves bytes over.
+pub(crate) fn decode_exact<T: WireCodec>(mut bytes: &[u8]) -> Option<T> {
+    let value = T::decode(&mut bytes)?;
+    bytes.is_empty().then_some(value)
 }
 
 /// An event a worker pulls off its transport: a frame from a peer

@@ -26,9 +26,12 @@ if [ -z "${DWAPSP_BIN:-}" ]; then
 fi
 
 # --- leg 1: handshake self-check (always runs) ---------------------------
-OUT=$(printf '%s\n%s\n' \
+# The third line puts the envelope's `src` last and a decoy `src` in
+# the body: the reply must still go to c1.
+OUT=$(printf '%s\n%s\n%s\n' \
     '{"src":"c1","dest":"n1","body":{"type":"init","msg_id":1,"node_id":"n1","node_ids":["n1","n2","n3"]}}' \
-    '{"src":"c1","dest":"n1","body":{"type":"echo","msg_id":2,"echo":"smoke"}}' |
+    '{"src":"c1","dest":"n1","body":{"type":"echo","msg_id":2,"echo":"smoke"}}' \
+    '{"dest":"n1","body":{"src":"x","type":"echo","msg_id":4,"echo":1},"src":"c1"}' |
     "$BIN" run-node --maelstrom 2>/dev/null) || {
     say "FAIL: run-node --maelstrom exited nonzero"
     exit 1
@@ -41,7 +44,11 @@ echo "$OUT" | grep -q '"echo":"smoke"' || {
     say "FAIL: echo value not reflected: $OUT"
     exit 1
 }
-say "stdio self-check passed (init_ok + echo_ok)"
+echo "$OUT" | grep '"in_reply_to":4' | grep -q '"dest":"c1","body":{"type":"echo_ok"' || {
+    say "FAIL: reordered echo not answered to c1: $OUT"
+    exit 1
+}
+say "stdio self-check passed (init_ok + echo_ok, keys in any order)"
 
 # --- leg 2: the real harness, if it is installed --------------------------
 if ! command -v java >/dev/null 2>&1; then
