@@ -4,13 +4,14 @@
 //! [`Reader`]; each format keeps its own small writer.
 //!
 //! It reads objects with keys in any order, arrays, unsigned integers,
-//! booleans, `null`, strings (unescaped; borrowed unless they hold an
-//! escape; a `\u` escape must name a scalar value, so surrogate pairs
-//! are refused) and the raw span of any value, so a value the caller
-//! does not interpret is skipped or reflected byte for byte. Skipping is
-//! one balanced scan that steps over strings; it counts brackets instead
-//! of recursing (so deep nesting costs no stack) and does not match
-//! their kinds. Every error carries the byte offset where it was found.
+//! booleans, strings (unescaped; borrowed unless they hold an escape; a
+//! `\u` surrogate pair joins into one character, a lone surrogate is
+//! refused) and the raw span of any value, so a value the caller does
+//! not interpret (`null` included) is skipped or reflected byte for
+//! byte. Skipping is one balanced scan that steps over strings without
+//! decoding them; it counts brackets instead of recursing (so deep
+//! nesting costs no stack) and does not match their kinds. Every error
+//! carries the byte offset where it was found.
 
 use std::borrow::Cow;
 use std::fmt;
@@ -146,11 +147,6 @@ impl<'a> Reader<'a> {
         }
     }
 
-    /// Consume a `null` if one is next.
-    pub fn null(&mut self) -> bool {
-        self.literal(b"null")
-    }
-
     fn literal(&mut self, word: &[u8]) -> bool {
         self.peek();
         let hit = self.rest().starts_with(word);
@@ -199,15 +195,44 @@ impl<'a> Reader<'a> {
             Some(b'r') => '\r',
             Some(b't') => '\t',
             Some(b'u') => {
-                let hex = self.src.get(self.pos..self.pos + 4);
-                let hex = hex.filter(|h| h.bytes().all(|d| d.is_ascii_hexdigit()));
-                let hex = hex.ok_or_else(|| self.err("expected four hex digits"))?;
-                self.pos += 4;
-                let code = u32::from_str_radix(hex, 16).expect("four hex digits");
-                char::from_u32(code).ok_or_else(|| self.err("surrogate in \\u escape"))?
+                let mut code = self.hex4()?;
+                // A high surrogate and the low one escaped after it are
+                // one character.
+                if (0xD800..0xDC00).contains(&code) && self.rest().starts_with(b"\\u") {
+                    self.pos += 2;
+                    let low = self.hex4()?;
+                    if (0xDC00..0xE000).contains(&low) {
+                        code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+                    }
+                }
+                char::from_u32(code).ok_or_else(|| self.err("lone surrogate in \\u escape"))?
             }
             _ => return Err(self.err("unknown escape")),
         })
+    }
+
+    /// The four hex digits of a `\u` escape.
+    fn hex4(&mut self) -> Result<u32, JsonError> {
+        let hex = self.src.get(self.pos..self.pos + 4);
+        let hex = hex.filter(|h| h.bytes().all(|d| d.is_ascii_hexdigit()));
+        let hex = hex.ok_or_else(|| self.err("expected four hex digits"))?;
+        self.pos += 4;
+        Ok(u32::from_str_radix(hex, 16).expect("four hex digits"))
+    }
+
+    /// Move past a string, stepping over each escape (`\` and the byte
+    /// after it) without decoding it.
+    fn skip_str(&mut self) -> Step {
+        self.expect(b'"')?;
+        while let Some(stop) = self.rest().iter().position(|&b| b == b'"' || b == b'\\') {
+            self.pos += stop + 1;
+            if self.src.as_bytes()[self.pos - 1] == b'"' {
+                return Ok(());
+            }
+            self.pos = (self.pos + 1).min(self.src.len());
+        }
+        self.pos = self.src.len();
+        Err(self.err("unterminated string"))
     }
 
     /// The next value exactly as spelled (surrounding whitespace
@@ -225,7 +250,7 @@ impl<'a> Reader<'a> {
         let (start, mut depth) = (self.pos, 0usize);
         while let Some(&b) = self.rest().first() {
             match b {
-                b'"' => drop(self.str()?),
+                b'"' => self.skip_str()?,
                 b'{' | b'[' => depth += 1,
                 b'}' | b']' if depth > 0 => depth -= 1,
                 // At depth 0 a delimiter or a space ends a scalar.
@@ -264,15 +289,12 @@ mod tests {
             r.object(|r, key| match key {
                 "a" => r.u64().map(|v| a = Some(v)),
                 "c" => r.str().map(|v| c = Some(v)),
-                "b" => r.array(|r| {
-                    b.push(if r.null() { None } else { Some(r.bool()?) });
-                    Ok(())
-                }),
+                "b" => r.array(|r| r.raw().map(|v| b.push(v))),
                 _ => r.skip(),
             })
             .unwrap();
             r.end().unwrap();
-            let want = (Some(1), Some("x"), &[Some(true), None][..]);
+            let want = (Some(1), Some("x"), &["true", "null"][..]);
             assert_eq!((a, c.as_deref(), &b[..]), want);
         }
     }
@@ -283,27 +305,18 @@ mod tests {
         assert!(matches!(plain, Ok(Cow::Borrowed("plain"))));
         let s = Reader::new(r#""a \"q\"\n\\ é é\/""#).str().unwrap();
         assert_eq!(s, "a \"q\"\n\\ é é/");
-        for bad in [r#""\x""#, r#""\ud83d""#, r#""\u12""#, r#""open"#, r#""\"#] {
+        let pair = Reader::new(r#""\ud83d\ude00""#).str().unwrap();
+        assert_eq!(pair, "\u{1f600}");
+        for bad in [
+            r#""\x""#,
+            r#""\ud83d""#,
+            r#""\ud83d\u0041""#,
+            r#""\u12""#,
+            r#""open"#,
+            r#""\"#,
+        ] {
             assert!(Reader::new(bad).str().is_err(), "{bad}");
         }
-    }
-
-    #[test]
-    fn raw_spans_every_value_shape() {
-        let doc = r#"{"a":{"x":[1,2],"y":"s}"},"b":[3,{"z":4}],"c":"he\"llo","d":42 ,"e":null}"#;
-        let (mut r, mut spans) = (Reader::new(doc), Vec::new());
-        r.object(|r, _| r.raw().map(|v| spans.push(v))).unwrap();
-        let want = [
-            r#"{"x":[1,2],"y":"s}"}"#,
-            r#"[3,{"z":4}]"#,
-            r#""he\"llo""#,
-            "42",
-            "null",
-        ];
-        assert_eq!(spans, want);
-        // Truncated nesting never closes: an error, not a panic.
-        assert!(Reader::new(r#"{"x":[1,2"#).raw().is_err());
-        assert!(Reader::new("  ,").raw().is_err());
     }
 
     #[test]
@@ -317,6 +330,7 @@ mod tests {
             (e.offset, e.to_string().contains("out of range")),
             (0, true)
         );
+        assert_eq!(Reader::new("  ,").raw().unwrap_err().offset, 2);
         let mut r = Reader::new("{} x");
         r.object(|r, _| r.skip()).unwrap();
         assert_eq!(r.end().unwrap_err().offset, 3);

@@ -104,8 +104,13 @@ impl<'a> Message<'a> {
         Ok(())
     }
 
+    /// The init facts; `None` if the node's own id is missing from the
+    /// cluster list or would need escaping in a reply's `src`.
     fn init(&self) -> Option<MaelstromInit> {
         let node_id = self.node_id.clone()?;
+        if node_id.chars().any(|c| matches!(c, '"' | '\\') || c < ' ') {
+            return None;
+        }
         let mut node_ids = self.node_ids.clone()?;
         node_ids.sort_by(|a, b| a.len().cmp(&b.len()).then_with(|| a.cmp(b)));
         node_ids
@@ -126,8 +131,9 @@ enum Request<'a> {
 }
 
 /// A line as `(raw src, msg_id, request)`; `None` when it is no
-/// request: not JSON, no `src` or `type`, an `init` whose cluster list
-/// lacks the node's own id, an `echo` without a value.
+/// request: not JSON, no `src` or `type`, an `init` whose own id is
+/// missing from its cluster list or needs escaping, an `echo` without a
+/// value.
 fn parse_request(line: &str) -> Option<(&str, Option<u64>, Request<'_>)> {
     let msg = Message::parse(line).ok()?;
     let request = match msg.typ.as_deref()? {
@@ -152,7 +158,8 @@ pub struct MaelstromInit {
 
 impl MaelstromInit {
     /// Parse from an `init` message line; `None` if the node's own id
-    /// is missing from the cluster list.
+    /// is missing from the cluster list or holds a character a JSON
+    /// string must escape.
     pub fn from_line(line: &str) -> Option<MaelstromInit> {
         Message::parse(line).ok()?.init()
     }
@@ -296,12 +303,29 @@ mod tests {
         assert_eq!(MaelstromInit::from_line(line), None);
     }
 
+    // Replies spell the own id unescaped in `src`, so an id that needs
+    // escaping never becomes the node's name.
+    #[test]
+    fn init_with_an_id_needing_escapes_is_rejected() {
+        for id in [r#"n"1"#, r#"n\1"#, r#"n1"#] {
+            let init = format!(
+                r#"{{"src":"c1","body":{{"type":"init","msg_id":1,"node_id":"{id}","node_ids":["{id}"]}}}}"#
+            );
+            assert_eq!(MaelstromInit::from_line(&init), None);
+            let echo = r#"{"src":"c1","body":{"type":"echo","msg_id":2,"echo":3}}"#;
+            let (_, _, replies) = serve(&[INIT_N1, &init, echo]);
+            assert_eq!(replies.len(), 2);
+            assert!(replies[1].starts_with(r#"{"src":"n1","#), "{}", replies[1]);
+        }
+    }
+
     #[test]
     fn json_raw_extracts_every_value_shape() {
         for value in [
             r#"{"x":[1,2],"y":"s}"}"#,
             r#"[3,{"z":4}]"#,
             r#""he\"llo""#,
+            r#""\ud83d\ude00""#,
             "42",
             "null",
         ] {
@@ -315,6 +339,9 @@ mod tests {
         // Truncated nesting never closes: no request, no panic.
         let cut = r#"{"src":"c1","body":{"type":"echo","msg_id":1,"echo":{"x":[1,2"#;
         assert_eq!(parse_request(cut), None);
+        // An echo without an `echo` value is not answered.
+        let bare = r#"{"src":"c1","body":{"type":"echo","msg_id":7}}"#;
+        assert_eq!(parse_request(bare), None);
     }
 
     /// Serve `lines`; the init, the stats and the reply lines.

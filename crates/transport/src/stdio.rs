@@ -56,27 +56,13 @@ pub fn parse_node_name(name: &str) -> Option<NodeId> {
 
 // --- lines -----------------------------------------------------------------
 
-/// Body `type` of a [`Frame`] line.
-const FRAME: &str = "frame";
-/// Body `type` of a [`CtlMsg`] line.
-const CTL: &str = "ctl";
-
-/// `{"type":<tag>,"data":[…]}`, `data` being `msg`'s wire bytes.
+/// `{"type":<tag>,"data":[…]}`, `data` being `msg`'s wire bytes; the
+/// tag is `"frame"` for a [`Frame`] and `"ctl"` for a [`CtlMsg`].
 fn body<T: WireCodec>(tag: &str, msg: &T) -> String {
     let mut bytes = Vec::new();
     msg.encode(&mut bytes);
     let data: Vec<String> = bytes.iter().map(u8::to_string).collect();
     format!("{{\"type\":\"{tag}\",\"data\":[{}]}}", data.join(","))
-}
-
-/// Render a frame as a JSON body object.
-pub fn frame_body<M: WireCodec>(frame: &Frame<M>) -> String {
-    body(FRAME, frame)
-}
-
-/// Render a control message as a JSON body object.
-pub fn ctl_body(msg: &CtlMsg) -> String {
-    body(CTL, msg)
 }
 
 /// The `dest` field of a message line — the only thing a router needs,
@@ -121,8 +107,8 @@ pub fn parse_line<M: WireCodec>(line: &str) -> Option<(String, String, LineBody<
     .ok()?;
     let data = data?;
     let body = match tag?.as_ref() {
-        FRAME => LineBody::Frame(decode_exact(&data)?),
-        CTL => LineBody::Ctl(decode_exact(&data)?),
+        "frame" => LineBody::Frame(decode_exact(&data)?),
+        "ctl" => LineBody::Ctl(decode_exact(&data)?),
         _ => return None,
     };
     Some((src?, dest?, body))
@@ -230,10 +216,10 @@ impl<R: BufRead, W: Write> StdioNode<R, W> {
 
 impl<M: WireCodec, R: BufRead, W: Write> NodeEndpoint<M> for StdioNode<R, W> {
     fn send_peer(&mut self, to: NodeId, frame: Frame<M>) -> Result<(), TransportError> {
-        self.0.send(&node_name(to), &frame_body(&frame))
+        self.0.send(&node_name(to), &body("frame", &frame))
     }
     fn send_ctl(&mut self, msg: CtlMsg) -> Result<(), TransportError> {
-        self.0.send(COORD, &ctl_body(&msg))
+        self.0.send(COORD, &body("ctl", &msg))
     }
     fn recv(&mut self) -> Result<Event<M>, TransportError> {
         let (src, body) = self.0.recv::<M>()?;
@@ -300,7 +286,7 @@ impl<R: BufRead, W: Write> StdioCoord<R, W> {
 
 impl<R: BufRead, W: Write> crate::coordinator::CoordEndpoint for StdioCoord<R, W> {
     fn broadcast(&mut self, msg: CtlMsg) -> Result<(), TransportError> {
-        let body = ctl_body(&msg);
+        let body = body("ctl", &msg);
         // Every worker gets the line; the first failed write is reported.
         let mut result = Ok(());
         for v in 0..self.n {
@@ -310,7 +296,7 @@ impl<R: BufRead, W: Write> crate::coordinator::CoordEndpoint for StdioCoord<R, W
         result
     }
     fn send_to(&mut self, node: NodeId, msg: CtlMsg) -> Result<(), TransportError> {
-        self.lines.send(&node_name(node), &ctl_body(&msg))
+        self.lines.send(&node_name(node), &body("ctl", &msg))
     }
     fn recv(
         &mut self,
@@ -415,7 +401,7 @@ mod tests {
             Frame::EndRound { round: 12 },
             Frame::BatchReplay { frames: vec![] },
         ] {
-            let body = frame_body(&f);
+            let body = body("frame", &f);
             assert!(body.starts_with(r#"{"type":"frame","data":["#), "{body}");
             let line = format!("{{\"src\":\"n1\",\"dest\":\"n2\",\"body\":{body}}}");
             let parsed = parse_line::<u64>(&line).unwrap();
@@ -430,7 +416,7 @@ mod tests {
                 executed: vec![7, 8],
             },
         ] {
-            let body = ctl_body(&c);
+            let body = body("ctl", &c);
             assert!(body.starts_with(r#"{"type":"ctl","data":["#), "{body}");
             let line = format!("{{\"src\":\"c0\",\"dest\":\"n0\",\"body\":{body}}}");
             let parsed = parse_line::<u64>(&line).unwrap();
@@ -522,7 +508,7 @@ mod tests {
 
         let misrouted = format!(
             "{{\"src\":\"n1\",\"dest\":\"n9\",\"body\":{}}}\n",
-            frame_body(&Frame::<u64>::EndRound { round: 1 })
+            body("frame", &Frame::<u64>::EndRound { round: 1 })
         );
         let reader = BufReader::new(misrouted.as_bytes());
         let mut sink = Vec::new();

@@ -109,48 +109,30 @@ fn handshake_in(stream: &mut TcpStream) -> io::Result<NodeId> {
     Ok(NodeId::from_le_bytes(raw))
 }
 
-fn peer_reader<M: WireCodec>(from: NodeId, stream: TcpStream, tx: Sender<Event<M>>) {
+/// Forward each frame `stream` carries into `tx`, wrapped by `event`,
+/// until EOF or the receiver hangs up. A clean EOF is normal at the end
+/// of a run; mid-run it means the sender died, which the coordinator's
+/// failure detector owns. A read fault becomes an [`Event::Lost`]
+/// naming `from` (`None` for the coordinator link).
+fn frame_reader<T: WireCodec, M>(
+    stream: TcpStream,
+    from: Option<NodeId>,
+    tx: Sender<Event<M>>,
+    event: impl Fn(T) -> Event<M>,
+) {
     let mut r = BufReader::new(stream);
-    loop {
-        match read_frame::<_, Frame<M>>(&mut r) {
-            Ok(Some(frame)) => {
-                if tx.send(Event::Peer { from, frame }).is_err() {
-                    break; // receiver done; drain to EOF is pointless
+    let detail = loop {
+        match read_frame(&mut r) {
+            Ok(Some(v)) => {
+                if tx.send(event(v)).is_err() {
+                    return;
                 }
             }
-            // Clean EOF: normal at end of run; mid-run it means the
-            // peer died, which the coordinator's failure detector owns.
-            Ok(None) => break,
-            Err(e) => {
-                let _ = tx.send(Event::Lost {
-                    from: Some(from),
-                    detail: e.to_string(),
-                });
-                break;
-            }
+            Ok(None) => return,
+            Err(e) => break e.to_string(),
         }
-    }
-}
-
-fn ctl_reader<M: WireCodec>(stream: TcpStream, tx: Sender<Event<M>>) {
-    let mut r = BufReader::new(stream);
-    loop {
-        match read_frame::<_, CtlMsg>(&mut r) {
-            Ok(Some(msg)) => {
-                if tx.send(Event::Ctl(msg)).is_err() {
-                    break;
-                }
-            }
-            Ok(None) => break,
-            Err(e) => {
-                let _ = tx.send(Event::Lost {
-                    from: None,
-                    detail: e.to_string(),
-                });
-                break;
-            }
-        }
-    }
+    };
+    let _ = tx.send(Event::Lost { from, detail });
 }
 
 /// Establish worker `id`'s link sockets to its adjacent workers `nbrs`
@@ -309,7 +291,12 @@ where
                 }));
             };
             let rtx = tx.clone();
-            s.spawn(move || peer_reader::<P::Msg>(u, read_half, rtx));
+            s.spawn(move || {
+                frame_reader(read_half, Some(u), rtx, |frame| Event::Peer {
+                    from: u,
+                    frame,
+                })
+            });
             peers.push((u, BufWriter::new(stream)));
         }
         {
@@ -322,7 +309,7 @@ where
                 }));
             };
             let tx = tx.clone();
-            s.spawn(move || ctl_reader::<P::Msg>(read_half, tx));
+            s.spawn(move || frame_reader(read_half, None, tx, Event::Ctl));
         }
         drop(tx);
         let mut ep = ShardTcpNode {
