@@ -3,9 +3,9 @@
 
 CARGO ?= cargo
 
-.PHONY: ci build test fmt clippy doc report golden obs-schema bench-smoke transport-conformance pipeline-conformance shard-conformance chaos-smoke scale-smoke serve-conformance serve-smoke dynamic-conformance dynamic-smoke serve-chaos maelstrom-smoke
+.PHONY: ci build test fmt clippy doc report golden obs-schema bench-smoke engine-conformance transport-conformance pipeline-conformance shard-conformance chaos-smoke scale-smoke serve-conformance serve-smoke dynamic-conformance dynamic-smoke serve-chaos maelstrom-smoke
 
-ci: build test fmt clippy doc obs-schema transport-conformance pipeline-conformance chaos-smoke scale-smoke serve-conformance serve-smoke dynamic-conformance dynamic-smoke serve-chaos maelstrom-smoke
+ci: build test fmt clippy doc obs-schema engine-conformance transport-conformance pipeline-conformance chaos-smoke scale-smoke serve-conformance serve-smoke dynamic-conformance dynamic-smoke serve-chaos maelstrom-smoke
 
 build:
 	$(CARGO) build --release
@@ -41,6 +41,15 @@ golden:
 # `UPDATE_GOLDEN=1` (the `golden` target does both suites).
 obs-schema:
 	$(CARGO) test -q -p dwapsp --test obs_schema
+
+# The round engine in release, where its worker pool really runs chunks
+# at the same time: dw-congest whole (the pool's handoff tests, seq ==
+# par and thread-count bit identity, the scheduling modes), then the
+# fault-injection and CONGEST-model suites, which compare parallel runs
+# with sequential ones. Tier-1 runs them only in a debug build.
+engine-conformance:
+	$(CARGO) test --release -q -p dw-congest
+	$(CARGO) test --release -q -p dwapsp --test fault_conformance --test congest_model
 
 # The transport backends must reproduce the simulator bit for bit
 # (distances, RunStats, outcomes) — threads + loopback TCP + stdio at

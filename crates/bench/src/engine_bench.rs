@@ -119,7 +119,6 @@ pub fn standard_modes() -> Vec<(&'static str, EngineConfig)> {
             "active_set_par",
             EngineConfig {
                 parallel_threshold: 256,
-                threads: 4,
                 ..EngineConfig::default()
             },
         ),
@@ -194,7 +193,6 @@ pub fn scale_modes() -> Vec<(&'static str, EngineConfig)> {
             "active_set_par",
             EngineConfig {
                 parallel_threshold: 256,
-                threads: 4,
                 ..EngineConfig::default()
             },
         ),
