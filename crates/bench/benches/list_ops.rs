@@ -1,96 +1,17 @@
-//! Engine micro-benchmarks for the active-set scheduler rework: the two
-//! regimes the scheduler separates (idle-heavy pipelined schedules vs
-//! dense every-node-sends-every-round), each under sequential and
-//! thread-parallel phase execution and under both scheduling modes.
-//!
-//! The `list_ops` group is not about the engine: it times the four
-//! per-message and per-poll operations of Algorithm 1's `list_v`
+//! Micro-benchmark of Algorithm 1's list (EXPERIMENTS.md E22): the four
+//! per-message and per-poll operations of `list_v`
 //! (`dw_pipeline::list::NodeList`) on lists of 16, 256 and 1024 rows, so
 //! that a change to the list has a number in seconds rather than a 28 s
 //! pipeline run to wait for.
 //!
-//! `make bench-smoke` runs this suite; regressions are judged end to
-//! end by the pipeline benchmark (`BENCHMARK.json`), so these numbers
+//! `cargo bench -p dw-bench --bench list_ops`. A regression is judged end
+//! to end by the pipeline benchmark (`BENCHMARK.json`), so these numbers
 //! are for eyeballing relative cost, not for CI pass/fail.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use dw_bench::engine_bench::DensePing;
-use dw_bench::workloads;
-use dw_congest::{EngineConfig, Network, NullRecorder, SchedulingMode};
-use dw_pipeline as pipeline;
 use dw_pipeline::entry::Entry;
 use dw_pipeline::list::NodeList;
 use dw_pipeline::{AdmissionRule, Gamma};
-
-fn cfg(mode: SchedulingMode, parallel: bool) -> EngineConfig {
-    EngineConfig {
-        scheduling: mode,
-        parallel_threshold: if parallel { 1 } else { usize::MAX },
-        threads: if parallel { 4 } else { 1 },
-        ..EngineConfig::default()
-    }
-}
-
-const MODES: [(&str, SchedulingMode, bool); 4] = [
-    ("exhaustive_seq", SchedulingMode::ExhaustivePoll, false),
-    ("exhaustive_par", SchedulingMode::ExhaustivePoll, true),
-    ("active_set_seq", SchedulingMode::ActiveSet, false),
-    ("active_set_par", SchedulingMode::ActiveSet, true),
-];
-
-/// Idle-heavy: Algorithm 1 APSP on a zero-heavy graph — the pipelined
-/// schedule keeps most nodes silent in most rounds, so active-set
-/// scheduling should win by not polling them.
-fn idle_heavy(c: &mut Criterion) {
-    let wl = workloads::zero_heavy(48, 6, 77);
-    let mut group = c.benchmark_group("idle_heavy_apsp");
-    group.sample_size(10);
-    for (label, mode, parallel) in MODES {
-        group.bench_with_input(BenchmarkId::from_parameter(label), &wl, |b, wl| {
-            b.iter(|| pipeline::apsp(&wl.graph, wl.delta, cfg(mode, parallel)))
-        });
-    }
-    group.finish();
-}
-
-/// Dense: every node broadcasts every round — the worst case for any
-/// scheduling overhead; active-set must track exhaustive polling here.
-fn dense_send(c: &mut Criterion) {
-    let wl = workloads::unweighted(128, 33);
-    let mut group = c.benchmark_group("dense_ping");
-    group.sample_size(10);
-    for (label, mode, parallel) in MODES {
-        group.bench_with_input(BenchmarkId::from_parameter(label), &wl, |b, wl| {
-            b.iter(|| {
-                let mut net =
-                    Network::new(&wl.graph, cfg(mode, parallel), |_| DensePing { until: 100 });
-                net.run(110);
-                net.stats()
-            })
-        });
-    }
-    group.finish();
-}
-
-/// Fast-forward stress: a long-horizon short-range SSSP where almost every
-/// round is skipped entirely — measures the scan-vs-heap silent-round cost.
-fn fast_forward(c: &mut Criterion) {
-    let wl = workloads::sparse_positive(1024, 32, 901);
-    let mut group = c.benchmark_group("fast_forward_sssp");
-    group.sample_size(10);
-    for (label, mode, parallel) in MODES {
-        group.bench_with_input(BenchmarkId::from_parameter(label), &wl, |b, wl| {
-            let run = pipeline::Run {
-                engine: cfg(mode, parallel),
-                ..pipeline::Run::default()
-            };
-            b.iter(|| {
-                pipeline::solve_short_range(&wl.graph, 0, 48, wl.delta, &run, &mut NullRecorder)
-            })
-        });
-    }
-    group.finish();
-}
 
 /// A list of `len` rows shaped like a node's in an all-pairs run:
 /// `len / 2` sources, for each its SP row and one non-SP row above it,
@@ -211,5 +132,5 @@ fn list_ops(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, idle_heavy, dense_send, fast_forward, list_ops);
+criterion_group!(benches, list_ops);
 criterion_main!(benches);

@@ -55,8 +55,7 @@ fn main() -> ExitCode {
         .and_then(|s| s.parse().ok())
         .unwrap_or(120);
 
-    // The same instance as `scale_grid_short_range` in BENCH_6: center
-    // source, h = 64, so the frontier stays interior to the grid.
+    // Center source, h = 64, so the frontier stays interior to the grid.
     let h: u64 = 64;
     let (rows, cols) = (224usize, 224usize);
     let src: NodeId = (112 * cols + 112) as NodeId;

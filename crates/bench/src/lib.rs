@@ -19,15 +19,9 @@
 //! Run them all with `cargo run -p dw-bench --bin report --release`; pass
 //! `--exp e3` for one experiment and `--full` for the larger sweeps.
 
-pub mod chaos_bench;
-pub mod dynamic_bench;
-pub mod engine_bench;
 pub mod experiments;
 pub mod fit;
-pub mod obs_bench;
-pub mod serve_bench;
 pub mod table;
-pub mod transport_bench;
 pub mod workloads;
 
 pub use fit::{fit_power_law, PowerFit};

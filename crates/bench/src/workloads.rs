@@ -1,4 +1,4 @@
-//! Named workloads shared by the experiments and criterion benches.
+//! Named workloads shared by the experiments and the smoke binaries.
 
 use dw_graph::gen::{self, WeightDist};
 use dw_graph::{NodeId, WGraph, Weight};
@@ -27,8 +27,8 @@ impl Workload {
     /// As [`Workload::new`] with a caller-supplied `Δ`. At the scale
     /// workloads' sizes (50k+ nodes) the full APSP behind
     /// [`dw_seqref::max_finite_distance`] is infeasible (2.5G pairs), so
-    /// the constructors below compute the `Δ` their specific run needs —
-    /// from the run's own sources only — and pass it in here.
+    /// [`scale_grid2d`] computes the `Δ` its run needs — from the run's
+    /// own source only — and passes it in here.
     pub fn with_delta(name: impl Into<String>, graph: WGraph, delta: Weight) -> Self {
         Workload {
             name: name.into(),
@@ -53,23 +53,6 @@ pub fn zero_heavy(n: usize, w_max: Weight, seed: u64) -> Workload {
     Workload::new(
         format!("zero-heavy(n={n},W={w_max},s={seed})"),
         gen::zero_heavy(n, 12.0 / n as f64, 0.5, w_max, true, seed),
-    )
-}
-
-/// Positive uniform weights (no zeros).
-pub fn positive_random(n: usize, w_max: Weight, seed: u64) -> Workload {
-    Workload::new(
-        format!("positive(n={n},W={w_max},s={seed})"),
-        gen::gnp_connected(
-            n,
-            12.0 / n as f64,
-            true,
-            WeightDist::ZeroOr {
-                p_zero: 0.0,
-                max: w_max,
-            },
-            seed,
-        ),
     )
 }
 
@@ -139,25 +122,6 @@ pub fn scale_grid2d(
         .unwrap_or(0);
     Workload::with_delta(
         format!("grid2d({rows}x{cols},W={w_max},s={seed})"),
-        g,
-        delta,
-    )
-}
-
-/// Scale workload: preferential-attachment power-law graph for k-SSP from
-/// the given sources. `Δ` is the max finite distance from those sources
-/// (`k` Dijkstra passes — the only rows the run computes).
-pub fn scale_power_law(
-    n: usize,
-    attach: usize,
-    w_max: Weight,
-    sources: &[NodeId],
-    seed: u64,
-) -> Workload {
-    let g = gen::power_law(n, attach, WeightDist::Uniform { max: w_max }, seed);
-    let delta = dw_seqref::k_source_dijkstra(&g, sources).max_finite();
-    Workload::with_delta(
-        format!("power-law(n={n},a={attach},W={w_max},s={seed})"),
         g,
         delta,
     )

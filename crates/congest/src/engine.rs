@@ -33,13 +33,13 @@
 //! the handoff).
 //!
 //! For scale, the active-set schedule is **sharded**: nodes are split
-//! into contiguous chunks (aligned with the worker-pool partitions),
-//! each with its own lazy min-heap, so the schedule refresh — the
-//! per-round `earliest_send` queries — parallelizes with disjoint
-//! writes. Soundness is unchanged: each shard's heap maintains the exact
-//! invariant the global heap did, restricted to its node range, and the
-//! due set is the (sorted) union of the per-shard pops, which is the
-//! same set the global heap would pop. A **density fallback** switches
+//! into one contiguous chunk per worker thread, each with its own lazy
+//! min-heap, so the schedule refresh — the per-round `earliest_send`
+//! queries — parallelizes with disjoint writes. Soundness is unchanged:
+//! each shard's heap maintains the exact invariant the global heap did,
+//! restricted to its node range, and the due set is the (sorted) union
+//! of the per-shard pops, which is the same set the global heap would
+//! pop. A **density fallback** switches
 //! to exhaustive polling while almost every node is active each round
 //! (see [`EngineConfig::dense_poll_fraction`]): polling a node early is
 //! a no-op under the `earliest_send` contract, so the fallback is
@@ -78,10 +78,6 @@ pub struct EngineConfig {
     /// Per-message word budget (a word = one `O(log n)`-bit quantity).
     /// Exceeding it is a protocol bug and panics.
     pub max_words: usize,
-    /// Enforce at most one message per directed link per round (the CONGEST
-    /// bandwidth constraint). Always leave on; exposed for the failure
-    /// injection tests.
-    pub enforce_link_capacity: bool,
     /// Use the thread-parallel send/receive phases when the number of
     /// nodes scheduled in a round (active senders, resp. dirty inboxes)
     /// is at least this threshold. `usize::MAX` disables parallelism.
@@ -91,21 +87,17 @@ pub struct EngineConfig {
     pub parallel_threshold: usize,
     /// Worker threads for the parallel phases (the calling thread counts
     /// toward this number; the persistent pool holds `threads - 1`).
+    /// The active-set schedule has one shard per thread; any count runs
+    /// bit-identically.
     pub threads: usize,
     /// Node polling strategy; see [`SchedulingMode`].
     pub scheduling: SchedulingMode,
-    /// Number of contiguous node chunks the active-set schedule is
-    /// sharded into (each with its own lazy min-heap, enabling a
-    /// disjoint-write parallel schedule refresh). `0` means auto: one
-    /// shard per worker thread. Any value yields bit-identical runs —
-    /// this is a layout knob, not a semantic one.
-    pub schedule_shards: usize,
     /// Density fallback threshold for [`SchedulingMode::ActiveSet`]:
     /// when the due set of a round reaches this fraction of `n`, the
     /// engine stops maintaining the schedule heaps and polls every node
-    /// (heap bookkeeping is pure overhead when nearly everyone is active
-    /// — the BENCH_5 e2 regression). It returns to heap scheduling — via
-    /// a full `earliest_send` rescan — once the fraction of nodes that
+    /// (heap bookkeeping is pure overhead when nearly everyone is
+    /// active). It returns to heap scheduling — via a full
+    /// `earliest_send` rescan — once the fraction of nodes that
     /// actually *sent* drops below half this threshold (hysteresis, so
     /// workloads hovering at the boundary don't thrash). Polling a node
     /// before its due round is a no-op under the `earliest_send`
@@ -122,13 +114,11 @@ impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             max_words: 8,
-            enforce_link_capacity: true,
             parallel_threshold: 1024,
             threads: std::thread::available_parallelism()
                 .map(|p| p.get())
                 .unwrap_or(1),
             scheduling: SchedulingMode::ActiveSet,
-            schedule_shards: 0,
             dense_poll_fraction: 0.5,
             faults: None,
         }
@@ -321,15 +311,10 @@ impl<'g, P: Protocol> Network<'g, P> {
         for r in runners.iter_mut() {
             r.init(g);
         }
-        // Schedule shard layout: `0` shards means one per worker thread.
-        // Any layout is bit-identical (the due set is the sorted union of
-        // per-shard pops either way), so this only affects parallelism.
-        let want = if cfg.schedule_shards == 0 {
-            cfg.threads
-        } else {
-            cfg.schedule_shards
-        };
-        let shards = want.clamp(1, n.max(1));
+        // One schedule shard per worker thread. Any layout is
+        // bit-identical (the due set is the sorted union of per-shard pops
+        // either way), so this only affects parallelism.
+        let shards = cfg.threads.clamp(1, n.max(1));
         let shard_size = n.div_ceil(shards).max(1);
         let heap_count = if n == 0 { 1 } else { (n - 1) / shard_size + 1 };
         let mut heaps: Vec<BinaryHeap<Reverse<(Round, NodeId)>>> =
@@ -543,13 +528,8 @@ impl<'g, P: Protocol> Network<'g, P> {
                 on_msg,
             };
             for &u in &active {
-                let sent = self.runners[u as usize].drain_sends(
-                    round,
-                    g,
-                    self.cfg.max_words,
-                    self.cfg.enforce_link_capacity,
-                    &mut sink,
-                );
+                let sent =
+                    self.runners[u as usize].drain_sends(round, g, self.cfg.max_words, &mut sink);
                 if sent > 0 {
                     senders += 1;
                     // Flag only when a message actually hit a link (a
@@ -757,68 +737,57 @@ impl<'g, P: Protocol> Network<'g, P> {
     fn refresh_schedule_parallel(&mut self, round: Round, active: &[NodeId], dirty: &[NodeId]) {
         let g = self.g;
         let shard_size = self.shard_size;
-        let shards = self.heaps.len();
-        // Each chunk owns a contiguous run of whole shards, so there are at
-        // most `threads` chunks whatever `schedule_shards` is.
-        let per = shards.div_ceil(self.cfg.threads).max(1);
         let heaps = Ptr(self.heaps.as_mut_ptr());
         let next_send = Ptr(self.next_send.as_mut_ptr());
         let sent_flag = Ptr(self.sent_flag.as_mut_ptr());
         let runners = Ptr(self.runners.as_mut_ptr());
         let pool = worker_pool(&mut self.pool, self.cfg.threads);
-        pool.for_each_chunk(shards.div_ceil(per), &|c| {
-            let first = c * per;
-            let lo = (first * shard_size) as NodeId;
-            let mut a_lo = active.partition_point(|&v| v < lo);
-            let mut d_lo = dirty.partition_point(|&v| v < lo);
-            for s in first..(first + per).min(shards) {
-                let hi = ((s + 1) * shard_size) as NodeId;
-                let a_hi = a_lo + active[a_lo..].partition_point(|&v| v < hi);
-                let d_hi = d_lo + dirty[d_lo..].partition_point(|&v| v < hi);
-                let (active_s, dirty_s) = (&active[a_lo..a_hi], &dirty[d_lo..d_hi]);
-                (a_lo, d_lo) = (a_hi, d_hi);
-                if active_s.is_empty() && dirty_s.is_empty() {
+        pool.for_each_chunk(self.heaps.len(), &|s| {
+            let (lo, hi) = ((s * shard_size) as NodeId, ((s + 1) * shard_size) as NodeId);
+            let within =
+                |xs: &[NodeId]| xs.partition_point(|&v| v < lo)..xs.partition_point(|&v| v < hi);
+            let (active_s, dirty_s) = (&active[within(active)], &dirty[within(dirty)]);
+            if active_s.is_empty() && dirty_s.is_empty() {
+                return;
+            }
+            // SAFETY: all node ids here lie in shard `s`'s range and shard
+            // ranges are disjoint, so each runner, `next_send` /
+            // `sent_flag` slot, and the shard heap are touched by exactly
+            // one chunk; for_each_chunk returns only after every chunk
+            // finished.
+            let heap = unsafe { heaps.at(s) };
+            for &v in active_s {
+                let i = v as usize;
+                let flag = unsafe { sent_flag.at(i) };
+                if *flag {
+                    *flag = false;
+                    *unsafe { next_send.at(i) } = round + 1;
+                    heap.push(Reverse((round + 1, v)));
                     continue;
                 }
-                // SAFETY: all node ids here lie in shard `s`'s range, shard
-                // ranges are disjoint and each shard belongs to one chunk,
-                // so each runner, `next_send` / `sent_flag` slot, and the
-                // shard heap are touched by exactly one chunk;
-                // for_each_chunk returns only after every chunk finished.
-                let heap = unsafe { heaps.at(s) };
-                for &v in active_s {
-                    let i = v as usize;
-                    let flag = unsafe { sent_flag.at(i) };
-                    if *flag {
-                        *flag = false;
-                        *unsafe { next_send.at(i) } = round + 1;
-                        heap.push(Reverse((round + 1, v)));
-                        continue;
+                let runner = unsafe { runners.at(i) };
+                match runner.earliest_send(round + 1, g) {
+                    Some(r) => {
+                        debug_assert!(r > round, "earliest_send must be in the future");
+                        *unsafe { next_send.at(i) } = r;
+                        heap.push(Reverse((r, v)));
                     }
-                    let runner = unsafe { runners.at(i) };
-                    match runner.earliest_send(round + 1, g) {
-                        Some(r) => {
-                            debug_assert!(r > round, "earliest_send must be in the future");
-                            *unsafe { next_send.at(i) } = r;
-                            heap.push(Reverse((r, v)));
-                        }
-                        None => *unsafe { next_send.at(i) } = Round::MAX,
-                    }
+                    None => *unsafe { next_send.at(i) } = Round::MAX,
                 }
-                for &v in dirty_s {
-                    if active_s.binary_search(&v).is_ok() {
-                        continue;
-                    }
-                    let i = v as usize;
-                    let runner = unsafe { runners.at(i) };
-                    let r_new = runner.earliest_send(round + 1, g).unwrap_or(Round::MAX);
-                    let slot = unsafe { next_send.at(i) };
-                    if r_new != *slot {
-                        *slot = r_new;
-                        if r_new != Round::MAX {
-                            debug_assert!(r_new > round, "earliest_send must be in the future");
-                            heap.push(Reverse((r_new, v)));
-                        }
+            }
+            for &v in dirty_s {
+                if active_s.binary_search(&v).is_ok() {
+                    continue;
+                }
+                let i = v as usize;
+                let runner = unsafe { runners.at(i) };
+                let r_new = runner.earliest_send(round + 1, g).unwrap_or(Round::MAX);
+                let slot = unsafe { next_send.at(i) };
+                if r_new != *slot {
+                    *slot = r_new;
+                    if r_new != Round::MAX {
+                        debug_assert!(r_new > round, "earliest_send must be in the future");
+                        heap.push(Reverse((r_new, v)));
                     }
                 }
             }
@@ -1116,24 +1085,6 @@ mod tests {
             EngineConfig {
                 parallel_threshold: 1,
                 threads: 4,
-                ..EngineConfig::default()
-            },
-        );
-        assert_eq!(seq, par);
-    }
-
-    /// More schedule shards than a call can carry chunks: the parallel
-    /// refresh must group shards into at most `threads` chunks.
-    #[test]
-    fn parallel_refresh_with_more_shards_than_chunks() {
-        let g = gen::star(70_000, false, WeightDist::Constant(1), 0);
-        let seq = flood_net(&g, EngineConfig::default());
-        let par = flood_net(
-            &g,
-            EngineConfig {
-                parallel_threshold: 1,
-                threads: 2,
-                schedule_shards: 70_000,
                 ..EngineConfig::default()
             },
         );

@@ -117,7 +117,6 @@ impl<P: Protocol> NodeRunner<P> {
         round: Round,
         g: &WGraph,
         max_words: usize,
-        enforce_link_capacity: bool,
         sink: &mut S,
     ) -> u64 {
         let mut ops = self.outbox.take_ops();
@@ -136,7 +135,7 @@ impl<P: Protocol> NodeRunner<P> {
                     check_words(u, words, max_words);
                     let nbrs = g.comm_neighbors(u);
                     for (rank, &v) in nbrs.iter().enumerate() {
-                        self.stamp(rank, round, v, enforce_link_capacity);
+                        self.stamp(rank, round, v);
                     }
                     sent += nbrs.len() as u64;
                     words_sent += (words * nbrs.len()) as u64;
@@ -149,7 +148,7 @@ impl<P: Protocol> NodeRunner<P> {
                         .comm_neighbors(u)
                         .binary_search(&v)
                         .unwrap_or_else(|_| panic!("protocol bug: {u} sent to non-neighbor {v}"));
-                    self.stamp(rank, round, v, enforce_link_capacity);
+                    self.stamp(rank, round, v);
                     sent += 1;
                     words_sent += words as u64;
                     sink.unicast(u, rank, v, m, words);
@@ -168,14 +167,12 @@ impl<P: Protocol> NodeRunner<P> {
     }
 
     #[inline]
-    fn stamp(&mut self, rank: usize, round: Round, v: NodeId, enforce: bool) {
-        if enforce {
-            assert!(
-                self.link_stamp[rank] != round,
-                "protocol bug: node {u} sent two messages over link {u}->{v} in round {round}",
-                u = self.id,
-            );
-        }
+    fn stamp(&mut self, rank: usize, round: Round, v: NodeId) {
+        assert!(
+            self.link_stamp[rank] != round,
+            "protocol bug: node {u} sent two messages over link {u}->{v} in round {round}",
+            u = self.id,
+        );
         self.link_stamp[rank] = round;
         self.link_load[rank] += 1;
     }
@@ -290,11 +287,11 @@ mod tests {
         let mut sink = Collect::default();
 
         r.poll_send(1, &g);
-        assert_eq!(r.drain_sends(1, &g, 8, true, &mut sink), 2);
+        assert_eq!(r.drain_sends(1, &g, 8, &mut sink), 2);
         r.poll_send(2, &g);
-        assert_eq!(r.drain_sends(2, &g, 8, true, &mut sink), 1);
+        assert_eq!(r.drain_sends(2, &g, 8, &mut sink), 1);
         r.poll_send(3, &g);
-        assert_eq!(r.drain_sends(3, &g, 8, true, &mut sink), 0, "empty outbox");
+        assert_eq!(r.drain_sends(3, &g, 8, &mut sink), 0, "empty outbox");
 
         assert_eq!(sink.broadcasts, vec![(1, 2)]);
         assert_eq!(sink.unicasts, vec![(1, 0)]);
@@ -321,6 +318,6 @@ mod tests {
         let g = gen::path(2, false, WeightDist::Constant(1), 0);
         let mut r = NodeRunner::new(0, &g, DoubleUnicast);
         r.poll_send(1, &g);
-        r.drain_sends(1, &g, 8, true, &mut Collect::default());
+        r.drain_sends(1, &g, 8, &mut Collect::default());
     }
 }

@@ -111,16 +111,17 @@ fn config(mode: SchedulingMode, parallel: bool, faults: Option<FaultPlan>) -> En
     }
 }
 
-/// As [`config`], additionally pinning the schedule-shard count and the
-/// density-fallback threshold (`> 1.0` disables the fallback entirely).
+/// As [`config`] on `threads` threads, which is also the number of
+/// schedule shards, with the density-fallback threshold pinned (`> 1.0`
+/// disables the fallback entirely).
 fn config_scaled(
     parallel: bool,
     faults: Option<FaultPlan>,
-    shards: usize,
+    threads: usize,
     dense_fraction: f64,
 ) -> EngineConfig {
     EngineConfig {
-        schedule_shards: shards,
+        threads,
         dense_poll_fraction: dense_fraction,
         ..config(SchedulingMode::ActiveSet, parallel, faults)
     }
@@ -195,10 +196,12 @@ proptest! {
         prop_assert_eq!(&s_as, &s_p);
     }
 
-    // The schedule-shard count is a pure layout knob and the density
-    // fallback is a pure fast path: every combination of shard count
-    // {1, 2, n}, fallback threshold (always-dense 0.0, default-ish 0.4,
-    // disabled 2.0), and sequential/parallel execution must reproduce the
+    // The schedule-shard count (one per thread) is a pure layout choice
+    // and the density fallback is a pure fast path: every combination of
+    // shard count {1, 2, n}, fallback threshold (always-dense 0.0,
+    // default-ish 0.4, disabled 2.0), and sequential/parallel execution
+    // (n shards sequentially only, so that no test starts more pool
+    // threads than a small runner has cores) must reproduce the
     // exhaustive-poll reference bit for bit — stats (incl.
     // `rounds_executed`, so the fast-forward decisions match), traces,
     // and final node states — under faults too.
@@ -211,22 +214,20 @@ proptest! {
             &g, config(SchedulingMode::ExhaustivePoll, false, plan.clone()), 60);
         let (fn_ex, fs_ex, fo_ex) = full_run(
             &g, config(SchedulingMode::ExhaustivePoll, false, plan.clone()), budget);
-        for shards in [1usize, 2, n] {
+        for (shards, parallel) in [(1, false), (1, true), (2, false), (2, true), (n, false)] {
             for dense in [0.0f64, 0.4, 2.0] {
-                for parallel in [false, true] {
-                    let label = format!("shards={shards} dense={dense} parallel={parallel}");
-                    let (n_s, s_s, t_s) = traced(
-                        &g, config_scaled(parallel, plan.clone(), shards, dense), 60);
-                    prop_assert_eq!(&n_ex, &n_s, "stepped states diverged: {}", &label);
-                    prop_assert_eq!(&s_ex, &s_s, "stepped stats diverged: {}", &label);
-                    prop_assert_eq!(
-                        t_ex.records(), t_s.records(), "traces diverged: {}", &label);
-                    let (fn_s, fs_s, fo_s) = full_run(
-                        &g, config_scaled(parallel, plan.clone(), shards, dense), budget);
-                    prop_assert_eq!(fo_ex, fo_s, "outcome diverged: {}", &label);
-                    prop_assert_eq!(&fn_ex, &fn_s, "full-run states diverged: {}", &label);
-                    prop_assert_eq!(&fs_ex, &fs_s, "full-run stats diverged: {}", &label);
-                }
+                let label = format!("shards={shards} dense={dense} parallel={parallel}");
+                let (n_s, s_s, t_s) = traced(
+                    &g, config_scaled(parallel, plan.clone(), shards, dense), 60);
+                prop_assert_eq!(&n_ex, &n_s, "stepped states diverged: {}", &label);
+                prop_assert_eq!(&s_ex, &s_s, "stepped stats diverged: {}", &label);
+                prop_assert_eq!(
+                    t_ex.records(), t_s.records(), "traces diverged: {}", &label);
+                let (fn_s, fs_s, fo_s) = full_run(
+                    &g, config_scaled(parallel, plan.clone(), shards, dense), budget);
+                prop_assert_eq!(fo_ex, fo_s, "outcome diverged: {}", &label);
+                prop_assert_eq!(&fn_ex, &fn_s, "full-run states diverged: {}", &label);
+                prop_assert_eq!(&fs_ex, &fs_s, "full-run stats diverged: {}", &label);
             }
         }
     }

@@ -117,6 +117,15 @@ fn usage_and_exit() -> ! {
     exit(2);
 }
 
+/// `value` parsed as the argument of `flag`. A malformed value is a
+/// usage error: it prints `invalid value for FLAG: 'VALUE'` and exits 2.
+fn parse_flag<T: std::str::FromStr>(flag: &str, value: &str) -> T {
+    value.parse().unwrap_or_else(|_| {
+        eprintln!("invalid value for {flag}: '{value}'");
+        exit(2);
+    })
+}
+
 fn load(get: &impl Fn(&str) -> Option<String>) -> WGraph {
     let path = get("--graph").unwrap_or_else(|| {
         eprintln!("--graph FILE is required");
@@ -134,9 +143,9 @@ fn load(get: &impl Fn(&str) -> Option<String>) -> WGraph {
 
 fn cmd_gen(get: &impl Fn(&str) -> Option<String>) {
     let family = get("--family").unwrap_or_else(|| "zero-heavy".into());
-    let n: usize = get("--n").map_or(32, |s| s.parse().expect("--n"));
-    let w: u64 = get("--w").map_or(6, |s| s.parse().expect("--w"));
-    let seed: u64 = get("--seed").map_or(1, |s| s.parse().expect("--seed"));
+    let n: usize = get("--n").map_or(32, |s| parse_flag("--n", &s));
+    let w: u64 = get("--w").map_or(6, |s| parse_flag("--w", &s));
+    let seed: u64 = get("--seed").map_or(1, |s| parse_flag("--seed", &s));
     let g = match family.as_str() {
         "zero-heavy" => gen::zero_heavy(n, 3.0 / n as f64, 0.4, w, true, seed),
         "positive" => gen::gnp_connected(
@@ -171,7 +180,7 @@ fn cmd_gen(get: &impl Fn(&str) -> Option<String>) {
             gen::grid2d(side, side, gen::WeightDist::Uniform { max: w }, seed)
         }
         "power-law" => {
-            let attach: usize = get("--attach").map_or(2, |s| s.parse().expect("--attach"));
+            let attach: usize = get("--attach").map_or(2, |s| parse_flag("--attach", &s));
             gen::power_law(n.max(2), attach, gen::WeightDist::Uniform { max: w }, seed)
         }
         other => {
@@ -193,8 +202,11 @@ fn parse_sources(get: &impl Fn(&str) -> Option<String>, n: usize) -> Option<Vec<
     get("--sources").map(|s| {
         s.split(',')
             .map(|x| {
-                let v: NodeId = x.trim().parse().expect("--sources must be node ids");
-                assert!((v as usize) < n, "source {v} out of range");
+                let v: NodeId = parse_flag("--sources", x.trim());
+                if v as usize >= n {
+                    eprintln!("--sources: node {v} out of range (n = {n})");
+                    exit(2);
+                }
                 v
             })
             .collect()
@@ -245,7 +257,7 @@ fn cmd_run(get: &impl Fn(&str) -> Option<String>) {
             // APSP) — required on large graphs, where any sound upper
             // bound on the distances of interest keeps the run correct
             // (only the round budget depends on Δ).
-            let delta_flag = get("--delta").map(|s| s.parse().expect("--delta"));
+            let delta_flag = get("--delta").map(|s| parse_flag("--delta", &s));
             let sources = parse_sources(get, g.n());
             let (res, st, label) =
                 if sources.is_none() && rt == Runtime::Sim && delta_flag.is_none() {
@@ -266,7 +278,7 @@ fn cmd_run(get: &impl Fn(&str) -> Option<String>) {
         "alg3" => {
             let h = get("--h").map_or_else(
                 || suggested_h_weight_regime(g.n(), g.n(), g.max_weight()),
-                |s| s.parse().expect("--h"),
+                |s| parse_flag("--h", &s),
             );
             let delta = dwapsp::seqref::max_finite_h_hop_distance(&g, 2 * h as usize).max(1);
             let out = if let Some(sources) = parse_sources(get, g.n()) {
@@ -296,8 +308,8 @@ fn cmd_run(get: &impl Fn(&str) -> Option<String>) {
             let eps = get("--eps").unwrap_or_else(|| "1/2".into());
             let (num, den) = eps
                 .split_once('/')
-                .map(|(a, b)| (a.parse().expect("--eps"), b.parse().expect("--eps")))
-                .unwrap_or_else(|| (eps.parse().expect("--eps"), 1));
+                .map(|(a, b)| (parse_flag("--eps", a), parse_flag("--eps", b)))
+                .unwrap_or_else(|| (parse_flag("--eps", &eps), 1));
             let out = approx_apsp(&g, num, den, engine);
             print_stats(
                 &format!("approx apsp (ε={num}/{den})"),
@@ -333,7 +345,7 @@ fn cmd_solve(get: &impl Fn(&str) -> Option<String>) {
         "alg1" => {
             let delta = get("--delta").map_or_else(
                 || max_finite_distance(&g).max(1),
-                |s| s.parse().expect("--delta"),
+                |s| parse_flag("--delta", &s),
             );
             let cfg = match sources {
                 Some(s) => SspConfig::k_ssp(g.n(), s, delta),
@@ -351,7 +363,7 @@ fn cmd_solve(get: &impl Fn(&str) -> Option<String>) {
             }
             let h = get("--h").map_or_else(
                 || suggested_h_weight_regime(g.n(), g.n(), g.max_weight()),
-                |s| s.parse().expect("--h"),
+                |s| parse_flag("--h", &s),
             );
             let delta = dwapsp::seqref::max_finite_h_hop_distance(&g, 2 * h as usize).max(1);
             rec.meta("k", sources.as_ref().map_or(g.n(), Vec::len).to_string());
@@ -402,12 +414,7 @@ fn parse_faults(spec: &str, flag: &str, seps: &[char], arity: usize) -> Vec<Vec<
             let parts: Vec<u64> = item
                 .trim()
                 .split(seps)
-                .map(|x| {
-                    x.parse().unwrap_or_else(|_| {
-                        eprintln!("{flag} entry {item:?} has a non-numeric field {x:?}");
-                        exit(2);
-                    })
-                })
+                .map(|x| chaos_num(flag, item, x))
                 .collect();
             if parts.len() != arity {
                 eprintln!("{flag} entry {item:?}: expected {arity} fields");
@@ -436,7 +443,7 @@ fn cmd_chaos(get: &impl Fn(&str) -> Option<String>) {
         eprintln!("chaos needs a real transport backend (--runtime threads or tcp)");
         exit(2);
     }
-    let seed: u64 = get("--seed").map_or(0, |s| s.parse().expect("--seed"));
+    let seed: u64 = get("--seed").map_or(0, |s| parse_flag("--seed", &s));
     let mut plan = ChaosPlan::new(seed);
     if let Some(spec) = get("--kill") {
         for f in parse_faults(&spec, "--kill", &['@'], 2) {
@@ -534,11 +541,11 @@ fn cmd_chaos(get: &impl Fn(&str) -> Option<String>) {
         plan,
         cadence: match get("--cadence").as_deref() {
             Some("off") => None,
-            Some(s) => Some(s.parse().expect("--cadence")),
+            Some(s) => Some(parse_flag("--cadence", s)),
             None => ChaosConfig::default().cadence,
         },
         deadline: Duration::from_millis(
-            get("--deadline-ms").map_or(500, |s| s.parse().expect("--deadline-ms")),
+            get("--deadline-ms").map_or(500, |s| parse_flag("--deadline-ms", &s)),
         ),
     };
 
@@ -667,7 +674,7 @@ fn deployment_config(get: &impl Fn(&str) -> Option<String>, g: &WGraph) -> SspCo
             Some(sources) => dwapsp::seqref::k_source_dijkstra(g, sources).max_finite(),
             None => max_finite_distance(g),
         },
-        |s| s.parse().expect("--delta"),
+        |s| parse_flag("--delta", &s),
     );
     match sources {
         Some(sources) => SspConfig::k_ssp(g.n(), sources, delta.max(1)),
@@ -696,13 +703,19 @@ fn shard_count(get: &impl Fn(&str) -> Option<String>, n: usize) -> usize {
             exit(2);
         }
         (Some(p), None) => {
-            let p: usize = p.parse().expect("--shards");
-            assert!(p >= 1, "--shards must be >= 1");
+            let p: usize = parse_flag("--shards", &p);
+            if p == 0 {
+                eprintln!("--shards must be >= 1");
+                exit(2);
+            }
             p
         }
         (None, Some(k)) => {
-            let k: usize = k.parse().expect("--nodes-per-worker");
-            assert!(k >= 1, "--nodes-per-worker must be >= 1");
+            let k: usize = parse_flag("--nodes-per-worker", &k);
+            if k == 0 {
+                eprintln!("--nodes-per-worker must be >= 1");
+                exit(2);
+            }
             n.div_ceil(k)
         }
         (None, None) => n,
@@ -740,38 +753,33 @@ fn cmd_run_node(get: &impl Fn(&str) -> Option<String>) {
     // contiguous block (just node V in the default one-process-per-node
     // layout), and --peers lists the adjacent workers' addresses.
     let map = ShardMap::new(g.n(), shard_count(get, g.n()));
-    let id: NodeId = get("--node-id")
-        .unwrap_or_else(|| {
+    let id: NodeId = parse_flag(
+        "--node-id",
+        &get("--node-id").unwrap_or_else(|| {
             eprintln!("--node-id V is required");
             exit(2);
-        })
-        .parse()
-        .expect("--node-id");
-    assert!(
-        (id as usize) < map.shards(),
-        "node id {id} out of range ({} workers)",
-        map.shards()
+        }),
     );
+    if id as usize >= map.shards() {
+        eprintln!("--node-id {id} out of range ({} workers)", map.shards());
+        exit(2);
+    }
     let peers: Vec<(NodeId, SocketAddr)> = get("--peers")
         .map(|s| {
             s.split(',')
                 .map(|pair| {
-                    let (u, addr) = pair
-                        .trim()
-                        .split_once('=')
-                        .unwrap_or_else(|| panic!("--peers entry {pair} is not id=addr"));
-                    (
-                        u.parse().expect("--peers node id"),
-                        addr.parse().expect("--peers address"),
-                    )
+                    let (u, addr) = pair.trim().split_once('=').unwrap_or_else(|| {
+                        eprintln!("--peers entry {pair} is not id=addr");
+                        exit(2);
+                    });
+                    (parse_flag("--peers", u), parse_flag("--peers", addr))
                 })
                 .collect()
         })
         .unwrap_or_default();
     let coord = parse_addr(get, "--coordinator");
-    let timeout = Duration::from_secs(
-        get("--timeout-secs").map_or(30, |s| s.parse().expect("--timeout-secs")),
-    );
+    let timeout =
+        Duration::from_secs(get("--timeout-secs").map_or(30, |s| parse_flag("--timeout-secs", &s)));
     let cfg = deployment_config(get, &g);
     let listener = TcpListener::bind(parse_addr(get, "--listen")).unwrap_or_else(|e| {
         eprintln!("cannot listen: {e}");
@@ -813,7 +821,7 @@ fn cmd_coordinator(get: &impl Fn(&str) -> Option<String>) {
     let cfg = deployment_config(get, &g);
     let budget = get("--budget").map_or_else(
         || default_budget(&cfg, g.n()),
-        |s| s.parse().expect("--budget"),
+        |s| parse_flag("--budget", &s),
     );
     let listener = TcpListener::bind(parse_addr(get, "--listen")).unwrap_or_else(|e| {
         eprintln!("cannot listen: {e}");
@@ -906,8 +914,8 @@ fn cmd_serve(get: &impl Fn(&str) -> Option<String>) {
     let vt = load_tables(get);
     let snap = &vt.snap;
     let cfg = GatewayConfig {
-        max_batch: get("--max-batch").map_or(128, |s| s.parse().expect("--max-batch")),
-        cache_capacity: get("--cache").map_or(4096, |s| s.parse().expect("--cache")),
+        max_batch: get("--max-batch").map_or(128, |s| parse_flag("--max-batch", &s)),
+        cache_capacity: get("--cache").map_or(4096, |s| parse_flag("--cache", &s)),
         initial_generation: vt.generation,
         ..GatewayConfig::default()
     };
@@ -943,7 +951,7 @@ fn cmd_serve(get: &impl Fn(&str) -> Option<String>) {
             .unwrap_or_else(|e| cannot_start(e));
         (&mut fronting, map, addrs)
     } else {
-        let shards: usize = get("--shards").map_or(1, |s| s.parse().expect("--shards"));
+        let shards: usize = get("--shards").map_or(1, |s| parse_flag("--shards", &s));
         local = Deployment::spawn_on(listener, snap, shards, cfg, &[])
             .unwrap_or_else(|e| cannot_start(e));
         let addrs = (0..local.map.shards())
@@ -965,7 +973,7 @@ fn cmd_serve(get: &impl Fn(&str) -> Option<String>) {
 
     match get("--duration-secs") {
         Some(t) => {
-            let t: u64 = t.parse().expect("--duration-secs");
+            let t: u64 = parse_flag("--duration-secs", &t);
             std::thread::sleep(Duration::from_secs(t));
             let st = gw.stats();
             println!(
@@ -989,26 +997,28 @@ fn cmd_serve(get: &impl Fn(&str) -> Option<String>) {
 fn cmd_serve_shard(get: &impl Fn(&str) -> Option<String>) {
     let vt = load_tables(get);
     let snap = &vt.snap;
-    let shards: usize = get("--shards")
-        .unwrap_or_else(|| {
+    let shards: usize = parse_flag(
+        "--shards",
+        &get("--shards").unwrap_or_else(|| {
             eprintln!("--shards P (the full layout size) is required");
             exit(2);
-        })
-        .parse()
-        .expect("--shards");
-    let id: NodeId = get("--shard-id")
-        .unwrap_or_else(|| {
+        }),
+    );
+    let id: NodeId = parse_flag(
+        "--shard-id",
+        &get("--shard-id").unwrap_or_else(|| {
             eprintln!("--shard-id S is required");
             exit(2);
-        })
-        .parse()
-        .expect("--shard-id");
-    let map = ShardMap::new(snap.n as usize, shards);
-    assert!(
-        (id as usize) < map.shards(),
-        "shard id {id} out of range (effective shards: {})",
-        map.shards()
+        }),
     );
+    let map = ShardMap::new(snap.n as usize, shards);
+    if id as usize >= map.shards() {
+        eprintln!(
+            "--shard-id {id} out of range (effective shards: {})",
+            map.shards()
+        );
+        exit(2);
+    }
     let sub = snap.for_shard(&map, id);
     let listener = TcpListener::bind(parse_addr(get, "--listen")).unwrap_or_else(|e| {
         eprintln!("cannot listen: {e}");
@@ -1039,20 +1049,20 @@ fn cmd_serve_shard(get: &impl Fn(&str) -> Option<String>) {
 /// (`ShardUnavailable`), 2 on a malformed query.
 fn cmd_query(get: &impl Fn(&str) -> Option<String>) {
     let gateway = parse_addr(get, "--gateway");
-    let src: NodeId = get("--src")
-        .unwrap_or_else(|| {
+    let src: NodeId = parse_flag(
+        "--src",
+        &get("--src").unwrap_or_else(|| {
             eprintln!("--src S is required");
             exit(2);
-        })
-        .parse()
-        .expect("--src");
-    let dst: NodeId = get("--dst")
-        .unwrap_or_else(|| {
+        }),
+    );
+    let dst: NodeId = parse_flag(
+        "--dst",
+        &get("--dst").unwrap_or_else(|| {
             eprintln!("--dst D is required");
             exit(2);
-        })
-        .parse()
-        .expect("--dst");
+        }),
+    );
     let mut client = ServeClient::connect(gateway, Duration::from_secs(5)).unwrap_or_else(|e| {
         eprintln!("cannot connect to gateway {gateway}: {e}");
         exit(1);
@@ -1135,7 +1145,7 @@ fn run_update_batches(get: &impl Fn(&str) -> Option<String>) -> (WGraph, Version
         exit(2);
     });
     let batch_size: usize =
-        get("--batch-size").map_or(updates.len().max(1), |s| s.parse().expect("--batch-size"));
+        get("--batch-size").map_or(updates.len().max(1), |s| parse_flag("--batch-size", &s));
     let mut pool = UpdatePool::new();
     pool.extend(updates);
     while let Some(batch) = pool.take_batch(batch_size) {
@@ -1231,7 +1241,7 @@ struct SwapTally {
     install_bytes: u64,
 }
 
-/// `loadgen`: the closed-loop generator behind BENCH_7 — reports
+/// `loadgen`: a closed-loop query generator — reports
 /// sustained QPS and client-observed latency percentiles. With
 /// `--update-graph`, a background updater thread applies seeded
 /// incremental batches through the gateway while the query load runs,
@@ -1241,12 +1251,12 @@ fn cmd_loadgen(get: &impl Fn(&str) -> Option<String>) {
     let vt = load_tables(get);
     let sources: Vec<NodeId> = vt.snap.tables.iter().map(|t| t.source).collect();
     let cfg = LoadgenConfig {
-        clients: get("--clients").map_or(4, |s| s.parse().expect("--clients")),
-        requests_per_client: get("--requests").map_or(1000, |s| s.parse().expect("--requests")),
-        path_fraction: get("--path-fraction").map_or(0.5, |s| s.parse().expect("--path-fraction")),
-        zipf: get("--zipf").map(|s| s.parse().expect("--zipf")),
-        zipf_pairs: get("--zipf-pairs").map_or(10_000, |s| s.parse().expect("--zipf-pairs")),
-        seed: get("--seed").map_or(1, |s| s.parse().expect("--seed")),
+        clients: get("--clients").map_or(4, |s| parse_flag("--clients", &s)),
+        requests_per_client: get("--requests").map_or(1000, |s| parse_flag("--requests", &s)),
+        path_fraction: get("--path-fraction").map_or(0.5, |s| parse_flag("--path-fraction", &s)),
+        zipf: get("--zipf").map(|s| parse_flag("--zipf", &s)),
+        zipf_pairs: get("--zipf-pairs").map_or(10_000, |s| parse_flag("--zipf-pairs", &s)),
+        seed: get("--seed").map_or(1, |s| parse_flag("--seed", &s)),
         ..LoadgenConfig::default()
     };
 
@@ -1255,12 +1265,12 @@ fn cmd_loadgen(get: &impl Fn(&str) -> Option<String>) {
     let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
     let updater = get("--update-graph").map(|gpath| {
         let interval = Duration::from_millis(
-            get("--update-every-ms").map_or(200, |s| s.parse().expect("--update-every-ms")),
+            get("--update-every-ms").map_or(200, |s| parse_flag("--update-every-ms", &s)),
         );
         let batch_size: usize =
-            get("--update-batch").map_or(8, |s| s.parse().expect("--update-batch"));
+            get("--update-batch").map_or(8, |s| parse_flag("--update-batch", &s));
         let seed: u64 =
-            get("--update-seed").map_or(cfg.seed ^ 0xD15C0, |s| s.parse().expect("--update-seed"));
+            get("--update-seed").map_or(cfg.seed ^ 0xD15C0, |s| parse_flag("--update-seed", &s));
         let text = std::fs::read_to_string(&gpath).unwrap_or_else(|e| {
             eprintln!("cannot read {gpath}: {e}");
             exit(1);

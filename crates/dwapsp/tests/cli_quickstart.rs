@@ -265,3 +265,53 @@ fn out_of_range_graph_file_is_a_parse_error() {
     assert_eq!(out.status.code(), Some(1), "{stderr}");
     assert!(stderr.contains("cannot parse"), "{stderr}");
 }
+
+/// A malformed or out-of-range number on the command line is a usage
+/// error: exit 2 and a message naming the flag, never a panic.
+#[test]
+fn malformed_numbers_are_usage_errors() {
+    let g = gen::path(4, false, WeightDist::Constant(1), 3);
+    let graph = format!("{}/cli_numbers_g.json", env!("CARGO_TARGET_TMPDIR"));
+    std::fs::write(&graph, to_json(&g)).expect("write graph file");
+    for (args, says) in [
+        (&["gen", "--n", "abc"][..], "invalid value for --n: 'abc'"),
+        (
+            &["run", "--graph", &graph, "--algo", "alg1", "--delta", "-1"],
+            "invalid value for --delta: '-1'",
+        ),
+        (
+            &["run", "--graph", &graph, "--algo", "approx", "--eps", "1/x"],
+            "invalid value for --eps: 'x'",
+        ),
+        (
+            &[
+                "query",
+                "--gateway",
+                "127.0.0.1:9",
+                "--src",
+                "0",
+                "--dst",
+                "1e3",
+            ],
+            "invalid value for --dst: '1e3'",
+        ),
+        (
+            &[
+                "run",
+                "--graph",
+                &graph,
+                "--algo",
+                "alg1",
+                "--sources",
+                "0,9",
+            ],
+            "--sources: node 9 out of range",
+        ),
+    ] {
+        let out = spawn(args).wait_with_output().expect("wait for dwapsp");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains(says), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+}

@@ -28,8 +28,7 @@
 //!   timer), a bounded LRU of hot pairs, typed `ShardUnavailable`
 //!   degradation on worker loss;
 //! * [`client`] / [`loadgen`] — the synchronous client and the
-//!   closed-loop Zipf/uniform load generator behind `dwapsp loadgen`
-//!   and BENCH_7;
+//!   closed-loop Zipf/uniform load generator behind `dwapsp loadgen`;
 //! * [`deployment`] — the one bootstrap: shards plus gateway on
 //!   loopback, with the kill / stall / restart hooks chaos runs script;
 //! * [`metrics`] — route/batch/lookup/path-walk phase accounting,

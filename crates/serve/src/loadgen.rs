@@ -229,4 +229,33 @@ mod tests {
         assert_eq!(percentile(&[], 0.5), 0);
         assert_eq!(percentile(&[7], 0.99), 7);
     }
+
+    /// A closed loop against a live two-shard deployment, under the
+    /// uniform and the Zipf mix: every query is answered, none degraded,
+    /// and the latency percentiles are ordered.
+    #[test]
+    fn closed_loop_against_a_deployment_answers_every_query() {
+        use crate::{Deployment, GatewayConfig, TableSnapshot};
+        use dw_graph::gen::{self, WeightDist};
+        let n = 48;
+        let g = gen::gnp(n, 0.25, false, WeightDist::Uniform { max: 9 }, 1905);
+        let runs: Vec<_> = (0..n as NodeId)
+            .map(|s| dw_seqref::dijkstra(&g, s))
+            .collect();
+        let snap = TableSnapshot::from_sssp(&runs, n as NodeId);
+        let d = Deployment::spawn(&snap, 2, GatewayConfig::default()).unwrap();
+        let sources: Vec<NodeId> = (0..n as NodeId).collect();
+        for zipf in [None, Some(1.1)] {
+            let cfg = LoadgenConfig {
+                requests_per_client: 250,
+                zipf,
+                seed: 7,
+                ..LoadgenConfig::default()
+            };
+            let r = run_loadgen(d.gateway.addr, &sources, n as NodeId, &cfg).unwrap();
+            let counts = (r.queries, r.ok, r.errors, r.shard_unavailable);
+            assert_eq!(counts, (1000, 1000, 0, 0), "{zipf:?}: {r:?}");
+            assert!(r.qps > 0.0 && 0 < r.p50_us && r.p50_us <= r.p99_us, "{r:?}");
+        }
+    }
 }

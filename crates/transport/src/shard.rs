@@ -104,8 +104,6 @@ pub struct TransportConfig {
     /// Per-message word budget (exceeding it is a protocol bug and
     /// panics, as in the simulator).
     pub max_words: usize,
-    /// Enforce one message per directed link per round.
-    pub enforce_link_capacity: bool,
     /// Deterministic link faults — the seeded mix, outages, partitions,
     /// bandwidth caps — evaluated sender-side by the one
     /// [`FaultPlan::decide`] the simulator runs. Each decision is a pure
@@ -128,7 +126,6 @@ impl Default for TransportConfig {
     fn default() -> Self {
         TransportConfig {
             max_words: 8,
-            enforce_link_capacity: true,
             faults: None,
             checkpoint_cadence: None,
             chaos: None,
@@ -140,7 +137,6 @@ impl From<&dw_congest::EngineConfig> for TransportConfig {
     fn from(cfg: &dw_congest::EngineConfig) -> Self {
         TransportConfig {
             max_words: cfg.max_words,
-            enforce_link_capacity: cfg.enforce_link_capacity,
             faults: cfg.faults.clone(),
             checkpoint_cadence: None,
             chaos: None,
@@ -703,13 +699,7 @@ impl<'g, P: Protocol> ShardWorker<'g, P> {
                     batches,
                     replay: replay.as_mut(),
                 };
-                sent_total += st.runner.drain_sends(
-                    round,
-                    g,
-                    cfg.max_words,
-                    cfg.enforce_link_capacity,
-                    &mut sink,
-                );
+                sent_total += st.runner.drain_sends(round, g, cfg.max_words, &mut sink);
             }
         }
 
