@@ -44,11 +44,14 @@ obs-schema:
 
 # The round engine in release, where its worker pool really runs chunks
 # at the same time: dw-congest whole (the pool's handoff tests, seq ==
-# par and thread-count bit identity, the scheduling modes), then the
+# par and thread-count bit identity, the scheduling modes), the
+# scheduling suite again with its ignored brute-force hunt (ActiveSet
+# against ExhaustivePoll on 1,600 tiny graphs), then the
 # fault-injection and CONGEST-model suites, which compare parallel runs
 # with sequential ones. Tier-1 runs them only in a debug build.
 engine-conformance:
 	$(CARGO) test --release -q -p dw-congest
+	$(CARGO) test --release -q -p dw-congest --test scheduling_conformance -- --include-ignored
 	$(CARGO) test --release -q -p dwapsp --test fault_conformance --test congest_model
 
 # The transport backends must reproduce the simulator bit for bit

@@ -2,11 +2,12 @@
 //!
 //! Two scheduling modes drive the same round semantics:
 //!
-//! * [`SchedulingMode::ActiveSet`] (default) — the engine keeps a cached
-//!   next-send round per node (fed by [`Protocol::earliest_send`]) in a
-//!   lazy min-heap and, each executed round, polls only nodes that are due
-//!   plus nodes woken by a receive. Quiet-round fast-forward is a heap
-//!   peek instead of an O(n) scan.
+//! * [`SchedulingMode::ActiveSet`] (default) — the engine keeps one
+//!   [`Schedule`] (a cached next-send round per node, fed by
+//!   [`Protocol::earliest_send`], in a lazy min-heap) and, each executed
+//!   round, polls only the nodes that are due, then re-queries the polled
+//!   nodes and the nodes woken by a receive. Quiet-round fast-forward is
+//!   a heap peek instead of an O(n) scan.
 //! * [`SchedulingMode::ExhaustivePoll`] — the original engine: every node
 //!   is polled every executed round. Kept as the behavioral reference; the
 //!   conformance suite proves both modes bit-identical (`RunStats`,
@@ -26,24 +27,17 @@
 //! `n`), delivery marks a dirty-inbox list so the receive phase and the
 //! late-delivery sort touch only mailboxes that actually got mail, and a
 //! broadcast allocates its payload exactly once (shared via `Arc` with
-//! index-only fan-out — no per-recipient clone). The parallel phases run
-//! on a persistent [`WorkerPool`] with chunk-ordered writes into
-//! disjoint slots: the calling thread runs the first chunk of every phase
-//! and claims further chunks beside the workers (see [`crate::pool`] for
-//! the handoff).
+//! index-only fan-out — no per-recipient clone). The send and receive
+//! phases run on a persistent [`WorkerPool`] with chunk-ordered writes
+//! into disjoint slots: the calling thread runs the first chunk of every
+//! phase and claims further chunks beside the workers (see
+//! [`crate::pool`] for the handoff).
 //!
-//! For scale, the active-set schedule is **sharded**: nodes are split
-//! into one contiguous chunk per worker thread, each with its own lazy
-//! min-heap, so the schedule refresh — the per-round `earliest_send`
-//! queries — parallelizes with disjoint writes. Soundness is unchanged:
-//! each shard's heap maintains the exact invariant the global heap did,
-//! restricted to its node range, and the due set is the (sorted) union
-//! of the per-shard pops, which is the same set the global heap would
-//! pop. A **density fallback** switches
-//! to exhaustive polling while almost every node is active each round
-//! (see [`EngineConfig::dense_poll_fraction`]): polling a node early is
-//! a no-op under the `earliest_send` contract, so the fallback is
-//! bit-identical while skipping all heap bookkeeping on dense rounds.
+//! A **density fallback** switches to exhaustive polling while at least
+//! half the nodes are due each round (see `DENSE_POLL_FRACTION`):
+//! polling a node early is a no-op under the `earliest_send` contract, so
+//! the fallback is bit-identical while skipping all heap bookkeeping on
+//! dense rounds.
 
 use crate::slab::{Slab, SlabRef};
 
@@ -53,10 +47,10 @@ use crate::metrics::RunStats;
 use crate::pool::{Ptr, WorkerPool};
 use crate::protocol::{Protocol, Round};
 use crate::runner::{NodeRunner, SendSink};
+use crate::schedule::Schedule;
 use dw_graph::{NodeId, WGraph};
 use dw_obs::{NullRecorder, Recorder};
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// How the engine decides which nodes to poll in an executed round.
@@ -85,25 +79,12 @@ pub struct EngineConfig {
     /// not `n` — idle-heavy workloads stay on the cheap sequential path
     /// even on huge graphs.
     pub parallel_threshold: usize,
-    /// Worker threads for the parallel phases (the calling thread counts
-    /// toward this number; the persistent pool holds `threads - 1`).
-    /// The active-set schedule has one shard per thread; any count runs
-    /// bit-identically.
+    /// Worker threads for the parallel send and receive phases (the
+    /// calling thread counts toward this number; the persistent pool
+    /// holds `threads - 1`). Any count runs bit-identically.
     pub threads: usize,
     /// Node polling strategy; see [`SchedulingMode`].
     pub scheduling: SchedulingMode,
-    /// Density fallback threshold for [`SchedulingMode::ActiveSet`]:
-    /// when the due set of a round reaches this fraction of `n`, the
-    /// engine stops maintaining the schedule heaps and polls every node
-    /// (heap bookkeeping is pure overhead when nearly everyone is
-    /// active). It returns to heap scheduling — via a full
-    /// `earliest_send` rescan — once the fraction of nodes that
-    /// actually *sent* drops below half this threshold (hysteresis, so
-    /// workloads hovering at the boundary don't thrash). Polling a node
-    /// before its due round is a no-op under the `earliest_send`
-    /// contract, so both transitions are bit-identical to never
-    /// switching. Set above `1.0` to disable.
-    pub dense_poll_fraction: f64,
     /// Optional deterministic fault injection (see [`crate::fault`]).
     /// `None` leaves the delivery path byte-identical to the fault-free
     /// engine.
@@ -119,11 +100,24 @@ impl Default for EngineConfig {
                 .map(|p| p.get())
                 .unwrap_or(1),
             scheduling: SchedulingMode::ActiveSet,
-            dense_poll_fraction: 0.5,
             faults: None,
         }
     }
 }
+
+/// Density fallback for [`SchedulingMode::ActiveSet`]: when the due set
+/// of a round reaches this fraction of `n`, the engine stops maintaining
+/// the schedule and polls every node (heap bookkeeping is pure overhead
+/// when nearly everyone is active: without the fallback, the
+/// `apsp256_sim_uniform` benchmark's Algorithm 1 solve measured 0.382 →
+/// 0.424 s on a 2-vCPU box). It returns to the
+/// schedule — via a full `earliest_send` rescan — once the nodes that
+/// actually *sent* drop below half this fraction (hysteresis, so
+/// workloads hovering at the boundary don't thrash), or on a quiet
+/// round. Polling a node before its due round is a no-op under the
+/// `earliest_send` contract, so both transitions are bit-identical to
+/// never switching.
+const DENSE_POLL_FRACTION: f64 = 0.5;
 
 /// Why a run stopped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -235,9 +229,9 @@ impl<M: Clone> SendSink<M> for EngineSink<'_, M> {
         // (`needs_drop` = false guarantees the clone is a flat memcpy)
         // are cheaper to copy than to share: an `Arc` costs an allocation
         // per broadcast plus two atomics per delivery, which dense
-        // small-message workloads (BENCH `dense_ping`) pay millions of
-        // times per run. Both conditions are compile-time constants, so
-        // each monomorphization keeps exactly one arm.
+        // small-message workloads pay millions of times per run. Both
+        // conditions are compile-time constants, so each
+        // monomorphization keeps exactly one arm.
         if !std::mem::needs_drop::<M>() && std::mem::size_of::<M>() <= 32 {
             for &v in nbrs {
                 (self.on_msg)(from, v, &msg);
@@ -267,16 +261,9 @@ pub struct Network<'g, P: Protocol> {
     slab: Slab<Envelope<P::Msg>>,
     /// Per-node handle into `slab` (`SlabRef::NONE` when idle).
     inbox_ref: Vec<SlabRef>,
-    /// Authoritative cached next-send round per node; `Round::MAX` means
-    /// dormant (will not send until woken by a receive).
-    next_send: Vec<Round>,
-    /// Per-shard lazy min-heaps over `(next_send[v], v)`, shard `s`
-    /// covering node ids `[s * shard_size, (s+1) * shard_size)`. An entry
-    /// is valid iff its round still equals `next_send[v]`; stale entries
-    /// are discarded at pop time.
-    heaps: Vec<BinaryHeap<Reverse<(Round, NodeId)>>>,
-    /// Nodes per schedule shard (the last shard may be short).
-    shard_size: usize,
+    /// The active-set schedule (unused under `ExhaustivePoll`, and
+    /// stale while `dense_mode` holds).
+    schedule: Schedule,
     /// Density fallback engaged: poll everyone, skip heap bookkeeping.
     dense_mode: bool,
     /// Scratch: nodes polled this round (sorted, deduped).
@@ -285,9 +272,6 @@ pub struct Network<'g, P: Protocol> {
     dirty: Vec<NodeId>,
     /// Round stamp deduplicating `dirty` pushes.
     inbox_mark: Vec<Round>,
-    /// Per-node "sent something this round" flag, consumed by the
-    /// schedule refresh (sender-stays-hot fast path).
-    sent_flag: Vec<bool>,
     /// Persistent workers for the parallel phases (created on first use).
     pool: Option<WorkerPool>,
     last_activity: Round,
@@ -311,24 +295,10 @@ impl<'g, P: Protocol> Network<'g, P> {
         for r in runners.iter_mut() {
             r.init(g);
         }
-        // One schedule shard per worker thread. Any layout is
-        // bit-identical (the due set is the sorted union of per-shard pops
-        // either way), so this only affects parallelism.
-        let shards = cfg.threads.clamp(1, n.max(1));
-        let shard_size = n.div_ceil(shards).max(1);
-        let heap_count = if n == 0 { 1 } else { (n - 1) / shard_size + 1 };
-        let mut heaps: Vec<BinaryHeap<Reverse<(Round, NodeId)>>> =
-            (0..heap_count).map(|_| BinaryHeap::new()).collect();
         // Seed the active-set schedule from the post-init node states.
-        let mut next_send = vec![Round::MAX; n];
+        let mut schedule = Schedule::default();
         if cfg.scheduling == SchedulingMode::ActiveSet {
-            for (v, runner) in runners.iter().enumerate() {
-                if let Some(r) = runner.earliest_send(1, g) {
-                    debug_assert!(r >= 1, "earliest_send must be >= after");
-                    next_send[v] = r;
-                    heaps[v / shard_size].push(Reverse((r, v as NodeId)));
-                }
-            }
+            schedule.rebuild(n, |v| runners[v].earliest_send(1, g));
         }
         Network {
             g,
@@ -337,14 +307,11 @@ impl<'g, P: Protocol> Network<'g, P> {
             round: 0,
             slab: Slab::new(),
             inbox_ref: vec![SlabRef::NONE; n],
-            next_send,
-            heaps,
-            shard_size,
+            schedule,
             dense_mode: false,
             active_scratch: Vec::new(),
             dirty: Vec::new(),
             inbox_mark: vec![0; n],
-            sent_flag: vec![false; n],
             pool: None,
             last_activity: 0,
             rounds_executed: 0,
@@ -474,24 +441,10 @@ impl<'g, P: Protocol> Network<'g, P> {
                 active.extend(0..n as NodeId);
             }
             SchedulingMode::ActiveSet => {
-                let next_send = &self.next_send;
-                for heap in self.heaps.iter_mut() {
-                    while let Some(&Reverse((r, v))) = heap.peek() {
-                        if r > round {
-                            break;
-                        }
-                        heap.pop();
-                        // Stale entries (superseded schedule) are discarded.
-                        if next_send[v as usize] == r {
-                            active.push(v);
-                        }
-                    }
-                }
-                active.sort_unstable();
-                active.dedup();
+                self.schedule.pop_due(round, &mut active);
                 // Dense-entry check: when almost everyone is due, heap
                 // bookkeeping is pure overhead — switch to full polling.
-                if (active.len() as f64) >= self.cfg.dense_poll_fraction * n as f64 {
+                if (active.len() as f64) >= DENSE_POLL_FRACTION * n as f64 {
                     self.dense_mode = true;
                     active.clear();
                     active.extend(0..n as NodeId);
@@ -532,15 +485,6 @@ impl<'g, P: Protocol> Network<'g, P> {
                     self.runners[u as usize].drain_sends(round, g, self.cfg.max_words, &mut sink);
                 if sent > 0 {
                     senders += 1;
-                    // Flag only when a message actually hit a link (a
-                    // broadcast from a neighborless node transmits nothing):
-                    // the hot-path reschedule below must imply the round is
-                    // busy, or it would distort `run`'s quiet-round jumps.
-                    // In dense mode the flag stays clear — there is no heap
-                    // state to keep warm.
-                    if self.cfg.scheduling == SchedulingMode::ActiveSet && !self.dense_mode {
-                        self.sent_flag[u as usize] = true;
-                    }
                 }
                 sent_this_round += sent;
             }
@@ -587,25 +531,26 @@ impl<'g, P: Protocol> Network<'g, P> {
             }
         }
 
-        // --- schedule refresh: polled nodes and woken (dirty) nodes ---
+        // --- schedule refresh: re-query the polled and woken nodes ---
         if self.cfg.scheduling == SchedulingMode::ActiveSet && !self.dense_mode {
-            let par_refresh = active.len() + dirty.len() >= self.cfg.parallel_threshold
-                && self.cfg.threads > 1
-                && self.heaps.len() > 1;
-            if par_refresh {
-                self.refresh_schedule_parallel(round, &active, &dirty);
-            } else {
-                self.refresh_schedule(round, &active, &dirty);
+            for &v in &active {
+                self.requery(v, round + 1);
+            }
+            for &v in &dirty {
+                if active.binary_search(&v).is_err() {
+                    self.requery(v, round + 1);
+                }
             }
         } else if self.cfg.scheduling == SchedulingMode::ActiveSet {
             // Dense exit (hysteresis): once actual senders drop below half
             // the entry fraction, heap scheduling pays again. A full
             // rescan re-seeds the schedule. A quiet round (zero senders)
-            // exits unconditionally — even at threshold 0 — so `run`'s
-            // fast-forward only ever consults the heaps in non-dense
-            // state.
-            if senders == 0 || (senders as f64) < self.cfg.dense_poll_fraction * 0.5 * n as f64 {
-                self.rebuild_schedule(round);
+            // exits unconditionally, so `run`'s fast-forward only ever
+            // consults the schedule in non-dense state.
+            if senders == 0 || (senders as f64) < DENSE_POLL_FRACTION * 0.5 * n as f64 {
+                let (runners, g) = (&self.runners, self.g);
+                self.schedule
+                    .rebuild(n, |v| runners[v].earliest_send(round + 1, g));
                 self.dense_mode = false;
             }
         }
@@ -663,154 +608,14 @@ impl<'g, P: Protocol> Network<'g, P> {
         });
     }
 
-    /// Shard index owning node `v`.
-    #[inline]
-    fn shard_of(&self, v: NodeId) -> usize {
-        v as usize / self.shard_size
-    }
-
-    /// Sequential schedule refresh after round `round`: reinstall heap
-    /// entries for polled nodes, re-query woken (dirty-but-not-polled)
-    /// nodes.
-    fn refresh_schedule(&mut self, round: Round, active: &[NodeId], dirty: &[NodeId]) {
-        let g = self.g;
-        for &v in active {
-            // Popped nodes lost their heap entry; always reinstall.
-            let i = v as usize;
-            let shard = self.shard_of(v);
-            if self.sent_flag[i] {
-                // Sender-stays-hot: a node that sent this round is
-                // simply re-polled next round instead of paying an
-                // `earliest_send` query (which may scan protocol
-                // state). This is unobservable: `run` always executes
-                // the round after a busy one before considering a
-                // jump, and polling a node before its true send round
-                // is a no-op, after which the exact query runs. At
-                // jump time every surviving heap entry is exact,
-                // because a conservative entry is consumed in the
-                // very next executed round and is only ever pushed in
-                // a busy (non-jumping) round.
-                self.sent_flag[i] = false;
-                self.next_send[i] = round + 1;
-                self.heaps[shard].push(Reverse((round + 1, v)));
-                continue;
-            }
-            match self.runners[i].earliest_send(round + 1, g) {
-                Some(r) => {
-                    debug_assert!(r > round, "earliest_send must be in the future");
-                    self.next_send[i] = r;
-                    self.heaps[shard].push(Reverse((r, v)));
-                }
-                None => self.next_send[i] = Round::MAX,
-            }
-        }
-        for &v in dirty {
-            if active.binary_search(&v).is_ok() {
-                continue; // already refreshed above
-            }
-            let i = v as usize;
-            let r_new = self.runners[i]
-                .earliest_send(round + 1, g)
-                .unwrap_or(Round::MAX);
-            if r_new != self.next_send[i] {
-                self.next_send[i] = r_new;
-                if r_new != Round::MAX {
-                    debug_assert!(r_new > round, "earliest_send must be in the future");
-                    let shard = self.shard_of(v);
-                    self.heaps[shard].push(Reverse((r_new, v)));
-                }
-                // The superseded heap entry (if any) is now stale and
-                // will be discarded at pop time.
-            }
-        }
-    }
-
-    /// Parallel schedule refresh: one chunk per shard, operating on the
-    /// shard's contiguous subranges of `active` and `dirty` with disjoint
-    /// writes into its own heap / `next_send` / `sent_flag` slots.
-    ///
-    /// Bit-identical to [`Network::refresh_schedule`]: that loop visits
-    /// active (sorted) then dirty (sorted), so restricted to one shard it
-    /// performs exactly the insertion sequence the shard chunk performs,
-    /// and heap contents per shard are therefore identical. The pop order
-    /// across shards is re-sorted into the global order at poll time.
-    fn refresh_schedule_parallel(&mut self, round: Round, active: &[NodeId], dirty: &[NodeId]) {
-        let g = self.g;
-        let shard_size = self.shard_size;
-        let heaps = Ptr(self.heaps.as_mut_ptr());
-        let next_send = Ptr(self.next_send.as_mut_ptr());
-        let sent_flag = Ptr(self.sent_flag.as_mut_ptr());
-        let runners = Ptr(self.runners.as_mut_ptr());
-        let pool = worker_pool(&mut self.pool, self.cfg.threads);
-        pool.for_each_chunk(self.heaps.len(), &|s| {
-            let (lo, hi) = ((s * shard_size) as NodeId, ((s + 1) * shard_size) as NodeId);
-            let within =
-                |xs: &[NodeId]| xs.partition_point(|&v| v < lo)..xs.partition_point(|&v| v < hi);
-            let (active_s, dirty_s) = (&active[within(active)], &dirty[within(dirty)]);
-            if active_s.is_empty() && dirty_s.is_empty() {
-                return;
-            }
-            // SAFETY: all node ids here lie in shard `s`'s range and shard
-            // ranges are disjoint, so each runner, `next_send` /
-            // `sent_flag` slot, and the shard heap are touched by exactly
-            // one chunk; for_each_chunk returns only after every chunk
-            // finished.
-            let heap = unsafe { heaps.at(s) };
-            for &v in active_s {
-                let i = v as usize;
-                let flag = unsafe { sent_flag.at(i) };
-                if *flag {
-                    *flag = false;
-                    *unsafe { next_send.at(i) } = round + 1;
-                    heap.push(Reverse((round + 1, v)));
-                    continue;
-                }
-                let runner = unsafe { runners.at(i) };
-                match runner.earliest_send(round + 1, g) {
-                    Some(r) => {
-                        debug_assert!(r > round, "earliest_send must be in the future");
-                        *unsafe { next_send.at(i) } = r;
-                        heap.push(Reverse((r, v)));
-                    }
-                    None => *unsafe { next_send.at(i) } = Round::MAX,
-                }
-            }
-            for &v in dirty_s {
-                if active_s.binary_search(&v).is_ok() {
-                    continue;
-                }
-                let i = v as usize;
-                let runner = unsafe { runners.at(i) };
-                let r_new = runner.earliest_send(round + 1, g).unwrap_or(Round::MAX);
-                let slot = unsafe { next_send.at(i) };
-                if r_new != *slot {
-                    *slot = r_new;
-                    if r_new != Round::MAX {
-                        debug_assert!(r_new > round, "earliest_send must be in the future");
-                        heap.push(Reverse((r_new, v)));
-                    }
-                }
-            }
-        });
-    }
-
-    /// Re-seed the schedule from scratch (dense-mode exit): clear every
-    /// shard heap and re-query `earliest_send` for all nodes.
-    fn rebuild_schedule(&mut self, round: Round) {
-        let g = self.g;
-        for heap in self.heaps.iter_mut() {
-            heap.clear();
-        }
-        for (v, runner) in self.runners.iter().enumerate() {
-            match runner.earliest_send(round + 1, g) {
-                Some(r) => {
-                    debug_assert!(r > round, "earliest_send must be in the future");
-                    self.next_send[v] = r;
-                    self.heaps[v / self.shard_size].push(Reverse((r, v as NodeId)));
-                }
-                None => self.next_send[v] = Round::MAX,
-            }
-        }
+    /// Re-query node `v`, whose state may have changed this round.
+    fn requery(&mut self, v: NodeId, after: Round) {
+        let r = self.runners[v as usize].earliest_send(after, self.g);
+        debug_assert!(
+            r.is_none_or(|r| r >= after),
+            "earliest_send must be >= after"
+        );
+        self.schedule.set(v, r);
     }
 
     /// Earliest future send round across all nodes, by scanning every
@@ -822,29 +627,6 @@ impl<'g, P: Protocol> Network<'g, P> {
             if let Some(r) = runner.earliest_send(self.round + 1, g) {
                 debug_assert!(r > self.round, "earliest_send must be in the future");
                 next = Some(next.map_or(r, |cur| cur.min(r)));
-            }
-        }
-        next
-    }
-
-    /// Earliest future send round across all nodes, from the schedule
-    /// heaps ([`SchedulingMode::ActiveSet`]'s quiet path): per shard,
-    /// discard stale tops then peek; take the minimum over shards.
-    /// O(stale log n) amortized instead of O(n). Only called in non-dense
-    /// state (a quiet round always exits dense mode first).
-    fn next_scheduled(&mut self) -> Option<Round> {
-        debug_assert!(!self.dense_mode, "quiet rounds exit dense mode");
-        let round = self.round;
-        let next_send = &self.next_send;
-        let mut next: Option<Round> = None;
-        for heap in self.heaps.iter_mut() {
-            while let Some(&Reverse((r, v))) = heap.peek() {
-                if next_send[v as usize] == r {
-                    debug_assert!(r > round, "schedule must be in the future");
-                    next = Some(next.map_or(r, |cur| cur.min(r)));
-                    break;
-                }
-                heap.pop();
             }
         }
         next
@@ -874,7 +656,10 @@ impl<'g, P: Protocol> Network<'g, P> {
                 // Nothing moved. When might any node next send?
                 let mut next = match self.cfg.scheduling {
                     SchedulingMode::ExhaustivePoll => self.scan_earliest(),
-                    SchedulingMode::ActiveSet => self.next_scheduled(),
+                    SchedulingMode::ActiveSet => {
+                        debug_assert!(!self.dense_mode, "quiet rounds exit dense mode");
+                        self.schedule.next_round()
+                    }
                 };
                 // A held message still in flight forces its due
                 // round to be simulated (all pending rounds are > round:
@@ -885,8 +670,10 @@ impl<'g, P: Protocol> Network<'g, P> {
                 match next {
                     None => return RunOutcome::Quiet,
                     Some(r) => {
-                        // Jump to just before round r (bounded by budget).
-                        let target = r.min(max_rounds + 1) - 1;
+                        // Jump to just before round r (bounded by budget;
+                        // r > round >= 0, and `max_rounds` may be
+                        // `Round::MAX`).
+                        let target = (r - 1).min(max_rounds);
                         if target > self.round {
                             self.round = target;
                         }
@@ -1256,6 +1043,21 @@ mod tests {
         assert_eq!(st.messages, 1);
     }
 
+    /// A `Round::MAX` budget runs to quiescence exactly as a bounded one:
+    /// the fast-forward's jump target must not overflow past it.
+    #[test]
+    fn unbounded_budget_fast_forwards_like_a_bounded_one() {
+        let g = gen::path(2, false, WeightDist::Constant(1), 0);
+        let run = |budget| {
+            let mut net = Network::new(&g, EngineConfig::default(), |_| LateSender { sent: false });
+            (net.run(budget), net.stats())
+        };
+        let (outcome, stats) = run(Round::MAX);
+        assert_eq!(outcome, RunOutcome::Quiet);
+        assert_eq!(stats.messages, 1, "the round-1000 message was sent");
+        assert_eq!((outcome, stats), run(5000));
+    }
+
     #[test]
     fn tracing_records_executed_rounds() {
         let g = gen::path(4, false, WeightDist::Constant(1), 0);
@@ -1490,5 +1292,85 @@ mod tests {
             .collect();
         assert_eq!(late.len(), 1, "exactly one late-delivery round");
         assert_eq!(late[0].messages, 0, "no new wire traffic that round");
+    }
+
+    // ---- density fallback ----
+
+    /// Every node sends in rounds 1–3 and 9–10, and only every eighth
+    /// node in rounds 4–8: the due set swings from all of `n` to `n/8`
+    /// and back, across both fallback thresholds. `earliest_send` is
+    /// exact, and the state folds in every message heard.
+    #[derive(Debug, PartialEq, Eq)]
+    struct Pulse {
+        heard: u64,
+    }
+
+    impl Pulse {
+        fn sends_at(v: NodeId, round: Round) -> bool {
+            matches!(round, 1..=3 | 9..=10) || (matches!(round, 4..=8) && v.is_multiple_of(8))
+        }
+    }
+
+    impl Protocol for Pulse {
+        type Msg = u64;
+        fn send(&mut self, round: Round, ctx: &NodeCtx, out: &mut Outbox<u64>) {
+            if Self::sends_at(ctx.id, round) {
+                out.broadcast(self.heard.wrapping_add(round));
+            }
+        }
+        fn receive(&mut self, _r: Round, inbox: &[Envelope<u64>], _c: &NodeCtx) {
+            for e in inbox {
+                self.heard = self.heard.wrapping_mul(31).wrapping_add(*e.msg());
+            }
+        }
+        fn earliest_send(&self, after: Round, ctx: &NodeCtx) -> Option<Round> {
+            (after..=10).find(|&r| Self::sends_at(ctx.id, r))
+        }
+    }
+
+    /// The fallback enters when at least half the nodes are due and exits
+    /// when fewer than a quarter sent, and neither transition is
+    /// observable: stepped and full runs, sequential and parallel, match
+    /// `ExhaustivePoll` in node states and `RunStats`.
+    #[test]
+    fn density_fallback_transitions_are_bit_identical() {
+        let g = gen::gnp_connected(40, 0.15, false, WeightDist::Constant(1), 11);
+        let pulse = |_| Pulse { heard: 0 };
+        let cfg = |scheduling, threads, parallel_threshold| EngineConfig {
+            scheduling,
+            threads,
+            parallel_threshold,
+            ..EngineConfig::default()
+        };
+        let reference = cfg(SchedulingMode::ExhaustivePoll, 1, usize::MAX);
+        for (threads, parallel_threshold) in [(1, usize::MAX), (2, 1)] {
+            let active = cfg(SchedulingMode::ActiveSet, threads, parallel_threshold);
+            let label = format!("threads={threads}");
+
+            let mut net = Network::new(&g, active.clone(), pulse);
+            let mut want = Network::new(&g, reference.clone(), pulse);
+            let (mut entries, mut exits) = (0, 0);
+            for _ in 0..12 {
+                let was_dense = net.dense_mode;
+                net.step_one();
+                want.step_one();
+                match (was_dense, net.dense_mode) {
+                    (false, true) => entries += 1,
+                    (true, false) => exits += 1,
+                    _ => {}
+                }
+            }
+            assert!(entries >= 1, "{label}: the fallback never engaged");
+            assert!(exits >= 1, "{label}: the fallback never disengaged");
+            assert_eq!(net.stats(), want.stats(), "{label}: stepped stats");
+            assert!(net.nodes().eq(want.nodes()), "{label}: stepped states");
+
+            let mut net = Network::new(&g, active, pulse);
+            let mut want = Network::new(&g, reference.clone(), pulse);
+            assert_eq!(net.run(1_000), RunOutcome::Quiet, "{label}");
+            assert_eq!(want.run(1_000), RunOutcome::Quiet, "{label}");
+            assert_eq!(net.stats(), want.stats(), "{label}: full-run stats");
+            assert!(net.nodes().eq(want.nodes()), "{label}: full-run states");
+        }
     }
 }

@@ -36,6 +36,7 @@ pub mod primitives;
 pub mod protocol;
 pub mod reliable;
 pub mod runner;
+pub mod schedule;
 pub mod scheduler;
 pub mod slab;
 pub mod trace;
@@ -52,4 +53,5 @@ pub use outbox::Outbox;
 pub use protocol::{Checkpointable, NodeCtx, Protocol, Round};
 pub use reliable::{Reliable, ReliableConfig, ReliableStats};
 pub use runner::{NodeRunner, SendSink};
+pub use schedule::Schedule;
 pub use trace::{RoundRecord, RoundTrace};

@@ -24,13 +24,12 @@ use crate::fault::{CapBuckets, FaultAction};
 use crate::message::{Envelope, MsgSize};
 use crate::outbox::{Outbox, SendOp};
 use crate::protocol::{NodeCtx, Protocol, Round};
+use crate::schedule::Schedule;
 use crate::slab::{Slab, SlabRef};
 use dw_graph::{NodeId, WGraph};
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 /// Outcome of a scheduled multi-instance run.
@@ -58,64 +57,28 @@ struct Instance<P: Protocol> {
     local_round: Round,
     start: u64,
     stall: u64,
-    /// Cached earliest local send round per node (`Round::MAX` = dormant).
-    /// Same active-set machinery as the engine: refreshed only for nodes
-    /// that were polled or received, valid under the `earliest_send`
-    /// soundness + stability contract.
-    node_next: Vec<Round>,
-    /// Lazy min-heap over `(node_next[v], v)`; entries whose round no
-    /// longer matches `node_next` are discarded at pop time.
-    heap: BinaryHeap<Reverse<(Round, NodeId)>>,
+    /// The active-set schedule over local rounds: refreshed only for
+    /// nodes that were polled or received, valid under the
+    /// `earliest_send` soundness + stability contract.
+    schedule: Schedule,
 }
 
 impl<P: Protocol> Instance<P> {
-    /// Earliest local round (> local_round) with a potential send, or None
-    /// if the instance is quiet. `&mut` because stale heap tops are
-    /// discarded on the way.
-    fn next_active(&mut self) -> Option<Round> {
-        while let Some(&Reverse((r, v))) = self.heap.peek() {
-            if self.node_next[v as usize] == r {
-                return Some(r);
-            }
-            self.heap.pop();
-        }
-        None
-    }
-
+    /// The global round of the instance's next potential send, or `None`
+    /// if it is quiet.
     fn due_global(&mut self) -> Option<u64> {
         let (start, stall) = (self.start, self.stall);
-        self.next_active().map(|la| start + stall + la)
+        self.schedule.next_round().map(|la| start + stall + la)
     }
 
-    /// Pop the nodes due at local round `local` into `due` (sorted,
-    /// deduped).
-    fn pop_due(&mut self, local: Round, due: &mut Vec<NodeId>) {
-        due.clear();
-        while let Some(&Reverse((r, v))) = self.heap.peek() {
-            if r > local {
-                break;
-            }
-            self.heap.pop();
-            if self.node_next[v as usize] == r {
-                due.push(v);
-            }
-        }
-        due.sort_unstable();
-        due.dedup();
-    }
-
-    /// Re-query `earliest_send` for node `v` after local round `local`
-    /// and reinstall its schedule entry.
-    fn refresh_node(&mut self, g: &WGraph, v: NodeId, local: Round) {
-        let i = v as usize;
-        match self.nodes[i].earliest_send(local + 1, &NodeCtx::new(v, g)) {
-            Some(r) => {
-                debug_assert!(r > local, "earliest_send must be in the future");
-                self.node_next[i] = r;
-                self.heap.push(Reverse((r, v)));
-            }
-            None => self.node_next[i] = Round::MAX,
-        }
+    /// Re-query `earliest_send` for node `v` after local round `local`.
+    fn requery(&mut self, g: &WGraph, v: NodeId, local: Round) {
+        let r = self.nodes[v as usize].earliest_send(local + 1, &NodeCtx::new(v, g));
+        debug_assert!(
+            r.is_none_or(|r| r > local),
+            "earliest_send must be in the future"
+        );
+        self.schedule.set(v, r);
     }
 }
 
@@ -177,15 +140,10 @@ where
             for (v, node) in nodes.iter_mut().enumerate() {
                 node.init(&NodeCtx::new(v as NodeId, g));
             }
-            let mut node_next = vec![Round::MAX; n];
-            let mut heap = BinaryHeap::new();
-            for (v, node) in nodes.iter().enumerate() {
-                if let Some(r) = node.earliest_send(1, &NodeCtx::new(v as NodeId, g)) {
-                    debug_assert!(r >= 1, "earliest_send must be >= after");
-                    node_next[v] = r;
-                    heap.push(Reverse((r, v as NodeId)));
-                }
-            }
+            let mut schedule = Schedule::default();
+            schedule.rebuild(n, |v| {
+                nodes[v].earliest_send(1, &NodeCtx::new(v as NodeId, g))
+            });
             Instance {
                 nodes,
                 local_round: 0,
@@ -195,8 +153,7 @@ where
                     rng.gen_range(0..=max_offset)
                 },
                 stall: 0,
-                node_next,
-                heap,
+                schedule,
             }
         })
         .collect();
@@ -271,7 +228,7 @@ where
             // Tentatively execute local round `local` on clones of the due
             // nodes only (any other node's `earliest_send` proves it
             // silent this round, so cloning it would be wasted work).
-            insts[ii].pop_due(local, &mut due_nodes);
+            insts[ii].schedule.pop_due(local, &mut due_nodes);
             let mut clones: Vec<(NodeId, P)> = due_nodes
                 .iter()
                 .map(|&v| (v, insts[ii].nodes[v as usize].clone()))
@@ -324,15 +281,14 @@ where
             }
 
             if conflict {
-                // Discard the clones and retry next global round. The
-                // popped schedule entries are still accurate (the real
-                // nodes were not touched), so reinstall them.
+                // Discard the clones and retry next global round. The real
+                // nodes were not touched, so each popped node is still due
+                // at `local` (an instance is due only when `local` is its
+                // earliest scheduled round) and goes back there.
                 insts[ii].stall += 1;
                 stats_stalls[ii] += 1;
                 for &v in &due_nodes {
-                    let r = insts[ii].node_next[v as usize];
-                    debug_assert!(r != Round::MAX);
-                    insts[ii].heap.push(Reverse((r, v)));
+                    insts[ii].schedule.set(v, Some(local));
                 }
                 continue;
             }
@@ -425,12 +381,12 @@ where
                 inst.nodes[i].receive(local, slab.get(inbox_ref[i]), &NodeCtx::new(v, g));
                 slab.release(inbox_ref[i]);
                 inbox_ref[i] = SlabRef::NONE;
-                inst.refresh_node(g, v, local);
+                inst.requery(g, v, local);
             }
             for &v in &due_nodes {
-                // A polled node that also received was refreshed above;
-                // refreshing again with the same arguments is idempotent.
-                inst.refresh_node(g, v, local);
+                // A polled node that also received was re-queried above;
+                // re-querying again with the same arguments is idempotent.
+                inst.requery(g, v, local);
             }
         }
     }

@@ -111,18 +111,10 @@ fn config(mode: SchedulingMode, parallel: bool, faults: Option<FaultPlan>) -> En
     }
 }
 
-/// As [`config`] on `threads` threads, which is also the number of
-/// schedule shards, with the density-fallback threshold pinned (`> 1.0`
-/// disables the fallback entirely).
-fn config_scaled(
-    parallel: bool,
-    faults: Option<FaultPlan>,
-    threads: usize,
-    dense_fraction: f64,
-) -> EngineConfig {
+/// As [`config`] in active-set mode on `threads` threads.
+fn config_threads(parallel: bool, faults: Option<FaultPlan>, threads: usize) -> EngineConfig {
     EngineConfig {
         threads,
-        dense_poll_fraction: dense_fraction,
         ..config(SchedulingMode::ActiveSet, parallel, faults)
     }
 }
@@ -196,17 +188,14 @@ proptest! {
         prop_assert_eq!(&s_as, &s_p);
     }
 
-    // The schedule-shard count (one per thread) is a pure layout choice
-    // and the density fallback is a pure fast path: every combination of
-    // shard count {1, 2, n}, fallback threshold (always-dense 0.0,
-    // default-ish 0.4, disabled 2.0), and sequential/parallel execution
-    // (n shards sequentially only, so that no test starts more pool
-    // threads than a small runner has cores) must reproduce the
-    // exhaustive-poll reference bit for bit — stats (incl.
-    // `rounds_executed`, so the fast-forward decisions match), traces,
-    // and final node states — under faults too.
+    // The thread count is a pure layout choice: threads {1, 2, n} with
+    // sequential and parallel phases (n threads sequentially only, so
+    // that no test starts more pool threads than a small runner has
+    // cores) must reproduce the exhaustive-poll reference bit for bit —
+    // stats (incl. `rounds_executed`, so the fast-forward decisions
+    // match), traces, and final node states — under faults too.
     #[test]
-    fn shard_layout_and_density_fallback_bit_identical(
+    fn thread_counts_bit_identical(
         g in arb_graph(), plan in arb_plan(), budget in 20u64..=200
     ) {
         let n = g.n();
@@ -214,50 +203,19 @@ proptest! {
             &g, config(SchedulingMode::ExhaustivePoll, false, plan.clone()), 60);
         let (fn_ex, fs_ex, fo_ex) = full_run(
             &g, config(SchedulingMode::ExhaustivePoll, false, plan.clone()), budget);
-        for (shards, parallel) in [(1, false), (1, true), (2, false), (2, true), (n, false)] {
-            for dense in [0.0f64, 0.4, 2.0] {
-                let label = format!("shards={shards} dense={dense} parallel={parallel}");
-                let (n_s, s_s, t_s) = traced(
-                    &g, config_scaled(parallel, plan.clone(), shards, dense), 60);
-                prop_assert_eq!(&n_ex, &n_s, "stepped states diverged: {}", &label);
-                prop_assert_eq!(&s_ex, &s_s, "stepped stats diverged: {}", &label);
-                prop_assert_eq!(
-                    t_ex.records(), t_s.records(), "traces diverged: {}", &label);
-                let (fn_s, fs_s, fo_s) = full_run(
-                    &g, config_scaled(parallel, plan.clone(), shards, dense), budget);
-                prop_assert_eq!(fo_ex, fo_s, "outcome diverged: {}", &label);
-                prop_assert_eq!(&fn_ex, &fn_s, "full-run states diverged: {}", &label);
-                prop_assert_eq!(&fs_ex, &fs_s, "full-run stats diverged: {}", &label);
-            }
-        }
-    }
-}
-
-/// Deterministic density-fallback crossing: a protocol whose active
-/// fraction swings from everyone (flood wave) to a sparse trickle forces
-/// both the dense-entry and the hysteresis exit transition, at several
-/// shard layouts.
-#[test]
-fn density_fallback_transitions_are_bit_identical() {
-    for (name, g) in [
-        ("torus", gen::torus(5, 6, WeightDist::Constant(1), 7)),
-        (
-            "gnp",
-            gen::gnp_connected(40, 0.15, false, WeightDist::Uniform { max: 4 }, 11),
-        ),
-    ] {
-        let (n_ex, s_ex, o_ex) = full_run(
-            &g,
-            config(SchedulingMode::ExhaustivePoll, false, None),
-            5_000,
-        );
-        for shards in [1usize, 3, g.n()] {
-            // Threshold low enough that the initial flood enters dense
-            // mode and the trailing re-announcement trickle exits it.
-            let (n_s, s_s, o_s) = full_run(&g, config_scaled(false, None, shards, 0.25), 5_000);
-            assert_eq!(o_ex, o_s, "{name}/shards={shards}: outcome");
-            assert_eq!(s_ex, s_s, "{name}/shards={shards}: stats");
-            assert_eq!(n_ex, n_s, "{name}/shards={shards}: states");
+        for (threads, parallel) in [(1, false), (1, true), (2, false), (2, true), (n, false)] {
+            let label = format!("threads={threads} parallel={parallel}");
+            let (n_s, s_s, t_s) = traced(
+                &g, config_threads(parallel, plan.clone(), threads), 60);
+            prop_assert_eq!(&n_ex, &n_s, "stepped states diverged: {}", &label);
+            prop_assert_eq!(&s_ex, &s_s, "stepped stats diverged: {}", &label);
+            prop_assert_eq!(
+                t_ex.records(), t_s.records(), "traces diverged: {}", &label);
+            let (fn_s, fs_s, fo_s) = full_run(
+                &g, config_threads(parallel, plan.clone(), threads), budget);
+            prop_assert_eq!(fo_ex, fo_s, "outcome diverged: {}", &label);
+            prop_assert_eq!(&fn_ex, &fn_s, "full-run states diverged: {}", &label);
+            prop_assert_eq!(&fs_ex, &fs_s, "full-run stats diverged: {}", &label);
         }
     }
 }
@@ -285,6 +243,9 @@ fn fast_forward_rounds_agree_on_structured_graphs() {
     }
 }
 
+/// ActiveSet against ExhaustivePoll on 1,600 tiny graphs. Ignored in a
+/// plain `cargo test` (slow in debug); `make engine-conformance` runs it
+/// in release.
 #[test]
 #[ignore]
 fn brute_force_divergence_hunt() {

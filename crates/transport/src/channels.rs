@@ -506,6 +506,47 @@ mod tests {
         assert_eq!(run.stats, sim_stats, "fault tallies must agree too");
     }
 
+    /// Node 0 broadcasts once, in round 1000; nothing else ever sends.
+    struct LateSender {
+        sent: bool,
+    }
+
+    impl Protocol for LateSender {
+        type Msg = u64;
+        fn send(&mut self, round: Round, ctx: &NodeCtx, out: &mut Outbox<u64>) {
+            if round == 1000 && ctx.id == 0 && !self.sent {
+                self.sent = true;
+                out.broadcast(7);
+            }
+        }
+        fn receive(&mut self, _r: Round, _i: &[dw_congest::Envelope<u64>], _c: &NodeCtx) {}
+        fn earliest_send(&self, after: Round, ctx: &NodeCtx) -> Option<Round> {
+            (ctx.id == 0 && !self.sent).then_some(after.max(1000))
+        }
+    }
+
+    /// A `Round::MAX` budget through `coordinate` runs to quiescence
+    /// exactly as a bounded one: the fast-forward's jump target must not
+    /// overflow past it.
+    #[test]
+    fn unbounded_budget_fast_forwards_like_a_bounded_one() {
+        let g = gen::path(3, false, WeightDist::Constant(1), 0);
+        let run = |budget| {
+            let late = |_| LateSender { sent: false };
+            let cfg = TransportConfig::default();
+            unwrap_run(run_threads(&g, &cfg, budget, 2, late, &mut NullRecorder))
+        };
+        let unbounded = run(Round::MAX);
+        assert_eq!(unbounded.outcome, RunOutcome::Quiet);
+        assert_eq!(
+            unbounded.stats.messages, 1,
+            "the round-1000 message was sent"
+        );
+        let bounded = run(5000);
+        assert_eq!(bounded.outcome, RunOutcome::Quiet);
+        assert_eq!(unbounded.stats, bounded.stats);
+    }
+
     #[test]
     fn budget_exhaustion_matches() {
         let g = gen::path(6, false, WeightDist::Constant(1), 0);

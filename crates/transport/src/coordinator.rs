@@ -420,7 +420,8 @@ pub fn coordinate<E: CoordEndpoint>(
             match min_opt(hint, pending_due) {
                 None => break RunOutcome::Quiet,
                 Some(r) => {
-                    let target = r.min(budget + 1) - 1;
+                    // r > round >= 0, and `budget` may be `Round::MAX`.
+                    let target = (r - 1).min(budget);
                     if target > round {
                         round = target;
                     }

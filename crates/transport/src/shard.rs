@@ -28,8 +28,8 @@
 //!    `BTreeMap` pop order);
 //! 2. send phase, due nodes only, in id order (the simulator's loop
 //!    order): the worker keeps the simulator's active-set schedule
-//!    (DESIGN.md §7) — a cached next send round per hosted node in a
-//!    lazy min-heap — and polls the nodes whose round has come, which
+//!    (DESIGN.md §7) — one [`Schedule`] over the hosted nodes — and
+//!    polls the nodes whose round has come, which
 //!    under the `earliest_send` contract are the only ones that can
 //!    send; each poll validates CONGEST constraints in the shared
 //!    [`NodeRunner`], evaluates the fault plan sender-side (the one
@@ -73,11 +73,10 @@ use crate::error::TransportError;
 use crate::wire::{abort_reason, errkind, BatchEntry, CtlMsg, Event, Frame, NodeReport};
 use dw_congest::{
     CapBuckets, Checkpointable, Envelope, FaultAction, FaultPlan, NodeRunner, Protocol, Round,
-    RunOutcome, SendSink, WireCodec,
+    RunOutcome, Schedule, SendSink, WireCodec,
 };
 use dw_graph::{NodeId, WGraph};
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 /// One worker's view of the transport: typed sends to peer workers and
 /// the coordinator, and a single blocking event stream multiplexing
@@ -400,12 +399,9 @@ struct ShardWorker<'g, P: Protocol> {
     /// the snapshot so a crash re-execution replays identical spill
     /// decisions.
     buckets: CapBuckets,
-    /// The active-set schedule (DESIGN.md §7): each hosted node's cached
-    /// next send round (`Round::MAX` = dormant, or polled this round)
-    /// and a lazy min-heap of `(round, local)` entries, valid iff the
-    /// round still equals the cache. A round polls the due nodes only.
-    next_send: Vec<Round>,
-    schedule: BinaryHeap<Reverse<(Round, u32)>>,
+    /// The active-set schedule over local slots (DESIGN.md §7). A round
+    /// polls the due nodes only.
+    schedule: Schedule,
     /// This round's polled nodes (scratch).
     polled: Vec<u32>,
     /// Sorted peer shards (shards sharing at least one comm link).
@@ -481,8 +477,7 @@ impl<'g, P: Protocol> ShardWorker<'g, P> {
                 parked: BTreeMap::new(),
             },
             buckets: CapBuckets::default(),
-            next_send: Vec::new(),
-            schedule: BinaryHeap::new(),
+            schedule: Schedule::default(),
             polled: Vec::new(),
             peer_shards,
             batches: (0..deg).map(|_| Vec::new()).collect(),
@@ -497,44 +492,9 @@ impl<'g, P: Protocol> ShardWorker<'g, P> {
         for st in &mut w.nodes {
             st.runner.init(g);
         }
-        w.rebuild_schedule(1);
+        w.schedule
+            .rebuild(hosted, |l| w.nodes[l].runner.earliest_send(1, g));
         w
-    }
-
-    /// Re-query every hosted node's `earliest_send(after)` from scratch:
-    /// after `init`, and after a rejoin restored older node states.
-    fn rebuild_schedule(&mut self, after: Round) {
-        self.schedule.clear();
-        self.next_send = vec![Round::MAX; self.nodes.len()];
-        for local in 0..self.nodes.len() {
-            self.refresh(local, after);
-        }
-    }
-
-    /// Re-query one node whose state may have changed; a new answer
-    /// supersedes its heap entry.
-    fn refresh(&mut self, local: usize, after: Round) {
-        let r = self.nodes[local]
-            .runner
-            .earliest_send(after, self.g)
-            .unwrap_or(Round::MAX);
-        if r != self.next_send[local] {
-            self.next_send[local] = r;
-            if r != Round::MAX {
-                self.schedule.push(Reverse((r, local as u32)));
-            }
-        }
-    }
-
-    /// The earliest cached send round, discarding superseded entries.
-    fn next_due(&mut self) -> Option<Round> {
-        while let Some(&Reverse((r, local))) = self.schedule.peek() {
-            if self.next_send[local as usize] == r {
-                return Some(r);
-            }
-            self.schedule.pop();
-        }
-        None
     }
 
     fn peer_rank(&self, from: NodeId) -> Result<usize, TransportError> {
@@ -660,13 +620,7 @@ impl<'g, P: Protocol> ShardWorker<'g, P> {
         // --- 2. send phase, due nodes only; intra-shard messages are
         //        delivered in place, cross-shard ones accumulate in the
         //        per-peer-shard batches ---
-        while self.next_due().is_some_and(|r| r <= round) {
-            if let Some(Reverse((_, local))) = self.schedule.pop() {
-                self.next_send[local as usize] = Round::MAX;
-                self.polled.push(local);
-            }
-        }
-        self.polled.sort_unstable();
+        self.schedule.pop_due(round, &mut self.polled);
         let mut sent_total = 0u64;
         {
             let ShardWorker {
@@ -743,8 +697,11 @@ impl<'g, P: Protocol> ShardWorker<'g, P> {
         self.polled.append(&mut self.mail.touched);
         self.polled.sort_unstable();
         self.polled.dedup();
-        for i in 0..self.polled.len() {
-            self.refresh(self.polled[i] as usize, round + 1);
+        for &local in &self.polled {
+            let r = self.nodes[local as usize]
+                .runner
+                .earliest_send(round + 1, self.g);
+            self.schedule.set(local, r);
         }
         self.polled.clear();
         if live {
@@ -752,7 +709,7 @@ impl<'g, P: Protocol> ShardWorker<'g, P> {
                 round,
                 sent: sent_total,
                 late: late_total,
-                hint: self.next_due(),
+                hint: self.schedule.next_round(),
                 pending_due: self.mail.parked.keys().next().copied(),
             })?;
         }
@@ -1082,7 +1039,11 @@ where
         }
         self.last_checkpoint = checkpoint_round;
         self.prev_checkpoint = checkpoint_round;
-        self.rebuild_schedule(checkpoint_round + 1);
+        self.schedule.rebuild(self.nodes.len(), |l| {
+            self.nodes[l]
+                .runner
+                .earliest_send(checkpoint_round + 1, self.g)
+        });
 
         // Collect the remaining replay batches; pings get answered.
         while got_count < deg {

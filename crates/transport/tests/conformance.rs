@@ -663,8 +663,8 @@ fn stdio_network_conforms_under_faults() {
 /// wakes them; each receive schedules a re-announcement 1–4 rounds
 /// later while the node's budget lasts. `wasted` counts the `send`
 /// calls made while the node's own `earliest_send(round)` was `None` or
-/// later than `round` — polls a worker that follows the active-set
-/// contract (DESIGN.md §7) never makes.
+/// later than `round` — polls that neither the simulator nor a worker
+/// following the active-set contract (DESIGN.md §7) makes.
 #[derive(Clone, Debug)]
 struct Relay {
     next_fire: Option<Round>,
@@ -685,8 +685,8 @@ impl Relay {
         }
     }
 
-    /// Everything but the poll counter, which differs by design: the
-    /// simulator re-polls a node the round after it sent.
+    /// Everything but the poll counter, which `check_relay` requires to
+    /// be zero.
     fn state(&self) -> (Option<Round>, u32, u64) {
         (self.next_fire, self.remaining, self.heard)
     }
@@ -743,10 +743,8 @@ fn relay_reference(g: &WGraph, faults: Option<FaultPlan>) -> RelayRef {
         stats.rounds_executed < stats.rounds,
         "the relay must fast-forward: {stats:?}"
     );
-    assert!(
-        nodes.iter().any(|x| x.wasted > 0),
-        "the simulator re-polls senders, so the counter must see polls"
-    );
+    let wasted: u64 = nodes.iter().map(|x| x.wasted).sum();
+    assert_eq!(wasted, 0, "the simulator polls only due nodes");
     (nodes.iter().map(Relay::state).collect(), stats, outcome)
 }
 
