@@ -1,7 +1,7 @@
-//! Named workloads shared by the experiments and the smoke binaries.
+//! Named workloads shared by the experiments.
 
 use dw_graph::gen::{self, WeightDist};
-use dw_graph::{NodeId, WGraph, Weight};
+use dw_graph::{WGraph, Weight};
 
 /// A reproducible workload: a graph plus the Δ parameters experiments
 /// need (computed once, centrally — the same role the paper's "distances
@@ -21,19 +21,6 @@ impl Workload {
             name: name.into(),
             graph,
             delta,
-        }
-    }
-
-    /// As [`Workload::new`] with a caller-supplied `Δ`. At the scale
-    /// workloads' sizes (50k+ nodes) the full APSP behind
-    /// [`dw_seqref::max_finite_distance`] is infeasible (2.5G pairs), so
-    /// [`scale_grid2d`] computes the `Δ` its run needs — from the run's
-    /// own source only — and passes it in here.
-    pub fn with_delta(name: impl Into<String>, graph: WGraph, delta: Weight) -> Self {
-        Workload {
-            name: name.into(),
-            graph,
-            delta: delta.max(1),
         }
     }
 
@@ -97,33 +84,6 @@ pub fn grid(rows: usize, cols: usize, w_max: Weight, seed: u64) -> Workload {
             },
             seed,
         ),
-    )
-}
-
-/// Scale workload: `rows × cols` 2-D grid via the streaming generator,
-/// for single-source short-range SSSP from `source` with hop bound `h`.
-/// `Δ` is the max finite h-hop distance *from that source* (one h-hop
-/// Bellman–Ford pass, `O(h·m)`) — exactly the bound the short-range round
-/// budget needs, where the all-pairs variant would be `O(n·h·m)`.
-pub fn scale_grid2d(
-    rows: usize,
-    cols: usize,
-    w_max: Weight,
-    h: usize,
-    source: NodeId,
-    seed: u64,
-) -> Workload {
-    let g = gen::grid2d(rows, cols, WeightDist::Uniform { max: w_max }, seed);
-    let delta = dw_seqref::h_hop_sssp(&g, source, h)
-        .iter()
-        .filter(|hd| hd.is_reachable())
-        .map(|hd| hd.dist)
-        .max()
-        .unwrap_or(0);
-    Workload::with_delta(
-        format!("grid2d({rows}x{cols},W={w_max},s={seed})"),
-        g,
-        delta,
     )
 }
 

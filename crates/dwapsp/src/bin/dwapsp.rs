@@ -10,6 +10,8 @@
 //!
 //! Graphs are the JSON documents of `dw_graph::io` (n, directed, edge
 //! list), so instances are easy to craft by hand or from other tools.
+//! Each subcommand's flags are one row of `COMMANDS`: the row parses
+//! the command line strictly and prints the usage.
 //!
 //! The serving plane (`dw-serve`) adds a compute-once / query-forever
 //! workflow:
@@ -50,71 +52,195 @@ use std::process::exit;
 use std::time::Duration;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(cmd) = args.first() else {
-        usage_and_exit();
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let Some((name, rest)) = argv.split_first() else {
+        usage();
     };
-    let get = |flag: &str| -> Option<String> {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
+    // `run-node` has two rows; the first whose flags know every flag
+    // given reads the line.
+    let rows = || COMMANDS.iter().filter(|c| c.name == name);
+    let knows_all = |c: &&Command| {
+        (rest.iter().filter(|a| a.starts_with("--"))).all(|a| c.flags.iter().any(|f| f.name == a))
     };
-    match cmd.as_str() {
-        "gen" => cmd_gen(&get),
-        "run" => cmd_run(&get),
-        "solve" => cmd_solve(&get),
-        "chaos" => cmd_chaos(&get),
-        "report" => cmd_report(&get),
-        "run-node" => cmd_run_node(&get),
-        "coordinator" => cmd_coordinator(&get),
-        "tables" => cmd_tables(&get),
-        "serve" => cmd_serve(&get),
-        "serve-shard" => cmd_serve_shard(&get),
-        "query" => cmd_query(&get),
-        "update" => cmd_update(&get),
-        "apply-updates" => cmd_apply_updates(&get),
-        "loadgen" => cmd_loadgen(&get),
-        "validate" => cmd_validate(&get),
-        "info" => cmd_info(&get),
-        _ => usage_and_exit(),
+    let Some(cmd) = rows().find(knows_all).or_else(|| rows().next()) else {
+        usage();
+    };
+    (cmd.run)(&Args::parse(cmd, rest));
+}
+
+/// One flag of a subcommand: `--name VALUE` when `value` is the value's
+/// metavar, a bare switch when it is `None`.
+struct Flag {
+    name: &'static str,
+    value: Option<&'static str>,
+    required: bool,
+}
+
+#[rustfmt::skip]
+const fn req(name: &'static str, metavar: &'static str) -> Flag { Flag { name, value: Some(metavar), required: true } }
+#[rustfmt::skip]
+const fn opt(name: &'static str, metavar: &'static str) -> Flag { Flag { name, value: Some(metavar), required: false } }
+#[rustfmt::skip]
+const fn switch(name: &'static str) -> Flag { Flag { name, value: None, required: false } }
+
+const GRAPH: Flag = req("--graph", "FILE");
+const TABLES: Flag = req("--tables", "FILE");
+const GATEWAY: Flag = req("--gateway", "ADDR");
+const LISTEN: Flag = req("--listen", "ADDR");
+const SOURCES: Flag = opt("--sources", "a,b,c");
+const DELTA: Flag = opt("--delta", "D");
+const RUNTIME: Flag = opt("--runtime", "<sim|threads[:P]|tcp[:P]>");
+const SHARDS: Flag = opt("--shards", "P");
+const PER_WORKER: Flag = opt("--nodes-per-worker", "K");
+const METRICS_OUT: Flag = opt("--metrics-out", "FILE");
+const SEED: Flag = opt("--seed", "S");
+const FAMILIES: &str = "<zero-heavy|positive|grid|grid2d|power-law|staircase|fig1>";
+
+/// A subcommand: its flags, in usage order, and what runs it.
+struct Command {
+    name: &'static str,
+    run: fn(&Args),
+    flags: &'static [Flag],
+}
+
+const fn cmd(name: &'static str, run: fn(&Args), flags: &'static [Flag]) -> Command {
+    Command { name, run, flags }
+}
+
+#[rustfmt::skip]
+const COMMANDS: &[Command] = &[
+    cmd("gen", cmd_gen, &[opt("--family", FAMILIES), opt("--n", "N"), opt("--w", "W"),
+        opt("--attach", "A"), SEED, opt("--out", "FILE")]),
+    cmd("run", cmd_run, &[GRAPH, opt("--algo", "<alg1|alg3|bf|approx>"), SOURCES, opt("--h", "H"),
+        opt("--eps", "NUM/DEN"), DELTA, RUNTIME]),
+    cmd("run-node", cmd_run_node, &[GRAPH, req("--node-id", "V"), LISTEN,
+        opt("--peers", "u=ADDR,w=ADDR"), req("--coordinator", "ADDR"), SOURCES, DELTA,
+        opt("--timeout-secs", "T"), SHARDS, PER_WORKER]),
+    // The Maelstrom node protocol on stdin/stdout.
+    cmd("run-node", cmd_maelstrom, &[Flag { name: "--maelstrom", value: None, required: true }]),
+    cmd("coordinator", cmd_coordinator, &[GRAPH, LISTEN, SOURCES, DELTA, opt("--budget", "B"),
+        SHARDS, PER_WORKER]),
+    cmd("solve", cmd_solve, &[GRAPH, opt("--algo", "<alg1|alg3>"), SOURCES, opt("--h", "H"), DELTA,
+        RUNTIME, opt("--trace-out", "FILE"), METRICS_OUT, switch("--print-matrix")]),
+    cmd("chaos", cmd_chaos, &[GRAPH, opt("--runtime", "<threads[:P]|tcp[:P]>"), SOURCES,
+        opt("--kill", "V@R,.."), opt("--sever", "A-B@R,.."), opt("--stall", "R@MS,.."),
+        opt("--partition", "G1|G2@FROM[:HEAL],.."), opt("--asym-loss", "U-V@FROM[:UNTIL],.."),
+        opt("--bandwidth-cap", "A-B@BYTES,.."), SEED, opt("--cadence", "<K|off>"),
+        opt("--deadline-ms", "MS"), METRICS_OUT]),
+    cmd("report", cmd_report, &[req("--metrics", "FILE")]),
+    cmd("tables", cmd_tables, &[GRAPH, req("--out", "FILE"), SOURCES, DELTA, RUNTIME,
+        switch("--oracle")]),
+    cmd("serve", cmd_serve, &[TABLES, opt("--listen", "ADDR"), SHARDS, opt("--shard-addrs", "A,B,.."),
+        opt("--max-batch", "B"), opt("--cache", "C"), opt("--duration-secs", "T")]),
+    cmd("serve-shard", cmd_serve_shard, &[TABLES, LISTEN, req("--shards", "P"),
+        req("--shard-id", "S")]),
+    cmd("query", cmd_query, &[GATEWAY, req("--src", "S"), req("--dst", "D"), switch("--path")]),
+    cmd("update", cmd_update, &[GRAPH, TABLES, req("--updates", "FILE"), opt("--batch-size", "B"),
+        opt("--out-tables", "FILE"), opt("--out-graph", "FILE")]),
+    cmd("apply-updates", cmd_apply_updates, &[GRAPH, TABLES, req("--updates", "FILE"), GATEWAY,
+        opt("--batch-size", "B"), opt("--out-tables", "FILE"), opt("--out-graph", "FILE")]),
+    cmd("loadgen", cmd_loadgen, &[GATEWAY, TABLES, opt("--clients", "C"), opt("--requests", "R"),
+        opt("--zipf", "S"), opt("--zipf-pairs", "P"), opt("--path-fraction", "F"), SEED,
+        switch("--json"), opt("--update-graph", "FILE"), opt("--update-every-ms", "T"),
+        opt("--update-batch", "B"), opt("--update-seed", "S")]),
+    cmd("validate", cmd_validate, &[GRAPH]),
+    cmd("info", cmd_info, &[GRAPH]),
+];
+
+impl Command {
+    /// `dwapsp NAME --required VALUE [--optional VALUE] [--switch]`.
+    fn usage(&self) -> String {
+        let flags = self.flags.iter().map(|f| {
+            let flag = f
+                .value
+                .map_or(f.name.to_string(), |v| format!("{} {v}", f.name));
+            if f.required {
+                format!(" {flag}")
+            } else {
+                format!(" [{flag}]")
+            }
+        });
+        format!("dwapsp {}{}", self.name, flags.collect::<String>())
+    }
+
+    /// A usage error: the message, this command's usage line, exit 2.
+    fn refuse(&self, msg: &str) -> ! {
+        eprintln!("dwapsp {}: {msg}\nusage: {}", self.name, self.usage());
+        exit(2);
     }
 }
 
-fn usage_and_exit() -> ! {
-    eprintln!(
-        "usage:\n  dwapsp gen --family <zero-heavy|positive|grid|grid2d|power-law|staircase|fig1> \
-         [--n N] [--w W] [--attach A] [--seed S] [--out FILE]\n  dwapsp run --graph FILE --algo \
-         <alg1|alg3|bf|approx> [--sources a,b,c] [--h H] [--eps NUM/DEN] [--delta D] \
-         [--runtime <sim|threads[:P]|tcp[:P]>]\n  dwapsp run-node --graph FILE --node-id V \
-         --listen ADDR --peers u=ADDR,w=ADDR --coordinator ADDR [--sources a,b,c] \
-         [--delta D] [--timeout-secs T] [--shards P | --nodes-per-worker K]\n  \
-         dwapsp run-node --maelstrom   (serve the Maelstrom node protocol on stdin/stdout)\n  \
-         dwapsp coordinator --graph FILE --listen ADDR \
-         [--sources a,b,c] [--budget B] [--shards P | --nodes-per-worker K]\n  \
-         dwapsp solve --graph FILE [--algo <alg1|alg3>] \
-         [--sources a,b,c] [--h H] [--delta D] [--runtime <sim|threads[:P]|tcp[:P]>] [--trace-out FILE] \
-         [--metrics-out FILE] [--print-matrix]\n  dwapsp chaos --graph FILE \
-         [--runtime <threads[:P]|tcp[:P]>] [--sources a,b,c] [--kill V@R,..] [--sever A-B@R,..] \
-         [--stall R@MS,..] [--partition G1|G2@FROM[:HEAL],..] [--asym-loss U-V@FROM[:UNTIL],..] \
-         [--bandwidth-cap A-B@BYTES,..] [--seed S] [--cadence <K|off>] [--deadline-ms MS] \
-         [--metrics-out FILE]\n  dwapsp report --metrics FILE\n  \
-         dwapsp tables --graph FILE --out FILE [--sources a,b,c] [--delta D] \
-         [--runtime <sim|threads[:P]|tcp[:P]>] [--oracle]\n  \
-         dwapsp serve --tables FILE [--listen ADDR] [--shards P | --shard-addrs A,B,..] \
-         [--max-batch B] [--cache C] [--duration-secs T]\n  \
-         dwapsp serve-shard --tables FILE --listen ADDR --shards P --shard-id S\n  \
-         dwapsp query --gateway ADDR --src S --dst D [--path]\n  \
-         dwapsp update --graph FILE --tables FILE --updates FILE [--batch-size B] \
-         [--out-tables FILE] [--out-graph FILE]\n  \
-         dwapsp apply-updates --graph FILE --tables FILE --updates FILE --gateway ADDR \
-         [--batch-size B] [--out-tables FILE] [--out-graph FILE]\n  \
-         dwapsp loadgen --gateway ADDR --tables FILE [--clients C] [--requests R] \
-         [--zipf S] [--zipf-pairs P] [--path-fraction F] [--seed S] [--json] \
-         [--update-graph FILE [--update-every-ms T] [--update-batch B] [--update-seed S]]\n  \
-         dwapsp validate --graph FILE\n  dwapsp info --graph FILE"
-    );
+fn usage() -> ! {
+    eprintln!("usage:");
+    for c in COMMANDS {
+        eprintln!("  {}", c.usage());
+    }
     exit(2);
+}
+
+/// A command line read against one command's flags.
+struct Args {
+    cmd: &'static Command,
+    given: Vec<(&'static str, Option<String>)>,
+}
+
+impl Args {
+    /// Read `argv` once. An unknown, repeated or value-less flag, a
+    /// stray argument or a missing required flag is a usage error.
+    fn parse(cmd: &'static Command, argv: &[String]) -> Args {
+        let mut given: Vec<(&'static str, Option<String>)> = Vec::new();
+        let mut argv = argv.iter().peekable();
+        while let Some(a) = argv.next() {
+            let Some(flag) = cmd.flags.iter().find(|f| f.name == a) else {
+                cmd.refuse(&if a.starts_with("--") {
+                    format!("unknown flag {a}")
+                } else {
+                    format!("unexpected argument '{a}'")
+                });
+            };
+            if given.iter().any(|&(name, _)| name == flag.name) {
+                cmd.refuse(&format!("{a} is given twice"));
+            }
+            let value = flag
+                .value
+                .map(|metavar| match argv.next_if(|v| !v.starts_with("--")) {
+                    Some(v) => v.clone(),
+                    None => cmd.refuse(&format!("{a} needs a value {metavar}")),
+                });
+            given.push((flag.name, value));
+        }
+        let args = Args { cmd, given };
+        if let Some(f) = cmd.flags.iter().find(|f| f.required && !args.has(f.name)) {
+            cmd.refuse(&format!("missing required flag {}", f.name));
+        }
+        args
+    }
+
+    /// The value given with `flag`, if any.
+    fn get(&self, flag: &str) -> Option<&str> {
+        let (_, value) = self.given.iter().find(|&&(name, _)| name == flag)?;
+        value.as_deref()
+    }
+
+    /// Whether the switch `flag` was given.
+    fn has(&self, flag: &str) -> bool {
+        self.given.iter().any(|&(name, _)| name == flag)
+    }
+
+    /// `flag`'s value parsed, if given.
+    fn value<T: std::str::FromStr>(&self, flag: &str) -> Option<T> {
+        self.get(flag).map(|v| parse_flag(flag, v))
+    }
+
+    /// `flag`'s value parsed, or `default`.
+    fn or<T: std::str::FromStr>(&self, flag: &str, default: T) -> T {
+        self.value(flag).unwrap_or(default)
+    }
+
+    /// A required flag's value parsed.
+    fn need<T: std::str::FromStr>(&self, flag: &str) -> T {
+        (self.value(flag)).expect("`Args::parse` refuses a line without a required flag")
+    }
 }
 
 /// `value` parsed as the argument of `flag`. A malformed value is a
@@ -126,27 +252,32 @@ fn parse_flag<T: std::str::FromStr>(flag: &str, value: &str) -> T {
     })
 }
 
-fn load(get: &impl Fn(&str) -> Option<String>) -> WGraph {
-    let path = get("--graph").unwrap_or_else(|| {
-        eprintln!("--graph FILE is required");
-        exit(2);
-    });
-    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+/// `read(path)`, or exit 1 naming the file.
+fn read_or_exit<'p, T>(path: &'p str, read: impl FnOnce(&'p str) -> std::io::Result<T>) -> T {
+    read(path).unwrap_or_else(|e| {
         eprintln!("cannot read {path}: {e}");
         exit(1);
-    });
-    gio::from_json(&text).unwrap_or_else(|e| {
+    })
+}
+
+/// The graph file at `path`, or exit 1.
+fn graph_file(path: &str) -> WGraph {
+    gio::from_json(&read_or_exit(path, std::fs::read_to_string)).unwrap_or_else(|e| {
         eprintln!("cannot parse {path}: {e}");
         exit(1);
     })
 }
 
-fn cmd_gen(get: &impl Fn(&str) -> Option<String>) {
-    let family = get("--family").unwrap_or_else(|| "zero-heavy".into());
-    let n: usize = get("--n").map_or(32, |s| parse_flag("--n", &s));
-    let w: u64 = get("--w").map_or(6, |s| parse_flag("--w", &s));
-    let seed: u64 = get("--seed").map_or(1, |s| parse_flag("--seed", &s));
-    let g = match family.as_str() {
+fn load(args: &Args) -> WGraph {
+    graph_file(&args.need::<String>("--graph"))
+}
+
+fn cmd_gen(args: &Args) {
+    let family = args.get("--family").unwrap_or("zero-heavy");
+    let n: usize = args.or("--n", 32);
+    let w: u64 = args.or("--w", 6);
+    let seed: u64 = args.or("--seed", 1);
+    let g = match family {
         "zero-heavy" => gen::zero_heavy(n, 3.0 / n as f64, 0.4, w, true, seed),
         "positive" => gen::gnp_connected(
             n,
@@ -180,7 +311,7 @@ fn cmd_gen(get: &impl Fn(&str) -> Option<String>) {
             gen::grid2d(side, side, gen::WeightDist::Uniform { max: w }, seed)
         }
         "power-law" => {
-            let attach: usize = get("--attach").map_or(2, |s| parse_flag("--attach", &s));
+            let attach: usize = args.or("--attach", 2);
             gen::power_law(n.max(2), attach, gen::WeightDist::Uniform { max: w }, seed)
         }
         other => {
@@ -189,17 +320,17 @@ fn cmd_gen(get: &impl Fn(&str) -> Option<String>) {
         }
     };
     let json = gio::to_json(&g);
-    match get("--out") {
+    match args.get("--out") {
         Some(path) => {
-            std::fs::write(&path, json).expect("write graph file");
+            std::fs::write(path, json).expect("write graph file");
             eprintln!("wrote {} (n={}, m={})", path, g.n(), g.m());
         }
         None => println!("{json}"),
     }
 }
 
-fn parse_sources(get: &impl Fn(&str) -> Option<String>, n: usize) -> Option<Vec<NodeId>> {
-    get("--sources").map(|s| {
+fn parse_sources(args: &Args, n: usize) -> Option<Vec<NodeId>> {
+    args.get("--sources").map(|s| {
         s.split(',')
             .map(|x| {
                 let v: NodeId = parse_flag("--sources", x.trim());
@@ -229,101 +360,104 @@ fn solve_or_exit(
     }
 }
 
-fn print_stats(prefix: &str, rounds: u64, messages: u64, link: u64) {
-    println!("{prefix}: rounds={rounds} messages={messages} max-link-load={link}");
+fn print_stats(label: &str, st: &RunStats) {
+    println!(
+        "{label}: rounds={} messages={} max-link-load={}",
+        st.rounds, st.messages, st.max_link_load
+    );
 }
 
-fn parse_runtime(get: &impl Fn(&str) -> Option<String>) -> Runtime {
-    get("--runtime").map_or(Runtime::Sim, |s| {
-        Runtime::parse(&s).unwrap_or_else(|| {
+/// `--runtime`, or `default` without it.
+fn parse_runtime(args: &Args, default: Runtime) -> Runtime {
+    args.get("--runtime").map_or(default, |s| {
+        Runtime::parse(s).unwrap_or_else(|| {
             eprintln!("unknown runtime {s} (expected sim, threads, tcp, threads:P or tcp:P)");
             exit(2);
         })
     })
 }
 
-fn cmd_run(get: &impl Fn(&str) -> Option<String>) {
-    let g = load(get);
-    let algo = get("--algo").unwrap_or_else(|| "alg1".into());
-    let rt = parse_runtime(get);
+/// The Algorithm 1 instance every command solves. Every participant of
+/// a deployment derives it from the shared graph file (plus identical
+/// `--sources` / `--delta` flags), so all processes agree without any
+/// extra configuration channel. Without `--delta`, Δ is the largest
+/// finite distance *from a source* — k Dijkstras for a k-SSP instance,
+/// not the n of a full APSP.
+fn deployment_config(args: &Args, g: &WGraph) -> SspConfig {
+    let sources = parse_sources(args, g.n());
+    let delta = args.value("--delta").unwrap_or_else(|| match &sources {
+        Some(sources) => dwapsp::seqref::k_source_dijkstra(g, sources).max_finite(),
+        None => max_finite_distance(g),
+    });
+    match sources {
+        Some(sources) => SspConfig::k_ssp(g.n(), sources, delta.max(1)),
+        None => SspConfig::apsp(g.n(), delta.max(1)),
+    }
+}
+
+/// Algorithm 3's hop threshold (`--h`, or the weight regime's) and the
+/// Δ of its 2h-hop phase.
+fn alg3_h_delta(args: &Args, g: &WGraph) -> (u64, u64) {
+    let h = args
+        .value("--h")
+        .unwrap_or_else(|| suggested_h_weight_regime(g.n(), g.n(), g.max_weight()));
+    let delta = dwapsp::seqref::max_finite_h_hop_distance(g, 2 * h as usize).max(1);
+    (h, delta)
+}
+
+fn cmd_run(args: &Args) {
+    let g = load(args);
+    let algo = args.get("--algo").unwrap_or("alg1");
+    let rt = parse_runtime(args, Runtime::Sim);
     if rt != Runtime::Sim && algo != "alg1" {
         eprintln!("--runtime {} only supports --algo alg1", rt.as_str());
         exit(2);
     }
     let engine = EngineConfig::default();
-    match algo.as_str() {
+    let (label, st, matrix) = match algo {
         "alg1" => {
-            // `--delta` skips the exact Δ computation (a full sequential
-            // APSP) — required on large graphs, where any sound upper
-            // bound on the distances of interest keeps the run correct
-            // (only the round budget depends on Δ).
-            let delta_flag = get("--delta").map(|s| parse_flag("--delta", &s));
-            let sources = parse_sources(get, g.n());
-            let (res, st, label) =
-                if sources.is_none() && rt == Runtime::Sim && delta_flag.is_none() {
-                    let (res, st, delta) = apsp_auto(&g, engine);
-                    (res, st, format!("alg1 apsp (Δ={delta})"))
-                } else {
-                    let delta = delta_flag.unwrap_or_else(|| max_finite_distance(&g).max(1));
-                    let (cfg, what) = match sources {
-                        Some(s) => (SspConfig::k_ssp(g.n(), s, delta), "k-ssp".to_string()),
-                        None => (SspConfig::apsp(g.n(), delta), format!("apsp (Δ={delta})")),
-                    };
-                    let (res, st) = solve_or_exit(&g, &cfg, rt, &mut NullRecorder);
-                    (res, st, format!("alg1 {what} [{}]", rt.as_str()))
-                };
-            print_stats(&label, st.rounds, st.messages, st.max_link_load);
-            print_matrix(&res.to_matrix());
+            // `--delta` skips the exact Δ computation (a sequential
+            // Dijkstra per source) — required on large graphs, where any
+            // sound upper bound on the distances of interest keeps the
+            // run correct (only the round budget depends on Δ).
+            let cfg = deployment_config(args, &g);
+            let (res, st) = solve_or_exit(&g, &cfg, rt, &mut NullRecorder);
+            let label = format!("alg1 k={} (Δ={}) [{}]", cfg.k(), cfg.delta, rt.as_str());
+            (label, st, res.to_matrix())
         }
         "alg3" => {
-            let h = get("--h").map_or_else(
-                || suggested_h_weight_regime(g.n(), g.n(), g.max_weight()),
-                |s| parse_flag("--h", &s),
-            );
-            let delta = dwapsp::seqref::max_finite_h_hop_distance(&g, 2 * h as usize).max(1);
-            let out = if let Some(sources) = parse_sources(get, g.n()) {
-                alg3_k_ssp(&g, &sources, h, delta, engine)
-            } else {
-                alg3_apsp(&g, h, delta, engine)
+            let (h, delta) = alg3_h_delta(args, &g);
+            let out = match parse_sources(args, g.n()) {
+                Some(sources) => alg3_k_ssp(&g, &sources, h, delta, engine),
+                None => alg3_apsp(&g, h, delta, engine),
             };
-            print_stats(
-                &format!("alg3 (h={h}, |Q|={})", out.blockers.len()),
-                out.stats.rounds,
-                out.stats.messages,
-                out.stats.max_link_load,
-            );
-            print_matrix(&out.matrix);
+            let label = format!("alg3 (h={h}, |Q|={})", out.blockers.len());
+            (label, out.stats, out.matrix)
         }
         "bf" => {
             let (res, st) = bf_apsp(&g, engine);
-            print_stats(
-                "bellman-ford apsp",
-                st.rounds,
-                st.messages,
-                st.max_link_load,
-            );
-            print_matrix(&res.to_matrix());
+            ("bellman-ford apsp".to_string(), st, res.to_matrix())
         }
         "approx" => {
-            let eps = get("--eps").unwrap_or_else(|| "1/2".into());
+            let eps = args.get("--eps").unwrap_or("1/2");
             let (num, den) = eps
                 .split_once('/')
                 .map(|(a, b)| (parse_flag("--eps", a), parse_flag("--eps", b)))
-                .unwrap_or_else(|| (parse_flag("--eps", &eps), 1));
+                .unwrap_or_else(|| (parse_flag("--eps", eps), 1));
             let out = approx_apsp(&g, num, den, engine);
-            print_stats(
-                &format!("approx apsp (ε={num}/{den})"),
-                out.stats.rounds,
-                out.stats.messages,
-                out.stats.max_link_load,
-            );
-            print_matrix(&out.matrix);
+            (
+                format!("approx apsp (ε={num}/{den})"),
+                out.stats,
+                out.matrix,
+            )
         }
         other => {
             eprintln!("unknown algo {other}");
             exit(2);
         }
-    }
+    };
+    print_stats(&label, &st);
+    print_matrix(&matrix);
 }
 
 /// `solve`: run an algorithm under a phase recorder and emit the
@@ -331,29 +465,21 @@ fn cmd_run(get: &impl Fn(&str) -> Option<String>) {
 /// JSONL event log (`--metrics-out`, readable by `dwapsp report`) and a
 /// Chrome-trace file (`--trace-out`, loadable in `chrome://tracing` /
 /// Perfetto).
-fn cmd_solve(get: &impl Fn(&str) -> Option<String>) {
-    let g = load(get);
-    let algo = get("--algo").unwrap_or_else(|| "alg3".into());
-    let rt = parse_runtime(get);
-    let sources = parse_sources(get, g.n());
+fn cmd_solve(args: &Args) {
+    let g = load(args);
+    let algo = args.get("--algo").unwrap_or("alg3");
+    let rt = parse_runtime(args, Runtime::Sim);
     let mut rec = ObsRecorder::new();
-    rec.meta("algo", algo.clone());
+    rec.meta("algo", algo.to_string());
     rec.meta("runtime", rt.as_str().to_string());
     rec.meta("n", g.n().to_string());
 
-    let matrix = match algo.as_str() {
+    let matrix = match algo {
         "alg1" => {
-            let delta = get("--delta").map_or_else(
-                || max_finite_distance(&g).max(1),
-                |s| parse_flag("--delta", &s),
-            );
-            let cfg = match sources {
-                Some(s) => SspConfig::k_ssp(g.n(), s, delta),
-                None => SspConfig::apsp(g.n(), delta),
-            };
+            let cfg = deployment_config(args, &g);
             rec.meta("k", cfg.k().to_string());
             rec.meta("h", cfg.h.to_string());
-            rec.meta("delta", delta.to_string());
+            rec.meta("delta", cfg.delta.to_string());
             solve_or_exit(&g, &cfg, rt, &mut rec).0.to_matrix()
         }
         "alg3" => {
@@ -361,11 +487,8 @@ fn cmd_solve(get: &impl Fn(&str) -> Option<String>) {
                 eprintln!("--algo alg3 records phases on the simulator only (use --runtime sim)");
                 exit(2);
             }
-            let h = get("--h").map_or_else(
-                || suggested_h_weight_regime(g.n(), g.n(), g.max_weight()),
-                |s| parse_flag("--h", &s),
-            );
-            let delta = dwapsp::seqref::max_finite_h_hop_distance(&g, 2 * h as usize).max(1);
+            let (h, delta) = alg3_h_delta(args, &g);
+            let sources = parse_sources(args, g.n());
             rec.meta("k", sources.as_ref().map_or(g.n(), Vec::len).to_string());
             rec.meta("h", h.to_string());
             rec.meta("delta", delta.to_string());
@@ -383,16 +506,16 @@ fn cmd_solve(get: &impl Fn(&str) -> Option<String>) {
     };
 
     let recording = rec.into_recording();
-    if let Some(path) = get("--metrics-out") {
-        std::fs::write(&path, to_jsonl(&recording)).expect("write metrics file");
+    if let Some(path) = args.get("--metrics-out") {
+        std::fs::write(path, to_jsonl(&recording)).expect("write metrics file");
         eprintln!("wrote {path}");
     }
-    if let Some(path) = get("--trace-out") {
-        std::fs::write(&path, to_chrome_trace(&recording)).expect("write trace file");
+    if let Some(path) = args.get("--trace-out") {
+        std::fs::write(path, to_chrome_trace(&recording)).expect("write trace file");
         eprintln!("wrote {path} (load in chrome://tracing or Perfetto)");
     }
     print!("{}", render_report(&recording, &phase_bounds(&recording)));
-    if get("--print-matrix").is_some() {
+    if args.has("--print-matrix") {
         print_matrix(&matrix);
     }
 }
@@ -431,39 +554,34 @@ fn parse_faults(spec: &str, flag: &str, seps: &[char], arity: usize) -> Vec<Vec<
 /// the chaos run recovers bit-identically, 1 on a distance mismatch,
 /// and 3 when the faults were unrecoverable (printing the structured
 /// partial outcome instead of hanging).
-fn cmd_chaos(get: &impl Fn(&str) -> Option<String>) {
-    let g = load(get);
-    let rt = get("--runtime").map_or(Runtime::Threads, |s| {
-        Runtime::parse(&s).unwrap_or_else(|| {
-            eprintln!("unknown runtime {s}");
-            exit(2);
-        })
-    });
+fn cmd_chaos(args: &Args) {
+    let g = load(args);
+    let rt = parse_runtime(args, Runtime::Threads);
     if rt == Runtime::Sim {
         eprintln!("chaos needs a real transport backend (--runtime threads or tcp)");
         exit(2);
     }
-    let seed: u64 = get("--seed").map_or(0, |s| parse_flag("--seed", &s));
+    let seed: u64 = args.or("--seed", 0);
     let mut plan = ChaosPlan::new(seed);
-    if let Some(spec) = get("--kill") {
-        for f in parse_faults(&spec, "--kill", &['@'], 2) {
+    if let Some(spec) = args.get("--kill") {
+        for f in parse_faults(spec, "--kill", &['@'], 2) {
             plan = plan.with_kill(f[0] as NodeId, f[1]);
         }
     }
-    if let Some(spec) = get("--sever") {
-        for f in parse_faults(&spec, "--sever", &['-', '@'], 3) {
+    if let Some(spec) = args.get("--sever") {
+        for f in parse_faults(spec, "--sever", &['-', '@'], 3) {
             plan = plan.with_sever(f[0] as NodeId, f[1] as NodeId, f[2]);
         }
     }
-    if let Some(spec) = get("--stall") {
-        for f in parse_faults(&spec, "--stall", &['@'], 2) {
+    if let Some(spec) = args.get("--stall") {
+        for f in parse_faults(spec, "--stall", &['@'], 2) {
             plan = plan.with_stall(f[0], f[1]);
         }
     }
     // The link flags are FaultPlan rules (the simulator runs them too);
     // kill, sever and stall are the process events of the chaos plan.
     let mut faults = FaultPlan::new(seed);
-    if let Some(spec) = get("--partition") {
+    if let Some(spec) = args.get("--partition") {
         // `0.1.2|3.4@1:6` — dot-joined groups split by `|`, active from
         // round 1, healing at round 6 (omit `:HEAL` for a permanent cut).
         for item in spec.split(',') {
@@ -494,7 +612,7 @@ fn cmd_chaos(get: &impl Fn(&str) -> Option<String>) {
             faults = faults.with_partition(groups, from, heal);
         }
     }
-    if let Some(spec) = get("--asym-loss") {
+    if let Some(spec) = args.get("--asym-loss") {
         // `3-4@0:9` drops 3→4 (one direction only) for rounds 0..9 — a
         // one-way outage over 0..=8; omit `:UNTIL` for a permanent cut.
         for item in spec.split(',') {
@@ -532,28 +650,22 @@ fn cmd_chaos(get: &impl Fn(&str) -> Option<String>) {
             });
         }
     }
-    if let Some(spec) = get("--bandwidth-cap") {
-        for f in parse_faults(&spec, "--bandwidth-cap", &['-', '@'], 3) {
+    if let Some(spec) = args.get("--bandwidth-cap") {
+        for f in parse_faults(spec, "--bandwidth-cap", &['-', '@'], 3) {
             faults = faults.with_bandwidth_cap(f[0] as NodeId, f[1] as NodeId, f[2]);
         }
     }
     let chaos = ChaosConfig {
         plan,
-        cadence: match get("--cadence").as_deref() {
+        cadence: match args.get("--cadence") {
             Some("off") => None,
             Some(s) => Some(parse_flag("--cadence", s)),
             None => ChaosConfig::default().cadence,
         },
-        deadline: Duration::from_millis(
-            get("--deadline-ms").map_or(500, |s| parse_flag("--deadline-ms", &s)),
-        ),
+        deadline: Duration::from_millis(args.or("--deadline-ms", 500)),
     };
 
-    let delta = max_finite_distance(&g).max(1);
-    let cfg = match parse_sources(get, g.n()) {
-        Some(s) => SspConfig::k_ssp(g.n(), s, delta),
-        None => SspConfig::apsp(g.n(), delta),
-    };
+    let cfg = deployment_config(args, &g);
     let (reference, _) = solve_or_exit(&g, &cfg, Runtime::Sim, &mut NullRecorder);
 
     let mut rec = ObsRecorder::new();
@@ -571,19 +683,14 @@ fn cmd_chaos(get: &impl Fn(&str) -> Option<String>) {
     };
     let res = solve_hk_ssp(&g, &cfg, &run, &mut rec);
     let recording = rec.into_recording();
-    if let Some(path) = get("--metrics-out") {
-        std::fs::write(&path, to_jsonl(&recording)).expect("write metrics file");
+    if let Some(path) = args.get("--metrics-out") {
+        std::fs::write(path, to_jsonl(&recording)).expect("write metrics file");
         eprintln!("wrote {path} (render the recovery timeline with `dwapsp report`)");
     }
     match res {
         Ok(solved) => {
-            let st = &solved.stats;
-            print_stats(
-                &format!("alg1 chaos [{}] outcome={:?}", rt.as_str(), solved.outcome),
-                st.rounds,
-                st.messages,
-                st.max_link_load,
-            );
+            let label = format!("alg1 chaos [{}] outcome={:?}", rt.as_str(), solved.outcome);
+            print_stats(&label, &solved.stats);
             let diffs = matrices_equal(&reference.to_matrix(), &solved.result.to_matrix(), 5).len();
             if diffs == 0 {
                 println!("recovered: distances bit-identical to the fault-free simulator ✓");
@@ -609,19 +716,13 @@ fn cmd_chaos(get: &impl Fn(&str) -> Option<String>) {
 }
 
 /// `report`: re-render the text report from a `--metrics-out` JSONL log.
-fn cmd_report(get: &impl Fn(&str) -> Option<String>) {
-    let path = get("--metrics").unwrap_or_else(|| {
-        eprintln!("--metrics FILE (a `dwapsp solve --metrics-out` log) is required");
-        exit(2);
-    });
-    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        eprintln!("cannot read {path}: {e}");
-        exit(1);
-    });
-    let recording = parse_jsonl(&text).unwrap_or_else(|e| {
-        eprintln!("cannot parse {path}: {e}");
-        exit(1);
-    });
+fn cmd_report(args: &Args) {
+    let path: String = args.need("--metrics");
+    let recording =
+        parse_jsonl(&read_or_exit(&path, std::fs::read_to_string)).unwrap_or_else(|e| {
+            eprintln!("cannot parse {path}: {e}");
+            exit(1);
+        });
     print!("{}", render_report(&recording, &phase_bounds(&recording)));
 }
 
@@ -661,110 +762,70 @@ fn phase_bounds(rec: &Recording) -> Vec<PhaseBound> {
     bounds
 }
 
-/// The Algorithm 1 instance a distributed deployment solves. Every
-/// participant derives it from the shared graph file (plus identical
-/// `--sources` / `--delta` flags), so all processes agree without any
-/// extra configuration channel. Without `--delta`, Δ is the largest
-/// finite distance *from a source* — k Dijkstras for a k-SSP instance,
-/// not the n of a full APSP.
-fn deployment_config(get: &impl Fn(&str) -> Option<String>, g: &WGraph) -> SspConfig {
-    let sources = parse_sources(get, g.n());
-    let delta = get("--delta").map_or_else(
-        || match &sources {
-            Some(sources) => dwapsp::seqref::k_source_dijkstra(g, sources).max_finite(),
-            None => max_finite_distance(g),
-        },
-        |s| parse_flag("--delta", &s),
-    );
-    match sources {
-        Some(sources) => SspConfig::k_ssp(g.n(), sources, delta.max(1)),
-        None => SspConfig::apsp(g.n(), delta.max(1)),
-    }
-}
-
-fn parse_addr(get: &impl Fn(&str) -> Option<String>, flag: &str) -> SocketAddr {
-    let s = get(flag).unwrap_or_else(|| {
-        eprintln!("{flag} ADDR is required");
-        exit(2);
-    });
-    s.parse().unwrap_or_else(|e| {
-        eprintln!("{flag} {s}: {e}");
-        exit(2);
-    })
-}
-
 /// The deployment's worker count: `--shards P` directly,
 /// `--nodes-per-worker K` as `ceil(n / K)`, or — with neither — one
 /// process per node (`P = n`).
-fn shard_count(get: &impl Fn(&str) -> Option<String>, n: usize) -> usize {
-    match (get("--shards"), get("--nodes-per-worker")) {
-        (Some(_), Some(_)) => {
-            eprintln!("--shards and --nodes-per-worker are mutually exclusive");
-            exit(2);
-        }
-        (Some(p), None) => {
-            let p: usize = parse_flag("--shards", &p);
-            if p == 0 {
-                eprintln!("--shards must be >= 1");
-                exit(2);
-            }
-            p
-        }
-        (None, Some(k)) => {
-            let k: usize = parse_flag("--nodes-per-worker", &k);
-            if k == 0 {
-                eprintln!("--nodes-per-worker must be >= 1");
-                exit(2);
-            }
-            n.div_ceil(k)
-        }
+fn shard_count(args: &Args, n: usize) -> usize {
+    let per_worker = args.value::<usize>("--nodes-per-worker");
+    match (args.value::<usize>("--shards"), per_worker) {
+        (Some(_), Some(_)) => args
+            .cmd
+            .refuse("--shards and --nodes-per-worker are mutually exclusive"),
+        (Some(0), None) => args.cmd.refuse("--shards must be >= 1"),
+        (None, Some(0)) => args.cmd.refuse("--nodes-per-worker must be >= 1"),
+        (Some(p), None) => p,
+        (None, Some(k)) => n.div_ceil(k),
         (None, None) => n,
     }
 }
 
-fn cmd_run_node(get: &impl Fn(&str) -> Option<String>) {
-    if has_flag("--maelstrom") {
-        // A true Maelstrom binary: the harness supplies the cluster over
-        // stdin (init handshake), no graph or ids on the command line.
-        let stdin = std::io::stdin();
-        let stdout = std::io::stdout();
-        match dw_transport::maelstrom_serve(stdin.lock(), stdout.lock()) {
-            Ok((init, stats)) => {
-                eprintln!(
-                    "maelstrom node {} (internal id {} of {} nodes): \
-                     {} echoes, {} unsupported, {} skipped",
-                    init.node_id,
-                    init.internal_id(),
-                    init.node_ids.len(),
-                    stats.echoes,
-                    stats.unsupported,
-                    stats.skipped
-                );
-            }
-            Err(e) => {
-                eprintln!("maelstrom node failed: {e}");
-                exit(1);
-            }
+/// `run-node --maelstrom`: a true Maelstrom binary. The harness
+/// supplies the cluster over stdin (init handshake), no graph or ids on
+/// the command line.
+fn cmd_maelstrom(_: &Args) {
+    let stdin = std::io::stdin();
+    let stdout = std::io::stdout();
+    match dw_transport::maelstrom_serve(stdin.lock(), stdout.lock()) {
+        Ok((init, stats)) => {
+            eprintln!(
+                "maelstrom node {} (internal id {} of {} nodes): \
+                 {} echoes, {} unsupported, {} skipped",
+                init.node_id,
+                init.internal_id(),
+                init.node_ids.len(),
+                stats.echoes,
+                stats.unsupported,
+                stats.skipped
+            );
         }
-        return;
+        Err(e) => {
+            eprintln!("maelstrom node failed: {e}");
+            exit(1);
+        }
     }
-    let g = load(get);
+}
+
+/// A listener bound to `addr`, or exit 1.
+fn listen_on(addr: SocketAddr) -> TcpListener {
+    TcpListener::bind(addr).unwrap_or_else(|e| {
+        eprintln!("cannot listen: {e}");
+        exit(1);
+    })
+}
+
+fn cmd_run_node(args: &Args) {
+    let g = load(args);
     // --node-id names a *worker*: this process hosts every node in its
     // contiguous block (just node V in the default one-process-per-node
     // layout), and --peers lists the adjacent workers' addresses.
-    let map = ShardMap::new(g.n(), shard_count(get, g.n()));
-    let id: NodeId = parse_flag(
-        "--node-id",
-        &get("--node-id").unwrap_or_else(|| {
-            eprintln!("--node-id V is required");
-            exit(2);
-        }),
-    );
+    let map = ShardMap::new(g.n(), shard_count(args, g.n()));
+    let id: NodeId = args.need("--node-id");
     if id as usize >= map.shards() {
         eprintln!("--node-id {id} out of range ({} workers)", map.shards());
         exit(2);
     }
-    let peers: Vec<(NodeId, SocketAddr)> = get("--peers")
+    let peers: Vec<(NodeId, SocketAddr)> = args
+        .get("--peers")
         .map(|s| {
             s.split(',')
                 .map(|pair| {
@@ -777,14 +838,10 @@ fn cmd_run_node(get: &impl Fn(&str) -> Option<String>) {
                 .collect()
         })
         .unwrap_or_default();
-    let coord = parse_addr(get, "--coordinator");
-    let timeout =
-        Duration::from_secs(get("--timeout-secs").map_or(30, |s| parse_flag("--timeout-secs", &s)));
-    let cfg = deployment_config(get, &g);
-    let listener = TcpListener::bind(parse_addr(get, "--listen")).unwrap_or_else(|e| {
-        eprintln!("cannot listen: {e}");
-        exit(1);
-    });
+    let coord = args.need("--coordinator");
+    let timeout = Duration::from_secs(args.or("--timeout-secs", 30));
+    let cfg = deployment_config(args, &g);
+    let listener = listen_on(args.need("--listen"));
     let nodes: Vec<_> = map.nodes(id).map(hk_ssp_nodes(&cfg, g.n())).collect();
     let (nodes, outcome) = run_shard_tcp(
         &map,
@@ -816,18 +873,14 @@ fn cmd_run_node(get: &impl Fn(&str) -> Option<String>) {
     }
 }
 
-fn cmd_coordinator(get: &impl Fn(&str) -> Option<String>) {
-    let g = load(get);
-    let cfg = deployment_config(get, &g);
-    let budget = get("--budget").map_or_else(
-        || default_budget(&cfg, g.n()),
-        |s| parse_flag("--budget", &s),
-    );
-    let listener = TcpListener::bind(parse_addr(get, "--listen")).unwrap_or_else(|e| {
-        eprintln!("cannot listen: {e}");
-        exit(1);
-    });
-    let participants = ShardMap::new(g.n(), shard_count(get, g.n())).shards();
+fn cmd_coordinator(args: &Args) {
+    let g = load(args);
+    let cfg = deployment_config(args, &g);
+    let budget = args
+        .value("--budget")
+        .unwrap_or_else(|| default_budget(&cfg, g.n()));
+    let listener = listen_on(args.need("--listen"));
+    let participants = ShardMap::new(g.n(), shard_count(args, g.n())).shards();
     eprintln!("coordinator: waiting for {participants} workers (budget {budget})");
     let (outcome, st) = run_coordinator_tcp(
         participants,
@@ -841,27 +894,15 @@ fn cmd_coordinator(get: &impl Fn(&str) -> Option<String>) {
         exit(1);
     });
     println!("coordinator: outcome={outcome:?}");
-    print_stats("alg1 [tcp]", st.rounds, st.messages, st.max_link_load);
-}
-
-/// Presence-only flags (`--path`, `--oracle`, `--json`): the `get`
-/// closure needs a following value, so test membership directly.
-fn has_flag(flag: &str) -> bool {
-    std::env::args().any(|a| a == flag)
+    print_stats("alg1 [tcp]", &st);
 }
 
 /// Load a table file in either format: legacy `DWT1` snapshots come
 /// back as generation 0, versioned `DWD1` files (written by
 /// `dwapsp update`) keep their generation.
-fn load_tables(get: &impl Fn(&str) -> Option<String>) -> VersionedTables {
-    let path = get("--tables").unwrap_or_else(|| {
-        eprintln!("--tables FILE (written by `dwapsp tables` or `dwapsp update`) is required");
-        exit(2);
-    });
-    let bytes = std::fs::read(&path).unwrap_or_else(|e| {
-        eprintln!("cannot read {path}: {e}");
-        exit(1);
-    });
+fn load_tables(args: &Args) -> VersionedTables {
+    let path: String = args.need("--tables");
+    let bytes = read_or_exit(&path, std::fs::read);
     VersionedTables::from_any_file_bytes(&bytes).unwrap_or_else(|| {
         eprintln!("{path} is not a valid table snapshot (bad magic/version or corrupt payload)");
         exit(1);
@@ -872,26 +913,18 @@ fn load_tables(get: &impl Fn(&str) -> Option<String>) -> VersionedTables {
 /// sequential Dijkstra oracle (`--oracle`), which writes the same bytes
 /// — and persist the per-source distance + parent tables for the
 /// serving plane.
-fn cmd_tables(get: &impl Fn(&str) -> Option<String>) {
-    let g = load(get);
-    let out = get("--out").unwrap_or_else(|| {
-        eprintln!("--out FILE is required");
-        exit(2);
-    });
-    let snap = if has_flag("--oracle") {
-        let sources = parse_sources(get, g.n()).unwrap_or_else(|| (0..g.n() as NodeId).collect());
+fn cmd_tables(args: &Args) {
+    let g = load(args);
+    let out: String = args.need("--out");
+    let snap = if args.has("--oracle") {
+        let sources = parse_sources(args, g.n()).unwrap_or_else(|| (0..g.n() as NodeId).collect());
         let runs: Vec<_> = sources.iter().map(|&s| dijkstra(&g, s)).collect();
         TableSnapshot::from_sssp(&runs, g.n() as u32)
     } else {
-        let rt = parse_runtime(get);
-        let cfg = deployment_config(get, &g);
+        let rt = parse_runtime(args, Runtime::Sim);
+        let cfg = deployment_config(args, &g);
         let (res, st) = solve_or_exit(&g, &cfg, rt, &mut NullRecorder);
-        print_stats(
-            &format!("alg1 tables [{}]", rt.as_str()),
-            st.rounds,
-            st.messages,
-            st.max_link_load,
-        );
+        print_stats(&format!("alg1 tables [{}]", rt.as_str()), &st);
         TableSnapshot::from_result(&res)
     };
     std::fs::write(&out, snap.to_file_bytes()).unwrap_or_else(|e| {
@@ -910,23 +943,16 @@ fn cmd_tables(get: &impl Fn(&str) -> Option<String>) {
 /// Default mode spawns `--shards P` in-process shard servers plus the
 /// gateway; `--shard-addrs` instead fronts externally started
 /// `serve-shard` processes (shard `i` serves block `i` of the layout).
-fn cmd_serve(get: &impl Fn(&str) -> Option<String>) {
-    let vt = load_tables(get);
+fn cmd_serve(args: &Args) {
+    let vt = load_tables(args);
     let snap = &vt.snap;
     let cfg = GatewayConfig {
-        max_batch: get("--max-batch").map_or(128, |s| parse_flag("--max-batch", &s)),
-        cache_capacity: get("--cache").map_or(4096, |s| parse_flag("--cache", &s)),
+        max_batch: args.or("--max-batch", 128),
+        cache_capacity: args.or("--cache", 4096),
         initial_generation: vt.generation,
         ..GatewayConfig::default()
     };
-    let listener = match get("--listen") {
-        Some(_) => TcpListener::bind(parse_addr(get, "--listen")),
-        None => TcpListener::bind(("127.0.0.1", 0)),
-    }
-    .unwrap_or_else(|e| {
-        eprintln!("cannot listen: {e}");
-        exit(1);
-    });
+    let listener = listen_on(args.or("--listen", SocketAddr::from(([127, 0, 0, 1], 0))));
 
     let cannot_start = |e: std::io::Error| -> ! {
         eprintln!("cannot start gateway: {e}");
@@ -936,23 +962,17 @@ fn cmd_serve(get: &impl Fn(&str) -> Option<String>) {
     // deployment runs them in-process. Either lives until this returns.
     let mut fronting;
     let mut local;
-    let (gw, map, addrs) = if let Some(spec) = get("--shard-addrs") {
+    let (gw, map, addrs) = if let Some(spec) = args.get("--shard-addrs") {
         let addrs: Vec<SocketAddr> = spec
             .split(',')
-            .map(|a| {
-                a.trim().parse().unwrap_or_else(|e| {
-                    eprintln!("--shard-addrs {a}: {e}");
-                    exit(2);
-                })
-            })
+            .map(|a| parse_flag("--shard-addrs", a.trim()))
             .collect();
         let map = ShardMap::new(snap.n as usize, addrs.len());
         fronting = Gateway::spawn_on(listener, map.clone(), &addrs, cfg)
             .unwrap_or_else(|e| cannot_start(e));
         (&mut fronting, map, addrs)
     } else {
-        let shards: usize = get("--shards").map_or(1, |s| parse_flag("--shards", &s));
-        local = Deployment::spawn_on(listener, snap, shards, cfg, &[])
+        local = Deployment::spawn_on(listener, snap, args.or("--shards", 1), cfg, &[])
             .unwrap_or_else(|e| cannot_start(e));
         let addrs = (0..local.map.shards())
             .map(|s| local.shard_addr(s))
@@ -971,9 +991,8 @@ fn cmd_serve(get: &impl Fn(&str) -> Option<String>) {
         );
     }
 
-    match get("--duration-secs") {
+    match args.value("--duration-secs") {
         Some(t) => {
-            let t: u64 = parse_flag("--duration-secs", &t);
             std::thread::sleep(Duration::from_secs(t));
             let st = gw.stats();
             println!(
@@ -994,24 +1013,11 @@ fn cmd_serve(get: &impl Fn(&str) -> Option<String>) {
 /// `serve-shard`: one standalone shard worker, serving the rows of its
 /// contiguous source block until killed. Pair with
 /// `dwapsp serve --shard-addrs` on the gateway side.
-fn cmd_serve_shard(get: &impl Fn(&str) -> Option<String>) {
-    let vt = load_tables(get);
+fn cmd_serve_shard(args: &Args) {
+    let vt = load_tables(args);
     let snap = &vt.snap;
-    let shards: usize = parse_flag(
-        "--shards",
-        &get("--shards").unwrap_or_else(|| {
-            eprintln!("--shards P (the full layout size) is required");
-            exit(2);
-        }),
-    );
-    let id: NodeId = parse_flag(
-        "--shard-id",
-        &get("--shard-id").unwrap_or_else(|| {
-            eprintln!("--shard-id S is required");
-            exit(2);
-        }),
-    );
-    let map = ShardMap::new(snap.n as usize, shards);
+    let map = ShardMap::new(snap.n as usize, args.need("--shards"));
+    let id: NodeId = args.need("--shard-id");
     if id as usize >= map.shards() {
         eprintln!(
             "--shard-id {id} out of range (effective shards: {})",
@@ -1020,10 +1026,7 @@ fn cmd_serve_shard(get: &impl Fn(&str) -> Option<String>) {
         exit(2);
     }
     let sub = snap.for_shard(&map, id);
-    let listener = TcpListener::bind(parse_addr(get, "--listen")).unwrap_or_else(|e| {
-        eprintln!("cannot listen: {e}");
-        exit(1);
-    });
+    let listener = listen_on(args.need("--listen"));
     let block = map.nodes(id);
     eprintln!(
         "shard {id} serving {} source rows [{}, {}) on {} (generation {})",
@@ -1047,28 +1050,16 @@ fn cmd_serve_shard(get: &impl Fn(&str) -> Option<String>) {
 /// `query`: one point-to-point lookup against a running gateway. Exits
 /// 0 on an answer (including "unreachable"), 3 on degraded mode
 /// (`ShardUnavailable`), 2 on a malformed query.
-fn cmd_query(get: &impl Fn(&str) -> Option<String>) {
-    let gateway = parse_addr(get, "--gateway");
-    let src: NodeId = parse_flag(
-        "--src",
-        &get("--src").unwrap_or_else(|| {
-            eprintln!("--src S is required");
-            exit(2);
-        }),
-    );
-    let dst: NodeId = parse_flag(
-        "--dst",
-        &get("--dst").unwrap_or_else(|| {
-            eprintln!("--dst D is required");
-            exit(2);
-        }),
-    );
+fn cmd_query(args: &Args) {
+    let gateway: SocketAddr = args.need("--gateway");
+    let src: NodeId = args.need("--src");
+    let dst: NodeId = args.need("--dst");
     let mut client = ServeClient::connect(gateway, Duration::from_secs(5)).unwrap_or_else(|e| {
         eprintln!("cannot connect to gateway {gateway}: {e}");
         exit(1);
     });
     let outcome = client
-        .query(src, dst, has_flag("--path"))
+        .query(src, dst, args.has("--path"))
         .unwrap_or_else(|e| {
             eprintln!("query failed: {e}");
             exit(1);
@@ -1121,9 +1112,9 @@ fn print_update_report(r: &dwapsp::dynamic::UpdateReport, n: usize) {
 /// tables (either format) and the update file, drain the pool through
 /// the incremental engine in `--batch-size` batches, and return the
 /// patched graph plus the final table generation.
-fn run_update_batches(get: &impl Fn(&str) -> Option<String>) -> (WGraph, VersionedTables) {
-    let mut g = load(get);
-    let mut vt = load_tables(get);
+fn run_update_batches(args: &Args) -> (WGraph, VersionedTables) {
+    let mut g = load(args);
+    let mut vt = load_tables(args);
     if vt.snap.n as usize != g.n() {
         eprintln!(
             "tables cover n={} but the graph has n={}; recompute with `dwapsp tables`",
@@ -1132,20 +1123,13 @@ fn run_update_batches(get: &impl Fn(&str) -> Option<String>) -> (WGraph, Version
         );
         exit(2);
     }
-    let upath = get("--updates").unwrap_or_else(|| {
-        eprintln!("--updates FILE (`ins u v w` / `set u v w` / `del u v` lines) is required");
-        exit(2);
-    });
-    let text = std::fs::read_to_string(&upath).unwrap_or_else(|e| {
-        eprintln!("cannot read {upath}: {e}");
-        exit(1);
-    });
-    let updates = parse_updates(&text).unwrap_or_else(|e| {
-        eprintln!("{upath}: {e}");
-        exit(2);
-    });
-    let batch_size: usize =
-        get("--batch-size").map_or(updates.len().max(1), |s| parse_flag("--batch-size", &s));
+    let upath: String = args.need("--updates");
+    let updates =
+        parse_updates(&read_or_exit(&upath, std::fs::read_to_string)).unwrap_or_else(|e| {
+            eprintln!("{upath}: {e}");
+            exit(2);
+        });
+    let batch_size: usize = args.or("--batch-size", updates.len().max(1));
     let mut pool = UpdatePool::new();
     pool.extend(updates);
     while let Some(batch) = pool.take_batch(batch_size) {
@@ -1166,9 +1150,9 @@ fn run_update_batches(get: &impl Fn(&str) -> Option<String>) -> (WGraph, Version
     (g, vt)
 }
 
-fn write_update_outputs(get: &impl Fn(&str) -> Option<String>, g: &WGraph, vt: &VersionedTables) {
-    if let Some(out) = get("--out-tables") {
-        std::fs::write(&out, vt.to_file_bytes()).unwrap_or_else(|e| {
+fn write_update_outputs(args: &Args, g: &WGraph, vt: &VersionedTables) {
+    if let Some(out) = args.get("--out-tables") {
+        std::fs::write(out, vt.to_file_bytes()).unwrap_or_else(|e| {
             eprintln!("cannot write {out}: {e}");
             exit(1);
         });
@@ -1179,8 +1163,8 @@ fn write_update_outputs(get: &impl Fn(&str) -> Option<String>, g: &WGraph, vt: &
             vt.snap.n
         );
     }
-    if let Some(out) = get("--out-graph") {
-        std::fs::write(&out, gio::to_json(g)).unwrap_or_else(|e| {
+    if let Some(out) = args.get("--out-graph") {
+        std::fs::write(out, gio::to_json(g)).unwrap_or_else(|e| {
             eprintln!("cannot write {out}: {e}");
             exit(1);
         });
@@ -1192,18 +1176,18 @@ fn write_update_outputs(get: &impl Fn(&str) -> Option<String>, g: &WGraph, vt: &
 /// batch file, repairs the tables cell by cell — whichever solver wrote
 /// them, the result is the file `dwapsp tables` writes for the patched
 /// graph — and persists the next `DWD1` generation.
-fn cmd_update(get: &impl Fn(&str) -> Option<String>) {
-    let (g, vt) = run_update_batches(get);
-    write_update_outputs(get, &g, &vt);
+fn cmd_update(args: &Args) {
+    let (g, vt) = run_update_batches(args);
+    write_update_outputs(args, &g, &vt);
 }
 
 /// `apply-updates`: the online variant — recompute incrementally, then
 /// push the new generation to a running gateway, which swaps every
 /// shard atomically without dropping in-flight queries. Exits 3 when
 /// the swap was degraded (some shard down).
-fn cmd_apply_updates(get: &impl Fn(&str) -> Option<String>) {
-    let gateway = parse_addr(get, "--gateway");
-    let (g, vt) = run_update_batches(get);
+fn cmd_apply_updates(args: &Args) {
+    let gateway: SocketAddr = args.need("--gateway");
+    let (g, vt) = run_update_batches(args);
     let mut client = ServeClient::connect(gateway, Duration::from_secs(30)).unwrap_or_else(|e| {
         eprintln!("cannot connect to gateway {gateway}: {e}");
         exit(1);
@@ -1224,7 +1208,7 @@ fn cmd_apply_updates(get: &impl Fn(&str) -> Option<String>) {
         rep.install_bytes,
         rep.full
     );
-    write_update_outputs(get, &g, &vt);
+    write_update_outputs(args, &g, &vt);
     if !rep.accepted {
         exit(3);
     }
@@ -1246,39 +1230,28 @@ struct SwapTally {
 /// `--update-graph`, a background updater thread applies seeded
 /// incremental batches through the gateway while the query load runs,
 /// exercising the mixed query + swap path end to end.
-fn cmd_loadgen(get: &impl Fn(&str) -> Option<String>) {
-    let gateway = parse_addr(get, "--gateway");
-    let vt = load_tables(get);
+fn cmd_loadgen(args: &Args) {
+    let gateway: SocketAddr = args.need("--gateway");
+    let vt = load_tables(args);
     let sources: Vec<NodeId> = vt.snap.tables.iter().map(|t| t.source).collect();
     let cfg = LoadgenConfig {
-        clients: get("--clients").map_or(4, |s| parse_flag("--clients", &s)),
-        requests_per_client: get("--requests").map_or(1000, |s| parse_flag("--requests", &s)),
-        path_fraction: get("--path-fraction").map_or(0.5, |s| parse_flag("--path-fraction", &s)),
-        zipf: get("--zipf").map(|s| parse_flag("--zipf", &s)),
-        zipf_pairs: get("--zipf-pairs").map_or(10_000, |s| parse_flag("--zipf-pairs", &s)),
-        seed: get("--seed").map_or(1, |s| parse_flag("--seed", &s)),
+        clients: args.or("--clients", 4),
+        requests_per_client: args.or("--requests", 1000),
+        path_fraction: args.or("--path-fraction", 0.5),
+        zipf: args.value("--zipf"),
+        zipf_pairs: args.or("--zipf-pairs", 10_000),
+        seed: args.or("--seed", 1),
         ..LoadgenConfig::default()
     };
 
     // Mixed stream: a background updater recomputes + swaps table
     // generations through the gateway while the query load runs.
     let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
-    let updater = get("--update-graph").map(|gpath| {
-        let interval = Duration::from_millis(
-            get("--update-every-ms").map_or(200, |s| parse_flag("--update-every-ms", &s)),
-        );
-        let batch_size: usize =
-            get("--update-batch").map_or(8, |s| parse_flag("--update-batch", &s));
-        let seed: u64 =
-            get("--update-seed").map_or(cfg.seed ^ 0xD15C0, |s| parse_flag("--update-seed", &s));
-        let text = std::fs::read_to_string(&gpath).unwrap_or_else(|e| {
-            eprintln!("cannot read {gpath}: {e}");
-            exit(1);
-        });
-        let mut g = gio::from_json(&text).unwrap_or_else(|e| {
-            eprintln!("cannot parse {gpath}: {e}");
-            exit(1);
-        });
+    let updater = args.get("--update-graph").map(|gpath| {
+        let interval = Duration::from_millis(args.or("--update-every-ms", 200));
+        let batch_size: usize = args.or("--update-batch", 8);
+        let seed: u64 = args.or("--update-seed", cfg.seed ^ 0xD15C0);
+        let mut g = graph_file(gpath);
         if g.n() != vt.snap.n as usize {
             eprintln!(
                 "--update-graph has n={} but the tables cover n={}",
@@ -1329,7 +1302,7 @@ fn cmd_loadgen(get: &impl Fn(&str) -> Option<String>) {
     stop.store(true, std::sync::atomic::Ordering::Relaxed);
     let swap_stats = updater.map(|h| h.join().expect("updater thread"));
 
-    if has_flag("--json") {
+    if args.has("--json") {
         let swap_suffix = swap_stats.map_or(String::new(), |t| {
             format!(
                 ",\"swaps\":{},\"swaps_accepted\":{},\"installs_full\":{},\"install_bytes\":{}",
@@ -1388,8 +1361,8 @@ fn print_matrix(m: &DistMatrix) {
     }
 }
 
-fn cmd_validate(get: &impl Fn(&str) -> Option<String>) {
-    let g = load(get);
+fn cmd_validate(args: &Args) {
+    let g = load(args);
     let reference = apsp_dijkstra(&g);
     let engine = EngineConfig::default();
     let mut failures = 0;
@@ -1400,8 +1373,7 @@ fn cmd_validate(get: &impl Fn(&str) -> Option<String>) {
     let (bf, _) = bf_apsp(&g, engine.clone());
     failures += report_diff("bf", matrices_equal(&reference, &bf.to_matrix(), 5).len());
 
-    let h = suggested_h_weight_regime(g.n(), g.n(), g.max_weight());
-    let delta = dwapsp::seqref::max_finite_h_hop_distance(&g, 2 * h as usize).max(1);
+    let (h, delta) = alg3_h_delta(args, &g);
     let a3 = alg3_apsp(&g, h, delta, engine.clone());
     failures += report_diff("alg3", matrices_equal(&reference, &a3.matrix, 5).len());
 
@@ -1440,8 +1412,8 @@ fn report_diff(name: &str, diffs: usize) -> usize {
     }
 }
 
-fn cmd_info(get: &impl Fn(&str) -> Option<String>) {
-    let g = load(get);
+fn cmd_info(args: &Args) {
+    let g = load(args);
     let st = analysis::stats(&g);
     println!("n={} m={} directed={}", st.n, st.m, st.directed);
     println!(

@@ -173,9 +173,7 @@ fn run_for_file(what: &str, args: &[&str], out: &str) -> Vec<u8> {
 
 /// One tree order, so one table file: the sequential `--oracle` path
 /// and Algorithm 1 write the same bytes, and `dwapsp update` on either
-/// writes the tables `dwapsp tables` writes for the patched graph. The
-/// stray `--engine oracle` is what a script from before the flag went
-/// would still pass; unknown flags are ignored.
+/// writes the tables `dwapsp tables` writes for the patched graph.
 #[test]
 fn tables_are_byte_equal_whoever_wrote_them_and_update_keeps_them_so() {
     use dwapsp::serve::VersionedTables;
@@ -207,7 +205,7 @@ fn tables_are_byte_equal_whoever_wrote_them_and_update_keeps_them_so() {
     let update = |tables: &str, out: &str| {
         let args = [
             &["update", "--graph", &graph, "--tables", tables][..],
-            &["--updates", &updates, "--engine", "oracle"],
+            &["--updates", &updates],
             &["--out-tables", out, "--out-graph", &patched],
         ]
         .concat();
@@ -266,33 +264,45 @@ fn out_of_range_graph_file_is_a_parse_error() {
     assert!(stderr.contains("cannot parse"), "{stderr}");
 }
 
-/// A malformed or out-of-range number on the command line is a usage
-/// error: exit 2 and a message naming the flag, never a panic.
+/// The command line is read strictly against the subcommand's flags. A
+/// malformed or out-of-range number, an unknown flag (a typo, or
+/// `--engine`, which no longer exists), a valued flag with no value: each
+/// is a usage error, exit 2 and a message naming the flag, never a panic
+/// and never a run that ignores it. A switch works wherever it stands.
 #[test]
-fn malformed_numbers_are_usage_errors() {
+fn the_command_line_is_read_strictly() {
     let g = gen::path(4, false, WeightDist::Constant(1), 3);
     let graph = format!("{}/cli_numbers_g.json", env!("CARGO_TARGET_TMPDIR"));
     std::fs::write(&graph, to_json(&g)).expect("write graph file");
-    for (args, says) in [
-        (&["gen", "--n", "abc"][..], "invalid value for --n: 'abc'"),
+    let gateway = ["query", "--gateway", "127.0.0.1:9"];
+    let update = [
+        "update",
+        "--graph",
+        &graph,
+        "--tables",
+        "t",
+        "--updates",
+        "u",
+    ];
+    for (args, code, says) in [
+        (
+            &["gen", "--n", "abc"][..],
+            2,
+            "invalid value for --n: 'abc'",
+        ),
         (
             &["run", "--graph", &graph, "--algo", "alg1", "--delta", "-1"],
+            2,
             "invalid value for --delta: '-1'",
         ),
         (
             &["run", "--graph", &graph, "--algo", "approx", "--eps", "1/x"],
+            2,
             "invalid value for --eps: 'x'",
         ),
         (
-            &[
-                "query",
-                "--gateway",
-                "127.0.0.1:9",
-                "--src",
-                "0",
-                "--dst",
-                "1e3",
-            ],
+            &[&gateway[..], &["--src", "0", "--dst", "1e3"]].concat(),
+            2,
             "invalid value for --dst: '1e3'",
         ),
         (
@@ -305,13 +315,45 @@ fn malformed_numbers_are_usage_errors() {
                 "--sources",
                 "0,9",
             ],
+            2,
             "--sources: node 9 out of range",
+        ),
+        (
+            &["run", "--graph", &graph, "--source", "3"],
+            2,
+            "unknown flag --source\n",
+        ),
+        (
+            &[&gateway[..], &["--src"]].concat(),
+            2,
+            "--src needs a value",
+        ),
+        (
+            &[&update[..], &["--engine", "oracle"]].concat(),
+            2,
+            "unknown flag --engine\n",
+        ),
+        (
+            &[
+                "solve",
+                "--graph",
+                &graph,
+                "--algo",
+                "alg1",
+                "--print-matrix",
+            ],
+            0,
+            "\n0: 0 1 2 3\n",
         ),
     ] {
         let out = spawn(args).wait_with_output().expect("wait for dwapsp");
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
-        assert!(stderr.contains(says), "{args:?}: {stderr}");
+        let (stdout, stderr) = (
+            String::from_utf8_lossy(&out.stdout),
+            String::from_utf8_lossy(&out.stderr),
+        );
+        assert_eq!(out.status.code(), Some(code), "{args:?}: {stderr}");
+        let said = if code == 0 { &stdout } else { &stderr };
+        assert!(said.contains(says), "{args:?}: {said}");
         assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
     }
 }

@@ -30,6 +30,7 @@ use crate::wire::{abort_reason, CtlMsg, NodeReport};
 use dw_congest::{Round, RunOutcome, RunStats};
 use dw_graph::NodeId;
 use dw_obs::Recorder;
+use std::panic::AssertUnwindSafe;
 use std::time::Duration;
 
 /// The coordinator's view of the transport: sends to one or all nodes
@@ -139,7 +140,31 @@ fn abort<E: CoordEndpoint>(
 /// the transport-side mirror of `Network::run_recorded`, so a recorded
 /// run decomposes into the same per-phase round timeline on every
 /// runtime. Returns the outcome and the run's aggregated statistics.
+///
+/// A panic inside the loop (a recorder's, an arithmetic overflow's)
+/// comes back as a [`TransportError::Protocol`]: the callers then
+/// abort the workers, which would otherwise wait in `recv` for a
+/// coordinator that is gone while their scope waits to join them.
 pub fn coordinate<E: CoordEndpoint>(
+    n: usize,
+    budget: Round,
+    cfg: &CoordConfig,
+    endpoint: &mut E,
+    rec: &mut dyn Recorder,
+) -> Result<(RunOutcome, RunStats), TransportError> {
+    let run = AssertUnwindSafe(|| drive(n, budget, cfg, endpoint, rec));
+    std::panic::catch_unwind(run).unwrap_or_else(|payload| {
+        let what = (payload.downcast_ref::<&str>().copied())
+            .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+            .unwrap_or("a non-string payload");
+        Err(TransportError::protocol(format!(
+            "the coordinator panicked: {what}"
+        )))
+    })
+}
+
+/// [`coordinate`]'s loop.
+fn drive<E: CoordEndpoint>(
     n: usize,
     budget: Round,
     cfg: &CoordConfig,

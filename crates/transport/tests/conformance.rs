@@ -5,7 +5,7 @@
 
 use dw_congest::{
     Checkpointable, EngineConfig, Envelope, FaultPlan, LinkDelay, Network, NodeCtx, NullRecorder,
-    Outage, Outbox, Protocol, Round, RunOutcome, RunStats, WireCodec,
+    Outage, Outbox, Protocol, Recorder, Round, RunOutcome, RunStats, WireCodec,
 };
 use dw_graph::gen::{self, WeightDist};
 use dw_graph::{NodeId, WGraph};
@@ -909,4 +909,44 @@ fn rejoin_keeps_late_mail_ahead_of_replayed_mail() {
         let got: Vec<u64> = run.nodes.iter().map(|x| x.digest).collect();
         assert_eq!(got, want, "P={p}");
     }
+}
+
+/// A recorder that panics the first time the coordinator reports a round.
+struct PanicsOnRound;
+
+impl Recorder for PanicsOnRound {
+    fn round(&mut self, round: u64, _messages: u64) {
+        panic!("recorder refuses round {round}");
+    }
+}
+
+/// A coordinator that panics mid-run ends the run with an error within
+/// 5 s: the workers are aborted, not left in `recv` while the run waits
+/// to join them. The run happens on a thread of its own, so a hang
+/// fails this test instead of hanging the suite.
+fn a_coordinator_panic_is_an_error(tcp: bool) {
+    let (tx, rx) = channel();
+    let run = std::thread::spawn(move || {
+        let g = gen::path(6, false, WeightDist::Constant(1), 0);
+        let cfg = TransportConfig::default();
+        let mut rec = PanicsOnRound;
+        let failed = if tcp {
+            run_tcp_loopback(&g, &cfg, 100, 2, new_flood, &mut rec).is_err()
+        } else {
+            run_threads(&g, &cfg, 100, 2, new_flood, &mut rec).is_err()
+        };
+        let _ = tx.send(failed);
+    });
+    assert_eq!(rx.recv_timeout(Duration::from_secs(5)), Ok(true));
+    run.join().expect("the run's thread returns");
+}
+
+#[test]
+fn a_coordinator_panic_on_threads_is_an_error_not_a_hang() {
+    a_coordinator_panic_is_an_error(false);
+}
+
+#[test]
+fn a_coordinator_panic_over_tcp_is_an_error_not_a_hang() {
+    a_coordinator_panic_is_an_error(true);
 }
