@@ -54,12 +54,12 @@ engine-conformance:
 	$(CARGO) test --release -q -p dw-congest --test scheduling_conformance -- --include-ignored
 	$(CARGO) test --release -q -p dwapsp --test fault_conformance --test congest_model
 
-# The transport backends must reproduce the simulator bit for bit
-# (distances, RunStats, outcomes) — threads + loopback TCP + stdio at
-# shard counts P in {1, 2, ceil(n/3), n} on random graphs, with and
-# without fault plans (partitions, one-way loss and caps included),
-# whole-worker chaos recovery, the
-# wire codec under garbage; then Algorithm 1 / short-range / Reliable at
+# The threads and TCP backends must reproduce the simulator bit for
+# bit (distances, RunStats, outcomes) at shard counts P in
+# {1, 2, ceil(n/3), n} on random graphs, with and without fault plans
+# (partitions, one-way loss and caps included), whole-worker chaos
+# recovery, a panic on either side ending the run instead of hanging
+# it, the wire codec under garbage; then Algorithm 1 / short-range / Reliable at
 # one node per worker, and the multi-process CLI quickstart. Whole test
 # targets only: a name filter can be emptied by a rename without anyone
 # noticing.

@@ -1,7 +1,7 @@
 //! Binary wire codec for protocol messages.
 //!
 //! The simulator moves messages as in-memory values; the `dw-transport`
-//! runtime moves them over OS channels (TCP frames, stdio lines), which
+//! runtime moves them over OS channels (TCP frames), which
 //! needs a byte encoding. [`WireCodec`] is that encoding: hand-rolled,
 //! little-endian, fixed layout per type — the repo builds offline, so no
 //! serde. The contract is the obvious round trip: `decode` over the

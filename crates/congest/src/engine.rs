@@ -69,9 +69,6 @@ pub enum SchedulingMode {
 /// Engine configuration.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
-    /// Per-message word budget (a word = one `O(log n)`-bit quantity).
-    /// Exceeding it is a protocol bug and panics.
-    pub max_words: usize,
     /// Use the thread-parallel send/receive phases when the number of
     /// nodes scheduled in a round (active senders, resp. dirty inboxes)
     /// is at least this threshold. `usize::MAX` disables parallelism.
@@ -94,7 +91,6 @@ pub struct EngineConfig {
 impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
-            max_words: 8,
             parallel_threshold: 1024,
             threads: std::thread::available_parallelism()
                 .map(|p| p.get())
@@ -481,8 +477,7 @@ impl<'g, P: Protocol> Network<'g, P> {
                 on_msg,
             };
             for &u in &active {
-                let sent =
-                    self.runners[u as usize].drain_sends(round, g, self.cfg.max_words, &mut sink);
+                let sent = self.runners[u as usize].drain_sends(round, g, &mut sink);
                 if sent > 0 {
                     senders += 1;
                 }

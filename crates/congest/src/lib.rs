@@ -44,7 +44,7 @@ pub mod trace;
 pub use codec::{from_bytes, to_bytes, WireCodec};
 pub use engine::{EngineConfig, Network, RunOutcome, SchedulingMode};
 pub use fault::{CapBuckets, FaultAction, FaultPlan, LinkDelay, Outage};
-pub use message::{Envelope, MsgSize};
+pub use message::{Envelope, MsgSize, MAX_WORDS};
 pub use metrics::RunStats;
 // Observability: re-export the recording surface so engine users don't
 // need a direct dw-obs dependency for the common cases.

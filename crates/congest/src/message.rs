@@ -3,13 +3,18 @@
 use dw_graph::NodeId;
 use std::sync::Arc;
 
+/// The per-message word budget: the model's one `O(log n)`-bit message
+/// per link per round, as a count of words. Exceeding it is a protocol
+/// bug and panics, on the simulator and on every transport alike.
+pub const MAX_WORDS: usize = 8;
+
 /// Size accounting for CONGEST messages.
 ///
 /// The model allows `O(log n)` bits per message. We account in *words*,
 /// where one word holds one `O(log n)`-bit quantity (a node id, a distance,
 /// a hop count, a counter). A message's size is the number of such
-/// quantities it carries; the engine enforces a per-message word budget
-/// ([`crate::EngineConfig::max_words`]).
+/// quantities it carries; every runtime enforces the per-message word
+/// budget [`MAX_WORDS`].
 pub trait MsgSize {
     /// Number of `O(log n)`-bit words in this message.
     fn size_words(&self) -> usize;

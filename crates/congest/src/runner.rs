@@ -7,10 +7,10 @@
 //!
 //! * the lockstep simulator ([`crate::engine::Network`]) holds a
 //!   `Vec<NodeRunner<P>>` and plays all of them in-process;
-//! * the message-passing runtime (`dw-transport`) gives each worker —
-//!   a thread, an OS process behind a TCP socket, or a Maelstrom-style
-//!   stdio node — its own `NodeRunner` and moves the emitted messages
-//!   over a real channel.
+//! * the message-passing runtime (`dw-transport`) gives every node a
+//!   worker hosts — on a thread, or in an OS process behind a TCP
+//!   socket — its own `NodeRunner` and moves the emitted messages over
+//!   a real channel.
 //!
 //! The CONGEST validation rules (word budget, one message per directed
 //! link per round, neighbors only) therefore live here, in exactly one
@@ -18,7 +18,7 @@
 //! only come from delivery ordering — never from divergent send-side
 //! accounting.
 
-use crate::message::{Envelope, MsgSize};
+use crate::message::{Envelope, MsgSize, MAX_WORDS};
 use crate::outbox::{Outbox, SendOp};
 use crate::protocol::{NodeCtx, Protocol, Round};
 use dw_graph::{NodeId, WGraph};
@@ -116,7 +116,6 @@ impl<P: Protocol> NodeRunner<P> {
         &mut self,
         round: Round,
         g: &WGraph,
-        max_words: usize,
         sink: &mut S,
     ) -> u64 {
         let mut ops = self.outbox.take_ops();
@@ -132,7 +131,7 @@ impl<P: Protocol> NodeRunner<P> {
             match op {
                 SendOp::Broadcast(m) => {
                     let words = m.size_words();
-                    check_words(u, words, max_words);
+                    check_words(u, words);
                     let nbrs = g.comm_neighbors(u);
                     for (rank, &v) in nbrs.iter().enumerate() {
                         self.stamp(rank, round, v);
@@ -143,7 +142,7 @@ impl<P: Protocol> NodeRunner<P> {
                 }
                 SendOp::Unicast(v, m) => {
                     let words = m.size_words();
-                    check_words(u, words, max_words);
+                    check_words(u, words);
                     let rank = g
                         .comm_neighbors(u)
                         .binary_search(&v)
@@ -239,11 +238,13 @@ impl<P: Protocol> NodeRunner<P> {
     }
 }
 
+/// The word budget, checked once for every runtime: a message over
+/// [`MAX_WORDS`] is a protocol bug.
 #[inline]
-fn check_words(u: NodeId, words: usize, max_words: usize) {
+pub(crate) fn check_words(u: NodeId, words: usize) {
     assert!(
-        words <= max_words,
-        "protocol bug: node {u} sent a {words}-word message (budget {max_words})"
+        words <= MAX_WORDS,
+        "protocol bug: node {u} sent a {words}-word message (budget {MAX_WORDS})"
     );
 }
 
@@ -287,11 +288,11 @@ mod tests {
         let mut sink = Collect::default();
 
         r.poll_send(1, &g);
-        assert_eq!(r.drain_sends(1, &g, 8, &mut sink), 2);
+        assert_eq!(r.drain_sends(1, &g, &mut sink), 2);
         r.poll_send(2, &g);
-        assert_eq!(r.drain_sends(2, &g, 8, &mut sink), 1);
+        assert_eq!(r.drain_sends(2, &g, &mut sink), 1);
         r.poll_send(3, &g);
-        assert_eq!(r.drain_sends(3, &g, 8, &mut sink), 0, "empty outbox");
+        assert_eq!(r.drain_sends(3, &g, &mut sink), 0, "empty outbox");
 
         assert_eq!(sink.broadcasts, vec![(1, 2)]);
         assert_eq!(sink.unicasts, vec![(1, 0)]);
@@ -318,6 +319,6 @@ mod tests {
         let g = gen::path(2, false, WeightDist::Constant(1), 0);
         let mut r = NodeRunner::new(0, &g, DoubleUnicast);
         r.poll_send(1, &g);
-        r.drain_sends(1, &g, 8, &mut Collect::default());
+        r.drain_sends(1, &g, &mut Collect::default());
     }
 }

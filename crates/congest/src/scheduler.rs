@@ -24,6 +24,7 @@ use crate::fault::{CapBuckets, FaultAction};
 use crate::message::{Envelope, MsgSize};
 use crate::outbox::{Outbox, SendOp};
 use crate::protocol::{NodeCtx, Protocol, Round};
+use crate::runner::check_words;
 use crate::schedule::Schedule;
 use crate::slab::{Slab, SlabRef};
 use dw_graph::{NodeId, WGraph};
@@ -300,11 +301,8 @@ where
                 for op in ops {
                     match op {
                         SendOp::Broadcast(m) => {
-                            assert!(
-                                m.size_words() <= cfg.max_words,
-                                "protocol bug: oversized message from {u}"
-                            );
                             let words = m.size_words();
+                            check_words(u, words);
                             // One payload allocation shared across all
                             // recipients, as in the engine's delivery path.
                             let payload = Arc::new(m);
@@ -334,15 +332,12 @@ where
                             }
                         }
                         SendOp::Unicast(v, m) => {
-                            assert!(
-                                m.size_words() <= cfg.max_words,
-                                "protocol bug: oversized message from {u}"
-                            );
+                            let words = m.size_words();
+                            check_words(u, words);
                             let lid = link_id(u, v);
                             link_stamp[lid] = global;
                             link_load[lid] += 1;
                             sent += 1;
-                            let words = m.size_words();
                             match decide(u, v, global, words, &mut buckets) {
                                 FaultAction::Deliver { due, duplicate } => {
                                     debug_assert_eq!(due, global, "late deliveries rejected above");

@@ -107,7 +107,6 @@ fn config(mode: SchedulingMode, parallel: bool, faults: Option<FaultPlan>) -> En
         parallel_threshold: if parallel { 1 } else { usize::MAX },
         threads: 4,
         faults,
-        ..EngineConfig::default()
     }
 }
 

@@ -47,6 +47,7 @@ use dwapsp::serve::{
 use dwapsp::transport::{
     run_coordinator_tcp, run_shard_tcp, ChaosPlan, CoordConfig, ShardMap, TransportConfig,
 };
+use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener};
 use std::process::exit;
 use std::time::Duration;
@@ -1345,19 +1346,30 @@ fn cmd_loadgen(args: &Args) {
     }
 }
 
+/// One row per source, through one locked writer. A reader that hangs
+/// up early (`dwapsp run … | head -1`) ends the process quietly with
+/// status 0, as a Unix filter does.
 fn print_matrix(m: &DistMatrix) {
-    for (i, &s) in m.sources.iter().enumerate() {
-        let row: Vec<String> = (0..m.n() as NodeId)
-            .map(|v| {
-                let d = m.at(i, v);
-                if d == INFINITY {
-                    "inf".into()
-                } else {
-                    d.to_string()
+    let mut out = io::BufWriter::new(io::stdout().lock());
+    let written = (m.sources.iter().enumerate())
+        .try_for_each(|(i, &s)| {
+            write!(out, "{s}:")?;
+            for v in 0..m.n() as NodeId {
+                match m.at(i, v) {
+                    INFINITY => write!(out, " inf")?,
+                    d => write!(out, " {d}")?,
                 }
-            })
-            .collect();
-        println!("{s}: {}", row.join(" "));
+            }
+            writeln!(out)
+        })
+        .and_then(|()| out.flush());
+    match written {
+        Ok(()) => {}
+        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => exit(0),
+        Err(e) => {
+            eprintln!("writing the matrix: {e}");
+            exit(1);
+        }
     }
 }
 

@@ -36,7 +36,7 @@
 //! | [`pipeline`] | `dw-pipeline` | Algorithm 1, Algorithm 2, CSSSP |
 //! | [`blocker`] | `dw-blocker` | blocker sets, Algorithm 4, Algorithm 3 |
 //! | [`approx`] | `dw-approx` | Section IV (1+ε)-approximate APSP |
-//! | [`transport`] | `dw-transport` | message-passing runtime: threads, TCP, stdio |
+//! | [`transport`] | `dw-transport` | message-passing runtime: threads and TCP |
 //! | [`serve`] | `dw-serve` | query serving plane: tables, gateway, shards, loadgen |
 //! | [`dynamic`] | `dw-dynamic` | batched graph updates, incremental recompute, versioned swaps |
 //! | [`baselines`] | `dw-baselines` | Bellman–Ford, unweighted pipeline, delayed BFS |

@@ -62,7 +62,6 @@ fn traced_apsp_mode(
         parallel_threshold: if parallel { 1 } else { usize::MAX },
         threads: 4,
         scheduling,
-        ..EngineConfig::default()
     };
     let mut net = Network::new(g, engine, |_| {
         PipelinedNode::new(gamma, cfg.h, cfg.k(), true, false)

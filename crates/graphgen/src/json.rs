@@ -1,6 +1,6 @@
 //! The workspace's one JSON reader: a pull parser over a `&str`. Graph
 //! files ([`crate::io::from_json`]), obs logs (`dw_obs::export`) and the
-//! stdio and Maelstrom lines of `dw-transport` all read through
+//! Maelstrom lines of `dw-transport` all read through
 //! [`Reader`]; each format keeps its own small writer.
 //!
 //! It reads objects with keys in any order, arrays, unsigned integers,

@@ -19,7 +19,7 @@
 //! * [`io`] — graph (de)serialization for reproducible experiment
 //!   manifests;
 //! * [`json`] — the workspace's one JSON reader (graph files, obs logs,
-//!   the stdio and Maelstrom line formats).
+//!   the Maelstrom lines).
 
 pub mod analysis;
 pub mod builder;

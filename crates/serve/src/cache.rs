@@ -61,8 +61,6 @@ pub struct PathCache {
     head: u32, // most recently used
     tail: u32, // least recently used
     generation: u64,
-    pub hits: u64,
-    pub misses: u64,
 }
 
 impl PathCache {
@@ -75,8 +73,6 @@ impl PathCache {
             head: NIL,
             tail: NIL,
             generation: 0,
-            hits: 0,
-            misses: 0,
         }
     }
 
@@ -98,16 +94,6 @@ impl PathCache {
 
     pub fn is_empty(&self) -> bool {
         self.map.is_empty()
-    }
-
-    /// Observed hit rate so far, in `[0, 1]`.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
     }
 
     fn unlink(&mut self, i: u32) {
@@ -143,27 +129,23 @@ impl PathCache {
     }
 
     /// Look up an answer able to serve a query of the given flavor.
-    /// Counts a hit or miss and refreshes recency on hit. An entry from
-    /// a stale generation is a miss — its slot is freed on the spot.
+    /// Refreshes recency on a hit. An entry from a stale generation is
+    /// a miss — its slot is freed on the spot. The gateway counts hits
+    /// and misses in its `ServeStats`.
     pub fn get(&mut self, src: NodeId, dst: NodeId, want_path: bool) -> Option<CachedAnswer> {
         match self.map.get(&(src, dst)).copied() {
             Some(i) if self.slots[i as usize].gen != self.generation => {
                 self.unlink(i);
                 self.map.remove(&(src, dst));
                 self.free.push(i);
-                self.misses += 1;
                 None
             }
             Some(i) if self.slots[i as usize].value.answers(want_path) => {
-                self.hits += 1;
                 self.unlink(i);
                 self.push_front(i);
                 Some(self.slots[i as usize].value.clone())
             }
-            _ => {
-                self.misses += 1;
-                None
-            }
+            _ => None,
         }
     }
 
@@ -242,8 +224,6 @@ mod tests {
         assert_eq!(c.get(0, 2, false), None);
         assert_eq!(c.get(0, 1, false), Some(dist(5)));
         assert_eq!(c.get(0, 3, false), Some(dist(9)));
-        assert_eq!(c.hits, 3);
-        assert_eq!(c.misses, 2);
     }
 
     #[test]

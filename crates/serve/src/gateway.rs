@@ -813,12 +813,6 @@ impl Gateway {
         self.shared.generation.load(Ordering::SeqCst)
     }
 
-    /// Observed cache hit rate (from the cache's own counters, which
-    /// include probes answered before routing).
-    pub fn cache_hit_rate(&self) -> f64 {
-        self.shared.cache().hit_rate()
-    }
-
     /// Stop accepting, close every client connection (attached clients
     /// see end of stream), drain the dispatchers, join every thread.
     pub fn shutdown(&mut self) {

@@ -191,9 +191,6 @@ pub(crate) fn chaos_coord_config(
 ) -> CoordConfig {
     CoordConfig {
         round_deadline: Some(deadline),
-        probe_grace: deadline,
-        recovery_grace: deadline * 10,
-        max_probe_cycles: 0, // default
         neighbors: Some(adj),
         stalls: cfg
             .chaos
@@ -628,7 +625,6 @@ mod tests {
             faults: Some(faults),
             checkpoint_cadence: Some(3),
             chaos: Some(ChaosPlan::new(9).with_kill(5, 4)),
-            ..TransportConfig::default()
         };
         let run = run_threads_chaos(
             &g,

@@ -57,18 +57,11 @@ pub trait CoordEndpoint {
 #[derive(Debug, Clone, Default)]
 pub struct CoordConfig {
     /// How long a barrier may take before the coordinator suspects a
-    /// failure. `None` disables failure detection: `recv` blocks
-    /// forever, as a fault-free run wants.
+    /// failure; probed nodes get as long again to answer a `Ping`, and
+    /// a rejoining node gets ten deadlines to complete the crash round.
+    /// `None` disables failure detection: `recv` blocks forever, as a
+    /// fault-free run wants.
     pub round_deadline: Option<Duration>,
-    /// How long probed nodes get to answer a `Ping` before being
-    /// declared failed. Zero defaults to 500ms.
-    pub probe_grace: Duration,
-    /// How long a rejoining node gets to complete the crash round.
-    /// Zero defaults to 10× the probe grace.
-    pub recovery_grace: Duration,
-    /// Probe sweeps tolerated with *no* new failures before the
-    /// coordinator gives up on a wedged barrier. Zero defaults to 10.
-    pub max_probe_cycles: u32,
     /// Comm-neighbor lists by node id, required to route
     /// [`CtlMsg::ReplayRequest`]s. `None` disables recovery (detected
     /// failures abort the run).
@@ -79,29 +72,12 @@ pub struct CoordConfig {
     pub stalls: Vec<(Round, u64)>,
 }
 
-impl CoordConfig {
-    fn probe_grace(&self) -> Duration {
-        if self.probe_grace.is_zero() {
-            Duration::from_millis(500)
-        } else {
-            self.probe_grace
-        }
-    }
-    fn recovery_grace(&self) -> Duration {
-        if self.recovery_grace.is_zero() {
-            self.probe_grace() * 10
-        } else {
-            self.recovery_grace
-        }
-    }
-    fn max_probe_cycles(&self) -> u32 {
-        if self.max_probe_cycles == 0 {
-            10
-        } else {
-            self.max_probe_cycles
-        }
-    }
-}
+/// Round deadlines a rejoining node gets to complete the crash round.
+const RECOVERY_DEADLINES: u32 = 10;
+
+/// Probe sweeps tolerated with *no* new failures before the coordinator
+/// gives up on a wedged barrier.
+const MAX_PROBE_CYCLES: u32 = 10;
 
 pub(crate) fn min_opt(a: Option<Round>, b: Option<Round>) -> Option<Round> {
     match (a, b) {
@@ -153,14 +129,8 @@ pub fn coordinate<E: CoordEndpoint>(
     rec: &mut dyn Recorder,
 ) -> Result<(RunOutcome, RunStats), TransportError> {
     let run = AssertUnwindSafe(|| drive(n, budget, cfg, endpoint, rec));
-    std::panic::catch_unwind(run).unwrap_or_else(|payload| {
-        let what = (payload.downcast_ref::<&str>().copied())
-            .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
-            .unwrap_or("a non-string payload");
-        Err(TransportError::protocol(format!(
-            "the coordinator panicked: {what}"
-        )))
-    })
+    std::panic::catch_unwind(run)
+        .unwrap_or_else(|payload| Err(TransportError::panicked("the coordinator", &*payload)))
 }
 
 /// [`coordinate`]'s loop.
@@ -214,12 +184,9 @@ fn drive<E: CoordEndpoint>(
         let mut recovering: Option<NodeId> = None;
 
         while done_count < n {
-            let timeout = if recovering.is_some() {
-                Some(cfg.recovery_grace())
-            } else if probing {
-                Some(cfg.probe_grace())
-            } else {
-                cfg.round_deadline
+            let timeout = match recovering {
+                Some(_) => cfg.round_deadline.map(|d| d * RECOVERY_DEADLINES),
+                None => cfg.round_deadline,
             };
             let Some((from, msg)) = endpoint
                 .recv(timeout)
@@ -255,7 +222,7 @@ fn drive<E: CoordEndpoint>(
                     .collect();
                 if failed.is_empty() {
                     probe_cycles += 1;
-                    if probe_cycles >= cfg.max_probe_cycles() {
+                    if probe_cycles >= MAX_PROBE_CYCLES {
                         return Err(abort(
                             endpoint,
                             rec,

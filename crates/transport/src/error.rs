@@ -6,9 +6,12 @@
 //! propagated through `shard_main` / `coordinate` instead of a panic.
 //! Faults become values the coordinator can act on: suspect the node,
 //! recover it from a checkpoint, or abort the run with a structured
-//! partial outcome (DESIGN.md §10). Panics remain only for protocol
-//! *bugs* caught inside dw-congest's validation (word budget, link
-//! capacity), which are programming errors, not runtime faults.
+//! partial outcome (DESIGN.md §10). A panic is a programming error —
+//! a protocol bug dw-congest's validation catches (word budget, link
+//! capacity) or one in a node program — not a runtime fault, but the
+//! worker and the coordinator each catch their own and return it as a
+//! [`TransportError::Protocol`], so a bug ends the run instead of
+//! hanging it.
 
 use dw_congest::Round;
 use dw_graph::NodeId;
@@ -59,6 +62,15 @@ impl TransportError {
         TransportError::PeerLost {
             context: context.into(),
         }
+    }
+
+    /// A caught panic of `who`, with the payload's message when it is
+    /// a string.
+    pub(crate) fn panicked(who: &str, payload: &(dyn std::any::Any + Send)) -> Self {
+        let what = (payload.downcast_ref::<&str>().copied())
+            .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+            .unwrap_or("a non-string payload");
+        TransportError::protocol(format!("{who} panicked: {what}"))
     }
 
     /// The nodes this error blames, if it carries any.

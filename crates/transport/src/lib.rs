@@ -5,16 +5,15 @@
 //! programs* on independent workers that only communicate. There is one
 //! worker ([`shard`]): it hosts a contiguous block of nodes, and the
 //! paper's one-processor-per-node model is the layout with one node per
-//! worker (`P = n`). Workers talk over one of three pluggable backends:
+//! worker (`P = n`). Workers talk over one of two backends:
 //!
 //! * [`channels`] — one OS thread per worker, mpsc channels as links;
 //! * [`tcp`] — one TCP endpoint per worker, length-prefixed binary
 //!   frames ([`WireCodec`]); works in-process on loopback and across OS
-//!   processes via the `dwapsp run-node` / `dwapsp coordinator` CLI;
-//! * [`stdio`] — a Maelstrom-style adapter: each worker is a process
-//!   speaking JSON lines (`{"src":..,"dest":..,"body":{..}}`) on
-//!   stdin/stdout, routable by an external harness; a body carries the
-//!   same [`WireCodec`] bytes as a TCP frame.
+//!   processes via the `dwapsp run-node` / `dwapsp coordinator` CLI.
+//!
+//! [`maelstrom`] is no backend: it is a Maelstrom echo node, speaking
+//! JSON lines on stdin/stdout to that harness.
 //!
 //! Round synchronization is a bulk-synchronous barrier (see
 //! [`coordinator`]): one coordinator issues round tokens, workers flush
@@ -38,7 +37,6 @@ pub mod coordinator;
 pub mod error;
 pub mod maelstrom;
 pub mod shard;
-pub mod stdio;
 pub mod tcp;
 pub mod wire;
 
@@ -50,10 +48,7 @@ pub use maelstrom::{maelstrom_serve, MaelstromInit, MaelstromStats};
 pub use shard::{
     shard_main, shard_main_recoverable, NodeEndpoint, ShardError, ShardMap, TransportConfig,
 };
-pub use tcp::{
-    run_coordinator_tcp, run_shard_tcp, run_shard_tcp_recoverable, run_tcp_loopback,
-    run_tcp_loopback_chaos,
-};
+pub use tcp::{run_coordinator_tcp, run_shard_tcp, run_tcp_loopback, run_tcp_loopback_chaos};
 pub use wire::{abort_reason, errkind, BatchEntry, CtlMsg, Event, Frame, NodeReport};
 
 // Re-exported so backend users don't need a direct dw-congest dep for

@@ -1,7 +1,7 @@
 //! A true [Maelstrom](https://github.com/jepsen-io/maelstrom) node: the
-//! init/echo protocol the Jepsen harness speaks, in the same
-//! `{"src":..,"dest":..,"body":{..}}` JSON lines the [`crate::stdio`]
-//! backend uses, read with the same [`dw_graph::json`] reader.
+//! init/echo protocol the Jepsen harness speaks, in
+//! `{"src":..,"dest":..,"body":{..}}` JSON lines read with the
+//! workspace's one JSON reader, [`dw_graph::json`].
 //!
 //! Maelstrom drives binaries over stdin/stdout: it first sends an
 //! `init` message naming this node and the full cluster
@@ -15,8 +15,8 @@
 //! Two things bridge Maelstrom's world to ours:
 //!
 //! * **Node-id remapping.** Maelstrom names nodes `n1..nN` (1-based,
-//!   arbitrary order per message); the transport names them `n0..n{N-1}`
-//!   by [`dw_graph::NodeId`]. [`MaelstromInit`] fixes a bijection by
+//!   arbitrary order per message); the transport numbers them `0..N`
+//!   as [`dw_graph::NodeId`]s. [`MaelstromInit`] fixes a bijection by
 //!   sorting `node_ids` (length-first, so `n2 < n10`) and taking each
 //!   name's rank as its internal id — every node computes the same map
 //!   from its own init message, no coordination needed.

@@ -17,7 +17,7 @@
 //!   each, and [`crate::coordinator::coordinate`] aggregates them.
 //!
 //! [`shard_main`] runs against any [`NodeEndpoint`] — an in-process
-//! channel pair, a bundle of TCP sockets, or a stdio line stream.
+//! channel pair or a bundle of TCP sockets.
 //! Rounds are driven by the coordinator's `Go`/`Stop` control messages;
 //! within a round the worker replicates the simulator's phase order and
 //! delivery order *exactly*, which is what the conformance suite checks:
@@ -77,14 +77,15 @@ use dw_congest::{
 };
 use dw_graph::{NodeId, WGraph};
 use std::collections::{BTreeMap, VecDeque};
+use std::panic::AssertUnwindSafe;
 
 /// One worker's view of the transport: typed sends to peer workers and
 /// the coordinator, and a single blocking event stream multiplexing
 /// both. Peers are addressed by shard id (= node id at `P = n`).
 ///
 /// Implementations must preserve per-link FIFO order (frames from one
-/// peer arrive in send order) — every real transport here does: an mpsc
-/// channel, a TCP connection, an ordered stdio pipe. Every method is
+/// peer arrive in send order) — both transports here do: an mpsc
+/// channel and a TCP connection. Every method is
 /// fallible: a dead channel or socket is a runtime fault, not a panic.
 pub trait NodeEndpoint<M> {
     /// Send a frame to adjacent worker `to`.
@@ -95,14 +96,11 @@ pub trait NodeEndpoint<M> {
     fn recv(&mut self) -> Result<Event<M>, TransportError>;
 }
 
-/// How the runtime constrains and perturbs message passing; the
-/// transport-relevant subset of [`dw_congest::EngineConfig`] plus the
-/// crash-fault knobs.
-#[derive(Debug, Clone)]
+/// How the runtime perturbs message passing; the transport-relevant
+/// subset of [`dw_congest::EngineConfig`] plus the crash-fault knobs.
+/// The word budget is [`dw_congest::MAX_WORDS`], as in the simulator.
+#[derive(Debug, Clone, Default)]
 pub struct TransportConfig {
-    /// Per-message word budget (exceeding it is a protocol bug and
-    /// panics, as in the simulator).
-    pub max_words: usize,
     /// Deterministic link faults — the seeded mix, outages, partitions,
     /// bandwidth caps — evaluated sender-side by the one
     /// [`FaultPlan::decide`] the simulator runs. Each decision is a pure
@@ -121,21 +119,9 @@ pub struct TransportConfig {
     pub chaos: Option<ChaosPlan>,
 }
 
-impl Default for TransportConfig {
-    fn default() -> Self {
-        TransportConfig {
-            max_words: 8,
-            faults: None,
-            checkpoint_cadence: None,
-            chaos: None,
-        }
-    }
-}
-
 impl From<&dw_congest::EngineConfig> for TransportConfig {
     fn from(cfg: &dw_congest::EngineConfig) -> Self {
         TransportConfig {
-            max_words: cfg.max_words,
             faults: cfg.faults.clone(),
             checkpoint_cadence: None,
             chaos: None,
@@ -435,7 +421,7 @@ struct ShardWorker<'g, P: Protocol> {
 }
 
 impl<'g, P: Protocol> ShardWorker<'g, P> {
-    /// Wrap the hosted nodes, run their `init` and seed the schedule.
+    /// Wrap the hosted nodes; [`ShardWorker::start`] runs their `init`.
     fn new(
         map: &'g ShardMap,
         shard: NodeId,
@@ -463,7 +449,7 @@ impl<'g, P: Protocol> ShardWorker<'g, P> {
             })
             .collect();
         let hosted = states.len();
-        let mut w = ShardWorker {
+        ShardWorker {
             shard,
             base,
             g,
@@ -488,13 +474,17 @@ impl<'g, P: Protocol> ShardWorker<'g, P> {
             prev_checkpoint: 0,
             current_round: 0,
             state_lost: false,
-        };
-        for st in &mut w.nodes {
-            st.runner.init(g);
         }
-        w.schedule
-            .rebuild(hosted, |l| w.nodes[l].runner.earliest_send(1, g));
-        w
+    }
+
+    /// Round 0: run every hosted node's `init` and seed the schedule.
+    fn start(&mut self) {
+        for st in &mut self.nodes {
+            st.runner.init(self.g);
+        }
+        self.schedule.rebuild(self.nodes.len(), |l| {
+            self.nodes[l].runner.earliest_send(1, self.g)
+        });
     }
 
     fn peer_rank(&self, from: NodeId) -> Result<usize, TransportError> {
@@ -653,7 +643,7 @@ impl<'g, P: Protocol> ShardWorker<'g, P> {
                     batches,
                     replay: replay.as_mut(),
                 };
-                sent_total += st.runner.drain_sends(round, g, cfg.max_words, &mut sink);
+                sent_total += st.runner.drain_sends(round, g, &mut sink);
             }
         }
 
@@ -1177,21 +1167,54 @@ where
     }
 }
 
-/// Finish a successful run: ship the `Final` report and hand back every
-/// hosted node's protocol state, in node-id order.
-fn finish<P: Protocol, E: NodeEndpoint<P::Msg>>(
-    w: ShardWorker<'_, P>,
-    outcome: RunOutcome,
+/// Start `w` and run `drive` to completion over `endpoint`. A success
+/// ships the `Final` report and hands back every hosted node's state,
+/// in node-id order; a fault hands back the states too, unless a crash
+/// had discarded them. A panic (in a node program, say) is caught here:
+/// the coordinator, which would otherwise wait for a `Done` that never
+/// comes, hears a protocol `Error` and aborts the run, and the caller
+/// gets a `Protocol` error with no node states, which a panic leaves in
+/// no known condition.
+fn run_worker<'g, P, E>(
+    mut w: ShardWorker<'g, P>,
     endpoint: &mut E,
-) -> Result<(Vec<P>, NodeReport, RunOutcome), Box<ShardError<P>>> {
-    let report = w.report();
-    match endpoint.send_ctl(CtlMsg::Final { report }) {
-        Ok(()) => Ok((w.into_nodes(), report, outcome)),
-        Err(error) => Err(Box::new(ShardError {
-            error,
-            nodes: Some(w.into_nodes()),
-        })),
-    }
+    drive: impl FnOnce(&mut ShardWorker<'g, P>, &mut E) -> Result<RunOutcome, TransportError>,
+) -> Result<(Vec<P>, NodeReport, RunOutcome), Box<ShardError<P>>>
+where
+    P: Protocol,
+    E: NodeEndpoint<P::Msg>,
+{
+    let driven = std::panic::catch_unwind(AssertUnwindSafe(|| {
+        w.start();
+        drive(&mut w, endpoint)
+    }));
+    let error = match driven {
+        Ok(Ok(outcome)) => {
+            let report = w.report();
+            match endpoint.send_ctl(CtlMsg::Final { report }) {
+                Ok(()) => return Ok((w.into_nodes(), report, outcome)),
+                Err(error) => error,
+            }
+        }
+        Ok(Err(error)) => error,
+        Err(payload) => {
+            let _ = endpoint.send_ctl(CtlMsg::Error {
+                kind: errkind::PROTOCOL,
+                peer: None,
+                round: w.current_round,
+            });
+            let who = format!("shard {}", w.shard);
+            return Err(Box::new(ShardError {
+                error: TransportError::panicked(&who, &*payload),
+                nodes: None,
+            }));
+        }
+    };
+    let salvage = !w.state_lost;
+    Err(Box::new(ShardError {
+        error,
+        nodes: salvage.then(|| w.into_nodes()),
+    }))
 }
 
 /// Run shard `shard` of the layout to completion over `endpoint`:
@@ -1210,14 +1233,8 @@ where
     P: Protocol,
     E: NodeEndpoint<P::Msg>,
 {
-    let mut w = ShardWorker::new(map, shard, g, cfg, nodes, false);
-    match w.drive_plain(endpoint) {
-        Ok(outcome) => finish(w, outcome, endpoint),
-        Err(error) => Err(Box::new(ShardError {
-            error,
-            nodes: Some(w.into_nodes()),
-        })),
-    }
+    let w = ShardWorker::new(map, shard, g, cfg, nodes, false);
+    run_worker(w, endpoint, |w, ep| w.drive_plain(ep))
 }
 
 /// As [`shard_main`], with crash-fault tolerance at shard granularity:
@@ -1239,17 +1256,8 @@ where
 {
     let pristine = nodes.clone();
     let buffered = cfg.checkpoint_cadence.is_some();
-    let mut w = ShardWorker::new(map, shard, g, cfg, nodes, buffered);
-    match w.drive_recoverable(endpoint, &pristine) {
-        Ok(outcome) => finish(w, outcome, endpoint),
-        Err(error) => {
-            let salvage = !w.state_lost;
-            Err(Box::new(ShardError {
-                error,
-                nodes: salvage.then(|| w.into_nodes()),
-            }))
-        }
-    }
+    let w = ShardWorker::new(map, shard, g, cfg, nodes, buffered);
+    run_worker(w, endpoint, |w, ep| w.drive_recoverable(ep, &pristine))
 }
 
 #[cfg(test)]

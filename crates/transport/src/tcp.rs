@@ -279,6 +279,8 @@ where
     handshake_out(&mut ctl, shard).map_err(setup_err)?;
 
     let (tx, rx) = channel();
+    // Nothing here unwinds past the joins: `drive` catches a panic (see
+    // `run_worker`) and the readers only read.
     std::thread::scope(|s| {
         let mut peers = Vec::with_capacity(links.len());
         for (u, stream) in links {
@@ -368,40 +370,6 @@ where
     .map_err(|se| se.error)
 }
 
-/// As [`run_shard_tcp`], driving [`shard_main_recoverable`]: the shard
-/// checkpoints as a unit, serves whole-shard replay, and honors
-/// `cfg.chaos` for every hosted node — the multi-process deployment of
-/// the crash-fault runtime.
-#[allow(clippy::too_many_arguments)] // deployment entry point: each arg is one wire-level endpoint
-pub fn run_shard_tcp_recoverable<P: Checkpointable>(
-    map: &ShardMap,
-    shard: NodeId,
-    g: &WGraph,
-    cfg: &TransportConfig,
-    nodes: Vec<P>,
-    listener: TcpListener,
-    peer_addrs: &[(NodeId, SocketAddr)],
-    coord_addr: SocketAddr,
-    timeout: Duration,
-) -> Result<(Vec<P>, RunOutcome), TransportError>
-where
-    P::Msg: WireCodec,
-{
-    shard_tcp_session(
-        map,
-        shard,
-        g,
-        nodes,
-        listener,
-        peer_addrs,
-        coord_addr,
-        timeout,
-        |nodes, ep| shard_main_recoverable(map, shard, g, cfg, nodes, ep),
-    )
-    .map(|(nodes, _report, outcome)| (nodes, outcome))
-    .map_err(|se| se.error)
-}
-
 struct TcpCoord {
     streams: Vec<TcpStream>,
     rx: Receiver<(NodeId, CtlMsg)>,
@@ -482,6 +450,8 @@ pub fn run_coordinator_tcp(
     }
     conns.sort_by_key(|&(id, _)| id);
     let (tx, rx) = channel();
+    // Nothing here unwinds past the joins: `coordinate` catches a panic
+    // and the readers only read.
     std::thread::scope(|s| -> Result<(RunOutcome, RunStats), TransportError> {
         let mut streams = Vec::with_capacity(participants);
         for (id, stream) in conns {

@@ -17,13 +17,11 @@
 //!   for bit.
 //!
 //! Everything implements [`WireCodec`], and this encoding is the one
-//! definition of each message on every byte backend: TCP moves it as
-//! length-prefixed frames via [`write_frame`] / [`read_frame`], and the
-//! stdio backend carries the same bytes as the `data` array of a JSON
-//! line (`crate::stdio`). Only the in-process channel backend moves the
-//! typed values directly.
+//! definition of each message on the wire: TCP moves it as
+//! length-prefixed frames via [`write_frame`] / [`read_frame`]. The
+//! in-process channel backend moves the typed values directly.
 
-use dw_congest::{Round, RunOutcome, WireCodec};
+use dw_congest::{from_bytes, Round, RunOutcome, WireCodec};
 use dw_graph::NodeId;
 use std::io::{self, Read, Write};
 
@@ -457,20 +455,13 @@ pub fn read_frame<R: Read, T: WireCodec>(r: &mut R) -> io::Result<Option<T>> {
     }
     let mut buf = vec![0u8; body];
     r.read_exact(&mut buf)?;
-    let value = decode_exact(&buf).ok_or_else(|| {
+    let value = from_bytes(&buf).ok_or_else(|| {
         io::Error::new(
             io::ErrorKind::InvalidData,
             "malformed frame body or trailing bytes",
         )
     })?;
     Ok(Some(value))
-}
-
-/// Decode one value that must span all of `bytes`; `None` if it does
-/// not decode or leaves bytes over.
-pub(crate) fn decode_exact<T: WireCodec>(mut bytes: &[u8]) -> Option<T> {
-    let value = T::decode(&mut bytes)?;
-    bytes.is_empty().then_some(value)
 }
 
 /// An event a worker pulls off its transport: a frame from a peer

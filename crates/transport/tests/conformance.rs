@@ -9,15 +9,11 @@ use dw_congest::{
 };
 use dw_graph::gen::{self, WeightDist};
 use dw_graph::{NodeId, WGraph};
-use dw_transport::stdio::{
-    line_dest, parse_node_name, pipe_with_sender, pipe_writer, run_shard_stdio, StdioCoord, COORD,
-};
 use dw_transport::{
-    coordinate, run_tcp_loopback, run_tcp_loopback_chaos, run_threads, run_threads_chaos,
-    ChaosPlan, CoordConfig, ShardMap, TransportConfig, TransportRun,
+    run_tcp_loopback, run_tcp_loopback_chaos, run_threads, run_threads_chaos, ChaosPlan,
+    TransportConfig, TransportError, TransportRun,
 };
 use proptest::prelude::*;
-use std::io::BufReader;
 use std::sync::mpsc::channel;
 use std::time::Duration;
 
@@ -144,92 +140,6 @@ where
 {
     run_tcp_loopback(g, cfg, budget, shards, make, &mut NullRecorder)
         .unwrap_or_else(|e| panic!("tcp:{shards} failed: {e}"))
-}
-
-/// Run a whole network over the stdio backend inside one process, at
-/// `shards` workers (`g.n()` is one node per worker): each worker and
-/// the coordinator writes JSON lines into a shared sink; a router
-/// thread forwards every line to its `dest` stdin, exactly like an
-/// external Maelstrom-style harness would.
-fn run_stdio_network<P: Protocol>(
-    g: &WGraph,
-    cfg: &TransportConfig,
-    budget: Round,
-    shards: usize,
-    mut make: impl FnMut(NodeId) -> P,
-) -> TransportRun<P>
-where
-    P::Msg: WireCodec,
-{
-    let map = &ShardMap::new(g.n(), shards);
-    let p = map.shards();
-    let (net_tx, net_rx) = channel::<Vec<u8>>();
-    let mut stdin_txs = Vec::with_capacity(p);
-    let mut stdin_rxs = Vec::with_capacity(p);
-    for _ in 0..p {
-        let (tx, rx) = pipe_with_sender();
-        stdin_txs.push(tx);
-        stdin_rxs.push(rx);
-    }
-    let (coord_tx, coord_rx) = pipe_with_sender();
-
-    let router = std::thread::spawn(move || {
-        for chunk in net_rx {
-            let line = String::from_utf8(chunk.clone()).expect("lines are utf-8");
-            let dest = line_dest(&line).expect("line has a dest");
-            let forwarded = if dest == COORD {
-                coord_tx.send(chunk).is_ok()
-            } else {
-                let v = parse_node_name(dest).expect("dest is a node") as usize;
-                stdin_txs[v].send(chunk).is_ok()
-            };
-            // A closed stdin means that participant already finished;
-            // any further traffic to it would be a protocol bug, which
-            // the participants themselves assert on.
-            let _ = forwarded;
-        }
-    });
-
-    let run = std::thread::scope(|s| {
-        let handles: Vec<_> = stdin_rxs
-            .into_iter()
-            .enumerate()
-            .map(|(s_id, rx)| {
-                let s_id = s_id as NodeId;
-                let nodes: Vec<P> = map.nodes(s_id).map(&mut make).collect();
-                let out = pipe_writer(net_tx.clone());
-                s.spawn(move || run_shard_stdio(map, s_id, g, cfg, nodes, BufReader::new(rx), out))
-            })
-            .collect();
-        let mut coord = StdioCoord::new(p, BufReader::new(coord_rx), pipe_writer(net_tx.clone()));
-        drop(net_tx);
-        let (outcome, stats) = coordinate(
-            p,
-            budget,
-            &CoordConfig::default(),
-            &mut coord,
-            &mut NullRecorder,
-        )
-        .expect("coordinator failed");
-        let nodes = handles
-            .into_iter()
-            .flat_map(|h| {
-                let (nodes, node_outcome) = h
-                    .join()
-                    .expect("node thread panicked")
-                    .unwrap_or_else(|e| panic!("node failed: {}", e.error));
-                assert_eq!(node_outcome, outcome);
-                nodes
-            })
-            .collect();
-        TransportRun {
-            nodes,
-            stats,
-            outcome,
-        }
-    });
-    router.join().expect("router panicked");
-    run
 }
 
 #[test]
@@ -529,8 +439,7 @@ fn new_chatter(_v: NodeId) -> Chatter {
 }
 
 /// Every backend under `faults` against the simulator under the same
-/// plan: threads and TCP at every canonical shard count, and stdio at
-/// one node per worker. Final nodes (compared through `key`), `RunStats`
+/// plan: threads and TCP at every canonical shard count. Final nodes (compared through `key`), `RunStats`
 /// and outcome must all equal the simulator's, which this returns.
 fn every_backend_matches_sim<P: Protocol, K: PartialEq + std::fmt::Debug>(
     g: &WGraph,
@@ -558,7 +467,6 @@ where
         check(threads(g, &cfg, budget, p, make), &format!("threads:{p}"));
         check(tcp(g, &cfg, budget, p, make), &format!("tcp:{p}"));
     }
-    check(run_stdio_network(g, &cfg, budget, g.n(), make), "stdio");
     (want, stats, outcome)
 }
 
@@ -627,33 +535,6 @@ fn bandwidth_cap_spills_but_loses_nothing_on_every_backend() {
         heard[1],
         (Chatter::ROUNDS, want_sum),
         "nothing lost or corrupted"
-    );
-}
-
-#[test]
-fn stdio_network_conforms() {
-    let g = gen::gnp_connected(6, 0.4, false, WeightDist::Constant(1), 41);
-    let (nodes, stats, outcome) = simulate(&g, None, 100, new_flood);
-    let run = run_stdio_network(&g, &transport_cfg(None), 100, g.n(), new_flood);
-    assert_eq!(run.outcome, outcome);
-    assert_eq!(run.stats, stats);
-    assert_eq!(
-        run.nodes.iter().map(|f| f.dist).collect::<Vec<_>>(),
-        nodes.iter().map(|f| f.dist).collect::<Vec<_>>(),
-    );
-}
-
-#[test]
-fn stdio_network_conforms_under_faults() {
-    let g = gen::gnp_connected(6, 0.4, false, WeightDist::Constant(1), 43);
-    let faults = FaultPlan::new(7).with_drop(0.1).with_delay(0.15, 4);
-    let (nodes, stats, outcome) = simulate(&g, Some(faults.clone()), 200, new_flood);
-    let run = run_stdio_network(&g, &transport_cfg(Some(faults)), 200, g.n(), new_flood);
-    assert_eq!(run.outcome, outcome);
-    assert_eq!(run.stats, stats);
-    assert_eq!(
-        run.nodes.iter().map(|f| f.dist).collect::<Vec<_>>(),
-        nodes.iter().map(|f| f.dist).collect::<Vec<_>>(),
     );
 }
 
@@ -778,8 +659,6 @@ fn worker_polls_only_due_nodes_on_every_backend() {
             check_relay(&run, &want, &format!("threads {label}"));
             let run = tcp(&g, &cfg, 400, p, Relay::seeded);
             check_relay(&run, &want, &format!("tcp {label}"));
-            let run = run_stdio_network(&g, &cfg, 400, p, Relay::seeded);
-            check_relay(&run, &want, &format!("stdio {label}"));
         }
     }
 }
@@ -890,7 +769,6 @@ fn rejoin_keeps_late_mail_ahead_of_replayed_mail() {
         faults: Some(faults),
         checkpoint_cadence: Some(4),
         chaos: Some(ChaosPlan::new(5).with_kill(7, 11)),
-        ..TransportConfig::default()
     };
     for p in [2, n] {
         let deadline = Duration::from_millis(150);
@@ -911,42 +789,100 @@ fn rejoin_keeps_late_mail_ahead_of_replayed_mail() {
     }
 }
 
-/// A recorder that panics the first time the coordinator reports a round.
-struct PanicsOnRound;
+/// Which side of a run panics.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Side {
+    Coordinator,
+    Worker,
+}
+
+/// A recorder that, when armed, panics the first time the coordinator
+/// reports a round.
+struct PanicsOnRound {
+    armed: bool,
+}
 
 impl Recorder for PanicsOnRound {
     fn round(&mut self, round: u64, _messages: u64) {
-        panic!("recorder refuses round {round}");
+        assert!(!self.armed, "recorder refuses round {round}");
     }
 }
 
-/// A coordinator that panics mid-run ends the run with an error within
-/// 5 s: the workers are aborted, not left in `recv` while the run waits
-/// to join them. The run happens on a thread of its own, so a hang
-/// fails this test instead of hanging the suite.
-fn a_coordinator_panic_is_an_error(tcp: bool) {
+/// [`Flood`], except that a lit fuse panics when the flood reaches it.
+struct Fuse {
+    flood: Flood,
+    lit: bool,
+}
+
+impl Protocol for Fuse {
+    type Msg = u64;
+    fn init(&mut self, ctx: &NodeCtx) {
+        self.flood.init(ctx);
+    }
+    fn send(&mut self, round: Round, ctx: &NodeCtx, out: &mut Outbox<u64>) {
+        self.flood.send(round, ctx, out);
+    }
+    fn receive(&mut self, round: Round, inbox: &[Envelope<u64>], ctx: &NodeCtx) {
+        assert!(!self.lit, "node {} refuses round {round}", ctx.id);
+        self.flood.receive(round, inbox, ctx);
+    }
+    fn earliest_send(&self, after: Round, ctx: &NodeCtx) -> Option<Round> {
+        self.flood.earliest_send(after, ctx)
+    }
+}
+
+/// A run in which `side` panics ends with an error within 5 s: the
+/// workers are aborted, not left in `recv` while the run waits to join
+/// them, and a worker's panic reaches the coordinator, which would
+/// otherwise wait for its `Done`. Node 5 of the 6-node path lives on
+/// the second of two workers. The run happens on a thread of its own,
+/// so a hang fails this test instead of hanging the suite.
+fn a_panic_is_an_error(side: Side, tcp: bool) {
     let (tx, rx) = channel();
     let run = std::thread::spawn(move || {
         let g = gen::path(6, false, WeightDist::Constant(1), 0);
         let cfg = TransportConfig::default();
-        let mut rec = PanicsOnRound;
-        let failed = if tcp {
-            run_tcp_loopback(&g, &cfg, 100, 2, new_flood, &mut rec).is_err()
-        } else {
-            run_threads(&g, &cfg, 100, 2, new_flood, &mut rec).is_err()
+        let make = |v| Fuse {
+            flood: new_flood(v),
+            lit: side == Side::Worker && v == 5,
         };
-        let _ = tx.send(failed);
+        let mut rec = PanicsOnRound {
+            armed: side == Side::Coordinator,
+        };
+        let err = if tcp {
+            run_tcp_loopback(&g, &cfg, 100, 2, make, &mut rec).err()
+        } else {
+            run_threads(&g, &cfg, 100, 2, make, &mut rec).err()
+        };
+        let _ = tx.send(err);
     });
-    assert_eq!(rx.recv_timeout(Duration::from_secs(5)), Ok(true));
+    let err = rx.recv_timeout(Duration::from_secs(5));
+    let err = err
+        .expect("the run ends within 5 s")
+        .expect("the run fails");
+    match side {
+        Side::Coordinator => assert!(matches!(err, TransportError::Protocol { .. }), "{err}"),
+        Side::Worker => assert!(!err.failed_nodes().is_empty(), "blames no one: {err}"),
+    }
     run.join().expect("the run's thread returns");
 }
 
 #[test]
 fn a_coordinator_panic_on_threads_is_an_error_not_a_hang() {
-    a_coordinator_panic_is_an_error(false);
+    a_panic_is_an_error(Side::Coordinator, false);
 }
 
 #[test]
 fn a_coordinator_panic_over_tcp_is_an_error_not_a_hang() {
-    a_coordinator_panic_is_an_error(true);
+    a_panic_is_an_error(Side::Coordinator, true);
+}
+
+#[test]
+fn a_worker_panic_on_threads_is_an_error_not_a_hang() {
+    a_panic_is_an_error(Side::Worker, false);
+}
+
+#[test]
+fn a_worker_panic_over_tcp_is_an_error_not_a_hang() {
+    a_panic_is_an_error(Side::Worker, true);
 }
