@@ -14,7 +14,7 @@ use crate::trow;
 use crate::workloads;
 use dw_blocker::random::random_blocker_set;
 use dw_blocker::{find_blocker_set, verify_blocker_coverage, TreeKnowledge};
-use dw_congest::EngineConfig;
+use dw_congest::{EngineConfig, NullRecorder};
 use dw_graph::NodeId;
 use dw_pipeline::build_csssp;
 
@@ -37,9 +37,16 @@ pub fn run(full: bool) -> Vec<Table> {
     for &h in hs {
         let sources: Vec<NodeId> = (0..wl.n() as NodeId).collect();
         let delta = wl.delta_h(2 * h as usize);
-        let (c, _) = build_csssp(&wl.graph, &sources, h, delta, EngineConfig::default());
+        let (c, _) = build_csssp(
+            &wl.graph,
+            &sources,
+            h,
+            delta,
+            EngineConfig::default(),
+            &mut NullRecorder,
+        );
         let know = TreeKnowledge::from_csssp(&c);
-        let greedy = find_blocker_set(&wl.graph, &know, EngineConfig::default());
+        let greedy = find_blocker_set(&wl.graph, &know, EngineConfig::default(), &mut NullRecorder);
         let sampled = random_blocker_set(&know, 1000 + h);
         let cover = verify_blocker_coverage(&know, &greedy.blockers).is_ok()
             && verify_blocker_coverage(&know, &sampled.blockers).is_ok();

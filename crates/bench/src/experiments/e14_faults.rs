@@ -79,7 +79,7 @@ pub fn run(full: bool) -> Vec<Table> {
             solved.stats.rounds,
             rep.base_rounds,
             rep.extra_rounds,
-            rep.retries,
+            rep.reliable.retries,
             rep.late_sends,
             ok(solved.outcome == dw_congest::RunOutcome::Quiet),
             ok(exact)
@@ -127,7 +127,7 @@ pub fn run(full: bool) -> Vec<Table> {
             solved.stats.rounds,
             rep.base_rounds,
             rep.extra_rounds,
-            rep.retries,
+            rep.reliable.retries,
             rep.late_sends,
             ok(exact)
         ]);

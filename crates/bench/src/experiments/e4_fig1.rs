@@ -41,7 +41,14 @@ pub fn run(full: bool) -> Vec<Table> {
             .unwrap_or(0);
 
         let delta2h = dw_seqref::max_finite_h_hop_distance(&g, 2 * h as usize).max(1);
-        let (c, _) = build_csssp(&g, &[s], h, delta2h, EngineConfig::default());
+        let (c, _) = build_csssp(
+            &g,
+            &[s],
+            h,
+            delta2h,
+            EngineConfig::default(),
+            &mut NullRecorder,
+        );
         let consistent = check_consistency(&g, &c).is_ok();
         t.row(trow![
             format!("fig1_chain(h={h}, copies={copies}, n={})", g.n()),
@@ -80,6 +87,7 @@ pub fn run(full: bool) -> Vec<Table> {
                 slack,
                 delta,
                 EngineConfig::default(),
+                &mut NullRecorder,
             );
             if check_consistency(&g, &c).is_ok() {
                 good += 1;

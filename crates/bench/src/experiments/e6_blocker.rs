@@ -7,7 +7,7 @@ use crate::table::Table;
 use crate::trow;
 use crate::workloads;
 use dw_blocker::{find_blocker_set, verify_blocker_coverage, TreeKnowledge};
-use dw_congest::EngineConfig;
+use dw_congest::{EngineConfig, NullRecorder};
 use dw_graph::NodeId;
 use dw_pipeline::build_csssp;
 
@@ -34,9 +34,17 @@ pub fn run(full: bool) -> Vec<Table> {
         for &h in hs {
             let sources: Vec<NodeId> = (0..wl.n() as NodeId).collect();
             let delta = wl.delta_h(2 * h as usize);
-            let (c, _) = build_csssp(&wl.graph, &sources, h, delta, EngineConfig::default());
+            let (c, _) = build_csssp(
+                &wl.graph,
+                &sources,
+                h,
+                delta,
+                EngineConfig::default(),
+                &mut NullRecorder,
+            );
             let know = TreeKnowledge::from_csssp(&c);
-            let out = find_blocker_set(&wl.graph, &know, EngineConfig::default());
+            let out =
+                find_blocker_set(&wl.graph, &know, EngineConfig::default(), &mut NullRecorder);
             let covered = verify_blocker_coverage(&know, &out.blockers).is_ok();
             let k = know.k() as f64;
             let bound = (wl.n() as f64 / h as f64) * ((wl.n() as f64 * k).ln() + 1.0);

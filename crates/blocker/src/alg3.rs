@@ -1,13 +1,13 @@
 //! Algorithm 3: the overall k-SSP / APSP algorithm
 //! (CSSSP → blocker set → per-blocker SSSP → broadcast → local combine).
 
-use crate::greedy::{find_blocker_set_recorded, BlockerOutcome};
+use crate::greedy::{find_blocker_set, BlockerOutcome};
 use crate::knowledge::TreeKnowledge;
 use dw_baselines::bf_k_source;
 use dw_congest::primitives::{build_bfs_tree, pipeline_broadcast};
 use dw_congest::{EngineConfig, MsgSize, NullRecorder, Recorder, RunStats};
 use dw_graph::{NodeId, WGraph, Weight, INFINITY};
-use dw_pipeline::build_csssp_recorded;
+use dw_pipeline::build_csssp;
 use dw_seqref::DistMatrix;
 
 /// `(source index, δ_h(source, c))` broadcast payload — 2 words.
@@ -43,24 +43,15 @@ pub struct Alg3Outcome {
 /// Run Algorithm 3 for the given sources and hop parameter `h`. `delta`
 /// must bound the `2h`-hop distances (Step 1 runs Algorithm 1 with hop
 /// bound `2h` to build the CSSSP collection).
+///
+/// `rec` gets the full phase decomposition: `csssp` (with
+/// `hk_2h`/`validate` children), the blocker-selection spans (see
+/// [`crate::find_blocker_set`]), one `per_blocker_sssp` per blocker, one
+/// `broadcast` per blocker, and a final zero-round `combine` for the
+/// local Step 5. Top-level span stats compose (via `RunStats::then`)
+/// exactly to [`Alg3Outcome::stats`] — the property the `prop_obs` suite
+/// in `dwapsp` checks.
 pub fn alg3_k_ssp(
-    g: &WGraph,
-    sources: &[NodeId],
-    h: u64,
-    delta: Weight,
-    engine: EngineConfig,
-) -> Alg3Outcome {
-    alg3_k_ssp_recorded(g, sources, h, delta, engine, &mut NullRecorder)
-}
-
-/// As [`alg3_k_ssp`], recording the full phase decomposition on `rec`:
-/// `csssp` (with `hk_2h`/`validate` children), the blocker-selection
-/// spans (see `find_blocker_set_recorded`), one `per_blocker_sssp` per
-/// blocker, one `broadcast` per blocker, and a final zero-round
-/// `combine` for the local Step 5. Top-level span stats compose (via
-/// `RunStats::then`) exactly to [`Alg3Outcome::stats`] — the property
-/// the `prop_obs` suite in `dwapsp` checks.
-pub fn alg3_k_ssp_recorded(
     g: &WGraph,
     sources: &[NodeId],
     h: u64,
@@ -72,12 +63,12 @@ pub fn alg3_k_ssp_recorded(
     let k = sources.len();
 
     // Step 1: h-hop CSSSP collection.
-    let (csssp, step1) = build_csssp_recorded(g, sources, h, delta, engine.clone(), rec);
+    let (csssp, step1) = build_csssp(g, sources, h, delta, engine.clone(), rec);
     let knowledge = TreeKnowledge::from_csssp(&csssp);
     let mut stats = step1.clone();
 
     // Step 2: blocker set.
-    let blocker = find_blocker_set_recorded(g, &knowledge, engine.clone(), rec);
+    let blocker = find_blocker_set(g, &knowledge, engine.clone(), rec);
     stats = stats.then(&blocker.stats);
     let blockers = blocker.blockers.clone();
 
@@ -166,22 +157,10 @@ pub fn alg3_k_ssp_recorded(
     }
 }
 
-/// APSP via Algorithm 3 (`sources = V`).
+/// APSP via Algorithm 3 (`sources = V`), unrecorded.
 pub fn alg3_apsp(g: &WGraph, h: u64, delta: Weight, engine: EngineConfig) -> Alg3Outcome {
     let sources: Vec<NodeId> = g.nodes().collect();
-    alg3_k_ssp(g, &sources, h, delta, engine)
-}
-
-/// As [`alg3_apsp`], recording the phase decomposition on `rec`.
-pub fn alg3_apsp_recorded(
-    g: &WGraph,
-    h: u64,
-    delta: Weight,
-    engine: EngineConfig,
-    rec: &mut dyn Recorder,
-) -> Alg3Outcome {
-    let sources: Vec<NodeId> = g.nodes().collect();
-    alg3_k_ssp_recorded(g, &sources, h, delta, engine, rec)
+    alg3_k_ssp(g, &sources, h, delta, engine, &mut NullRecorder)
 }
 
 /// The hop parameter suggested by Theorem I.2's proof for the
@@ -236,7 +215,14 @@ mod tests {
         let g = gen::zero_heavy(15, 0.2, 0.4, 6, true, 21);
         let sources = vec![2u32, 7, 11];
         let h = 3;
-        let out = alg3_k_ssp(&g, &sources, h, delta_for(&g, h), EngineConfig::default());
+        let out = alg3_k_ssp(
+            &g,
+            &sources,
+            h,
+            delta_for(&g, h),
+            EngineConfig::default(),
+            &mut NullRecorder,
+        );
         assert_matrices_equal(&k_source_dijkstra(&g, &sources), &out.matrix, "alg3 k-ssp");
     }
 

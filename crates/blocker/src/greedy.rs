@@ -11,7 +11,7 @@ use crate::knowledge::TreeKnowledge;
 use crate::scores::compute_initial_scores;
 use crate::update::{ancestor_updates, descendant_updates};
 use dw_congest::primitives::{build_bfs_tree, converge_max, pipeline_broadcast};
-use dw_congest::{EngineConfig, NullRecorder, Recorder, RunStats};
+use dw_congest::{EngineConfig, Recorder, RunStats};
 use dw_graph::{NodeId, WGraph};
 
 /// Result of the blocker-set computation.
@@ -33,22 +33,13 @@ pub struct BlockerOutcome {
 }
 
 /// Compute a blocker set for the CSSSP collection described by
-/// `knowledge`.
+/// `knowledge`, recording phase spans on `rec`: `blocker_scores` (initial
+/// score aggregation + BFS spanning tree), one `blocker_select` per greedy
+/// iteration (the converge-max plus the announcement broadcast —
+/// including the final probe that finds no positive score), one
+/// `alg4_update` per selection (ancestor + descendant score updates), and
+/// a `blocker.selected` counter.
 pub fn find_blocker_set(
-    g: &WGraph,
-    knowledge: &TreeKnowledge,
-    engine: EngineConfig,
-) -> BlockerOutcome {
-    find_blocker_set_recorded(g, knowledge, engine, &mut NullRecorder)
-}
-
-/// As [`find_blocker_set`], recording phase spans: `blocker_scores`
-/// (initial score aggregation + BFS spanning tree), one
-/// `blocker_select` per greedy iteration (the converge-max plus the
-/// announcement broadcast — including the final probe that finds no
-/// positive score), one `alg4_update` per selection (ancestor +
-/// descendant score updates), and a `blocker.selected` counter.
-pub fn find_blocker_set_recorded(
     g: &WGraph,
     knowledge: &TreeKnowledge,
     engine: EngineConfig,
@@ -135,21 +126,13 @@ pub fn verify_blocker_coverage(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dw_graph::gen;
-    use dw_pipeline::build_csssp;
-
-    fn setup(n: usize, h: u64, seed: u64) -> (WGraph, TreeKnowledge) {
-        let g = gen::zero_heavy(n, 0.18, 0.4, 4, true, seed);
-        let delta = dw_seqref::max_finite_h_hop_distance(&g, 2 * h as usize).max(1);
-        let sources: Vec<NodeId> = (0..g.n() as NodeId).collect();
-        let (c, _) = build_csssp(&g, &sources, h, delta, EngineConfig::default());
-        (g.clone(), TreeKnowledge::from_csssp(&c))
-    }
+    use crate::knowledge::fixture;
+    use dw_congest::NullRecorder;
 
     #[test]
     fn blocker_set_covers_all_h_paths() {
-        let (g, know) = setup(16, 3, 5);
-        let out = find_blocker_set(&g, &know, EngineConfig::default());
+        let (g, know) = fixture(16, 3, 4, 5);
+        let out = find_blocker_set(&g, &know, EngineConfig::default(), &mut NullRecorder);
         verify_blocker_coverage(&know, &out.blockers).unwrap();
         assert!(out.final_scores.iter().flatten().all(|&s| s == 0));
         assert!(out.alg4_max_inbox <= 1);
@@ -159,12 +142,12 @@ mod tests {
     #[test]
     fn empty_when_no_deep_paths() {
         // h larger than any tree height: nothing to cover
-        let (g, know) = setup(10, 9, 7);
+        let (g, know) = fixture(10, 9, 4, 7);
         let deep = (0..know.k())
             .flat_map(|i| (0..know.n() as NodeId).map(move |v| (i, v)))
             .filter(|&(i, v)| know.node(v).depth[i] == know.h)
             .count();
-        let out = find_blocker_set(&g, &know, EngineConfig::default());
+        let out = find_blocker_set(&g, &know, EngineConfig::default(), &mut NullRecorder);
         if deep == 0 {
             assert!(out.blockers.is_empty());
         } else {
@@ -174,8 +157,8 @@ mod tests {
 
     #[test]
     fn greedy_size_within_set_cover_bound() {
-        let (g, know) = setup(18, 3, 11);
-        let out = find_blocker_set(&g, &know, EngineConfig::default());
+        let (g, know) = fixture(18, 3, 4, 11);
+        let out = find_blocker_set(&g, &know, EngineConfig::default(), &mut NullRecorder);
         verify_blocker_coverage(&know, &out.blockers).unwrap();
         // generous O((n ln(nk))/h) sanity bound
         let n = g.n() as f64;

@@ -78,10 +78,30 @@ impl TreeKnowledge {
     }
 }
 
+/// Test fixture of the crate: a zero-heavy random graph (weights up to
+/// `max_w`) and the knowledge of its h-hop CSSSP over all nodes.
+#[cfg(test)]
+pub(crate) fn fixture(
+    n: usize,
+    h: u64,
+    max_w: u64,
+    seed: u64,
+) -> (dw_graph::WGraph, TreeKnowledge) {
+    let g = dw_graph::gen::zero_heavy(n, 0.18, 0.4, max_w, true, seed);
+    let delta = dw_seqref::max_finite_h_hop_distance(&g, 2 * h as usize).max(1);
+    let sources: Vec<NodeId> = g.nodes().collect();
+    let engine = dw_congest::EngineConfig::default();
+    let rec = &mut dw_congest::NullRecorder;
+    let (c, _) = dw_pipeline::build_csssp(&g, &sources, h, delta, engine, rec);
+    let know = TreeKnowledge::from_csssp(&c);
+    (g, know)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use dw_congest::EngineConfig;
+    use dw_congest::NullRecorder;
     use dw_graph::gen;
     use dw_pipeline::build_csssp;
 
@@ -90,7 +110,14 @@ mod tests {
         let g = gen::zero_heavy(12, 0.2, 0.4, 4, true, 2);
         let delta = dw_seqref::max_finite_h_hop_distance(&g, 8).max(1);
         let sources: Vec<NodeId> = (0..g.n() as NodeId).collect();
-        let (c, _) = build_csssp(&g, &sources, 4, delta, EngineConfig::default());
+        let (c, _) = build_csssp(
+            &g,
+            &sources,
+            4,
+            delta,
+            EngineConfig::default(),
+            &mut NullRecorder,
+        );
         let k = TreeKnowledge::from_csssp(&c);
         assert_eq!(k.k(), g.n());
         assert_eq!(k.n(), g.n());

@@ -25,10 +25,8 @@ pub mod random;
 pub mod scores;
 pub mod update;
 
-pub use alg3::{alg3_apsp, alg3_apsp_recorded, alg3_k_ssp, alg3_k_ssp_recorded, Alg3Outcome};
-pub use greedy::{
-    find_blocker_set, find_blocker_set_recorded, verify_blocker_coverage, BlockerOutcome,
-};
+pub use alg3::{alg3_apsp, alg3_k_ssp, Alg3Outcome};
+pub use greedy::{find_blocker_set, verify_blocker_coverage, BlockerOutcome};
 pub use knowledge::TreeKnowledge;
 pub use random::{random_blocker_set, RandomBlockerOutcome};
 pub use scores::compute_initial_scores;

@@ -65,21 +65,12 @@ pub fn random_blocker_set(knowledge: &TreeKnowledge, seed: u64) -> RandomBlocker
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dw_congest::EngineConfig;
-    use dw_graph::gen;
-    use dw_pipeline::build_csssp;
-
-    fn knowledge(n: usize, h: u64, seed: u64) -> TreeKnowledge {
-        let g = gen::zero_heavy(n, 0.18, 0.4, 5, true, seed);
-        let delta = dw_seqref::max_finite_h_hop_distance(&g, 2 * h as usize).max(1);
-        let sources: Vec<NodeId> = (0..g.n() as NodeId).collect();
-        let (c, _) = build_csssp(&g, &sources, h, delta, EngineConfig::default());
-        TreeKnowledge::from_csssp(&c)
-    }
+    use crate::knowledge::fixture;
+    use dw_congest::{EngineConfig, NullRecorder};
 
     #[test]
     fn sampled_set_covers() {
-        let know = knowledge(18, 3, 4);
+        let (_, know) = fixture(18, 3, 5, 4);
         let out = random_blocker_set(&know, 99);
         verify_blocker_coverage(&know, &out.blockers).unwrap();
         assert!(out.p > 0.0 && out.p <= 1.0);
@@ -87,15 +78,15 @@ mod tests {
 
     #[test]
     fn deterministic_per_seed() {
-        let know = knowledge(14, 2, 7);
+        let (_, know) = fixture(14, 2, 5, 7);
         assert_eq!(random_blocker_set(&know, 3), random_blocker_set(&know, 3));
     }
 
     #[test]
     fn usually_larger_than_greedy() {
-        let know = knowledge(20, 3, 11);
-        let g = gen::zero_heavy(20, 0.18, 0.4, 5, true, 11);
-        let greedy = crate::greedy::find_blocker_set(&g, &know, EngineConfig::default());
+        let (g, know) = fixture(20, 3, 5, 11);
+        let greedy =
+            crate::greedy::find_blocker_set(&g, &know, EngineConfig::default(), &mut NullRecorder);
         let sampled = random_blocker_set(&know, 5);
         // not a theorem, but with h=3 and ln(nk) ≈ 6 the sampling rate is
         // high; allow equality to avoid flakes

@@ -162,20 +162,11 @@ pub fn reference_scores(knowledge: &TreeKnowledge) -> Vec<Vec<u64>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dw_graph::gen;
-    use dw_pipeline::build_csssp;
-
-    fn setup(n: usize, h: u64, seed: u64) -> (dw_graph::WGraph, TreeKnowledge) {
-        let g = gen::zero_heavy(n, 0.18, 0.4, 4, true, seed);
-        let delta = dw_seqref::max_finite_h_hop_distance(&g, 2 * h as usize).max(1);
-        let sources: Vec<NodeId> = (0..g.n() as NodeId).collect();
-        let (c, _) = build_csssp(&g, &sources, h, delta, EngineConfig::default());
-        (g.clone(), TreeKnowledge::from_csssp(&c))
-    }
+    use crate::knowledge::fixture;
 
     #[test]
     fn distributed_scores_match_reference() {
-        let (g, know) = setup(14, 3, 4);
+        let (g, know) = fixture(14, 3, 4, 4);
         let (scores, stats) = compute_initial_scores(&g, &know, EngineConfig::default());
         assert_eq!(scores, reference_scores(&know));
         assert!(stats.messages > 0);
@@ -183,7 +174,7 @@ mod tests {
 
     #[test]
     fn root_score_counts_h_paths() {
-        let (g, know) = setup(12, 2, 9);
+        let (g, know) = fixture(12, 2, 4, 9);
         let (scores, _) = compute_initial_scores(&g, &know, EngineConfig::default());
         for (i, &s) in know.sources.iter().enumerate() {
             let leaves = (0..g.n() as NodeId)
@@ -195,7 +186,7 @@ mod tests {
 
     #[test]
     fn pipelining_rounds_linear_in_k_plus_h() {
-        let (g, know) = setup(16, 3, 11);
+        let (g, know) = fixture(16, 3, 4, 11);
         let (_, stats) = compute_initial_scores(&g, &know, EngineConfig::default());
         let bound = 3 * (know.k() as u64 + know.h + 2);
         assert!(

@@ -256,17 +256,11 @@ pub fn descendant_updates(
 mod tests {
     use super::*;
     use crate::scores::{compute_initial_scores, reference_scores};
-    use dw_graph::gen;
-    use dw_pipeline::build_csssp;
 
     fn setup(n: usize, h: u64, seed: u64) -> (WGraph, TreeKnowledge, Vec<Vec<u64>>) {
-        let g = gen::zero_heavy(n, 0.18, 0.4, 4, true, seed);
-        let delta = dw_seqref::max_finite_h_hop_distance(&g, 2 * h as usize).max(1);
-        let sources: Vec<NodeId> = (0..g.n() as NodeId).collect();
-        let (c, _) = build_csssp(&g, &sources, h, delta, EngineConfig::default());
-        let know = TreeKnowledge::from_csssp(&c);
+        let (g, know) = crate::knowledge::fixture(n, h, 4, seed);
         let (scores, _) = compute_initial_scores(&g, &know, EngineConfig::default());
-        (g.clone(), know, scores)
+        (g, know, scores)
     }
 
     /// Centralized reference of both updates for cross-checking.

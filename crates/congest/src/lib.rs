@@ -51,7 +51,7 @@ pub use metrics::RunStats;
 pub use dw_obs::{NullRecorder, ObsRecorder, Recorder, Recording, Span, SpanId};
 pub use outbox::Outbox;
 pub use protocol::{Checkpointable, NodeCtx, Protocol, Round};
-pub use reliable::{Reliable, ReliableConfig, ReliableStats};
+pub use reliable::{Reliable, ReliableStats};
 pub use runner::{NodeRunner, SendSink};
 pub use schedule::Schedule;
 pub use trace::{RoundRecord, RoundTrace};

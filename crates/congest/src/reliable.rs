@@ -13,10 +13,9 @@
 //!   frames and suppressing duplicates;
 //! * acknowledgments are cumulative and piggybacked on data frames, with
 //!   standalone `Ack` frames when a link has nothing to say;
-//! * unacknowledged frames are retransmitted after
-//!   [`ReliableConfig::retry_after`] silent rounds, at most
-//!   [`ReliableConfig::max_retries`] times (a link whose frame exhausts its
-//!   retries is declared dead — fail-stop semantics).
+//! * unacknowledged frames are retransmitted after [`RETRY_AFTER`]
+//!   silent rounds, at most [`MAX_RETRIES`] times (a link whose frame
+//!   exhausts its retries is declared dead — fail-stop semantics).
 //!
 //! Termination detection is **ack-drained quiescence**: the wrapper's
 //! [`Protocol::earliest_send`] keeps the engine awake exactly while some
@@ -38,26 +37,14 @@ use crate::protocol::{NodeCtx, Protocol, Round};
 use dw_graph::NodeId;
 use std::collections::BTreeMap;
 
-/// Retry policy for [`Reliable`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ReliableConfig {
-    /// Rounds to wait for an acknowledgment before retransmitting.
-    /// The minimum useful value is 3 (send, ack back, slack).
-    pub retry_after: Round,
-    /// Retransmissions allowed per frame before the whole outgoing link is
-    /// declared dead (fail-stop). Use a large value for lossy-but-alive
-    /// links; permanent outages are what this bound is for.
-    pub max_retries: u32,
-}
+/// Rounds [`Reliable`] waits for an acknowledgment before retransmitting
+/// (the minimum useful value is 3: send, ack back, slack).
+pub const RETRY_AFTER: Round = 4;
 
-impl Default for ReliableConfig {
-    fn default() -> Self {
-        ReliableConfig {
-            retry_after: 4,
-            max_retries: 64,
-        }
-    }
-}
+/// Retransmissions [`Reliable`] allows per frame before the whole
+/// outgoing link is declared dead (fail-stop): large enough for
+/// lossy-but-alive links, bounded for permanent outages.
+pub const MAX_RETRIES: u32 = 64;
 
 /// Per-node accounting of the reliability machinery.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -172,7 +159,6 @@ impl<M> InLink<M> {
 /// The reliable-channel adapter. See the module docs.
 pub struct Reliable<P: Protocol> {
     inner: P,
-    cfg: ReliableConfig,
     /// Indexed by neighbor rank in `ctx.comm_neighbors()`.
     out: Vec<OutLink<P::Msg>>,
     inl: Vec<InLink<P::Msg>>,
@@ -185,11 +171,9 @@ pub struct Reliable<P: Protocol> {
 }
 
 impl<P: Protocol> Reliable<P> {
-    pub fn new(inner: P, cfg: ReliableConfig) -> Self {
-        assert!(cfg.retry_after >= 1, "retry_after must be at least 1 round");
+    pub fn new(inner: P) -> Self {
         Reliable {
             inner,
-            cfg,
             out: Vec::new(),
             inl: Vec::new(),
             stats: ReliableStats::default(),
@@ -206,11 +190,6 @@ impl<P: Protocol> Reliable<P> {
     /// This node's reliability accounting.
     pub fn stats(&self) -> &ReliableStats {
         &self.stats
-    }
-
-    /// Frames currently waiting for acknowledgment.
-    pub fn unacked_frames(&self) -> usize {
-        self.out.iter().map(|l| l.queue.len()).sum()
     }
 
     fn rank_of(&self, ctx: &NodeCtx, v: NodeId) -> usize {
@@ -289,11 +268,11 @@ impl<P: Protocol> Protocol for Reliable<P> {
             let due = link
                 .queue
                 .iter()
-                .position(|f| f.last_sent == 0 || f.last_sent + self.cfg.retry_after <= round);
+                .position(|f| f.last_sent == 0 || f.last_sent + RETRY_AFTER <= round);
             if let Some(i) = due {
-                if link.queue[i].last_sent != 0 && link.queue[i].retries >= self.cfg.max_retries {
+                if link.queue[i].last_sent != 0 && link.queue[i].retries >= MAX_RETRIES {
                     // Fail-stop: this link never delivered frame `seq`
-                    // despite max_retries attempts; everything queued
+                    // despite MAX_RETRIES attempts; everything queued
                     // behind it can never be delivered in order.
                     self.stats.abandoned += link.queue.len() as u64;
                     link.queue.clear();
@@ -378,7 +357,7 @@ impl<P: Protocol> Protocol for Reliable<P> {
                     consider(after);
                     break;
                 }
-                consider(f.last_sent + self.cfg.retry_after);
+                consider(f.last_sent + RETRY_AFTER);
             }
         }
         if self.inl.iter().any(|l| l.ack_dirty) {
@@ -455,7 +434,6 @@ mod tests {
     fn reliable_flood(
         g: &WGraph,
         faults: Option<FaultPlan>,
-        rc: ReliableConfig,
         budget: Round,
     ) -> (Vec<Option<u64>>, ReliableStats, RunOutcome) {
         let cfg = EngineConfig {
@@ -463,13 +441,10 @@ mod tests {
             ..EngineConfig::default()
         };
         let mut net = Network::new(g, cfg, |_| {
-            Reliable::new(
-                Flood {
-                    dist: None,
-                    announced: false,
-                },
-                rc,
-            )
+            Reliable::new(Flood {
+                dist: None,
+                announced: false,
+            })
         });
         let outcome = net.run(budget);
         let dists = net.nodes().map(|r| r.inner().dist).collect();
@@ -482,7 +457,7 @@ mod tests {
     #[test]
     fn fault_free_wrap_preserves_results() {
         let g = gen::gnp_connected(32, 0.12, false, WeightDist::Constant(1), 5);
-        let (dists, stats, outcome) = reliable_flood(&g, None, ReliableConfig::default(), 10_000);
+        let (dists, stats, outcome) = reliable_flood(&g, None, 10_000);
         assert_eq!(outcome, RunOutcome::Quiet);
         let expect = hop_dists(&g, 0);
         for (v, d) in dists.iter().enumerate() {
@@ -498,8 +473,7 @@ mod tests {
     fn survives_heavy_drops() {
         let g = gen::gnp_connected(24, 0.15, false, WeightDist::Constant(1), 8);
         let plan = FaultPlan::drop_only(1234, 0.3);
-        let (dists, stats, outcome) =
-            reliable_flood(&g, Some(plan), ReliableConfig::default(), 50_000);
+        let (dists, stats, outcome) = reliable_flood(&g, Some(plan), 50_000);
         assert_eq!(outcome, RunOutcome::Quiet);
         let expect = hop_dists(&g, 0);
         for (v, d) in dists.iter().enumerate() {
@@ -513,8 +487,7 @@ mod tests {
     fn survives_duplicates_and_delays() {
         let g = gen::gnp_connected(20, 0.2, false, WeightDist::Constant(1), 3);
         let plan = FaultPlan::new(77).with_duplicate(0.15).with_delay(0.15, 5);
-        let (dists, stats, outcome) =
-            reliable_flood(&g, Some(plan), ReliableConfig::default(), 50_000);
+        let (dists, stats, outcome) = reliable_flood(&g, Some(plan), 50_000);
         assert_eq!(outcome, RunOutcome::Quiet);
         let expect = hop_dists(&g, 0);
         for (v, d) in dists.iter().enumerate() {
@@ -534,7 +507,7 @@ mod tests {
             end: 10,
             symmetric: true,
         });
-        let (dists, _, outcome) = reliable_flood(&g, Some(plan), ReliableConfig::default(), 10_000);
+        let (dists, _, outcome) = reliable_flood(&g, Some(plan), 10_000);
         assert_eq!(outcome, RunOutcome::Quiet);
         assert_eq!(
             dists.into_iter().map(Option::unwrap).collect::<Vec<_>>(),
@@ -552,11 +525,7 @@ mod tests {
             end: u64::MAX,
             symmetric: true,
         });
-        let rc = ReliableConfig {
-            retry_after: 2,
-            max_retries: 5,
-        };
-        let (dists, stats, outcome) = reliable_flood(&g, Some(plan), rc, 10_000);
+        let (dists, stats, outcome) = reliable_flood(&g, Some(plan), 10_000);
         // The run must still terminate (fail-stop), with node 2 unreached.
         assert_eq!(outcome, RunOutcome::Quiet);
         assert!(stats.abandoned > 0);
@@ -621,14 +590,11 @@ mod tests {
             ..EngineConfig::default()
         };
         let mut net = Network::new(&g, cfg, |_| {
-            Reliable::new(
-                Streamer {
-                    total,
-                    sent: 0,
-                    got: Vec::new(),
-                },
-                ReliableConfig::default(),
-            )
+            Reliable::new(Streamer {
+                total,
+                sent: 0,
+                got: Vec::new(),
+            })
         });
         let outcome = net.run(10_000);
         assert_eq!(outcome, RunOutcome::Quiet);
@@ -641,7 +607,7 @@ mod tests {
         );
         assert!(
             stats.retries > 0,
-            "delays past retry_after must force retransmits: {stats:?}"
+            "delays past RETRY_AFTER must force retransmits: {stats:?}"
         );
         assert!(
             stats.dups_suppressed > 0,

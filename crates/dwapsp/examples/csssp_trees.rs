@@ -38,7 +38,14 @@ fn main() {
 
     // The cure: CSSSP.
     let delta_2h = dwapsp::seqref::max_finite_h_hop_distance(&g, 2 * h).max(1);
-    let (c, _) = build_csssp(&g, &[nd.s], h as u64, delta_2h, EngineConfig::default());
+    let (c, _) = build_csssp(
+        &g,
+        &[nd.s],
+        h as u64,
+        delta_2h,
+        EngineConfig::default(),
+        &mut NullRecorder,
+    );
     check_consistency(&g, &c).expect("CSSSP must be consistent");
     println!();
     println!(
@@ -69,7 +76,14 @@ fn main() {
             .max()
             .unwrap();
         let delta_2h = dwapsp::seqref::max_finite_h_hop_distance(&g, 2 * h).max(1);
-        let (c, _) = build_csssp(&g, &[nds[0].s], h as u64, delta_2h, EngineConfig::default());
+        let (c, _) = build_csssp(
+            &g,
+            &[nds[0].s],
+            h as u64,
+            delta_2h,
+            EngineConfig::default(),
+            &mut NullRecorder,
+        );
         check_consistency(&g, &c).unwrap();
         println!(
             "{copies} chained gadgets (n={}): naive chain {worst} hops, CSSSP height {} ✓",

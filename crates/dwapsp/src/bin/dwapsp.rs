@@ -25,9 +25,7 @@
 
 use dwapsp::approx::approx_apsp;
 use dwapsp::baselines::bf_apsp;
-use dwapsp::blocker::alg3::{
-    alg3_apsp, alg3_apsp_recorded, alg3_k_ssp, alg3_k_ssp_recorded, suggested_h_weight_regime,
-};
+use dwapsp::blocker::alg3::{alg3_apsp, alg3_k_ssp, suggested_h_weight_regime};
 use dwapsp::congest::{FaultPlan, Outage, Round};
 use dwapsp::dynamic::{
     apply_update_batch, gen_update_batch, parse_updates, RecomputeEngine, UpdatePool,
@@ -261,6 +259,14 @@ fn read_or_exit<'p, T>(path: &'p str, read: impl FnOnce(&'p str) -> std::io::Res
     })
 }
 
+/// Write `contents` to `path`, or exit 1 naming the file.
+fn write_or_exit(path: &str, contents: impl AsRef<[u8]>) {
+    std::fs::write(path, contents).unwrap_or_else(|e| {
+        eprintln!("cannot write {path}: {e}");
+        exit(1);
+    })
+}
+
 /// The graph file at `path`, or exit 1.
 fn graph_file(path: &str) -> WGraph {
     gio::from_json(&read_or_exit(path, std::fs::read_to_string)).unwrap_or_else(|e| {
@@ -323,7 +329,7 @@ fn cmd_gen(args: &Args) {
     let json = gio::to_json(&g);
     match args.get("--out") {
         Some(path) => {
-            std::fs::write(path, json).expect("write graph file");
+            write_or_exit(path, json);
             eprintln!("wrote {} (n={}, m={})", path, g.n(), g.m());
         }
         None => println!("{json}"),
@@ -428,10 +434,8 @@ fn cmd_run(args: &Args) {
         }
         "alg3" => {
             let (h, delta) = alg3_h_delta(args, &g);
-            let out = match parse_sources(args, g.n()) {
-                Some(sources) => alg3_k_ssp(&g, &sources, h, delta, engine),
-                None => alg3_apsp(&g, h, delta, engine),
-            };
+            let sources = parse_sources(args, g.n()).unwrap_or_else(|| g.nodes().collect());
+            let out = alg3_k_ssp(&g, &sources, h, delta, engine, &mut NullRecorder);
             let label = format!("alg3 (h={h}, |Q|={})", out.blockers.len());
             (label, out.stats, out.matrix)
         }
@@ -489,14 +493,11 @@ fn cmd_solve(args: &Args) {
                 exit(2);
             }
             let (h, delta) = alg3_h_delta(args, &g);
-            let sources = parse_sources(args, g.n());
-            rec.meta("k", sources.as_ref().map_or(g.n(), Vec::len).to_string());
+            let sources = parse_sources(args, g.n()).unwrap_or_else(|| g.nodes().collect());
+            rec.meta("k", sources.len().to_string());
             rec.meta("h", h.to_string());
             rec.meta("delta", delta.to_string());
-            let out = match sources {
-                Some(s) => alg3_k_ssp_recorded(&g, &s, h, delta, EngineConfig::default(), &mut rec),
-                None => alg3_apsp_recorded(&g, h, delta, EngineConfig::default(), &mut rec),
-            };
+            let out = alg3_k_ssp(&g, &sources, h, delta, EngineConfig::default(), &mut rec);
             rec.meta("blockers", out.blockers.len().to_string());
             out.matrix
         }
@@ -508,11 +509,11 @@ fn cmd_solve(args: &Args) {
 
     let recording = rec.into_recording();
     if let Some(path) = args.get("--metrics-out") {
-        std::fs::write(path, to_jsonl(&recording)).expect("write metrics file");
+        write_or_exit(path, to_jsonl(&recording));
         eprintln!("wrote {path}");
     }
     if let Some(path) = args.get("--trace-out") {
-        std::fs::write(path, to_chrome_trace(&recording)).expect("write trace file");
+        write_or_exit(path, to_chrome_trace(&recording));
         eprintln!("wrote {path} (load in chrome://tracing or Perfetto)");
     }
     print!("{}", render_report(&recording, &phase_bounds(&recording)));
@@ -685,7 +686,7 @@ fn cmd_chaos(args: &Args) {
     let res = solve_hk_ssp(&g, &cfg, &run, &mut rec);
     let recording = rec.into_recording();
     if let Some(path) = args.get("--metrics-out") {
-        std::fs::write(path, to_jsonl(&recording)).expect("write metrics file");
+        write_or_exit(path, to_jsonl(&recording));
         eprintln!("wrote {path} (render the recovery timeline with `dwapsp report`)");
     }
     match res {
@@ -928,10 +929,7 @@ fn cmd_tables(args: &Args) {
         print_stats(&format!("alg1 tables [{}]", rt.as_str()), &st);
         TableSnapshot::from_result(&res)
     };
-    std::fs::write(&out, snap.to_file_bytes()).unwrap_or_else(|e| {
-        eprintln!("cannot write {out}: {e}");
-        exit(1);
-    });
+    write_or_exit(&out, snap.to_file_bytes());
     eprintln!(
         "wrote {out}: {} source rows over n={} ({} payload bytes)",
         snap.tables.len(),
@@ -1153,10 +1151,7 @@ fn run_update_batches(args: &Args) -> (WGraph, VersionedTables) {
 
 fn write_update_outputs(args: &Args, g: &WGraph, vt: &VersionedTables) {
     if let Some(out) = args.get("--out-tables") {
-        std::fs::write(out, vt.to_file_bytes()).unwrap_or_else(|e| {
-            eprintln!("cannot write {out}: {e}");
-            exit(1);
-        });
+        write_or_exit(out, vt.to_file_bytes());
         eprintln!(
             "wrote {out}: generation {} ({} source rows over n={})",
             vt.generation,
@@ -1165,10 +1160,7 @@ fn write_update_outputs(args: &Args, g: &WGraph, vt: &VersionedTables) {
         );
     }
     if let Some(out) = args.get("--out-graph") {
-        std::fs::write(out, gio::to_json(g)).unwrap_or_else(|e| {
-            eprintln!("cannot write {out}: {e}");
-            exit(1);
-        });
+        write_or_exit(out, gio::to_json(g));
         eprintln!("wrote {out}: patched graph (n={}, m={})", g.n(), g.m());
     }
 }
@@ -1242,7 +1234,6 @@ fn cmd_loadgen(args: &Args) {
         zipf: args.value("--zipf"),
         zipf_pairs: args.or("--zipf-pairs", 10_000),
         seed: args.or("--seed", 1),
-        ..LoadgenConfig::default()
     };
 
     // Mixed stream: a background updater recomputes + swaps table
@@ -1301,7 +1292,12 @@ fn cmd_loadgen(args: &Args) {
         exit(1);
     });
     stop.store(true, std::sync::atomic::Ordering::Relaxed);
-    let swap_stats = updater.map(|h| h.join().expect("updater thread"));
+    let swap_stats = updater.map(|h| {
+        h.join().unwrap_or_else(|_| {
+            eprintln!("the table updater panicked");
+            exit(1);
+        })
+    });
 
     if args.has("--json") {
         let swap_suffix = swap_stats.map_or(String::new(), |t| {

@@ -57,7 +57,7 @@ pub use dw_transport as transport;
 pub mod prelude {
     pub use dw_approx::approx_apsp;
     pub use dw_baselines::{bf_apsp, bf_k_source, unweighted_apsp};
-    pub use dw_blocker::alg3::{alg3_apsp, alg3_apsp_recorded, alg3_k_ssp, alg3_k_ssp_recorded};
+    pub use dw_blocker::alg3::{alg3_apsp, alg3_k_ssp};
     pub use dw_congest::{EngineConfig, Network, Protocol, RunStats};
     pub use dw_graph::{gen, GraphBuilder, NodeId, WGraph, Weight, INFINITY};
     pub use dw_obs::{NullRecorder, ObsRecorder, Recorder, Recording};

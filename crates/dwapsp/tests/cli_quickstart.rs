@@ -289,6 +289,20 @@ fn out_of_range_graph_file_is_a_parse_error() {
     assert!(stderr.contains("cannot parse"), "{stderr}");
 }
 
+/// An output file that cannot be written (its directory does not
+/// exist) is refused with exit 1 and a message naming it, not a panic.
+#[test]
+fn an_unwritable_output_file_is_an_error_not_a_panic() {
+    let path = format!("{}/no/such/dir/g.json", env!("CARGO_TARGET_TMPDIR"));
+    let out = spawn(&["gen", "--n", "8", "--out", &path])
+        .wait_with_output()
+        .expect("wait for dwapsp");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains(&format!("cannot write {path}")), "{stderr}");
+}
+
 /// The command line is read strictly against the subcommand's flags. A
 /// malformed or out-of-range number, an unknown flag (a typo, or
 /// `--engine`, which no longer exists), a valued flag with no value: each

@@ -12,9 +12,16 @@ fn blocker_pipeline_full_stack() {
         let h = 3u64;
         let delta = dwapsp::seqref::max_finite_h_hop_distance(&g, 2 * h as usize).max(1);
         let sources: Vec<NodeId> = (0..g.n() as NodeId).collect();
-        let (c, _) = build_csssp(&g, &sources, h, delta, EngineConfig::default());
+        let (c, _) = build_csssp(
+            &g,
+            &sources,
+            h,
+            delta,
+            EngineConfig::default(),
+            &mut NullRecorder,
+        );
         let know = TreeKnowledge::from_csssp(&c);
-        let out = find_blocker_set(&g, &know, EngineConfig::default());
+        let out = find_blocker_set(&g, &know, EngineConfig::default(), &mut NullRecorder);
         verify_blocker_coverage(&know, &out.blockers).unwrap();
         // all scores consumed
         assert!(out.final_scores.iter().flatten().all(|&s| s == 0));
@@ -34,7 +41,14 @@ fn csssp_consistency_rate_is_high() {
         let h = 4u64;
         let delta = dwapsp::seqref::max_finite_h_hop_distance(&g, 2 * h as usize).max(1);
         let sources: Vec<NodeId> = (0..g.n() as NodeId).collect();
-        let (c, _) = build_csssp(&g, &sources, h, delta, EngineConfig::default());
+        let (c, _) = build_csssp(
+            &g,
+            &sources,
+            h,
+            delta,
+            EngineConfig::default(),
+            &mut NullRecorder,
+        );
         if check_consistency(&g, &c).is_ok() {
             consistent += 1;
         }

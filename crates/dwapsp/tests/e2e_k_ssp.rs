@@ -25,7 +25,14 @@ fn alg3_k_ssp_exact() {
         let sources = vec![0u32, 7, 11];
         for h in [2u64, 3] {
             let delta = dwapsp::seqref::max_finite_h_hop_distance(&g, 2 * h as usize).max(1);
-            let out = alg3_k_ssp(&g, &sources, h, delta, EngineConfig::default());
+            let out = alg3_k_ssp(
+                &g,
+                &sources,
+                h,
+                delta,
+                EngineConfig::default(),
+                &mut NullRecorder,
+            );
             assert_matrices_equal(
                 &k_source_dijkstra(&g, &sources),
                 &out.matrix,

@@ -64,7 +64,7 @@ fn traced_apsp_mode(
         scheduling,
     };
     let mut net = Network::new(g, engine, |_| {
-        PipelinedNode::new(gamma, cfg.h, cfg.k(), true, false)
+        PipelinedNode::new(gamma, cfg.h, cfg.k(), true, cfg.admission)
     });
     let mut trace = RoundTrace::new();
     for _ in 0..default_budget(&cfg, g.n()) {
@@ -168,11 +168,11 @@ fn alg1_recovers_exact_apsp_under_drop_rates() {
                 &format!("seed {seed} drop {drop_p}"),
             );
             if drop_p == 0.0 {
-                assert_eq!(rep.retries, 0, "seed {seed}: clean run retried");
+                assert_eq!(rep.reliable.retries, 0, "seed {seed}: clean run retried");
                 assert_eq!(rep.extra_rounds, 0, "seed {seed}: clean run degraded");
             } else if solved.stats.dropped > 0 {
                 assert!(
-                    rep.retries > 0,
+                    rep.reliable.retries > 0,
                     "seed {seed} drop {drop_p}: drops must force retries"
                 );
             }
@@ -206,7 +206,7 @@ fn alg2_recovers_h_hop_distances_under_drop_rates() {
             }
             if drop_p == 0.0 {
                 assert_eq!(rep.late_sends, 0);
-                assert_eq!(rep.retries, 0);
+                assert_eq!(rep.reliable.retries, 0);
             }
         }
     }

@@ -142,7 +142,7 @@ fn golden_e14_faulted_recovery() {
     writeln!(out, "rounds          {}", solved.stats.rounds).unwrap();
     writeln!(out, "base_rounds     {}", rep.base_rounds).unwrap();
     writeln!(out, "extra_rounds    {}", rep.extra_rounds).unwrap();
-    writeln!(out, "retries         {}", rep.retries).unwrap();
+    writeln!(out, "retries         {}", rep.reliable.retries).unwrap();
     writeln!(out, "late_sends      {}", rep.late_sends).unwrap();
     writeln!(out, "outcome         {:?}", solved.outcome).unwrap();
     writeln!(out, "dropped         {}", solved.stats.dropped).unwrap();

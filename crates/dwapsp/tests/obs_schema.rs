@@ -55,7 +55,8 @@ fn recorded_alg3_run() -> Recording {
     rec.meta("k", g.n().to_string());
     rec.meta("h", h.to_string());
     rec.meta("delta", delta.to_string());
-    let out = alg3_apsp_recorded(&g, h, delta, EngineConfig::default(), &mut rec);
+    let sources: Vec<NodeId> = g.nodes().collect();
+    let out = alg3_k_ssp(&g, &sources, h, delta, EngineConfig::default(), &mut rec);
     assert!(!out.blockers.is_empty(), "workload must select blockers");
     let mut recording = rec.into_recording();
     // wall time is the one nondeterministic field

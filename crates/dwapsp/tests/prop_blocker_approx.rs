@@ -31,9 +31,9 @@ proptest! {
     fn blocker_pipeline_covers_and_drains(g in arb_graph(), h in 2u64..5) {
         let delta = dwapsp::seqref::max_finite_h_hop_distance(&g, 2 * h as usize).max(1);
         let sources: Vec<NodeId> = (0..g.n() as NodeId).collect();
-        let (c, _) = build_csssp(&g, &sources, h, delta, EngineConfig::default());
+        let (c, _) = build_csssp(&g, &sources, h, delta, EngineConfig::default(), &mut NullRecorder);
         let know = TreeKnowledge::from_csssp(&c);
-        let out = find_blocker_set(&g, &know, EngineConfig::default());
+        let out = find_blocker_set(&g, &know, EngineConfig::default(), &mut NullRecorder);
         prop_assert!(verify_blocker_coverage(&know, &out.blockers).is_ok());
         prop_assert!(out.final_scores.iter().flatten().all(|&s| s == 0));
         prop_assert!(out.alg4_max_inbox <= 2, "near-Lemma III.6 behaviour");

@@ -44,7 +44,8 @@ proptest! {
     fn alg3_phase_spans_sum_exactly_to_run_totals((g, h) in arb_instance()) {
         let delta = max_finite_h_hop_distance(&g, 2 * h as usize).max(1);
         let mut rec = ObsRecorder::new();
-        let out = alg3_apsp_recorded(&g, h, delta, EngineConfig::default(), &mut rec);
+        let sources: Vec<NodeId> = g.nodes().collect();
+        let out = alg3_k_ssp(&g, &sources, h, delta, EngineConfig::default(), &mut rec);
         let recording = rec.into_recording();
 
         // exact equality, every field (rounds, messages, congestion,
@@ -89,7 +90,8 @@ proptest! {
         let delta = max_finite_h_hop_distance(&g, 2 * h as usize).max(1);
         let k = g.n() as u64;
         let mut rec = ObsRecorder::new();
-        let _ = alg3_apsp_recorded(&g, h, delta, EngineConfig::default(), &mut rec);
+        let sources: Vec<NodeId> = g.nodes().collect();
+        let _ = alg3_k_ssp(&g, &sources, h, delta, EngineConfig::default(), &mut rec);
         let recording = rec.into_recording();
 
         let (csssp_idx, csssp) = recording

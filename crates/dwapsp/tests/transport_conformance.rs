@@ -225,7 +225,10 @@ fn reliable_alg1_conforms_under_drops() {
         let solve = |rt| solve_hk_ssp(&g, &cfg, &reliable_on(rt, &plan), &mut NullRecorder);
         let sim = solve(Runtime::Sim).unwrap();
         let report = sim.degradation.as_ref().expect("a reliable run reports");
-        assert!(report.retries > 0, "seed {seed}: drops must force retries");
+        assert!(
+            report.reliable.retries > 0,
+            "seed {seed}: drops must force retries"
+        );
         for rt in [Runtime::Threads, Runtime::TcpSharded(2)] {
             let got = solve(rt).unwrap();
             let name = rt.label();

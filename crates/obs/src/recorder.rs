@@ -110,7 +110,7 @@ pub trait Recorder {
     fn event(&mut self, _round: u64, _name: &'static str, _value: u64) {}
 }
 
-/// The always-off recorder: what every non-`_recorded` entry point uses.
+/// The always-off recorder: what a caller that records nothing passes.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NullRecorder;
 

@@ -33,9 +33,6 @@ pub struct SspConfig {
     pub h: u64,
     /// Distance bound `Δ` used for the key schedule.
     pub delta: Weight,
-    /// Record invariant violations and list-size statistics per node
-    /// (small overhead; on by default — the checks are the experiment).
-    pub track_invariants: bool,
     /// Step-13 admission counting rule (see [`AdmissionRule`]).
     pub admission: AdmissionRule,
 }
@@ -49,7 +46,6 @@ impl SspConfig {
             sources,
             h,
             delta,
-            track_invariants: true,
             admission: AdmissionRule::default(),
         }
     }

@@ -10,7 +10,7 @@
 //! chains agree everywhere they matter.
 
 use crate::config::SspConfig;
-use dw_congest::{EngineConfig, NullRecorder, Recorder, RunStats};
+use dw_congest::{EngineConfig, Recorder, RunStats};
 use dw_graph::{NodeId, WGraph, Weight, INFINITY};
 
 /// An h-hop CSSSP collection: one truncated tree per source.
@@ -75,7 +75,8 @@ impl Csssp {
 /// Build an h-hop CSSSP collection for `sources`: run Algorithm 1 with
 /// hop bound `2h`, then retain the **initial h hops of each tree**
 /// (Lemma III.4). `delta` bounds the `2h`-hop distances (it sets γ and the
-/// round budget).
+/// round budget). `rec` gets a `csssp` span with `hk_2h` (the Algorithm 1
+/// run) and `validate` (the membership wave) children.
 ///
 /// "Initial h hops" means the root-connected prefix: a node belongs to
 /// `T_x` only if its whole parent chain back to `x` exists with consistent
@@ -93,26 +94,14 @@ pub fn build_csssp(
     h: u64,
     delta: Weight,
     engine: EngineConfig,
-) -> (Csssp, RunStats) {
-    build_csssp_with_slack(g, sources, h, 2, delta, engine)
-}
-
-/// As [`build_csssp`], recording a `csssp` span with `hk_2h` (the
-/// Algorithm 1 run at hop bound `2h`) and `validate` (the membership
-/// wave) children.
-pub fn build_csssp_recorded(
-    g: &WGraph,
-    sources: &[NodeId],
-    h: u64,
-    delta: Weight,
-    engine: EngineConfig,
     rec: &mut dyn Recorder,
 ) -> (Csssp, RunStats) {
-    build_csssp_with_slack_recorded(g, sources, h, 2, delta, engine, rec)
+    build_csssp_with_slack(g, sources, h, 2, delta, engine, rec)
 }
 
 /// [`build_csssp`] with an explicit hop-slack multiplier: the underlying
-/// Algorithm 1 run uses hop bound `slack·h` before truncating to `h`.
+/// Algorithm 1 run uses hop bound `slack·h` before truncating to `h` (the
+/// recorded `hk_2h` child keeps its name for any slack).
 ///
 /// The paper's construction is `slack = 2` (Lemma III.4). **Reproduction
 /// finding:** any finite slack admits rare hop-boundary cases where two
@@ -124,20 +113,6 @@ pub fn build_csssp_recorded(
 /// perfect cross-tree consistency: they are robust to these cases and all
 /// end-to-end results remain exact.
 pub fn build_csssp_with_slack(
-    g: &WGraph,
-    sources: &[NodeId],
-    h: u64,
-    slack: u64,
-    delta: Weight,
-    engine: EngineConfig,
-) -> (Csssp, RunStats) {
-    build_csssp_with_slack_recorded(g, sources, h, slack, delta, engine, &mut NullRecorder)
-}
-
-/// [`build_csssp_recorded`] with an explicit hop-slack multiplier (the
-/// recorded `hk_2h` child keeps its name for any slack — the phase is
-/// "the Algorithm 1 run at the stretched hop bound").
-pub fn build_csssp_with_slack_recorded(
     g: &WGraph,
     sources: &[NodeId],
     h: u64,
@@ -422,6 +397,7 @@ pub fn parent_chain_hops(res: &crate::result::HkSspResult, i: usize, v: NodeId) 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dw_congest::NullRecorder;
     use dw_graph::gen;
     use dw_seqref::h_hop_sssp;
 
@@ -431,7 +407,14 @@ mod tests {
         let delta = dw_seqref::max_finite_h_hop_distance(&g, 10).max(1);
         let sources: Vec<NodeId> = (0..g.n() as NodeId).collect();
         let h = 5;
-        let (c, _) = build_csssp(&g, &sources, h, delta, EngineConfig::default());
+        let (c, _) = build_csssp(
+            &g,
+            &sources,
+            h,
+            delta,
+            EngineConfig::default(),
+            &mut NullRecorder,
+        );
         check_consistency(&g, &c).unwrap();
     }
 
@@ -441,7 +424,14 @@ mod tests {
         let delta = dw_seqref::max_finite_h_hop_distance(&g, 8).max(1);
         let sources: Vec<NodeId> = (0..g.n() as NodeId).collect();
         let h = 4u64;
-        let (c, _) = build_csssp(&g, &sources, h, delta, EngineConfig::default());
+        let (c, _) = build_csssp(
+            &g,
+            &sources,
+            h,
+            delta,
+            EngineConfig::default(),
+            &mut NullRecorder,
+        );
         for (i, &s) in sources.iter().enumerate() {
             let reference = h_hop_sssp(&g, s, h as usize);
             for v in g.nodes() {
@@ -485,7 +475,14 @@ mod tests {
 
         // CSSSP fixes it: every retained tree has height <= h and is
         // consistent.
-        let (c, _) = build_csssp(&g, &[nd.s], h, delta, EngineConfig::default());
+        let (c, _) = build_csssp(
+            &g,
+            &[nd.s],
+            h,
+            delta,
+            EngineConfig::default(),
+            &mut NullRecorder,
+        );
         check_consistency(&g, &c).unwrap();
         assert!(c.height(0) <= h);
         // With the 2h budget, t's best path is the 5-hop zero route of
@@ -506,7 +503,14 @@ mod tests {
         let (g, nds) = gen::fig1_chain(h as usize, 3, 5, true);
         let delta = dw_seqref::max_finite_h_hop_distance(&g, 2 * h as usize).max(1);
         let sources = vec![nds[0].s];
-        let (c, _) = build_csssp(&g, &sources, h, delta, EngineConfig::default());
+        let (c, _) = build_csssp(
+            &g,
+            &sources,
+            h,
+            delta,
+            EngineConfig::default(),
+            &mut NullRecorder,
+        );
         check_consistency(&g, &c).unwrap();
         assert!(c.height(0) <= h);
     }

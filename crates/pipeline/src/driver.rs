@@ -33,9 +33,9 @@ pub fn solve_hk_ssp(
         extract(g, &cfg.sources, nodes.map(Some))
     };
     let solved = match &run.recovery {
-        Some(Recovery::Reliable(rc)) => {
+        Some(Recovery::Reliable) => {
             let late = |n: &PipelinedNode| n.stats.late_sends;
-            solve_reliable(g, run, rc, budget, "hk_ssp", rec, make, late, finish)
+            solve_reliable(g, run, budget, "hk_ssp", rec, make, late, finish)
         }
         Some(Recovery::Chaos(chaos)) if run.runtime != Runtime::Sim => {
             solve_chaos(g, cfg, run, chaos, budget, rec, make)

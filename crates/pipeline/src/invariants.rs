@@ -73,12 +73,8 @@ pub fn run_with_report(
     dw_congest::RunStats,
     InvariantReport,
 ) {
-    let tracked = crate::config::SspConfig {
-        track_invariants: true,
-        ..cfg.clone()
-    };
     let budget = crate::driver::default_budget(cfg, g.n());
-    let make = crate::runtime::hk_ssp_nodes(&tracked, g.n());
+    let make = crate::runtime::hk_ssp_nodes(cfg, g.n());
     let rec = &mut dw_congest::NullRecorder;
     let ((result, report), stats, _) =
         crate::runtime::simulate(g, engine, budget, "hk_ssp", rec, make, |nodes| {

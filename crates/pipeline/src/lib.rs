@@ -41,14 +41,11 @@ pub mod short_range;
 
 pub use bound::{apsp_round_bound, hk_round_bound, per_source_list_bound_holds, total_list_bound};
 pub use config::{AdmissionRule, SspConfig};
-pub use csssp::{
-    build_csssp, build_csssp_recorded, build_csssp_with_slack, build_csssp_with_slack_recorded,
-    Csssp,
-};
+pub use csssp::{build_csssp, build_csssp_with_slack, Csssp};
 pub use driver::{apsp, apsp_auto, default_budget, k_ssp, run_hk_ssp_on_recorded, solve_hk_ssp};
 pub use incremental::{recompute_incremental, IncrementalOutcome, RowRepair};
 pub use key::Gamma;
-pub use recovery::{DegradationReport, RecoveryConfig};
+pub use recovery::DegradationReport;
 pub use result::HkSspResult;
 pub use runtime::{
     hk_ssp_node, hk_ssp_nodes, ChaosConfig, PartialOutcome, Recovery, Run, Runtime, SolveError,

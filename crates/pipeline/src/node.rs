@@ -99,25 +99,14 @@ pub struct PipelinedNode {
     /// This is also the order checkpoints are written in.
     best_src: Vec<NodeId>,
     best: Vec<Best>,
-    track: bool,
     pub stats: NodeStats,
 }
 
 impl PipelinedNode {
-    pub fn new(gamma: Gamma, h: u64, k: u64, is_source: bool, track: bool) -> Self {
-        Self::with_admission(gamma, h, k, is_source, track, AdmissionRule::default())
-    }
-
-    /// As [`PipelinedNode::new`] with an explicit Step-13 admission rule
-    /// (the E11 ablation).
-    pub fn with_admission(
-        gamma: Gamma,
-        h: u64,
-        k: u64,
-        is_source: bool,
-        track: bool,
-        admission: AdmissionRule,
-    ) -> Self {
+    /// A node of a run with key schedule `gamma`, hop bound `h` and `k`
+    /// sources, under the Step-13 admission rule `admission` (the
+    /// paper's is [`AdmissionRule::ListOrder`]; E11 ablates it).
+    pub fn new(gamma: Gamma, h: u64, k: u64, is_source: bool, admission: AdmissionRule) -> Self {
         PipelinedNode {
             h,
             k,
@@ -126,7 +115,6 @@ impl PipelinedNode {
             list: NodeList::new(gamma),
             best_src: Vec::new(),
             best: Vec::new(),
-            track,
             stats: NodeStats::default(),
         }
     }
@@ -165,9 +153,6 @@ impl PipelinedNode {
     }
 
     fn after_insert(&mut self, idx: usize, round: Round, src: NodeId) {
-        if !self.track {
-            return;
-        }
         self.stats.inserts += 1;
         // Invariant 1: r < ⌈κ⌉ + pos at insertion time.
         if round >= self.list.schedule_value(idx) {
@@ -217,7 +202,7 @@ impl Protocol for PipelinedNode {
     /// count and SP flag) to all neighbors.
     fn send(&mut self, round: Round, _ctx: &NodeCtx, out: &mut Outbox<PipelineMsg>) {
         if let Some(idx) = self.list.find_send(round) {
-            if self.track && self.list.schedule_value(idx) < round {
+            if self.list.schedule_value(idx) < round {
                 self.stats.late_sends += 1;
             }
             let nu = self.list.nu(idx);
@@ -259,9 +244,7 @@ impl Protocol for PipelinedNode {
                 // stays flagged through the insert (protecting it from the
                 // eviction step) and is demoted afterwards — see
                 // `NodeList::demote_old_sp`.
-                if self.track {
-                    self.stats.last_best_update = round;
-                }
+                self.stats.last_best_update = round;
                 let rec = Best {
                     d,
                     l,
@@ -290,8 +273,7 @@ impl Protocol for PipelinedNode {
                 };
                 match self.list.admit(cand, m.nu, self.admission) {
                     Some(idx) => self.after_insert(idx, round, src),
-                    None if self.track => self.stats.drops += 1,
-                    None => {}
+                    None => self.stats.drops += 1,
                 }
             }
         }
@@ -368,7 +350,7 @@ mod tests {
     #[test]
     fn snapshot_restore_roundtrips_dynamic_state() {
         let gamma = Gamma::new(2, 8, 16);
-        let mut a = PipelinedNode::new(gamma, 8, 2, true, true);
+        let mut a = PipelinedNode::new(gamma, 8, 2, true, AdmissionRule::ListOrder);
         a.list.insert(Entry {
             d: 3,
             l: 1,
@@ -404,7 +386,7 @@ mod tests {
 
         let mut bytes = Vec::new();
         a.snapshot(&mut bytes);
-        let mut b = PipelinedNode::new(gamma, 8, 2, true, true);
+        let mut b = PipelinedNode::new(gamma, 8, 2, true, AdmissionRule::ListOrder);
         let mut view = bytes.as_slice();
         b.restore(&mut view).expect("restore");
         assert!(view.is_empty(), "snapshot fully consumed");
@@ -423,7 +405,7 @@ mod tests {
     #[test]
     fn restore_rejects_garbage() {
         let gamma = Gamma::new(2, 8, 16);
-        let mut node = PipelinedNode::new(gamma, 8, 2, false, false);
+        let mut node = PipelinedNode::new(gamma, 8, 2, false, AdmissionRule::ListOrder);
         let mut view: &[u8] = &[0xff, 0x02, 0x03];
         assert!(node.restore(&mut view).is_none());
     }
@@ -441,9 +423,9 @@ mod tests {
             Vec::<Entry>::new().encode(&mut bytes);
             vec![(sources[0], rec), (sources[1], rec)].encode(&mut bytes);
             let mut stats = Vec::new();
-            PipelinedNode::new(gamma, 8, 2, false, true).snapshot(&mut stats);
+            PipelinedNode::new(gamma, 8, 2, false, AdmissionRule::ListOrder).snapshot(&mut stats);
             bytes.extend_from_slice(&stats[8..]); // past the two empty tables
-            let mut node = PipelinedNode::new(gamma, 8, 2, false, true);
+            let mut node = PipelinedNode::new(gamma, 8, 2, false, AdmissionRule::ListOrder);
             assert_eq!(node.restore(&mut bytes.as_slice()).is_some(), ok);
         }
     }

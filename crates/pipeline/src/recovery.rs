@@ -9,7 +9,8 @@
 //!
 //! 1. **Reliable links** — every node program is wrapped in
 //!    [`dw_congest::Reliable`], the per-link sequence/ack/retransmit layer.
-//!    Dropped frames are retransmitted after `retry_after` rounds,
+//!    Dropped frames are retransmitted after
+//!    [`dw_congest::reliable::RETRY_AFTER`] rounds,
 //!    duplicates are suppressed, and delayed frames are re-ordered back
 //!    into per-link FIFO order, so the wrapped protocol observes a lossless
 //!    (if slower) network. Termination is acknowledgment-based: the run is
@@ -34,31 +35,15 @@
 
 use crate::runtime::{execute, Run, SolveError, Solved};
 use dw_congest::{
-    EngineConfig, NullRecorder, Protocol, Recorder, Reliable, ReliableConfig, ReliableStats, Round,
-    WireCodec,
+    EngineConfig, NullRecorder, Protocol, Recorder, Reliable, ReliableStats, Round, WireCodec,
 };
 use dw_graph::{NodeId, WGraph};
 
-/// Knobs for a recovered run.
-#[derive(Debug, Clone)]
-pub struct RecoveryConfig {
-    /// Retransmission policy of the per-link reliable channel.
-    pub reliable: ReliableConfig,
-    /// Round-budget multiplier over the fault-free driver budget. Retries
-    /// and ack round-trips stretch the schedule, so recovered runs get
-    /// `budget_factor ×` the theorem-derived cap (plus slack) before the
-    /// engine gives up.
-    pub budget_factor: u64,
-}
-
-impl Default for RecoveryConfig {
-    fn default() -> Self {
-        RecoveryConfig {
-            reliable: ReliableConfig::default(),
-            budget_factor: 6,
-        }
-    }
-}
+/// Round-budget multiplier of a reliable run over the fault-free driver
+/// budget. Retries and ack round-trips stretch the schedule, so recovered
+/// runs get `BUDGET_FACTOR ×` the theorem-derived cap (plus slack) before
+/// the engine gives up.
+pub const BUDGET_FACTOR: u64 = 6;
 
 /// How much a faulty run degraded relative to the fault-free baseline of
 /// the same reliable stack. The run's own rounds, fault accounting and
@@ -71,12 +56,11 @@ pub struct DegradationReport {
     /// `stats.rounds - base_rounds`, floored at 0 (dropped residual
     /// non-SP traffic can occasionally *shorten* a run).
     pub extra_rounds: u64,
-    /// Data-frame retransmissions across all links.
-    pub retries: u64,
     /// Announcements sent past their scheduled round (protocol-level
     /// re-arms; 0 in fault-free runs).
     pub late_sends: u64,
-    /// Aggregated reliable-channel metrics of the faulty run.
+    /// Aggregated reliable-channel metrics of the faulty run
+    /// (`reliable.retries` counts the data-frame retransmissions).
     pub reliable: ReliableStats,
 }
 
@@ -86,11 +70,10 @@ pub struct DegradationReport {
 /// for the report's `base_rounds` (with faults disabled the run *is* its
 /// own baseline, `extra_rounds = 0`). `late_sends` reads one node's
 /// re-armed announcements.
-#[allow(clippy::too_many_arguments)] // `execute`'s arguments plus the retry policy and the re-arm count
+#[allow(clippy::too_many_arguments)] // `execute`'s arguments plus the re-arm count
 pub(crate) fn solve_reliable<P, R>(
     g: &WGraph,
     run: &Run,
-    rc: &RecoveryConfig,
     budget: Round,
     span: &'static str,
     rec: &mut dyn Recorder,
@@ -102,7 +85,7 @@ where
     P: Protocol,
     P::Msg: WireCodec,
 {
-    let wrapped = |v: NodeId| Reliable::new(make(v), rc.reliable);
+    let wrapped = |v: NodeId| Reliable::new(make(v));
     let mut reliable = ReliableStats::default();
     let mut late = 0;
     let (result, stats, outcome) = execute(g, run, budget, span, rec, &wrapped, |nodes| {
@@ -135,7 +118,6 @@ where
     let degradation = Some(DegradationReport {
         base_rounds,
         extra_rounds: stats.rounds.saturating_sub(base_rounds),
-        retries: reliable.retries,
         late_sends: late,
         reliable,
     });
@@ -186,7 +168,7 @@ mod tests {
         assert_matrices_equal(&apsp_dijkstra(&g), &res.result.to_matrix(), "reliable apsp");
         assert_eq!(res.outcome, RunOutcome::Quiet);
         assert_eq!(rep.extra_rounds, 0);
-        assert_eq!(rep.retries, 0);
+        assert_eq!(rep.reliable.retries, 0);
         assert_eq!(rep.late_sends, 0);
         assert_eq!(rep.reliable.dups_suppressed, 0);
     }
@@ -204,7 +186,10 @@ mod tests {
         assert_matrices_equal(&apsp_dijkstra(&g), &res.result.to_matrix(), "5% drop apsp");
         assert_eq!(res.outcome, RunOutcome::Quiet);
         assert!(res.stats.dropped > 0, "plan should actually drop frames");
-        assert!(rep.retries > 0, "drops must be recovered by retransmission");
+        assert!(
+            rep.reliable.retries > 0,
+            "drops must be recovered by retransmission"
+        );
     }
 
     #[test]
@@ -241,7 +226,7 @@ mod tests {
         assert_eq!(plain.dist, rel.result.dist);
         assert_eq!(plain.hops, rel.result.hops);
         assert_eq!(rep.extra_rounds, 0);
-        assert_eq!(rep.retries, 0);
+        assert_eq!(rep.reliable.retries, 0);
         assert_eq!(rep.late_sends, 0);
     }
 

@@ -19,7 +19,7 @@ use crate::config::SspConfig;
 use crate::driver::extract;
 use crate::key::Gamma;
 use crate::node::PipelinedNode;
-use crate::recovery::{DegradationReport, RecoveryConfig};
+use crate::recovery::{DegradationReport, BUDGET_FACTOR};
 use crate::result::HkSspResult;
 use dw_congest::{
     EngineConfig, FaultPlan, Network, Protocol, Recorder, Round, RunOutcome, RunStats, WireCodec,
@@ -123,7 +123,7 @@ pub struct Run {
     /// The round cap. `None` is the algorithm's default
     /// ([`crate::default_budget`],
     /// [`crate::short_range::short_range_budget`]), stretched by
-    /// [`RecoveryConfig::budget_factor`] under [`Recovery::Reliable`].
+    /// [`crate::recovery::BUDGET_FACTOR`] under [`Recovery::Reliable`].
     pub budget: Option<Round>,
 }
 
@@ -133,7 +133,7 @@ pub enum Recovery {
     /// Per-link sequence/ack/retransmit over the faulty links of
     /// `engine.faults`, on any runtime; the solve reports a
     /// [`DegradationReport`].
-    Reliable(RecoveryConfig),
+    Reliable,
     /// Scripted process faults (kills, severs, coordinator stalls) with
     /// checkpoint/restore recovery, Algorithm 1 only. On `Runtime::Sim`
     /// the plan is ignored (the simulator has no processes to kill) and
@@ -151,28 +151,27 @@ impl Run {
         }
     }
 
-    /// The simulator over reliable links (the default [`RecoveryConfig`])
-    /// under the link faults `faults`.
+    /// The simulator over reliable links under the link faults `faults`.
     pub fn reliable(faults: Option<FaultPlan>) -> Run {
         Run {
             engine: EngineConfig {
                 faults,
                 ..EngineConfig::default()
             },
-            recovery: Some(Recovery::Reliable(RecoveryConfig::default())),
+            recovery: Some(Recovery::Reliable),
             ..Run::default()
         }
     }
 
     /// The round cap of an algorithm whose own budget is `default`: an
-    /// explicit `budget` wins; a reliable run gets `budget_factor ×`
+    /// explicit `budget` wins; a reliable run gets `BUDGET_FACTOR ×`
     /// the default plus `slack` for retries and ack round trips.
     pub(crate) fn round_cap(&self, default: Round, slack: Round) -> Round {
         match (self.budget, &self.recovery) {
             (Some(budget), _) => budget,
-            (None, Some(Recovery::Reliable(rc))) => default
-                .saturating_mul(rc.budget_factor.max(1))
-                .saturating_add(slack),
+            (None, Some(Recovery::Reliable)) => {
+                default.saturating_mul(BUDGET_FACTOR).saturating_add(slack)
+            }
             (None, _) => default,
         }
     }
@@ -284,14 +283,7 @@ where
 }
 
 fn hk_node(cfg: &SspConfig, gamma: Gamma, is_source: bool) -> PipelinedNode {
-    PipelinedNode::with_admission(
-        gamma,
-        cfg.h,
-        cfg.k(),
-        is_source,
-        cfg.track_invariants,
-        cfg.admission,
-    )
+    PipelinedNode::new(gamma, cfg.h, cfg.k(), is_source, cfg.admission)
 }
 
 /// The Algorithm 1 node instance the transport backends execute for

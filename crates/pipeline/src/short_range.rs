@@ -20,8 +20,8 @@
 //!
 //! The **short-range-extension** variant (also Lemma II.15) differs only
 //! in initialization: nodes that already know a distance from `x` start
-//! with it and the algorithm extends those paths by up to `h` further
-//! hops.
+//! with it ([`ShortRangeNode::new`]'s `init`) and the algorithm extends
+//! those paths by up to `h` further hops.
 //!
 //! The multi-source variant replaces `sqrt(h)` by `γ = sqrt(hk/Δ)` and is
 //! meant to be run with the random-delay scheduler
@@ -30,11 +30,8 @@
 
 use crate::key::Gamma;
 use crate::recovery::solve_reliable;
-use crate::runtime::{execute, simulate, Recovery, Run, SolveError, Solved};
-use dw_congest::{
-    EngineConfig, Envelope, MsgSize, NodeCtx, NullRecorder, Outbox, Protocol, Recorder, Round,
-    RunStats, WireCodec,
-};
+use crate::runtime::{execute, Recovery, Run, SolveError, Solved};
+use dw_congest::{Envelope, MsgSize, NodeCtx, Outbox, Protocol, Recorder, Round, WireCodec};
 use dw_graph::{NodeId, WGraph, Weight, INFINITY};
 
 /// `(d*, l*)` announcement — 2 words.
@@ -256,34 +253,12 @@ pub fn solve_short_range(
     let make = |v: NodeId| ShortRangeNode::new(gamma, h, (v == x).then_some(0));
     let finish = |nodes: &mut dyn ExactSizeIterator<Item = &ShortRangeNode>| extract(x, nodes);
     match &run.recovery {
-        Some(Recovery::Reliable(rc)) => {
+        Some(Recovery::Reliable) => {
             let late = |n: &ShortRangeNode| n.late_sends;
-            solve_reliable(g, run, rc, budget, "short_range", rec, make, late, finish)
+            solve_reliable(g, run, budget, "short_range", rec, make, late, finish)
         }
         _ => Ok(execute(g, run, budget, "short_range", rec, make, finish)?.into()),
     }
-}
-
-/// h-hop **extension** on the simulator: nodes with `init[v] = Some(d0)`
-/// start knowing a distance `d0` from `x`; the run extends these by up
-/// to `h` hops.
-pub fn short_range_extension(
-    g: &WGraph,
-    x: NodeId,
-    init: &[Option<Weight>],
-    h: u64,
-    delta: Weight,
-    engine: EngineConfig,
-) -> (ShortRangeResult, RunStats) {
-    assert_eq!(init.len(), g.n());
-    let gamma = short_range_gamma(h);
-    let budget = short_range_budget(h, delta);
-    let make = |v: NodeId| ShortRangeNode::new(gamma, h, init[v as usize]);
-    let rec = &mut NullRecorder;
-    let sim = simulate(g, engine, budget, "short_range", rec, make, |n| {
-        extract(x, n)
-    });
-    (sim.0, sim.1)
 }
 
 /// Build `k` independent short-range instances (one per source) with the
@@ -314,6 +289,8 @@ pub fn extract_instance(source: NodeId, nodes: &[ShortRangeNode]) -> ShortRangeR
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runtime::simulate;
+    use dw_congest::{EngineConfig, NullRecorder};
     use dw_graph::gen::{self, WeightDist};
 
     /// Verify the short-range contract: exact `δ(x,v)` wherever the
@@ -378,8 +355,14 @@ mod tests {
         // path 0-1-2-3-4-5 with weight 2; pretend 0..=2 already know
         // distances from x=0 and extend by h=3 hops.
         let g = gen::path(6, false, WeightDist::Constant(2), 0);
-        let init = vec![Some(0), Some(2), Some(4), None, None, None];
-        let (res, _) = short_range_extension(&g, 0, &init, 3, 20, EngineConfig::default());
+        let init = [Some(0), Some(2), Some(4), None, None, None];
+        let gamma = short_range_gamma(3);
+        let make = |v: NodeId| ShortRangeNode::new(gamma, 3, init[v as usize]);
+        let budget = short_range_budget(3, 20);
+        let rec = &mut NullRecorder;
+        let (res, _, _) = simulate(&g, EngineConfig::default(), budget, "sr", rec, make, |n| {
+            extract(0, n)
+        });
         assert_eq!(res.dist, vec![0, 2, 4, 6, 8, 10]);
         // node 5 reached from node 2 in 3 extension hops
         assert_eq!(res.hops[5], 3);

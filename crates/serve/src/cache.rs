@@ -88,6 +88,13 @@ impl PathCache {
         self.generation = generation;
     }
 
+    /// Drop every entry, keeping the capacity and the generation.
+    pub fn clear(&mut self) {
+        let generation = self.generation;
+        *self = PathCache::new(self.capacity);
+        self.generation = generation;
+    }
+
     pub fn len(&self) -> usize {
         self.map.len()
     }

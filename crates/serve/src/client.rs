@@ -21,7 +21,7 @@
 //! that the fleet holds that base, the generation goes whole
 //! ([`TableDelta::full`]).
 
-use crate::gateway::GatewayConfig;
+use crate::gateway::{GatewayConfig, APPLY_TIMEOUT};
 use crate::proto::{ApplyReport, ClientReply, ClientRequest, QueryOutcome, QueryRequest};
 use crate::table::{TableDelta, TableSnapshot};
 use dw_transport::tcp::retry_connect;
@@ -44,11 +44,10 @@ impl ServeClient {
     pub fn connect(addr: SocketAddr, timeout: Duration) -> io::Result<ServeClient> {
         // The longest a default gateway can take over one request: a
         // batch ahead of it that waits `shard_timeout` on a wedged
-        // shard, then an install that waits `apply_timeout` on the acks.
-        let cfg = GatewayConfig::default();
+        // shard, then an install that waits `APPLY_TIMEOUT` on the acks.
         ServeClient::over(
             retry_connect(addr, timeout)?,
-            cfg.shard_timeout + cfg.apply_timeout,
+            GatewayConfig::default().shard_timeout + APPLY_TIMEOUT,
         )
     }
 

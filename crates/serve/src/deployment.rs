@@ -23,7 +23,7 @@
 
 use crate::accept::accept_until_stopped;
 use crate::client::ServeClient;
-use crate::gateway::{Gateway, GatewayConfig};
+use crate::gateway::{Gateway, GatewayConfig, CONNECT_TIMEOUT};
 use crate::server::ShardHandle;
 use crate::table::{TableSnapshot, VersionedTables};
 use dw_graph::NodeId;
@@ -34,10 +34,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// How long [`Deployment::client`] retries its connect. The gateway is
-/// listening before `spawn` returns, so the first attempt lands.
-const CONNECT_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// `P` shard servers and the gateway in front of them, all on loopback.
 pub struct Deployment {

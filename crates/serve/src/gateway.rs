@@ -70,7 +70,7 @@ use std::io::{self, BufReader};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::Sender;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Gateway tuning knobs.
@@ -81,15 +81,10 @@ pub struct GatewayConfig {
     pub max_batch: usize,
     /// LRU capacity in `(src, dst)` entries; zero disables caching.
     pub cache_capacity: usize,
-    /// How long to keep retrying the initial shard connections.
-    pub connect_timeout: Duration,
     /// Per-batch shard read timeout: a shard silent this long is
     /// declared down (a *closed* socket is detected immediately; the
     /// timeout catches a wedged one).
     pub shard_timeout: Duration,
-    /// How long one `ApplyTables` waits for all shard install acks
-    /// before counting the stragglers as failed.
-    pub apply_timeout: Duration,
     /// The generation the deployment starts at — the generation of the
     /// tables file the shards were booted from (0 for legacy `DWT1`
     /// files). Installs must beat this to be accepted.
@@ -101,13 +96,19 @@ impl Default for GatewayConfig {
         GatewayConfig {
             max_batch: 128,
             cache_capacity: 4096,
-            connect_timeout: Duration::from_secs(5),
             shard_timeout: Duration::from_secs(5),
-            apply_timeout: Duration::from_secs(30),
             initial_generation: 0,
         }
     }
 }
+
+/// How long the gateway keeps retrying its initial shard connections,
+/// and a deployment or a load-generator client its gateway connection.
+pub const CONNECT_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// How long one `ApplyTables` waits for all shard install acks before
+/// counting the stragglers as failed.
+pub const APPLY_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// How long one reply write may block on a client that is not reading
 /// before the connection is dropped. A write blocks only once the
@@ -139,9 +140,14 @@ impl ClientSink {
         if self.is_dead() {
             return;
         }
-        let mut out = self.out.lock().expect("no thread panics mid-write");
+        let (mut out, ok) = match self.out.lock() {
+            Ok(out) => (out, true),
+            // A write that panicked may have left half a frame on the
+            // wire: the connection ends as if that write had failed.
+            Err(poisoned) => (poisoned.into_inner(), false),
+        };
         let (stream, scratch) = &mut *out;
-        if write_frame(stream, reply, scratch).is_err() {
+        if !ok || write_frame(stream, reply, scratch).is_err() {
             self.dead.store(true, Ordering::Relaxed);
             let _ = stream.shutdown(Shutdown::Both);
         }
@@ -198,10 +204,10 @@ struct Dispatcher {
 }
 
 impl Dispatcher {
-    fn mailbox(&self) -> std::sync::MutexGuard<'_, Mailbox> {
-        self.mailbox
-            .lock()
-            .expect("no thread panics holding a mailbox")
+    fn mailbox(&self) -> MutexGuard<'_, Mailbox> {
+        // Every hold of the lock pushes, takes or swaps whole vectors or
+        // stores a flag, so a panic under it leaves a whole mailbox.
+        self.mailbox.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -218,7 +224,6 @@ struct Shared {
     /// at exactly its generation. Locked for the whole of an install, so
     /// installs run one at a time.
     fleet: Mutex<Option<u64>>,
-    apply_timeout: Duration,
 }
 
 impl Shared {
@@ -234,14 +239,28 @@ impl Shared {
     /// Fold one request's or one batch's tallies into the totals: one
     /// lock however many counters moved.
     fn tally(&self, fold: impl FnOnce(&mut ServeStats)) {
-        fold(&mut self.stats.lock().expect("stats updates cannot panic"));
+        fold(&mut self.stats());
     }
 
-    fn cache(&self) -> std::sync::MutexGuard<'_, PathCache> {
-        self.cache.lock().expect("cache updates do not panic")
+    fn stats(&self) -> MutexGuard<'_, ServeStats> {
+        // Plain counters: a fold cut short by a panic leaves some of
+        // them behind, each one still a count of what happened.
+        self.stats.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    fn fleet(&self) -> std::sync::MutexGuard<'_, Option<u64>> {
+    fn cache(&self) -> MutexGuard<'_, PathCache> {
+        self.cache.lock().unwrap_or_else(|poisoned| {
+            // An update that panicked may have left the LRU's map and
+            // recency list disagreeing: start empty, at the same
+            // generation.
+            self.cache.clear_poison();
+            let mut cache = poisoned.into_inner();
+            cache.clear();
+            cache
+        })
+    }
+
+    fn fleet(&self) -> MutexGuard<'_, Option<u64>> {
         self.fleet.lock().unwrap_or_else(|poisoned| {
             // An install that panicked may have left shards between
             // generations: nothing is known of the fleet any more, so
@@ -310,7 +329,7 @@ fn dispatcher_main(
                 && mb.installs.is_empty()
                 && !shared.stop.load(Ordering::Relaxed)
             {
-                mb = d.wake.wait(mb).expect("no thread panics holding a mailbox");
+                mb = d.wake.wait(mb).unwrap_or_else(PoisonError::into_inner);
             }
             if !mb.installs.is_empty() {
                 Work::Installs(std::mem::take(&mut mb.installs))
@@ -547,7 +566,7 @@ fn handle_apply(shared: &Shared, generation: u64, delta: TableDelta, home: &Clie
         waits.push((d, done_rx));
     }
 
-    let deadline = Instant::now() + shared.apply_timeout;
+    let deadline = Instant::now() + APPLY_TIMEOUT;
     let (mut installed, mut failed) = (0u32, 0u32);
     // Whether every shard still up now holds exactly `generation`.
     let mut fleet_holds = true;
@@ -756,7 +775,6 @@ impl Gateway {
             stop: AtomicBool::new(false),
             generation: AtomicU64::new(cfg.initial_generation),
             fleet: Mutex::new(Some(cfg.initial_generation)),
-            apply_timeout: cfg.apply_timeout,
         });
 
         let mut threads = Vec::new();
@@ -764,7 +782,7 @@ impl Gateway {
             // A shard that is already down at startup degrades exactly
             // like one that dies later: its dispatcher starts with no
             // connection and answers `ShardUnavailable`.
-            let conn = retry_connect(peer, cfg.connect_timeout)
+            let conn = retry_connect(peer, CONNECT_TIMEOUT)
                 .and_then(|c| {
                     c.set_nodelay(true)?;
                     c.set_read_timeout(Some(cfg.shard_timeout))?;
@@ -801,11 +819,7 @@ impl Gateway {
 
     /// Snapshot of the aggregate serve metrics.
     pub fn stats(&self) -> ServeStats {
-        *self
-            .shared
-            .stats
-            .lock()
-            .expect("stats updates cannot panic")
+        *self.shared.stats()
     }
 
     /// The table generation the gateway currently believes live.

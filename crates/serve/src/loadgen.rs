@@ -20,6 +20,7 @@
 //!   seed, so hit rates are reproducible.
 
 use crate::client::ServeClient;
+use crate::gateway::CONNECT_TIMEOUT;
 use crate::proto::QueryOutcome;
 use crate::zipf::Zipf;
 use dw_graph::NodeId;
@@ -45,8 +46,6 @@ pub struct LoadgenConfig {
     pub zipf_pairs: usize,
     /// Base RNG seed; client `i` uses `seed + i`.
     pub seed: u64,
-    /// Gateway connect timeout.
-    pub connect_timeout: Duration,
 }
 
 impl Default for LoadgenConfig {
@@ -58,7 +57,6 @@ impl Default for LoadgenConfig {
             zipf: None,
             zipf_pairs: 10_000,
             seed: 1,
-            connect_timeout: Duration::from_secs(5),
         }
     }
 }
@@ -147,9 +145,8 @@ pub fn run_loadgen(
         let mix = std::sync::Arc::clone(&mix);
         let seed = cfg.seed.wrapping_add(c as u64);
         let requests = cfg.requests_per_client;
-        let timeout = cfg.connect_timeout;
         workers.push(std::thread::spawn(move || -> std::io::Result<Worker> {
-            let mut client = ServeClient::connect(gateway, timeout)?;
+            let mut client = ServeClient::connect(gateway, CONNECT_TIMEOUT)?;
             let mut rng = ChaCha8Rng::seed_from_u64(seed);
             let mut w = Worker::default();
             for _ in 0..requests {
@@ -174,10 +171,10 @@ pub fn run_loadgen(
 
     let mut total = Worker::default();
     for t in workers {
-        match t.join().expect("loadgen worker panicked") {
-            Ok(w) => total.merge(w),
-            Err(e) => return Err(e),
-        }
+        let joined = t
+            .join()
+            .map_err(|_| std::io::Error::other("a loadgen client panicked"));
+        total.merge(joined??);
     }
     let wall = started.elapsed();
     total.latencies_us.sort_unstable();

@@ -205,8 +205,10 @@ pub(crate) fn chaos_coord_config(
 /// finished and every worker returned its nodes" is a [`PartialRun`]:
 /// the coordinator's diagnosis outranks the workers' secondary errors,
 /// aborted workers are collateral rather than the fault, and — because
-/// the coordinator blames worker slots while a `PartialRun` speaks node
-/// ids — each failed worker expands to the block it hosted.
+/// the coordinator blames worker slots while its caller speaks node
+/// ids — each failed worker in its [`TransportError::Unrecoverable`]
+/// expands to the block it hosted, and the first worker error that is
+/// not an abort joins its context (it says what went wrong there).
 pub(crate) fn assemble<P>(
     map: &ShardMap,
     coord_result: Result<(RunOutcome, RunStats), TransportError>,
@@ -253,20 +255,27 @@ pub(crate) fn assemble<P>(
                 TransportError::protocol("a worker died in a run the coordinator finished")
             }),
         ),
-        Err(coord_err) => {
-            let round = match &coord_err {
-                TransportError::Unrecoverable { round, .. } => *round,
-                _ => 0,
+        Err(TransportError::Unrecoverable {
+            failed,
+            round,
+            context,
+        }) => {
+            let failed = failed.iter().flat_map(|&slot| map.nodes(slot)).collect();
+            let context = match worker_err {
+                Some(e) => format!("{context} ({e})"),
+                None => context,
             };
-            (round, coord_err)
+            let error = TransportError::Unrecoverable {
+                failed,
+                round,
+                context,
+            };
+            (round, error)
         }
+        Err(coord_err) => (0, coord_err),
     };
     Err(Box::new(PartialRun {
-        failed: error
-            .failed_nodes()
-            .iter()
-            .flat_map(|&sfail| map.nodes(sfail))
-            .collect(),
+        failed: error.failed_nodes().to_vec(),
         round,
         nodes,
         error,

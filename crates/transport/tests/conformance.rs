@@ -835,8 +835,10 @@ impl Protocol for Fuse {
 /// workers are aborted, not left in `recv` while the run waits to join
 /// them, and a worker's panic reaches the coordinator, which would
 /// otherwise wait for its `Done`. Node 5 of the 6-node path lives on
-/// the second of two workers. The run happens on a thread of its own,
-/// so a hang fails this test instead of hanging the suite.
+/// the second of two workers, so a worker panic blames that worker's
+/// nodes 3–5 (not its slot, 1) and carries the panic's own message.
+/// The run happens on a thread of its own, so a hang fails this test
+/// instead of hanging the suite.
 fn a_panic_is_an_error(side: Side, tcp: bool) {
     let (tx, rx) = channel();
     let run = std::thread::spawn(move || {
@@ -862,7 +864,12 @@ fn a_panic_is_an_error(side: Side, tcp: bool) {
         .expect("the run fails");
     match side {
         Side::Coordinator => assert!(matches!(err, TransportError::Protocol { .. }), "{err}"),
-        Side::Worker => assert!(!err.failed_nodes().is_empty(), "blames no one: {err}"),
+        Side::Worker => {
+            assert_eq!(err.failed_nodes(), &[3, 4, 5], "{err}");
+            let text = err.to_string();
+            assert!(text.contains("[3, 4, 5]"), "{text}");
+            assert!(text.contains("node 5 refuses round 5"), "{text}");
+        }
     }
     run.join().expect("the run's thread returns");
 }
