@@ -191,55 +191,6 @@ impl<M: WireCodec> WireCodec for RMsg<M> {
     }
 }
 
-/// Edge updates travel on the wire too — batched into the dynamic
-/// subsystem's `UpdateBatch` frames — so their codec lives here with
-/// the trait. Layout: a variant tag byte, then the fields in order
-/// (weightless variants simply omit the weight).
-impl WireCodec for dw_graph::EdgeUpdate {
-    fn encode(&self, out: &mut Vec<u8>) {
-        use dw_graph::EdgeUpdate::*;
-        match *self {
-            Insert { src, dst, w } => {
-                out.push(0);
-                src.encode(out);
-                dst.encode(out);
-                w.encode(out);
-            }
-            SetWeight { src, dst, w } => {
-                out.push(1);
-                src.encode(out);
-                dst.encode(out);
-                w.encode(out);
-            }
-            Remove { src, dst } => {
-                out.push(2);
-                src.encode(out);
-                dst.encode(out);
-            }
-        }
-    }
-    fn decode(buf: &mut &[u8]) -> Option<Self> {
-        use dw_graph::EdgeUpdate::*;
-        match u8::decode(buf)? {
-            0 => Some(Insert {
-                src: u32::decode(buf)?,
-                dst: u32::decode(buf)?,
-                w: u64::decode(buf)?,
-            }),
-            1 => Some(SetWeight {
-                src: u32::decode(buf)?,
-                dst: u32::decode(buf)?,
-                w: u64::decode(buf)?,
-            }),
-            2 => Some(Remove {
-                src: u32::decode(buf)?,
-                dst: u32::decode(buf)?,
-            }),
-            _ => None,
-        }
-    }
-}
-
 /// Encode a value into a fresh buffer. The encoding is canonical (a
 /// fixed layout per type, no padding, no map iteration order), so the
 /// bytes are stable across runs — which is what lets snapshot files be
@@ -321,29 +272,6 @@ mod tests {
         assert_eq!(roundtrip(&data), Some(data.clone()));
         let ack: RMsg<u64> = RMsg::Ack { ack: 3 };
         assert_eq!(roundtrip(&ack), Some(ack.clone()));
-    }
-
-    #[test]
-    fn edge_update_roundtrip_and_tag_rejection() {
-        use dw_graph::EdgeUpdate;
-        for u in [
-            EdgeUpdate::Insert {
-                src: 1,
-                dst: 2,
-                w: 9,
-            },
-            EdgeUpdate::SetWeight {
-                src: 4,
-                dst: 0,
-                w: 0,
-            },
-            EdgeUpdate::Remove { src: 7, dst: 3 },
-        ] {
-            assert_eq!(roundtrip(&u), Some(u));
-        }
-        let mut bytes = to_bytes(&EdgeUpdate::Remove { src: 1, dst: 2 });
-        bytes[0] = 9;
-        assert_eq!(from_bytes::<EdgeUpdate>(&bytes), None);
     }
 
     #[test]

@@ -176,13 +176,6 @@ impl<P: Protocol> NodeRunner<P> {
         self.link_load[rank] += 1;
     }
 
-    /// Messages carried per out-link over the whole run, in
-    /// comm-neighbor rank order (the per-link congestion of this node's
-    /// outgoing links).
-    pub fn link_loads(&self) -> &[u64] {
-        &self.link_load
-    }
-
     /// Maximum load over this node's out-links.
     pub fn max_link_load(&self) -> u64 {
         self.link_load.iter().copied().max().unwrap_or(0)
@@ -299,7 +292,6 @@ mod tests {
         assert_eq!(r.node_sends(), 2, "round 3 was silent");
         assert_eq!(r.messages(), 3);
         assert_eq!(r.total_words(), 3);
-        assert_eq!(r.link_loads(), &[2, 1], "link to 0 used twice, to 2 once");
         assert_eq!(r.max_link_load(), 2);
     }
 

@@ -50,6 +50,29 @@ use std::net::{SocketAddr, TcpListener};
 use std::process::exit;
 use std::time::Duration;
 
+/// Every stdout write of the CLI, through one locked writer. A reader
+/// that hangs up early (`dwapsp gen … | head -c 50`) ends the process
+/// quietly with status 0, as a Unix filter does; any other write error
+/// exits 1.
+fn to_stdout(write: impl FnOnce(&mut dyn Write) -> io::Result<()>) {
+    let mut out = io::BufWriter::new(io::stdout().lock());
+    match write(&mut out).and_then(|()| out.flush()) {
+        Ok(()) => {}
+        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => exit(0),
+        Err(e) => {
+            eprintln!("writing to stdout: {e}");
+            exit(1);
+        }
+    }
+}
+
+/// `println!` through [`to_stdout`].
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        to_stdout(|out| writeln!(out, $($arg)*))
+    };
+}
+
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let Some((name, rest)) = argv.split_first() else {
@@ -311,11 +334,11 @@ fn cmd_gen(args: &Args) {
         }
         "staircase" => gen::staircase(n.max(4) / 4, 4, w.max(1), true),
         "fig1" => gen::fig1_gadget(n.clamp(2, 64), w.max(1), 1, true).0,
-        // Streaming large-graph families (no O(n²) intermediates): these
-        // are the ones to use at 50k+ nodes.
+        // The O(m) families (no O(n²) pair loop): these are the ones to
+        // use at 50k+ nodes.
         "grid2d" => {
             let side = (n as f64).sqrt().round().max(2.0) as usize;
-            gen::grid2d(side, side, gen::WeightDist::Uniform { max: w }, seed)
+            gen::grid(side, side, false, gen::WeightDist::Uniform { max: w }, seed)
         }
         "power-law" => {
             let attach: usize = args.or("--attach", 2);
@@ -332,7 +355,7 @@ fn cmd_gen(args: &Args) {
             write_or_exit(path, json);
             eprintln!("wrote {} (n={}, m={})", path, g.n(), g.m());
         }
-        None => println!("{json}"),
+        None => outln!("{json}"),
     }
 }
 
@@ -368,9 +391,11 @@ fn solve_or_exit(
 }
 
 fn print_stats(label: &str, st: &RunStats) {
-    println!(
+    outln!(
         "{label}: rounds={} messages={} max-link-load={}",
-        st.rounds, st.messages, st.max_link_load
+        st.rounds,
+        st.messages,
+        st.max_link_load
     );
 }
 
@@ -516,7 +541,13 @@ fn cmd_solve(args: &Args) {
         write_or_exit(path, to_chrome_trace(&recording));
         eprintln!("wrote {path} (load in chrome://tracing or Perfetto)");
     }
-    print!("{}", render_report(&recording, &phase_bounds(&recording)));
+    to_stdout(|out| {
+        write!(
+            out,
+            "{}",
+            render_report(&recording, &phase_bounds(&recording))
+        )
+    });
     if args.has("--print-matrix") {
         print_matrix(&matrix);
     }
@@ -695,7 +726,7 @@ fn cmd_chaos(args: &Args) {
             print_stats(&label, &solved.stats);
             let diffs = matrices_equal(&reference.to_matrix(), &solved.result.to_matrix(), 5).len();
             if diffs == 0 {
-                println!("recovered: distances bit-identical to the fault-free simulator ✓");
+                outln!("recovered: distances bit-identical to the fault-free simulator ✓");
             } else {
                 eprintln!("RECOVERY DIVERGED: {diffs} distance disagreement(s) vs simulator");
                 exit(1);
@@ -706,7 +737,7 @@ fn cmd_chaos(args: &Args) {
                 "unrecoverable: {} (round {}, failed nodes {:?}, incomplete sources {:?})",
                 partial.reason, partial.round, partial.failed, partial.incomplete_sources
             );
-            println!("salvaged distance upper bounds (failed columns are inf):");
+            outln!("salvaged distance upper bounds (failed columns are inf):");
             print_matrix(&partial.result.to_matrix());
             exit(3);
         }
@@ -725,7 +756,13 @@ fn cmd_report(args: &Args) {
             eprintln!("cannot parse {path}: {e}");
             exit(1);
         });
-    print!("{}", render_report(&recording, &phase_bounds(&recording)));
+    to_stdout(|out| {
+        write!(
+            out,
+            "{}",
+            render_report(&recording, &phase_bounds(&recording))
+        )
+    });
 }
 
 /// The paper bounds the report checks phases against, derived from the
@@ -860,19 +897,22 @@ fn cmd_run_node(args: &Args) {
         eprintln!("worker {id} failed: {e}");
         exit(1);
     });
-    println!(
+    outln!(
         "worker {id}: outcome={outcome:?} nodes={}..{}",
         map.nodes(id).start,
         map.nodes(id).end
     );
-    for (v, node) in map.nodes(id).zip(&nodes) {
-        for &s in &cfg.sources {
-            match node.best_for(s) {
-                Some(b) => println!("dist {s} -> {v}: {} (hops {})", b.d, b.l),
-                None => println!("dist {s} -> {v}: inf"),
+    to_stdout(|out| {
+        for (v, node) in map.nodes(id).zip(&nodes) {
+            for &s in &cfg.sources {
+                match node.best_for(s) {
+                    Some(b) => writeln!(out, "dist {s} -> {v}: {} (hops {})", b.d, b.l)?,
+                    None => writeln!(out, "dist {s} -> {v}: inf")?,
+                }
             }
         }
-    }
+        Ok(())
+    });
 }
 
 fn cmd_coordinator(args: &Args) {
@@ -895,7 +935,7 @@ fn cmd_coordinator(args: &Args) {
         eprintln!("coordinator failed: {e}");
         exit(1);
     });
-    println!("coordinator: outcome={outcome:?}");
+    outln!("coordinator: outcome={outcome:?}");
     print_stats("alg1 [tcp]", &st);
 }
 
@@ -978,9 +1018,10 @@ fn cmd_serve(args: &Args) {
             .collect();
         (&mut local.gateway, local.map.clone(), addrs)
     };
-    println!(
+    outln!(
         "gateway listening on {} (tables generation {})",
-        gw.addr, vt.generation
+        gw.addr,
+        vt.generation
     );
     for (s, a) in addrs.iter().enumerate() {
         let block = map.nodes(s as NodeId);
@@ -994,7 +1035,7 @@ fn cmd_serve(args: &Args) {
         Some(t) => {
             std::thread::sleep(Duration::from_secs(t));
             let st = gw.stats();
-            println!(
+            outln!(
                 "served {} queries: cache-hit-rate={:.3} mean-batch={:.1} shard-unavailable={}",
                 st.queries,
                 st.cache_hit_rate(),
@@ -1064,13 +1105,13 @@ fn cmd_query(args: &Args) {
             exit(1);
         });
     match outcome {
-        QueryOutcome::Dist { dist } => println!("dist {src} -> {dst}: {dist}"),
+        QueryOutcome::Dist { dist } => outln!("dist {src} -> {dst}: {dist}"),
         QueryOutcome::Path { dist, path } => {
             let hops: Vec<String> = path.iter().map(|v| v.to_string()).collect();
-            println!("dist {src} -> {dst}: {dist}");
-            println!("path: {}", hops.join(" -> "));
+            outln!("dist {src} -> {dst}: {dist}");
+            outln!("path: {}", hops.join(" -> "));
         }
-        QueryOutcome::Unreachable => println!("dist {src} -> {dst}: inf"),
+        QueryOutcome::Unreachable => outln!("dist {src} -> {dst}: inf"),
         QueryOutcome::UnknownSource => {
             eprintln!("source {src} has no computed table row");
             exit(2);
@@ -1087,7 +1128,7 @@ fn cmd_query(args: &Args) {
 }
 
 fn print_update_report(r: &dwapsp::dynamic::UpdateReport, n: usize) {
-    println!(
+    outln!(
         "batch {} -> generation {}: recomputed {}/{} rows ({:.1}%), cells touched {} of {}, \
          hop columns walked {}, edges +{} -{} ~{} ({} noops), patch {}us solve {}us",
         r.seq,
@@ -1191,7 +1232,7 @@ fn cmd_apply_updates(args: &Args) {
             eprintln!("apply failed: {e}");
             exit(1);
         });
-    println!(
+    outln!(
         "apply generation {}: accepted={} shards-installed={} shards-down={} \
          install-bytes={} full={}",
         rep.generation,
@@ -1306,7 +1347,7 @@ fn cmd_loadgen(args: &Args) {
                 t.swaps, t.accepted, t.full, t.install_bytes
             )
         });
-        println!(
+        outln!(
             "{{\"queries\":{},\"ok\":{},\"shard_unavailable\":{},\"errors\":{},\"wall_ms\":{},\
              \"qps\":{:.1},\"p50_us\":{},\"p95_us\":{},\"p99_us\":{}{}}}",
             report.queries,
@@ -1324,31 +1365,38 @@ fn cmd_loadgen(args: &Args) {
         let mix = cfg
             .zipf
             .map_or("uniform".to_string(), |s| format!("zipf({s})"));
-        println!(
+        outln!(
             "loadgen [{mix}]: {} queries in {:?} ({:.0} qps, {} clients)",
-            report.queries, report.wall, report.qps, cfg.clients
+            report.queries,
+            report.wall,
+            report.qps,
+            cfg.clients
         );
-        println!(
+        outln!(
             "latency: p50={}us p95={}us p99={}us; shard-unavailable={} errors={}",
-            report.p50_us, report.p95_us, report.p99_us, report.shard_unavailable, report.errors
+            report.p50_us,
+            report.p95_us,
+            report.p99_us,
+            report.shard_unavailable,
+            report.errors
         );
         if let Some(t) = swap_stats {
-            println!(
+            outln!(
                 "updates: {} generation swaps applied mid-run ({} accepted by the whole fleet); \
                  {} install bytes, {} full installs",
-                t.swaps, t.accepted, t.install_bytes, t.full
+                t.swaps,
+                t.accepted,
+                t.install_bytes,
+                t.full
             );
         }
     }
 }
 
-/// One row per source, through one locked writer. A reader that hangs
-/// up early (`dwapsp run … | head -1`) ends the process quietly with
-/// status 0, as a Unix filter does.
+/// One row per source.
 fn print_matrix(m: &DistMatrix) {
-    let mut out = io::BufWriter::new(io::stdout().lock());
-    let written = (m.sources.iter().enumerate())
-        .try_for_each(|(i, &s)| {
+    to_stdout(|out| {
+        for (i, &s) in m.sources.iter().enumerate() {
             write!(out, "{s}:")?;
             for v in 0..m.n() as NodeId {
                 match m.at(i, v) {
@@ -1356,17 +1404,10 @@ fn print_matrix(m: &DistMatrix) {
                     d => write!(out, " {d}")?,
                 }
             }
-            writeln!(out)
-        })
-        .and_then(|()| out.flush());
-    match written {
-        Ok(()) => {}
-        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => exit(0),
-        Err(e) => {
-            eprintln!("writing the matrix: {e}");
-            exit(1);
+            writeln!(out)?;
         }
-    }
+        Ok(())
+    });
 }
 
 fn cmd_validate(args: &Args) {
@@ -1403,7 +1444,7 @@ fn cmd_validate(args: &Args) {
     failures += report_diff("approx(ε=1/2 ratio)", ratio_bad);
 
     if failures == 0 {
-        println!("all algorithms validated against sequential Dijkstra ✓");
+        outln!("all algorithms validated against sequential Dijkstra ✓");
     } else {
         eprintln!("{failures} validation failure(s)");
         exit(1);
@@ -1412,10 +1453,10 @@ fn cmd_validate(args: &Args) {
 
 fn report_diff(name: &str, diffs: usize) -> usize {
     if diffs == 0 {
-        println!("{name}: ok");
+        outln!("{name}: ok");
         0
     } else {
-        println!("{name}: {diffs} DISAGREEMENT(S)");
+        outln!("{name}: {diffs} DISAGREEMENT(S)");
         1
     }
 }
@@ -1423,20 +1464,22 @@ fn report_diff(name: &str, diffs: usize) -> usize {
 fn cmd_info(args: &Args) {
     let g = load(args);
     let st = analysis::stats(&g);
-    println!("n={} m={} directed={}", st.n, st.m, st.directed);
-    println!(
+    outln!("n={} m={} directed={}", st.n, st.m, st.directed);
+    outln!(
         "weights: max={} zero-edges={} ({:.0}%)",
         st.max_weight,
         st.zero_edges,
         100.0 * st.zero_edges as f64 / st.m.max(1) as f64
     );
-    println!(
+    outln!(
         "comm degree: min={} max={} avg={:.2}",
-        st.min_comm_degree, st.max_comm_degree, st.avg_comm_degree
+        st.min_comm_degree,
+        st.max_comm_degree,
+        st.avg_comm_degree
     );
-    println!("comm connected: {}", analysis::comm_connected(&g));
+    outln!("comm connected: {}", analysis::comm_connected(&g));
     if let Some(d) = analysis::comm_diameter(&g) {
-        println!("comm diameter: {d}");
+        outln!("comm diameter: {d}");
     }
-    println!("Δ (max finite distance): {}", max_finite_distance(&g));
+    outln!("Δ (max finite distance): {}", max_finite_distance(&g));
 }

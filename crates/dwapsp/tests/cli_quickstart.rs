@@ -246,29 +246,37 @@ fn chaos_rejects_empty_link_fault_windows() {
     }
 }
 
-/// `dwapsp run … | head -1`: a reader that hangs up after one line
-/// ends the run quietly, status 0 and no panic. The matrix (160 rows
-/// of 160 distances, most of them ten digits) is about 270 KB, four
-/// times a 64 KiB pipe buffer plus both ends' 8 KiB buffers, so the
+/// `dwapsp … | head -c 50`: a reader that hangs up early ends the
+/// process quietly, status 0 and no panic. Each case writes far more
+/// than a 64 KiB pipe buffer plus both ends' 8 KiB buffers, so the
 /// write that fails is certain, not a race.
-#[test]
-fn a_closed_stdout_ends_the_run_quietly() {
-    use std::io::{BufRead, BufReader, Read};
-    let g = gen::path(160, false, WeightDist::Constant(10_000_000), 3);
-    let graph = format!("{}/cli_closed_stdout_g.json", env!("CARGO_TARGET_TMPDIR"));
-    std::fs::write(&graph, to_json(&g)).expect("write graph file");
-    let mut child = spawn(&["run", "--graph", &graph, "--algo", "alg1"]);
-    let mut stdout = BufReader::new(child.stdout.take().expect("piped stdout"));
-    let mut first = String::new();
-    stdout.read_line(&mut first).expect("read one line");
-    assert!(!first.is_empty(), "the run prints something");
+fn a_closed_stdout_ends_quietly(argv: &[&str]) {
+    use std::io::Read;
+    let mut child = spawn(argv);
+    let mut stdout = child.stdout.take().expect("piped stdout");
+    let mut head = [0u8; 50];
+    stdout
+        .read_exact(&mut head)
+        .expect("read the first 50 bytes");
     drop(stdout);
     let mut stderr = String::new();
     let mut pipe = child.stderr.take().expect("piped stderr");
     pipe.read_to_string(&mut stderr).expect("read stderr");
     let status = child.wait().expect("wait for dwapsp");
-    assert!(!stderr.contains("panicked"), "{stderr}");
-    assert_eq!(status.code(), Some(0), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{argv:?}: {stderr}");
+    assert_eq!(status.code(), Some(0), "{argv:?}: {stderr}");
+}
+
+/// `run`'s matrix (160 rows of 160 distances, most of them ten digits:
+/// about 270 KB) and `gen`'s JSON for a 200 000-node grid (about 13 MB
+/// on one line).
+#[test]
+fn a_closed_stdout_ends_the_run_quietly() {
+    let g = gen::path(160, false, WeightDist::Constant(10_000_000), 3);
+    let graph = format!("{}/cli_closed_stdout_g.json", env!("CARGO_TARGET_TMPDIR"));
+    std::fs::write(&graph, to_json(&g)).expect("write graph file");
+    a_closed_stdout_ends_quietly(&["run", "--graph", &graph, "--algo", "alg1"]);
+    a_closed_stdout_ends_quietly(&["gen", "--family", "grid2d", "--n", "200000"]);
 }
 
 /// A graph file whose edge names a node `>= n` is refused with exit 1

@@ -8,13 +8,7 @@
 //! one generation. Batching is what makes the incremental path win:
 //! the invalidation rule is evaluated against the batch's *net* effect,
 //! so updates that cancel out (or repeat) cost nothing.
-//!
-//! The wire encoding is the repo's canonical [`WireCodec`] layout, so
-//! batches persist and replay byte-identically (the fuzz suite in
-//! `tests/codec_fuzz.rs` holds this boundary to the same standard as
-//! the serve protocol: garbage in, clean verdict out).
 
-use dw_congest::WireCodec;
 use dw_graph::{EdgeUpdate, NodeId, Weight};
 
 /// A numbered batch of edge updates. `seq` is assigned by the pool at
@@ -24,18 +18,6 @@ use dw_graph::{EdgeUpdate, NodeId, Weight};
 pub struct UpdateBatch {
     pub seq: u64,
     pub updates: Vec<EdgeUpdate>,
-}
-
-impl WireCodec for UpdateBatch {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.seq.encode(out);
-        self.updates.encode(out);
-    }
-    fn decode(buf: &mut &[u8]) -> Option<Self> {
-        let seq = u64::decode(buf)?;
-        let updates = Vec::<EdgeUpdate>::decode(buf)?;
-        Some(UpdateBatch { seq, updates })
-    }
 }
 
 /// A mempool-style accumulator: updates arrive one at a time (or in
@@ -136,29 +118,6 @@ pub fn parse_updates(text: &str) -> Result<Vec<EdgeUpdate>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dw_congest::{from_bytes, to_bytes};
-
-    #[test]
-    fn batch_roundtrips_on_the_wire() {
-        let b = UpdateBatch {
-            seq: 42,
-            updates: vec![
-                EdgeUpdate::Insert {
-                    src: 1,
-                    dst: 2,
-                    w: 7,
-                },
-                EdgeUpdate::SetWeight {
-                    src: 3,
-                    dst: 4,
-                    w: 0,
-                },
-                EdgeUpdate::Remove { src: 5, dst: 6 },
-            ],
-        };
-        let bytes = to_bytes(&b);
-        assert_eq!(from_bytes::<UpdateBatch>(&bytes), Some(b));
-    }
 
     #[test]
     fn pool_drains_fifo_with_increasing_seq() {

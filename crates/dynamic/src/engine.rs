@@ -250,11 +250,11 @@ mod tests {
                 vec![s(0, 1, 1), i(3, 11, 2)],
             ),
             (
-                gen::grid2d(5, 5, WeightDist::Uniform { max: 7 }, 3),
+                gen::grid(5, 5, false, WeightDist::Uniform { max: 7 }, 3),
                 vec![s(0, 1, 40), d(12, 13)],
             ),
             (
-                gen::grid2d(8, 8, WeightDist::Uniform { max: 9 }, 1807),
+                gen::grid(8, 8, false, WeightDist::Uniform { max: 9 }, 1807),
                 vec![s(27, 28, 40)],
             ),
         ];
@@ -318,7 +318,7 @@ mod tests {
 
     #[test]
     fn corrupt_parent_columns_are_rebuilt_to_the_cold_row() {
-        let mut g = gen::grid2d(4, 4, WeightDist::Uniform { max: 5 }, 6);
+        let mut g = gen::grid(4, 4, false, WeightDist::Uniform { max: 5 }, 6);
         let mut vt = alg1_tables_for(&g);
         // Rows 2 and 14: 5 and 6 name each other. Row 7: a parent past
         // n. Row 11: an inner node of the tree claims to be
@@ -381,7 +381,7 @@ mod tests {
 
     #[test]
     fn a_row_the_last_batch_repaired_is_not_walked_again() {
-        let mut g = gen::grid2d(4, 5, WeightDist::Uniform { max: 5 }, 2);
+        let mut g = gen::grid(4, 5, false, WeightDist::Uniform { max: 5 }, 2);
         let (n, vt, heavier) = (g.n(), tables_for(&g), every_edge_heavier(&g, 0));
         let (vt, first) = apply_update_batch(&mut g, &vt, &heavier, RecomputeEngine::Alg1).unwrap();
         // Rows from a solver carry no column: every reached row is walked.
@@ -401,7 +401,7 @@ mod tests {
 
     #[test]
     fn a_carried_column_that_does_not_match_is_walked() {
-        let mut g = gen::grid2d(4, 4, WeightDist::Uniform { max: 5 }, 6);
+        let mut g = gen::grid(4, 4, false, WeightDist::Uniform { max: 5 }, 6);
         let (n, vt, heavier) = (g.n(), tables_for(&g), every_edge_heavier(&g, 0));
         let (mut vt, _) = apply_update_batch(&mut g, &vt, &heavier, RecomputeEngine::Alg1).unwrap();
         // Row 3: one cell one hop off. Row 9: row 10's column.
@@ -422,7 +422,7 @@ mod tests {
 
     #[test]
     fn rejected_batch_produces_no_generation_and_leaves_graph_alone() {
-        let mut g = gen::grid2d(3, 3, WeightDist::Constant(2), 0);
+        let mut g = gen::grid(3, 3, false, WeightDist::Constant(2), 0);
         let vt = tables_for(&g);
         let before = g.clone();
         let batch = UpdateBatch {
@@ -440,7 +440,7 @@ mod tests {
 
     #[test]
     fn noop_batch_bumps_generation_but_recomputes_nothing() {
-        let mut g = gen::grid2d(3, 3, WeightDist::Constant(2), 0);
+        let mut g = gen::grid(3, 3, false, WeightDist::Constant(2), 0);
         let vt = tables_for(&g);
         let batch = UpdateBatch {
             seq: 5,

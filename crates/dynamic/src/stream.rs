@@ -72,7 +72,7 @@ mod tests {
 
     #[test]
     fn batches_are_deterministic_per_seed_and_always_apply() {
-        let mut g = gen::grid2d(4, 4, WeightDist::Uniform { max: 9 }, 2);
+        let mut g = gen::grid(4, 4, false, WeightDist::Uniform { max: 9 }, 2);
         let mut rng = ChaCha8Rng::seed_from_u64(77);
         let a = gen_update_batch(&g, 0, 16, 9, &mut rng);
         let mut rng = ChaCha8Rng::seed_from_u64(77);

@@ -46,7 +46,7 @@ fn snapshot_for(g: &WGraph) -> TableSnapshot {
 #[test]
 #[ignore = "a live loopback deployment under a stall and a kill; run by `make serve-chaos`"]
 fn a_live_deployment_rides_out_a_stall_and_a_kill_without_a_stale_answer() {
-    let mut g = gen::grid2d(6, 6, WeightDist::Uniform { max: 9 }, 42);
+    let mut g = gen::grid(6, 6, false, WeightDist::Uniform { max: 9 }, 42);
     let n = g.n() as NodeId;
     let mut snap = snapshot_for(&g);
     let cfg = GatewayConfig {

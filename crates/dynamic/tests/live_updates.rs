@@ -31,7 +31,7 @@ use rand_chacha::ChaCha8Rng;
 #[test]
 #[ignore = "a live loopback deployment under load; run by `make dynamic-smoke`"]
 fn update_batches_swap_into_a_live_deployment_without_a_torn_answer() {
-    let mut g = gen::grid2d(6, 6, WeightDist::Uniform { max: 9 }, 42);
+    let mut g = gen::grid(6, 6, false, WeightDist::Uniform { max: 9 }, 42);
     let n = g.n() as NodeId;
     let (cold, _, _) = apsp_auto(&g, EngineConfig::default());
     let mut vt = VersionedTables {

@@ -62,7 +62,7 @@ fn cold_alg1_tables(g: &WGraph, sources: &[NodeId]) -> TableSnapshot {
 
 fn seed_graph(which: usize, seed: u64) -> WGraph {
     match which {
-        0 => gen::grid2d(5, 5, WeightDist::Uniform { max: 9 }, seed),
+        0 => gen::grid(5, 5, false, WeightDist::Uniform { max: 9 }, seed),
         1 => gen::power_law(28, 2, WeightDist::Uniform { max: 9 }, seed),
         2 => gen::zero_heavy(24, 0.12, 0.5, 6, true, seed),
         3 => gen::power_law(24, 2, WeightDist::Uniform { max: 6 }, seed),

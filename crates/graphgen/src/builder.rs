@@ -1,19 +1,15 @@
-//! Graph construction with invariant enforcement.
+//! An edge collector for [`WGraph`].
 
-use crate::graph::{NodeId, WGraph, Weight};
-use std::collections::BTreeMap;
+use crate::graph::{Edge, NodeId, WGraph, Weight};
 
-/// Incremental builder for [`WGraph`].
-///
-/// Deduplicates parallel edges by keeping the minimum weight (shortest-path
-/// semantics), rejects self loops, and produces sorted adjacency.
+/// Incremental builder for [`WGraph`]: collects range-checked edges and
+/// hands them to [`WGraph::from_edge_list`], which drops self loops,
+/// keeps the minimum weight of parallel edges and sorts the rows.
 #[derive(Debug, Clone)]
 pub struct GraphBuilder {
     n: usize,
     directed: bool,
-    // (src, dst) -> min weight; for undirected graphs keys are normalized
-    // with src < dst.
-    edges: BTreeMap<(NodeId, NodeId), Weight>,
+    edges: Vec<Edge>,
 }
 
 impl GraphBuilder {
@@ -23,7 +19,7 @@ impl GraphBuilder {
         GraphBuilder {
             n,
             directed,
-            edges: BTreeMap::new(),
+            edges: Vec::new(),
         }
     }
 
@@ -33,18 +29,7 @@ impl GraphBuilder {
     pub fn add_edge(&mut self, src: NodeId, dst: NodeId, w: Weight) -> &mut Self {
         assert!((src as usize) < self.n, "src {src} out of range");
         assert!((dst as usize) < self.n, "dst {dst} out of range");
-        if src == dst {
-            return self;
-        }
-        let key = if self.directed || src < dst {
-            (src, dst)
-        } else {
-            (dst, src)
-        };
-        self.edges
-            .entry(key)
-            .and_modify(|old| *old = (*old).min(w))
-            .or_insert(w);
+        self.edges.push(Edge::new(src, dst, w));
         self
     }
 
@@ -59,49 +44,9 @@ impl GraphBuilder {
         self
     }
 
-    /// Number of distinct edges added so far.
-    pub fn edge_count(&self) -> usize {
-        self.edges.len()
-    }
-
-    /// Whether the (normalized) edge already exists.
-    pub fn has_edge(&self, src: NodeId, dst: NodeId) -> bool {
-        let key = if self.directed || src < dst {
-            (src, dst)
-        } else {
-            (dst, src)
-        };
-        self.edges.contains_key(&key)
-    }
-
     /// Finalize into a [`WGraph`].
     pub fn build(&self) -> WGraph {
-        let n = self.n;
-        let mut out: Vec<Vec<(NodeId, Weight)>> = vec![Vec::new(); n];
-        let mut inc: Vec<Vec<(NodeId, Weight)>> = vec![Vec::new(); n];
-        for (&(s, d), &w) in &self.edges {
-            out[s as usize].push((d, w));
-            inc[d as usize].push((s, w));
-            if !self.directed {
-                out[d as usize].push((s, w));
-                inc[s as usize].push((d, w));
-            }
-        }
-        for row in out.iter_mut().chain(inc.iter_mut()) {
-            row.sort_unstable_by_key(|&(v, _)| v);
-        }
-        let mut comm: Vec<Vec<NodeId>> = vec![Vec::new(); n];
-        for (v, c) in comm.iter_mut().enumerate() {
-            let mut set: Vec<NodeId> = out[v]
-                .iter()
-                .map(|&(u, _)| u)
-                .chain(inc[v].iter().map(|&(u, _)| u))
-                .collect();
-            set.sort_unstable();
-            set.dedup();
-            *c = set;
-        }
-        WGraph::from_parts(n, self.directed, out, inc, comm, self.edges.len())
+        WGraph::from_edge_list(self.n, self.directed, self.edges.iter().copied())
     }
 }
 
@@ -138,15 +83,6 @@ mod tests {
     }
 
     #[test]
-    fn has_edge_respects_normalization() {
-        let mut b = GraphBuilder::new(3, false);
-        b.add_edge(2, 0, 4);
-        assert!(b.has_edge(0, 2));
-        assert!(b.has_edge(2, 0));
-        assert!(!b.has_edge(1, 2));
-    }
-
-    #[test]
     #[should_panic(expected = "out of range")]
     fn out_of_range_panics() {
         let mut b = GraphBuilder::new(2, true);
@@ -157,6 +93,6 @@ mod tests {
     fn extend_adds_all() {
         let mut b = GraphBuilder::new(4, true);
         b.extend([(0, 1, 1), (1, 2, 2), (2, 3, 0)]);
-        assert_eq!(b.edge_count(), 3);
+        assert_eq!(b.build().m(), 3);
     }
 }

@@ -1,10 +1,6 @@
-//! Large-graph families with streaming construction.
-//!
-//! The classic generators route every edge through `GraphBuilder`'s
-//! `BTreeMap` (or, for `gnp`, an O(n²) pair loop) — fine at n≤4k, hopeless
-//! at 100k+. These families emit a flat edge list and hand it to
-//! [`WGraph::from_edge_list`], so construction is O(m log m) time and O(m)
-//! transient memory with no per-node intermediates.
+//! Large-graph families: O(m) generation with no O(n²) pair loop, so
+//! they reach 100k+ nodes. Like every generator they end in
+//! [`WGraph::from_edge_list`].
 
 use crate::gen::weights::WeightDist;
 use crate::graph::{Edge, NodeId, WGraph};
@@ -60,28 +56,6 @@ pub fn power_law(n: usize, attach: usize, dist: WeightDist, seed: u64) -> WGraph
     WGraph::from_edge_list(n, false, edges)
 }
 
-/// `rows × cols` 2-D grid (4-neighbor lattice), undirected, weights from
-/// `dist`. The canonical bounded-degree planar workload for short-range
-/// SSSP at scale: diameter `rows + cols`, every node degree ≤ 4.
-pub fn grid2d(rows: usize, cols: usize, dist: WeightDist, seed: u64) -> WGraph {
-    assert!(rows >= 1 && cols >= 1);
-    let n = rows * cols;
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let id = |r: usize, c: usize| (r * cols + c) as NodeId;
-    let mut edges: Vec<Edge> = Vec::with_capacity(2 * n);
-    for r in 0..rows {
-        for c in 0..cols {
-            if c + 1 < cols {
-                edges.push(Edge::new(id(r, c), id(r, c + 1), dist.sample(&mut rng)));
-            }
-            if r + 1 < rows {
-                edges.push(Edge::new(id(r, c), id(r + 1, c), dist.sample(&mut rng)));
-            }
-        }
-    }
-    WGraph::from_edge_list(n, false, edges)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -110,25 +84,5 @@ mod tests {
         assert_eq!(g.m(), 1);
         let g3 = power_law(3, 4, WeightDist::Constant(1), 0);
         assert!(g3.m() >= 2); // node 2 attaches to both earlier nodes
-    }
-
-    #[test]
-    fn grid2d_matches_classic_grid_shape() {
-        let g = grid2d(3, 4, WeightDist::Constant(2), 7);
-        assert_eq!(g.n(), 12);
-        assert_eq!(g.m(), 3 * 3 + 2 * 4); // rows*(cols-1) + (rows-1)*cols
-        assert_eq!(g.comm_degree(0), 2); // corner
-        assert_eq!(g.comm_degree(5), 4); // interior
-        assert_eq!(g.max_weight(), 2);
-    }
-
-    #[test]
-    fn grid2d_streaming_scale_probe() {
-        // Big enough to catch accidental O(n²) behavior by timeout, small
-        // enough for a debug test run.
-        let g = grid2d(200, 200, WeightDist::Uniform { max: 100 }, 1);
-        assert_eq!(g.n(), 40_000);
-        assert_eq!(g.m(), 200 * 199 * 2);
-        assert!(g.csr_bytes() > 0);
     }
 }

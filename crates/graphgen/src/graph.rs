@@ -1,4 +1,4 @@
-//! The core weighted graph type.
+//! The core weighted graph type and its one constructor.
 
 /// Node identifier. The paper assigns IDs in `1..poly(n)`; we use dense
 /// `0..n` which is equivalent up to relabeling and keeps adjacency arrays
@@ -42,8 +42,8 @@ impl Edge {
 /// undirected* communication graph `U_G` — the set of nodes `v` shares a
 /// CONGEST link with, regardless of edge direction (paper Section I-B).
 ///
-/// Invariants (enforced by [`crate::builder::GraphBuilder`] and
-/// [`WGraph::from_edge_list`]):
+/// Invariants (enforced by [`WGraph::from_edge_list`], the one
+/// constructor):
 /// * no self loops;
 /// * no parallel edges (the minimum weight is kept);
 /// * adjacency rows sorted by neighbor id (determinism).
@@ -64,167 +64,89 @@ pub struct WGraph {
     pub(crate) comm_adj: Vec<NodeId>,
 }
 
-/// Flatten per-node rows into a packed CSR (offsets, entries) pair.
-fn pack<T: Copy>(n: usize, rows: &[Vec<T>]) -> (Vec<usize>, Vec<T>) {
-    let total: usize = rows.iter().map(|r| r.len()).sum();
-    let mut off = Vec::with_capacity(n + 1);
-    let mut adj = Vec::with_capacity(total);
-    off.push(0);
-    for row in rows {
-        adj.extend_from_slice(row);
-        off.push(adj.len());
-    }
-    (off, adj)
-}
-
-/// Split a packed CSR pair back into per-node rows.
-fn unpack<T: Copy>(off: &[usize], adj: &[T]) -> Vec<Vec<T>> {
-    off.windows(2).map(|w| adj[w[0]..w[1]].to_vec()).collect()
-}
-
 impl WGraph {
-    /// Construct from parts. Prefer [`crate::builder::GraphBuilder`]; this is
-    /// used by the builder and by deserialization validation.
-    pub(crate) fn from_parts(
-        n: usize,
-        directed: bool,
-        out: Vec<Vec<(NodeId, Weight)>>,
-        inc: Vec<Vec<(NodeId, Weight)>>,
-        comm: Vec<Vec<NodeId>>,
-        m: usize,
-    ) -> Self {
-        Self::from_vecs(n, directed, &out, &inc, &comm, m)
-    }
-
-    /// Bridge from the Vec-of-Vec adjacency form to CSR. Rows must obey
-    /// the [`WGraph`] invariants (sorted by neighbor, no self loops, no
-    /// parallel edges); the builders that call this guarantee them.
-    pub fn from_vecs(
-        n: usize,
-        directed: bool,
-        out: &[Vec<(NodeId, Weight)>],
-        inc: &[Vec<(NodeId, Weight)>],
-        comm: &[Vec<NodeId>],
-        m: usize,
-    ) -> Self {
-        assert_eq!(out.len(), n);
-        assert_eq!(inc.len(), n);
-        assert_eq!(comm.len(), n);
-        let (out_off, out_adj) = pack(n, out);
-        let (inc_off, inc_adj) = pack(n, inc);
-        let (comm_off, comm_adj) = pack(n, comm);
-        WGraph {
-            n,
-            directed,
-            m,
-            out_off,
-            out_adj,
-            inc_off,
-            inc_adj,
-            comm_off,
-            comm_adj,
-        }
-    }
-
-    /// Bridge back to the Vec-of-Vec form `(out, inc, comm)` — the exact
-    /// inverse of [`WGraph::from_vecs`]. Used by tests and by callers
-    /// that want to edit adjacency rows before rebuilding.
-    #[allow(clippy::type_complexity)]
-    pub fn to_vecs(
-        &self,
-    ) -> (
-        Vec<Vec<(NodeId, Weight)>>,
-        Vec<Vec<(NodeId, Weight)>>,
-        Vec<Vec<NodeId>>,
-    ) {
-        (
-            unpack(&self.out_off, &self.out_adj),
-            unpack(&self.inc_off, &self.inc_adj),
-            unpack(&self.comm_off, &self.comm_adj),
-        )
-    }
-
-    /// Streaming construction from an edge list: sort + scan, never any
-    /// per-node intermediate or O(n²) structure, so it is the right entry
-    /// point for 100k+-node generators. Self loops are dropped and
-    /// parallel edges deduplicated keeping the minimum weight (the same
-    /// normalization [`crate::builder::GraphBuilder`] applies).
+    /// The one constructor: every graph in the workspace is built here,
+    /// by a counting sort over the edge list. Self loops are dropped,
+    /// parallel edges keep the minimum weight, an undirected edge is one
+    /// logical edge whichever way round it is given, and an endpoint
+    /// `>= n` panics.
+    ///
+    /// Out rows are counted, prefix-summed and scattered, then each row
+    /// is sorted and keeps its first (lightest) entry per neighbour. The
+    /// in rows mirror the out rows, and each communication row merges
+    /// the node's out and in rows. Time O(n + m + Σ d log d), no
+    /// per-node allocation.
     pub fn from_edge_list(n: usize, directed: bool, edges: impl IntoIterator<Item = Edge>) -> Self {
-        // Normalize to the logical edge set: sorted, min-weight deduped.
-        let mut logical: Vec<Edge> = edges
+        let edges: Vec<Edge> = edges
             .into_iter()
-            .filter(|e| e.src != e.dst)
-            .map(|e| {
+            .inspect(|e| {
                 assert!(
                     (e.src as usize) < n && (e.dst as usize) < n,
                     "edge ({}, {}) out of range for n={n}",
                     e.src,
                     e.dst
-                );
-                if !directed && e.src > e.dst {
-                    Edge::new(e.dst, e.src, e.w)
-                } else {
-                    e
-                }
+                )
             })
+            .filter(|e| e.src != e.dst)
             .collect();
-        logical.sort_unstable_by_key(|e| (e.src, e.dst, e.w));
-        logical.dedup_by_key(|e| (e.src, e.dst));
-        let m = logical.len();
+        let forward = edges.iter().map(|e| (e.src, (e.dst, e.w)));
+        let backward = (edges.iter().filter(|_| !directed)).map(|e| (e.dst, (e.src, e.w)));
+        let (mut out_off, mut out_adj) = scatter(n, forward.chain(backward));
+        drop(edges);
 
-        // Directed adjacency entries: one per logical edge for directed
-        // graphs, both orientations for undirected ones.
-        let mut fwd: Vec<Edge> = Vec::with_capacity(if directed { m } else { 2 * m });
-        fwd.extend_from_slice(&logical);
-        if !directed {
-            fwd.extend(logical.iter().map(|e| Edge::new(e.dst, e.src, e.w)));
-        }
-        let mut rev: Vec<Edge> = fwd.iter().map(|e| Edge::new(e.dst, e.src, e.w)).collect();
-        fwd.sort_unstable_by_key(|e| (e.src, e.dst));
-        rev.sort_unstable_by_key(|e| (e.src, e.dst));
-
-        let csr = |entries: &[Edge]| {
-            let mut off = Vec::with_capacity(n + 1);
-            let mut adj = Vec::with_capacity(entries.len());
-            off.push(0);
-            let mut next: NodeId = 0;
-            for e in entries {
-                while next < e.src {
-                    off.push(adj.len());
-                    next += 1;
+        // Sort each row by (neighbour, weight) and compact it in place to
+        // its first entry per neighbour.
+        let mut kept = 0;
+        for v in 0..n {
+            let (lo, hi) = (out_off[v], out_off[v + 1]);
+            out_adj[lo..hi].sort_unstable();
+            out_off[v] = kept;
+            for i in lo..hi {
+                if kept == out_off[v] || out_adj[kept - 1].0 != out_adj[i].0 {
+                    out_adj[kept] = out_adj[i];
+                    kept += 1;
                 }
-                adj.push((e.dst, e.w));
             }
-            while off.len() < n + 1 {
-                off.push(adj.len());
-            }
-            (off, adj)
-        };
-        let (out_off, out_adj) = csr(&fwd);
-        let (inc_off, inc_adj) = csr(&rev);
-
-        // Communication graph: union of both directions, deduped.
-        let mut comm_pairs: Vec<(NodeId, NodeId)> = fwd
-            .iter()
-            .map(|e| (e.src, e.dst))
-            .chain(rev.iter().map(|e| (e.src, e.dst)))
-            .collect();
-        comm_pairs.sort_unstable();
-        comm_pairs.dedup();
-        let mut comm_off = Vec::with_capacity(n + 1);
-        let mut comm_adj = Vec::with_capacity(comm_pairs.len());
-        comm_off.push(0);
-        let mut next: NodeId = 0;
-        for &(u, v) in &comm_pairs {
-            while next < u {
-                comm_off.push(comm_adj.len());
-                next += 1;
-            }
-            comm_adj.push(v);
         }
-        while comm_off.len() < n + 1 {
+        out_off[n] = kept;
+        out_adj.truncate(kept);
+        out_adj.shrink_to_fit();
+        let m = if directed { kept } else { kept / 2 };
+
+        // In rows: scattering the out rows in source order leaves each in
+        // row sorted by source. Undirected rows are their own mirror.
+        let (inc_off, inc_adj) = if directed {
+            scatter(
+                n,
+                (0..n).flat_map(|u| {
+                    out_adj[out_off[u]..out_off[u + 1]]
+                        .iter()
+                        .map(move |&(v, w)| (v, (u as NodeId, w)))
+                }),
+            )
+        } else {
+            (out_off.clone(), out_adj.clone())
+        };
+
+        // Communication rows: the sorted union of each node's out and in
+        // neighbours.
+        let mut comm_off = Vec::with_capacity(n + 1);
+        let mut comm_adj = Vec::with_capacity(if directed { 2 * kept } else { kept });
+        comm_off.push(0);
+        for v in 0..n {
+            let out = &out_adj[out_off[v]..out_off[v + 1]];
+            let inc = &inc_adj[inc_off[v]..inc_off[v + 1]];
+            let (mut i, mut j) = (0, 0);
+            while i < out.len() || j < inc.len() {
+                let a = out.get(i).map_or(NodeId::MAX, |e| e.0);
+                let b = inc.get(j).map_or(NodeId::MAX, |e| e.0);
+                i += usize::from(a <= b);
+                j += usize::from(b <= a);
+                comm_adj.push(a.min(b));
+            }
             comm_off.push(comm_adj.len());
         }
+        comm_adj.shrink_to_fit();
 
         WGraph {
             n,
@@ -353,23 +275,6 @@ impl WGraph {
         mapped
     }
 
-    /// Reverse all edges (no-op for undirected graphs).
-    pub fn reversed(&self) -> WGraph {
-        if !self.directed {
-            return self.clone();
-        }
-        let mut rev = self.clone();
-        std::mem::swap(&mut rev.out_off, &mut rev.inc_off);
-        std::mem::swap(&mut rev.out_adj, &mut rev.inc_adj);
-        rev
-    }
-
-    /// Total number of directed adjacency entries (2m for undirected).
-    #[inline]
-    pub fn out_entry_count(&self) -> usize {
-        self.out_adj.len()
-    }
-
     /// Resident bytes of the CSR arrays themselves — the irreducible
     /// storage cost of the graph, used to derive memory budgets for the
     /// scale smoke test.
@@ -379,6 +284,26 @@ impl WGraph {
             + (self.out_adj.len() + self.inc_adj.len()) * size_of::<(NodeId, Weight)>()
             + self.comm_adj.len() * size_of::<NodeId>()
     }
+}
+
+/// Counting sort of `(row, entry)` pairs into CSR offsets and entries,
+/// each row in input order. `pairs` is walked twice: count, then place.
+fn scatter<T: Copy + Default>(
+    n: usize,
+    pairs: impl Iterator<Item = (NodeId, T)> + Clone,
+) -> (Vec<usize>, Vec<T>) {
+    let mut off = vec![0usize; n + 1];
+    pairs.clone().for_each(|(u, _)| off[u as usize + 1] += 1);
+    for v in 1..=n {
+        off[v] += off[v - 1];
+    }
+    let mut next = off.clone();
+    let mut adj = vec![T::default(); off[n]];
+    pairs.for_each(|(u, entry)| {
+        adj[next[u as usize]] = entry;
+        next[u as usize] += 1;
+    });
+    (off, adj)
 }
 
 #[cfg(test)]
@@ -462,27 +387,10 @@ mod tests {
     }
 
     #[test]
-    fn reversed_swaps_directions() {
-        let g = diamond(true).reversed();
-        assert_eq!(g.out_edges(3), &[(1, 1), (2, 5)]);
-        assert_eq!(g.in_edges(0), &[(1, 2), (2, 0)]);
-    }
-
-    #[test]
     fn max_weight_and_zero_count() {
         let g = diamond(true);
         assert_eq!(g.max_weight(), 5);
         assert_eq!(g.zero_weight_edges(), 1);
-    }
-
-    #[test]
-    fn vec_bridge_round_trips() {
-        for directed in [true, false] {
-            let g = diamond(directed);
-            let (out, inc, comm) = g.to_vecs();
-            let back = WGraph::from_vecs(g.n(), directed, &out, &inc, &comm, g.m());
-            assert_eq!(g, back);
-        }
     }
 
     #[test]

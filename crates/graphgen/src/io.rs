@@ -7,7 +7,6 @@
 //! writer is hand-rolled (no serde in the offline build) and the reader is
 //! [`crate::json`], so any whitespace and any key order are accepted.
 
-use crate::builder::GraphBuilder;
 use crate::graph::{Edge, NodeId, WGraph};
 pub use crate::json::JsonError;
 use crate::json::Reader;
@@ -71,11 +70,7 @@ pub fn from_json(s: &str) -> Result<WGraph, JsonError> {
         )));
     }
     r.end()?;
-    let mut b = GraphBuilder::new(n, directed);
-    for e in edges {
-        b.add_edge(e.src, e.dst, e.w);
-    }
-    Ok(b.build())
+    Ok(WGraph::from_edge_list(n, directed, edges))
 }
 
 /// One `{"src":..,"dst":..,"w":..}` edge object.

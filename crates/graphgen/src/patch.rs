@@ -476,7 +476,10 @@ mod tests {
                 "power-law undirected",
                 gen::power_law(60, 2, WeightDist::Uniform { max: 9 }, 6),
             ),
-            ("grid", gen::grid2d(6, 8, WeightDist::Uniform { max: 9 }, 7)),
+            (
+                "grid",
+                gen::grid(6, 8, false, WeightDist::Uniform { max: 9 }, 7),
+            ),
         ];
         for (name, mut g) in graphs {
             let mut rng = ChaCha8Rng::seed_from_u64(g.m() as u64);

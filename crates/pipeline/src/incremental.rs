@@ -397,7 +397,7 @@ mod tests {
 
     #[test]
     fn clean_rows_are_carried_verbatim() {
-        let mut g = gen::grid2d(4, 4, WeightDist::Uniform { max: 5 }, 9);
+        let mut g = gen::grid(4, 4, false, WeightDist::Uniform { max: 5 }, 9);
         let old = cold(&g, &all(&g));
         // A very heavy new edge beats no record of any source.
         let out = repaired_apsp(&mut g, &[ins(0, 15, 10_000)]);
@@ -518,7 +518,7 @@ mod tests {
 
     #[test]
     fn a_batch_that_nets_out_touches_nothing() {
-        let mut g = gen::grid2d(3, 3, WeightDist::Constant(2), 0);
+        let mut g = gen::grid(3, 3, false, WeightDist::Constant(2), 0);
         let out = repaired_apsp(&mut g, &[ins(0, 8, 1), del(0, 8), set(0, 1, 2)]);
         assert_eq!(out.cells, 0);
         assert!(out.recomputed.is_empty());
@@ -539,9 +539,10 @@ mod tests {
         let graphs = [
             gen::zero_heavy(20, 0.15, 0.6, 5, true, 1),
             gen::power_law(20, 2, WeightDist::Uniform { max: 4 }, 2),
-            gen::grid2d(
+            gen::grid(
                 4,
                 5,
+                false,
                 WeightDist::ZeroOr {
                     p_zero: 0.3,
                     max: 3,

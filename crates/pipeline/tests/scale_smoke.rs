@@ -42,7 +42,7 @@ fn a_50k_node_short_range_run_stays_inside_its_time_and_memory_box() {
     let (side, h) = (224usize, 64u64);
     let src = (112 * side + 112) as NodeId;
     let start = Instant::now();
-    let g = gen::grid2d(side, side, WeightDist::Uniform { max: 8 }, 5001);
+    let g = gen::grid(side, side, false, WeightDist::Uniform { max: 8 }, 5001);
     // Δ from the run's own source: one h-hop Bellman–Ford pass, where
     // an all-pairs Δ would be 2.5G pairs.
     let delta = dw_seqref::h_hop_sssp(&g, src, h as usize)

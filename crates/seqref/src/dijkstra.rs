@@ -413,7 +413,7 @@ mod tests {
                 };
                 gen::gnp(40, 0.05, true, zero_heavy, seed)
             }
-            1 => gen::grid2d(5, 8, WeightDist::Uniform { max: 5 }, seed),
+            1 => gen::grid(5, 8, false, WeightDist::Uniform { max: 5 }, seed),
             _ => gen::power_law(40, 2, WeightDist::Uniform { max: 4 }, seed),
         }
     }

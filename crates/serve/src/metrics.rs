@@ -7,12 +7,6 @@
 //! shard reports the latter two in each [`crate::proto::ReplyBatch`]) —
 //! and counts the cache and degradation events alongside, and what table
 //! installs moved (bytes, and how many were full rather than deltas).
-//! The totals
-//! export as a [`dw_obs::Recording`] through
-//! [`Recording::push_wall_span`], so `dwapsp` renders serve phases with
-//! the same span machinery as compute phases.
-
-use dw_obs::Recording;
 
 /// Counters and phase-time totals for one gateway's lifetime.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -64,33 +58,6 @@ impl ServeStats {
             self.cache_hits as f64 / total as f64
         }
     }
-
-    /// Export as a [`Recording`]: one wall span per serve phase plus
-    /// the counters, consumable by the existing obs text/JSONL
-    /// renderers.
-    pub fn to_recording(&self) -> Recording {
-        let mut r = Recording::default();
-        r.push_wall_span("route", self.route_ns);
-        r.push_wall_span("batch", self.batch_ns);
-        r.push_wall_span("lookup", self.lookup_ns);
-        r.push_wall_span("path_walk", self.walk_ns);
-        for (name, v) in [
-            ("serve.queries", self.queries),
-            ("serve.replies", self.replies),
-            ("serve.cache_hits", self.cache_hits),
-            ("serve.cache_misses", self.cache_misses),
-            ("serve.batches", self.batches),
-            ("serve.batched_queries", self.batched_queries),
-            ("serve.shard_unavailable", self.shard_unavailable),
-            ("serve.install_bytes", self.install_bytes),
-            ("serve.installs_full", self.installs_full),
-        ] {
-            if v > 0 {
-                *r.counters.entry(name.to_string()).or_insert(0) += v;
-            }
-        }
-        r
-    }
 }
 
 #[cfg(test)]
@@ -98,7 +65,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn recording_export_has_phase_spans_and_counters() {
+    fn hit_rate_and_mean_batch_size() {
         let s = ServeStats {
             queries: 10,
             replies: 10,
@@ -114,12 +81,6 @@ mod tests {
             install_bytes: 4096,
             installs_full: 1,
         };
-        let r = s.to_recording();
-        let names: Vec<&str> = r.spans.iter().map(|sp| sp.name).collect();
-        assert_eq!(names, vec!["route", "batch", "lookup", "path_walk"]);
-        assert_eq!(r.counters["serve.queries"], 10);
-        assert_eq!(r.counters["serve.install_bytes"], 4096);
-        assert!(!r.counters.contains_key("serve.shard_unavailable"));
         assert!((s.cache_hit_rate() - 0.4).abs() < 1e-9);
         assert!((s.mean_batch_size() - 3.0).abs() < 1e-9);
     }

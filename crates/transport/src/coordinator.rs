@@ -9,8 +9,8 @@
 //! broadcasts `Stop` and merges the workers' `Final` reports into a
 //! [`RunStats`] with the same aggregation the simulator uses (sums for
 //! messages/words/fault counters, maxima for link load and per-node
-//! send rounds). A participant ("node" in the messages below) is one
-//! worker of [`crate::shard`]; at `P = n` that is one graph node.
+//! send rounds). A participant is one worker of [`crate::shard`]; at
+//! `P = n` that is one graph node.
 //!
 //! It is also the full control plane (DESIGN.md §10). With
 //! a round deadline configured it doubles as the failure detector: a
@@ -320,7 +320,7 @@ fn drive<E: CoordEndpoint>(
                     rec,
                     round,
                     abort_reason::PROTOCOL,
-                    TransportError::protocol(format!("control message from unknown node {from}")),
+                    TransportError::protocol(format!("control message from unknown worker {from}")),
                 ));
             }
             match msg {
@@ -338,7 +338,7 @@ fn drive<E: CoordEndpoint>(
                             round,
                             abort_reason::PROTOCOL,
                             TransportError::protocol(format!(
-                                "node {from} reported round {r} during round {round}{}",
+                                "worker {from} reported round {r} during round {round}{}",
                                 if done[slot] { " (duplicate Done)" } else { "" }
                             )),
                         ));
@@ -373,7 +373,7 @@ fn drive<E: CoordEndpoint>(
                             failed: vec![from],
                             round: r,
                             context: format!(
-                                "node {from} reported a fatal {} fault{}",
+                                "worker {from} reported a fatal {} fault{}",
                                 crate::wire::errkind::name(kind),
                                 match peer {
                                     Some(p) => format!(" on its link to {p}"),
@@ -390,7 +390,7 @@ fn drive<E: CoordEndpoint>(
                         round,
                         abort_reason::PROTOCOL,
                         TransportError::protocol(format!(
-                            "unexpected control message {other:?} from node {from} \
+                            "unexpected control message {other:?} from worker {from} \
                              during round {round}"
                         )),
                     ));
@@ -453,7 +453,7 @@ fn drive<E: CoordEndpoint>(
                     failed: vec![from],
                     round: r,
                     context: format!(
-                        "node {from} reported a fatal {} fault{} at the final barrier",
+                        "worker {from} reported a fatal {} fault{} at the final barrier",
                         crate::wire::errkind::name(kind),
                         match peer {
                             Some(p) => format!(" on its link to {p}"),
@@ -464,7 +464,7 @@ fn drive<E: CoordEndpoint>(
             }
             other => {
                 return Err(TransportError::protocol(format!(
-                    "unexpected control message {other:?} from node {from} after Stop"
+                    "unexpected control message {other:?} from worker {from} after Stop"
                 )))
             }
         }

@@ -175,7 +175,7 @@ pub mod abort_reason {
         match reason {
             UNRECOVERABLE => "unrecoverable node failure",
             PROBES_EXHAUSTED => "liveness probes exhausted",
-            PEER_ERROR => "a node reported a fatal transport error",
+            PEER_ERROR => "a worker reported a fatal transport error",
             RECOVERY_TIMEOUT => "recovery did not complete in time",
             _ => "barrier protocol violation",
         }

@@ -869,6 +869,8 @@ fn a_panic_is_an_error(side: Side, tcp: bool) {
             let text = err.to_string();
             assert!(text.contains("[3, 4, 5]"), "{text}");
             assert!(text.contains("node 5 refuses round 5"), "{text}");
+            assert!(text.contains("worker 1 reported"), "{text}");
+            assert!(!text.contains("node 1 reported"), "{text}");
         }
     }
     run.join().expect("the run's thread returns");
