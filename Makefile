@@ -3,9 +3,9 @@
 
 CARGO ?= cargo
 
-.PHONY: ci build test fmt clippy doc report golden obs-schema bench-smoke engine-conformance transport-conformance pipeline-conformance shard-conformance chaos-smoke scale-smoke serve-conformance serve-smoke dynamic-conformance dynamic-smoke serve-chaos maelstrom-smoke
+.PHONY: ci build test fmt clippy doc report golden obs-schema bench-smoke engine-conformance transport-conformance pipeline-conformance shard-conformance chaos-smoke scale-smoke serve-conformance serve-smoke dynamic-conformance dynamic-smoke serve-chaos
 
-ci: build test fmt clippy doc obs-schema bench-smoke engine-conformance transport-conformance pipeline-conformance chaos-smoke scale-smoke serve-conformance serve-smoke dynamic-conformance dynamic-smoke serve-chaos maelstrom-smoke
+ci: build test fmt clippy doc obs-schema bench-smoke engine-conformance transport-conformance pipeline-conformance chaos-smoke scale-smoke serve-conformance serve-smoke dynamic-conformance dynamic-smoke serve-chaos
 
 build:
 	$(CARGO) build --release
@@ -178,11 +178,3 @@ dynamic-smoke:
 # no query hung; prints per-nemesis recovery latencies (the E21 rows).
 serve-chaos:
 	$(CARGO) test --release -q -p dw-dynamic --test live_chaos -- --include-ignored --test-threads=1 --nocapture
-
-# Maelstrom validation (DESIGN.md §15): `dwapsp run-node --maelstrom`
-# under the real Jepsen harness's echo workload with its partition
-# nemesis. The stdio handshake self-check always runs; the harness leg
-# skips explicitly (a SKIP line, exit 0) when java or the Maelstrom
-# distribution is unavailable — CI containers are offline.
-maelstrom-smoke:
-	sh scripts/maelstrom_smoke.sh

@@ -27,7 +27,8 @@ impl Table {
         self.rows.is_empty()
     }
 
-    pub fn n_rows(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn n_rows(&self) -> usize {
         self.rows.len()
     }
 

@@ -136,7 +136,8 @@ pub fn compute_initial_scores(
 }
 
 /// Centralized reference for tests: count depth-h leaves per subtree.
-pub fn reference_scores(knowledge: &TreeKnowledge) -> Vec<Vec<u64>> {
+#[cfg(test)]
+pub(crate) fn reference_scores(knowledge: &TreeKnowledge) -> Vec<Vec<u64>> {
     let n = knowledge.n();
     let k = knowledge.k();
     let h = knowledge.h;

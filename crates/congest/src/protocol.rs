@@ -61,12 +61,6 @@ impl<'g> NodeCtx<'g> {
             .ok()
             .map(|i| row[i].1)
     }
-
-    /// Whether `u` is a communication neighbor.
-    #[inline]
-    pub fn is_comm_neighbor(&self, u: NodeId) -> bool {
-        self.comm_neighbors().binary_search(&u).is_ok()
-    }
 }
 
 /// A node program for a synchronous CONGEST protocol.
@@ -176,8 +170,6 @@ mod tests {
         assert_eq!(ctx.in_weight_from(0), Some(5));
         assert_eq!(ctx.in_weight_from(2), Some(7));
         assert_eq!(ctx.in_weight_from(1), None);
-        assert!(ctx.is_comm_neighbor(2));
-        assert!(!ctx.is_comm_neighbor(1));
         assert_eq!(ctx.out_edges(), &[]);
     }
 }

@@ -252,7 +252,7 @@ mod tests {
         fn send(&mut self, round: Round, ctx: &NodeCtx, out: &mut Outbox<u64>) {
             if round == 1 {
                 out.broadcast(7);
-            } else if round == 2 && ctx.is_comm_neighbor(0) {
+            } else if round == 2 && ctx.comm_neighbors().contains(&0) {
                 out.unicast(0, 9);
             }
         }

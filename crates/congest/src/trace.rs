@@ -27,13 +27,11 @@ pub struct RoundRecord {
     pub late_delivered: u64,
 }
 
-/// A bounded trace of executed rounds (silent rounds produce no record).
+/// A trace of executed rounds (silent rounds produce no record).
 #[derive(Debug, Clone, Default)]
 pub struct RoundTrace {
     records: Vec<RoundRecord>,
     keep_payloads: bool,
-    /// Hard cap on stored records, oldest dropped first (0 = unbounded).
-    cap: usize,
 }
 
 impl RoundTrace {
@@ -50,51 +48,22 @@ impl RoundTrace {
         }
     }
 
-    /// Keep at most `cap` most recent records.
-    pub fn capped(mut self, cap: usize) -> Self {
-        self.cap = cap;
-        self
-    }
-
     pub(crate) fn keep_payloads(&self) -> bool {
         self.keep_payloads
     }
 
     pub(crate) fn push(&mut self, rec: RoundRecord) {
-        // Amortized O(1) eviction: let the buffer grow to 2×cap, then
-        // drain the stale half in one memmove. (A `VecDeque` would evict
-        // O(1) too, but `records()` hands out a contiguous `&[_]` from
-        // `&self`, which a ring buffer can't do without copying.) Live
-        // records are always the most recent `cap` — `records()` slices
-        // them out — so the extra storage is bounded at one cap's worth.
         self.records.push(rec);
-        if self.cap > 0 && self.records.len() >= self.cap * 2 {
-            let excess = self.records.len() - self.cap;
-            self.records.drain(..excess);
-        }
     }
 
-    /// All stored records, oldest first (at most `cap` when capped).
+    /// All records, oldest first.
     pub fn records(&self) -> &[RoundRecord] {
-        if self.cap > 0 && self.records.len() > self.cap {
-            &self.records[self.records.len() - self.cap..]
-        } else {
-            &self.records
-        }
+        &self.records
     }
 
-    /// Record for a specific round, if it was executed and retained.
+    /// Record for a specific round, if it was executed.
     pub fn round(&self, r: Round) -> Option<&RoundRecord> {
-        self.records().iter().find(|rec| rec.round == r)
-    }
-
-    /// Rounds in which `v` sent something.
-    pub fn send_rounds_of(&self, v: NodeId) -> Vec<Round> {
-        self.records()
-            .iter()
-            .filter(|rec| rec.senders.binary_search(&v).is_ok())
-            .map(|rec| rec.round)
-            .collect()
+        self.records.iter().find(|rec| rec.round == r)
     }
 
     /// Render the trace as an aligned text block (for failure messages).
@@ -143,43 +112,7 @@ mod tests {
         assert_eq!(t.records().len(), 2);
         assert_eq!(t.round(3).unwrap().messages, 1);
         assert!(t.round(2).is_none());
-        assert_eq!(t.send_rounds_of(2), vec![1, 3]);
-        assert_eq!(t.send_rounds_of(9), Vec::<Round>::new());
-    }
-
-    #[test]
-    fn cap_drops_oldest() {
-        let mut t = RoundTrace::new().capped(2);
-        t.push(rec(1, vec![0]));
-        t.push(rec(2, vec![0]));
-        t.push(rec(3, vec![0]));
-        assert_eq!(t.records().len(), 2);
-        assert!(t.round(1).is_none());
-        assert!(t.round(3).is_some());
-    }
-
-    #[test]
-    fn cap_always_yields_most_recent_window() {
-        // Drive far past several drain cycles and check the visible
-        // window plus the storage bound at every step.
-        let cap = 7;
-        let mut t = RoundTrace::new().capped(cap);
-        for i in 1..=1000u64 {
-            t.push(rec(i, vec![0]));
-            let recs = t.records();
-            let want = cap.min(i as usize);
-            assert_eq!(recs.len(), want, "after {i} pushes");
-            let first = i + 1 - want as u64;
-            for (j, r) in recs.iter().enumerate() {
-                assert_eq!(r.round, first + j as u64);
-            }
-            assert!(t.round(i).is_some());
-            if i > cap as u64 {
-                assert!(t.round(i - cap as u64).is_none());
-                assert_eq!(t.send_rounds_of(0).len(), cap);
-            }
-            assert!(t.records.len() < cap * 2, "storage stays bounded");
-        }
+        assert_eq!(t.round(1).unwrap().senders, vec![0, 2]);
     }
 
     #[test]

@@ -78,13 +78,7 @@ fn main() {
     let Some((name, rest)) = argv.split_first() else {
         usage();
     };
-    // `run-node` has two rows; the first whose flags know every flag
-    // given reads the line.
-    let rows = || COMMANDS.iter().filter(|c| c.name == name);
-    let knows_all = |c: &&Command| {
-        (rest.iter().filter(|a| a.starts_with("--"))).all(|a| c.flags.iter().any(|f| f.name == a))
-    };
-    let Some(cmd) = rows().find(knows_all).or_else(|| rows().next()) else {
+    let Some(cmd) = COMMANDS.iter().find(|c| c.name == name) else {
         usage();
     };
     (cmd.run)(&Args::parse(cmd, rest));
@@ -138,8 +132,6 @@ const COMMANDS: &[Command] = &[
     cmd("run-node", cmd_run_node, &[GRAPH, req("--node-id", "V"), LISTEN,
         opt("--peers", "u=ADDR,w=ADDR"), req("--coordinator", "ADDR"), SOURCES, DELTA,
         opt("--timeout-secs", "T"), SHARDS, PER_WORKER]),
-    // The Maelstrom node protocol on stdin/stdout.
-    cmd("run-node", cmd_maelstrom, &[Flag { name: "--maelstrom", value: None, required: true }]),
     cmd("coordinator", cmd_coordinator, &[GRAPH, LISTEN, SOURCES, DELTA, opt("--budget", "B"),
         SHARDS, PER_WORKER]),
     cmd("solve", cmd_solve, &[GRAPH, opt("--algo", "<alg1|alg3>"), SOURCES, opt("--h", "H"), DELTA,
@@ -815,32 +807,6 @@ fn shard_count(args: &Args, n: usize) -> usize {
         (Some(p), None) => p,
         (None, Some(k)) => n.div_ceil(k),
         (None, None) => n,
-    }
-}
-
-/// `run-node --maelstrom`: a true Maelstrom binary. The harness
-/// supplies the cluster over stdin (init handshake), no graph or ids on
-/// the command line.
-fn cmd_maelstrom(_: &Args) {
-    let stdin = std::io::stdin();
-    let stdout = std::io::stdout();
-    match dw_transport::maelstrom_serve(stdin.lock(), stdout.lock()) {
-        Ok((init, stats)) => {
-            eprintln!(
-                "maelstrom node {} (internal id {} of {} nodes): \
-                 {} echoes, {} unsupported, {} skipped",
-                init.node_id,
-                init.internal_id(),
-                init.node_ids.len(),
-                stats.echoes,
-                stats.unsupported,
-                stats.skipped
-            );
-        }
-        Err(e) => {
-            eprintln!("maelstrom node failed: {e}");
-            exit(1);
-        }
     }
 }
 

@@ -371,6 +371,11 @@ fn the_command_line_is_read_strictly() {
             "unknown flag --source\n",
         ),
         (
+            &["run-node", "--maelstrom"],
+            2,
+            "unknown flag --maelstrom\n",
+        ),
+        (
             &[&gateway[..], &["--src"]].concat(),
             2,
             "--src needs a value",

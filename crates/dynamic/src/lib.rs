@@ -21,8 +21,8 @@
 //!                                        VersionedTables gen+1 ─► gateway swap
 //! ```
 //!
-//! * [`batch`] — the batch type, its wire codec, the pool, and the
-//!   `dwapsp update` text format;
+//! * [`batch`] — the batch type, the pool, and the `dwapsp update`
+//!   text format;
 //! * [`engine`] — the recompute transaction (patch → repair →
 //!   version) and its per-batch report;
 //! * [`stream`] — seeded random update streams for benches and the

@@ -1,7 +1,6 @@
 //! The workspace's one JSON reader: a pull parser over a `&str`. Graph
-//! files ([`crate::io::from_json`]), obs logs (`dw_obs::export`) and the
-//! Maelstrom lines of `dw-transport` all read through
-//! [`Reader`]; each format keeps its own small writer.
+//! files ([`crate::io::from_json`]) and obs logs (`dw_obs::export`) both
+//! read through [`Reader`]; each format keeps its own small writer.
 //!
 //! It reads objects with keys in any order, arrays, unsigned integers,
 //! booleans, strings (unescaped; borrowed unless they hold an escape; a
@@ -57,7 +56,7 @@ impl<'a> Reader<'a> {
     }
 
     /// The next non-whitespace byte, not consumed.
-    pub fn peek(&mut self) -> Option<u8> {
+    fn peek(&mut self) -> Option<u8> {
         while let Some(&b) = self.src.as_bytes().get(self.pos) {
             if !is_ws(b) {
                 return Some(b);
@@ -317,6 +316,32 @@ mod tests {
         ] {
             assert!(Reader::new(bad).str().is_err(), "{bad}");
         }
+    }
+
+    #[test]
+    fn raw_spans_every_value_shape_as_spelled() {
+        for value in [
+            r#"{"x":[1,2],"y":"s}"}"#,
+            r#"[3,{"z":4}]"#,
+            r#""he\"llo""#,
+            r#""\ud83d\ude00""#,
+            "42",
+            "null",
+        ] {
+            let doc = format!(r#"{{"v": {value} ,"k":7}}"#);
+            let (mut r, mut raw, mut k) = (Reader::new(&doc), None, None);
+            r.object(|r, key| match key {
+                "v" => r.raw().map(|v| raw = Some(v)),
+                _ => r.u64().map(|v| k = Some(v)),
+            })
+            .unwrap();
+            r.end().unwrap();
+            assert_eq!((raw, k), (Some(value), Some(7)));
+        }
+        // A nesting cut short never closes: an error, for `skip` too.
+        let cut = r#"{"x":[1,2"#;
+        assert!(Reader::new(cut).raw().is_err());
+        assert!(Reader::new(cut).skip().is_err());
     }
 
     #[test]

@@ -18,8 +18,7 @@
 //!   harness;
 //! * [`io`] — graph (de)serialization for reproducible experiment
 //!   manifests;
-//! * [`json`] — the workspace's one JSON reader (graph files, obs logs,
-//!   the Maelstrom lines).
+//! * [`json`] — the workspace's one JSON reader (graph files, obs logs).
 
 pub mod analysis;
 pub mod builder;

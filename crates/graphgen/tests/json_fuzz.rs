@@ -1,14 +1,28 @@
-//! Fuzzing the one JSON reader through its most exposed caller: a graph
-//! file is user input, so `io::from_json` must turn any text into a
-//! graph or a `JsonError`, never a panic.
+//! Fuzzing the one JSON reader, directly and through its most exposed
+//! caller: a graph file is user input, so `io::from_json` must turn any
+//! text into a graph or a `JsonError`, never a panic.
 
 use dw_graph::gen::{self, WeightDist};
 use dw_graph::io;
+use dw_graph::json::Reader;
 use proptest::collection;
 use proptest::prelude::*;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    // `raw`, `skip` and `str` on any text: a value or an error, never a
+    // panic; the span `raw` returns begins the input, leading JSON
+    // whitespace aside.
+    #[test]
+    fn raw_skip_and_str_never_panic_on_arbitrary_bytes(bytes in collection::vec(any::<u8>(), 0..200)) {
+        let text = String::from_utf8_lossy(&bytes);
+        if let Ok(raw) = Reader::new(&text).raw() {
+            prop_assert!(text.trim_start_matches([' ', '\t', '\n', '\r']).starts_with(raw));
+        }
+        let _ = Reader::new(&text).skip();
+        let _ = Reader::new(&text).str();
+    }
 
     #[test]
     fn from_json_never_panics_on_arbitrary_bytes(bytes in collection::vec(any::<u8>(), 0..200)) {

@@ -168,22 +168,6 @@ impl Recording {
             s.wall_ns = 0;
         }
     }
-
-    /// Append a closed top-level span that carries only a wall time —
-    /// for layers whose phases have no round structure (the serving
-    /// plane's route/batch/lookup/path-walk phases are pure wall-clock
-    /// aggregates; there is no composed round timeline to tile). The
-    /// span's stats are zero, so [`Recording::total`] is unchanged.
-    pub fn push_wall_span(&mut self, name: &'static str, wall_ns: u64) {
-        self.spans.push(Span {
-            name,
-            parent: None,
-            start_round: 0,
-            end_round: 0,
-            stats: RunStats::default(),
-            wall_ns,
-        });
-    }
 }
 
 /// The collecting [`Recorder`].
@@ -413,20 +397,6 @@ mod tests {
         let a = rec.begin("a");
         let _b = rec.begin("b");
         rec.end(a, &RunStats::default());
-    }
-
-    #[test]
-    fn wall_spans_do_not_disturb_totals() {
-        let mut rec = ObsRecorder::new();
-        let a = rec.begin("csssp");
-        rec.end(a, &stats(10, 100));
-        let mut r = rec.into_recording();
-        r.push_wall_span("route", 1234);
-        assert_eq!(r.spans[1].name, "route");
-        assert_eq!(r.spans[1].wall_ns, 1234);
-        assert_eq!(r.total().rounds, 10);
-        r.normalize_wall();
-        assert_eq!(r.spans[1].wall_ns, 0);
     }
 
     #[test]

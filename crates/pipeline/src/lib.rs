@@ -51,5 +51,5 @@ pub use runtime::{
     hk_ssp_node, hk_ssp_nodes, ChaosConfig, PartialOutcome, Recovery, Run, Runtime, SolveError,
     Solved,
 };
-pub use scaling::{scaling_apsp, scaling_k_ssp, ScalingOutcome};
+pub use scaling::{scaling_apsp, ScalingOutcome};
 pub use short_range::{solve_short_range, ShortRangeResult};

@@ -138,6 +138,12 @@ impl NodeList {
     pub fn admit(&mut self, cand: Entry, nu: u32, rule: AdmissionRule) -> Option<usize> {
         let idx = self.insertion_point(&cand);
         let below = match rule {
+            // "Below" is list order: the `(κ, d, src)` triple, with
+            // triple-equal entries sorting below the newcomer (stable
+            // insertion). Using the same order as `pos`/`ν` is what makes
+            // the position-transfer lemmas (Lemma II.7 / Corollary II.8)
+            // and hence Invariants 1–2 go through; counting by strict `κ`
+            // alone over-admits when keys tie.
             AdmissionRule::ListOrder => count_src(&self.srcs[..idx], cand.src),
             AdmissionRule::StrictKappa => self.count_lt_kappa_for_source(&cand),
         };
@@ -189,18 +195,6 @@ impl NodeList {
         while self.cursor < self.len() && self.entries[self.cursor].sent {
             self.cursor += 1;
         }
-    }
-
-    /// Number of entries for `e.src` that would sit **below `e`'s
-    /// insertion point** (Step 13's admission rule for non-SP entries).
-    ///
-    /// "Below" is list order — the `(κ, d, src)` triple, with triple-equal
-    /// entries sorting below the newcomer (stable insertion). Using the
-    /// same order as `pos`/`ν` is what makes the position-transfer lemmas
-    /// (Lemma II.7 / Corollary II.8) and hence Invariants 1–2 go through;
-    /// counting by strict `κ` alone over-admits when keys tie.
-    pub fn count_below_insertion_for_source(&self, e: &Entry) -> u32 {
-        count_src(&self.srcs[..self.insertion_point(e)], e.src)
     }
 
     /// Number of entries for `e.src` with key strictly below `e`'s κ
@@ -398,9 +392,16 @@ mod tests {
         assert_eq!(l.nu(2), 2);
         assert_eq!(l.nu(3), 3);
         assert_eq!(l.count_for_source(1), 3);
-        assert_eq!(l.count_below_insertion_for_source(&e(6, 0, 1, false)), 2);
-        assert_eq!(l.count_below_insertion_for_source(&e(1, 0, 1, false)), 1);
-        assert_eq!(l.count_below_insertion_for_source(&e(0, 0, 1, false)), 0);
+        // Step 13 counts source 1's rows below the insertion point.
+        let admits = |d, nu| {
+            let cand = e(d, 0, 1, false);
+            l.clone()
+                .admit(cand, nu, AdmissionRule::ListOrder)
+                .is_some()
+        };
+        for (d, below) in [(6, 2), (1, 1), (0, 0)] {
+            assert!(!admits(d, below) && admits(d, below + 1), "d = {d}");
+        }
     }
 
     #[test]
@@ -703,12 +704,6 @@ mod tests {
                         } else {
                             AdmissionRule::ListOrder
                         };
-                        prop_assert_eq!(
-                            fast.count_below_insertion_for_source(&row),
-                            naive.entries.iter()
-                                .filter(|x| x.src == src && naive.cmp_entries(x, &row) != Ordering::Greater)
-                                .count() as u32
-                        );
                         prop_assert_eq!(fast.admit(row, nu, rule), naive.admit(row, nu, rule));
                     }
                     // the send phase of the next few rounds

@@ -1,7 +1,7 @@
 //! Results of an `(h,k)`-SSP run.
 
 use dw_graph::{NodeId, WGraph, Weight, INFINITY};
-use dw_seqref::{dijkstra, hops_from_parents, DistMatrix, HopDist};
+use dw_seqref::{dijkstra, hops_from_parents, DistMatrix};
 
 /// Per-source, per-node output of Algorithm 1: the h-hop shortest-path
 /// distance, the hop length of the recorded path, and the predecessor
@@ -22,18 +22,6 @@ impl HkSspResult {
     /// View as a plain distance matrix.
     pub fn to_matrix(&self) -> DistMatrix {
         DistMatrix::new(self.sources.clone(), self.dist.clone())
-    }
-
-    /// Distance+hops for `(source row i, node v)`.
-    pub fn hop_dist(&self, i: usize, v: NodeId) -> HopDist {
-        if self.dist[i][v as usize] == INFINITY {
-            HopDist::UNREACHABLE
-        } else {
-            HopDist {
-                dist: self.dist[i][v as usize],
-                hops: self.hops[i][v as usize] as u32,
-            }
-        }
     }
 
     /// Reconstruct the recorded shortest path `sources[i], …, dst` by
@@ -113,8 +101,6 @@ mod tests {
         assert_eq!(r.k(), 1);
         assert_eq!(r.n(), 3);
         assert_eq!(r.to_matrix().at(0, 2), 4);
-        assert_eq!(r.hop_dist(0, 2), HopDist { dist: 4, hops: 2 });
-        assert_eq!(r.hop_dist(0, 0), HopDist::UNREACHABLE);
     }
 
     #[test]

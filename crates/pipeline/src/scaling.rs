@@ -209,7 +209,7 @@ impl Protocol for ScaledSsspNode {
 /// Rounds grow as `O(k·n·log W)` — logarithmic in the weight range, the
 /// property the paper's conclusion is after (experiment E13 compares this
 /// against Algorithm 1's `2n√Δ`).
-pub fn scaling_k_ssp(g: &WGraph, sources: &[NodeId], engine: EngineConfig) -> ScalingOutcome {
+fn scaling_k_ssp(g: &WGraph, sources: &[NodeId], engine: EngineConfig) -> ScalingOutcome {
     let n = g.n();
     let k = sources.len();
     let w_max = g.max_weight();

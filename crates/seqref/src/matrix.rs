@@ -48,15 +48,6 @@ impl DistMatrix {
             .max()
             .unwrap_or(0)
     }
-
-    /// Count of finite (reachable) entries.
-    pub fn finite_entries(&self) -> usize {
-        self.dist
-            .iter()
-            .flatten()
-            .filter(|&&d| d != INFINITY)
-            .count()
-    }
 }
 
 #[cfg(test)]
@@ -82,7 +73,6 @@ mod tests {
     fn stats() {
         let m = sample();
         assert_eq!(m.max_finite(), 7);
-        assert_eq!(m.finite_entries(), 5);
     }
 
     #[test]

@@ -6,7 +6,6 @@
 //! graph — the glue between "the matrix matches Dijkstra" and "the
 //! *routes* are real".
 
-use crate::hop_limited::HopDist;
 use dw_graph::{NodeId, WGraph, Weight, INFINITY};
 
 /// A reconstructed path with its total weight.
@@ -113,23 +112,6 @@ pub fn verify_sssp_witnesses(
     Ok(())
 }
 
-/// Compare a claimed `(dist, hops)` table to a reference, requiring equal
-/// distances everywhere and minimal hops where the reference is finite.
-pub fn hopdists_equal(claimed: &[HopDist], reference: &[HopDist]) -> Result<(), String> {
-    if claimed.len() != reference.len() {
-        return Err("length mismatch".into());
-    }
-    for (v, (c, r)) in claimed.iter().zip(reference).enumerate() {
-        if c.dist != r.dist {
-            return Err(format!("node {v}: dist {} vs {}", c.dist, r.dist));
-        }
-        if r.is_reachable() && c.hops != r.hops {
-            return Err(format!("node {v}: hops {} vs {}", c.hops, r.hops));
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -188,14 +170,5 @@ mod tests {
         let g = b.build();
         let err = verify_sssp_witnesses(&g, 0, &[0, 4], &[None, Some(0)]).unwrap_err();
         assert!(err.contains("weighs 5 but claimed 4"), "{err}");
-    }
-
-    #[test]
-    fn hopdist_comparison() {
-        let a = vec![HopDist { dist: 3, hops: 2 }];
-        let b = vec![HopDist { dist: 3, hops: 2 }];
-        assert!(hopdists_equal(&a, &b).is_ok());
-        let c = vec![HopDist { dist: 3, hops: 1 }];
-        assert!(hopdists_equal(&a, &c).is_err());
     }
 }

@@ -12,9 +12,6 @@
 //!   frames ([`WireCodec`]); works in-process on loopback and across OS
 //!   processes via the `dwapsp run-node` / `dwapsp coordinator` CLI.
 //!
-//! [`maelstrom`] is no backend: it is a Maelstrom echo node, speaking
-//! JSON lines on stdin/stdout to that harness.
-//!
 //! Round synchronization is a bulk-synchronous barrier (see
 //! [`coordinator`]): one coordinator issues round tokens, workers flush
 //! end-of-round markers to every adjacent worker so per-link FIFO order
@@ -35,7 +32,6 @@ pub mod channels;
 pub mod chaos;
 pub mod coordinator;
 pub mod error;
-pub mod maelstrom;
 pub mod shard;
 pub mod tcp;
 pub mod wire;
@@ -44,7 +40,6 @@ pub use channels::{run_threads, run_threads_chaos, PartialRun, TransportRun};
 pub use chaos::{ChaosEvent, ChaosPlan};
 pub use coordinator::{coordinate, CoordConfig, CoordEndpoint};
 pub use error::TransportError;
-pub use maelstrom::{maelstrom_serve, MaelstromInit, MaelstromStats};
 pub use shard::{
     shard_main, shard_main_recoverable, NodeEndpoint, ShardError, ShardMap, TransportConfig,
 };

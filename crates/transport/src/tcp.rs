@@ -692,7 +692,7 @@ mod tests {
         fn send(&mut self, _round: Round, ctx: &NodeCtx, out: &mut Outbox<u64>) {
             if let (Some(d), true) = (self.dist, self.fresh) {
                 for &(v, _) in ctx.out_edges() {
-                    if ctx.is_comm_neighbor(v) {
+                    if ctx.comm_neighbors().contains(&v) {
                         out.unicast(v, d);
                     }
                 }

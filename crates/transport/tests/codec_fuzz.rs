@@ -6,7 +6,6 @@
 
 use dw_congest::{RunOutcome, WireCodec};
 use dw_transport::wire::{read_frame, write_frame, BatchEntry, CtlMsg, Frame, NodeReport};
-use dw_transport::{maelstrom_serve, MaelstromInit};
 use proptest::prelude::*;
 use std::io::Cursor;
 
@@ -273,81 +272,6 @@ proptest! {
         let mut view = bytes.as_slice();
         let _ = Vec::<BatchEntry<u64>>::decode(&mut view);
         prop_assert!(view.len() <= bytes.len());
-    }
-}
-
-/// One syntactically valid Maelstrom init line for the mutation tests.
-fn init_line(msg_id: u64) -> String {
-    format!(
-        "{{\"src\":\"c1\",\"dest\":\"n1\",\"body\":{{\"type\":\"init\",\
-         \"msg_id\":{msg_id},\"node_id\":\"n1\",\"node_ids\":[\"n1\",\"n2\",\"n3\"]}}}}"
-    )
-}
-
-proptest! {
-    // Maelstrom init parsing on arbitrary text: `None` or a parse,
-    // never a panic (the harness frames are attacker-shaped input as
-    // far as the node is concerned).
-    #[test]
-    fn maelstrom_init_never_panics_on_garbage(bytes in collection::vec(any::<u8>(), 0..200)) {
-        let line = String::from_utf8_lossy(&bytes);
-        let _ = MaelstromInit::from_line(&line);
-    }
-
-    // Mutating one character of a valid init line never panics, and
-    // whatever still parses carries a coherent node set (own id
-    // present, remap total).
-    #[test]
-    fn maelstrom_init_survives_mutation(msg_id in any::<u64>(), pos_seed in any::<u64>(), flip in 1u8..=127) {
-        let mut line = init_line(msg_id).into_bytes();
-        let pos = (pos_seed as usize) % line.len();
-        line[pos] ^= flip;
-        let line = String::from_utf8_lossy(&line);
-        if let Some(init) = MaelstromInit::from_line(&line) {
-            prop_assert!(init.index_of(&init.node_id).is_some());
-            prop_assert!(init.name_of(init.internal_id()).is_some());
-        }
-    }
-
-    // The full serve loop fed arbitrary line soup: every line is
-    // handled (skipped, answered, or errored) and the loop exits
-    // cleanly at EOF — garbage before a valid init is a typed error,
-    // never a panic, and never an over-read past the input.
-    #[test]
-    fn maelstrom_serve_never_panics_on_line_soup(lines in collection::vec(collection::vec(any::<u8>(), 0..80), 0..8), with_init in any::<bool>()) {
-        let mut input = Vec::new();
-        if with_init {
-            input.extend_from_slice(init_line(1).as_bytes());
-            input.push(b'\n');
-        }
-        for l in &lines {
-            input.extend_from_slice(l);
-            input.push(b'\n');
-        }
-        let mut out = Vec::new();
-        let _ = maelstrom_serve(Cursor::new(input), &mut out);
-    }
-
-    // Bit-flipping a well-formed init + echo session never panics the
-    // serve loop; when the session still parses, the echo value comes
-    // back verbatim.
-    #[test]
-    fn maelstrom_serve_survives_mutation(pos_seed in any::<u64>(), flip in 1u8..=127) {
-        let mut input = init_line(1).into_bytes();
-        input.push(b'\n');
-        input.extend_from_slice(
-            br#"{"src":"c1","dest":"n1","body":{"type":"echo","msg_id":2,"echo":"smoke"}}"#,
-        );
-        input.push(b'\n');
-        let pos = (pos_seed as usize) % input.len();
-        input[pos] ^= flip;
-        let mut out = Vec::new();
-        if let Ok((_, stats)) = maelstrom_serve(Cursor::new(input), &mut out) {
-            if stats.echoes == 1 && stats.skipped == 0 {
-                let out = String::from_utf8_lossy(&out);
-                prop_assert!(out.contains("echo_ok"));
-            }
-        }
     }
 }
 
