@@ -39,8 +39,8 @@ use dwapsp::pipeline::{default_budget, hk_ssp_nodes, ChaosConfig, HkSspResult, S
 use dwapsp::prelude::*;
 use dwapsp::seqref::matrices_equal;
 use dwapsp::serve::{
-    run_loadgen, serve_shard, shared_tables, Deployment, Gateway, GatewayConfig, LoadgenConfig,
-    QueryOutcome, ServeClient, TableSnapshot, VersionedTables,
+    run_loadgen, serve_shard, shared_tables, AcceptStop, Deployment, Gateway, GatewayConfig,
+    LoadgenConfig, QueryOutcome, ServeClient, TableSnapshot, VersionedTables,
 };
 use dwapsp::transport::{
     run_coordinator_tcp, run_shard_tcp, ChaosPlan, CoordConfig, ShardMap, TransportConfig,
@@ -1042,12 +1042,13 @@ fn cmd_serve_shard(args: &Args) {
         listener.local_addr().unwrap(),
         vt.generation
     );
-    let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
     let tables = shared_tables(VersionedTables {
         generation: vt.generation,
         snap: sub,
     });
-    if let Err(e) = serve_shard(listener, tables, stop) {
+    // Never raised: the worker serves until the process is killed.
+    let served = AcceptStop::new(&listener).and_then(|stop| serve_shard(listener, tables, &stop));
+    if let Err(e) = served {
         eprintln!("shard {id} failed: {e}");
         exit(1);
     }

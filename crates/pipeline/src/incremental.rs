@@ -24,15 +24,17 @@
 //! 3. **seed** — each changed edge that is present after the batch is
 //!    offered to its head, ties in `l` and parent id included;
 //! 4. **settle** — a Dijkstra over `(d, l)` from the records written so
-//!    far, relaxing patched out-edges with the same three-part
-//!    comparison. A node whose parent alone changed is not re-queued:
-//!    what it offers its out-neighbours depends on `(d, l)` only.
+//!    far (its heap pops [`dw_seqref::HeapKey`]s, as
+//!    [`dw_seqref::dijkstra()`]'s does), relaxing patched out-edges with
+//!    the same three-part comparison. A node whose parent alone changed
+//!    is not re-queued: what it offers its out-neighbours depends on
+//!    `(d, l)` only.
 
 use crate::node::Best;
 use crate::result::HkSspResult;
 use dw_congest::EngineConfig;
 use dw_graph::{NetChange, NodeId, WGraph, Weight, INFINITY};
-use dw_seqref::hops_from_parents_into;
+use dw_seqref::{hops_from_parents_into, HeapKey};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -94,7 +96,7 @@ pub struct RowRepair<'a> {
     /// The nodes whose `cell` is not `Kept`, in the order they were
     /// first touched. The detach phase also uses it as its queue.
     touched: Vec<NodeId>,
-    heap: BinaryHeap<Reverse<(Weight, u64, NodeId)>>,
+    heap: BinaryHeap<Reverse<HeapKey>>,
     /// The stack of [`RowRepair::restore_hops`]' walk.
     chain: Vec<usize>,
 }
@@ -231,8 +233,9 @@ impl<'a> RowRepair<'a> {
                 }
             }
         }
-        while let Some(Reverse((d, l, v))) = self.heap.pop() {
-            if (row.dist[v as usize], row.hops[v as usize]) != (d, l) {
+        while let Some(Reverse(key)) = self.heap.pop() {
+            let (d, l, v) = key.parts();
+            if (row.dist[v as usize], row.hops[v as usize]) != (d, u64::from(l)) {
                 continue; // superseded by a better record for `v`
             }
             for &(x, w) in self.g.out_edges(v) {
@@ -260,7 +263,8 @@ impl<'a> RowRepair<'a> {
             None => true,
         };
         if moved {
-            self.heap.push(Reverse((d, l, v)));
+            let hop = u32::try_from(l).expect("a hop count below n fits a node id");
+            self.heap.push(Reverse(HeapKey::new(d, hop, v)));
         }
         row.set(v, d, l, Some(u));
         if self.cell[v as usize] == Cell::Kept {

@@ -24,6 +24,32 @@ use dw_graph::{NodeId, WGraph, Weight, INFINITY};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
+/// A heap entry of the tree order: `(d, l, v)` packed into one `u128`
+/// as `d << 64 | l << 32 | v`. Each field has bits of its own, most
+/// significant first, so the integer order is exactly the `(d, l, v)`
+/// order, and a min-heap of keys pops by distance, then hop count, then
+/// node id. [`dijkstra`] and `dw_pipeline::RowRepair`'s settle phase
+/// both queue these; the hop count is at most `n - 1`, which fits the
+/// 4 bytes of a node id.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub struct HeapKey(u128);
+
+impl HeapKey {
+    /// Pack `(d, l, v)` into one key.
+    pub fn new(d: Weight, l: u32, v: NodeId) -> HeapKey {
+        HeapKey(u128::from(d) << 64 | u128::from(l) << 32 | u128::from(v))
+    }
+
+    /// `(d, l, v)` back out of the key.
+    pub fn parts(self) -> (Weight, u32, NodeId) {
+        (
+            (self.0 >> 64) as Weight,
+            (self.0 >> 32) as u32,
+            self.0 as NodeId,
+        )
+    }
+}
+
 /// Result of a single-source run: `dist[v]` and `parent[v]` (the
 /// smallest-id predecessor on a path of that weight with the fewest
 /// edges). An unreachable node is `(INFINITY, None)`, the source
@@ -42,23 +68,23 @@ pub struct SsspResult {
 /// undirected graphs the adjacency already mirrors edges), in the
 /// `(d, l, parent)` order of the module header.
 ///
-/// The heap is keyed on `(d, l << 32 | v)`: 16 bytes an entry, popped in
-/// `(d, l, v)` order. `(d, l)` strictly grows along every edge, so a
-/// node popped at its current pair is settled, and every in-neighbour
-/// that ties for a node's `(d, l)` is settled before the node is — which
-/// is when the smallest of them has been written as its parent. The hop
-/// column is scratch (`l < n` fits the 4 bytes of a node id) and is not
-/// returned.
+/// The heap is keyed on one [`HeapKey`]: 16 bytes an entry, one integer
+/// comparison a sift step, popped in `(d, l, v)` order. `(d, l)`
+/// strictly grows along every edge, so a node popped at its current pair
+/// is settled, and every in-neighbour that ties for a node's `(d, l)` is
+/// settled before the node is — which is when the smallest of them has
+/// been written as its parent. The hop column is scratch (`l < n` fits
+/// the 4 bytes of a node id) and is not returned.
 pub fn dijkstra(g: &WGraph, s: NodeId) -> SsspResult {
     let n = g.n();
     let mut dist = vec![INFINITY; n];
     let mut hops = vec![0u32; n];
     let mut parent = vec![None; n];
-    let mut heap: BinaryHeap<Reverse<(Weight, u64)>> = BinaryHeap::with_capacity(n);
+    let mut heap: BinaryHeap<Reverse<HeapKey>> = BinaryHeap::with_capacity(n);
     dist[s as usize] = 0;
-    heap.push(Reverse((0, u64::from(s))));
-    while let Some(Reverse((d, lv))) = heap.pop() {
-        let (l, v) = ((lv >> 32) as u32, lv as NodeId);
+    heap.push(Reverse(HeapKey::new(0, 0, s)));
+    while let Some(Reverse(key)) = heap.pop() {
+        let (d, l, v) = key.parts();
         if (dist[v as usize], hops[v as usize]) != (d, l) {
             continue; // stale entry
         }
@@ -72,7 +98,7 @@ pub fn dijkstra(g: &WGraph, s: NodeId) -> SsspResult {
                 dist[ui] = nd;
                 hops[ui] = nl;
                 parent[ui] = Some(v);
-                heap.push(Reverse((nd, u64::from(nl) << 32 | u64::from(u))));
+                heap.push(Reverse(HeapKey::new(nd, nl, u)));
             } else if nl == hops[ui] && parent[ui].is_some_and(|p| v < p) {
                 parent[ui] = Some(v);
             }
@@ -486,6 +512,49 @@ mod tests {
             }
         }
         col
+    }
+
+    /// A key field near the bottom of `0..=max` (`kind` 0), near its top
+    /// (1), or anywhere (2): two keys drawn this way often tie on a field.
+    fn key_field(kind: u64, raw: u64, max: u64) -> u64 {
+        match kind {
+            0 => raw % 3,
+            1 => max - raw % 3,
+            _ => raw & max,
+        }
+    }
+
+    /// The `(d, l, v)` triple that `kinds` (one base-3 digit a field) and
+    /// three raw draws pick.
+    fn key_triple(kinds: u64, d: u64, l: u64, v: u64) -> (Weight, u32, NodeId) {
+        let max = u64::from(u32::MAX);
+        (
+            key_field(kinds % 3, d, INFINITY),
+            key_field(kinds / 3 % 3, l, max) as u32,
+            key_field(kinds / 9, v, max) as NodeId,
+        )
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(4096))]
+
+        // A packed key gives its triple back and orders exactly as the
+        // triple does, `d` near `INFINITY` and `l` near `u32::MAX`
+        // included.
+        #[test]
+        fn a_heap_key_round_trips_and_orders_as_its_triple(
+            kinds_a in 0u64..27,
+            kinds_b in 0u64..27,
+            da: u64, la: u64, va: u64,
+            db: u64, lb: u64, vb: u64,
+        ) {
+            let a = key_triple(kinds_a, da, la, va);
+            let b = key_triple(kinds_b, db, lb, vb);
+            let (ka, kb) = (HeapKey::new(a.0, a.1, a.2), HeapKey::new(b.0, b.1, b.2));
+            proptest::prop_assert_eq!(ka.parts(), a);
+            proptest::prop_assert_eq!(kb.parts(), b);
+            proptest::prop_assert_eq!(ka.cmp(&kb), a.cmp(&b), "{:?} vs {:?}", a, b);
+        }
     }
 
     proptest::proptest! {

@@ -18,7 +18,9 @@ pub mod validate;
 
 pub use apsp::{apsp_dijkstra, k_source_dijkstra, max_finite_distance};
 pub use bellman_ford::bellman_ford;
-pub use dijkstra::{dijkstra, hops_from_parents, hops_from_parents_into, hops_match, verify_row};
+pub use dijkstra::{
+    dijkstra, hops_from_parents, hops_from_parents_into, hops_match, verify_row, HeapKey,
+};
 pub use floyd_warshall::floyd_warshall;
 pub use hop_limited::{h_hop_distances, h_hop_sssp, max_finite_h_hop_distance, HopDist};
 pub use matrix::DistMatrix;

@@ -21,7 +21,7 @@
 //! Dropping a deployment shuts the gateway down first, then stops every
 //! shard and relay.
 
-use crate::accept::accept_until_stopped;
+use crate::accept::{accept_until_stopped, AcceptStop};
 use crate::client::ServeClient;
 use crate::gateway::{Gateway, GatewayConfig, CONNECT_TIMEOUT};
 use crate::server::ShardHandle;
@@ -30,8 +30,7 @@ use dw_graph::NodeId;
 use dw_transport::shard::ShardMap;
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -128,7 +127,8 @@ impl Deployment {
     }
 
     /// Hold every byte on shard `s`'s link for `span`, then heal.
-    /// Returns at once; the handle yields the instant the link healed.
+    /// Returns at once; the handle yields the instant the link healed,
+    /// before which no held byte moved on.
     /// Fails if `s` was not named stallable at spawn.
     pub fn stall(&self, s: usize, span: Duration) -> io::Result<JoinHandle<Instant>> {
         let relay = self.relays.get(s).and_then(Option::as_ref).ok_or_else(|| {
@@ -137,13 +137,11 @@ impl Deployment {
                 format!("shard {s} was not spawned stallable"),
             )
         })?;
-        let cut = Arc::clone(&relay.cut);
-        cut.store(true, Ordering::Relaxed);
+        let gate = Arc::clone(&relay.gate);
+        gate.set_closed(true);
         Ok(std::thread::spawn(move || {
             std::thread::sleep(span);
-            let healed = Instant::now();
-            cut.store(false, Ordering::Relaxed);
-            healed
+            gate.set_closed(false)
         }))
     }
 }
@@ -152,12 +150,51 @@ fn loopback() -> io::Result<TcpListener> {
     TcpListener::bind(("127.0.0.1", 0))
 }
 
+/// Whether a relay's pumps pass bytes on: closed while a stall holds
+/// the link.
+#[derive(Default)]
+struct Gate {
+    closed: Mutex<bool>,
+    opened: Condvar,
+}
+
+impl Gate {
+    /// The flag guards nothing but itself, so a poisoned lock is used
+    /// as is.
+    fn lock(&self) -> MutexGuard<'_, bool> {
+        self.closed.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Close or open the gate. Returns the instant it was set, taken
+    /// under the lock: a pump held at the gate moves no byte before it.
+    fn set_closed(&self, closed: bool) -> Instant {
+        let mut gate = self.lock();
+        let at = Instant::now();
+        *gate = closed;
+        if !closed {
+            self.opened.notify_all();
+        }
+        at
+    }
+
+    /// Block while the gate is closed.
+    fn pass(&self) {
+        let mut closed = self.lock();
+        while *closed {
+            closed = self
+                .opened
+                .wait(closed)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+}
+
 /// A byte relay in front of one shard whose pumps hold what they read
-/// while `cut` is raised.
+/// while its gate is closed.
 struct Relay {
     addr: SocketAddr,
-    cut: Arc<AtomicBool>,
-    stop: Arc<AtomicBool>,
+    gate: Arc<Gate>,
+    stop: Arc<AcceptStop>,
     thread: Option<JoinHandle<io::Result<()>>>,
 }
 
@@ -165,20 +202,19 @@ impl Relay {
     fn spawn(target: SocketAddr) -> io::Result<Relay> {
         let listener = loopback()?;
         let addr = listener.local_addr()?;
-        let cut = Arc::new(AtomicBool::new(false));
-        let stop = Arc::new(AtomicBool::new(false));
+        let gate = Arc::new(Gate::default());
+        let stop = Arc::new(AcceptStop::new(&listener)?);
         let thread = {
-            let (cut, stop) = (Arc::clone(&cut), Arc::clone(&stop));
+            let (gate, stop) = (Arc::clone(&gate), Arc::clone(&stop));
             std::thread::spawn(move || {
-                let held = Arc::clone(&stop);
                 accept_until_stopped(listener, &stop, move |client| {
-                    relay(client, target, &cut, &held);
+                    relay(client, target, &gate);
                 })
             })
         };
         Ok(Relay {
             addr,
-            cut,
+            gate,
             stop,
             thread: Some(thread),
         })
@@ -186,8 +222,10 @@ impl Relay {
 }
 
 impl Drop for Relay {
+    /// Open the gate first, so no pump stays held, then stop.
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
+        self.gate.set_closed(false);
+        self.stop.raise();
         if let Some(t) = self.thread.take() {
             let _ = t.join();
         }
@@ -196,7 +234,7 @@ impl Drop for Relay {
 
 /// Connect `client` to `target` and pump both ways until either side
 /// closes.
-fn relay(client: TcpStream, target: SocketAddr, cut: &Arc<AtomicBool>, stop: &Arc<AtomicBool>) {
+fn relay(client: TcpStream, target: SocketAddr, gate: &Arc<Gate>) {
     let Ok(upstream) = TcpStream::connect(target) else {
         return;
     };
@@ -204,23 +242,20 @@ fn relay(client: TcpStream, target: SocketAddr, cut: &Arc<AtomicBool>, stop: &Ar
         return;
     };
     let back = {
-        let (cut, stop) = (Arc::clone(cut), Arc::clone(stop));
-        std::thread::spawn(move || pump(upstream2, client2, &cut, &stop))
+        let gate = Arc::clone(gate);
+        std::thread::spawn(move || pump(upstream2, client2, &gate))
     };
-    pump(client, upstream, cut, stop);
+    pump(client, upstream, gate);
     let _ = back.join();
 }
 
-/// Copy `from` to `to`, holding each chunk while `cut` is raised (and
-/// the relay is not stopping). When either end closes, shut both down so
-/// the pump the other way ends too.
-fn pump(mut from: TcpStream, mut to: TcpStream, cut: &AtomicBool, stop: &AtomicBool) {
+/// Copy `from` to `to`, holding each chunk at the gate. When either end
+/// closes, shut both down so the pump the other way ends too.
+fn pump(mut from: TcpStream, mut to: TcpStream, gate: &Gate) {
     let _ = to.set_nodelay(true);
     let mut buf = [0u8; 8192];
     while let Ok(k @ 1..) = from.read(&mut buf) {
-        while cut.load(Ordering::Relaxed) && !stop.load(Ordering::Relaxed) {
-            std::thread::sleep(Duration::from_millis(5));
-        }
+        gate.pass();
         if to.write_all(&buf[..k]).is_err() {
             break;
         }

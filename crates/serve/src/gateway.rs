@@ -54,7 +54,7 @@
 //! `cache_put` drops answers whose intake generation is no longer
 //! current — the cheap, conservative rule.
 
-use crate::accept::accept_until_stopped;
+use crate::accept::{accept_until_stopped, AcceptStop};
 use crate::cache::{CachedAnswer, PathCache};
 use crate::metrics::ServeStats;
 use crate::proto::{
@@ -216,7 +216,7 @@ struct Shared {
     dispatchers: Vec<Arc<Dispatcher>>,
     cache: Mutex<PathCache>,
     stats: Mutex<ServeStats>,
-    stop: AtomicBool,
+    stop: AcceptStop,
     /// The currently installed table generation (monotone).
     generation: AtomicU64,
     /// The fleet generation: the one every shard not marked down is
@@ -325,10 +325,7 @@ fn dispatcher_main(
     loop {
         let work = {
             let mut mb = d.mailbox();
-            while mb.parked.is_empty()
-                && mb.installs.is_empty()
-                && !shared.stop.load(Ordering::Relaxed)
-            {
+            while mb.parked.is_empty() && mb.installs.is_empty() && !shared.stop.is_raised() {
                 mb = d.wake.wait(mb).unwrap_or_else(PoisonError::into_inner);
             }
             if !mb.installs.is_empty() {
@@ -772,7 +769,7 @@ impl Gateway {
             dispatchers,
             cache: Mutex::new(cache),
             stats: Mutex::new(ServeStats::default()),
-            stop: AtomicBool::new(false),
+            stop: AcceptStop::new(&listener)?,
             generation: AtomicU64::new(cfg.initial_generation),
             fleet: Mutex::new(Some(cfg.initial_generation)),
         });
@@ -830,7 +827,7 @@ impl Gateway {
     /// Stop accepting, close every client connection (attached clients
     /// see end of stream), drain the dispatchers, join every thread.
     pub fn shutdown(&mut self) {
-        self.shared.stop.store(true, Ordering::Relaxed);
+        self.shared.stop.raise();
         for d in &self.shared.dispatchers {
             // Under the mailbox lock, so a dispatcher is either before
             // its check of `stop` or already waiting: no lost wake-up.

@@ -46,6 +46,7 @@ pub mod server;
 pub mod table;
 pub mod zipf;
 
+pub use accept::AcceptStop;
 pub use cache::{CachedAnswer, PathCache};
 pub use client::ServeClient;
 pub use deployment::Deployment;

@@ -32,7 +32,7 @@
 //! lock is used as is, and one panicking connection cannot stop the
 //! shard answering.
 
-use crate::accept::accept_until_stopped;
+use crate::accept::{accept_until_stopped, AcceptStop};
 use crate::proto::{
     QueryBatch, QueryOutcome, QueryReply, QueryRequest, ReplyBatch, ShardFrame, ShardReply,
 };
@@ -41,7 +41,6 @@ use dw_graph::INFINITY;
 use dw_transport::wire::{read_frame, write_frame};
 use std::io::{self, BufReader};
 use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, PoisonError, RwLock};
 use std::time::Instant;
 
@@ -146,18 +145,19 @@ fn serve_conn(tables: &SharedTables, stream: TcpStream) -> io::Result<()> {
     }
 }
 
-/// Run a shard server on `listener` until `stop` is raised: accept
-/// connections (the gateway usually holds exactly one) and serve each
-/// on its own thread. All connections share `tables`, so an install on
-/// one connection is visible to every other on their next batch.
-/// On stop every open connection is shut down, which wakes its thread
-/// out of a blocked read, and joined before this returns.
+/// Run a shard server on `listener` until `stop` (made for this
+/// listener) is raised: accept connections (the gateway usually holds
+/// exactly one) and serve each on its own thread. All connections share
+/// `tables`, so an install on one connection is visible to every other
+/// on their next batch. On stop every open connection is shut down,
+/// which wakes its thread out of a blocked read, and joined before this
+/// returns.
 pub fn serve_shard(
     listener: TcpListener,
     tables: SharedTables,
-    stop: Arc<AtomicBool>,
+    stop: &AcceptStop,
 ) -> io::Result<()> {
-    accept_until_stopped(listener, &stop, move |stream| {
+    accept_until_stopped(listener, stop, move |stream| {
         // A connection error (gateway went away) only ends this
         // connection; the shard keeps accepting.
         let _ = serve_conn(&tables, stream);
@@ -169,7 +169,7 @@ pub fn serve_shard(
 /// [`ShardHandle::stop`] — dropping the handle also stops it.
 pub struct ShardHandle {
     pub addr: std::net::SocketAddr,
-    stop: Arc<AtomicBool>,
+    stop: Arc<AcceptStop>,
     thread: Option<std::thread::JoinHandle<io::Result<()>>>,
 }
 
@@ -189,10 +189,10 @@ impl ShardHandle {
     /// Serve an already-stamped table set on `listener`, on a new thread.
     pub fn spawn_on(listener: TcpListener, tables: VersionedTables) -> io::Result<ShardHandle> {
         let addr = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
+        let stop = Arc::new(AcceptStop::new(&listener)?);
         let stop2 = Arc::clone(&stop);
         let shared = shared_tables(tables);
-        let thread = std::thread::spawn(move || serve_shard(listener, shared, stop2));
+        let thread = std::thread::spawn(move || serve_shard(listener, shared, &stop2));
         Ok(ShardHandle {
             addr,
             stop,
@@ -200,10 +200,10 @@ impl ShardHandle {
         })
     }
 
-    /// Stop serving: raise the flag and join the accept loop, which
+    /// Stop serving: raise the stop and join the accept loop, which
     /// closes every open connection on its way out. Idempotent.
     pub fn stop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
+        self.stop.raise();
         if let Some(t) = self.thread.take() {
             let _ = t.join();
         }
@@ -450,10 +450,10 @@ mod tests {
 
         let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
         let addr = listener.local_addr().unwrap();
-        let stop = Arc::new(AtomicBool::new(false));
+        let stop = Arc::new(AcceptStop::new(&listener).unwrap());
         let server = {
             let (tables, stop) = (Arc::clone(&tables), Arc::clone(&stop));
-            std::thread::spawn(move || serve_shard(listener, tables, stop))
+            std::thread::spawn(move || serve_shard(listener, tables, &stop))
         };
         let mut stream = TcpStream::connect(addr).unwrap();
         let mut scratch = Vec::new();
@@ -483,7 +483,7 @@ mod tests {
             panic!("expected replies");
         };
         assert_eq!(r.replies[0].outcome, QueryOutcome::Dist { dist: 6 });
-        stop.store(true, Ordering::Relaxed);
+        stop.raise();
         drop(stream);
         server.join().unwrap().unwrap();
     }

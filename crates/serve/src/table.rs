@@ -27,6 +27,7 @@
 //! constructor and decoder and on every row [`TableSnapshot::apply`]
 //! patches; and checked by its one reader before use.
 
+use dw_congest::codec::take_bytes;
 use dw_congest::WireCodec;
 use dw_graph::{NodeId, Weight, INFINITY};
 use dw_pipeline::HkSspResult;
@@ -85,6 +86,18 @@ impl SourceTable {
         }
     }
 
+    /// Exactly `dw_congest::to_bytes(self).len()`, without encoding:
+    /// the source, then each column behind its length prefix.
+    pub fn encoded_len(&self) -> usize {
+        4 + 4 + 8 * self.dist.len() + 4 + self.parent_bytes()
+    }
+
+    /// Wire bytes of the parent column's cells, its length prefix not
+    /// counted.
+    fn parent_bytes(&self) -> usize {
+        self.parent.iter().map(parent_wire_bytes).sum()
+    }
+
     /// Reconstruct the recorded shortest path `source, …, dst` by
     /// walking parent pointers backwards. `None` when `dst` is
     /// unreachable or out of range, or when the parent chain is
@@ -110,19 +123,65 @@ impl SourceTable {
     }
 }
 
+/// The layout is `(source, dist, parent)` as the generic codec writes a
+/// `(NodeId, Vec<Weight>, Vec<Option<NodeId>>)`; each column is written
+/// into bytes reserved for it exactly, and read back in one pass.
 impl WireCodec for SourceTable {
     fn encode(&self, out: &mut Vec<u8>) {
+        let parent_bytes = self.parent_bytes();
+        out.reserve(4 + 4 + 8 * self.dist.len() + 4 + parent_bytes);
         self.source.encode(out);
-        self.dist.encode(out);
-        self.parent.encode(out);
+        (self.dist.len() as u32).encode(out);
+        let at = out.len();
+        out.resize(at + 8 * self.dist.len(), 0);
+        for (cell, d) in out[at..].chunks_exact_mut(8).zip(&self.dist) {
+            cell.copy_from_slice(&d.to_le_bytes());
+        }
+        (self.parent.len() as u32).encode(out);
+        // Zero-filled, so a `None` is already its tag.
+        let at = out.len();
+        out.resize(at + parent_bytes, 0);
+        let mut cells = &mut out[at..];
+        for p in &self.parent {
+            cells = match p {
+                None => &mut cells[1..],
+                Some(p) => {
+                    let (cell, rest) = cells.split_at_mut(5);
+                    cell[0] = 1;
+                    cell[1..].copy_from_slice(&p.to_le_bytes());
+                    rest
+                }
+            };
+        }
     }
     fn decode(buf: &mut &[u8]) -> Option<Self> {
         let source = NodeId::decode(buf)?;
-        let dist = Vec::<Weight>::decode(buf)?;
-        let parent = Vec::<Option<NodeId>>::decode(buf)?;
-        if dist.len() != parent.len() {
+        let n = u32::decode(buf)? as usize;
+        let raw = take_bytes(buf, n.checked_mul(8)?)?;
+        let dist: Vec<Weight> = raw
+            .chunks_exact(8)
+            .map(|c| Weight::from_le_bytes(c.try_into().expect("an 8-byte chunk")))
+            .collect();
+        if u32::decode(buf)? as usize != n {
             return None;
         }
+        // `n` is bounded by the buffer: its distances were all there.
+        let mut parent = Vec::with_capacity(n);
+        let mut rest = *buf;
+        for _ in 0..n {
+            let (&tag, tail) = rest.split_first()?;
+            rest = tail;
+            parent.push(match tag {
+                0 => None,
+                1 => {
+                    let (id, tail) = rest.split_first_chunk::<4>()?;
+                    rest = tail;
+                    Some(NodeId::from_le_bytes(*id))
+                }
+                _ => return None,
+            });
+        }
+        *buf = rest;
         Some(SourceTable::new(source, dist, parent))
     }
 }
@@ -301,12 +360,9 @@ impl RowPatch {
 
     /// Exactly `dw_congest::to_bytes(self).len()`, without encoding.
     pub fn encoded_len(&self) -> usize {
-        // tag + source + one length prefix per vector
+        // tag, then the row or the source and the cells' length prefix
         match self {
-            RowPatch::Whole(t) => {
-                let parents: usize = t.parent.iter().map(parent_wire_bytes).sum();
-                1 + 4 + 4 + 8 * t.dist.len() + 4 + parents
-            }
+            RowPatch::Whole(t) => 1 + t.encoded_len(),
             RowPatch::Cells { cells, .. } => {
                 let cells: usize = cells
                     .iter()

@@ -282,6 +282,32 @@ proptest! {
         );
     }
 
+    // A row's column-at-a-time codec writes the bytes the generic codec
+    // writes for `(source, dist, parent)`, exactly `encoded_len` of them,
+    // and reads them back. A parent column whose length prefix disagrees
+    // with the distance column's, or that holds a tag other than 0 or 1,
+    // never decodes.
+    #[test]
+    fn a_row_is_the_generic_tuple_on_the_wire(snap in arb_snapshot(), lie in 1u32..4, tag in 2u8..=255) {
+        for t in &snap.tables {
+            let bytes = dw_congest::to_bytes(t.as_ref());
+            let generic = dw_congest::to_bytes(&(t.source, t.dist.clone(), t.parent.clone()));
+            prop_assert_eq!(&bytes, &generic);
+            prop_assert_eq!(bytes.len(), t.encoded_len());
+            prop_assert_eq!(dw_congest::from_bytes::<SourceTable>(&bytes), Some(t.as_ref().clone()));
+
+            let prefix = 8 + 8 * t.dist.len();
+            for claimed in [t.parent.len() as u32 + lie, (t.parent.len() as u32).wrapping_sub(lie)] {
+                let mut lying = bytes.clone();
+                lying[prefix..prefix + 4].copy_from_slice(&claimed.to_le_bytes());
+                prop_assert_eq!(dw_congest::from_bytes::<SourceTable>(&lying), None);
+            }
+            let mut bad_tag = bytes.clone();
+            bad_tag[prefix + 4] = tag;
+            prop_assert_eq!(dw_congest::from_bytes::<SourceTable>(&bad_tag), None);
+        }
+    }
+
     // Every tagged swap-protocol frame survives a framed roundtrip.
     #[test]
     fn swap_frames_roundtrip(req in arb_client_request(), reply in arb_client_reply(), sf in arb_shard_frame(), sr in arb_shard_reply()) {

@@ -1,7 +1,7 @@
 //! The gateway's hot-path contract (DESIGN.md §13), driven from outside:
 //! batching without a timer, replies written by the thread that holds
-//! them, reads that never lose half a frame, and a shutdown that does
-//! not wait for clients to leave.
+//! them, reads that never lose half a frame, and a shutdown that waits
+//! neither for clients to leave nor on a clock, on any listen address.
 //!
 //! Where a test needs the shard to be slow it talks to a [`FakeShard`]:
 //! a scripted peer that reports every frame it receives and answers it
@@ -19,12 +19,12 @@ use dw_graph::{NodeId, INFINITY};
 use dw_serve::{
     ApplyReport, ClientReply, ClientRequest, Deployment, Gateway, GatewayConfig, QueryOutcome,
     QueryReply, QueryRequest, ReplyBatch, RowPatch, ServeClient, ShardFrame, ShardHandle,
-    ShardReply, SourceTable, TableDelta, TableSnapshot, CLIENT_WRITE_TIMEOUT,
+    ShardReply, SourceTable, TableDelta, TableSnapshot, VersionedTables, CLIENT_WRITE_TIMEOUT,
 };
 use dw_transport::shard::ShardMap;
 use dw_transport::wire::{read_frame, write_frame};
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
@@ -659,6 +659,77 @@ fn shutdown_does_not_wait_for_attached_clients() {
     stopping.join().unwrap();
     // The attached client was hung up on, not left waiting.
     assert!(idle.query(0, 5, false).is_err());
+}
+
+#[test]
+fn a_deployment_stops_without_waiting_on_a_clock() {
+    // An accept loop that polled its stop flag would sleep out one poll
+    // per loop here (three loops: the gateway's and each shard's).
+    const REPS: usize = 20;
+    let snap = path_snapshot(64);
+    let mut stops = Vec::with_capacity(REPS);
+    for _ in 0..REPS {
+        let mut d = Deployment::spawn(&snap, 2, GatewayConfig::default()).unwrap();
+        let first = d.client().unwrap().query(0, 5, false).unwrap();
+        assert_eq!(first, QueryOutcome::Dist { dist: 5 });
+        let t0 = Instant::now();
+        d.gateway.shutdown();
+        d.kill(0);
+        d.kill(1);
+        stops.push(t0.elapsed());
+    }
+    stops.sort();
+    let median = stops[REPS / 2];
+    assert!(
+        median < Duration::from_millis(4),
+        "Gateway::shutdown plus both ShardHandle::stop took {median:?} at the median: {stops:?}"
+    );
+}
+
+/// A shard server and a gateway listening on `wildcard`, which no client
+/// ever reached, stop within a watchdog bound: a stop's wake has to dial
+/// `loopback`, the loopback of the same family.
+fn wildcard_listeners_stop(wildcard: IpAddr, loopback: IpAddr) {
+    let listener = TcpListener::bind((wildcard, 0)).unwrap();
+    let port = listener.local_addr().unwrap().port();
+    let tables = VersionedTables {
+        generation: 0,
+        snap: path_snapshot(8),
+    };
+    let mut shard = ShardHandle::spawn_on(listener, tables).unwrap();
+    let mut gateway = Gateway::spawn_on(
+        TcpListener::bind((wildcard, 0)).unwrap(),
+        ShardMap::new(8, 1),
+        &[SocketAddr::new(loopback, port)],
+        GatewayConfig::default(),
+    )
+    .unwrap();
+    assert!(gateway.addr.ip().is_unspecified() && shard.addr.ip().is_unspecified());
+
+    let (stopped_tx, stopped) = channel();
+    let stopping = std::thread::spawn(move || {
+        gateway.shutdown();
+        shard.stop();
+        let _ = stopped_tx.send(());
+    });
+    stopped
+        .recv_timeout(Duration::from_secs(2))
+        .unwrap_or_else(|_| panic!("listeners on {wildcard} did not stop within 2 s"));
+    stopping.join().unwrap();
+}
+
+#[test]
+fn listeners_on_the_ipv4_wildcard_stop() {
+    wildcard_listeners_stop(Ipv4Addr::UNSPECIFIED.into(), Ipv4Addr::LOCALHOST.into());
+}
+
+#[test]
+fn listeners_on_the_ipv6_wildcard_stop() {
+    if TcpListener::bind((Ipv6Addr::LOCALHOST, 0)).is_err() {
+        eprintln!("skipped: this host has no IPv6 loopback");
+        return;
+    }
+    wildcard_listeners_stop(Ipv6Addr::UNSPECIFIED.into(), Ipv6Addr::LOCALHOST.into());
 }
 
 #[test]
